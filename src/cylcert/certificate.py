@@ -53,6 +53,10 @@ TIER_NUMERIC = "numeric"
 # Rational upper bound for e, used to keep bound reports sound.
 E_UPPER = Fraction(2_718_281_829, 10**9)
 
+# Largest integer power of E_UPPER that exp_upper expands: the exact value
+# has about 1.2 million digits and takes about a second to compute.
+EXP_UPPER_CAP = 2**17
+
 
 def variant_degree(variant: Variant, m: int) -> int:
     """Total degree of the sphere-padding SOS factor for the regime."""
@@ -152,6 +156,8 @@ class CertificateMeta:
             )
         except KeyError as exc:
             raise SchemaError(f"certificate metadata missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad certificate metadata: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -178,8 +184,11 @@ def sos_to_obj(deco: SosDecomposition) -> dict[str, Any]:
 def sos_from_obj(obj: Any, shape: BlockShape) -> SosDecomposition:
     if not isinstance(obj, dict) or "weights" not in obj or "squares" not in obj:
         raise SchemaError("an SOS entry needs 'weights' and 'squares'")
-    weights = tuple(frac_from_str(w) for w in obj["weights"])
-    squares = tuple(poly_from_obj(q, shape) for q in obj["squares"])
+    try:
+        weights = tuple(frac_from_str(w) for w in obj["weights"])
+        squares = tuple(poly_from_obj(q, shape) for q in obj["squares"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad SOS entry: {exc}") from None
     if len(weights) != len(squares):
         raise SchemaError("SOS weights and squares differ in length")
     return SosDecomposition(shape, weights, squares, (), ())
@@ -742,7 +751,14 @@ def integer_root_upper(value: int, degree: int) -> int:
         raise ValidationError("root of a negative number or bad degree")
     if value in (0, 1):
         return value
-    t = max(1, round(value ** (1.0 / degree)))
+    # integer Newton steps from 2^ceil(bits/degree) >= the root; they
+    # decrease to the floor of the root without a float conversion
+    t = 1 << -(-value.bit_length() // degree)
+    while True:
+        nxt = ((degree - 1) * t + value // t ** (degree - 1)) // degree
+        if nxt >= t:
+            break
+        t = nxt
     while t**degree >= value:
         t -= 1
     while t**degree < value:
@@ -773,9 +789,14 @@ def exp_upper(t: Fraction) -> Fraction:
     """A certified rational upper bound of e**t for t >= 0."""
     if t < 0:
         raise ValidationError("nonnegative exponents only")
-    if t.denominator == 1:
-        return E_UPPER ** int(t)
-    return E_UPPER ** -(-t.numerator // t.denominator)
+    power = -(-t.numerator // t.denominator)
+    if power > EXP_UPPER_CAP:
+        raise ValidationError(
+            "bound too large to write out exactly: e is raised to a power above "
+            f"{EXP_UPPER_CAP}",
+            exponent_bits=power.bit_length(),
+        )
+    return E_UPPER**power
 
 
 _BOUND_FORMULAS = ("1.1", "1.2", "1.3", "1.4", "1.5", "2.3")

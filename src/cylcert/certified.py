@@ -17,10 +17,16 @@ and :func:`check_leading_form_condition` is one grid scan:
    of the closed-form simplex/sphere constants (:func:`lipschitz_constants`)
    and coefficient-sum gradient bounds for the reduced target — to get a
    lower bound valid on the whole continuum domain.
-4. Large passes run in float64; the result is then widened by a rigorous
-   rounding-error term (see ``_float_slack``), and candidate minima are
-   re-evaluated in exact rational arithmetic, so every reported bound,
-   witness and sample value is exact.
+4. Every pass evaluates all grid x cover pairs in float64, within a
+   rigorous rounding-error term ``slack`` of the exact values (see
+   ``_float_slack``).  A pass of at most ``_Scan.EXACT_PAIRS`` (4096)
+   pairs then evaluates exactly only the pairs within 2*slack of the
+   float minimum (overall and over the exactly feasible rows) and those
+   below the witness cutoff; these hold every exact minimizer and
+   witness, so its bound is the exact minimum minus the error terms.  A
+   larger pass subtracts ``slack`` from the float minimum instead.
+   Candidate minima are re-evaluated in exact rational arithmetic, so
+   every reported witness and sample value is exact.
 
 Refinement doubles the resolution of whichever factor currently
 contributes the largest error term, and the running lower bound is the
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -329,7 +335,6 @@ class _Scan:
         start_resolution: int,
         depth_cap: int,
         pair_budget: int,
-        exact_cap: int,
         witness_cap: int,
     ):
         self.target = target
@@ -346,7 +351,6 @@ class _Scan:
         self.start_resolution = start_resolution
         self.depth_cap = depth_cap
         self.pair_budget = pair_budget
-        self.exact_cap = exact_cap
         self.witness_cap = witness_cap
 
         shape = target.shape
@@ -502,6 +506,9 @@ class _Scan:
             **last_exhaust,
         )
 
+    # passes with at most this many grid x cover pairs get exact results
+    EXACT_PAIRS = 4096
+
     # memory guards: never materialize a simplex lattice / recursive sphere
     # cover past these point counts, regardless of the pair budget
     GRID_POINT_CAP = 1 << 24
@@ -571,48 +578,17 @@ class _Scan:
         # witness-candidate cutoff in float terms (upper bound of the exact cut)
         cut = _ceil_float(self.witness_threshold + self.slack)
 
-        if rows.size * max(1, n_u) <= self.exact_cap:
-            return self._exact_pass(grid, rows, covers, total_err)
+        if rows.size * max(1, n_u) <= self.EXACT_PAIRS:
+            return self._confirmed_pass(grid, rows, covers, total_err, cut)
         return self._float_pass(grid, rows, covers, total_err, cut, sure[rows])
 
-    def _u_product(self, covers) -> list[tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]]:
-        """All combinations of cover entries: (projected per block, rep per block)."""
-        combos = [((), ())]
-        for cov in covers:
-            nxt = []
-            for proj, reps in combos:
-                for p, rep in zip(cov.points, cov.representatives):
-                    nxt.append((proj + (p,), reps + (rep,)))
-            combos = nxt
-        return combos
+    def _value_blocks(self, xf: np.ndarray, covers) -> Iterator[tuple[int, np.ndarray]]:
+        """Float64 values of the reduced target on grid rows x cover combinations.
 
-    def _exact_pass(self, grid, rows, covers, total_err):
-        best: tuple[Fraction, tuple, tuple] | None = None
-        best_feas: tuple[Fraction, tuple, tuple] | None = None
-        candidates = []
-        combos = self._u_product(covers)
-        for row in rows:
-            x = grid.point(int(row))
-            feas = self._in_feasible_set(x)
-            for _proj, reps in combos:
-                value = self._exact_value(x, reps)
-                if best is None or value < best[0]:
-                    best = (value, x, reps)
-                if feas and (best_feas is None or value < best_feas[0]):
-                    best_feas = (value, x, reps)
-                if self._is_witness_value(value):
-                    candidates.append((float(value), x, reps))
-        assert best is not None
-        candidates.sort(key=lambda t: t[0])
-        candidates = candidates[: self.witness_cap]
-        for extra in (best, best_feas):
-            if extra is not None and all(extra[1:] != c[1:] for c in candidates):
-                candidates.append((float(extra[0]), extra[1], extra[2]))
-        lb = best[0] - total_err
-        return lb, candidates, rows, covers
-
-    def _float_pass(self, grid, rows, covers, total_err, cut, sure_rows):
-        xf = grid.as_floats()[rows]
+        Columns enumerate the product of the covers' projected points with
+        the first cover outermost (see :meth:`_reps_at`).  Rows come in
+        chunks of about 4M values, each yielded with its first row index.
+        """
         # combined projected sphere coordinates, one row per combination
         mats = [c.as_floats() for c in covers]
         n_u = 1
@@ -656,17 +632,73 @@ class _Scan:
         for k, coeffs in enumerate(self.sig_coeffs):
             amat[:, k] = _float_eval(xf, coeffs)
 
-        chunk = max(1, 4_000_000 // max(1, n_u))
-        best_val = math.inf
-        best_idx = (0, 0)
-        sure_val = math.inf
-        sure_idx: tuple[int, int] | None = None
-        cand: list[tuple[float, int, int]] = []
+        chunk = max(1, 4_000_000 // n_u)
         for lo in range(0, amat.shape[0], chunk):
             hi = min(lo + chunk, amat.shape[0])
             block = np.zeros((hi - lo, n_u))
             for k in range(n_sig):
                 block += amat[lo:hi, k, None] * bmat[None, k, :]
+            yield lo, block
+
+    @staticmethod
+    def _reps_at(covers, j: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Sphere representatives of value-block column j (first cover outermost)."""
+        reps = []
+        for cov in reversed(covers):
+            j, idx = divmod(j, len(cov))
+            reps.append(cov.representatives[idx])
+        return tuple(reversed(reps))
+
+    def _confirmed_pass(self, grid, rows, covers, total_err, cut):
+        """A small pass whose results are exact, from few exact evaluations.
+
+        Every float value is within ``slack`` of the exact one, so the exact
+        minimizers overall and over the exactly feasible rows have float
+        values within 2*slack of the matching float minimum, and every
+        witness-valued pair has float value <= ``cut``.  Only those pairs
+        are evaluated exactly, in row-major order, which gives the same
+        bound, best samples and candidate order as evaluating every pair.
+        """
+        block = np.vstack([b for _, b in self._value_blocks(grid.as_floats()[rows], covers)])
+        feasible = np.array([self._in_feasible_set(grid.point(int(r))) for r in rows])
+        pick = (block <= cut) | (block <= self._near(block.min()))
+        if feasible.any():
+            pick |= feasible[:, None] & (block <= self._near(block[feasible].min()))
+
+        best: tuple[Fraction, tuple, tuple] | None = None
+        best_feas: tuple[Fraction, tuple, tuple] | None = None
+        candidates = []
+        for i, j in np.argwhere(pick):
+            x = grid.point(int(rows[i]))
+            reps = self._reps_at(covers, int(j))
+            value = self._exact_value(x, reps)
+            if best is None or value < best[0]:
+                best = (value, x, reps)
+            if feasible[i] and (best_feas is None or value < best_feas[0]):
+                best_feas = (value, x, reps)
+            if self._is_witness_value(value):
+                candidates.append((float(value), x, reps))
+        assert best is not None
+        candidates.sort(key=lambda t: t[0])
+        candidates = candidates[: self.witness_cap]
+        for extra in (best, best_feas):
+            if extra is not None and all(extra[1:] != c[1:] for c in candidates):
+                candidates.append((float(extra[0]), extra[1], extra[2]))
+        lb = best[0] - total_err
+        return lb, candidates, rows, covers
+
+    def _near(self, fmin: float) -> float:
+        """Float value bound of every pair whose exact value is the exact minimum behind fmin."""
+        return _ceil_float(Fraction(fmin) + 2 * self.slack)
+
+    def _float_pass(self, grid, rows, covers, total_err, cut, sure_rows):
+        best_val = math.inf
+        best_idx = (0, 0)
+        sure_val = math.inf
+        sure_idx: tuple[int, int] | None = None
+        cand: list[tuple[float, int, int]] = []
+        for lo, block in self._value_blocks(grid.as_floats()[rows], covers):
+            hi, n_u = lo + block.shape[0], block.shape[1]
             flat = np.argmin(block)
             i, j = divmod(int(flat), n_u)
             if block[i, j] < best_val:
@@ -686,6 +718,8 @@ class _Scan:
                 for pos in order[: self.witness_cap]:
                     i2, j2 = low[pos]
                     cand.append((float(block[i2, j2]), lo + int(i2), int(j2)))
+            # free this chunk before the generator builds the next one
+            del block
 
         cand.sort(key=lambda t: t[0])
         cand = cand[: self.witness_cap]
@@ -696,20 +730,10 @@ class _Scan:
         if sure_idx is not None and sure_idx not in seen:
             cand.append((sure_val, *sure_idx))
 
-        strides = []
-        acc = n_u
-        for cov in covers:
-            acc //= len(cov)
-            strides.append(acc)
-        out = []
-        for fval, i, j in cand:
-            x = grid.point(int(rows[i]))
-            reps = []
-            jj = j
-            for cov, stride in zip(covers, strides):
-                idx, jj = divmod(jj, stride)
-                reps.append(cov.representatives[idx])
-            out.append((fval, x, tuple(reps)))
+        out = [
+            (fval, grid.point(int(rows[i])), self._reps_at(covers, j))
+            for fval, i, j in cand
+        ]
         lb = Fraction(best_val) - self.slack - total_err
         return lb, out, rows, covers
 
@@ -769,7 +793,6 @@ def certified_cylinder_min(
         start_resolution=start_resolution,
         depth_cap=depth_cap,
         pair_budget=pair_budget,
-        exact_cap=4096,
         witness_cap=witness_cap,
     )
 
@@ -811,7 +834,6 @@ def certified_excess_check(
         start_resolution=start_resolution,
         depth_cap=depth_cap,
         pair_budget=pair_budget,
-        exact_cap=4096,
         witness_cap=witness_cap,
     )
 
@@ -855,7 +877,6 @@ def check_leading_form_condition(
             start_resolution=start_resolution,
             depth_cap=depth_cap,
             pair_budget=pair_budget,
-            exact_cap=4096,
             witness_cap=64,
         )
     return out

@@ -7,6 +7,7 @@ import pytest
 from cylcert.certificate import (
     BoundInputs,
     E_UPPER,
+    EXP_UPPER_CAP,
     base_cache_from_obj,
     base_cache_to_obj,
     assemble,
@@ -312,6 +313,21 @@ def test_integer_root_upper():
     assert integer_root_upper(9, 3) == 3
     assert integer_root_upper(10**12, 2) == 10**6
     assert integer_root_upper(10**12 + 1, 2) == 10**6 + 1
+
+
+def test_integer_root_upper_beyond_the_float_range():
+    for degree in (2, 3, 7):
+        root = 3**700 + 12345
+        value = root**degree
+        assert value > 2**1024
+        assert integer_root_upper(value, degree) == root
+        assert integer_root_upper(value + 1, degree) == root + 1
+        assert integer_root_upper(value - 1, degree) == root
+
+
+def test_exp_upper_refuses_powers_past_its_cap():
+    with pytest.raises(ValidationError):
+        exp_upper(F(EXP_UPPER_CAP) + F(1, 2))
 
 
 def test_rational_power_upper_bounds():

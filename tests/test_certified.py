@@ -1,12 +1,16 @@
 """Certified minimization: closed-form constants, bounds, witnesses."""
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylcert.certified import (
     CertifiedMin,
+    _Scan,
     bounds_for_target,
     certified_cylinder_min,
     certified_excess_check,
@@ -15,7 +19,7 @@ from cylcert.certified import (
     monomial_capacity,
     sup_bound,
 )
-from cylcert.covers import sphere_cover
+from cylcert.covers import SimplexGrid, sphere_cover
 from cylcert.errors import (
     BelowThresholdError,
     BudgetExhaustedError,
@@ -24,7 +28,7 @@ from cylcert.errors import (
     ResolutionExhaustedError,
     ValidationError,
 )
-from cylcert.poly import BlockShape, BlockedPoly, homogenize_block, weighted_norm
+from cylcert.poly import BlockShape, BlockedPoly, coeff_abs_sum, homogenize_block, weighted_norm
 from cylcert.problem import (
     SIMPLEX,
     CylinderProblem,
@@ -480,3 +484,165 @@ def test_certified_min_serializes_with_its_evidence():
     assert set(obj) >= {"lower_bound", "depth", "domain", "witness", "lipschitz"}
     assert obj["domain"] == "S_TIMES_SPHERE"
     assert isinstance(obj["witness"]["x"], list)
+
+
+# --- small passes: float screen with exact confirmation ---------------------
+
+def _small_pass(target, constraints, threshold, strict, res):
+    """One pass of the scan engine at the given resolution, as the pipeline runs it."""
+    blocks = (SphereBlock((2, 3), 2),)
+    scan = _Scan(
+        target=target,
+        n=2,
+        blocks=blocks,
+        constraints=constraints,
+        lemma=bounds_for_target(target, 2, blocks),
+        domain="S_TIMES_SPHERE",
+        witness_threshold=threshold,
+        witness_strict=strict,
+        witness_exc=lambda s: NonpositiveWitnessError("unused"),
+        success=lambda lb, best: False,
+        fallback_x=None,
+        start_resolution=res,
+        depth_cap=0,
+        pair_budget=250_000_000,
+        witness_cap=64,
+    )
+    return scan, scan._pass(res, [res])
+
+
+def _every_pair_exactly(scan, res, rows, covers):
+    """The reference: evaluate every grid x cover pair in exact arithmetic."""
+    grid = SimplexGrid(2, res)
+    total_err = scan.used_x * grid.radius + sum(
+        u * c.radius for u, c in zip(scan.used_sphere, covers)
+    )
+    best = best_feas = None
+    candidates = []
+    for row in rows:
+        x = grid.point(int(row))
+        feasible = all(g.eval_at(x + (F(0),) * 2) >= 0 for g in scan.constraints)
+        for reps in itertools.product(*(c.representatives for c in covers)):
+            value = scan.target.eval_at(x + reps[0])
+            if best is None or value < best[0]:
+                best = (value, x, reps)
+            if feasible and (best_feas is None or value < best_feas[0]):
+                best_feas = (value, x, reps)
+            below = value < scan.witness_threshold if scan.witness_strict else (
+                value <= scan.witness_threshold
+            )
+            if below:
+                candidates.append((float(value), x, reps))
+    candidates.sort(key=lambda t: t[0])
+    witnesses = len(candidates)
+    candidates = candidates[: scan.witness_cap]
+    for extra in (best, best_feas):
+        if extra is not None and all(extra[1:] != c[1:] for c in candidates):
+            candidates.append((float(extra[0]), extra[1], extra[2]))
+    return best[0] - total_err, candidates, witnesses
+
+
+def _assert_small_pass_matches_exact(target, constraints, threshold, strict, res=8):
+    scan, (lb, candidates, rows, covers) = _small_pass(target, constraints, threshold, strict, res)
+    assert len(rows) * math.prod(len(c) for c in covers) <= _Scan.EXACT_PAIRS
+    ref_lb, ref_candidates, witnesses = _every_pair_exactly(scan, res, rows, covers)
+    assert lb == ref_lb
+    assert [c[1:] for c in candidates] == [c[1:] for c in ref_candidates]
+    assert [c[0] for c in candidates] == [c[0] for c in ref_candidates]
+    return witnesses
+
+
+def test_small_pass_matches_every_pair_exactly_under_ties():
+    # (x1 - x2)^2 y1^2 + (y1^2 + y2^2)/4: the minimum 1/4 is attained on the
+    # whole diagonal x1 = x2 and wherever y1 = 0, and every value ties with
+    # its y1 -> -y1 mirror; x1 >= 1/4 makes the feasible minimum differ.
+    sh = BlockShape(2, 2, 0)
+    target = BlockedPoly(sh, {
+        (2, 0, 2, 0): F(1), (1, 1, 2, 0): F(-2), (0, 2, 2, 0): F(1),
+        (0, 0, 2, 0): F(1, 4), (0, 0, 0, 2): F(1, 4),
+    })
+    g = BlockedPoly(sh, {(1, 0, 0, 0): F(1), (0, 0, 0, 0): F(-1, 4)})
+    witnesses = _assert_small_pass_matches_exact(target, (g,), F(1, 4), False)
+    assert witnesses > 1
+
+
+def test_small_pass_matches_every_pair_exactly_past_the_witness_cap():
+    # (x1 + x2)(y1^2 + y2^2) + x1 y1^2 < 1 on most of the domain
+    sh = BlockShape(2, 2, 0)
+    target = BlockedPoly(sh, {
+        (1, 0, 2, 0): F(2), (0, 1, 2, 0): F(1), (1, 0, 0, 2): F(1), (0, 1, 0, 2): F(1),
+    })
+    witnesses = _assert_small_pass_matches_exact(target, (), F(1), True)
+    assert witnesses > 64
+
+
+def test_small_pass_matches_every_pair_exactly_with_a_distant_feasible_minimum():
+    # same target, S = {x1 >= 1/2}: the feasible minimum 1/2 lies far above
+    # both the overall minimum 0 at x = 0 and the witness cutoff 0
+    sh = BlockShape(2, 2, 0)
+    target = BlockedPoly(sh, {
+        (1, 0, 2, 0): F(2), (0, 1, 2, 0): F(1), (1, 0, 0, 2): F(1), (0, 1, 0, 2): F(1),
+    })
+    g = BlockedPoly(sh, {(1, 0, 0, 0): F(1), (0, 0, 0, 0): F(-1, 2)})
+    _assert_small_pass_matches_exact(target, (g,), F(0), False)
+
+
+# --- soundness of the certified bound, both pass regimes --------------------
+
+@st.composite
+def _excess_targets(draw):
+    """A block-homogeneous target on the n-simplex times one sphere block."""
+    n = draw(st.integers(1, 2))
+    dim = draw(st.integers(2, 3))
+    deg = draw(st.integers(1, 2))
+    sh = BlockShape(n, dim, 0)
+    terms: dict[tuple[int, ...], F] = {}
+    for _ in range(draw(st.integers(0, 4))):
+        xe = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda e: sum(e) <= 2))
+        ye = [0] * dim
+        for _ in range(deg):
+            ye[draw(st.integers(0, dim - 1))] += 1
+        c = F(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))
+        key = tuple(xe) + tuple(ye)
+        terms[key] = terms.get(key, F(0)) + c
+    # A mixed (or linear) sphere monomial times x1 survives the sphere
+    # reduction, so the reduced target keeps an x-degree and a sphere
+    # coordinate, and the pass size grows with the resolution.
+    anchor = (1,) + (0,) * (n - 1) + ((1, 1) if deg == 2 else (1, 0)) + (0,) * (dim - 2)
+    terms[anchor] = terms.get(anchor, F(0)) + F(draw(st.integers(1, 8)))
+    if terms[anchor] == 0:
+        terms[anchor] = F(1)
+    target = BlockedPoly(sh, {e: c for e, c in terms.items() if c})
+    return target, n, (SphereBlock(tuple(range(n, n + dim)), deg),)
+
+
+@st.composite
+def _domain_points(draw, n, dim):
+    """An exact point of the n-simplex times the unit sphere in R^dim."""
+    a = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    x = tuple(F(v, sum(a) + draw(st.integers(1, 20))) for v in a)
+    v = [F(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in range(dim - 1)]
+    s = sum(t * t for t in v)
+    u = tuple(2 * t / (1 + s) for t in v) + (draw(st.sampled_from((1, -1))) * (1 - s) / (1 + s),)
+    return x + u
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_excess_check_lower_bound_is_sound_in_both_pass_regimes(data):
+    target, n, blocks = data.draw(_excess_targets())
+    dim = len(blocks[0].indices)
+    points = data.draw(st.lists(_domain_points(n, dim), min_size=1, max_size=20))
+    # resolution 2 gives at most 6 rows x 18 cover points (an exactly
+    # confirmed pass); the large resolution gives more than EXACT_PAIRS
+    # pairs (a float pass), since the anchor keeps a coordinate with at
+    # least resolution + 1 projected cover points
+    large = 64 if n == 1 else 24
+    assert math.comb(large + n, n) * (large + 1) > _Scan.EXACT_PAIRS
+    floor = -(coeff_abs_sum(target) + 1) * 10**6
+    for res in (2, large):
+        cm = certified_excess_check(target, floor, blocks, n=n, start_resolution=res, depth_cap=0)
+        best = cm.best_sample
+        assert target.eval_at(best.x + best.u) == best.value >= cm.lower_bound
+        for pt in points:
+            assert target.eval_at(pt) >= cm.lower_bound

@@ -110,6 +110,33 @@ def test_truncated_certificate_is_an_io_error(problem_file, tmp_path):
     assert code == cli.EXIT_IO
 
 
+def _verify_mutated(problem_file, tmp_path, mutate):
+    out = tmp_path / "cert.json"
+    cli.main(["certify", "--input", str(problem_file), "--output", str(out)])
+    obj = json.loads(out.read_text())
+    mutate(obj)
+    out.write_text(json.dumps(obj))
+    return cli.main(
+        ["verify", "--problem", str(problem_file), "--certificate", str(out)]
+    )
+
+
+def test_non_integer_metadata_field_is_a_schema_error(problem_file, tmp_path, capsys):
+    code = _verify_mutated(
+        problem_file, tmp_path, lambda obj: obj["metadata"].update(k="abc")
+    )
+    assert code == cli.EXIT_IO
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "SCHEMA"
+
+
+def test_non_list_sos_weights_are_a_schema_error(problem_file, tmp_path, capsys):
+    code = _verify_mutated(
+        problem_file, tmp_path, lambda obj: obj["sigmas"][0].update(weights=5)
+    )
+    assert code == cli.EXIT_IO
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "SCHEMA"
+
+
 def test_bad_problem_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 1}')
@@ -177,6 +204,16 @@ def test_bound_survives_astronomical_values(capsys):
     out = capsys.readouterr().out
     assert "degree bound (1.4):" in out
     assert "~ 10^" in out
+
+
+def test_bound_beyond_exact_reach_is_a_validation_error(capsys):
+    # e^(argument^(1/2)) with argument near 2*10^322: the root stays exact
+    # (no float conversion), and the power is refused rather than expanded.
+    assert cli.main(
+        ["bound", "--theorem", "1.1", "--c", "1/2", "--d", "40", "--n", "3",
+         "--fnorm", "1e300", "--fstar", "1"]
+    ) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "VALIDATION"
 
 
 def test_usage_errors_do_not_collide_with_numeric_success(capsys):
