@@ -45,7 +45,7 @@ from .polya import PolyaResult
 from .problem import CylinderProblem, RescaleRecord, Variant
 from .putinar_base import ModuleWitness, Parity, even_square_root, parity_vector
 from .serialize import frac_from_str, frac_to_str, poly_from_obj, poly_to_obj
-from .sos import SosDecomposition
+from .sos import SosDecomposition, expand_identity
 
 TIER_EXACT = "exact"
 TIER_NUMERIC = "numeric"
@@ -303,7 +303,7 @@ def _strip_padding(p: BlockedPoly, shape: BlockShape) -> BlockedPoly:
                 "a padding variable survived substitution", exponent=list(expo)
             )
         terms[expo[:width]] = coeff
-    return BlockedPoly(shape, terms)
+    return BlockedPoly._trusted(shape, terms)
 
 
 def _simplex_u(shape: BlockShape) -> BlockedPoly:
@@ -451,9 +451,7 @@ def assemble(
             )
 
     sigmas = builder.sigmas()
-    total = sigmas[0].as_poly()
-    for i, g in enumerate(problem.g):
-        total = total + sigmas[i + 1].as_poly() * g
+    total = expand_identity(sigmas[0], zip(sigmas[1:], problem.g))
     if total != problem.f:
         diff = total - problem.f
         raise IdentityMismatchError(
@@ -493,11 +491,10 @@ def sos_only_certificate(
     When f does not involve the X-block it is certified as a single sum
     of squares; the constraint multipliers are all zero.
     """
-    shape = problem.shape
-    if sigma0.as_poly() != problem.f:
-        raise IdentityMismatchError("sum of squares does not reproduce f")
-    empty = SosDecomposition(shape, (), (), (), ())
+    empty = SosDecomposition(problem.shape, (), (), (), ())
     sigmas = (sigma0,) + (empty,) * problem.s
+    if expand_identity(sigma0, zip(sigmas[1:], problem.g)) != problem.f:
+        raise IdentityMismatchError("sum of squares does not reproduce f")
     cap = variant_degree(problem.variant, problem.m)
     meta = CertificateMeta(
         lam=Fraction(0),
@@ -611,10 +608,7 @@ def verify_certificate(
                 sigma=index,
             )
 
-    sigma_polys = [deco.as_poly() for deco in cert.sigmas]
-    total = sigma_polys[0]
-    for sigma, g in zip(sigma_polys[1:], problem.g):
-        total = total + sigma * g
+    total = expand_identity(cert.sigmas[0], zip(cert.sigmas[1:], problem.g))
     diff = total - problem.f
     if not diff:
         achieved = TIER_EXACT
@@ -662,8 +656,11 @@ def verify_certificate(
             declared=list(degrees.second_term),
             cap=cap,
         )
+    # Every weight is positive by now, so a sigma is zero exactly when all
+    # its squares are, and its degree is _sos_degree.
+    sigma_degrees = tuple(_sos_degree(deco) for deco in cert.sigmas)
     if meta.lam == 0:
-        if degrees.first_term or any(p for p in sigma_polys[1:]):
+        if degrees.first_term or any(any(deco.squares) for deco in cert.sigmas[1:]):
             raise _fail(
                 "DEGREE_METADATA_MISMATCH",
                 "a certificate without absorption must not use constraints",
@@ -687,17 +684,17 @@ def verify_certificate(
                     expected=expected,
                 )
     product_degrees = []
-    for i, sigma in enumerate(sigma_polys):
+    for i, (deco, degree) in enumerate(zip(cert.sigmas, sigma_degrees)):
         if i == 0 or meta.lam == 0:
             bound = cap
         else:
             bound = max(degrees.first_term[i - 1], cap)
-        if not sigma:
+        if not any(deco.squares):
             measured = 0
         elif i == 0:
-            measured = sigma.total_degree()
+            measured = degree
         else:
-            measured = sigma.total_degree() + problem.g[i - 1].block_degree("x")
+            measured = degree + problem.g[i - 1].block_degree("x")
         if measured > bound:
             raise _fail(
                 "DEGREE_METADATA_MISMATCH",
@@ -710,7 +707,7 @@ def verify_certificate(
     return VerificationReport(
         tier=achieved,
         residual=residual,
-        sigma_degrees=tuple(p.total_degree() if p else 0 for p in sigma_polys),
+        sigma_degrees=sigma_degrees,
         product_degrees=tuple(product_degrees),
     )
 

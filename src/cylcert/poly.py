@@ -18,13 +18,29 @@ i.e. ``weighted_norm(f) = max |stored coefficient| / multinomial(a)``
 over all terms, where ``a`` is the X-block exponent (homogenizer ``X0``
 counts as part of the X block for the weight).  Exponents of unbounded
 blocks and of Z-type homogenizers carry no weight.
+
+Products go through :class:`ExactSum`, which keeps a sum of weighted
+products as one dict of Python ints over one running common denominator.
+Each factor is cleared to integer numerators over the lcm of its own
+denominators, products are formed in ints, and one ``Fraction`` is made
+per monomial when the sum is read out.  A sum that cancels to zero is
+dropped at once, so a product's terms come out in the order of the plain
+double loop over its factors.
+
+``BlockedPoly._trusted(shape, terms)`` wraps ``terms`` without copying or
+checking it.  Only code in this package that has just built the dict may
+call it, and only when every key is a tuple of ``shape.width``
+nonnegative ints, every value is a nonzero ``Fraction`` and nothing else
+keeps the dict.  Input from outside the program goes through the public
+constructor, which checks all of this.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ShapeMismatchError
@@ -141,6 +157,14 @@ class BlockedPoly:
     def __setattr__(self, *_: object) -> None:  # pragma: no cover - guard
         raise AttributeError("BlockedPoly is immutable")
 
+    @classmethod
+    def _trusted(cls, shape: BlockShape, terms: dict[Exponent, Fraction]) -> "BlockedPoly":
+        """Wrap a term dict that already meets the invariant (module docstring)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "shape", shape)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # ----- constructors -------------------------------------------------
     @staticmethod
     def zero(shape: BlockShape) -> "BlockedPoly":
@@ -206,32 +230,25 @@ class BlockedPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return BlockedPoly(self.shape, out)
+        return BlockedPoly._trusted(self.shape, out)
 
     def __neg__(self) -> "BlockedPoly":
-        return BlockedPoly(self.shape, {e: -c for e, c in self.terms.items()})
+        return BlockedPoly._trusted(self.shape, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "BlockedPoly") -> "BlockedPoly":
         return self + (-other)
 
     def __mul__(self, other: "BlockedPoly") -> "BlockedPoly":
         self._check_shape(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return BlockedPoly(self.shape, out)
+        product = ExactSum(self.shape)
+        product.add_product(1, self, other)
+        return product.poly()
 
     def scale(self, c: Fraction | int) -> "BlockedPoly":
         c = Fraction(c)
         if not c:
             return BlockedPoly.zero(self.shape)
-        return BlockedPoly(self.shape, {e: k * c for e, k in self.terms.items()})
+        return BlockedPoly._trusted(self.shape, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "BlockedPoly":
         if exponent < 0:
@@ -324,6 +341,74 @@ class BlockedPoly:
 
 
 # ---------------------------------------------------------------------------
+# exact sums of products
+# ---------------------------------------------------------------------------
+
+def _cleared(p: BlockedPoly) -> tuple[int, list[tuple[Exponent, int]]]:
+    """``(d, [(e, a_e)])`` with ``p = sum (a_e / d) X^e`` and d the lcm of p's denominators."""
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+
+
+class ExactSum:
+    """A sum of weighted polynomial products, held over integer numerators.
+
+    The value is ``sum nums[e] / den * X^e``; ``den`` grows to the lcm of
+    the denominators of every product added, and ``nums`` never holds a
+    zero.
+    """
+
+    __slots__ = ("shape", "den", "nums")
+
+    def __init__(self, shape: BlockShape):
+        self.shape = shape
+        self.den = 1
+        self.nums: dict[Exponent, int] = {}
+
+    def add_product(
+        self, weight: Fraction | int, left: BlockedPoly, right: BlockedPoly, square: bool = False
+    ) -> None:
+        """Add ``weight * left * right``.
+
+        ``square=True`` declares ``right is left``: each cross product is
+        then formed once and doubled.
+        """
+        if not weight:
+            return
+        left_den, left_terms = _cleared(left)
+        right_den, right_terms = (left_den, left_terms) if square else _cleared(right)
+        den = weight.denominator * left_den * right_den
+        common = lcm(self.den, den)
+        nums = self.nums
+        if common != self.den:
+            grow = common // self.den
+            for e in nums:
+                nums[e] *= grow
+            self.den = common
+        mult = weight.numerator * (common // den)
+        doubled = [(e, 2 * b) for e, b in left_terms] if square else []
+        get = nums.get
+        for i, (e1, a) in enumerate(left_terms):
+            if square:
+                right_terms = [(e1, a)] + doubled[i + 1 :]
+            a *= mult
+            for e2, b in right_terms:
+                key = tuple(map(add, e1, e2))
+                s = get(key, 0) + a * b
+                if s:
+                    nums[key] = s
+                else:
+                    del nums[key]
+
+    def poly(self) -> BlockedPoly:
+        """The sum as a polynomial: one ``Fraction`` per monomial."""
+        den = self.den
+        return BlockedPoly._trusted(
+            self.shape, {e: Fraction(v, den) for e, v in self.nums.items()}
+        )
+
+
+# ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
@@ -394,8 +479,9 @@ def homogenize_block(
 def substitute(p: BlockedPoly, assignments: Mapping[int, BlockedPoly]) -> BlockedPoly:
     """Replace variables (by slot index) with polynomials of the same shape.
 
-    Unlisted variables are untouched.  Replacement powers are cached per
-    call, so repeated exponents cost one multiplication each.
+    Unlisted variables are untouched.  Replacement powers, and their
+    products per combination of replaced exponents, are cached per call;
+    every term is added into one :class:`ExactSum`.
     """
     for idx, rhs in assignments.items():
         if not 0 <= idx < p.shape.width:
@@ -410,20 +496,26 @@ def substitute(p: BlockedPoly, assignments: Mapping[int, BlockedPoly]) -> Blocke
             power_cache[key] = assignments[idx] ** e
         return power_cache[key]
 
-    total = BlockedPoly.zero(p.shape)
+    one = BlockedPoly.constant(p.shape, 1)
+    product_cache: dict[tuple[tuple[int, int], ...], BlockedPoly] = {}
+    total = ExactSum(p.shape)
     for exp, coeff in p.terms.items():
         residual = list(exp)
-        factors: list[BlockedPoly] = []
+        replaced = []
         for idx in assignments:
             e = residual[idx]
             if e:
                 residual[idx] = 0
-                factors.append(rhs_power(idx, e))
-        term = BlockedPoly.monomial(p.shape, tuple(residual), coeff)
-        for f in factors:
-            term = term * f
-        total = total + term
-    return total
+                replaced.append((idx, e))
+        key = tuple(replaced)
+        if key not in product_cache:
+            product = one
+            for idx, e in key:
+                product = product * rhs_power(idx, e)
+            product_cache[key] = product
+        mono = BlockedPoly._trusted(p.shape, {tuple(residual): Fraction(1)})
+        total.add_product(coeff, mono, product_cache[key])
+    return total.poly()
 
 
 def block_sum_of_squares(shape: BlockShape, block: str, *extra: str) -> BlockedPoly:

@@ -30,6 +30,13 @@ from .serialize import (
 BOX = "box"
 SIMPLEX = "simplex"
 
+# Largest |coefficient| accepted in f and the g_i.  The floor scan screens
+# in float64, whose range ends near 2^1024; a coefficient past it ends in
+# an OverflowError there.  c1, c5 and c7 with f scaled by 2^1000
+# (coefficients up to 2^1005) still certify, so the cap leaves headroom
+# for the box-to-simplex map and the perturbation term.
+COEFF_CAP = 2**1000
+
 
 class Variant(Enum):
     """The four supported regimes for the unbounded block(s)."""
@@ -143,6 +150,16 @@ class CylinderProblem:
                 raise ValidationError(f"g_{i + 1} must involve only the X-block")
             if gi.block_degree("x") < 1:
                 raise ValidationError(f"g_{i + 1} is constant; drop it from the input")
+        named = [("f", self.f)] + [(f"g_{i + 1}", gi) for i, gi in enumerate(self.g)]
+        for name, poly in named:
+            for exp, c in poly.terms.items():
+                if abs(c) > COEFF_CAP:
+                    raise ValidationError(
+                        f"a coefficient of {name} exceeds 2^1000 in absolute value",
+                        polynomial=name,
+                        exponent=list(exp),
+                        cap="2^1000",
+                    )
 
     # ----- derived quantities -------------------------------------------
     @property

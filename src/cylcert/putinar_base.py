@@ -34,7 +34,13 @@ import numpy as np
 
 from .errors import CapExceededError, SearchExhaustedError, ValidationError
 from .poly import BlockedPoly, BlockShape
-from .sos import DEN_LADDER, TAU_LADDER, SosDecomposition, decomposition_from_gram
+from .sos import (
+    DEN_LADDER,
+    TAU_LADDER,
+    SosDecomposition,
+    decomposition_from_gram,
+    expand_identity,
+)
 
 Exponent = tuple[int, ...]
 Parity = tuple[int, ...]
@@ -93,10 +99,9 @@ class ModuleWitness:
     budget: int
 
     def as_poly(self, gens: Sequence[BlockedPoly]) -> BlockedPoly:
-        total = self.sigma0.as_poly()
-        for idx, sos in self.multipliers:
-            total = total + sos.as_poly() * gens[idx]
-        return total
+        return expand_identity(
+            self.sigma0, ((sos, gens[idx]) for idx, sos in self.multipliers)
+        )
 
     def verify(self, gens: Sequence[BlockedPoly]) -> bool:
         return self.as_poly(gens) == self.target

@@ -107,7 +107,7 @@ def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
             if (
                 not isinstance(block, list)
                 or len(block) != count
-                or not all(isinstance(e, int) and e >= 0 for e in block)
+                or not all(type(e) is int and e >= 0 for e in block)
             ):
                 raise SchemaError(
                     f"term block {key!r} must be {count} nonnegative ints, got {block!r}"
@@ -121,16 +121,18 @@ def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
             raise SchemaError(f"homogenizers {sorted(unknown)} not active in shape")
         for name in shape.homs:
             e = homs.get(name, 0)
-            if not isinstance(e, int) or e < 0:
+            if type(e) is not int or e < 0:
                 raise SchemaError(f"bad exponent for {name!r}: {e!r}")
             exp.append(e)
         key = tuple(exp)
-        coeff = terms.get(key, Fraction(0)) + frac_from_str(item["c"])
+        coeff = frac_from_str(item["c"])
+        if key in terms:
+            coeff += terms[key]
         if coeff:
             terms[key] = coeff
         else:
             terms.pop(key, None)
-    return BlockedPoly(shape, terms)
+    return BlockedPoly._trusted(shape, terms)
 
 
 def shape_to_obj(shape: BlockShape) -> dict[str, Any]:

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError, NotNonnegativeError, SosStalledError
-from .poly import BlockedPoly, BlockShape
+from .poly import BlockedPoly, BlockShape, ExactSum
 
 Exponent = tuple[int, ...]
 
@@ -199,13 +199,28 @@ class SosDecomposition:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def as_poly(self) -> BlockedPoly:
-        total = BlockedPoly.zero(self.shape)
-        for w, q in zip(self.weights, self.squares):
-            total = total + (q * q).scale(w)
-        return total
+        return expand_identity(self, ())
 
     def verify(self, target: BlockedPoly) -> bool:
         return self.as_poly() == target
+
+
+def expand_identity(
+    sigma0: SosDecomposition,
+    products: Iterable[tuple[SosDecomposition, BlockedPoly]],
+) -> BlockedPoly:
+    """Expand ``sigma_0 + sum sigma_i * g_i`` exactly, in one sum.
+
+    ``products`` pairs each multiplier sigma_i with its generator g_i.
+    Assembly, verification and the facet witnesses all check their
+    identity through this one expansion.
+    """
+    total = ExactSum(sigma0.shape)
+    for w, q in zip(sigma0.weights, sigma0.squares):
+        total.add_product(w, q, q, square=True)
+    for sigma, g in products:
+        total.add_product(1, sigma.as_poly(), g)
+    return total.poly()
 
 
 def _squares_from_ldlt(
@@ -215,20 +230,21 @@ def _squares_from_ldlt(
     diag: Sequence[Fraction],
     lower: Sequence[Sequence[Fraction]],
 ) -> tuple[tuple[Fraction, ...], tuple[BlockedPoly, ...]]:
+    one = BlockedPoly.constant(shape, 1)
     weights = []
     squares = []
     for k, d in enumerate(diag):
         if d == 0:
             continue
-        combo = BlockedPoly.zero(shape)
+        combo = ExactSum(shape)
         for i in range(k, len(basis)):
             if lower[i][k]:
                 base = basis[perm[i]]
                 if not isinstance(base, BlockedPoly):
-                    base = BlockedPoly(shape, {base: Fraction(1)})
-                combo = combo + base.scale(lower[i][k])
+                    base = BlockedPoly.monomial(shape, base)
+                combo.add_product(lower[i][k], base, one)
         weights.append(d)
-        squares.append(combo)
+        squares.append(combo.poly())
     return tuple(weights), tuple(squares)
 
 

@@ -1,6 +1,7 @@
 """Exit codes, file handling, and determinism of the command-line surface."""
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,37 @@ def test_non_list_sos_weights_are_a_schema_error(problem_file, tmp_path, capsys)
     )
     assert code == cli.EXIT_IO
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "SCHEMA"
+
+
+def _scaled_c1(tmp_path, factor):
+    sample = Path(__file__).resolve().parent.parent / "sample_problems"
+    obj = json.loads((sample / "c1_interval_line_quadratic.json").read_text())
+    for term in obj["f"]:
+        term["c"] = str(F(term["c"]) * factor)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_coefficient_above_the_cap_is_a_validation_error(tmp_path, capsys):
+    # 8 * 10^310 is past the float range the floor scan screens in.
+    out = tmp_path / "cert.json"
+    path = _scaled_c1(tmp_path, 10**310)
+    code = cli.main(["certify", "--input", str(path), "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert summary["error"] == "VALIDATION"
+    assert summary["payload"]["polynomial"] == "f"
+    assert not out.exists()
+
+
+def test_large_coefficients_under_the_cap_still_certify(tmp_path):
+    out = tmp_path / "cert.json"
+    path = _scaled_c1(tmp_path, 10**200)
+    assert cli.main(["certify", "--input", str(path), "--output", str(out)]) == 0
+    assert cli.main(
+        ["verify", "--problem", str(path), "--certificate", str(out)]
+    ) == 0
 
 
 def test_bad_problem_file(tmp_path):

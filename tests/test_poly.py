@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cylcert.errors import ShapeMismatchError
+from cylcert.errors import SchemaError, ShapeMismatchError
 from cylcert.poly import (
     BlockShape,
     BlockedPoly,
+    ExactSum,
     block_sum_of_squares,
     coeff_abs_sum,
     homogenize_block,
@@ -18,6 +21,8 @@ from cylcert.poly import (
     substitute,
     weighted_norm,
 )
+from cylcert.serialize import poly_from_obj
+from cylcert.sos import SosDecomposition, expand_identity
 
 
 def P(shape: BlockShape, terms: dict) -> BlockedPoly:
@@ -289,3 +294,138 @@ def test_embed_and_drop_homogenizers():
     assert wide.shape.homs == ("X0", "Z")
     assert wide.terms == {(1, 1, 0, 0): 2}
     assert wide.drop_unused_homogenizers() == p
+
+
+# ---------------------------------------------------------------------------
+# the exact product kernel against an all-Fraction reference
+# ---------------------------------------------------------------------------
+
+KERNEL_SHAPE = BlockShape(n=2, r1=1)
+# Large, pairwise co-prime denominators make the common denominators big.
+BIG_DENOMINATORS = (1, 3**40, 2**61 - 1, 10**9 + 7, 998_244_353, 2**89 - 1)
+
+
+@st.composite
+def kernel_polys(draw, max_terms=5):
+    exps = st.tuples(*[st.integers(0, 3)] * KERNEL_SHAPE.width)
+    coeffs = st.builds(
+        Fraction, st.integers(-(10**12), 10**12), st.sampled_from(BIG_DENOMINATORS)
+    )
+    return BlockedPoly(KERNEL_SHAPE, draw(st.dictionaries(exps, coeffs, max_size=max_terms)))
+
+
+def _ref_add(acc, c, terms):
+    """acc += c * terms, one term at a time, dropping sums that reach zero."""
+    for e, v in terms.items():
+        s = acc.get(e, Fraction(0)) + c * v
+        if s:
+            acc[e] = s
+        else:
+            acc.pop(e, None)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            _ref_add(out, c1 * c2, {tuple(a + b for a, b in zip(e1, e2)): Fraction(1)})
+    return out
+
+
+def _ref_sos(weights, squares):
+    out = {}
+    for w, q in zip(weights, squares):
+        _ref_add(out, w, _ref_mul(q.terms, q.terms))
+    return out
+
+
+def _ref_substitute(p, assignments):
+    out = {}
+    for exp, coeff in p.terms.items():
+        term = {tuple(0 if i in assignments else e for i, e in enumerate(exp)): coeff}
+        for idx, rhs in assignments.items():
+            for _ in range(exp[idx]):
+                term = _ref_mul(term, rhs.terms)
+        _ref_add(out, Fraction(1), term)
+    return out
+
+
+def _assert_clean(p):
+    # __eq__ compares term dicts, so a stored zero would break equality.
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(len(e) == p.shape.width and min(e) >= 0 for e in p.terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=kernel_polys(), q=kernel_polys())
+def test_product_matches_fraction_reference(p, q):
+    for left, right in ((p, q), (p + q, p - q), (p, -p), (q, q)):
+        product = left * right
+        expected = _ref_mul(left.terms, right.terms)
+        _assert_clean(product)
+        # same terms, inserted in the same order as the term-by-term loop
+        assert list(product.terms.items()) == list(expected.items())
+    cancelled = ExactSum(KERNEL_SHAPE)
+    cancelled.add_product(Fraction(3, 7), p, q)
+    cancelled.add_product(Fraction(-3, 7), q, p)
+    assert not cancelled.poly().terms
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sums_of_squares_and_identity_match_fraction_reference(data):
+    weight = st.builds(
+        Fraction, st.integers(1, 10**9), st.sampled_from(BIG_DENOMINATORS)
+    )
+
+    def sos(cancel):
+        squares = data.draw(st.lists(kernel_polys(4), max_size=4))
+        weights = [data.draw(weight) for _ in squares]
+        if cancel and squares:
+            # a square and its negation: the expansion must drop every term
+            squares.append(squares[0])
+            weights.append(-weights[0])
+        return SosDecomposition(KERNEL_SHAPE, tuple(weights), tuple(squares), (), ())
+
+    sigma0 = sos(data.draw(st.booleans()))
+    expanded = sigma0.as_poly()
+    _assert_clean(expanded)
+    assert expanded.terms == _ref_sos(sigma0.weights, sigma0.squares)
+
+    products = [(sos(data.draw(st.booleans())), data.draw(kernel_polys(3))) for _ in range(2)]
+    identity = expand_identity(sigma0, products)
+    expected = _ref_sos(sigma0.weights, sigma0.squares)
+    for sigma, g in products:
+        _ref_add(expected, Fraction(1), _ref_mul(_ref_sos(sigma.weights, sigma.squares), g.terms))
+    _assert_clean(identity)
+    assert identity.terms == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=kernel_polys(), r0=kernel_polys(3), r2=kernel_polys(3))
+def test_substitute_matches_fraction_reference(p, r0, r2):
+    for assignments in ({0: r0}, {0: r0, 2: r2}, {2: -r2}):
+        result = substitute(p, assignments)
+        _assert_clean(result)
+        assert result.terms == _ref_substitute(p, assignments)
+
+
+def test_poly_from_obj_drops_cancelling_duplicates_and_checks_exponents():
+    sh = BlockShape(n=1, r1=1, homs=("Z",))
+    p = poly_from_obj(
+        [
+            {"x": [1], "y1": [0], "c": "1/3"},
+            {"x": [2], "y1": [1], "c": "5"},
+            {"x": [1], "y1": [0], "c": "-1/3"},
+            {"x": [2], "y1": [1], "h": {"Z": 1}, "c": "2"},
+        ],
+        sh,
+    )
+    _assert_clean(p)
+    assert p.terms == {(2, 1, 0): 5, (2, 1, 1): 2}
+    for bad in ([-1], [1.0], ["1"], [True]):
+        with pytest.raises(SchemaError):
+            poly_from_obj([{"x": bad, "y1": [0], "c": "1"}], sh)
+    for bad in (-1, 1.5, "2", True):
+        with pytest.raises(SchemaError):
+            poly_from_obj([{"x": [0], "y1": [0], "h": {"Z": bad}, "c": "1"}], sh)
