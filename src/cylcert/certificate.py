@@ -29,6 +29,7 @@ by the pipeline itself.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Mapping
@@ -788,12 +789,16 @@ def exp_upper(t: Fraction) -> Fraction:
         raise ValidationError("nonnegative exponents only")
     power = -(-t.numerator // t.denominator)
     if power > EXP_UPPER_CAP:
-        raise ValidationError(
-            "bound too large to write out exactly: e is raised to a power above "
-            f"{EXP_UPPER_CAP}",
-            exponent_bits=power.bit_length(),
-        )
+        raise _beyond_exp_cap(exponent_bits=power.bit_length())
     return E_UPPER**power
+
+
+def _beyond_exp_cap(**payload: int) -> ValidationError:
+    return ValidationError(
+        "bound too large to write out exactly: e is raised to a power above "
+        f"{EXP_UPPER_CAP}",
+        **payload,
+    )
 
 
 _BOUND_FORMULAS = ("1.1", "1.2", "1.3", "1.4", "1.5", "2.3")
@@ -830,6 +835,18 @@ def theorem_bound(formula: str, inputs: BoundInputs) -> Fraction:
         prefactor, argument = c, base
     if argument <= 0:
         raise ValidationError("bound argument must be positive")
+    if argument <= 1:
+        # argument**c lies in (0, 1] and so does its rounded-up root, so
+        # exp_upper would raise E_UPPER to the power 1
+        return prefactor * E_UPPER
+    # Refuse before forming a power that exp_upper would refuse anyway:
+    # log2(a/b) exceeds bit_length(a) - 1 - bit_length(b), and also
+    # (a - b)/a since ln(1 + t) >= t/(1 + t); so log2 of the exponent,
+    # which is at least argument**c, exceeds c times either.
+    a, b = argument.numerator, argument.denominator
+    log2_low = c * max(Fraction(a.bit_length() - 1 - b.bit_length()), Fraction(a - b, a))
+    if log2_low > EXP_UPPER_CAP:
+        raise _beyond_exp_cap(exponent_bits_at_least=math.floor(log2_low) + 1)
     if c.denominator == 1:
         exponent = argument ** int(c)
     else:

@@ -17,16 +17,22 @@ and :func:`check_leading_form_condition` is one grid scan:
    of the closed-form simplex/sphere constants (:func:`lipschitz_constants`)
    and coefficient-sum gradient bounds for the reduced target — to get a
    lower bound valid on the whole continuum domain.
-4. Every pass evaluates all grid x cover pairs in float64, within a
-   rigorous rounding-error term ``slack`` of the exact values (see
+4. Every pass screens grid x cover pairs in float64, within a rigorous
+   rounding-error term ``slack`` of the exact values (see
    ``_float_slack``).  A pass of at most ``_Scan.EXACT_PAIRS`` (4096)
-   pairs then evaluates exactly only the pairs within 2*slack of the
-   float minimum (overall and over the exactly feasible rows) and those
-   below the witness cutoff; these hold every exact minimizer and
-   witness, so its bound is the exact minimum minus the error terms.  A
-   larger pass subtracts ``slack`` from the float minimum instead.
-   Candidate minima are re-evaluated in exact rational arithmetic, so
-   every reported witness and sample value is exact.
+   pairs evaluates all of them, then evaluates exactly only the pairs
+   within 2*slack of the float minimum (overall and over the exactly
+   feasible rows) and those below the witness cutoff; these hold every
+   exact minimizer and witness, so its bound is the exact minimum minus
+   the error terms.  A larger pass subtracts ``slack`` from the float
+   minimum instead, and evaluates only the grid rows whose float lower
+   bound (``_row_bounds``) is at most the larger of the witness cutoff
+   and the minimum of the row with the smallest bound (for exactly
+   feasible rows, of such a row with the smallest bound).  Round-to-nearest
+   multiply and add are monotone, so that bound lies below every float
+   value of its row bit for bit, and the pruned rows cannot change the
+   pass result.  Candidate minima are re-evaluated in exact rational
+   arithmetic, so every reported witness and sample value is exact.
 
 Refinement doubles the resolution of whichever factor currently
 contributes the largest error term, and the running lower bound is the
@@ -253,6 +259,45 @@ def _terms_on_slots(p: BlockedPoly, slots: Sequence[int]) -> list[tuple[tuple[in
     return out
 
 
+def _value_rows(
+    amat: np.ndarray, bmat: np.ndarray, rows: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Float64 values ``sum_k amat[i, k] * bmat[k, :]`` for the given rows.
+
+    Rows are taken in the given order, in chunks of about 4M values, each
+    yielded with its row indices.  Products and sums are rounded one at a
+    time in signature order, so a value does not depend on which other
+    rows are evaluated with it, and :func:`_row_bounds` stays below it.
+    """
+    n_u = bmat.shape[1]
+    chunk = max(1, 4_000_000 // n_u)
+    for lo in range(0, len(rows), chunk):
+        sel = rows[lo : lo + chunk]
+        a = amat[sel]
+        block = np.zeros((len(sel), n_u))
+        for k in range(bmat.shape[0]):
+            block += a[:, k, None] * bmat[None, k, :]
+        yield sel, block
+
+
+def _row_bounds(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
+    """Per-row float lower bounds of :func:`_value_rows`, valid bit for bit.
+
+    Row i's bound pairs each ``amat[i, k]`` with the smallest (for a
+    nonnegative factor) or largest ``bmat[k, :]`` entry and sums the
+    products in the same order as the values.  Round-to-nearest multiply
+    and add are monotone in each argument, so every rounded step stays at
+    or below the matching step of every value in the row, with no slack.
+    A NaN anywhere gives a NaN bound, which no comparison prunes.
+    """
+    low, high = bmat.min(axis=1), bmat.max(axis=1)
+    bound = np.zeros(amat.shape[0])
+    for k in range(bmat.shape[0]):
+        a = amat[:, k]
+        bound += a * np.where(a >= 0, low[k], high[k])
+    return bound
+
+
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
@@ -270,6 +315,8 @@ class CertifiedMin:
     domain: str
     resolutions: tuple[int, ...]
     float_slack: Fraction
+    pairs: int
+    evaluated: int
 
     def to_obj(self) -> dict[str, Any]:
         return {
@@ -284,6 +331,8 @@ class CertifiedMin:
                 "sphere": [frac_to_str(v) for v in self.used_sphere_constants],
             },
             "float_slack": frac_to_str(self.float_slack),
+            "pairs": self.pairs,
+            "evaluated": self.evaluated,
         }
 
 
@@ -403,6 +452,11 @@ class _Scan:
         ]
         self.g_slack = [_float_slack(g) for g in constraints]
 
+        # work counts over all passes: grid x cover pairs, and those whose
+        # float value was computed
+        self.pairs = 0
+        self.evaluated = 0
+
     # ----- exact evaluation ---------------------------------------------
     def _full_point(
         self, x: tuple[Fraction, ...], reps: tuple[tuple[Fraction, ...], ...]
@@ -482,6 +536,8 @@ class _Scan:
                     domain=self.domain,
                     resolutions=(res_x, *res_b),
                     float_slack=self.slack,
+                    pairs=self.pairs,
+                    evaluated=self.evaluated,
                 )
 
             # refine the factor with the largest current error term
@@ -582,12 +638,15 @@ class _Scan:
             return self._confirmed_pass(grid, rows, covers, total_err, cut)
         return self._float_pass(grid, rows, covers, total_err, cut, sure[rows])
 
-    def _value_blocks(self, xf: np.ndarray, covers) -> Iterator[tuple[int, np.ndarray]]:
-        """Float64 values of the reduced target on grid rows x cover combinations.
+    def _factors(self, xf: np.ndarray, covers) -> tuple[np.ndarray, np.ndarray]:
+        """The two float64 factors of the reduced target's value block.
 
-        Columns enumerate the product of the covers' projected points with
-        the first cover outermost (see :meth:`_reps_at`).  Rows come in
-        chunks of about 4M values, each yielded with its first row index.
+        ``amat[i, k]`` is signature k's x-coefficient at grid row i and
+        ``bmat[k, j]`` its sphere monomial at cover combination j, so the
+        value at (i, j) is the sum over k of their products (see
+        :func:`_value_rows`).  Columns enumerate the product of the covers'
+        projected points with the first cover outermost (see
+        :meth:`_reps_at`).
         """
         # combined projected sphere coordinates, one row per combination
         mats = [c.as_floats() for c in covers]
@@ -631,14 +690,7 @@ class _Scan:
         amat = np.empty((xf.shape[0], n_sig))
         for k, coeffs in enumerate(self.sig_coeffs):
             amat[:, k] = _float_eval(xf, coeffs)
-
-        chunk = max(1, 4_000_000 // n_u)
-        for lo in range(0, amat.shape[0], chunk):
-            hi = min(lo + chunk, amat.shape[0])
-            block = np.zeros((hi - lo, n_u))
-            for k in range(n_sig):
-                block += amat[lo:hi, k, None] * bmat[None, k, :]
-            yield lo, block
+        return amat, bmat
 
     @staticmethod
     def _reps_at(covers, j: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -659,7 +711,10 @@ class _Scan:
         are evaluated exactly, in row-major order, which gives the same
         bound, best samples and candidate order as evaluating every pair.
         """
-        block = np.vstack([b for _, b in self._value_blocks(grid.as_floats()[rows], covers)])
+        amat, bmat = self._factors(grid.as_floats()[rows], covers)
+        block = np.vstack([b for _, b in _value_rows(amat, bmat, np.arange(len(rows)))])
+        self.pairs += block.size
+        self.evaluated += block.size
         feasible = np.array([self._in_feasible_set(grid.point(int(r))) for r in rows])
         pick = (block <= cut) | (block <= self._near(block.min()))
         if feasible.any():
@@ -692,32 +747,58 @@ class _Scan:
         return _ceil_float(Fraction(fmin) + 2 * self.slack)
 
     def _float_pass(self, grid, rows, covers, total_err, cut, sure_rows):
+        """A large pass, reduced in float64 over the rows that can matter.
+
+        Its result depends only on the minimum, the minimum over sure rows
+        and the pairs at or below ``cut``.  The row with the smallest
+        :func:`_row_bounds` bound is evaluated first; its minimum bounds the
+        pass minimum from above, so a row whose bound exceeds the larger of
+        that and ``cut`` holds none of these pairs and ties with none of
+        them.  The sure row with the smallest bound does the same for the
+        sure rows.  Only the kept rows are evaluated, in row-major order,
+        which gives the same result as evaluating every pair.
+        """
+        amat, bmat = self._factors(grid.as_floats()[rows], covers)
+        bound = _row_bounds(amat, bmat)
+
+        def probe_min(among: np.ndarray) -> float:
+            i = among[np.argmin(bound[among])]
+            return float(next(_value_rows(amat, bmat, np.array([i])))[1].min())
+
+        keep = ~(bound > max(probe_min(np.arange(len(rows))), cut))
+        sure_pos = np.flatnonzero(sure_rows)
+        if sure_pos.size:
+            keep |= sure_rows & ~(bound > max(probe_min(sure_pos), cut))
+        kept = np.flatnonzero(keep)
+        self.pairs += len(rows) * bmat.shape[1]
+        self.evaluated += kept.size * bmat.shape[1]
+
         best_val = math.inf
         best_idx = (0, 0)
         sure_val = math.inf
         sure_idx: tuple[int, int] | None = None
         cand: list[tuple[float, int, int]] = []
-        for lo, block in self._value_blocks(grid.as_floats()[rows], covers):
-            hi, n_u = lo + block.shape[0], block.shape[1]
+        for sel, block in _value_rows(amat, bmat, kept):
+            n_u = block.shape[1]
             flat = np.argmin(block)
             i, j = divmod(int(flat), n_u)
             if block[i, j] < best_val:
                 best_val = float(block[i, j])
-                best_idx = (lo + i, j)
-            sl = sure_rows[lo:hi]
+                best_idx = (int(sel[i]), j)
+            sl = sure_rows[sel]
             if sl.any():
                 sub = block[sl]
                 sflat = np.argmin(sub)
                 si, sj = divmod(int(sflat), n_u)
                 if sub[si, sj] < sure_val:
                     sure_val = float(sub[si, sj])
-                    sure_idx = (lo + int(np.nonzero(sl)[0][si]), sj)
+                    sure_idx = (int(sel[np.nonzero(sl)[0][si]]), sj)
             low = np.argwhere(block <= cut)
             if low.size:
                 order = np.argsort(block[low[:, 0], low[:, 1]], kind="stable")
                 for pos in order[: self.witness_cap]:
                     i2, j2 = low[pos]
-                    cand.append((float(block[i2, j2]), lo + int(i2), int(j2)))
+                    cand.append((float(block[i2, j2]), int(sel[i2]), int(j2)))
             # free this chunk before the generator builds the next one
             del block
 

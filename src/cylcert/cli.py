@@ -158,9 +158,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         grid_depth=args.grid_depth,
         lambda_cap=args.lambda_cap,
         seed=args.seed,
-        c=args.c,
         budget_cap=args.budget_cap,
-        threads=args.threads,
     )
 
     cache_path = args.output + ".basecache.json"
@@ -309,12 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cert.add_argument("--seed", type=int, default=0, help="validation sampling seed")
     cert.add_argument(
-        "--c", type=_fraction_arg, default=Fraction(1), help="bound-formula constant"
-    )
-    cert.add_argument(
         "--budget-cap", type=int, default=BUDGET_CAP, help="facet witness degree cap"
     )
-    cert.add_argument("--threads", type=int, default=1, help="accepted; runs single-threaded")
     cert.add_argument("--diagnostics", help="write full stage evidence JSON here")
     cert.set_defaults(func=cmd_certify)
 

@@ -47,29 +47,20 @@ class RunConfig:
     ``tier`` is the weakest acceptable certificate: demanding "exact"
     rejects any numeric residue, while "numeric" accepts either.  The
     remaining fields cap the grid refinement depth, the perturbation
-    weight, and the facet-witness degree ladder.  ``c`` is the constant
-    for the degree-bound formulas and is only echoed into diagnostics.
-    ``threads`` is accepted for interface stability; all stages here run
-    single-threaded.
+    weight, and the facet-witness degree ladder.
     """
 
     tier: str = TIER_EXACT
     grid_depth: int = 24
     lambda_cap: int = LAMBDA_CAP_DEFAULT
     seed: int = 0
-    c: Fraction = Fraction(1)
     budget_cap: int = BUDGET_CAP
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.tier not in (TIER_EXACT, TIER_NUMERIC):
             raise ValidationError(f"unknown tier demanded: {self.tier!r}")
         if self.grid_depth <= 0 or self.lambda_cap <= 0 or self.budget_cap <= 0:
             raise ValidationError("configuration caps must be positive")
-        if self.threads < 1:
-            raise ValidationError("thread count must be at least 1")
-        if self.c <= 0:
-            raise ValidationError("the bound constant c must be positive")
 
     def to_obj(self) -> dict[str, Any]:
         return {
@@ -77,9 +68,7 @@ class RunConfig:
             "grid_depth": self.grid_depth,
             "lambda_cap": self.lambda_cap,
             "seed": self.seed,
-            "c": frac_to_str(Fraction(self.c)),
             "budget_cap": self.budget_cap,
-            "threads": self.threads,
         }
 
 

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from cylcert.certified import (
     CertifiedMin,
     _Scan,
+    _row_bounds,
+    _value_rows,
     bounds_for_target,
     certified_cylinder_min,
     certified_excess_check,
@@ -646,3 +649,229 @@ def test_excess_check_lower_bound_is_sound_in_both_pass_regimes(data):
         assert target.eval_at(best.x + best.u) == best.value >= cm.lower_bound
         for pt in points:
             assert target.eval_at(pt) >= cm.lower_bound
+
+
+# --- large passes: only rows whose float bound can matter are evaluated -----
+
+def _dense_float_pass(scan, grid, rows, covers, total_err, cut, sure_rows):
+    """The reference: the float pass reducing every grid x cover pair."""
+    amat, bmat = scan._factors(grid.as_floats()[rows], covers)
+    n_u = bmat.shape[1]
+    best_val = math.inf
+    best_idx = (0, 0)
+    sure_val = math.inf
+    sure_idx = None
+    cand = []
+    witnesses = 0
+    chunk = max(1, 4_000_000 // n_u)
+    for lo in range(0, amat.shape[0], chunk):
+        hi = min(lo + chunk, amat.shape[0])
+        block = np.zeros((hi - lo, n_u))
+        for k in range(bmat.shape[0]):
+            block += amat[lo:hi, k, None] * bmat[None, k, :]
+        i, j = divmod(int(np.argmin(block)), n_u)
+        if block[i, j] < best_val:
+            best_val = float(block[i, j])
+            best_idx = (lo + i, j)
+        sl = sure_rows[lo:hi]
+        if sl.any():
+            sub = block[sl]
+            si, sj = divmod(int(np.argmin(sub)), n_u)
+            if sub[si, sj] < sure_val:
+                sure_val = float(sub[si, sj])
+                sure_idx = (lo + int(np.nonzero(sl)[0][si]), sj)
+        low = np.argwhere(block <= cut)
+        witnesses += len(low)
+        if low.size:
+            order = np.argsort(block[low[:, 0], low[:, 1]], kind="stable")
+            for pos in order[: scan.witness_cap]:
+                i2, j2 = low[pos]
+                cand.append((float(block[i2, j2]), lo + int(i2), int(j2)))
+    cand.sort(key=lambda t: t[0])
+    cand = cand[: scan.witness_cap]
+    seen = {(i, j) for _, i, j in cand}
+    if best_idx not in seen:
+        cand.append((best_val, *best_idx))
+        seen.add(best_idx)
+    if sure_idx is not None and sure_idx not in seen:
+        cand.append((sure_val, *sure_idx))
+    out = [(fval, grid.point(int(rows[i])), scan._reps_at(covers, j)) for fval, i, j in cand]
+    return F(best_val) - scan.slack - total_err, out, witnesses
+
+
+def _large_pass(target, n, blocks, constraints, threshold, res_x):
+    """Run one float pass (more than EXACT_PAIRS pairs) and check it densely.
+
+    The sphere resolution doubles from 8 until the pass is too large to be
+    confirmed exactly.  Asserts that the pass equals the dense reference;
+    returns the scan, the pass's sure-row mask and the number of pairs at
+    or below the cutoff.
+    """
+    scan = _Scan(
+        target=target,
+        n=n,
+        blocks=blocks,
+        constraints=constraints,
+        lemma=bounds_for_target(target, n, blocks),
+        domain="S_TIMES_SPHERE",
+        witness_threshold=threshold,
+        witness_strict=False,
+        witness_exc=lambda s: NonpositiveWitnessError("unused"),
+        success=lambda lb, best: False,
+        fallback_x=None,
+        start_resolution=8,
+        depth_cap=0,
+        pair_budget=250_000_000,
+        witness_cap=64,
+    )
+    seen = []
+    pruned = scan._float_pass
+
+    def record(*args):
+        seen.append(args)
+        return pruned(*args)
+
+    scan._float_pass = record
+    res_b = 8
+    while True:
+        scan.pairs = scan.evaluated = 0
+        lb, candidates, rows, covers = scan._pass(res_x, [res_b] * len(blocks))
+        if seen:
+            break
+        res_b *= 2
+    ref_lb, ref_candidates, witnesses = _dense_float_pass(scan, *seen[0])
+    assert len(rows) * math.prod(len(c) for c in covers) > _Scan.EXACT_PAIRS
+    assert scan.evaluated <= scan.pairs == len(rows) * math.prod(len(c) for c in covers)
+    assert lb == ref_lb
+    assert candidates == ref_candidates
+    return scan, seen[0][-1], witnesses
+
+
+def _two_circle_target():
+    # x1 (y1 y2 + z1 z2) + (x1 - x2)^2 y1^2 z1^2 / 4 + x2 y1^2: the y -> -y and
+    # z -> -z mirrors tie every value of the mixed terms
+    sh = BlockShape(2, 2, 2)
+    terms = {
+        (1, 0, 1, 1, 0, 2): F(1), (1, 0, 2, 0, 1, 1): F(1),
+        (2, 0, 2, 0, 2, 0): F(1, 4), (1, 1, 2, 0, 2, 0): F(-1, 2), (0, 2, 2, 0, 2, 0): F(1, 4),
+        (0, 1, 2, 0, 0, 2): F(1),
+    }
+    blocks = (SphereBlock((2, 3), 2), SphereBlock((4, 5), 2))
+    g = BlockedPoly(sh, {(1, 0, 0, 0, 0, 0): F(1), (0, 0, 0, 0, 0, 0): F(-1, 4)})
+    return BlockedPoly(sh, terms), blocks, (g,)
+
+
+def test_large_pass_matches_the_dense_reference_past_the_witness_cap():
+    target, blocks, constraints = _two_circle_target()
+    scan, sure_rows, witnesses = _large_pass(target, 2, blocks, constraints, F(0), 8)
+    assert witnesses > 64
+    assert sure_rows.any() and not sure_rows.all()
+
+
+def test_large_pass_evaluates_only_rows_that_can_reach_the_minimum():
+    target, blocks, constraints = _two_circle_target()
+    scan, sure_rows, witnesses = _large_pass(target, 2, blocks, constraints, F(-1), 8)
+    assert witnesses == 0
+    assert sure_rows.any() and not sure_rows.all()
+    assert scan.evaluated < scan.pairs
+
+
+def _point_constraint(sh):
+    """-(x1 - 1/4)^2 >= 0: S is one point, so every kept grid row is unsure."""
+    return BlockedPoly(sh, {(2, 0, 0): F(-1), (1, 0, 0): F(1, 2), (0, 0, 0): F(-1, 16)})
+
+
+def test_large_pass_keeps_rows_whose_bound_equals_the_minimum():
+    # (x1 - 1/2)^2 y1^2 + (y1^2 + y2^2)/4 on the circle: every row's bound is
+    # its minimum 1/4, attained at y1 = 0, so all rows tie
+    sh = BlockShape(1, 2, 0)
+    target = BlockedPoly(sh, {(2, 2, 0): F(1), (1, 2, 0): F(-1), (0, 2, 0): F(1, 2), (0, 0, 2): F(1, 4)})
+    for constraints in ((), (_point_constraint(sh),)):
+        for threshold in (F(-1), F(1, 4)):
+            _large_pass(target, 1, (SphereBlock((1, 2), 2),), constraints, threshold, 256)
+
+
+def test_large_pass_keeps_rows_that_only_reach_the_cutoff():
+    # x1 y1 y2 + x1^2 (y1^2 + y2^2): minimum -1/16 at x1 = 1/4; a cutoff
+    # slightly above it also takes pairs from rows whose own minimum is larger
+    sh = BlockShape(1, 2, 0)
+    target = BlockedPoly(sh, {(1, 1, 1): F(1), (2, 2, 0): F(1), (2, 0, 2): F(1)})
+    for constraints, threshold in (((), F(-7, 128)), ((_point_constraint(sh),), F(-63, 1024))):
+        scan, sure_rows, witnesses = _large_pass(
+            target, 1, (SphereBlock((1, 2), 2),), constraints, threshold, 256
+        )
+        assert 0 < witnesses <= 64
+        assert scan.evaluated < scan.pairs
+    assert not sure_rows.any()
+
+
+@st.composite
+def _pass_cases(draw):
+    """A target on the n-simplex times one or two sphere blocks, an x-constraint and a cutoff."""
+    n = draw(st.integers(1, 2))
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
+    degs = [draw(st.integers(1, 2)) for _ in dims]
+    sh = BlockShape(n, dims[0], dims[1] if len(dims) > 1 else 0)
+    starts = [n, n + dims[0]]
+
+    def sphere_part(mixed: bool) -> list[int]:
+        ye = []
+        for dim, deg in zip(dims, degs):
+            part = [0] * dim
+            if mixed:
+                part[0] += 1
+                if deg == 2:
+                    part[1] += 1
+            else:
+                for _ in range(deg):
+                    part[draw(st.integers(0, dim - 1))] += 1
+            ye += part
+        return ye
+
+    terms: dict[tuple[int, ...], F] = {}
+    for _ in range(draw(st.integers(0, 4))):
+        xe = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda e: sum(e) <= 2))
+        key = tuple(xe) + tuple(sphere_part(False))
+        terms[key] = terms.get(key, F(0)) + F(draw(st.integers(-4, 4)), draw(st.integers(1, 2)))
+    # x1 times a mixed (or linear) monomial in every block keeps a sphere
+    # coordinate of each block through the reduction
+    anchor = (1,) + (0,) * (n - 1) + tuple(sphere_part(True))
+    terms[anchor] = terms.get(anchor, F(0)) + F(draw(st.integers(1, 4)))
+    if terms[anchor] == 0:
+        terms[anchor] = F(1)
+    target = BlockedPoly(sh, {e: c for e, c in terms.items() if c})
+    blocks = tuple(
+        SphereBlock(tuple(range(s, s + dim)), deg) for s, dim, deg in zip(starts, dims, degs)
+    )
+    # x1 >= t or x1 <= t: rows near x1 = t are kept but not surely feasible
+    t = draw(st.sampled_from((F(0), F(1, 4), F(1, 2))))
+    sign = draw(st.sampled_from((1, -1)))
+    origin = (0,) * sh.width
+    x1 = (1,) + (0,) * (sh.width - 1)
+    constraints = draw(st.sampled_from((
+        (), (BlockedPoly(sh, {x1: F(sign), origin: -sign * t} if t else {x1: F(sign)}),),
+    )))
+    threshold = F(draw(st.integers(-16, 4)), 4)
+    return target, n, blocks, constraints, threshold
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_pass_cases())
+def test_large_pass_matches_the_dense_reference(case):
+    target, n, blocks, constraints, threshold = case
+    _large_pass(target, n, blocks, constraints, threshold, 16 if n == 1 else 8)
+
+
+def test_row_bounds_stay_below_every_value_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        rows, sigs, cols = (int(v) for v in rng.integers(1, 40, 3))
+        # magnitudes over 16 decades, with zeros and negative zeros, so
+        # products and sums round and cancel
+        amat = rng.standard_normal((rows, sigs)) * 10.0 ** rng.integers(-8, 9, (rows, sigs))
+        bmat = rng.standard_normal((sigs, cols)) * 10.0 ** rng.integers(-8, 9, (sigs, cols))
+        amat[rng.random(amat.shape) < 0.2] = 0.0
+        bmat[rng.random(bmat.shape) < 0.2] = -0.0
+        bound = _row_bounds(amat, bmat)
+        for sel, block in _value_rows(amat, bmat, np.arange(rows)):
+            assert (bound[sel, None] <= block).all()

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from cylcert import cli
+from cylcert.certificate import E_UPPER
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.problem import SIMPLEX, CylinderProblem, Variant, problem_to_obj
 
@@ -246,6 +247,32 @@ def test_bound_beyond_exact_reach_is_a_validation_error(capsys):
          "--fnorm", "1e300", "--fstar", "1"]
     ) == cli.EXIT_VALIDATION
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "VALIDATION"
+
+
+def _bound_line(argv, capsys):
+    code = cli.main(["bound", "--theorem", "1.1", "--d", "1", "--n", "1", "--fstar", "1", *argv])
+    return code, json.loads(capsys.readouterr().err.splitlines()[-1])
+
+
+def test_bound_with_a_huge_integer_c_is_refused_before_the_power(capsys):
+    # e^(2^(10^12)): forming 2^(10^12) alone would not fit in memory
+    code, summary = _bound_line(["--c", "1000000000000", "--fnorm", "2"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert summary["error"] == "VALIDATION"
+    assert summary["payload"]["exponent_bits_at_least"] > 2**17
+
+
+def test_bound_with_a_huge_fractional_c_is_refused_before_the_root(capsys):
+    code, summary = _bound_line(["--c", "2000000000001/2", "--fnorm", "2"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert summary["payload"]["exponent_bits_at_least"] > 2**17
+
+
+def test_bound_with_an_argument_below_one_needs_no_power(capsys):
+    # argument 1/2: (1/2)^(10^12) lies in (0, 1], so e is raised to the power 1
+    code, summary = _bound_line(["--c", "1000000000000", "--fnorm", "1/2"], capsys)
+    assert code == 0
+    assert F(summary["bound"]) == 10**12 * E_UPPER
 
 
 def test_usage_errors_do_not_collide_with_numeric_success(capsys):

@@ -121,8 +121,4 @@ def test_config_validation():
         RunConfig(tier="best")
     with pytest.raises(ValidationError):
         RunConfig(grid_depth=0)
-    with pytest.raises(ValidationError):
-        RunConfig(threads=0)
-    with pytest.raises(ValidationError):
-        RunConfig(c=F(-1))
     assert RunConfig().to_obj()["tier"] == "exact"
