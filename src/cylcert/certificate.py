@@ -58,6 +58,10 @@ E_UPPER = Fraction(2_718_281_829, 10**9)
 # has about 1.2 million digits and takes about a second to compute.
 EXP_UPPER_CAP = 2**17
 
+# Largest bit length theorem_bound lets the exact power argument**p reach
+# (p the numerator of c): about a million bits, formed in about 0.1 s.
+POWER_BITS_CAP = 2**20
+
 
 def variant_degree(variant: Variant, m: int) -> int:
     """Total degree of the sphere-padding SOS factor for the regime."""
@@ -847,6 +851,15 @@ def theorem_bound(formula: str, inputs: BoundInputs) -> Fraction:
     log2_low = c * max(Fraction(a.bit_length() - 1 - b.bit_length()), Fraction(a - b, a))
     if log2_low > EXP_UPPER_CAP:
         raise _beyond_exp_cap(exponent_bits_at_least=math.floor(log2_low) + 1)
+    # An argument just above 1 passes that test with any c, yet the exact
+    # power argument**p has up to p times the bits of a or b.
+    power_bits = c.numerator * max(a.bit_length(), b.bit_length())
+    if power_bits > POWER_BITS_CAP:
+        raise ValidationError(
+            "bound too costly to evaluate exactly: the power of its argument "
+            f"would have more than {POWER_BITS_CAP} bits",
+            power_bits_estimate=power_bits,
+        )
     if c.denominator == 1:
         exponent = argument ** int(c)
     else:

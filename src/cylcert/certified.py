@@ -14,7 +14,7 @@ and :func:`check_leading_form_condition` is one grid scan:
    of S and sampled minima honestly under-approximate the S-restricted
    minimum.
 3. Sampled values are combined with Lipschitz error terms — the smaller
-   of the closed-form simplex/sphere constants (:func:`lipschitz_constants`)
+   of the closed-form simplex/sphere constants (:func:`bounds_for_target`)
    and coefficient-sum gradient bounds for the reduced target — to get a
    lower bound valid on the whole continuum domain.
 4. Every pass screens grid x cover pairs in float64, within a rigorous
@@ -37,6 +37,12 @@ and :func:`check_leading_form_condition` is one grid scan:
 Refinement doubles the resolution of whichever factor currently
 contributes the largest error term, and the running lower bound is the
 max over passes, hence monotone in depth.
+
+The sup and Lipschitz constants have one closed form (``_closed_form``),
+which :func:`bounds_for_target`, :func:`lipschitz_constants`,
+:func:`sup_bound` and :func:`x_lipschitz_constant` all return.  The
+float helpers ``_cover_product`` and ``_float_eval`` also run the Polya
+screen of :mod:`cylcert.polya`.
 """
 from __future__ import annotations
 
@@ -47,7 +53,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .covers import SimplexGrid, projected_sphere_cover, sqrt_upper
+from .covers import ProjectedCover, SimplexGrid, projected_sphere_cover, sqrt_upper
 from .errors import (
     BelowThresholdError,
     BudgetExhaustedError,
@@ -110,8 +116,43 @@ def monomial_capacity(blocks: Sequence[tuple[int, int]]) -> int:
     return out
 
 
-def _block_caps(m: int, r: int, split: bool) -> list[tuple[int, int]]:
-    return [(2, m), (r + 1, 2)] if split else [(r + 1, m)]
+def _closed_form(
+    norm: Fraction, n: int, d: int, caps: Sequence[tuple[int, int]]
+) -> LipschitzData:
+    """The constants for X-degree ``d`` and sphere blocks ``(dim, degree)``.
+
+    sup = norm * capacity * (d+1) and l_x = (1/2) sqrt(n) * norm *
+    capacity * d(d+1), with capacity from :func:`monomial_capacity`; each
+    sphere factor gets degree-times-sup.
+    """
+    cap = monomial_capacity(caps)
+    sup = norm * cap * (d + 1)
+    rn = sqrt_upper(n)
+    l_x = Fraction(1, 2) * rn * norm * cap * d * (d + 1)
+    return LipschitzData(sup, l_x, tuple(Fraction(deg) * sup for _, deg in caps), rn)
+
+
+def bounds_for_target(
+    target: BlockedPoly, n: int, blocks: Sequence[SphereBlock]
+) -> LipschitzData:
+    """Closed-form constants computed from an explicit sphere-block layout."""
+    caps = [(len(b.indices), b.degree) for b in blocks]
+    return _closed_form(weighted_norm(target), n, target.block_degree("x"), caps)
+
+
+def lipschitz_constants(
+    f: BlockedPoly, d: int, m: int, r: int, *, split: bool = False
+) -> LipschitzData:
+    """The constants of :func:`bounds_for_target` for the homogenized f.
+
+    The sphere blocks are the joint one (dimension r+1, degree m) or,
+    split, a circle of degree m and a block of dimension r+1 and
+    degree 2; ``d`` may exceed the X-degree of f.
+    """
+    if d < f.block_degree("x"):
+        raise ValueError(f"d={d} below the X-degree of f")
+    caps = [(2, m), (r + 1, 2)] if split else [(r + 1, m)]
+    return _closed_form(weighted_norm(f), f.shape.n, d, caps)
 
 
 def sup_bound(f: BlockedPoly, d: int, m: int, r: int, *, split: bool = False) -> Fraction:
@@ -121,45 +162,12 @@ def sup_bound(f: BlockedPoly, d: int, m: int, r: int, *, split: bool = False) ->
     norm * (m+1) * C(r+2, 2) * (d+1), i.e. half of
     norm*(m+1)(r+1)(r+2)(d+1).
     """
-    if d < f.block_degree("x"):
-        raise ValueError(f"d={d} below the X-degree of f")
-    return weighted_norm(f) * monomial_capacity(_block_caps(m, r, split)) * (d + 1)
-
-
-def lipschitz_constants(
-    f: BlockedPoly, d: int, m: int, r: int, *, split: bool = False
-) -> LipschitzData:
-    """Closed-form constants for the homogenized f on simplex x sphere(s).
-
-    l_x = (1/2) sqrt(n) * norm * capacity * d(d+1) with capacity as in
-    :func:`sup_bound`; each sphere factor gets degree-times-sup.
-    """
-    caps = _block_caps(m, r, split)
-    sup = sup_bound(f, d, m, r, split=split)
-    rn = sqrt_upper(f.shape.n)
-    l_x = Fraction(1, 2) * rn * weighted_norm(f) * monomial_capacity(caps) * d * (d + 1)
-    l_sphere = tuple(Fraction(deg) * sup for _, deg in caps)
-    return LipschitzData(sup, l_x, l_sphere, rn)
-
-
-def bounds_for_target(
-    target: BlockedPoly, n: int, blocks: Sequence[SphereBlock]
-) -> LipschitzData:
-    """Closed-form constants computed from an explicit sphere-block layout."""
-    caps = [(len(b.indices), b.degree) for b in blocks]
-    fn = weighted_norm(target)
-    d = target.block_degree("x")
-    cap = monomial_capacity(caps)
-    sup = fn * cap * (d + 1)
-    rn = sqrt_upper(n)
-    l_x = Fraction(1, 2) * rn * fn * cap * d * (d + 1)
-    return LipschitzData(sup, l_x, tuple(Fraction(deg) * sup for _, deg in caps), rn)
+    return lipschitz_constants(f, d, m, r, split=split).sup_bound
 
 
 def x_lipschitz_constant(g: BlockedPoly, n: int) -> Fraction:
     """Simplex Lipschitz constant for an X-only polynomial (no sphere factor)."""
-    dg = g.block_degree("x")
-    return Fraction(1, 2) * sqrt_upper(n) * weighted_norm(g) * dg * (dg + 1)
+    return _closed_form(weighted_norm(g), n, g.block_degree("x"), ()).l_x
 
 
 def _gradient_constant(p: BlockedPoly, slots: Iterable[int]) -> Fraction:
@@ -246,6 +254,25 @@ def _float_eval(
                 v = v * tables[j][e]
         acc += v
     return acc
+
+
+def _cover_product(covers: Sequence[ProjectedCover]) -> np.ndarray:
+    """Float64 coordinates of every combination of the covers' points.
+
+    One row per combination, with the first cover outermost (see
+    :meth:`_Scan._reps_at`); the columns are each cover's kept
+    coordinates, cover after cover.
+    """
+    mats = [c.as_floats() for c in covers]
+    n_u = math.prod(m.shape[0] for m in mats)
+    cols = []
+    left, right = 1, n_u
+    for m in mats:
+        right //= m.shape[0]
+        if m.shape[1]:
+            cols.append(np.repeat(np.tile(m, (left, 1)), right, axis=0))
+        left *= m.shape[0]
+    return np.hstack(cols) if cols else np.zeros((n_u, 0))
 
 
 def _terms_on_slots(p: BlockedPoly, slots: Sequence[int]) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -648,24 +675,8 @@ class _Scan:
         projected points with the first cover outermost (see
         :meth:`_reps_at`).
         """
-        # combined projected sphere coordinates, one row per combination
-        mats = [c.as_floats() for c in covers]
-        n_u = 1
-        for m in mats:
-            n_u *= m.shape[0]
-        if n_u == 0:
-            n_u = 1
-        cols = []
-        left = 1
-        right = n_u
-        for m in mats:
-            cnt = m.shape[0]
-            right //= cnt
-            if m.shape[1]:
-                tiled = np.repeat(np.tile(m, (left, 1)), right, axis=0)
-                cols.append(tiled)
-            left *= cnt
-        ucoords = np.hstack(cols) if cols else np.zeros((n_u, 0))
+        ucoords = _cover_product(covers)
+        n_u = ucoords.shape[0]
 
         # per-signature u-monomials
         n_sig = len(self.sigs)

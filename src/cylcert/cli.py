@@ -6,10 +6,9 @@ harness can consume results without parsing prose.  Certificate files
 are written atomically and are byte-identical across reruns with the
 same configuration and seed.
 
-Exit codes: 0 exact certificate, 2 numeric certificate, 10 validation,
-11 indefinite side condition, 12 nonpositive target, 13 search/budget
-exhausted, 14 cap exceeded, 15 verification failure, 20 I/O or schema
-trouble.
+Exit codes: 0 success, 10 validation, 11 indefinite side condition,
+12 nonpositive target, 13 search/budget exhausted, 14 cap exceeded,
+15 verification failure, 20 I/O or schema trouble.
 """
 from __future__ import annotations
 
@@ -39,9 +38,7 @@ from .errors import (
     IdentityMismatchError,
     IndefiniteConditionError,
     NonpositiveWitnessError,
-    NotNonnegativeError,
     ResolutionExhaustedError,
-    RoundingFailedError,
     SchemaError,
     SearchExhaustedError,
     ShapeMismatchError,
@@ -70,7 +67,6 @@ from .serialize import (
 )
 
 EXIT_EXACT = 0
-EXIT_NUMERIC = 2
 EXIT_VALIDATION = 10
 EXIT_INDEFINITE = 11
 EXIT_NONPOSITIVE = 12
@@ -84,13 +80,11 @@ _EXIT_FOR = {
     ShapeMismatchError: EXIT_IO,
     IndefiniteConditionError: EXIT_INDEFINITE,
     NonpositiveWitnessError: EXIT_NONPOSITIVE,
-    NotNonnegativeError: EXIT_NONPOSITIVE,
     BelowThresholdError: EXIT_EXHAUSTED,
     ResolutionExhaustedError: EXIT_EXHAUSTED,
     SearchExhaustedError: EXIT_EXHAUSTED,
     BudgetExhaustedError: EXIT_EXHAUSTED,
     SosStalledError: EXIT_EXHAUSTED,
-    RoundingFailedError: EXIT_EXHAUSTED,
     CapExceededError: EXIT_CAP,
     IdentityMismatchError: EXIT_VERIFY,
     VerificationError: EXIT_VERIFY,
@@ -154,7 +148,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     except CylcertError as exc:
         return _fail(exc)
     config = RunConfig(
-        tier=args.tier,
         grid_depth=args.grid_depth,
         lambda_cap=args.lambda_cap,
         seed=args.seed,
@@ -175,11 +168,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return _fail(exc)
 
     cert = result.certificate
-    atomic_write_text(args.output, canonical_dumps(certificate_to_obj(cert)) + "\n")
+    atomic_write_text(args.output, canonical_dumps(certificate_to_obj(cert)))
     if result.base_cache:
         atomic_write_text(
-            cache_path,
-            canonical_dumps(base_cache_to_obj(key, result.base_cache)) + "\n",
+            cache_path, canonical_dumps(base_cache_to_obj(key, result.base_cache))
         )
     if args.diagnostics:
         atomic_write_text(
@@ -209,7 +201,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             "fstar_lb": frac_to_str(meta.fstar_lb),
         }
     )
-    return EXIT_EXACT if cert.tier == TIER_EXACT else EXIT_NUMERIC
+    return EXIT_EXACT
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -228,10 +220,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
-    if args.target != "f":
-        print(f"error[VALIDATION]: unknown minimization target {args.target!r}")
-        _emit({"error": "VALIDATION", "message": f"unknown target {args.target!r}"})
-        return EXIT_VALIDATION
     try:
         problem = _load_problem(args.input)
         report = validate_problem(problem, seed=args.seed)
@@ -292,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="produce a certificate for a problem file")
     cert.add_argument("--input", required=True, help="problem JSON file")
     cert.add_argument("--output", required=True, help="certificate JSON file to write")
-    cert.add_argument(
-        "--tier",
-        choices=(TIER_EXACT, TIER_NUMERIC),
-        default=TIER_EXACT,
-        help="weakest acceptable certificate tier",
-    )
     cert.add_argument("--grid-depth", type=int, default=24, help="grid refinement cap")
     cert.add_argument(
         "--lambda-cap",
@@ -323,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.set_defaults(func=cmd_verify)
 
-    mini = sub.add_parser("minimize", help="certified lower bound for the target")
+    mini = sub.add_parser("minimize", help="certified lower bound for f")
     mini.add_argument("--input", required=True, help="problem JSON file")
-    mini.add_argument("--target", default="f", help="what to minimize (only 'f')")
     mini.add_argument("--grid-depth", type=int, default=24, help="grid refinement cap")
     mini.add_argument("--seed", type=int, default=0, help="validation sampling seed")
     mini.set_defaults(func=cmd_minimize)
@@ -353,8 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     # CPython's default int-to-str conversion limit.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    # argparse exits 2 on usage errors, which this tool reserves for
-    # numeric-tier success; remap those to the validation code.
+    # argparse exits 2 on usage errors; every failure of this tool exits
+    # with a code of 10 or more, so remap those to the validation code.
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -1,12 +1,13 @@
 """Deterministic covers of the simplex and of unit spheres.
 
-Two cover families drive the certified minimization: the scaled integer
-lattice on the standard simplex, and rational point sets on unit spheres
-built from the tangent half-angle parametrization of the circle.  Every
-sphere point is *exactly* on the sphere (coordinates are rationals whose
-squares sum to 1), so evaluating a homogeneous form at a cover point
-needs no radial-defect correction.  Each cover carries a proven covering
-radius in the Euclidean (chord) metric:
+Two cover families drive the certified minimization and the Polya
+screen: the scaled integer lattice on the standard simplex, and rational
+point sets on unit spheres built from the tangent half-angle
+parametrization of the circle.  Every sphere point is *exactly* on the
+sphere (coordinates are rationals whose squares sum to 1), so evaluating
+a homogeneous form at a cover point needs no radial-defect correction.
+Each cover carries a proven covering radius in the Euclidean (chord)
+metric:
 
 * simplex lattice at resolution K: radius sqrt(n)/K (rounding each
   coordinate down to a multiple of 1/K stays inside the simplex and
@@ -17,6 +18,10 @@ radius in the Euclidean (chord) metric:
 * sphere of dimension dim >= 3: recursive product (a*w, b) of a
   half-circle cover (a >= 0) and a cover of the equatorial sphere;
   radius 2/K + radius(dim-1), since a <= 1.
+
+The sphere cover exists only as :func:`projected_sphere_cover`: its
+points seen through a subset of the coordinates, each with one full
+sphere point behind it.  Keeping every coordinate gives the whole cover.
 
 Irrational radii are replaced by rational upper bounds via
 :func:`sqrt_upper`, keeping all downstream comparisons exact.
@@ -92,38 +97,6 @@ class SimplexGrid:
 # sphere covers
 # ---------------------------------------------------------------------------
 
-class SphereCover:
-    """Rational points exactly on the unit sphere of the given dimension."""
-
-    __slots__ = ("dim", "resolution", "points", "radius", "_floats")
-
-    def __init__(
-        self,
-        dim: int,
-        resolution: int,
-        points: tuple[tuple[Fraction, ...], ...],
-        radius: Fraction,
-    ):
-        self.dim = dim
-        self.resolution = resolution
-        self.points = points
-        self.radius = radius
-        self._floats: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def as_floats(self) -> np.ndarray:
-        if self._floats is None:
-            self._floats = np.array(
-                [[float(c) for c in pt] for pt in self.points], dtype=np.float64
-            )
-        return self._floats
-
-    def point(self, index: int) -> tuple[Fraction, ...]:
-        return self.points[index]
-
-
 def _half_angle_points(resolution: int) -> list[tuple[Fraction, Fraction]]:
     """(first, second) = (2t/(1+t^2), (1-t^2)/(1+t^2)) on a t-grid of [-1,1]."""
     out = []
@@ -134,36 +107,8 @@ def _half_angle_points(resolution: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-@lru_cache(maxsize=64)
-def sphere_cover(dim: int, resolution: int) -> SphereCover:
-    """A cover of S^(dim-1) in R^dim with a certified chordal radius."""
-    if dim < 1 or resolution < 1:
-        raise ValueError("need dim >= 1 and resolution >= 1")
-    if dim == 1:
-        return SphereCover(1, resolution, ((Fraction(1),), (Fraction(-1),)), Fraction(0))
-    if dim == 2:
-        seen: dict[tuple[Fraction, Fraction], None] = {}
-        for first, second in _half_angle_points(resolution):
-            seen.setdefault((first, second), None)
-            seen.setdefault((first, -second), None)
-        return SphereCover(2, resolution, tuple(seen), Fraction(2, resolution))
-    inner = sphere_cover(dim - 1, resolution)
-    points: dict[tuple[Fraction, ...], None] = {}
-    for p, q in _half_angle_points(resolution):
-        # (a, b) = (q, p) runs over the half-circle a >= 0
-        a, b = q, p
-        if a == 0:
-            points.setdefault((Fraction(0),) * (dim - 1) + (b,), None)
-            continue
-        for w in inner.points:
-            points.setdefault(tuple(a * wi for wi in w) + (b,), None)
-    return SphereCover(
-        dim, resolution, tuple(points), Fraction(2, resolution) + inner.radius
-    )
-
-
 def sphere_cover_radius(dim: int, resolution: int) -> Fraction:
-    """Covering radius of :func:`sphere_cover` / :func:`projected_sphere_cover`."""
+    """Covering radius of :func:`projected_sphere_cover`."""
     if dim == 1:
         return Fraction(0)
     return Fraction(2 * (dim - 1), resolution)
@@ -216,9 +161,10 @@ def _projected_entries(
 ) -> dict[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Distinct projections -> one full representative, built recursively.
 
-    Mirrors :func:`sphere_cover` but deduplicates by projection at every
-    level, so dropping coordinates collapses the point count before the
-    product with the half-circle chart is formed.
+    Follows the recursive construction of the module docstring but
+    deduplicates by projection at every level, so dropping coordinates
+    collapses the point count before the product with the half-circle
+    chart is formed.
     """
     if dim == 1:
         out: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}

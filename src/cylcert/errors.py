@@ -92,19 +92,6 @@ class SosStalledError(CylcertError):
     code = "STALLED"
 
 
-class NotNonnegativeError(CylcertError):
-    """A polynomial handed to an SOS routine is provably not nonnegative."""
-
-    code = "NOT_NONNEGATIVE"
-
-
-class RoundingFailedError(CylcertError):
-    """Rationalization of a numeric Gram matrix lost PSDness and the
-    caller demanded an exact decomposition."""
-
-    code = "ROUNDING_FAILED_AND_NUMERIC_FORBIDDEN"
-
-
 class IdentityMismatchError(CylcertError):
     """An assembled certificate does not reproduce its target exactly."""
 

@@ -21,15 +21,13 @@ from typing import Any
 
 from .certificate import (
     Certificate,
-    TIER_EXACT,
-    TIER_NUMERIC,
     assemble,
     compose_with_frame,
     sos_only_certificate,
     verify_certificate,
 )
 from .certified import certified_cylinder_min, check_leading_form_condition
-from .errors import RoundingFailedError, SosStalledError, ValidationError
+from .errors import SosStalledError, ValidationError
 from .perturb import LAMBDA_CAP_DEFAULT, find_perturbation
 from .polya import polya_saturate
 from .problem import BOX, CylinderProblem, RescaleRecord, rescale_to_simplex, validate_problem
@@ -44,27 +42,22 @@ Parity = tuple[int, ...]
 class RunConfig:
     """Knobs for a certification run.
 
-    ``tier`` is the weakest acceptable certificate: demanding "exact"
-    rejects any numeric residue, while "numeric" accepts either.  The
-    remaining fields cap the grid refinement depth, the perturbation
-    weight, and the facet-witness degree ladder.
+    The fields cap the grid refinement depth, the perturbation weight,
+    and the facet-witness degree ladder, and seed the validation
+    sampling.  Every certificate the chain produces is exact.
     """
 
-    tier: str = TIER_EXACT
     grid_depth: int = 24
     lambda_cap: int = LAMBDA_CAP_DEFAULT
     seed: int = 0
     budget_cap: int = BUDGET_CAP
 
     def __post_init__(self) -> None:
-        if self.tier not in (TIER_EXACT, TIER_NUMERIC):
-            raise ValidationError(f"unknown tier demanded: {self.tier!r}")
         if self.grid_depth <= 0 or self.lambda_cap <= 0 or self.budget_cap <= 0:
             raise ValidationError("configuration caps must be positive")
 
     def to_obj(self) -> dict[str, Any]:
         return {
-            "tier": self.tier,
             "grid_depth": self.grid_depth,
             "lambda_cap": self.lambda_cap,
             "seed": self.seed,
@@ -86,15 +79,6 @@ class CertifyResult:
     problem: CylinderProblem
     base_cache: dict[Parity, ModuleWitness] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
-
-
-def _demand_tier(config: RunConfig, cert: Certificate) -> None:
-    if config.tier == TIER_EXACT and cert.tier != TIER_EXACT:
-        raise RoundingFailedError(
-            "an exact certificate was demanded but only a numeric one "
-            "could be produced",
-            tier=cert.tier,
-        )
 
 
 def certify_problem(
@@ -211,11 +195,10 @@ def certify_problem(
             fstar_lb=fstar_lb,
         )
 
-    check = verify_certificate(solving, cert, require_tier=cert.tier)
+    check = verify_certificate(solving, cert)
     if record is not None:
         cert = compose_with_frame(cert, record, problem)
-        check = verify_certificate(problem, cert, require_tier=cert.tier)
-    _demand_tier(config, cert)
+        check = verify_certificate(problem, cert)
     diag["verify"] = check.to_obj()
     return CertifyResult(
         certificate=cert, problem=problem, base_cache=base, diagnostics=diag

@@ -321,24 +321,6 @@ class BlockedPoly:
             out[tuple(new)] = coeff
         return BlockedPoly(shape, out)
 
-    def drop_unused_homogenizers(self) -> "BlockedPoly":
-        """Remove homogenizer slots whose exponent is 0 in every term."""
-        base = self.shape.n + self.shape.r1 + self.shape.r2
-        used = [
-            h
-            for pos, h in enumerate(self.shape.homs)
-            if any(e[base + pos] for e in self.terms)
-        ]
-        if len(used) == len(self.shape.homs):
-            return self
-        shape = BlockShape(self.shape.n, self.shape.r1, self.shape.r2, tuple(used))
-        keep = [base + pos for pos, h in enumerate(self.shape.homs) if h in used]
-        out = {
-            tuple(exp[:base]) + tuple(exp[i] for i in keep): c
-            for exp, c in self.terms.items()
-        }
-        return BlockedPoly(shape, out)
-
 
 # ---------------------------------------------------------------------------
 # exact sums of products

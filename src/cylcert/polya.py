@@ -13,12 +13,17 @@ coefficient.  The quantitative positivity bound caps the search.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certified import CertifiedMin, certified_excess_check
-from .covers import sphere_cover
+from .certified import (
+    CertifiedMin,
+    _cover_product,
+    _float_eval,
+    _terms_on_slots,
+    certified_excess_check,
+)
+from .covers import projected_sphere_cover
 from .errors import (
     BelowThresholdError,
     CapExceededError,
@@ -27,6 +32,9 @@ from .errors import (
 )
 from .poly import BlockedPoly, BlockShape, weighted_norm
 from .problem import SphereBlock
+
+# Resolution of the sphere covers behind the float screen.
+SCREEN_RESOLUTION = 24
 
 
 def homogenize_with_slack(target: BlockedPoly) -> BlockedPoly:
@@ -119,27 +127,20 @@ def _remap_blocks(
     )
 
 
-def _screen_values(
-    form: BlockedPoly, blocks: tuple[SphereBlock, ...], resolution: int
-) -> list[float]:
-    """Float values of a sphere-only form on a product of cover points."""
-    shape = form.shape
-    covers = [sphere_cover(len(b.indices), resolution).points for b in blocks]
-    values = []
-    for combo in itertools.product(*covers):
-        point = [0.0] * shape.width
-        for block, u in zip(blocks, combo):
-            for slot, coord in zip(block.indices, u):
-                point[slot] = float(coord)
-        acc = 0.0
-        for key, coeff in form.terms.items():
-            term = float(coeff)
-            for slot, e in enumerate(key):
-                if e:
-                    term *= point[slot] ** e
-            acc += term
-        values.append(acc)
-    return values
+def _screen_min(form: BlockedPoly, blocks: tuple[SphereBlock, ...]) -> float:
+    """Float64 minimum of a sphere-only form over products of cover points.
+
+    Each block's cover is projected onto the block slots the form
+    mentions, which drops duplicate values but no value.
+    """
+    covers = []
+    slots: list[int] = []
+    for b in blocks:
+        kept = tuple(i for i, s in enumerate(b.indices) if any(e[s] for e in form.terms))
+        covers.append(projected_sphere_cover(len(b.indices), SCREEN_RESOLUTION, kept))
+        slots.extend(b.indices[i] for i in kept)
+    values = _float_eval(_cover_product(covers), _terms_on_slots(form, slots))
+    return float(values.min())
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,6 @@ def polya_saturate(
     blocks: tuple[SphereBlock, ...],
     *,
     cap: int | None = None,
-    screen_resolution: int = 24,
-    start_resolution: int = 8,
-    depth_cap: int = 24,
-    pair_budget: int = 250_000_000,
 ) -> PolyaResult:
     """Smallest exponent making every coefficient form certifiably positive.
 
@@ -191,13 +188,7 @@ def polya_saturate(
         if exponent:
             current = current * total
         forms = coefficient_forms(current)
-        evidence, diagnostic = _certify_forms(
-            forms, blocks,
-            screen_resolution=screen_resolution,
-            start_resolution=start_resolution,
-            depth_cap=depth_cap,
-            pair_budget=pair_budget,
-        )
+        evidence, diagnostic = _certify_forms(forms, blocks)
         if evidence is not None:
             return PolyaResult(
                 exponent=exponent, ell=ell, cap=cap,
@@ -217,23 +208,19 @@ def polya_saturate(
 def _certify_forms(
     forms: dict[tuple[int, ...], BlockedPoly],
     blocks: tuple[SphereBlock, ...],
-    *,
-    screen_resolution: int,
-    start_resolution: int,
-    depth_cap: int,
-    pair_budget: int,
 ) -> tuple[dict[tuple[int, ...], CertifiedMin] | None, dict[str, object]]:
     """All-or-nothing certification pass over the coefficient forms.
 
     Returns ``(evidence, {})`` on success or ``(None, diagnostic)``
     naming the first offending multi-index.  The float screen runs over
-    every form before any exact work starts.
+    every form before any exact work starts; each exact check runs at
+    the default resolutions and budget of :func:`certified_excess_check`.
     """
     screened: dict[tuple[int, ...], float] = {}
     for alpha, form in forms.items():
         if not form.terms:
             return None, {"alpha": list(alpha), "reason": "zero coefficient"}
-        low = min(_screen_values(form, blocks, screen_resolution))
+        low = _screen_min(form, blocks)
         if low <= 0.0:
             return None, {"alpha": list(alpha), "reason": "screen", "value": low}
         screened[alpha] = low
@@ -243,12 +230,7 @@ def _certify_forms(
         cert = None
         for attempt in (threshold, threshold / 8):
             try:
-                cert = certified_excess_check(
-                    form, attempt, blocks,
-                    start_resolution=start_resolution,
-                    depth_cap=depth_cap,
-                    pair_budget=pair_budget,
-                )
+                cert = certified_excess_check(form, attempt, blocks)
                 break
             except BelowThresholdError:
                 return None, {"alpha": list(alpha), "reason": "witness"}

@@ -37,6 +37,11 @@ SIMPLEX = "simplex"
 # for the box-to-simplex map and the perturbation term.
 COEFF_CAP = 2**1000
 
+# Largest n and r accepted from a problem file.  Every term stores one
+# exponent per variable, so a larger count only costs memory: n = 2**70
+# ended in an OverflowError while reading the first term.
+DIM_CAP = 64
+
 
 class Variant(Enum):
     """The four supported regimes for the unbounded block(s)."""
@@ -68,15 +73,6 @@ class Variant(Enum):
             raise ValidationError(
                 f"variant {self.value} needs {want}, got r1={r1}, r2={r2}, m={m}"
             )
-
-    def sos_factor_degree(self, m: int) -> int:
-        """Unbounded-block degree of the explicit square factor in term one.
-
-        This is the degree of (sum of Y-block squares + Z^2)^(deg/2) used
-        when damping: m for the single-block regimes, m+2 when a second
-        quadratic block is present.
-        """
-        return m + 2 if self.is_split else m
 
 
 class SphereBlock(NamedTuple):
@@ -472,6 +468,8 @@ def problem_from_obj(obj: Any) -> CylinderProblem:
         raise SchemaError("'g' must be a list of polynomials")
     if n < 1 or r < 0:
         raise SchemaError("need n >= 1 and r >= 0")
+    if n > DIM_CAP or r > DIM_CAP:
+        raise ValidationError(f"need n and r at most {DIM_CAP}", n=n, r=r)
     shape = _shape_for(variant, n, r)
     if (variant is Variant.R1_ANY_M and r != 1) or (
         variant is Variant.QUARTIC_R2 and r != 2

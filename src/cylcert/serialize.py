@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import SchemaError
-from .poly import HOMOGENIZER_ORDER, BlockShape, BlockedPoly
+from .poly import BlockShape, BlockedPoly
 
 # ---------------------------------------------------------------------------
 # rationals
@@ -133,35 +133,6 @@ def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
         else:
             terms.pop(key, None)
     return BlockedPoly._trusted(shape, terms)
-
-
-def shape_to_obj(shape: BlockShape) -> dict[str, Any]:
-    return {
-        "n": shape.n,
-        "r1": shape.r1,
-        "r2": shape.r2,
-        "homogenizers": list(shape.homs),
-    }
-
-
-def shape_from_obj(obj: Any) -> BlockShape:
-    if not isinstance(obj, dict):
-        raise SchemaError("shape must be an object")
-    try:
-        n = obj["n"]
-        r1 = obj["r1"]
-        r2 = obj.get("r2", 0)
-        homs = tuple(obj.get("homogenizers", ()))
-    except KeyError as exc:
-        raise SchemaError(f"shape missing field {exc}") from None
-    if not all(isinstance(v, int) and v >= 0 for v in (n, r1, r2)):
-        raise SchemaError("shape block sizes must be nonnegative ints")
-    if not all(h in HOMOGENIZER_ORDER for h in homs):
-        raise SchemaError(f"unknown homogenizers in {homs!r}")
-    try:
-        return BlockShape(n, r1, r2, tuple(h for h in HOMOGENIZER_ORDER if h in homs))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

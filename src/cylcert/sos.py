@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, NotNonnegativeError, SosStalledError
+from .errors import CapExceededError, SosStalledError
 from .poly import BlockedPoly, BlockShape, ExactSum
 
 Exponent = tuple[int, ...]
@@ -411,226 +410,3 @@ def sos_decompose(
         )
     return deco
 
-
-# ---------------------------------------------------------------------------
-# univariate: Sturm sequences and nonnegativity
-# ---------------------------------------------------------------------------
-
-def _uni_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _uni_neg(c: Sequence[Fraction]) -> list[Fraction]:
-    return [-v for v in c]
-
-
-def _uni_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, bv in enumerate(b):
-            a[k + i] -= f * bv
-        _uni_trim(a)
-        if not a:
-            break
-    return _uni_trim(q), a
-
-
-def _uni_derivative(c: Sequence[Fraction]) -> list[Fraction]:
-    return [i * v for i, v in enumerate(c)][1:]
-
-
-def _uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _uni_trim(list(a)), _uni_trim(list(b))
-    while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
-
-
-def _sturm_chain(c: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_uni_trim(list(c)), _uni_derivative(c)]
-    while chain[-1]:
-        _, r = _uni_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_uni_neg(r))
-    return [p for p in chain if p]
-
-
-def _sign_changes(values: Iterable[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _eval_uni(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for v in reversed(list(c)):
-        out = out * x + v
-    return out
-
-
-def count_real_roots(
-    coeffs: Sequence[Fraction],
-    low: Fraction | None = None,
-    high: Fraction | None = None,
-) -> int:
-    """Number of distinct real roots in (low, high]; None means infinite end."""
-    c = _uni_trim([Fraction(v) for v in coeffs])
-    if len(c) <= 1:
-        return 0
-    chain = _sturm_chain(c)
-    if low is None:
-        at_low = _sign_changes([p[-1] * (-1) ** (len(p) - 1) for p in chain])
-    else:
-        at_low = _sign_changes([_eval_uni(p, low) for p in chain])
-    if high is None:
-        at_high = _sign_changes([p[-1] for p in chain])
-    else:
-        at_high = _sign_changes([_eval_uni(p, high) for p in chain])
-    return at_low - at_high
-
-
-def univariate_nonnegative(coeffs: Sequence[Fraction]) -> bool:
-    """Exact test: is the polynomial >= 0 on the whole real line?"""
-    c = _uni_trim([Fraction(v) for v in coeffs])
-    if not c:
-        return True
-    if (len(c) - 1) % 2 == 1 or c[-1] < 0:
-        return False
-    # strip the even-multiplicity part: roots of odd multiplicity are
-    # exactly the real roots of p / gcd(p, p') that remain roots of p
-    # with odd order; p >= 0 iff the square-free part has no real roots
-    # of odd multiplicity, which for a nonnegative-leading even-degree
-    # polynomial reduces to: every real root has even multiplicity.
-    odd_part = _odd_multiplicity_part(c)
-    return count_real_roots(odd_part) == 0
-
-
-def _odd_multiplicity_part(c: list[Fraction]) -> list[Fraction]:
-    """Product of the square-free factors appearing with odd multiplicity.
-
-    Peeling gcd(p, p') drops every factor's multiplicity by one, and the
-    square-free quotient at level j collects exactly the factors of
-    multiplicity >= j.  A factor of multiplicity m therefore appears in
-    the alternating product (levels 1, 3, ... over levels 2, 4, ...)
-    with exponent m mod 2.
-    """
-    numerator = [Fraction(1)]
-    denominator = [Fraction(1)]
-    current = list(c)
-    level = 1
-    while len(current) > 1:
-        g = _uni_gcd(current, _uni_derivative(current))
-        squarefree, _ = _uni_divmod(current, g)
-        if level % 2 == 1:
-            numerator = _uni_mul(numerator, squarefree)
-        else:
-            denominator = _uni_mul(denominator, squarefree)
-        current = g
-        level += 1
-    odd, rem = _uni_divmod(numerator, denominator)
-    assert not rem, "square-free peeling produced a non-divisible tower"
-    return odd
-
-
-def _uni_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] += av * bv
-    return _uni_trim(out)
-
-
-def poly_sqrt(p: BlockedPoly) -> BlockedPoly | None:
-    """Exact polynomial square root, or None when p is not a perfect square."""
-    if not p.terms:
-        return BlockedPoly.zero(p.shape)
-    items = p.sorted_terms()
-    lead_exp, lead_coeff = items[0]
-    if any(v % 2 for v in lead_exp) or lead_coeff < 0:
-        return None
-    root_coeff = _frac_sqrt(lead_coeff)
-    if root_coeff is None:
-        return None
-    root = BlockedPoly(p.shape, {tuple(v // 2 for v in lead_exp): root_coeff})
-    limit = 4 * len(p.terms) + 8
-    for _ in range(limit):
-        diff = p - root * root
-        if not diff.terms:
-            return root
-        d_exp, d_coeff = diff.sorted_terms()[0]
-        step_exp = tuple(d - l // 2 for d, l in zip(d_exp, lead_exp))
-        if any(v < 0 for v in step_exp):
-            return None
-        root = root + BlockedPoly(p.shape, {step_exp: d_coeff / (2 * root_coeff)})
-    return None
-
-
-def _frac_sqrt(v: Fraction) -> Fraction | None:
-    if v < 0:
-        return None
-    num, den = v.numerator, v.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def sos_univariate(
-    p: BlockedPoly, slot: int = 0, *, degree_cap: int = 8
-) -> SosDecomposition:
-    """Exact SOS for a univariate nonnegative polynomial (degree <= cap).
-
-    Runs the Sturm-based nonnegativity decision first so that genuinely
-    negative inputs fail with :class:`NotNonnegativeError` and a witness
-    instead of a numeric stall.
-    """
-    width = p.shape.width
-    for e in p.terms:
-        if any(v and i != slot for i, v in enumerate(e)):
-            raise ValueError("polynomial is not univariate in the given slot")
-    deg = max((e[slot] for e in p.terms), default=0)
-    if deg > degree_cap:
-        raise CapExceededError(
-            "univariate SOS degree cap exceeded", degree=deg, cap=degree_cap
-        )
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        coeffs[e[slot]] = c
-    if not univariate_nonnegative(coeffs):
-        raise NotNonnegativeError(
-            "polynomial is negative somewhere on the real line",
-            witness=_negative_witness(coeffs),
-        )
-    basis = [
-        tuple(d if i == slot else 0 for i in range(width)) for d in range(deg // 2 + 1)
-    ]
-    return sos_decompose(p, basis)
-
-
-def _negative_witness(coeffs: Sequence[Fraction]) -> str | None:
-    """A rational point with negative value, found by a dyadic sweep."""
-    bound = 1 + max(
-        (abs(c) / abs(coeffs[-1]) for c in coeffs[:-1]), default=Fraction(0)
-    )
-    for density in (1, 2, 4, 8, 16, 64, 256):
-        steps = int(bound * density) + 1
-        for k in range(-steps, steps + 1):
-            x = Fraction(k, density)
-            if _eval_uni(coeffs, x) < 0:
-                return str(x)
-    return None

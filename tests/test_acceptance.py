@@ -26,7 +26,7 @@ from cylcert.certificate import (
     verify_certificate,
 )
 from cylcert.certified import lipschitz_constants, sup_bound
-from cylcert.covers import sphere_cover
+from cylcert.covers import projected_sphere_cover
 from cylcert.errors import SosStalledError, VerificationError
 from cylcert.pipeline import certify_problem
 from cylcert.poly import BlockShape, BlockedPoly, homogenize_block
@@ -140,20 +140,20 @@ def _sphere_points(shape, m, split, rng, count):
     """Random exact points on the sphere factor(s), as slot-value maps."""
     out = []
     if split:
-        c1 = sphere_cover(2, 16)
-        c2 = sphere_cover(2, 16)
+        c1 = projected_sphere_cover(2, 16, (0, 1))
+        c2 = projected_sphere_cover(2, 16, (0, 1))
         s1 = shape.block_indices("y1") + shape.block_indices("Z1")
         s2 = shape.block_indices("y2") + shape.block_indices("Z2")
         for _ in range(count):
-            vals = dict(zip(s1, c1.point(rng.randrange(len(c1)))))
-            vals.update(zip(s2, c2.point(rng.randrange(len(c2)))))
+            vals = dict(zip(s1, c1.points[rng.randrange(len(c1))]))
+            vals.update(zip(s2, c2.points[rng.randrange(len(c2))]))
             out.append(vals)
     else:
         dim = len(shape.block_indices("y1")) + 1
-        cov = sphere_cover(dim, 12)
+        cov = projected_sphere_cover(dim, 12, tuple(range(dim)))
         slots = shape.block_indices("y1") + shape.block_indices("Z")
         for _ in range(count):
-            out.append(dict(zip(slots, cov.point(rng.randrange(len(cov))))))
+            out.append(dict(zip(slots, cov.points[rng.randrange(len(cov))])))
     return out
 
 

@@ -22,7 +22,7 @@ from cylcert.certified import (
     monomial_capacity,
     sup_bound,
 )
-from cylcert.covers import SimplexGrid, sphere_cover
+from cylcert.covers import SimplexGrid, projected_sphere_cover
 from cylcert.errors import (
     BelowThresholdError,
     BudgetExhaustedError,
@@ -169,12 +169,12 @@ def test_sup_bound_dominates_samples():
         d = max(2, f.block_degree("x"))
         prob_sup = sup_bound(f, d, 2, 1)
         fbar = homogenize_block(f, "y1", 2, "Z")
-        circle = sphere_cover(2, 12)
+        circle = projected_sphere_cover(2, 12, (0, 1))
         for _ in range(20):
             x = (F(rng.randrange(0, 9), 16), F(rng.randrange(0, 8), 16))
             if sum(x) > 1:
                 continue
-            u = circle.point(rng.randrange(len(circle)))
+            u = circle.points[rng.randrange(len(circle))]
             val = fbar.eval_at(x + u)
             assert abs(val) <= prob_sup
 
@@ -202,12 +202,12 @@ def test_sphere_lipschitz_dominates_chordal_pairs():
     f = BlockedPoly(shape, {(0, 2): F(1)})
     data = lipschitz_constants(f, 0, 2, 1)
     fbar = homogenize_block(f, "y1", 2, "Z")
-    circle = sphere_cover(2, 64)
+    circle = projected_sphere_cover(2, 64, (0, 1))
     rng = random.Random(17)
     L = float(data.l_sphere[0])
     for _ in range(10_000):
-        u = circle.point(rng.randrange(len(circle)))
-        v = circle.point(rng.randrange(len(circle)))
+        u = circle.points[rng.randrange(len(circle))]
+        v = circle.points[rng.randrange(len(circle))]
         lhs = abs(fbar.eval_at((F(0),) + u) - fbar.eval_at((F(0),) + v))
         chord = math.dist([float(t) for t in u], [float(t) for t in v])
         assert float(lhs) <= L * chord + 1e-9
@@ -289,11 +289,11 @@ def test_cylinder_min_lower_bound_is_sound():
     prob = interval_problem({(1, 0): 1, (1, 2): 1})
     res = certified_cylinder_min(prob, rel_slack=F(1, 1000), fallback_x=FALLBACK)
     target, _ = prob.homogenized()
-    circle = sphere_cover(2, 128)
+    circle = projected_sphere_cover(2, 128, (0, 1))
     rng = random.Random(41)
     for _ in range(10_000):
         x = F(rng.randrange(256, 513), 1024)  # dense rational sweep of [1/4, 1/2]
-        u = circle.point(rng.randrange(len(circle)))
+        u = circle.points[rng.randrange(len(circle))]
         assert target.eval_at((x,) + u) >= res.lower_bound
 
 
@@ -468,11 +468,11 @@ def test_leading_form_bounds_hold_on_fresh_points():
     conds = check_leading_form_condition(prob, fallback_x=FALLBACK)
     (name, form, blocks), = prob.condition_targets()
     res = conds[name]
-    circle = sphere_cover(2, 32)
+    circle = projected_sphere_cover(2, 32, (0, 1))
     rng = random.Random(3)
     for _ in range(1000):
         x = F(rng.randrange(256, 513), 1024)
-        u = (F(1),) if len(blocks[0].indices) == 1 else circle.point(rng.randrange(len(circle)))
+        u = (F(1),) if len(blocks[0].indices) == 1 else circle.points[rng.randrange(len(circle))]
         pt = [F(0)] * form.shape.width
         pt[0] = x
         for slot, v in zip(blocks[0].indices, u):

@@ -1,14 +1,21 @@
 """Exit codes, file handling, and determinism of the command-line surface."""
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from cylcert import cli
-from cylcert.certificate import E_UPPER
+from cylcert.certificate import (
+    E_UPPER,
+    POWER_BITS_CAP,
+    certificate_from_obj,
+    certificate_to_obj,
+)
 from cylcert.poly import BlockShape, BlockedPoly
-from cylcert.problem import SIMPLEX, CylinderProblem, Variant, problem_to_obj
+from cylcert.problem import SIMPLEX, CylinderProblem, Variant, problem_from_obj, problem_to_obj
+from cylcert.serialize import canonical_dumps
 
 
 def write_problem(path, f_builder, *, m=2, variant=Variant.R1_ANY_M, r1=1):
@@ -55,6 +62,17 @@ def test_repeat_runs_are_byte_identical(problem_file, tmp_path):
     # A third run reuses the first sidecar; still identical.
     cli.main(["certify", "--input", str(problem_file), "--output", str(first)])
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_written_files_are_the_canonical_bytes(problem_file, tmp_path):
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--input", str(problem_file), "--output", str(out)]) == 0
+    problem = problem_from_obj(json.loads(problem_file.read_text()))
+    cert = certificate_from_obj(json.loads(out.read_text()), problem.shape)
+    assert out.read_bytes() == canonical_dumps(certificate_to_obj(cert)).encode()
+    assert out.read_bytes().endswith(b"}\n")
+    sidecar = tmp_path / "cert.json.basecache.json"
+    assert sidecar.read_bytes() == canonical_dumps(json.loads(sidecar.read_text())).encode()
 
 
 def test_diagnostics_file(problem_file, tmp_path):
@@ -203,8 +221,9 @@ def test_indefinite_condition_exits_11(tmp_path):
 
 def test_minimize_subcommand(problem_file):
     assert cli.main(["minimize", "--input", str(problem_file)]) == 0
+    # minimize always bounds f; a --target flag is a usage error
     assert cli.main(
-        ["minimize", "--input", str(problem_file), "--target", "g"]
+        ["minimize", "--input", str(problem_file), "--target", "f"]
     ) == cli.EXIT_VALIDATION
 
 
@@ -266,6 +285,18 @@ def test_bound_with_a_huge_fractional_c_is_refused_before_the_root(capsys):
     code, summary = _bound_line(["--c", "2000000000001/2", "--fnorm", "2"], capsys)
     assert code == cli.EXIT_VALIDATION
     assert summary["payload"]["exponent_bits_at_least"] > 2**17
+
+
+def test_bound_with_an_argument_just_above_one_is_refused_quickly(capsys):
+    # argument 1 + 10^-12 and c = 10^12: the exponent is near e, but the
+    # exact power argument^c would have about 4 * 10^13 bits
+    started = time.monotonic()
+    code, summary = _bound_line(
+        ["--c", "1000000000000", "--fnorm", "1000000000001/1000000000000"], capsys
+    )
+    assert time.monotonic() - started < 1
+    assert code == cli.EXIT_VALIDATION
+    assert summary["payload"]["power_bits_estimate"] > POWER_BITS_CAP
 
 
 def test_bound_with_an_argument_below_one_needs_no_power(capsys):

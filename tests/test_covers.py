@@ -8,10 +8,44 @@ import pytest
 from cylcert.covers import (
     SimplexGrid,
     projected_sphere_cover,
-    sphere_cover,
     sphere_cover_radius,
     sqrt_upper,
 )
+
+
+def _half_angle(resolution):
+    out = []
+    for j in range(resolution + 1):
+        t = F(2 * j, resolution) - 1
+        out.append((2 * t / (1 + t * t), (1 - t * t) / (1 + t * t)))
+    return out
+
+
+def sphere_points(dim, resolution):
+    """Reference cover of S^(dim-1): the recursion of the covers module,
+    built without projection, as its distinct points in order."""
+    if dim == 1:
+        return ((F(1),), (F(-1),))
+    if dim == 2:
+        seen = {}
+        for first, second in _half_angle(resolution):
+            seen.setdefault((first, second), None)
+            seen.setdefault((first, -second), None)
+        return tuple(seen)
+    inner = sphere_points(dim - 1, resolution)
+    points = {}
+    for p, q in _half_angle(resolution):
+        a, b = q, p  # (a, b) runs over the half-circle a >= 0
+        if a == 0:
+            points.setdefault((F(0),) * (dim - 1) + (b,), None)
+            continue
+        for w in inner:
+            points.setdefault(tuple(a * wi for wi in w) + (b,), None)
+    return tuple(points)
+
+
+def full_cover(dim, resolution):
+    return projected_sphere_cover(dim, resolution, tuple(range(dim)))
 
 
 def test_sqrt_upper_is_an_upper_bound_and_tight():
@@ -78,19 +112,16 @@ def test_simplex_grid_floats_match_exact_points():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_sphere_cover_points_lie_exactly_on_the_sphere(dim):
-    cover = sphere_cover(dim, 6)
+    cover = full_cover(dim, 6)
     assert len(cover) > 0
-    seen = set()
-    for i in range(len(cover)):
-        p = cover.point(i)
+    for p, rep in zip(cover.points, cover.representatives):
+        assert p == rep
         assert sum(v * v for v in p) == 1  # exact rational identity
-        seen.add(p)
-    assert len(seen) == len(cover)
+    assert len(set(cover.points)) == len(cover)
 
 
 def test_circle_cover_contains_the_axis_points():
-    cover = sphere_cover(2, 4)
-    pts = {cover.point(i) for i in range(len(cover))}
+    pts = set(full_cover(2, 4).points)
     for axis in [(F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1))]:
         assert axis in pts
     # the half-angle parametrization at t=1/2 gives (4/5, 3/5)
@@ -98,16 +129,16 @@ def test_circle_cover_contains_the_axis_points():
 
 
 def test_dim1_cover_is_the_two_signs():
-    cover = sphere_cover(1, 9)
-    assert {cover.point(i) for i in range(len(cover))} == {(F(1),), (F(-1),)}
+    cover = full_cover(1, 9)
+    assert set(cover.points) == {(F(1),), (F(-1),)}
     assert cover.radius == 0
 
 
 @pytest.mark.parametrize("dim,resolution", [(2, 8), (2, 16), (3, 8), (3, 16), (4, 6)])
 def test_sphere_cover_radius_empirically(dim, resolution):
-    cover = sphere_cover(dim, resolution)
+    cover = full_cover(dim, resolution)
     assert cover.radius == sphere_cover_radius(dim, resolution)
-    pts = [tuple(float(v) for v in cover.point(i)) for i in range(len(cover))]
+    pts = [tuple(float(v) for v in p) for p in cover.points]
     rho = float(cover.radius)
     rng = random.Random(dim * 100 + resolution)
     for _ in range(250):
@@ -119,18 +150,17 @@ def test_sphere_cover_radius_empirically(dim, resolution):
 
 
 def test_projected_cover_onto_all_coordinates_is_the_full_cover():
-    full = sphere_cover(2, 8)
-    proj = projected_sphere_cover(2, 8, (0, 1))
-    assert set(proj.points) == {full.point(i) for i in range(len(full))}
-    assert proj.radius == full.radius
+    for dim, resolution in [(1, 3), (2, 8), (3, 6), (4, 4)]:
+        proj = projected_sphere_cover(dim, resolution, tuple(range(dim)))
+        assert proj.points == sphere_points(dim, resolution)
+        assert proj.representatives == proj.points
 
 
 def test_projected_cover_collapses_dropped_levels():
     # projecting the 2-sphere cover onto its last coordinate keeps one
     # entry per outer circle point instead of the full quadratic count
     proj = projected_sphere_cover(3, 8, (2,))
-    full = sphere_cover(3, 8)
-    assert len(proj) < len(full)
+    assert len(proj) < len(sphere_points(3, 8))
     assert len(proj) <= 2 * (8 + 1)
     for p, rep in zip(proj.points, proj.representatives):
         assert sum(v * v for v in rep) == 1
@@ -147,16 +177,15 @@ def test_projected_cover_onto_nothing_is_a_single_representative():
 
 def test_projection_preserves_every_projected_value():
     """Each distinct projection of the full cover appears in the projected one."""
-    full = sphere_cover(3, 6)
     proj = projected_sphere_cover(3, 6, (0,))
-    want = {(full.point(i)[0],) for i in range(len(full))}
-    assert set(proj.points) == want
+    assert set(proj.points) == {(p[0],) for p in sphere_points(3, 6)}
 
 
 def test_covers_are_deterministic():
-    a = sphere_cover(3, 10)
-    b = sphere_cover(3, 10)
-    assert a.points == b.points
+    projected_sphere_cover.cache_clear()
+    a = full_cover(3, 10)
+    projected_sphere_cover.cache_clear()
+    assert full_cover(3, 10).points == a.points
     g1 = SimplexGrid(2, 7)
     g2 = SimplexGrid(2, 7)
     assert [g1.point(i) for i in range(len(g1))] == [g2.point(i) for i in range(len(g2))]

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cylcert.covers import sphere_cover
+from cylcert.covers import projected_sphere_cover
 from cylcert.errors import SearchExhaustedError
 from cylcert.perturb import (
     constraint_scale,
@@ -163,7 +163,7 @@ def test_factor_squares_sum_to_sos_factor(m, variant, r1, r2):
 def test_sos_factor_is_one_on_the_sphere():
     prob = interval_problem({(0, 4): 1, (0, 0): 1}, m=4)
     q = sos_factor(prob)
-    cover = sphere_cover(2, 16)
+    cover = projected_sphere_cover(2, 16, (0, 1))
     shape = q.shape
     slots = shape.block_indices("y1") + shape.block_indices("Z")
     for u in cover.points:
@@ -194,7 +194,7 @@ def test_perturbation_small_where_constraints_hold():
         diff = target - h
         shape = diff.shape
         slots = shape.block_indices("y1") + shape.block_indices("Z")
-        cover = sphere_cover(2, 8)
+        cover = projected_sphere_cover(2, 8, (0, 1))
         for xval in (F(1, 4), F(3, 8), F(1, 2)):
             for u in cover.points:
                 point = [F(0)] * shape.width

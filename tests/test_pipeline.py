@@ -118,7 +118,4 @@ def test_feasible_points_outside_the_frame_are_refused():
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        RunConfig(tier="best")
-    with pytest.raises(ValidationError):
         RunConfig(grid_depth=0)
-    assert RunConfig().to_obj()["tier"] == "exact"

@@ -293,7 +293,6 @@ def test_embed_and_drop_homogenizers():
     wide = p.embed(sh.with_homogenizers("Z", "X0"))
     assert wide.shape.homs == ("X0", "Z")
     assert wide.terms == {(1, 1, 0, 0): 2}
-    assert wide.drop_unused_homogenizers() == p
 
 
 # ---------------------------------------------------------------------------

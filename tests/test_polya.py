@@ -1,12 +1,17 @@
-"""Simplex saturation: slack lift, exponent cap, coefficient forms."""
+"""Simplex saturation: slack lift, exponent cap, coefficient forms, screen."""
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from cylcert.certified import _float_slack
+from cylcert.covers import projected_sphere_cover
 from cylcert.errors import CapExceededError, ValidationError
 from cylcert.polya import (
+    SCREEN_RESOLUTION,
+    _screen_min,
     coefficient_forms,
     homogenize_with_slack,
     polya_exponent_cap,
@@ -231,3 +236,59 @@ def test_saturate_split_shape_two_blocks():
         assert {new_shape.var_name(i) for i in block.indices} == want
     for cm in res.evidence.values():
         assert cm.lower_bound > 0
+
+
+# --- the float screen ------------------------------------------------------
+
+def _exact_screen_min(form, blocks):
+    """All-Fraction minimum over the full product of the blocks' covers."""
+    covers = [
+        projected_sphere_cover(len(b.indices), SCREEN_RESOLUTION, tuple(range(len(b.indices)))).points
+        for b in blocks
+    ]
+    best = None
+    for combo in itertools.product(*covers):
+        point = [F(0)] * form.shape.width
+        for block, u in zip(blocks, combo):
+            for slot, coord in zip(block.indices, u):
+                point[slot] = coord
+        value = form.eval_at(point)
+        if best is None or value < best:
+            best = value
+    return best
+
+
+def _random_form(rng, shape, slot_degrees):
+    """Random terms whose exponents on the given slots sum to each degree."""
+    terms = {}
+    for _ in range(rng.randrange(2, 6)):
+        key = [0] * shape.width
+        for slots, degree in slot_degrees:
+            for _ in range(degree):
+                key[rng.choice(slots)] += 1
+        terms[tuple(key)] = F(rng.randrange(-9, 10), rng.randrange(1, 5))
+    return BlockedPoly(shape, terms)
+
+
+def test_screen_minimum_matches_an_exact_loop():
+    """The float screen is within the float slack of the exact minimum."""
+    rng = random.Random(29)
+    one = BlockShape(n=1, r1=2, r2=0, homs=("Z",))
+    y1, y2 = one.block_indices("y1")
+    (z,) = one.block_indices("Z")
+    one_block = (SphereBlock(indices=(y1, y2, z), degree=2),)
+    two = BlockShape(n=1, r1=1, r2=1, homs=("Z1", "Z2"))
+    block1 = two.block_indices("y1") + two.block_indices("Z1")
+    block2 = two.block_indices("y2") + two.block_indices("Z2")
+    two_blocks = (SphereBlock(indices=block1, degree=2), SphereBlock(indices=block2, degree=2))
+    cases = [
+        (one, one_block, [((y1, y2, z), 2)]),
+        (one, one_block, [((y1, z), 2)]),            # y2 never appears
+        (two, two_blocks, [(block1, 2), (block2, 2)]),
+        (two, two_blocks, [(block1, 2), (block2[1:], 2)]),  # y2 never appears
+    ]
+    for shape, blocks, slot_degrees in cases:
+        for _ in range(3):
+            form = _random_form(rng, shape, slot_degrees)
+            exact = _exact_screen_min(form, blocks)
+            assert abs(F(_screen_min(form, blocks)) - exact) <= _float_slack(form)

@@ -16,8 +16,6 @@ from cylcert.serialize import (
     poly_from_obj,
     poly_to_obj,
     sha256_of_obj,
-    shape_from_obj,
-    shape_to_obj,
 )
 
 
@@ -81,15 +79,6 @@ def test_poly_from_obj_rejects_bad_terms():
         poly_from_obj({"x": [1]}, shape)
     with pytest.raises(SchemaError):
         poly_from_obj([{"x": [1], "y1": [0]}], shape)
-
-
-def test_shape_round_trip():
-    for shape in [BlockShape(1, 1), BlockShape(2, 1, 3, ("Z1", "Z2")), BlockShape(3, 2, 0, ("X0", "Z"))]:
-        assert shape_from_obj(shape_to_obj(shape)) == shape
-    with pytest.raises(SchemaError):
-        shape_from_obj({"n": 1})
-    with pytest.raises(SchemaError):
-        shape_from_obj({"n": 1, "r1": 1, "homogenizers": ["Q"]})
 
 
 def test_canonical_dumps_is_key_order_independent():

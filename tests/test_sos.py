@@ -1,22 +1,18 @@
-"""Exact SOS decompositions, Sturm sequences, and square roots."""
+"""Exact SOS decompositions: LDL^T, Gram bookkeeping, rounding and caps."""
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
 
-from cylcert.errors import CapExceededError, NotNonnegativeError, SosStalledError
+from cylcert.errors import CapExceededError, SosStalledError
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.sos import (
-    count_real_roots,
     default_gram_basis,
     gram_groups,
-    poly_sqrt,
     project_affine_exact,
     rational_ldlt,
     sos_decompose,
-    sos_univariate,
-    univariate_nonnegative,
 )
 
 
@@ -203,118 +199,3 @@ def test_default_basis_respects_homogeneity():
     basis = default_gram_basis(p)
     assert all(sum(e) == 2 for e in basis)
 
-
-# --- univariate nonnegativity ---------------------------------------------
-
-def test_count_real_roots_examples():
-    assert count_real_roots([F(-1), F(0), F(1)]) == 2          # x^2 - 1
-    assert count_real_roots([F(1), F(0), F(1)]) == 0           # x^2 + 1
-    assert count_real_roots([F(0), F(1)]) == 1                 # x
-    assert count_real_roots([F(0), F(-1), F(0), F(1)]) == 3    # x^3 - x
-    assert count_real_roots([F(-1), F(0), F(1)], F(0), F(2)) == 1
-    assert count_real_roots([F(-1), F(0), F(1)], F(-2), F(0)) == 1
-    assert count_real_roots([F(5)]) == 0
-
-
-def _uni_mul(a, b):
-    out = [F(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def test_univariate_nonnegative_examples():
-    assert univariate_nonnegative([])                      # zero
-    assert univariate_nonnegative([F(3)])
-    assert not univariate_nonnegative([F(-3)])
-    assert univariate_nonnegative([F(0), F(0), F(1)])      # x^2
-    assert not univariate_nonnegative([F(0), F(1)])        # x
-    assert univariate_nonnegative([F(1), F(-2), F(1)])     # (x-1)^2
-    assert not univariate_nonnegative([F(-1), F(0), F(1)])
-
-
-def test_univariate_nonnegative_tracks_multiplicities():
-    lin1 = [F(-1), F(1)]          # x - 1
-    lin2 = [F(2), F(1)]           # x + 2
-    sq = _uni_mul(lin1, lin1)
-    # (x-1)^2 (x+2)^4 is nonnegative
-    p = _uni_mul(sq, _uni_mul(_uni_mul(lin2, lin2), _uni_mul(lin2, lin2)))
-    assert univariate_nonnegative(p)
-    # (x-1)^3 (x+2)^2 changes sign at x=1
-    q = _uni_mul(_uni_mul(sq, lin1), _uni_mul(lin2, lin2))
-    assert not univariate_nonnegative(q)
-    # (x-1)^4 stays nonnegative
-    assert univariate_nonnegative(_uni_mul(sq, sq))
-
-
-def test_sos_univariate_round_trip():
-    shape = BlockShape(1, 0)
-    p = BlockedPoly(shape, {(0,): F(3, 16), (1,): F(-1), (2,): F(2)})
-    deco = sos_univariate(p)
-    assert deco.verify(p)
-
-
-def test_sos_univariate_degree_eight():
-    shape = BlockShape(1, 0)
-    base = BlockedPoly(shape, {(4,): F(1), (1,): F(-1), (0,): F(1)})
-    p = base * base  # degree 8 perfect square is certainly nonnegative
-    deco = sos_univariate(p)
-    assert deco.verify(p)
-
-
-def test_sos_univariate_rejects_negative_with_witness():
-    shape = BlockShape(1, 0)
-    p = BlockedPoly(shape, {(0,): F(-1), (2,): F(1)})
-    with pytest.raises(NotNonnegativeError) as info:
-        sos_univariate(p)
-    w = info.value.payload.get("witness")
-    assert w is not None
-    x = F(w)
-    assert x * x - 1 < 0
-
-
-def test_sos_univariate_degree_cap():
-    shape = BlockShape(1, 0)
-    p = BlockedPoly(shape, {(10,): F(1), (0,): F(1)})
-    with pytest.raises(CapExceededError):
-        sos_univariate(p)
-
-
-def test_sos_univariate_requires_one_variable():
-    shape = BlockShape(2, 0)
-    p = BlockedPoly(shape, {(1, 1): F(1), (0, 0): F(1)})
-    with pytest.raises(ValueError):
-        sos_univariate(p)
-
-
-# --- polynomial square roots ----------------------------------------------
-
-def test_poly_sqrt_round_trips():
-    rng = random.Random(33)
-    shape = BlockShape(2, 1)
-    for _ in range(40):
-        terms = {}
-        for _ in range(rng.randrange(1, 5)):
-            e = tuple(rng.randrange(0, 3) for _ in range(3))
-            terms[e] = F(rng.randrange(-6, 7), rng.randrange(1, 4))
-        if not terms:
-            continue
-        q = BlockedPoly(shape, terms)
-        if not q.terms:
-            continue
-        assert poly_sqrt(q * q) in (q, -q)
-
-
-def test_poly_sqrt_rejects_non_squares():
-    shape = BlockShape(1, 1)
-    x = BlockedPoly.variable(shape, 0)
-    y = BlockedPoly.variable(shape, 1)
-    assert poly_sqrt(x) is None
-    assert poly_sqrt(x * y) is None
-    assert poly_sqrt(x * x + BlockedPoly.constant(shape, 1)) is None
-    assert poly_sqrt(x.scale(F(2)) * x) is None  # 2x^2: coefficient not a square
-    assert poly_sqrt(BlockedPoly.zero(shape)) == BlockedPoly.zero(shape)
-    assert poly_sqrt(BlockedPoly.constant(shape, F(9, 4))) == BlockedPoly.constant(
-        shape, F(3, 2)
-    )
