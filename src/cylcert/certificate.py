@@ -58,8 +58,9 @@ E_UPPER = Fraction(2_718_281_829, 10**9)
 # has about 1.2 million digits and takes about a second to compute.
 EXP_UPPER_CAP = 2**17
 
-# Largest bit length theorem_bound lets the exact power argument**p reach
-# (p the numerator of c): about a million bits, formed in about 0.1 s.
+# Largest bit length theorem_bound lets the exact power of its argument
+# reach (argument**p, or the q-th root's operand for c = p/q): about a
+# million bits, formed in about 0.1 s.
 POWER_BITS_CAP = 2**20
 
 
@@ -753,11 +754,20 @@ def integer_root_upper(value: int, degree: int) -> int:
         raise ValidationError("root of a negative number or bad degree")
     if value in (0, 1):
         return value
-    # integer Newton steps from 2^ceil(bits/degree) >= the root; they
-    # decrease to the floor of the root without a float conversion
-    t = 1 << -(-value.bit_length() // degree)
+
+    def newton(t: int) -> int:
+        return ((degree - 1) * t + value // t ** (degree - 1)) // degree
+
+    # Start from 2^(log2(value)/degree), with log2 read off the value's
+    # leading 64 bits, so the step count does not grow with the degree.
+    # By AM-GM one integer Newton step from any t > 0 lands at or above
+    # the floor of the root; from there the steps decrease to it.
+    shift = max(0, value.bit_length() - 64)
+    log_root = (math.log2(value >> shift) + shift) / degree
+    whole = math.floor(log_root)
+    t = newton((math.floor(2 ** (log_root - whole) * 2**52) << whole >> 52) + 1)
     while True:
-        nxt = ((degree - 1) * t + value // t ** (degree - 1)) // degree
+        nxt = newton(t)
         if nxt >= t:
             break
         t = nxt
@@ -852,8 +862,10 @@ def theorem_bound(formula: str, inputs: BoundInputs) -> Fraction:
     if log2_low > EXP_UPPER_CAP:
         raise _beyond_exp_cap(exponent_bits_at_least=math.floor(log2_low) + 1)
     # An argument just above 1 passes that test with any c, yet the exact
-    # power argument**p has up to p times the bits of a or b.
-    power_bits = c.numerator * max(a.bit_length(), b.bit_length())
+    # power argument**p has up to p times the bits of a or b, and for
+    # c = p/q the root operand a^p * b^(p(q-1)) of rational_power_upper
+    # up to p*q times.
+    power_bits = c.numerator * c.denominator * max(a.bit_length(), b.bit_length())
     if power_bits > POWER_BITS_CAP:
         raise ValidationError(
             "bound too costly to evaluate exactly: the power of its argument "

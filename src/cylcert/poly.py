@@ -80,20 +80,10 @@ class BlockShape:
         return self.n + self.r1 + self.r2 + len(self.homs)
 
     # ----- index helpers ------------------------------------------------
-    def x_index(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"x index {i} out of range for n={self.n}")
-        return i
-
     def y1_index(self, j: int) -> int:
         if not 0 <= j < self.r1:
             raise IndexError(f"y1 index {j} out of range for r1={self.r1}")
         return self.n + j
-
-    def y2_index(self, j: int) -> int:
-        if not 0 <= j < self.r2:
-            raise IndexError(f"y2 index {j} out of range for r2={self.r2}")
-        return self.n + self.r1 + j
 
     def hom_index(self, name: str) -> int:
         try:
@@ -511,13 +501,3 @@ def block_sum_of_squares(shape: BlockShape, block: str, *extra: str) -> BlockedP
         exp[i] = 2
         terms[tuple(exp)] = Fraction(1)
     return BlockedPoly(shape, terms)
-
-
-def simplex_sum(shape: BlockShape, include_x0: bool = True) -> BlockedPoly:
-    """X1 + ... + Xn, plus X0 when active and requested."""
-    total = BlockedPoly.zero(shape)
-    for i in range(shape.n):
-        total = total + BlockedPoly.variable(shape, i)
-    if include_x0 and "X0" in shape.homs:
-        total = total + BlockedPoly.variable(shape, shape.hom_index("X0"))
-    return total

@@ -264,9 +264,6 @@ class RescaleRecord:
     def forward_coord(self, value: Fraction) -> Fraction:
         return self.scale * value + self.offset
 
-    def inverse_coord(self, value: Fraction) -> Fraction:
-        return (value - self.offset) / self.scale
-
     def forward_subst(self, shape: BlockShape) -> dict[int, BlockedPoly]:
         return {
             i: BlockedPoly.variable(shape, i).scale(self.scale)

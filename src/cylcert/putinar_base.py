@@ -10,18 +10,12 @@ the square of ``u^(a0//2) x^(alpha//2)``.  There are ``2^(n+1)`` such
 products and they do not depend on the target, so they are computed
 eagerly and are good candidates for caching.
 
-Each product is found by a joint Gram search: one PSD block per sigma,
-an affine system tying the blocks to the product's coefficients, float
-alternating projections to locate a feasible point, and an exact
-rational re-projection with LDL^T checks to leave no numerical residue.
-The degree budget for the sigmas doubles on failure up to a hard cap.
-
-When the product vanishes at a simplex vertex that satisfies every
-constraint, all feasible Gram matrices are singular there and the float
-phase sits on the boundary of the PSD cone, where rounding cannot land
-exactly.  Those forced null directions are evaluation vectors at the
-vertex, so the bases are cut down in advance (facial reduction) and the
-search runs on the reduced, interior-feasible system instead.
+Each product is one :class:`~cylcert.sos.GramSystem` search with one
+block per sigma; the degree budget for the sigmas doubles on failure up
+to a hard cap.  When the product vanishes at a simplex vertex that
+satisfies every constraint, the feasible Gram matrices are all singular
+there, so the bases are first cut down to polynomials vanishing at that
+vertex (facial reduction), which restores an interior-feasible system.
 """
 from __future__ import annotations
 
@@ -30,29 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import CapExceededError, SearchExhaustedError, ValidationError
 from .poly import BlockedPoly, BlockShape
-from .sos import (
-    DEN_LADDER,
-    TAU_LADDER,
-    SosDecomposition,
-    decomposition_from_gram,
-    expand_identity,
-)
+from .sos import GramSystem, SosDecomposition, expand_identity, gram_decompositions
 
 Exponent = tuple[int, ...]
 Parity = tuple[int, ...]
 
 MAX_VARIABLES = 6
 BUDGET_CAP = 16
-
-# Alternating projections stall short of full tolerance when every
-# feasible point sits on the boundary of the PSD cone.  Points this
-# close are still worth handing to exact rounding, which can snap onto
-# the boundary face; genuinely infeasible systems plateau far above.
-SNAP_GAP = 1e-4
 
 
 def parity_vector(alpha: Sequence[int]) -> Parity:
@@ -135,222 +115,6 @@ def default_bases(
     return out
 
 
-class _JointGram:
-    """The affine system for one (generators, budget) pair.
-
-    Reused across parity products: only the right-hand side changes.
-    Basis elements are arbitrary polynomials so that facially reduced
-    systems run through the same machinery.
-    """
-
-    def __init__(
-        self,
-        shape: BlockShape,
-        gens: Sequence[BlockedPoly],
-        budget: int,
-        bases: Sequence[tuple[int | None, Basis]] | None = None,
-    ):
-        self.shape = shape
-        self.budget = budget
-        if bases is None:
-            bases = default_bases(shape, gens, budget)
-        self.blocks: list[tuple[int | None, Basis]] = [
-            (gen_idx, tuple(basis)) for gen_idx, basis in bases if basis
-        ]
-
-        self.entries: list[tuple[int, int, int]] = []
-        self.weights: list[int] = []
-        for b, (_gen, basis) in enumerate(self.blocks):
-            for j in range(len(basis)):
-                for k in range(j, len(basis)):
-                    self.entries.append((b, j, k))
-                    self.weights.append(1 if j == k else 2)
-
-        # Sparse columns: entry -> [(row, coefficient)] over all monomials
-        # the entry can produce.
-        row_of: dict[Exponent, int] = {}
-        cols: list[list[tuple[int, Fraction]]] = []
-        for b, j, k in self.entries:
-            gen_idx, basis = self.blocks[b]
-            mult = Fraction(self.weights[len(cols)])
-            piece = basis[j] * basis[k]
-            if gen_idx is not None:
-                piece = piece * gens[gen_idx]
-            col: dict[int, Fraction] = {}
-            for mono, c in piece.terms.items():
-                row = row_of.setdefault(mono, len(row_of))
-                col[row] = col.get(row, Fraction(0)) + mult * c
-            cols.append(sorted(col.items()))
-        self.row_of = row_of
-        self.cols = cols
-
-        n_rows, n_cols = len(row_of), len(cols)
-        a = np.zeros((n_rows, n_cols), dtype=np.float64)
-        for e, col in enumerate(cols):
-            for row, value in col:
-                a[row, e] = float(value)
-        w_inv = 1.0 / np.asarray(self.weights, dtype=np.float64)
-        self.a = a
-        self.w_inv = w_inv
-        self.aw = a * w_inv[None, :]          # A W^-1
-        self.pinv_awa = np.linalg.pinv(self.aw @ a.T)
-
-        # Exact normal matrix M = A W^-1 A^T for the rational projection.
-        m = [[Fraction(0)] * n_rows for _ in range(n_rows)]
-        for e, col in enumerate(cols):
-            inv_w = Fraction(1, self.weights[e])
-            for r1, v1 in col:
-                for r2, v2 in col:
-                    if r2 >= r1:
-                        m[r1][r2] += v1 * v2 * inv_w
-        for r1 in range(n_rows):
-            for r2 in range(r1):
-                m[r1][r2] = m[r2][r1]
-        self.m_exact = m
-
-    # -- right-hand sides ----------------------------------------------
-    def rhs(self, target: BlockedPoly) -> list[Fraction] | None:
-        """Target coefficients in row order; None when unreachable."""
-        b = [Fraction(0)] * len(self.row_of)
-        for mono, c in target.terms.items():
-            row = self.row_of.get(mono)
-            if row is None:
-                return None
-            b[row] = c
-        return b
-
-    # -- float phase ----------------------------------------------------
-    def _affine_project(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return x + (self.aw.T @ (self.pinv_awa @ (b - self.a @ x)))
-
-    def _psd_project(self, x: np.ndarray, tau: float) -> np.ndarray:
-        out = x.copy()
-        offset = 0
-        for _gen, basis in self.blocks:
-            dim = len(basis)
-            count = dim * (dim + 1) // 2
-            mat = np.zeros((dim, dim))
-            pos = offset
-            for j in range(dim):
-                for k in range(j, dim):
-                    mat[j, k] = mat[k, j] = x[pos]
-                    pos += 1
-            vals, vecs = np.linalg.eigh(mat)
-            mat = (vecs * np.clip(vals, tau, None)) @ vecs.T
-            pos = offset
-            for j in range(dim):
-                for k in range(j, dim):
-                    out[pos] = mat[j, k]
-                    pos += 1
-            offset += count
-        return out
-
-    def float_search(
-        self, b: np.ndarray, *, max_iterations: int, tolerance: float
-    ) -> np.ndarray | None:
-        """Alternating projections toward an affine-and-PSD point.
-
-        Returns the converged point, or the best near-feasible point
-        seen when it lies within :data:`SNAP_GAP` (boundary-feasible
-        systems stall there), or None when clearly infeasible.
-        """
-        per_tau = max(1, max_iterations // len(TAU_LADDER))
-        scale = max(1.0, float(np.max(np.abs(b))))
-        x = self._affine_project(np.zeros(self.a.shape[1]), b)
-        best_gap = np.inf
-        best_x = x
-        for tau in TAU_LADDER:
-            best = np.inf
-            idle = 0
-            for _ in range(per_tau):
-                y = self._psd_project(x, float(tau))
-                gap = float(np.max(np.abs(y - x)))
-                x = self._affine_project(y, b)
-                if gap < tolerance * scale:
-                    return x
-                if gap < best_gap:
-                    best_gap = gap
-                    best_x = x
-                if gap < best * 0.999:
-                    best = gap
-                    idle = 0
-                else:
-                    idle += 1
-                    if idle > 300:
-                        break
-        if best_gap <= SNAP_GAP * scale:
-            return best_x
-        return None
-
-    # -- exact phase ----------------------------------------------------
-    def _solve_exact(self, rhs: list[Fraction]) -> list[Fraction] | None:
-        """Solve M y = rhs in rationals; None when inconsistent."""
-        dim = len(rhs)
-        m = [row[:] + [rhs[i]] for i, row in enumerate(self.m_exact)]
-        piv_rows: list[int] = []
-        piv_cols: list[int] = []
-        used: set[int] = set()
-        for col in range(dim):
-            sel = None
-            for r in range(dim):
-                if r not in used and m[r][col] != 0:
-                    if sel is None or abs(m[r][col]) > abs(m[sel][col]):
-                        sel = r
-            if sel is None:
-                continue
-            used.add(sel)
-            piv_rows.append(sel)
-            piv_cols.append(col)
-            inv = 1 / m[sel][col]
-            for r in range(dim):
-                if r != sel and m[r][col] != 0:
-                    factor = m[r][col] * inv
-                    for c in range(col, dim + 1):
-                        m[r][c] -= factor * m[sel][c]
-        for r in range(dim):
-            if r not in used and m[r][dim] != 0:
-                return None
-        y = [Fraction(0)] * dim
-        for r, c in zip(piv_rows, piv_cols):
-            y[c] = m[r][dim] / m[r][c]
-        return y
-
-    def exact_correction(
-        self, x: list[Fraction], b: list[Fraction]
-    ) -> list[Fraction] | None:
-        """Project a rational point exactly onto the affine set."""
-        residual = b[:]
-        for e, col in enumerate(self.cols):
-            if x[e]:
-                for row, v in col:
-                    residual[row] -= v * x[e]
-        y = self._solve_exact(residual)
-        if y is None:
-            return None
-        out = x[:]
-        for e, col in enumerate(self.cols):
-            delta = Fraction(0)
-            for row, v in col:
-                if y[row]:
-                    delta += v * y[row]
-            if delta:
-                out[e] += delta / self.weights[e]
-        return out
-
-    def grams_from_vector(self, x: Sequence[Fraction]) -> list[list[list[Fraction]]]:
-        grams = []
-        pos = 0
-        for _gen, basis in self.blocks:
-            dim = len(basis)
-            g = [[Fraction(0)] * dim for _ in range(dim)]
-            for j in range(dim):
-                for k in range(j, dim):
-                    g[j][k] = g[k][j] = x[pos]
-                    pos += 1
-            grams.append(g)
-        return grams
-
-
 def _simplex_vertices(shape: BlockShape) -> list[tuple[Fraction, ...]]:
     zero = (Fraction(0),) * shape.width
     out = [zero]
@@ -421,9 +185,7 @@ def module_membership(
     gens: Sequence[BlockedPoly],
     budget: int,
     *,
-    system: _JointGram | None = None,
-    max_iterations: int = 20_000,
-    tolerance: float = 1e-9,
+    system: GramSystem | None = None,
 ) -> ModuleWitness | None:
     """One budget attempt at target = sigma_0 + sum sigma_i g_i."""
     if target.block_degree("x") != target.total_degree():
@@ -431,50 +193,29 @@ def module_membership(
     shape = target.shape
     bases = reduced_bases(shape, gens, budget, target)
     if bases is not None:
-        sys_ = _JointGram(shape, gens, budget, bases=bases)
-    else:
-        sys_ = system or _JointGram(shape, gens, budget)
-    if not sys_.entries:
+        system = GramSystem(shape, gens, bases)
+    elif system is None:
+        system = GramSystem(shape, gens, default_bases(shape, gens, budget))
+    if not system.entries:
         return None
-    b_exact = sys_.rhs(target)
-    if b_exact is None:
+    b = system.rhs(target)
+    if b is None:
         return None
-    b_float = np.asarray([float(v) for v in b_exact], dtype=np.float64)
-    x_float = sys_.float_search(
-        b_float, max_iterations=max_iterations, tolerance=tolerance
-    )
-    if x_float is None:
-        return None
-    for den in DEN_LADDER:
-        x_round = [Fraction(round(v * den), den) for v in x_float]
-        x_exact = sys_.exact_correction(x_round, b_exact)
-        if x_exact is None:
-            return None
-        decos = []
-        for (gen_idx, basis), gram in zip(
-            sys_.blocks, sys_.grams_from_vector(x_exact)
-        ):
-            deco = decomposition_from_gram(shape, basis, gram)
-            if deco is None:
-                break
-            decos.append((gen_idx, deco))
-        else:
-            sigma0 = next(
-                (deco for gen_idx, deco in decos if gen_idx is None),
+    for decos in gram_decompositions(system, b):
+        sigmas = [(gen_idx, deco) for (gen_idx, _), deco in zip(system.blocks, decos)]
+        witness = ModuleWitness(
+            target=target,
+            sigma0=next(
+                (deco for gen_idx, deco in sigmas if gen_idx is None),
                 SosDecomposition(shape, (), (), (), ()),
-            )
-            witness = ModuleWitness(
-                target=target,
-                sigma0=sigma0,
-                multipliers=tuple(
-                    (idx, deco)
-                    for idx, deco in decos
-                    if idx is not None and deco.weights
-                ),
-                budget=budget,
-            )
-            if witness.verify(gens):
-                return witness
+            ),
+            multipliers=tuple(
+                (idx, deco) for idx, deco in sigmas if idx is not None and deco.weights
+            ),
+            budget=budget,
+        )
+        if witness.verify(gens):
+            return witness
     return None
 
 
@@ -493,8 +234,6 @@ def base_certificates(
     gens: Sequence[BlockedPoly],
     *,
     budget_cap: int = BUDGET_CAP,
-    max_iterations: int = 20_000,
-    tolerance: float = 1e-9,
     precomputed: dict[Parity, ModuleWitness] | None = None,
 ) -> dict[Parity, ModuleWitness]:
     """Module decompositions for every square-free facet product.
@@ -512,7 +251,7 @@ def base_certificates(
             max_variables=MAX_VARIABLES,
         )
     ladder = budget_ladder(gens, budget_cap)
-    systems: dict[int, _JointGram] = {}
+    systems: dict[int, GramSystem] = {}
     out: dict[Parity, ModuleWitness] = {}
     failed: list[Parity] = []
     for parity in itertools.product((0, 1), repeat=shape.n + 1):
@@ -524,12 +263,11 @@ def base_certificates(
         witness = None
         for budget in ladder:
             if budget not in systems:
-                systems[budget] = _JointGram(shape, gens, budget)
+                systems[budget] = GramSystem(
+                    shape, gens, default_bases(shape, gens, budget)
+                )
             witness = module_membership(
-                target, gens, budget,
-                system=systems[budget],
-                max_iterations=max_iterations,
-                tolerance=tolerance,
+                target, gens, budget, system=systems[budget]
             )
             if witness is not None:
                 break

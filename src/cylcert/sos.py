@@ -1,28 +1,33 @@
 """Sum-of-squares decompositions with exact rational output.
 
-The pipeline here is the classic round-then-project scheme:
+Every sigma in a certificate is read off a PSD Gram matrix, and one
+engine finds them all.  A :class:`GramSystem` holds one Gram block per
+sigma, each over its own basis (monomials, or arbitrary polynomials for
+facially reduced systems) and optionally multiplied by a generator, and
+the sparse affine system tying the blocks to a target's coefficients.
+The classic round-then-project scheme then runs on it:
 
-1. :func:`psd_feasibility` runs alternating projections in float64
-   between the affine set of Gram matrices matching the target's
-   coefficients and the cone ``{G : G >= tau I}``, walking ``tau`` down a
+1. :func:`psd_feasibility` alternates in float64 between the affine set
+   and the cone ``{every block >= tau I}``, walking ``tau`` down a
    ladder until the two sets meet.
-2. :func:`sos_from_gram` rounds the float Gram to a denominator from a
-   power-of-two ladder, re-imposes the coefficient constraints *exactly*
-   (the Frobenius projection decomposes into independent per-monomial
-   corrections, so this is a closed form in rational arithmetic), and
-   factors the result with :func:`rational_ldlt`.
-3. A successful factorization yields weights and square polynomials
-   whose combination is exactly the target — no residual, no trust in
-   floats.
+2. :func:`gram_decompositions` rounds that point to each denominator of
+   a power-of-two ladder, re-imposes the coefficient constraints
+   *exactly* (a rational solve of the normal equations), and factors
+   every block with :func:`rational_ldlt`.
+3. A block set that factors yields weights and square polynomials whose
+   combination is exactly the target: no residual, no trust in floats.
 
-Targets outside the SOS cone make step 1 stall at a positive residual;
-that is reported as :class:`SosStalledError` rather than papered over.
+:func:`sos_decompose` is the one-block case (a monomial basis, no
+generator) used for forms; :mod:`cylcert.putinar_base` builds one block
+per sigma of a module witness.  Targets outside the cone make step 1
+stall at a positive residual; :func:`sos_decompose` reports that as
+:class:`SosStalledError` rather than papering over it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,10 +35,19 @@ from .errors import CapExceededError, SosStalledError
 from .poly import BlockedPoly, BlockShape, ExactSum
 
 Exponent = tuple[int, ...]
+Basis = Sequence["Exponent | BlockedPoly"]
 
 TAU_LADDER = (Fraction(1, 64), Fraction(1, 1024), Fraction(1, 65536), Fraction(1, 2**24), Fraction(0))
 DEN_LADDER = tuple(2**k for k in (4, 8, 12, 16, 20, 24, 28, 32))
 GRAM_BASIS_CAP = 16
+MAX_ITERATIONS = 20_000
+TOLERANCE = 1e-9
+
+# Alternating projections stall short of full tolerance when every
+# feasible point sits on the boundary of the PSD cone.  Points this
+# close are still worth handing to exact rounding, which can snap onto
+# the boundary face; genuinely infeasible systems plateau far above.
+SNAP_GAP = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -83,108 +97,257 @@ def rational_ldlt(
 
 
 # ---------------------------------------------------------------------------
-# Gram bookkeeping
+# the Gram system
 # ---------------------------------------------------------------------------
 
-def gram_groups(basis: Sequence[Exponent]) -> dict[Exponent, list[tuple[int, int]]]:
-    """Group upper-triangle Gram positions by the monomial they produce."""
-    groups: dict[Exponent, list[tuple[int, int]]] = {}
-    for i, ei in enumerate(basis):
-        for j in range(i, len(basis)):
-            prod = tuple(a + b for a, b in zip(ei, basis[j]))
-            groups.setdefault(prod, []).append((i, j))
-    return groups
+def _as_poly(shape: BlockShape, base: "Exponent | BlockedPoly") -> BlockedPoly:
+    return base if isinstance(base, BlockedPoly) else BlockedPoly.monomial(shape, base)
 
 
-def _group_divisor(pairs: Sequence[tuple[int, int]]) -> int:
-    return sum(1 if i == j else 2 for i, j in pairs)
+class GramSystem:
+    """The affine system of one Gram block per sigma.
 
-
-def project_affine_exact(
-    gram: list[list[Fraction]],
-    groups: Mapping[Exponent, Sequence[tuple[int, int]]],
-    coeffs: Mapping[Exponent, Fraction],
-) -> None:
-    """Impose the coefficient constraints in place (Frobenius-orthogonally).
-
-    Each monomial's constraint touches a disjoint set of Gram entries,
-    so the projection is a uniform per-group shift — no linear algebra.
+    ``bases`` pairs a generator index (``None`` for sigma_0) with that
+    block's basis; empty bases are dropped.  The unknowns are the upper
+    triangles of the blocks, entry ``(b, j, k)`` weighted 1 on the
+    diagonal and 2 off it, so the weighted norm is the Frobenius norm.
+    Only the right-hand side depends on the target, so one system serves
+    every target with the same bases.
     """
-    for mono, pairs in groups.items():
-        want = coeffs.get(mono, Fraction(0))
-        have = sum(
-            (gram[i][j] * (1 if i == j else 2) for i, j in pairs), start=Fraction(0)
-        )
-        delta = (want - have) / _group_divisor(pairs)
-        for i, j in pairs:
-            gram[i][j] += delta
-            if i != j:
-                gram[j][i] += delta
+
+    def __init__(
+        self,
+        shape: BlockShape,
+        gens: Sequence[BlockedPoly],
+        bases: Sequence[tuple[int | None, Basis]],
+    ):
+        self.shape = shape
+        self.blocks: list[tuple[int | None, tuple]] = [
+            (gen_idx, tuple(basis)) for gen_idx, basis in bases if basis
+        ]
+
+        self.entries: list[tuple[int, int, int]] = []
+        self.weights: list[int] = []
+        for b, (_gen, basis) in enumerate(self.blocks):
+            for j in range(len(basis)):
+                for k in range(j, len(basis)):
+                    self.entries.append((b, j, k))
+                    self.weights.append(1 if j == k else 2)
+
+        # Sparse columns: entry -> [(row, coefficient)] over all monomials
+        # the entry can produce.
+        polys = [[_as_poly(shape, q) for q in basis] for _gen, basis in self.blocks]
+        row_of: dict[Exponent, int] = {}
+        cols: list[list[tuple[int, Fraction]]] = []
+        for b, j, k in self.entries:
+            gen_idx = self.blocks[b][0]
+            mult = Fraction(self.weights[len(cols)])
+            piece = polys[b][j] * polys[b][k]
+            if gen_idx is not None:
+                piece = piece * gens[gen_idx]
+            col: dict[int, Fraction] = {}
+            for mono, c in piece.terms.items():
+                row = row_of.setdefault(mono, len(row_of))
+                col[row] = col.get(row, Fraction(0)) + mult * c
+            cols.append(sorted(col.items()))
+        self.row_of = row_of
+        self.cols = cols
+
+        n_rows, n_cols = len(row_of), len(cols)
+        a = np.zeros((n_rows, n_cols), dtype=np.float64)
+        for e, col in enumerate(cols):
+            for row, value in col:
+                a[row, e] = float(value)
+        w_inv = 1.0 / np.asarray(self.weights, dtype=np.float64)
+        self.a = a
+        self.aw = a * w_inv[None, :]          # A W^-1
+        self.pinv_awa = np.linalg.pinv(self.aw @ a.T)
+
+        # Exact normal matrix M = A W^-1 A^T for the rational projection.
+        m = [[Fraction(0)] * n_rows for _ in range(n_rows)]
+        for e, col in enumerate(cols):
+            inv_w = Fraction(1, self.weights[e])
+            for r1, v1 in col:
+                for r2, v2 in col:
+                    if r2 >= r1:
+                        m[r1][r2] += v1 * v2 * inv_w
+        for r1 in range(n_rows):
+            for r2 in range(r1):
+                m[r1][r2] = m[r2][r1]
+        self.m_exact = m
+
+    def rhs(self, target: BlockedPoly) -> list[Fraction] | None:
+        """Target coefficients in row order; None when unreachable."""
+        b = [Fraction(0)] * len(self.row_of)
+        for mono, c in target.terms.items():
+            row = self.row_of.get(mono)
+            if row is None:
+                return None
+            b[row] = c
+        return b
+
+    # -- float projections ----------------------------------------------
+    def project_affine(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return x + (self.aw.T @ (self.pinv_awa @ (b - self.a @ x)))
+
+    def project_psd(self, x: np.ndarray, tau: float) -> np.ndarray:
+        out = x.copy()
+        offset = 0
+        for _gen, basis in self.blocks:
+            dim = len(basis)
+            count = dim * (dim + 1) // 2
+            mat = np.zeros((dim, dim))
+            pos = offset
+            for j in range(dim):
+                for k in range(j, dim):
+                    mat[j, k] = mat[k, j] = x[pos]
+                    pos += 1
+            vals, vecs = np.linalg.eigh(mat)
+            mat = (vecs * np.clip(vals, tau, None)) @ vecs.T
+            pos = offset
+            for j in range(dim):
+                for k in range(j, dim):
+                    out[pos] = mat[j, k]
+                    pos += 1
+            offset += count
+        return out
+
+    # -- exact phase ----------------------------------------------------
+    def _solve_exact(self, rhs: list[Fraction]) -> list[Fraction] | None:
+        """Solve M y = rhs in rationals; None when inconsistent."""
+        dim = len(rhs)
+        m = [row[:] + [rhs[i]] for i, row in enumerate(self.m_exact)]
+        piv_rows: list[int] = []
+        piv_cols: list[int] = []
+        used: set[int] = set()
+        for col in range(dim):
+            sel = None
+            for r in range(dim):
+                if r not in used and m[r][col] != 0:
+                    if sel is None or abs(m[r][col]) > abs(m[sel][col]):
+                        sel = r
+            if sel is None:
+                continue
+            used.add(sel)
+            piv_rows.append(sel)
+            piv_cols.append(col)
+            inv = 1 / m[sel][col]
+            for r in range(dim):
+                if r != sel and m[r][col] != 0:
+                    factor = m[r][col] * inv
+                    for c in range(col, dim + 1):
+                        m[r][c] -= factor * m[sel][c]
+        for r in range(dim):
+            if r not in used and m[r][dim] != 0:
+                return None
+        y = [Fraction(0)] * dim
+        for r, c in zip(piv_rows, piv_cols):
+            y[c] = m[r][dim] / m[r][c]
+        return y
+
+    def exact_correction(
+        self, x: list[Fraction], b: list[Fraction]
+    ) -> list[Fraction] | None:
+        """Project a rational point exactly onto the affine set."""
+        residual = b[:]
+        for e, col in enumerate(self.cols):
+            if x[e]:
+                for row, v in col:
+                    residual[row] -= v * x[e]
+        y = self._solve_exact(residual)
+        if y is None:
+            return None
+        out = x[:]
+        for e, col in enumerate(self.cols):
+            delta = Fraction(0)
+            for row, v in col:
+                if y[row]:
+                    delta += v * y[row]
+            if delta:
+                out[e] += delta / self.weights[e]
+        return out
+
+    def grams_from_vector(self, x: Sequence[Fraction]) -> list[list[list[Fraction]]]:
+        grams = []
+        pos = 0
+        for _gen, basis in self.blocks:
+            dim = len(basis)
+            g = [[Fraction(0)] * dim for _ in range(dim)]
+            for j in range(dim):
+                for k in range(j, dim):
+                    g[j][k] = g[k][j] = x[pos]
+                    pos += 1
+            grams.append(g)
+        return grams
 
 
-def _project_affine_float(
-    gram: np.ndarray,
-    groups: Mapping[Exponent, Sequence[tuple[int, int]]],
-    coeffs: Mapping[Exponent, float],
-) -> float:
-    """Float version of the affine projection; returns the residual before it."""
-    worst = 0.0
-    for mono, pairs in groups.items():
-        want = coeffs.get(mono, 0.0)
-        have = sum(gram[i, j] * (1 if i == j else 2) for i, j in pairs)
-        delta = (want - have) / _group_divisor(pairs)
-        worst = max(worst, abs(want - have))
-        for i, j in pairs:
-            gram[i, j] += delta
-            if i != j:
-                gram[j, i] += delta
-    return worst
+def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
+    """Alternating projections toward an affine-and-PSD point.
 
-
-def psd_feasibility(
-    basis: Sequence[Exponent],
-    coeffs: Mapping[Exponent, Fraction],
-    *,
-    taus: Sequence[Fraction] = TAU_LADDER,
-    max_iterations: int = 100_000,
-    tolerance: float = 1e-9,
-) -> tuple[np.ndarray, Fraction] | None:
-    """Search for a Gram matrix of the target that clears ``tau I``.
-
-    Alternating projections per ladder rung, with stagnation detection
-    so hopeless rungs are abandoned early.  Returns the PSD-side iterate
-    and the rung that worked, or ``None`` when every rung stalls.
+    Walks :data:`TAU_LADDER`, abandoning a rung once it stops improving.
+    Returns the converged point, or the best near-feasible point seen
+    when it lies within :data:`SNAP_GAP` (boundary-feasible systems
+    stall there), or None when clearly infeasible.
     """
-    dim = len(basis)
-    groups = gram_groups(basis)
-    fcoeffs = {m: float(c) for m, c in coeffs.items()}
-    scale = max([abs(v) for v in fcoeffs.values()] + [1.0])
-    for tau in taus:
-        t = float(tau)
-        gram = np.zeros((dim, dim))
-        _project_affine_float(gram, groups, fcoeffs)
+    per_tau = MAX_ITERATIONS // len(TAU_LADDER)
+    scale = max(1.0, float(np.max(np.abs(b))))
+    x = system.project_affine(np.zeros(len(system.entries)), b)
+    best_gap = np.inf
+    best_x = x
+    for tau in TAU_LADDER:
         best = np.inf
-        since_improvement = 0
-        budget = max_iterations // len(taus)
-        for _ in range(budget):
-            vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
-            psd = (vecs * np.maximum(vals, t)) @ vecs.T
-            gram = psd.copy()
-            residual = _project_affine_float(gram, groups, fcoeffs)
-            if residual <= tolerance * scale:
-                return psd, tau
-            if residual < best * (1 - 1e-3):
-                best = residual
-                since_improvement = 0
+        idle = 0
+        for _ in range(per_tau):
+            y = system.project_psd(x, float(tau))
+            gap = float(np.max(np.abs(y - x)))
+            x = system.project_affine(y, b)
+            if gap < TOLERANCE * scale:
+                return x
+            if gap < best_gap:
+                best_gap = gap
+                best_x = x
+            if gap < best * 0.999:
+                best = gap
+                idle = 0
             else:
-                since_improvement += 1
-                if since_improvement >= 300:
+                idle += 1
+                if idle > 300:
                     break
+    if best_gap <= SNAP_GAP * scale:
+        return best_x
     return None
 
 
+def gram_decompositions(
+    system: GramSystem, b: Sequence[Fraction]
+) -> Iterator[list["SosDecomposition"]]:
+    """Exact decompositions of every block, one list per rounding rung.
+
+    Runs the float search once, then for each denominator of
+    :data:`DEN_LADDER` rounds the point, projects it exactly onto the
+    affine set and factors each block.  Yields only rungs where every
+    block is PSD, in ladder order; stops when the search fails or the
+    exact system is inconsistent.
+    """
+    x_float = psd_feasibility(system, np.asarray([float(v) for v in b], dtype=np.float64))
+    if x_float is None:
+        return
+    for den in DEN_LADDER:
+        x_exact = system.exact_correction([Fraction(round(v * den), den) for v in x_float], b)
+        if x_exact is None:
+            return
+        decos = []
+        for (_gen, basis), gram in zip(system.blocks, system.grams_from_vector(x_exact)):
+            deco = decomposition_from_gram(system.shape, basis, gram)
+            if deco is None:
+                break
+            decos.append(deco)
+        else:
+            yield decos
+
+
 # ---------------------------------------------------------------------------
-# rationalization
+# decompositions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -222,13 +385,19 @@ def expand_identity(
     return total.poly()
 
 
-def _squares_from_ldlt(
+def decomposition_from_gram(
     shape: BlockShape,
-    basis: Sequence["Exponent | BlockedPoly"],
-    perm: Sequence[int],
-    diag: Sequence[Fraction],
-    lower: Sequence[Sequence[Fraction]],
-) -> tuple[tuple[Fraction, ...], tuple[BlockedPoly, ...]]:
+    basis: Basis,
+    gram: Sequence[Sequence[Fraction]],
+) -> SosDecomposition | None:
+    """Turn an exact Gram matrix into weighted squares via LDL^T.
+
+    ``None`` means the matrix is not PSD.
+    """
+    fact = rational_ldlt(gram)
+    if fact is None:
+        return None
+    perm, diag, lower = fact
     one = BlockedPoly.constant(shape, 1)
     weights = []
     squares = []
@@ -238,76 +407,13 @@ def _squares_from_ldlt(
         combo = ExactSum(shape)
         for i in range(k, len(basis)):
             if lower[i][k]:
-                base = basis[perm[i]]
-                if not isinstance(base, BlockedPoly):
-                    base = BlockedPoly.monomial(shape, base)
-                combo.add_product(lower[i][k], base, one)
+                combo.add_product(lower[i][k], _as_poly(shape, basis[perm[i]]), one)
         weights.append(d)
         squares.append(combo.poly())
-    return tuple(weights), tuple(squares)
-
-
-def sos_from_gram(
-    target: BlockedPoly,
-    basis: Sequence[Exponent],
-    gram_float: np.ndarray,
-    *,
-    denominators: Sequence[int] = DEN_LADDER,
-) -> SosDecomposition | None:
-    """Round a float Gram to rationals that reproduce the target exactly.
-
-    Walks the denominator ladder; for each rung the rounded matrix is
-    projected exactly onto the coefficient constraints and then LDL^T is
-    attempted.  The first PSD rung wins.
-    """
-    groups = gram_groups(basis)
-    coeffs = dict(target.terms)
-    for den in denominators:
-        gram = [
-            [Fraction(round(gram_float[i, j] * den), den) for j in range(len(basis))]
-            for i in range(len(basis))
-        ]
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                avg = (gram[i][j] + gram[j][i]) / 2
-                gram[i][j] = gram[j][i] = avg
-        project_affine_exact(gram, groups, coeffs)
-        fact = rational_ldlt(gram)
-        if fact is None:
-            continue
-        perm, diag, lower = fact
-        weights, squares = _squares_from_ldlt(target.shape, basis, perm, diag, lower)
-        deco = SosDecomposition(
-            shape=target.shape,
-            weights=weights,
-            squares=squares,
-            basis=tuple(basis),
-            gram=tuple(tuple(row) for row in gram),
-        )
-        if deco.verify(target):
-            return deco
-    return None
-
-
-def decomposition_from_gram(
-    shape: BlockShape,
-    basis: Sequence["Exponent | BlockedPoly"],
-    gram: Sequence[Sequence[Fraction]],
-) -> SosDecomposition | None:
-    """Turn an exact PSD Gram matrix into weighted squares.
-
-    Unlike :func:`sos_from_gram` there is no rounding step: the matrix
-    is taken as-is, and ``None`` only means it is not PSD.
-    """
-    fact = rational_ldlt(gram)
-    if fact is None:
-        return None
-    perm, diag, lower = fact
-    weights, squares = _squares_from_ldlt(shape, basis, perm, diag, lower)
     return SosDecomposition(
         shape=shape,
-        weights=weights,
-        squares=squares,
+        weights=tuple(weights),
+        squares=tuple(squares),
         basis=tuple(basis),
         gram=tuple(tuple(row) for row in gram),
     )
@@ -361,12 +467,7 @@ def default_gram_basis(target: BlockedPoly, cap: int = GRAM_BASIS_CAP) -> list[E
 
 
 def sos_decompose(
-    target: BlockedPoly,
-    basis: Sequence[Exponent] | None = None,
-    *,
-    basis_cap: int = GRAM_BASIS_CAP,
-    max_iterations: int = 100_000,
-    tolerance: float = 1e-9,
+    target: BlockedPoly, *, basis_cap: int = GRAM_BASIS_CAP
 ) -> SosDecomposition:
     """Write the target as an exact weighted sum of squares.
 
@@ -374,39 +475,24 @@ def sos_decompose(
     the SOS cone (e.g. for nonnegative polynomials that are not sums of
     squares) or when no rounding denominator yields an exact identity.
     """
-    if basis is None:
-        basis = default_gram_basis(target, basis_cap)
-    elif len(basis) > basis_cap:
-        raise CapExceededError(
-            "Gram basis exceeds the size cap", basis_size=len(basis), cap=basis_cap
-        )
+    basis = default_gram_basis(target, basis_cap)
     if not target.terms:
         return SosDecomposition(
             shape=target.shape, weights=(), squares=(), basis=tuple(basis), gram=()
         )
-    producible = gram_groups(basis).keys()
-    missing = [e for e in target.terms if e not in producible]
-    if missing:
+    system = GramSystem(target.shape, (), [(None, basis)])
+    b = system.rhs(target)
+    if b is None:
+        missing = next(e for e in target.terms if e not in system.row_of)
         raise ValueError(
-            f"basis cannot produce the target monomial with exponents {missing[0]}"
+            f"basis cannot produce the target monomial with exponents {missing}"
         )
-    found = psd_feasibility(
-        basis, target.terms, max_iterations=max_iterations, tolerance=tolerance
+    for (deco,) in gram_decompositions(system, b):
+        if deco.verify(target):
+            return deco
+    raise SosStalledError(
+        "no exact positive-semidefinite Gram matrix found: the float search "
+        "stalled outside the sum-of-squares cone for this basis, or no "
+        "denominator in the rounding ladder gave a PSD matrix",
+        basis_size=len(basis),
     )
-    if found is None:
-        raise SosStalledError(
-            "alternating projections stalled; target appears to lie outside "
-            "the sum-of-squares cone for this basis",
-            basis_size=len(basis),
-        )
-    gram_float, tau = found
-    deco = sos_from_gram(target, basis, gram_float)
-    if deco is None:
-        raise SosStalledError(
-            "no denominator in the rounding ladder produced an exact "
-            "positive-semidefinite Gram matrix",
-            tau=str(tau),
-            basis_size=len(basis),
-        )
-    return deco
-

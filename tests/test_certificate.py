@@ -1,4 +1,5 @@
 """Certificate assembly, verification, serialization, and bound formulas."""
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -323,6 +324,16 @@ def test_integer_root_upper_beyond_the_float_range():
         assert integer_root_upper(value, degree) == root
         assert integer_root_upper(value + 1, degree) == root + 1
         assert integer_root_upper(value - 1, degree) == root
+
+
+def test_integer_root_upper_is_the_least_root_ceiling():
+    rng = random.Random(31)
+    for _ in range(200):
+        degree = rng.choice((1, 2, 3, 5, 64, 1000, 10**5, rng.randrange(1, 10**5)))
+        value = rng.getrandbits(rng.randrange(1, 3000))
+        t = integer_root_upper(value, degree)
+        assert t**degree >= value
+        assert t == 0 or (t - 1) ** degree < value
 
 
 def test_exp_upper_refuses_powers_past_its_cap():

@@ -299,6 +299,17 @@ def test_bound_with_an_argument_just_above_one_is_refused_quickly(capsys):
     assert summary["payload"]["power_bits_estimate"] > POWER_BITS_CAP
 
 
+def test_bound_with_a_fractional_c_of_large_denominator_ends_quickly(capsys):
+    # c = 1/100000: the root operand of argument^c has 100000 times the
+    # bits of the argument, and the root has degree 100000
+    started = time.monotonic()
+    code, _summary = _bound_line(
+        ["--c", "1/100000", "--fnorm", "1000000000001/1000000000000"], capsys
+    )
+    assert time.monotonic() - started < 1
+    assert code in (0, cli.EXIT_VALIDATION)
+
+
 def test_bound_with_an_argument_below_one_needs_no_power(capsys):
     # argument 1/2: (1/2)^(10^12) lies in (0, 1], so e is raised to the power 1
     code, summary = _bound_line(["--c", "1000000000000", "--fnorm", "1/2"], capsys)

@@ -17,7 +17,6 @@ from cylcert.poly import (
     coeff_abs_sum,
     homogenize_block,
     multinomial,
-    simplex_sum,
     substitute,
     weighted_norm,
 )
@@ -260,6 +259,16 @@ def test_eval_exact():
     sh = BlockShape(n=1, r1=1)
     p = P(sh, {(1, 2): 3, (0, 0): -1})  # 3 X1 Y^2 - 1
     assert p.eval_at([Fraction(1, 2), Fraction(2)]) == Fraction(5)
+
+
+def simplex_sum(shape: BlockShape) -> BlockedPoly:
+    """X1 + ... + Xn, plus X0 when active."""
+    total = BlockedPoly.zero(shape)
+    for i in range(shape.n):
+        total = total + BlockedPoly.variable(shape, i)
+    if "X0" in shape.homs:
+        total = total + BlockedPoly.variable(shape, shape.hom_index("X0"))
+    return total
 
 
 def test_block_sum_of_squares_and_simplex_sum():

@@ -26,6 +26,11 @@ def xpoly(shape: BlockShape, terms: dict) -> BlockedPoly:
     return BlockedPoly(shape, {k: F(v) for k, v in terms.items()})
 
 
+def y2_index(shape: BlockShape, j: int) -> int:
+    """Position of the j-th variable of the second unbounded block."""
+    return shape.n + shape.r1 + j
+
+
 def interval_problem(f_terms: dict, m: int = 2, frame: str = SIMPLEX) -> CylinderProblem:
     """n=1, r=1 problem on S = [1/4, 1/2] given by (x-1/4)(1/2-x) >= 0."""
     sh = BlockShape(1, 1)
@@ -125,7 +130,7 @@ def test_split_slices():
     top, top_blocks = slices["top_block_slice"]
     # coefficient of y1^2 in f is (1+x)(1+w1^2), padded to degree 2 with Z2
     tsh = top.shape
-    w_i = tsh.y2_index(0)
+    w_i = y2_index(tsh, 0)
     z2 = tsh.hom_index("Z2")
     expect = {}
     for (xe, we), c in [((0, 0), 1), ((1, 0), 1), ((0, 2), 1), ((1, 2), 1)]:
@@ -141,7 +146,7 @@ def test_split_slices():
     assert quad.block_degree("y2") == 2
     assert all(exp[quad.shape.hom_index("Z2")] == 0 for exp in quad.terms)
     assert len(quad_blocks) == 2
-    assert quad_blocks[1] == ((quad.shape.y2_index(0),), 2)
+    assert quad_blocks[1] == ((y2_index(quad.shape, 0),), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import pytest
 from cylcert.errors import CapExceededError, SosStalledError
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.sos import (
+    GramSystem,
     default_gram_basis,
-    gram_groups,
-    project_affine_exact,
     rational_ldlt,
     sos_decompose,
 )
@@ -65,38 +64,57 @@ def test_ldlt_random_gramians_factor_exactly():
 
 # --- Gram bookkeeping ------------------------------------------------------
 
-def test_gram_groups_partition_all_pairs():
-    basis = [(0, 0), (1, 0), (0, 1)]
-    groups = gram_groups(basis)
-    npairs = sum(len(v) for v in groups.values())
-    assert npairs == 6  # upper triangle of a 3x3
-    assert groups[(1, 1)] == [(1, 2)]
-    assert (0, 0) in groups and (2, 0) in groups
+def _exact_correction_hits_every_coefficient(rng, system, poly_of_entry):
+    def point():
+        return [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in system.entries]
+
+    for _ in range(10):
+        # a reachable right-hand side: the coefficients of another point
+        b = [F(0)] * len(system.row_of)
+        for value, col in zip(point(), system.cols):
+            for row, c in col:
+                b[row] += c * value
+        x = point()
+        fixed = system.exact_correction(x, b)
+        assert fixed is not None
+        total = BlockedPoly.zero(system.shape)
+        for e, value in enumerate(fixed):
+            total = total + poly_of_entry(e).scale(value * system.weights[e])
+        assert all(total.terms.get(m, 0) == b[r] for m, r in system.row_of.items())
+        assert set(total.terms) <= set(system.row_of)
+        for gram in system.grams_from_vector(fixed):
+            assert all(gram[i][j] == gram[j][i] for i in range(len(gram))
+                       for j in range(len(gram)))
 
 
-def test_exact_affine_projection_enforces_every_coefficient():
+def test_gram_system_exact_correction_enforces_every_coefficient():
     rng = random.Random(2)
+    shape = BlockShape(2, 0)
+
+    # one monomial block, no generator: the form-SOS system
     basis = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    groups = gram_groups(basis)
-    for _ in range(20):
-        gram = [
-            [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(4)]
-            for _ in range(4)
-        ]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                gram[j][i] = gram[i][j]
-        coeffs = {
-            m: F(rng.randrange(-5, 6), rng.randrange(1, 4)) for m in groups
-        }
-        project_affine_exact(gram, groups, coeffs)
-        for mono, pairs in groups.items():
-            have = sum(gram[i][j] * (1 if i == j else 2) for i, j in pairs)
-            assert have == coeffs[mono]
-        # still symmetric
-        for i in range(4):
-            for j in range(4):
-                assert gram[i][j] == gram[j][i]
+    mono = GramSystem(shape, (), [(None, basis)])
+
+    def mono_entry(e):
+        _b, j, k = mono.entries[e]
+        return BlockedPoly.monomial(shape, tuple(a + c for a, c in zip(basis[j], basis[k])))
+
+    _exact_correction_hits_every_coefficient(rng, mono, mono_entry)
+
+    # sigma_0 plus sigma_1 * g over polynomial bases: a module system
+    one = BlockedPoly.constant(shape, 1)
+    x, y = BlockedPoly.variable(shape, 0), BlockedPoly.variable(shape, 1)
+    g = one - x - y
+    bases = [(None, (one, x, y)), (0, (one, x - y))]
+    joint = GramSystem(shape, (g,), bases)
+
+    def joint_entry(e):
+        b, j, k = joint.entries[e]
+        gen_idx, block = bases[b]
+        piece = block[j] * block[k]
+        return piece * g if gen_idx is not None else piece
+
+    _exact_correction_hits_every_coefficient(rng, joint, joint_entry)
 
 
 # --- decomposition round trips --------------------------------------------
