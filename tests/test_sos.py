@@ -87,21 +87,54 @@ def _exact_correction_hits_every_coefficient(rng, system, poly_of_entry):
                        for j in range(len(gram)))
 
 
-def test_gram_system_exact_correction_enforces_every_coefficient():
+def test_gram_groups_partition_all_pairs():
+    shape = BlockShape(2, 0)
+    basis = [(0, 0), (1, 0), (0, 1)]
+    system = GramSystem(shape, (), [(None, basis)])
+    assert len(system.entries) == 6  # upper triangle of a 3x3
+    # over a monomial basis every entry feeds exactly one coefficient
+    assert all(len(col) == 1 for col in system.cols)
+    groups = {}
+    for entry, col in zip(system.entries, system.cols):
+        (row, _c), = col
+        groups.setdefault(row, []).append(entry)
+    assert sum(len(v) for v in groups.values()) == 6
+    assert groups[system.row_of[(1, 1)]] == [(0, 1, 2)]
+    assert (0, 0) in system.row_of and (2, 0) in system.row_of
+
+
+def test_exact_affine_projection_enforces_every_coefficient():
     rng = random.Random(2)
     shape = BlockShape(2, 0)
-
-    # one monomial block, no generator: the form-SOS system
     basis = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    mono = GramSystem(shape, (), [(None, basis)])
+    system = GramSystem(shape, (), [(None, basis)])
+    for _ in range(20):
+        x = [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in system.entries]
+        coeffs = {
+            m: F(rng.randrange(-5, 6), rng.randrange(1, 4)) for m in system.row_of
+        }
+        b = [F(0)] * len(system.row_of)
+        for m, r in system.row_of.items():
+            b[r] = coeffs[m]
+        fixed = system.exact_correction(x, b)
+        assert fixed is not None
+        (gram,) = system.grams_from_vector(fixed)
+        have = {}
+        for i in range(4):
+            for j in range(4):
+                mono = tuple(a + c for a, c in zip(basis[i], basis[j]))
+                have[mono] = have.get(mono, 0) + gram[i][j]
+        assert have == coeffs
+        # still symmetric
+        for i in range(4):
+            for j in range(4):
+                assert gram[i][j] == gram[j][i]
 
-    def mono_entry(e):
-        _b, j, k = mono.entries[e]
-        return BlockedPoly.monomial(shape, tuple(a + c for a, c in zip(basis[j], basis[k])))
 
-    _exact_correction_hits_every_coefficient(rng, mono, mono_entry)
-
+def test_gram_system_exact_correction_with_a_generator():
     # sigma_0 plus sigma_1 * g over polynomial bases: a module system
+    rng = random.Random(2)
+    shape = BlockShape(2, 0)
     one = BlockedPoly.constant(shape, 1)
     x, y = BlockedPoly.variable(shape, 0), BlockedPoly.variable(shape, 1)
     g = one - x - y
