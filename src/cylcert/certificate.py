@@ -366,7 +366,6 @@ def assemble(
     lam: Fraction,
     k: int,
     polya: PolyaResult,
-    form_sos: Mapping[tuple[int, ...], SosDecomposition],
     base: Mapping[Parity, ModuleWitness],
     *,
     rescale: RescaleRecord | None = None,
@@ -374,9 +373,9 @@ def assemble(
 ) -> Certificate:
     """Stitch the pipeline stages into a verified exact certificate.
 
-    ``form_sos`` maps each coefficient-form key of ``polya.forms`` to an
-    SOS decomposition of that form; ``base`` must cover every parity
-    that occurs.  The identity is re-expanded and compared to f before
+    ``polya.sos`` holds an SOS decomposition of each coefficient form;
+    ``base`` must cover every parity that occurs, and its witnesses set
+    ``c9``.  The identity is re-expanded and compared to f before
     returning; a mismatch is an internal invariant breach and aborts.
     """
     shape = problem.shape
@@ -408,12 +407,9 @@ def assemble(
         first_term.append(expected)
 
     # Term two: saturated remainder through the facet-product witnesses.
-    used_parities: set[Parity] = set()
     for key in sorted(polya.forms):
-        deco = form_sos[key]
-        parity = parity_vector(key)
-        used_parities.add(parity)
-        witness = base[parity]
+        deco = polya.sos[key]
+        witness = base[parity_vector(key)]
         root = even_square_root(key)
         sq_x = _simplex_u(shape) ** root[0]
         for slot, power in zip(shape.block_indices("x"), root[1:]):
@@ -438,10 +434,9 @@ def assemble(
                     if degree > builder.second_term[sigma_index]:
                         builder.second_term[sigma_index] = degree
 
-    # c9 from the witnesses actually used (sigma_0's generator is 1).
+    # c9 from the facet witnesses (sigma_0's generator is 1).
     c9 = 0
-    for parity in sorted(used_parities):
-        witness = base[parity]
+    for witness in base.values():
         c9 = max(c9, _sos_degree(witness.sigma0))
         for idx, tau in witness.multipliers:
             c9 = max(c9, _sos_degree(tau) + problem.g[idx].block_degree("x"))

@@ -47,14 +47,8 @@ from .errors import (
     VerificationError,
 )
 from .perturb import LAMBDA_CAP_DEFAULT
-from .pipeline import RunConfig, certify_problem
-from .problem import (
-    BOX,
-    CylinderProblem,
-    problem_from_obj,
-    rescale_to_simplex,
-    validate_problem,
-)
+from .pipeline import RunConfig, certify_problem, solving_frame
+from .problem import BOX, CylinderProblem, problem_from_obj, rescale_to_simplex
 from .putinar_base import BUDGET_CAP
 from .serialize import (
     atomic_write_text,
@@ -222,13 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_minimize(args: argparse.Namespace) -> int:
     try:
         problem = _load_problem(args.input)
-        report = validate_problem(problem, seed=args.seed)
-        solving = problem
-        fallback = report.feasible.x if report.feasible else None
-        if problem.frame == BOX:
-            solving, record = rescale_to_simplex(problem)
-            if fallback is not None:
-                fallback = tuple(record.forward_coord(v) for v in fallback)
+        solving, _record, fallback, _report = solving_frame(problem, args.seed)
         found = certified_cylinder_min(
             solving, fallback_x=fallback, depth_cap=args.grid_depth
         )

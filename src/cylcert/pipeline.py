@@ -3,11 +3,11 @@
 The chain is fixed: validate the input, move box-framed problems into the
 simplex frame, certify the side condition and a positive floor for the
 padded target, search the perturbation weight, saturate with the slack
-variable until every coefficient form is positive, decompose those forms
-and the facet witnesses into squares, and assemble the weighted-square
-representation.  The assembled certificate is re-verified before it is
-returned, and box-framed inputs get their certificate composed back
-through the affine change of coordinates.
+variable until every coefficient form is a sum of squares, decompose the
+facet witnesses of the parity class those forms use into squares, and
+assemble the weighted-square representation.  The assembled certificate
+is re-verified before it is returned, and box-framed inputs get their
+certificate composed back through the affine change of coordinates.
 
 Every stage leaves its evidence in the diagnostics mapping so a caller
 can reconstruct why the run succeeded (or report precisely how it
@@ -30,8 +30,15 @@ from .certified import certified_cylinder_min, check_leading_form_condition
 from .errors import SosStalledError, ValidationError
 from .perturb import LAMBDA_CAP_DEFAULT, find_perturbation
 from .polya import polya_saturate
-from .problem import BOX, CylinderProblem, RescaleRecord, rescale_to_simplex, validate_problem
-from .putinar_base import BUDGET_CAP, ModuleWitness, base_certificates
+from .problem import (
+    BOX,
+    CylinderProblem,
+    RescaleRecord,
+    ValidationReport,
+    rescale_to_simplex,
+    validate_problem,
+)
+from .putinar_base import BUDGET_CAP, ModuleWitness, base_certificates, parity_vector
 from .serialize import frac_to_str
 from .sos import sos_decompose
 
@@ -81,6 +88,30 @@ class CertifyResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
+def solving_frame(
+    problem: CylinderProblem, seed: int
+) -> tuple[CylinderProblem, RescaleRecord | None, tuple[Fraction, ...], ValidationReport]:
+    """Validate a problem and move it into the simplex frame.
+
+    Returns the problem to solve, the rescale record (None for a
+    simplex-framed input), a feasible sample point in solving
+    coordinates, and the validation report.  Raises
+    :class:`ValidationError` when feasible samples escape the declared
+    frame region, since no certificate or bound then covers S.
+    """
+    report = validate_problem(problem, seed=seed)
+    if not report.ok:
+        raise ValidationError(
+            "feasible samples escape the declared frame region",
+            violations=[pt.to_obj() for pt in report.containment_violations],
+        )
+    fallback = report.feasible.x
+    if problem.frame != BOX:
+        return problem, None, fallback, report
+    solving, record = rescale_to_simplex(problem)
+    return solving, record, tuple(record.forward_coord(v) for v in fallback), report
+
+
 def certify_problem(
     problem: CylinderProblem,
     config: RunConfig | None = None,
@@ -97,20 +128,9 @@ def certify_problem(
     config = config or RunConfig()
     diag: dict[str, Any] = {"config": config.to_obj()}
 
-    report = validate_problem(problem, seed=config.seed)
+    solving, record, fallback, report = solving_frame(problem, config.seed)
     diag["validate"] = report.to_obj()
-    if not report.ok:
-        raise ValidationError(
-            "feasible samples escape the declared frame region",
-            violations=[pt.to_obj() for pt in report.containment_violations],
-        )
-
-    record: RescaleRecord | None = None
-    solving = problem
-    fallback = report.feasible.x
-    if problem.frame == BOX:
-        solving, record = rescale_to_simplex(problem)
-        fallback = tuple(record.forward_coord(v) for v in fallback)
+    if record is not None:
         diag["rescale"] = record.to_obj()
 
     conditions = check_leading_form_condition(
@@ -166,14 +186,14 @@ def certify_problem(
             "forms": len(pol.forms),
         }
 
-        form_sos = {key: sos_decompose(pol.forms[key]) for key in sorted(pol.forms)}
         diag["form_sos"] = {
-            "squares": sum(len(d.squares) for d in form_sos.values())
+            "squares": sum(len(d.squares) for d in pol.sos.values())
         }
 
         base = base_certificates(
             solving.shape,
             solving.g,
+            {parity_vector(key) for key in pol.forms},
             budget_cap=config.budget_cap,
             precomputed=precomputed_base,
         )
@@ -189,7 +209,6 @@ def certify_problem(
             pert.lam,
             pert.k,
             pol,
-            form_sos,
             base,
             rescale=record,
             fstar_lb=fstar_lb,

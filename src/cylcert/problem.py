@@ -42,6 +42,11 @@ COEFF_CAP = 2**1000
 # ended in an OverflowError while reading the first term.
 DIM_CAP = 64
 
+# Most points in one grid level of validation.  A level has (k+1)^n
+# points, so a wide problem gets only the random samples: at n = 16 the
+# first level alone has 3^16 points.
+GRID_POINTS_CAP = 2**16
+
 
 class Variant(Enum):
     """The four supported regimes for the unbounded block(s)."""
@@ -367,8 +372,9 @@ def validate_problem(
 ) -> ValidationReport:
     """Search for a feasible sample and check frame containment on it.
 
-    Scans [-2,2]^n with doubling grid resolution (deterministic), then
-    ``samples`` seeded random rational points.  Every feasible point found
+    Scans [-2,2]^n with doubling grid resolution (deterministic), as long
+    as one level has at most ``GRID_POINTS_CAP`` points, then ``samples``
+    seeded random rational points.  Every feasible point found
     must lie in the declared frame region — an open box inside (-1,1)^n,
     or the standard simplex — otherwise it is reported as a containment
     violation.  Archimedeanity is echoed as an attestation, never proved.
@@ -392,7 +398,7 @@ def validate_problem(
                 report.feasible = pt
 
     k = 2
-    while k <= grid_cap:
+    while k <= grid_cap and (k + 1) ** p.n <= GRID_POINTS_CAP:
         for idx in itertools.product(range(k + 1), repeat=p.n):
             visit(tuple(Fraction(4 * a, k) - 2 for a in idx))
         if report.feasible is not None or report.containment_violations:

@@ -7,8 +7,10 @@ facet polynomials ``x_1, ..., x_n`` and ``u = 1 - sum(x)`` written as
 
 The full monomials ``u^(a0) x^alpha`` then follow by multiplying with
 the square of ``u^(a0//2) x^(alpha//2)``.  There are ``2^(n+1)`` such
-products and they do not depend on the target, so they are computed
-eagerly and are good candidates for caching.
+products.  The monomials of one saturated target all have the same total
+degree, so they use only the half of the parities whose entries sum to
+that degree mod 2; only those are computed.  The products do not depend
+on the target, so they are good candidates for caching.
 
 Each product is one :class:`~cylcert.sos.GramSystem` search with one
 block per sigma; the degree budget for the sigmas doubles on failure up
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, SearchExhaustedError, ValidationError
 from .poly import BlockedPoly, BlockShape
@@ -232,21 +234,23 @@ def budget_ladder(gens: Sequence[BlockedPoly], cap: int = BUDGET_CAP) -> list[in
 def base_certificates(
     shape: BlockShape,
     gens: Sequence[BlockedPoly],
+    parities: Iterable[Parity],
     *,
     budget_cap: int = BUDGET_CAP,
     precomputed: dict[Parity, ModuleWitness] | None = None,
 ) -> dict[Parity, ModuleWitness]:
-    """Module decompositions for every square-free facet product.
+    """Module decompositions for the square-free facet products named.
 
-    ``precomputed`` entries (from a cache) are re-verified and reused;
-    anything missing or failing verification is recomputed.  Raises
-    :class:`SearchExhaustedError` when some product resists every budget
-    up to the cap, and :class:`CapExceededError` when the eager
-    ``2^(n+1)`` enumeration itself is too large.
+    ``parities`` lists the products wanted, as parity vectors over
+    ``(u, x_1, ..., x_n)``.  ``precomputed`` entries (from a cache) are
+    re-verified and reused; anything missing or failing verification is
+    recomputed.  Raises :class:`SearchExhaustedError` when some product
+    resists every budget up to the cap, and :class:`CapExceededError`
+    when the number of cylinder variables exceeds ``MAX_VARIABLES``.
     """
     if shape.n > MAX_VARIABLES:
         raise CapExceededError(
-            "eager facet certificates are limited to few cylinder variables",
+            "facet certificates are limited to few cylinder variables",
             n=shape.n,
             max_variables=MAX_VARIABLES,
         )
@@ -254,7 +258,7 @@ def base_certificates(
     systems: dict[int, GramSystem] = {}
     out: dict[Parity, ModuleWitness] = {}
     failed: list[Parity] = []
-    for parity in itertools.product((0, 1), repeat=shape.n + 1):
+    for parity in sorted(parities):
         cached = (precomputed or {}).get(parity)
         if cached is not None and cached.verify(gens):
             out[parity] = cached

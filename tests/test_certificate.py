@@ -34,7 +34,7 @@ from cylcert.problem import (
     Variant,
     rescale_to_simplex,
 )
-from cylcert.putinar_base import base_certificates
+from cylcert.putinar_base import base_certificates, parity_vector
 from cylcert.serialize import canonical_dumps
 from cylcert.sos import SosDecomposition, sos_decompose
 
@@ -56,11 +56,9 @@ def certify(problem, fstar_lb):
     pert = find_perturbation(problem, fstar_lb)
     _, blocks = problem.homogenized()
     pol = polya_saturate(pert.target, pert.threshold, blocks)
-    form_sos = {key: sos_decompose(pol.forms[key]) for key in pol.forms}
-    base = base_certificates(problem.shape, problem.g)
-    cert = assemble(
-        problem, pert.lam, pert.k, pol, form_sos, base, fstar_lb=pert.fstar_lb
-    )
+    parities = {parity_vector(key) for key in pol.forms}
+    base = base_certificates(problem.shape, problem.g, parities)
+    cert = assemble(problem, pert.lam, pert.k, pol, base, fstar_lb=pert.fstar_lb)
     return cert, base
 
 

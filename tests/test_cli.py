@@ -17,6 +17,8 @@ from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.problem import SIMPLEX, CylinderProblem, Variant, problem_from_obj, problem_to_obj
 from cylcert.serialize import canonical_dumps
 
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
+
 
 def write_problem(path, f_builder, *, m=2, variant=Variant.R1_ANY_M, r1=1):
     sh = BlockShape(1, r1, 0)
@@ -158,8 +160,7 @@ def test_non_list_sos_weights_are_a_schema_error(problem_file, tmp_path, capsys)
 
 
 def _scaled_c1(tmp_path, factor):
-    sample = Path(__file__).resolve().parent.parent / "sample_problems"
-    obj = json.loads((sample / "c1_interval_line_quadratic.json").read_text())
+    obj = json.loads((SAMPLES / "c1_interval_line_quadratic.json").read_text())
     for term in obj["f"]:
         term["c"] = str(F(term["c"]) * factor)
     path = tmp_path / "scaled.json"
@@ -231,6 +232,38 @@ def test_minimize_nonpositive_exits_12(tmp_path):
     path = tmp_path / "neg.json"
     write_problem(path, lambda x, ys, one: ys[0] * ys[0] - one.scale(9))
     assert cli.main(["minimize", "--input", str(path)]) == cli.EXIT_NONPOSITIVE
+
+
+def test_minimize_refuses_a_set_that_escapes_the_frame(tmp_path, capsys):
+    # g = 4 - x^2 lets S reach past the box frame (-1, 1), so no bound
+    # computed over the frame would cover S
+    sample = SAMPLES / "c7_box_frame_line_quadratic.json"
+    obj = json.loads(sample.read_text())
+    obj["g"] = [[{"c": "4", "x": [0], "y1": [0]}, {"c": "-1", "x": [2], "y1": [0]}]]
+    path = tmp_path / "escaping.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["minimize", "--input", str(path)]) == cli.EXIT_VALIDATION
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert summary["payload"]["violations"]
+
+
+def test_wide_box_problem_ends_in_validation_quickly(tmp_path, capsys):
+    # n = 16: one validation grid level would have 3^16 points, so only
+    # the random samples run; they find points of S outside the frame
+    zero, x1_squared = [0] * 16, [2] + [0] * 15
+    obj = {
+        "n": 16, "variant": "r1_any_m", "m": 2, "r": 1, "frame": "box",
+        "f": [{"c": "1", "x": zero, "y1": [0]}, {"c": "1", "x": zero, "y1": [2]}],
+        "g": [[{"c": "1/4", "x": zero, "y1": [0]}, {"c": "-1", "x": x1_squared, "y1": [0]}]],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj))
+    started = time.monotonic()
+    code = cli.main(["certify", "--input", str(path), "--output", str(tmp_path / "c.json")])
+    assert time.monotonic() - started < 2
+    assert code == cli.EXIT_VALIDATION
+    capsys.readouterr()
 
 
 def test_bound_subcommand(capsys):

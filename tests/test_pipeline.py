@@ -1,4 +1,5 @@
 """The certification chain: validate, rescale, certify, self-verify."""
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -50,6 +51,18 @@ def test_diagnostics_cover_every_stage(line_result):
     assert res.diagnostics["validate"]["ok"]
     assert res.certificate.meta.fstar_lb > 0
     assert res.base_cache
+
+
+def test_base_cache_holds_only_the_parity_class_of_the_forms(line_result):
+    # every coefficient-form key has total degree ell + N, so only the
+    # parity vectors with that sum mod 2 are ever looked up
+    p, res = line_result
+    degree = res.diagnostics["polya"]["ell"] + res.diagnostics["polya"]["exponent"]
+    want = {
+        parity for parity in itertools.product((0, 1), repeat=p.n + 1)
+        if sum(parity) % 2 == degree % 2
+    }
+    assert set(res.base_cache) == want
 
 
 def test_reusing_the_base_cache_changes_nothing(line_result):

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from cylcert import polya
 from cylcert.certified import _float_slack
 from cylcert.covers import projected_sphere_cover
-from cylcert.errors import CapExceededError, ValidationError
+from cylcert.errors import CapExceededError, SosStalledError, ValidationError
 from cylcert.polya import (
     SCREEN_RESOLUTION,
     _screen_min,
@@ -149,9 +150,8 @@ def test_saturate_bump_needs_exponent_one():
     assert res.exponent == 1
     assert res.ell == 2
     assert sorted(res.forms) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    for alpha, cm in res.evidence.items():
-        assert cm.lower_bound >= F(1, 2)
-        assert cm.lower_bound == 1  # each form is exactly the unit sphere
+    for alpha, form in res.forms.items():
+        assert res.sos[alpha].verify(form)
     total = BlockedPoly.zero(res.saturated.shape)
     shape = res.saturated.shape
     slots = shape.block_indices("X0") + shape.block_indices("x")
@@ -170,7 +170,7 @@ def test_saturate_positive_coefficients_need_no_exponent():
     flat = poly({(0, 2, 0): 1, (0, 0, 2): 1, (2, 2, 0): 1, (2, 0, 2): 1})
     res = polya_saturate(flat, F(1, 2), circle_block(SH))
     assert res.exponent == 0
-    assert all(cm.lower_bound > 0 for cm in res.evidence.values())
+    assert all(res.sos[alpha].verify(form) for alpha, form in res.forms.items())
 
 
 def test_saturate_zero_touching_target_exceeds_cap():
@@ -234,8 +234,33 @@ def test_saturate_split_shape_two_blocks():
     new_shape = res.saturated.shape
     for block, want in zip(res.blocks, ({"Y1", "Z1"}, {"W1", "Z2"})):
         assert {new_shape.var_name(i) for i in block.indices} == want
-    for cm in res.evidence.values():
-        assert cm.lower_bound > 0
+    for alpha, form in res.forms.items():
+        assert res.sos[alpha].verify(form)
+
+
+def test_saturate_rejects_an_exponent_whose_forms_are_not_sos(monkeypatch):
+    # The flat target below is accepted at exponent 0; a stalled SOS
+    # search there must reject that exponent, and saturation moves on.
+    flat = poly({(0, 2, 0): 1, (0, 0, 2): 1, (2, 2, 0): 1, (2, 0, 2): 1})
+    real = polya.sos_decompose
+    calls = []
+
+    def stall_first_call(form):
+        calls.append(form)
+        if len(calls) == 1:
+            raise SosStalledError("stalled")
+        return real(form)
+
+    monkeypatch.setattr(polya, "sos_decompose", stall_first_call)
+    res = polya_saturate(flat, F(1, 2), circle_block(SH))
+    assert res.exponent == 1
+    assert all(res.sos[alpha].verify(form) for alpha, form in res.forms.items())
+    calls.clear()
+    with pytest.raises(CapExceededError) as err:
+        polya_saturate(flat, F(1, 2), circle_block(SH), cap=0)
+    assert err.value.payload["rejected"] == [
+        {"exponent": 0, "alpha": [0, 2], "reason": "not sos"}
+    ]
 
 
 # --- the float screen ------------------------------------------------------

@@ -17,6 +17,10 @@ from cylcert.putinar_base import (
 )
 
 
+def every_parity(shape):
+    return set(itertools.product((0, 1), repeat=shape.n + 1))
+
+
 def interval_gens(shape):
     """g = x(1-x): the unit interval, written in the first x slot."""
     x = BlockedPoly.variable(shape, 0)
@@ -121,7 +125,7 @@ def test_budget_ladder_doubles_from_twice_the_generator_degree():
 def test_interval_certificates_cover_all_four_parities():
     shape = BlockShape(1, 1, 0)
     gens = interval_gens(shape)
-    certs = base_certificates(shape, gens)
+    certs = base_certificates(shape, gens, every_parity(shape))
     assert set(certs) == set(itertools.product((0, 1), repeat=2))
     for parity, witness in certs.items():
         assert witness.budget == 4
@@ -132,7 +136,7 @@ def test_interval_certificates_cover_all_four_parities():
 def test_two_constraint_box_covers_all_eight_parities():
     shape = BlockShape(2, 1, 0)
     gens = box_gens(shape)
-    certs = base_certificates(shape, gens)
+    certs = base_certificates(shape, gens, every_parity(shape))
     assert set(certs) == set(itertools.product((0, 1), repeat=3))
     for parity, witness in certs.items():
         assert witness.verify(gens)
@@ -147,7 +151,7 @@ def test_unusable_generator_exhausts_the_search():
     # x^2 vanishes to second order at 0, so x itself can never be written
     # as sigma_0 + sigma_1 x^2; only the empty product survives.
     with pytest.raises(SearchExhaustedError) as err:
-        base_certificates(shape, (x * x,), budget_cap=4)
+        base_certificates(shape, (x * x,), every_parity(shape), budget_cap=4)
     payload = err.value.payload
     assert payload["budgets"] == [4]
     assert sorted(map(tuple, payload["parities"])) == [(0, 1), (1, 0), (1, 1)]
@@ -156,7 +160,7 @@ def test_unusable_generator_exhausts_the_search():
 def test_too_many_variables_is_a_hard_cap():
     shape = BlockShape(7, 1, 0)
     with pytest.raises(CapExceededError) as err:
-        base_certificates(shape, interval_gens(shape))
+        base_certificates(shape, interval_gens(shape), every_parity(shape))
     assert err.value.payload["n"] == 7
     assert err.value.payload["max_variables"] == 6
 
@@ -166,8 +170,8 @@ def test_too_many_variables_is_a_hard_cap():
 def test_precomputed_witnesses_are_reused_verbatim():
     shape = BlockShape(1, 1, 0)
     gens = interval_gens(shape)
-    first = base_certificates(shape, gens)
-    again = base_certificates(shape, gens, precomputed=first)
+    first = base_certificates(shape, gens, every_parity(shape))
+    again = base_certificates(shape, gens, every_parity(shape), precomputed=first)
     for parity in first:
         assert again[parity] is first[parity]
 
@@ -175,7 +179,7 @@ def test_precomputed_witnesses_are_reused_verbatim():
 def test_tampered_cache_entries_are_recomputed():
     shape = BlockShape(1, 1, 0)
     gens = interval_gens(shape)
-    first = base_certificates(shape, gens)
+    first = base_certificates(shape, gens, every_parity(shape))
     tampered = dict(first)
     # Claim the decomposition of u for the parity of x: verification fails,
     # so the entry must be rebuilt rather than trusted.
@@ -186,7 +190,7 @@ def test_tampered_cache_entries_are_recomputed():
         budget=first[(1, 0)].budget,
     )
     tampered[(0, 1)] = wrong
-    repaired = base_certificates(shape, gens, precomputed=tampered)
+    repaired = base_certificates(shape, gens, every_parity(shape), precomputed=tampered)
     assert repaired[(0, 1)] is not wrong
     assert repaired[(0, 1)].verify(gens)
     assert repaired[(1, 0)] is first[(1, 0)]
@@ -195,8 +199,8 @@ def test_tampered_cache_entries_are_recomputed():
 def test_enumeration_is_deterministic():
     shape = BlockShape(1, 1, 0)
     gens = interval_gens(shape)
-    one = base_certificates(shape, gens)
-    two = base_certificates(shape, gens)
+    one = base_certificates(shape, gens, every_parity(shape))
+    two = base_certificates(shape, gens, every_parity(shape))
     assert set(one) == set(two)
     for parity in one:
         assert one[parity] == two[parity]
