@@ -17,26 +17,34 @@ and :func:`check_leading_form_condition` is one grid scan:
    of the closed-form simplex/sphere constants (:func:`bounds_for_target`)
    and coefficient-sum gradient bounds for the reduced target — to get a
    lower bound valid on the whole continuum domain.
-4. Every pass screens grid x cover pairs in float64, within a rigorous
+4. Every pass is one reduction in float64, within a rigorous
    rounding-error term ``slack`` of the exact values (see
-   ``_float_slack``).  A pass of at most ``_Scan.EXACT_PAIRS`` (4096)
-   pairs evaluates all of them, then evaluates exactly only the pairs
-   within 2*slack of the float minimum (overall and over the exactly
-   feasible rows) and those below the witness cutoff; these hold every
-   exact minimizer and witness, so its bound is the exact minimum minus
-   the error terms.  A larger pass subtracts ``slack`` from the float
-   minimum instead, and evaluates only the grid rows whose float lower
+   ``_float_slack``).  The constraint screen also decides once per kept
+   row whether it lies in S: float64 places every row where each g_i
+   clears its slack or some g_i lies below minus its slack, and only the
+   rows in between are checked in exact arithmetic, so this "in S" mask
+   is exact.  The pass evaluates only the grid rows whose float lower
    bound (``_row_bounds``) is at most the larger of the witness cutoff
-   and the minimum of the row with the smallest bound (for exactly
-   feasible rows, of such a row with the smallest bound).  Round-to-nearest
-   multiply and add are monotone, so that bound lies below every float
-   value of its row bit for bit, and the pruned rows cannot change the
-   pass result.  Candidate minima are re-evaluated in exact rational
-   arithmetic, so every reported witness and sample value is exact.
+   and the minimum of the row with the smallest bound (and, for the
+   rows of S, of such a row of S).  Round-to-nearest multiply and add
+   are monotone, so that bound lies below every float value of its row
+   bit for bit, and the pruned rows cannot change the pass result.
+   The input size picks one of two results.  A pass of at most
+   ``EXACT_PAIRS`` (4096) pairs prunes with the minimum plus 2*slack and
+   evaluates exactly every pair within 2*slack of the float minimum
+   (overall and over the rows of S) and every pair below the witness
+   cutoff; these hold every exact minimizer and witness, so its bound is
+   the exact minimum minus the error terms.  A larger pass keeps the
+   ``WITNESS_CAP`` smallest pairs below the cutoff and its two float
+   argmins, and its bound is the float minimum minus ``slack`` and the
+   error terms.  Each sample a pass returns is evaluated exactly once,
+   so every reported witness and sample value is exact.
 
 Refinement doubles the resolution of whichever factor currently
 contributes the largest error term, and the running lower bound is the
-max over passes, hence monotone in depth.
+max over passes, hence monotone in depth.  Before it builds its arrays, a
+pass estimates their bytes and stops with :class:`BudgetExhaustedError`
+above ``MEMORY_BUDGET``, as it does above ``PAIR_BUDGET`` pairs.
 
 The sup and Lipschitz constants have one closed form (``_closed_form``),
 which :func:`bounds_for_target`, :func:`lipschitz_constants`,
@@ -286,18 +294,22 @@ def _terms_on_slots(p: BlockedPoly, slots: Sequence[int]) -> list[tuple[tuple[in
     return out
 
 
+_CHUNK_VALUES = 4_000_000  # float values per chunk of _value_rows
+
+
 def _value_rows(
     amat: np.ndarray, bmat: np.ndarray, rows: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Float64 values ``sum_k amat[i, k] * bmat[k, :]`` for the given rows.
 
-    Rows are taken in the given order, in chunks of about 4M values, each
-    yielded with its row indices.  Products and sums are rounded one at a
-    time in signature order, so a value does not depend on which other
-    rows are evaluated with it, and :func:`_row_bounds` stays below it.
+    Rows are taken in the given order, in chunks of about ``_CHUNK_VALUES``
+    values, each yielded with its row indices.  Products and sums are
+    rounded one at a time in signature order, so a value does not depend
+    on which other rows are evaluated with it, and :func:`_row_bounds`
+    stays below it.
     """
     n_u = bmat.shape[1]
-    chunk = max(1, 4_000_000 // n_u)
+    chunk = max(1, _CHUNK_VALUES // n_u)
     for lo in range(0, len(rows), chunk):
         sel = rows[lo : lo + chunk]
         a = amat[sel]
@@ -371,6 +383,21 @@ S_TIMES_SPHERE = "S_TIMES_SPHERE"
 # the scan engine
 # ---------------------------------------------------------------------------
 
+# Scan constants.  A pass starts at START_RESOLUTION in every factor; one
+# of at most EXACT_PAIRS grid x cover pairs has an exact result.  A pass
+# returns at most WITNESS_CAP witness-valued samples.  PAIR_BUDGET caps the
+# pairs of one pass and MEMORY_BUDGET the bytes of its float64 arrays;
+# GRID_POINT_CAP and COVER_POINT_CAP cap the simplex lattice and each
+# recursive sphere cover whatever the pair budget.
+START_RESOLUTION = 8
+EXACT_PAIRS = 4096
+WITNESS_CAP = 64
+PAIR_BUDGET = 250_000_000
+MEMORY_BUDGET = 1 << 28
+GRID_POINT_CAP = 1 << 24
+COVER_POINT_CAP = 1 << 22
+
+
 def _ceil_float(v: Fraction) -> float:
     """A float upper bound of an exact rational."""
     f = float(v)
@@ -398,36 +425,28 @@ class _Scan:
         self,
         *,
         target: BlockedPoly,
-        n: int,
         blocks: tuple[SphereBlock, ...],
         constraints: tuple[BlockedPoly, ...],
-        lemma: LipschitzData,
         domain: str,
         witness_threshold: Fraction,
         witness_strict: bool,
         witness_exc: Callable[[SamplePoint], CylcertError],
         success: Callable[[Fraction, Fraction | None], bool],
         fallback_x: tuple[Fraction, ...] | None,
-        start_resolution: int,
         depth_cap: int,
-        pair_budget: int,
-        witness_cap: int,
     ):
+        n = target.shape.n
         self.target = target
         self.n = n
         self.blocks = blocks
         self.constraints = constraints
-        self.lemma = lemma
         self.domain = domain
         self.witness_threshold = witness_threshold
         self.witness_strict = witness_strict
         self.witness_exc = witness_exc
         self.success = success
         self.fallback_x = fallback_x
-        self.start_resolution = start_resolution
         self.depth_cap = depth_cap
-        self.pair_budget = pair_budget
-        self.witness_cap = witness_cap
 
         shape = target.shape
         allowed = set(range(n))
@@ -444,6 +463,7 @@ class _Scan:
                     raise ValidationError(
                         "target is not homogeneous of the declared degree in a sphere block"
                     )
+        self.lemma = bounds_for_target(target, n, blocks)
 
         # reduce modulo the sphere relations, block by block
         reduced = target
@@ -455,10 +475,10 @@ class _Scan:
         self.slack = _float_slack(reduced)
 
         self.grad_x = _gradient_constant(reduced, range(n))
-        self.used_x = min(lemma.l_x, self.grad_x)
+        self.used_x = min(self.lemma.l_x, self.grad_x)
         self.used_sphere = tuple(
             min(ls, _gradient_constant(reduced, kept))
-            for ls, kept in zip(lemma.l_sphere, self.kept)
+            for ls, kept in zip(self.lemma.l_sphere, self.kept)
         )
 
         # decompose the reduced target into x-coefficients per sphere signature
@@ -479,27 +499,29 @@ class _Scan:
         ]
         self.g_slack = [_float_slack(g) for g in constraints]
 
+        # power-table sizes of the float evaluations (see _float_bytes)
+        x_terms = [*reduced.terms, *(e for g in constraints for e in g.terms)]
+        self.x_powers = sum(max(e[j] for e in x_terms) + 1 for j in range(n))
+        self.u_powers = sum(max(s[j] for s in self.sigs) + 1 for j in range(len(self.kept_all)))
+
         # work counts over all passes: grid x cover pairs, and those whose
         # float value was computed
         self.pairs = 0
         self.evaluated = 0
 
     # ----- exact evaluation ---------------------------------------------
-    def _full_point(
+    def _sample(
         self, x: tuple[Fraction, ...], reps: tuple[tuple[Fraction, ...], ...]
-    ) -> list[Fraction]:
+    ) -> SamplePoint:
+        """The domain point (x, reps) with its exact value."""
         pt = [Fraction(0)] * self.target.shape.width
         for i, v in enumerate(x):
             pt[i] = v
         for b, rep in zip(self.blocks, reps):
             for slot, v in zip(b.indices, rep):
                 pt[slot] = v
-        return pt
-
-    def _exact_value(
-        self, x: tuple[Fraction, ...], reps: tuple[tuple[Fraction, ...], ...]
-    ) -> Fraction:
-        return self.target.eval_at(self._full_point(x, reps))
+        u = tuple(v for rep in reps for v in rep)
+        return SamplePoint(x=x, u=u, value=self.target.eval_at(pt))
 
     def _in_feasible_set(self, x: tuple[Fraction, ...]) -> bool:
         pad = (Fraction(0),) * (self.constraints[0].shape.width - len(x)) if self.constraints else ()
@@ -512,50 +534,41 @@ class _Scan:
 
     # ----- main loop -----------------------------------------------------
     def run(self) -> CertifiedMin:
-        res_x = self.start_resolution if self.reduced.block_degree("x") > 0 else 1
-        res_b = [self.start_resolution] * len(self.blocks)
+        res_x = START_RESOLUTION if self.reduced.block_degree("x") > 0 else 1
+        res_b = [START_RESOLUTION] * len(self.blocks)
         lower: Fraction | None = None
-        best_value: Fraction | None = None
-        best_sample: SamplePoint | None = None
+        best: SamplePoint | None = None
 
         if self.fallback_x is not None:
-            reps = tuple(
-                tuple(Fraction(0) for _ in b.indices[:-1]) + (Fraction(1),)
-                for b in self.blocks
+            best = self._sample(
+                self.fallback_x,
+                tuple(
+                    tuple(Fraction(0) for _ in b.indices[:-1]) + (Fraction(1),)
+                    for b in self.blocks
+                ),
             )
-            value = self._exact_value(self.fallback_x, reps)
-            u = tuple(v for rep in reps for v in rep)
-            best_value = value
-            best_sample = SamplePoint(x=self.fallback_x, u=u, value=value)
-            if self._is_witness_value(value) and self._in_feasible_set(self.fallback_x):
-                raise self.witness_exc(best_sample)
+            if self._is_witness_value(best.value) and self._in_feasible_set(self.fallback_x):
+                raise self.witness_exc(best)
 
         last_exhaust: dict[str, Any] = {}
         for depth in range(self.depth_cap + 1):
-            result = self._pass(res_x, res_b)
-            (pass_lb, candidates, kept_rows, covers) = result
+            pass_lb, samples, grid, covers = self._pass(res_x, res_b)
             if lower is None or pass_lb > lower:
                 lower = pass_lb
 
-            # exact examination of low samples: witnesses and best-sample updates
-            for fval, x, reps in candidates:
-                value = self._exact_value(x, reps)
-                feasible = self._in_feasible_set(x)
-                if feasible:
-                    sample = SamplePoint(
-                        x=x, u=tuple(v for rep in reps for v in rep), value=value
-                    )
-                    if best_value is None or value < best_value:
-                        best_value, best_sample = value, sample
-                    if self._is_witness_value(value):
+            # witnesses and best-sample updates, from samples of S only
+            for sample, in_s in samples:
+                if in_s:
+                    if best is None or sample.value < best.value:
+                        best = sample
+                    if self._is_witness_value(sample.value):
                         raise self.witness_exc(sample)
 
-            if best_value is not None and self.success(lower, best_value):
-                assert best_sample is not None
-                assert lower <= best_value
+            if best is not None and self.success(lower, best.value):
+                assert lower <= best.value
                 return CertifiedMin(
                     lower_bound=lower,
-                    best_sample=best_sample,
+                    best_sample=best,
                     grid_depth=depth,
                     lipschitz=self.lemma,
                     used_x_constant=self.used_x,
@@ -568,13 +581,13 @@ class _Scan:
                 )
 
             # refine the factor with the largest current error term
-            terms = [(self.used_x * SimplexGrid(self.n, res_x).radius, -1)]
+            terms = [(self.used_x * grid.radius, -1)]
             for i, cov in enumerate(covers):
                 terms.append((self.used_sphere[i] * cov.radius, i))
             err, which = max(terms, key=lambda t: t[0])
             last_exhaust = {
                 "lower_bound": frac_to_str(lower),
-                "best_value": None if best_value is None else frac_to_str(best_value),
+                "best_value": None if best is None else frac_to_str(best.value),
                 "depth": depth,
                 "resolutions": [res_x, *res_b],
             }
@@ -589,81 +602,197 @@ class _Scan:
             **last_exhaust,
         )
 
-    # passes with at most this many grid x cover pairs get exact results
-    EXACT_PAIRS = 4096
-
-    # memory guards: never materialize a simplex lattice / recursive sphere
-    # cover past these point counts, regardless of the pair budget
-    GRID_POINT_CAP = 1 << 24
-    COVER_POINT_CAP = 1 << 22
-
-    def _pass(self, res_x: int, res_b: list[int]):
-        # size prechecks before materializing anything large
-        grid_size = math.comb(res_x + self.n, self.n)
-        if grid_size > min(self.pair_budget, self.GRID_POINT_CAP):
+    # ----- one pass --------------------------------------------------------
+    def _covers(self, grid_size: int, res_b: list[int]) -> list[ProjectedCover]:
+        """The pass's sphere covers, after checking every size before building."""
+        if grid_size > min(PAIR_BUDGET, GRID_POINT_CAP):
             raise BudgetExhaustedError(
                 "simplex grid alone exceeds the evaluation budget",
                 rows=grid_size,
-                budget=min(self.pair_budget, self.GRID_POINT_CAP),
+                budget=min(PAIR_BUDGET, GRID_POINT_CAP),
             )
+        kept_local = [
+            tuple(b.indices.index(s) for s in kept) for b, kept in zip(self.blocks, self.kept)
+        ]
         for i, b in enumerate(self.blocks):
-            kept_local = tuple(b.indices.index(s) for s in self.kept[i])
-            est = _cover_cost(len(b.indices), res_b[i], kept_local)
-            if est > min(self.pair_budget, self.COVER_POINT_CAP):
+            est = _cover_cost(len(b.indices), res_b[i], kept_local[i])
+            if est > min(PAIR_BUDGET, COVER_POINT_CAP):
                 raise BudgetExhaustedError(
                     "sphere cover construction exceeds the evaluation budget",
                     block=i,
                     estimated_points=est,
-                    budget=min(self.pair_budget, self.COVER_POINT_CAP),
+                    budget=min(PAIR_BUDGET, COVER_POINT_CAP),
                 )
-
-        grid = SimplexGrid(self.n, res_x)
-        covers = [
-            projected_sphere_cover(
-                len(b.indices),
-                res_b[i],
-                tuple(b.indices.index(s) for s in self.kept[i]),
-            )
+        return [
+            projected_sphere_cover(len(b.indices), res_b[i], kept_local[i])
             for i, b in enumerate(self.blocks)
         ]
 
+    def _float_bytes(self, rows: int, n_u: int) -> int:
+        """An estimate of the bytes of the float64 arrays a pass builds.
+
+        Counts, for ``rows`` grid points: the lattice, its float copy and
+        the rows kept from it, the per-column power tables of
+        :func:`_float_eval` (up to the largest x-exponent of the target
+        and the constraints) with its two work arrays, and ``amat``;
+        for ``n_u`` cover combinations: their coordinates with a copy,
+        their power tables and ``bmat``; and one value chunk of
+        :func:`_value_rows` with its temporary.
+        """
+        per_row = 3 * self.n + self.x_powers + 2 + len(self.sigs)
+        per_u = 2 * len(self.kept_all) + self.u_powers + len(self.sigs)
+        chunk = min(rows * n_u, max(n_u, _CHUNK_VALUES))
+        return 8 * (rows * per_row + n_u * per_u + 2 * chunk)
+
+    def _rows_in_s(self, grid: SimplexGrid) -> tuple[np.ndarray, np.ndarray]:
+        """The grid rows the constraint screen keeps, and which of them lie in S.
+
+        A row is kept when every g_i is at least minus its Lipschitz
+        constant times the cell radius, less the float slack, so the kept
+        cells cover S.  float64 decides whether a kept row lies in S when
+        every g_i is at least its slack (in S) or some g_i lies below
+        minus its slack (not in S); only the other rows are checked in
+        exact arithmetic, so the mask is exact.
+        """
         xf = grid.as_floats()
         keep = np.ones(len(grid), dtype=bool)
         sure = np.ones(len(grid), dtype=bool)
+        out = np.zeros(len(grid), dtype=bool)
         for terms, lip, slack in zip(self.g_terms, self.g_lip, self.g_slack):
             vals = _float_eval(xf, terms)
+            bar = _ceil_float(slack)
             keep &= vals >= -_ceil_float(lip * grid.radius + slack)
-            sure &= vals >= _ceil_float(slack)
-        rows = np.nonzero(keep)[0]
+            sure &= vals >= bar
+            out |= vals < -bar
+        rows = np.flatnonzero(keep)
+        in_s = sure[rows]
+        for pos in np.flatnonzero(~in_s & ~out[rows]):
+            in_s[pos] = self._in_feasible_set(grid.point(int(rows[pos])))
+        return rows, in_s
+
+    def _pass(self, res_x: int, res_b: list[int]):
+        """One pass (point 4 of the module docstring).
+
+        Returns its lower bound, its exactly evaluated samples paired
+        with their "in S" flags (witness candidates first, in value
+        order, then the minimizers overall and in S), the grid and the
+        covers.
+        """
+        grid_size = math.comb(res_x + self.n, self.n)
+        covers = self._covers(grid_size, res_b)
+        n_u = math.prod(len(c) for c in covers)
+        estimated = self._float_bytes(grid_size, n_u)
+        if estimated > MEMORY_BUDGET:
+            raise BudgetExhaustedError(
+                "scan arrays exceed the memory budget",
+                estimated_bytes=estimated,
+                budget=MEMORY_BUDGET,
+                resolutions=[res_x, *res_b],
+            )
+
+        grid = SimplexGrid(self.n, res_x)
+        rows, in_s = self._rows_in_s(grid)
         if rows.size == 0:
             raise ResolutionExhaustedError(
                 "no grid cell survives the constraint filter; the feasible set "
                 "is thinner than the current grid",
                 resolution=res_x,
             )
-
-        counts = [len(c) for c in covers]
-        n_u = 1
-        for c in counts:
-            n_u *= c
-        if rows.size * max(1, n_u) > self.pair_budget:
+        if rows.size * n_u > PAIR_BUDGET:
             raise BudgetExhaustedError(
                 "scan size exceeds the evaluation budget",
                 rows=int(rows.size),
                 sphere_points=n_u,
-                budget=self.pair_budget,
+                budget=PAIR_BUDGET,
             )
 
         total_err = self.used_x * grid.radius + sum(
             (u * c.radius for u, c in zip(self.used_sphere, covers)), start=Fraction(0)
         )
-
         # witness-candidate cutoff in float terms (upper bound of the exact cut)
         cut = _ceil_float(self.witness_threshold + self.slack)
+        exact = rows.size * n_u <= EXACT_PAIRS
+        margin = self._near if exact else float
 
-        if rows.size * max(1, n_u) <= self.EXACT_PAIRS:
-            return self._confirmed_pass(grid, rows, covers, total_err, cut)
-        return self._float_pass(grid, rows, covers, total_err, cut, sure[rows])
+        amat, bmat = self._factors(grid.as_floats()[rows], covers)
+        bound = _row_bounds(amat, bmat)
+
+        def reach(among: np.ndarray) -> float:
+            i = among[np.argmin(bound[among])]
+            probe = float(next(_value_rows(amat, bmat, np.array([i])))[1].min())
+            return max(margin(probe), cut)
+
+        lim = reach(np.arange(len(rows)))
+        keep = ~(bound > lim)
+        lim_s = reach(np.flatnonzero(in_s)) if in_s.any() else -math.inf
+        keep |= in_s & ~(bound > lim_s)
+        kept = np.flatnonzero(keep)
+        self.pairs += rows.size * n_u
+        self.evaluated += kept.size * n_u
+
+        # float minima overall and in S, and the pairs a result can need
+        best = best_s = (math.inf, None)
+        low_parts = []
+        for sel, block in _value_rows(amat, bmat, kept):
+            i, j = divmod(int(np.argmin(block)), n_u)
+            if block[i, j] < best[0]:
+                best = (float(block[i, j]), (int(sel[i]), j))
+            sl = in_s[sel]
+            if sl.any():
+                sub = block[sl]
+                si, sj = divmod(int(np.argmin(sub)), n_u)
+                if sub[si, sj] < best_s[0]:
+                    best_s = (float(sub[si, sj]), (int(sel[np.flatnonzero(sl)[si]]), sj))
+            take = block <= cut
+            if exact:
+                take |= (block <= lim) | (sl[:, None] & (block <= lim_s))
+            ii, jj = np.nonzero(take)
+            vals = block[ii, jj]
+            if not exact:
+                order = np.argsort(vals, kind="stable")[:WITNESS_CAP]
+                ii, jj, vals = ii[order], jj[order], vals[order]
+            low_parts.append((vals, sel[ii], jj))
+            # free this chunk before the generator builds the next one
+            del block, take
+        vals, pos, cols = (np.concatenate(part) for part in zip(*low_parts))
+
+        def at(i: int, j: int) -> SamplePoint:
+            return self._sample(grid.point(int(rows[i])), self._reps_at(covers, j))
+
+        found: dict[tuple[int, int], SamplePoint] = {}
+        if exact:
+            pick = (vals <= cut) | (vals <= self._near(best[0]))
+            if best_s[1] is not None:
+                pick |= in_s[pos] & (vals <= self._near(best_s[0]))
+            found = {ij: at(*ij) for ij in zip(pos[pick].tolist(), cols[pick].tolist())}
+
+            def value(ij: tuple[int, int]) -> Fraction:
+                return found[ij].value
+
+            # min() keeps the first of equal values, in row-major order
+            extras = (
+                min(found, key=value),
+                min((ij for ij in found if in_s[ij[0]]), key=value, default=None),
+            )
+            picks = sorted(
+                (ij for ij in found if self._is_witness_value(value(ij))),
+                key=lambda ij: float(value(ij)),
+            )[:WITNESS_CAP]
+            lb = value(extras[0]) - total_err
+        else:
+            order = np.argsort(vals, kind="stable")[:WITNESS_CAP]
+            picks = list(zip(pos[order].tolist(), cols[order].tolist()))
+            extras = (best[1], best_s[1])
+            lb = Fraction(best[0]) - self.slack - total_err
+        for ij in extras:
+            if ij is not None and ij not in picks:
+                picks.append(ij)
+        samples = [(found[ij] if ij in found else at(*ij), bool(in_s[ij[0]])) for ij in picks]
+        return lb, samples, grid, covers
+
+    def _near(self, fmin: float) -> float:
+        """Float value bound of every pair whose exact value is the exact minimum behind fmin."""
+        return _ceil_float(Fraction(fmin) + 2 * self.slack)
 
     def _factors(self, xf: np.ndarray, covers) -> tuple[np.ndarray, np.ndarray]:
         """The two float64 factors of the reduced target's value block.
@@ -712,127 +841,6 @@ class _Scan:
             reps.append(cov.representatives[idx])
         return tuple(reversed(reps))
 
-    def _confirmed_pass(self, grid, rows, covers, total_err, cut):
-        """A small pass whose results are exact, from few exact evaluations.
-
-        Every float value is within ``slack`` of the exact one, so the exact
-        minimizers overall and over the exactly feasible rows have float
-        values within 2*slack of the matching float minimum, and every
-        witness-valued pair has float value <= ``cut``.  Only those pairs
-        are evaluated exactly, in row-major order, which gives the same
-        bound, best samples and candidate order as evaluating every pair.
-        """
-        amat, bmat = self._factors(grid.as_floats()[rows], covers)
-        block = np.vstack([b for _, b in _value_rows(amat, bmat, np.arange(len(rows)))])
-        self.pairs += block.size
-        self.evaluated += block.size
-        feasible = np.array([self._in_feasible_set(grid.point(int(r))) for r in rows])
-        pick = (block <= cut) | (block <= self._near(block.min()))
-        if feasible.any():
-            pick |= feasible[:, None] & (block <= self._near(block[feasible].min()))
-
-        best: tuple[Fraction, tuple, tuple] | None = None
-        best_feas: tuple[Fraction, tuple, tuple] | None = None
-        candidates = []
-        for i, j in np.argwhere(pick):
-            x = grid.point(int(rows[i]))
-            reps = self._reps_at(covers, int(j))
-            value = self._exact_value(x, reps)
-            if best is None or value < best[0]:
-                best = (value, x, reps)
-            if feasible[i] and (best_feas is None or value < best_feas[0]):
-                best_feas = (value, x, reps)
-            if self._is_witness_value(value):
-                candidates.append((float(value), x, reps))
-        assert best is not None
-        candidates.sort(key=lambda t: t[0])
-        candidates = candidates[: self.witness_cap]
-        for extra in (best, best_feas):
-            if extra is not None and all(extra[1:] != c[1:] for c in candidates):
-                candidates.append((float(extra[0]), extra[1], extra[2]))
-        lb = best[0] - total_err
-        return lb, candidates, rows, covers
-
-    def _near(self, fmin: float) -> float:
-        """Float value bound of every pair whose exact value is the exact minimum behind fmin."""
-        return _ceil_float(Fraction(fmin) + 2 * self.slack)
-
-    def _float_pass(self, grid, rows, covers, total_err, cut, sure_rows):
-        """A large pass, reduced in float64 over the rows that can matter.
-
-        Its result depends only on the minimum, the minimum over sure rows
-        and the pairs at or below ``cut``.  The row with the smallest
-        :func:`_row_bounds` bound is evaluated first; its minimum bounds the
-        pass minimum from above, so a row whose bound exceeds the larger of
-        that and ``cut`` holds none of these pairs and ties with none of
-        them.  The sure row with the smallest bound does the same for the
-        sure rows.  Only the kept rows are evaluated, in row-major order,
-        which gives the same result as evaluating every pair.
-        """
-        amat, bmat = self._factors(grid.as_floats()[rows], covers)
-        bound = _row_bounds(amat, bmat)
-
-        def probe_min(among: np.ndarray) -> float:
-            i = among[np.argmin(bound[among])]
-            return float(next(_value_rows(amat, bmat, np.array([i])))[1].min())
-
-        keep = ~(bound > max(probe_min(np.arange(len(rows))), cut))
-        sure_pos = np.flatnonzero(sure_rows)
-        if sure_pos.size:
-            keep |= sure_rows & ~(bound > max(probe_min(sure_pos), cut))
-        kept = np.flatnonzero(keep)
-        self.pairs += len(rows) * bmat.shape[1]
-        self.evaluated += kept.size * bmat.shape[1]
-
-        best_val = math.inf
-        best_idx = (0, 0)
-        sure_val = math.inf
-        sure_idx: tuple[int, int] | None = None
-        cand: list[tuple[float, int, int]] = []
-        for sel, block in _value_rows(amat, bmat, kept):
-            n_u = block.shape[1]
-            flat = np.argmin(block)
-            i, j = divmod(int(flat), n_u)
-            if block[i, j] < best_val:
-                best_val = float(block[i, j])
-                best_idx = (int(sel[i]), j)
-            sl = sure_rows[sel]
-            if sl.any():
-                sub = block[sl]
-                sflat = np.argmin(sub)
-                si, sj = divmod(int(sflat), n_u)
-                if sub[si, sj] < sure_val:
-                    sure_val = float(sub[si, sj])
-                    sure_idx = (int(sel[np.nonzero(sl)[0][si]]), sj)
-            low = np.argwhere(block <= cut)
-            if low.size:
-                order = np.argsort(block[low[:, 0], low[:, 1]], kind="stable")
-                for pos in order[: self.witness_cap]:
-                    i2, j2 = low[pos]
-                    cand.append((float(block[i2, j2]), int(sel[i2]), int(j2)))
-            # free this chunk before the generator builds the next one
-            del block
-
-        cand.sort(key=lambda t: t[0])
-        cand = cand[: self.witness_cap]
-        seen = {(i, j) for _, i, j in cand}
-        if best_idx not in seen:
-            cand.append((best_val, *best_idx))
-            seen.add(best_idx)
-        if sure_idx is not None and sure_idx not in seen:
-            cand.append((sure_val, *sure_idx))
-
-        out = [
-            (fval, grid.point(int(rows[i])), self._reps_at(covers, j))
-            for fval, i, j in cand
-        ]
-        lb = Fraction(best_val) - self.slack - total_err
-        return lb, out, rows, covers
-
-
-def _scan(**kwargs) -> CertifiedMin:
-    return _Scan(**kwargs).run()
-
 
 # ---------------------------------------------------------------------------
 # public entry points
@@ -843,10 +851,7 @@ def certified_cylinder_min(
     *,
     rel_slack: Fraction = Fraction(1, 1000),
     fallback_x: tuple[Fraction, ...] | None = None,
-    start_resolution: int = 8,
     depth_cap: int = 24,
-    pair_budget: int = 250_000_000,
-    witness_cap: int = 64,
 ) -> CertifiedMin:
     """Certify a positive lower bound for the homogenized f over S x sphere(s).
 
@@ -863,17 +868,14 @@ def certified_cylinder_min(
     if p.frame != SIMPLEX:
         raise ValidationError("certified minimization requires the simplex frame")
     target, blocks = p.homogenized()
-    lemma = bounds_for_target(target, p.n, blocks)
 
     def success(lb: Fraction, best: Fraction | None) -> bool:
         return lb > 0 and best is not None and best - lb <= rel_slack * best
 
-    return _scan(
+    return _Scan(
         target=target,
-        n=p.n,
         blocks=blocks,
         constraints=p.g,
-        lemma=lemma,
         domain=S_TIMES_SPHERE,
         witness_threshold=Fraction(0),
         witness_strict=False,
@@ -882,11 +884,8 @@ def certified_cylinder_min(
         ),
         success=success,
         fallback_x=fallback_x,
-        start_resolution=start_resolution,
         depth_cap=depth_cap,
-        pair_budget=pair_budget,
-        witness_cap=witness_cap,
-    )
+    ).run()
 
 
 def certified_excess_check(
@@ -894,25 +893,17 @@ def certified_excess_check(
     threshold: Fraction,
     blocks: tuple[SphereBlock, ...],
     *,
-    n: int | None = None,
-    start_resolution: int = 8,
     depth_cap: int = 24,
-    pair_budget: int = 250_000_000,
-    witness_cap: int = 64,
 ) -> CertifiedMin:
     """Certify min over the FULL simplex x sphere(s) >= threshold.
 
     Raises :class:`BelowThresholdError` with an exact witness when a
     domain point evaluates strictly below the threshold.
     """
-    n = target.shape.n if n is None else n
-    lemma = bounds_for_target(target, n, blocks)
-    return _scan(
+    return _Scan(
         target=target,
-        n=n,
         blocks=tuple(blocks),
         constraints=(),
-        lemma=lemma,
         domain=SIMPLEX_TIMES_SPHERE,
         witness_threshold=threshold,
         witness_strict=True,
@@ -923,20 +914,15 @@ def certified_excess_check(
         ),
         success=lambda lb, best: lb >= threshold,
         fallback_x=None,
-        start_resolution=start_resolution,
         depth_cap=depth_cap,
-        pair_budget=pair_budget,
-        witness_cap=witness_cap,
-    )
+    ).run()
 
 
 def check_leading_form_condition(
     p: CylinderProblem,
     *,
     fallback_x: tuple[Fraction, ...] | None = None,
-    start_resolution: int = 8,
     depth_cap: int = 24,
-    pair_budget: int = 250_000_000,
 ) -> dict[str, CertifiedMin]:
     """Certify the positive-definiteness side condition over S.
 
@@ -949,13 +935,10 @@ def check_leading_form_condition(
         raise ValidationError("side-condition check requires the simplex frame")
     out: dict[str, CertifiedMin] = {}
     for name, form, blocks in p.condition_targets():
-        lemma = bounds_for_target(form, p.n, blocks)
-        out[name] = _scan(
+        out[name] = _Scan(
             target=form,
-            n=p.n,
             blocks=blocks,
             constraints=p.g,
-            lemma=lemma,
             domain=S_TIMES_SPHERE,
             witness_threshold=Fraction(0),
             witness_strict=False,
@@ -966,9 +949,6 @@ def check_leading_form_condition(
             ),
             success=lambda lb, best: lb > 0,
             fallback_x=fallback_x,
-            start_resolution=start_resolution,
             depth_cap=depth_cap,
-            pair_budget=pair_budget,
-            witness_cap=64,
-        )
+        ).run()
     return out

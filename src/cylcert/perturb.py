@@ -103,17 +103,6 @@ def perturbed_target(p: CylinderProblem, lam: Fraction, k: int) -> BlockedPoly:
     return target - (q * acc).scale(lam)
 
 
-def perturbation_norm_bound(p: CylinderProblem, lam: Fraction, k: int) -> Fraction:
-    """Closed-form bound on the weighted norm of the perturbed target."""
-    m_factor = max(
-        (g.block_degree("x") + 1) * (weighted_norm(g) + 1) for g in p.g
-    )
-    growth = m_factor ** (2 * k + 1)
-    if p.variant is Variant.SPLIT_M_BY_2:
-        return p.f_norm() + lam * p.s * 2 ** (p.m // 2) * growth
-    return p.f_norm() + 2 * lam * p.s * growth
-
-
 @dataclass(frozen=True)
 class PerturbationResult:
     lam: Fraction
@@ -129,9 +118,7 @@ def find_perturbation(
     fstar_lb: Fraction,
     *,
     lambda_cap: int = LAMBDA_CAP_DEFAULT,
-    start_resolution: int = 8,
     depth_cap: int = 24,
-    pair_budget: int = 250_000_000,
 ) -> PerturbationResult:
     """Double lam until the perturbed target clears fstar_lb/2 everywhere.
 
@@ -148,15 +135,7 @@ def find_perturbation(
         k = slack_exponent(lam, p.s, fstar_lb)
         h = perturbed_target(p, lam, k)
         try:
-            evidence = certified_excess_check(
-                h,
-                threshold,
-                blocks,
-                n=p.n,
-                start_resolution=start_resolution,
-                depth_cap=depth_cap,
-                pair_budget=pair_budget,
-            )
+            evidence = certified_excess_check(h, threshold, blocks, depth_cap=depth_cap)
         except BelowThresholdError as exc:
             attempts.append({"lambda": str(lam), "k": k, "witness": exc.payload.get("witness")})
             lam *= 2

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ShapeMismatchError
 
@@ -264,14 +264,6 @@ class BlockedPoly:
             idx = idx + self.shape.block_indices(name)
         return max((sum(e[i] for i in idx) for e in self.terms), default=0)
 
-    def is_block_homogeneous(self, block: str, *extra: str) -> bool:
-        """True when every term has the same combined block degree."""
-        idx = self.shape.block_indices(block)
-        for name in extra:
-            idx = idx + self.shape.block_indices(name)
-        degs = {sum(e[i] for i in idx) for e in self.terms}
-        return len(degs) <= 1
-
     # ----- evaluation ---------------------------------------------------
     def eval_at(self, point: Iterable[Fraction]) -> Fraction:
         """Exact value at a point given as one Fraction per variable slot."""
@@ -384,24 +376,19 @@ class ExactSum:
 # norms
 # ---------------------------------------------------------------------------
 
-def weighted_norm(p: BlockedPoly, degree_hint: int | None = None) -> Fraction:
+def weighted_norm(p: BlockedPoly) -> Fraction:
     """Max |coefficient| of ``p`` in the multinomial-weighted representation.
 
     The weight of a term is the multinomial coefficient of its X-part
     (including ``X0`` when active); unbounded blocks and Z-type
     homogenizers contribute no weight.  For polynomials with no unbounded
     variables this is the classical weighted coefficient norm.  The value
-    does not depend on any ambient degree; ``degree_hint``, when given,
-    is only validated against the actual X-degree.
+    does not depend on any ambient degree.
     """
     shape = p.shape
     xidx = list(range(shape.n))
     if "X0" in shape.homs:
         xidx.append(shape.hom_index("X0"))
-    if degree_hint is not None:
-        actual = max((sum(e[i] for i in xidx) for e in p.terms), default=0)
-        if degree_hint < actual:
-            raise ValueError(f"degree hint {degree_hint} below X-degree {actual}")
     best = Fraction(0)
     for exp, coeff in p.terms.items():
         w = multinomial(tuple(exp[i] for i in xidx))

@@ -37,6 +37,13 @@ SIMPLEX = "simplex"
 # for the box-to-simplex map and the perturbation term.
 COEFF_CAP = 2**1000
 
+# Largest degree accepted: m, and the x-degree of f and of each g_i.  The
+# floor scan keeps one float64 power table per exponent and the exact
+# stages expand powers of the target: c1 with a degree-1000 term added ran
+# for minutes or out of memory, while c1 plus x^64/1000 in f certifies in
+# about a second.
+DEGREE_CAP = 64
+
 # Largest n and r accepted from a problem file.  Every term stores one
 # exponent per variable, so a larger count only costs memory: n = 2**70
 # ended in an OverflowError while reading the first term.
@@ -152,6 +159,17 @@ class CylinderProblem:
             if gi.block_degree("x") < 1:
                 raise ValidationError(f"g_{i + 1} is constant; drop it from the input")
         named = [("f", self.f)] + [(f"g_{i + 1}", gi) for i, gi in enumerate(self.g)]
+        degrees = [("f", "y1", self.m)]
+        degrees += [(name, "x", poly.block_degree("x")) for name, poly in named]
+        for name, block, degree in degrees:
+            if degree > DEGREE_CAP:
+                raise ValidationError(
+                    f"{name} has degree {degree} in {block}, above the cap {DEGREE_CAP}",
+                    polynomial=name,
+                    block=block,
+                    degree=degree,
+                    cap=DEGREE_CAP,
+                )
         for name, poly in named:
             for exp, c in poly.terms.items():
                 if abs(c) > COEFF_CAP:

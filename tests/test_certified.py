@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylcert import certified
 from cylcert.certified import (
-    CertifiedMin,
+    _ceil_float,
     _Scan,
     _row_bounds,
     _value_rows,
@@ -260,10 +261,20 @@ def test_cylinder_min_requires_simplex_frame():
         certified_cylinder_min(prob)
 
 
-def test_cylinder_min_respects_the_pair_budget():
+def test_cylinder_min_respects_the_pair_budget(monkeypatch):
     prob = interval_problem({(1, 0): 1, (1, 2): 1})
+    monkeypatch.setattr(certified, "PAIR_BUDGET", 4)
     with pytest.raises(BudgetExhaustedError):
-        certified_cylinder_min(prob, fallback_x=FALLBACK, pair_budget=4)
+        certified_cylinder_min(prob, fallback_x=FALLBACK)
+
+
+def test_cylinder_min_respects_the_memory_budget(monkeypatch):
+    prob = interval_problem({(1, 0): 1, (1, 2): 1})
+    monkeypatch.setattr(certified, "MEMORY_BUDGET", 1000)
+    with pytest.raises(BudgetExhaustedError) as info:
+        certified_cylinder_min(prob, fallback_x=FALLBACK)
+    assert info.value.payload["budget"] == 1000
+    assert info.value.payload["estimated_bytes"] > 1000
 
 
 def test_cylinder_min_tighter_slack_never_loosens_the_bound():
@@ -489,69 +500,81 @@ def test_certified_min_serializes_with_its_evidence():
     assert isinstance(obj["witness"]["x"], list)
 
 
-# --- small passes: float screen with exact confirmation ---------------------
+# --- one scan pass: shared helpers -------------------------------------------
 
-def _small_pass(target, constraints, threshold, strict, res):
-    """One pass of the scan engine at the given resolution, as the pipeline runs it."""
-    blocks = (SphereBlock((2, 3), 2),)
-    scan = _Scan(
+def _scan(target, blocks, constraints, threshold, strict=False):
+    """The scan engine over S x the blocks' spheres, as the entry points build it."""
+    return _Scan(
         target=target,
-        n=2,
         blocks=blocks,
         constraints=constraints,
-        lemma=bounds_for_target(target, 2, blocks),
         domain="S_TIMES_SPHERE",
         witness_threshold=threshold,
         witness_strict=strict,
         witness_exc=lambda s: NonpositiveWitnessError("unused"),
         success=lambda lb, best: False,
         fallback_x=None,
-        start_resolution=res,
         depth_cap=0,
-        pair_budget=250_000_000,
-        witness_cap=64,
     )
-    return scan, scan._pass(res, [res])
 
 
-def _every_pair_exactly(scan, res, rows, covers):
+def _pass_size(scan, grid, covers):
+    rows, _ = scan._rows_in_s(grid)
+    return rows, len(rows) * math.prod(len(c) for c in covers)
+
+
+def _total_err(scan, grid, covers):
+    return scan.used_x * grid.radius + sum(u * c.radius for u, c in zip(scan.used_sphere, covers))
+
+
+def _exact_in_s(scan, grid, rows):
+    """The reference "row in S" mask: every g_i evaluated exactly at every row."""
+    def inside(x):
+        return all(g.eval_at(x + (F(0),) * (g.shape.width - len(x))) >= 0 for g in scan.constraints)
+
+    return np.array([inside(grid.point(int(r))) for r in rows], dtype=bool)
+
+
+def _entries(samples):
+    return [(s.x, s.u, s.value, in_s) for s, in_s in samples]
+
+
+# --- small passes: float screen with exact confirmation ---------------------
+
+def _every_pair_exactly(scan, grid, rows, covers):
     """The reference: evaluate every grid x cover pair in exact arithmetic."""
-    grid = SimplexGrid(2, res)
-    total_err = scan.used_x * grid.radius + sum(
-        u * c.radius for u, c in zip(scan.used_sphere, covers)
-    )
     best = best_feas = None
     candidates = []
-    for row in rows:
+    for row, feasible in zip(rows, _exact_in_s(scan, grid, rows)):
         x = grid.point(int(row))
-        feasible = all(g.eval_at(x + (F(0),) * 2) >= 0 for g in scan.constraints)
         for reps in itertools.product(*(c.representatives for c in covers)):
-            value = scan.target.eval_at(x + reps[0])
-            if best is None or value < best[0]:
-                best = (value, x, reps)
-            if feasible and (best_feas is None or value < best_feas[0]):
-                best_feas = (value, x, reps)
-            below = value < scan.witness_threshold if scan.witness_strict else (
-                value <= scan.witness_threshold
+            entry = (x, reps[0], scan.target.eval_at(x + reps[0]), bool(feasible))
+            if best is None or entry[2] < best[2]:
+                best = entry
+            if feasible and (best_feas is None or entry[2] < best_feas[2]):
+                best_feas = entry
+            below = entry[2] < scan.witness_threshold if scan.witness_strict else (
+                entry[2] <= scan.witness_threshold
             )
             if below:
-                candidates.append((float(value), x, reps))
-    candidates.sort(key=lambda t: t[0])
+                candidates.append(entry)
+    candidates.sort(key=lambda t: float(t[2]))
     witnesses = len(candidates)
-    candidates = candidates[: scan.witness_cap]
+    candidates = candidates[: certified.WITNESS_CAP]
     for extra in (best, best_feas):
-        if extra is not None and all(extra[1:] != c[1:] for c in candidates):
-            candidates.append((float(extra[0]), extra[1], extra[2]))
-    return best[0] - total_err, candidates, witnesses
+        if extra is not None and all(extra[:2] != c[:2] for c in candidates):
+            candidates.append(extra)
+    return best[2] - _total_err(scan, grid, covers), candidates, witnesses
 
 
 def _assert_small_pass_matches_exact(target, constraints, threshold, strict, res=8):
-    scan, (lb, candidates, rows, covers) = _small_pass(target, constraints, threshold, strict, res)
-    assert len(rows) * math.prod(len(c) for c in covers) <= _Scan.EXACT_PAIRS
-    ref_lb, ref_candidates, witnesses = _every_pair_exactly(scan, res, rows, covers)
+    scan = _scan(target, (SphereBlock((2, 3), 2),), constraints, threshold, strict)
+    lb, samples, grid, covers = scan._pass(res, [res])
+    rows, pairs = _pass_size(scan, grid, covers)
+    assert scan.evaluated <= scan.pairs == pairs <= certified.EXACT_PAIRS
+    ref_lb, ref_candidates, witnesses = _every_pair_exactly(scan, grid, rows, covers)
     assert lb == ref_lb
-    assert [c[1:] for c in candidates] == [c[1:] for c in ref_candidates]
-    assert [c[0] for c in candidates] == [c[0] for c in ref_candidates]
+    assert _entries(samples) == ref_candidates
     return witnesses
 
 
@@ -636,31 +659,35 @@ def test_excess_check_lower_bound_is_sound_in_both_pass_regimes(data):
     target, n, blocks = data.draw(_excess_targets())
     dim = len(blocks[0].indices)
     points = data.draw(st.lists(_domain_points(n, dim), min_size=1, max_size=20))
-    # resolution 2 gives at most 6 rows x 18 cover points (an exactly
-    # confirmed pass); the large resolution gives more than EXACT_PAIRS
-    # pairs (a float pass), since the anchor keeps a coordinate with at
-    # least resolution + 1 projected cover points
+    # resolution 2 gives at most 6 rows x 18 cover points (a small pass);
+    # the large resolution gives more than EXACT_PAIRS pairs (a large
+    # pass), since the anchor keeps a coordinate with at least
+    # resolution + 1 projected cover points
     large = 64 if n == 1 else 24
-    assert math.comb(large + n, n) * (large + 1) > _Scan.EXACT_PAIRS
+    assert math.comb(large + n, n) * (large + 1) > certified.EXACT_PAIRS
     floor = -(coeff_abs_sum(target) + 1) * 10**6
+    scan = _scan(target, blocks, (), floor, strict=True)
     for res in (2, large):
-        cm = certified_excess_check(target, floor, blocks, n=n, start_resolution=res, depth_cap=0)
-        best = cm.best_sample
-        assert target.eval_at(best.x + best.u) == best.value >= cm.lower_bound
+        lb, samples, _, _ = scan._pass(res, [res])
+        assert samples
+        for best, in_s in samples:
+            assert in_s
+            assert target.eval_at(best.x + best.u) == best.value >= lb
         for pt in points:
-            assert target.eval_at(pt) >= cm.lower_bound
+            assert target.eval_at(pt) >= lb
 
 
 # --- large passes: only rows whose float bound can matter are evaluated -----
 
-def _dense_float_pass(scan, grid, rows, covers, total_err, cut, sure_rows):
-    """The reference: the float pass reducing every grid x cover pair."""
+def _dense_float_pass(scan, grid, rows, covers, in_s):
+    """The reference: the large pass reducing every grid x cover pair, given the "in S" mask."""
+    cut = _ceil_float(scan.witness_threshold + scan.slack)
     amat, bmat = scan._factors(grid.as_floats()[rows], covers)
     n_u = bmat.shape[1]
     best_val = math.inf
     best_idx = (0, 0)
-    sure_val = math.inf
-    sure_idx = None
+    in_s_val = math.inf
+    in_s_idx = None
     cand = []
     witnesses = 0
     chunk = max(1, 4_000_000 // n_u)
@@ -673,78 +700,59 @@ def _dense_float_pass(scan, grid, rows, covers, total_err, cut, sure_rows):
         if block[i, j] < best_val:
             best_val = float(block[i, j])
             best_idx = (lo + i, j)
-        sl = sure_rows[lo:hi]
+        sl = in_s[lo:hi]
         if sl.any():
             sub = block[sl]
             si, sj = divmod(int(np.argmin(sub)), n_u)
-            if sub[si, sj] < sure_val:
-                sure_val = float(sub[si, sj])
-                sure_idx = (lo + int(np.nonzero(sl)[0][si]), sj)
+            if sub[si, sj] < in_s_val:
+                in_s_val = float(sub[si, sj])
+                in_s_idx = (lo + int(np.nonzero(sl)[0][si]), sj)
         low = np.argwhere(block <= cut)
         witnesses += len(low)
         if low.size:
             order = np.argsort(block[low[:, 0], low[:, 1]], kind="stable")
-            for pos in order[: scan.witness_cap]:
+            for pos in order[: certified.WITNESS_CAP]:
                 i2, j2 = low[pos]
                 cand.append((float(block[i2, j2]), lo + int(i2), int(j2)))
     cand.sort(key=lambda t: t[0])
-    cand = cand[: scan.witness_cap]
+    cand = cand[: certified.WITNESS_CAP]
     seen = {(i, j) for _, i, j in cand}
     if best_idx not in seen:
         cand.append((best_val, *best_idx))
         seen.add(best_idx)
-    if sure_idx is not None and sure_idx not in seen:
-        cand.append((sure_val, *sure_idx))
-    out = [(fval, grid.point(int(rows[i])), scan._reps_at(covers, j)) for fval, i, j in cand]
-    return F(best_val) - scan.slack - total_err, out, witnesses
+    if in_s_idx is not None and in_s_idx not in seen:
+        cand.append((in_s_val, *in_s_idx))
+    out = [
+        (scan._sample(grid.point(int(rows[i])), scan._reps_at(covers, j)), bool(in_s[i]))
+        for _, i, j in cand
+    ]
+    lb = F(best_val) - scan.slack - _total_err(scan, grid, covers)
+    return lb, _entries(out), witnesses
 
 
 def _large_pass(target, n, blocks, constraints, threshold, res_x):
-    """Run one float pass (more than EXACT_PAIRS pairs) and check it densely.
+    """Run one large pass (more than EXACT_PAIRS pairs) and check it densely.
 
     The sphere resolution doubles from 8 until the pass is too large to be
     confirmed exactly.  Asserts that the pass equals the dense reference;
-    returns the scan, the pass's sure-row mask and the number of pairs at
-    or below the cutoff.
+    returns the scan, the pass's exact "in S" row mask and the number of
+    pairs at or below the cutoff.
     """
-    scan = _Scan(
-        target=target,
-        n=n,
-        blocks=blocks,
-        constraints=constraints,
-        lemma=bounds_for_target(target, n, blocks),
-        domain="S_TIMES_SPHERE",
-        witness_threshold=threshold,
-        witness_strict=False,
-        witness_exc=lambda s: NonpositiveWitnessError("unused"),
-        success=lambda lb, best: False,
-        fallback_x=None,
-        start_resolution=8,
-        depth_cap=0,
-        pair_budget=250_000_000,
-        witness_cap=64,
-    )
-    seen = []
-    pruned = scan._float_pass
-
-    def record(*args):
-        seen.append(args)
-        return pruned(*args)
-
-    scan._float_pass = record
+    scan = _scan(target, blocks, constraints, threshold)
     res_b = 8
     while True:
         scan.pairs = scan.evaluated = 0
-        lb, candidates, rows, covers = scan._pass(res_x, [res_b] * len(blocks))
-        if seen:
+        lb, samples, grid, covers = scan._pass(res_x, [res_b] * len(blocks))
+        rows, pairs = _pass_size(scan, grid, covers)
+        if pairs > certified.EXACT_PAIRS:
             break
         res_b *= 2
-    ref_lb, ref_candidates, witnesses = _dense_float_pass(scan, *seen[0])
-    assert len(rows) * math.prod(len(c) for c in covers) > _Scan.EXACT_PAIRS
-    assert scan.evaluated <= scan.pairs == len(rows) * math.prod(len(c) for c in covers)
+    in_s = _exact_in_s(scan, grid, rows)
+    ref_lb, ref_candidates, witnesses = _dense_float_pass(scan, grid, rows, covers, in_s)
+    assert scan.evaluated <= scan.pairs == pairs
     assert lb == ref_lb
-    assert candidates == ref_candidates
-    return scan, seen[0][-1], witnesses
+    assert _entries(samples) == ref_candidates
+    return scan, in_s, witnesses
 
 
 def _two_circle_target():
@@ -763,21 +771,21 @@ def _two_circle_target():
 
 def test_large_pass_matches_the_dense_reference_past_the_witness_cap():
     target, blocks, constraints = _two_circle_target()
-    scan, sure_rows, witnesses = _large_pass(target, 2, blocks, constraints, F(0), 8)
+    scan, in_s, witnesses = _large_pass(target, 2, blocks, constraints, F(0), 8)
     assert witnesses > 64
-    assert sure_rows.any() and not sure_rows.all()
+    assert in_s.any() and not in_s.all()
 
 
 def test_large_pass_evaluates_only_rows_that_can_reach_the_minimum():
     target, blocks, constraints = _two_circle_target()
-    scan, sure_rows, witnesses = _large_pass(target, 2, blocks, constraints, F(-1), 8)
+    scan, in_s, witnesses = _large_pass(target, 2, blocks, constraints, F(-1), 8)
     assert witnesses == 0
-    assert sure_rows.any() and not sure_rows.all()
+    assert in_s.any() and not in_s.all()
     assert scan.evaluated < scan.pairs
 
 
 def _point_constraint(sh):
-    """-(x1 - 1/4)^2 >= 0: S is one point, so every kept grid row is unsure."""
+    """-(x1 - 1/4)^2 >= 0: S is one point, the grid row at x1 = 1/4."""
     return BlockedPoly(sh, {(2, 0, 0): F(-1), (1, 0, 0): F(1, 2), (0, 0, 0): F(-1, 16)})
 
 
@@ -797,12 +805,12 @@ def test_large_pass_keeps_rows_that_only_reach_the_cutoff():
     sh = BlockShape(1, 2, 0)
     target = BlockedPoly(sh, {(1, 1, 1): F(1), (2, 2, 0): F(1), (2, 0, 2): F(1)})
     for constraints, threshold in (((), F(-7, 128)), ((_point_constraint(sh),), F(-63, 1024))):
-        scan, sure_rows, witnesses = _large_pass(
+        scan, in_s, witnesses = _large_pass(
             target, 1, (SphereBlock((1, 2), 2),), constraints, threshold, 256
         )
         assert 0 < witnesses <= 64
         assert scan.evaluated < scan.pairs
-    assert not sure_rows.any()
+    assert in_s.sum() == 1
 
 
 @st.composite
@@ -860,6 +868,41 @@ def _pass_cases(draw):
 def test_large_pass_matches_the_dense_reference(case):
     target, n, blocks, constraints, threshold = case
     _large_pass(target, n, blocks, constraints, threshold, 16 if n == 1 else 8)
+
+
+def _interval_scan():
+    """The floor scan of x(1+y^2) over S = [1/4, 1/2]; its minimum 1/4 lies on the boundary."""
+    prob = interval_problem({(1, 0): 1, (1, 2): 1})
+    target, blocks = prob.homogenized()
+    return _scan(target, blocks, prob.g, F(0))
+
+
+def test_large_pass_counts_a_boundary_row_in_s():
+    # g vanishes at x = 1/4, so float64 cannot place that row; the exact
+    # check puts it in S, and its sample is the minimum over S x sphere
+    scan = _interval_scan()
+    lb, samples, grid, covers = scan._pass(32768, [8])
+    assert _pass_size(scan, grid, covers)[1] > certified.EXACT_PAIRS
+    assert (F(1, 4),) in [s.x for s, in_s in samples if in_s and s.value == F(1, 4)]
+    assert lb <= F(1, 4)
+
+
+def test_only_rows_float64_cannot_place_are_checked_exactly(monkeypatch):
+    scan = _interval_scan()
+    checked = []
+    exact_check = scan._in_feasible_set
+
+    def counted(x):
+        checked.append(x)
+        return exact_check(x)
+
+    monkeypatch.setattr(scan, "_in_feasible_set", counted)
+    grid = SimplexGrid(1, 32768)
+    rows, in_s = scan._rows_in_s(grid)
+    assert (in_s == _exact_in_s(scan, grid, rows)).all()
+    # thousands of kept rows; only the two where g vanishes exactly are undecided
+    assert len(rows) > 8000
+    assert checked == [(F(1, 4),), (F(1, 2),)]
 
 
 def test_row_bounds_stay_below_every_value_bit_for_bit():

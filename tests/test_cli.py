@@ -14,7 +14,14 @@ from cylcert.certificate import (
     certificate_to_obj,
 )
 from cylcert.poly import BlockShape, BlockedPoly
-from cylcert.problem import SIMPLEX, CylinderProblem, Variant, problem_from_obj, problem_to_obj
+from cylcert.problem import (
+    DEGREE_CAP,
+    SIMPLEX,
+    CylinderProblem,
+    Variant,
+    problem_from_obj,
+    problem_to_obj,
+)
 from cylcert.serialize import canonical_dumps
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
@@ -187,6 +194,54 @@ def test_large_coefficients_under_the_cap_still_certify(tmp_path):
     assert cli.main(
         ["verify", "--problem", str(path), "--certificate", str(out)]
     ) == 0
+
+
+def _c1_plus(tmp_path, where, term, *, m=2):
+    """c1 with one more term in f or in its constraint, declaring degree m in y."""
+    obj = json.loads((SAMPLES / "c1_interval_line_quadratic.json").read_text())
+    (obj["f"] if where == "f" else obj["g"][0]).append(term)
+    obj["m"] = m
+    path = tmp_path / "c1-plus.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _assert_degree_refused(tmp_path, capsys, path, polynomial, block, degree):
+    out = tmp_path / "cert.json"
+    started = time.monotonic()
+    code = cli.main(["certify", "--input", str(path), "--output", str(out)])
+    assert time.monotonic() - started < 2
+    assert code == cli.EXIT_VALIDATION
+    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert summary["payload"] == {
+        "polynomial": polynomial, "block": block, "degree": degree, "cap": DEGREE_CAP,
+    }
+    assert not out.exists()
+
+
+def test_x_degree_above_the_cap_in_f_is_a_validation_error(tmp_path, capsys):
+    # + x^1000/1000 ran past a minute in assembly
+    path = _c1_plus(tmp_path, "f", {"c": "1/1000", "x": [1000], "y1": [0]})
+    _assert_degree_refused(tmp_path, capsys, path, "f", "x", 1000)
+
+
+def test_x_degree_above_the_cap_in_g_is_a_validation_error(tmp_path, capsys):
+    # - x^100000/1000 ran past a minute in the Polya lift
+    path = _c1_plus(tmp_path, "g", {"c": "-1/1000", "x": [100000], "y1": [0]})
+    _assert_degree_refused(tmp_path, capsys, path, "g_1", "x", 100000)
+
+
+def test_y_degree_above_the_cap_is_a_validation_error(tmp_path, capsys):
+    # + y^1000 with m = 1000 ran out of memory in the floor scan
+    path = _c1_plus(tmp_path, "f", {"c": "1", "x": [0], "y1": [1000]}, m=1000)
+    _assert_degree_refused(tmp_path, capsys, path, "f", "y1", 1000)
+
+
+def test_x_degree_at_the_cap_still_certifies(tmp_path):
+    path = _c1_plus(tmp_path, "f", {"c": "1/1000", "x": [DEGREE_CAP], "y1": [0]})
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--input", str(path), "--output", str(out)]) == 0
+    assert cli.main(["verify", "--problem", str(path), "--certificate", str(out)]) == 0
 
 
 def test_bad_problem_file(tmp_path):

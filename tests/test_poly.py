@@ -22,6 +22,7 @@ from cylcert.poly import (
 )
 from cylcert.serialize import poly_from_obj
 from cylcert.sos import SosDecomposition, expand_identity
+from helpers import is_block_homogeneous
 
 
 def P(shape: BlockShape, terms: dict) -> BlockedPoly:
@@ -135,7 +136,7 @@ def test_homogenize_simple():
     q = homogenize_block(p, "y1", 2, "Z")
     assert q.shape.homs == ("Z",)
     assert q.terms == {(0, 2, 0): 1, (1, 0, 2): 1}
-    assert q.is_block_homogeneous("y1", "Z")
+    assert is_block_homogeneous(q, "y1", "Z")
 
 
 def test_homogenize_already_homogeneous():
@@ -154,8 +155,8 @@ def test_bihomogenize_split_case():
     q = homogenize_block(homogenize_block(p, "y1", 1, "Z1"), "y2", 2, "Z2")
     assert q.shape.homs == ("Z1", "Z2")
     assert q.terms == {(1, 2, 0, 0): 1, (0, 0, 1, 2): 1}
-    assert q.is_block_homogeneous("y1", "Z1")
-    assert q.is_block_homogeneous("y2", "Z2")
+    assert is_block_homogeneous(q, "y1", "Z1")
+    assert is_block_homogeneous(q, "y2", "Z2")
 
 
 def test_homogenize_degree_too_small():
@@ -215,14 +216,6 @@ def test_norm_homogeneity_and_subadditivity():
         c = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
         assert weighted_norm(p.scale(c)) == abs(c) * weighted_norm(p)
         assert weighted_norm(p + q) <= weighted_norm(p) + weighted_norm(q)
-
-
-def test_norm_degree_hint_validated():
-    sh = BlockShape(n=1, r1=0)
-    p = P(sh, {(3,): 1})
-    assert weighted_norm(p, degree_hint=5) == 1
-    with pytest.raises(ValueError):
-        weighted_norm(p, degree_hint=2)
 
 
 # ---------------------------------------------------------------------------

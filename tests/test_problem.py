@@ -18,6 +18,7 @@ from cylcert.problem import (
     rescale_to_simplex,
     validate_problem,
 )
+from helpers import is_block_homogeneous
 
 F = Fraction
 
@@ -100,7 +101,7 @@ def test_homogenized_single_block():
         (0, 0, 2): F(1),
     }
     assert blocks == ((tuple([y, z]), 2),)
-    assert fb.is_block_homogeneous("y1", "Z")
+    assert is_block_homogeneous(fb, "y1", "Z")
 
 
 def test_leading_form_single_block():
@@ -122,8 +123,8 @@ def test_split_slices():
     g = xpoly(sh, {(1, 0, 0): 1})
     p = CylinderProblem(sh, Variant.SPLIT_M_BY_2, 2, f, (g,), SIMPLEX)
     target, (b1, b2) = p.homogenized()
-    assert target.is_block_homogeneous("y1", "Z1")
-    assert target.is_block_homogeneous("y2", "Z2")
+    assert is_block_homogeneous(target, "y1", "Z1")
+    assert is_block_homogeneous(target, "y2", "Z2")
     assert b1.degree == 2 and b2.degree == 2
 
     slices = dict((nm, (t, bl)) for nm, t, bl in p.condition_targets())

@@ -1,0 +1,86 @@
+"""Certify every sample problem and bench family member into one directory.
+
+    python3 tools/snapshot.py OUTDIR
+
+It imports ``cylcert`` from the ``src/`` of the checkout it lives in.
+For each file of ``sample_problems/`` and each member of
+``perfbench/family.candidates()`` it runs ``cylcert.cli.main certify
+--seed 7 --diagnostics`` in-process, writing ``<id>.cert.json``, its
+``.basecache.json`` sidecar and ``<id>.diag.json`` into OUTDIR, and the
+problem files into ``OUTDIR/inputs``.  Within one family group the sidecar of
+the previous member is copied to the next member before it is certified,
+as the benchmark does.  ``perfbench/family.py`` is executed from its
+source text, so nothing is written beside it.
+
+Two checkouts' snapshots compare with ``diff -r``; a refactor that keeps
+behaviour leaves the certificates and sidecars byte-identical.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import shutil
+import sys
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _family() -> types.ModuleType:
+    path = ROOT / "perfbench" / "family.py"
+    module = types.ModuleType("perfbench_family")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _inputs(workdir: Path) -> list[tuple[str, str | None, Path]]:
+    """``(id, group, problem file)`` in certification order."""
+    out: list[tuple[str, str | None, Path]] = [
+        (p.stem, None, p) for p in sorted((ROOT / "sample_problems").glob("*.json"))
+    ]
+    for group in _family().candidates():
+        for pid, name, obj in group:
+            path = workdir / f"{pid}.json"
+            path.write_text(json.dumps(obj, indent=1) + "\n")
+            out.append((pid, name, path))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/snapshot.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(args[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    inputs_dir = outdir / "inputs"
+    inputs_dir.mkdir(exist_ok=True)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from cylcert import cli
+
+    worst = 0
+    previous: dict[str, Path] = {}
+    for pid, group, path in _inputs(inputs_dir):
+        cert = outdir / f"{pid}.cert.json"
+        before = previous.get(group) if group else None
+        if before is not None and Path(f"{before}.basecache.json").exists():
+            shutil.copyfile(f"{before}.basecache.json", f"{cert}.basecache.json")
+        command = [
+            "certify", "--input", str(path), "--output", str(cert),
+            "--seed", "7", "--diagnostics", str(outdir / f"{pid}.diag.json"),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(command)
+        print(f"{pid}: exit {code}")
+        worst = max(worst, code)
+        if group:
+            previous[group] = cert
+    return 1 if worst else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
