@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .pipeline import CertifyResult, RunConfig, certify_problem
+from .pipeline import CertifyResult, certify_problem
 from .poly import BlockedPoly, BlockShape
 from .problem import (
     CylinderProblem,
@@ -74,7 +74,6 @@ __all__ = [
     "IndefiniteConditionError",
     "NonpositiveWitnessError",
     "RescaleRecord",
-    "RunConfig",
     "SchemaError",
     "SearchExhaustedError",
     "SosDecomposition",

@@ -197,7 +197,7 @@ def sos_from_obj(obj: Any, shape: BlockShape) -> SosDecomposition:
         raise SchemaError(f"bad SOS entry: {exc}") from None
     if len(weights) != len(squares):
         raise SchemaError("SOS weights and squares differ in length")
-    return SosDecomposition(shape, weights, squares, (), ())
+    return SosDecomposition(shape, weights, squares)
 
 
 def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
@@ -349,7 +349,7 @@ class _SigmaBuilder:
     def sigmas(self) -> tuple[SosDecomposition, ...]:
         shape = self.problem.shape
         return tuple(
-            SosDecomposition(shape, tuple(w), tuple(q), (), ())
+            SosDecomposition(shape, tuple(w), tuple(q))
             for w, q in zip(self.weights, self.squares)
         )
 
@@ -371,12 +371,13 @@ def assemble(
     rescale: RescaleRecord | None = None,
     fstar_lb: Fraction,
 ) -> Certificate:
-    """Stitch the pipeline stages into a verified exact certificate.
+    """Stitch the pipeline stages into an exact certificate.
 
     ``polya.sos`` holds an SOS decomposition of each coefficient form;
     ``base`` must cover every parity that occurs, and its witnesses set
-    ``c9``.  The identity is re-expanded and compared to f before
-    returning; a mismatch is an internal invariant breach and aborts.
+    ``c9``.  A degree that breaks its law is an internal invariant breach
+    and aborts; the identity itself is left to :func:`verify_certificate`,
+    which the pipeline runs once on the certificate it returns.
     """
     shape = problem.shape
     lifted = polya.saturated.shape
@@ -451,15 +452,6 @@ def assemble(
                 cap=cap,
             )
 
-    sigmas = builder.sigmas()
-    total = expand_identity(sigmas[0], zip(sigmas[1:], problem.g))
-    if total != problem.f:
-        diff = total - problem.f
-        raise IdentityMismatchError(
-            "assembled certificate does not reproduce f",
-            residual_terms=len(diff.terms),
-        )
-
     meta = CertificateMeta(
         lam=lam,
         k=k,
@@ -475,7 +467,7 @@ def assemble(
     return Certificate(
         problem_hash=problem.problem_hash(),
         tier=TIER_EXACT,
-        sigmas=sigmas,
+        sigmas=builder.sigmas(),
         meta=meta,
     )
 
@@ -492,10 +484,8 @@ def sos_only_certificate(
     When f does not involve the X-block it is certified as a single sum
     of squares; the constraint multipliers are all zero.
     """
-    empty = SosDecomposition(problem.shape, (), (), (), ())
+    empty = SosDecomposition(problem.shape, (), ())
     sigmas = (sigma0,) + (empty,) * problem.s
-    if expand_identity(sigma0, zip(sigmas[1:], problem.g)) != problem.f:
-        raise IdentityMismatchError("sum of squares does not reproduce f")
     cap = variant_degree(problem.variant, problem.m)
     meta = CertificateMeta(
         lam=Fraction(0),
@@ -533,11 +523,7 @@ def compose_with_frame(
     mapping = record.forward_subst(shape)
     sigmas = tuple(
         SosDecomposition(
-            shape,
-            deco.weights,
-            tuple(substitute(q, mapping) for q in deco.squares),
-            (),
-            (),
+            shape, deco.weights, tuple(substitute(q, mapping) for q in deco.squares)
         )
         for deco in cert.sigmas
     )

@@ -42,9 +42,11 @@ and :func:`check_leading_form_condition` is one grid scan:
 
 Refinement doubles the resolution of whichever factor currently
 contributes the largest error term, and the running lower bound is the
-max over passes, hence monotone in depth.  Before it builds its arrays, a
-pass estimates their bytes and stops with :class:`BudgetExhaustedError`
-above ``MEMORY_BUDGET``, as it does above ``PAIR_BUDGET`` pairs.
+max over passes, hence monotone in depth; a scan that has not succeeded
+after ``DEPTH_CAP`` refinements stops with
+:class:`ResolutionExhaustedError`.  Before it builds its arrays, a pass
+estimates their bytes and stops with :class:`BudgetExhaustedError` above
+``MEMORY_BUDGET``, as it does above ``PAIR_BUDGET`` pairs.
 
 The sup and Lipschitz constants have one closed form (``_closed_form``),
 which :func:`bounds_for_target`, :func:`lipschitz_constants`,
@@ -386,13 +388,15 @@ S_TIMES_SPHERE = "S_TIMES_SPHERE"
 # Scan constants.  A pass starts at START_RESOLUTION in every factor; one
 # of at most EXACT_PAIRS grid x cover pairs has an exact result.  A pass
 # returns at most WITNESS_CAP witness-valued samples.  PAIR_BUDGET caps the
-# pairs of one pass and MEMORY_BUDGET the bytes of its float64 arrays;
+# pairs of one pass and DEPTH_CAP the refinements of one scan;
+# MEMORY_BUDGET caps the bytes of a pass's float64 arrays, and
 # GRID_POINT_CAP and COVER_POINT_CAP cap the simplex lattice and each
 # recursive sphere cover whatever the pair budget.
 START_RESOLUTION = 8
 EXACT_PAIRS = 4096
 WITNESS_CAP = 64
 PAIR_BUDGET = 250_000_000
+DEPTH_CAP = 24
 MEMORY_BUDGET = 1 << 28
 GRID_POINT_CAP = 1 << 24
 COVER_POINT_CAP = 1 << 22
@@ -433,7 +437,6 @@ class _Scan:
         witness_exc: Callable[[SamplePoint], CylcertError],
         success: Callable[[Fraction, Fraction | None], bool],
         fallback_x: tuple[Fraction, ...] | None,
-        depth_cap: int,
     ):
         n = target.shape.n
         self.target = target
@@ -446,7 +449,6 @@ class _Scan:
         self.witness_exc = witness_exc
         self.success = success
         self.fallback_x = fallback_x
-        self.depth_cap = depth_cap
 
         shape = target.shape
         allowed = set(range(n))
@@ -551,7 +553,7 @@ class _Scan:
                 raise self.witness_exc(best)
 
         last_exhaust: dict[str, Any] = {}
-        for depth in range(self.depth_cap + 1):
+        for depth in range(DEPTH_CAP + 1):
             pass_lb, samples, grid, covers = self._pass(res_x, res_b)
             if lower is None or pass_lb > lower:
                 lower = pass_lb
@@ -851,7 +853,6 @@ def certified_cylinder_min(
     *,
     rel_slack: Fraction = Fraction(1, 1000),
     fallback_x: tuple[Fraction, ...] | None = None,
-    depth_cap: int = 24,
 ) -> CertifiedMin:
     """Certify a positive lower bound for the homogenized f over S x sphere(s).
 
@@ -884,7 +885,6 @@ def certified_cylinder_min(
         ),
         success=success,
         fallback_x=fallback_x,
-        depth_cap=depth_cap,
     ).run()
 
 
@@ -892,8 +892,6 @@ def certified_excess_check(
     target: BlockedPoly,
     threshold: Fraction,
     blocks: tuple[SphereBlock, ...],
-    *,
-    depth_cap: int = 24,
 ) -> CertifiedMin:
     """Certify min over the FULL simplex x sphere(s) >= threshold.
 
@@ -914,7 +912,6 @@ def certified_excess_check(
         ),
         success=lambda lb, best: lb >= threshold,
         fallback_x=None,
-        depth_cap=depth_cap,
     ).run()
 
 
@@ -922,7 +919,6 @@ def check_leading_form_condition(
     p: CylinderProblem,
     *,
     fallback_x: tuple[Fraction, ...] | None = None,
-    depth_cap: int = 24,
 ) -> dict[str, CertifiedMin]:
     """Certify the positive-definiteness side condition over S.
 
@@ -949,6 +945,5 @@ def check_leading_form_condition(
             ),
             success=lambda lb, best: lb > 0,
             fallback_x=fallback_x,
-            depth_cap=depth_cap,
         ).run()
     return out

@@ -4,7 +4,7 @@ Human-readable progress goes to stdout; every outcome (success or
 failure) additionally emits one line of structured JSON on stderr so a
 harness can consume results without parsing prose.  Certificate files
 are written atomically and are byte-identical across reruns with the
-same configuration and seed.
+same seed.
 
 Exit codes: 0 success, 10 validation, 11 indefinite side condition,
 12 nonpositive target, 13 search/budget exhausted, 14 cap exceeded,
@@ -46,17 +46,14 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .perturb import LAMBDA_CAP_DEFAULT
-from .pipeline import RunConfig, certify_problem, solving_frame
+from .pipeline import certify_problem, solving_frame
 from .problem import BOX, CylinderProblem, problem_from_obj, rescale_to_simplex
-from .putinar_base import BUDGET_CAP
 from .serialize import (
     atomic_write_text,
     canonical_dumps,
     frac_from_str,
     frac_to_str,
     load_json,
-    parse_scaled_int,
     sha256_of_obj,
 )
 
@@ -116,15 +113,6 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _scaled_int_arg(text: str) -> int:
-    try:
-        return parse_scaled_int(text)
-    except (CylcertError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"not an integer (plain or base^exp): {text!r}"
-        ) from exc
-
-
 def _constraints_key(problem: CylinderProblem) -> str:
     """Cache key for facet witnesses: the solving-frame constraint list."""
     from .problem import problem_to_obj
@@ -141,12 +129,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         problem = _load_problem(args.input)
     except CylcertError as exc:
         return _fail(exc)
-    config = RunConfig(
-        grid_depth=args.grid_depth,
-        lambda_cap=args.lambda_cap,
-        seed=args.seed,
-        budget_cap=args.budget_cap,
-    )
 
     cache_path = args.output + ".basecache.json"
     key = _constraints_key(problem)
@@ -157,7 +139,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         precomputed = None
 
     try:
-        result = certify_problem(problem, config, precomputed_base=precomputed)
+        result = certify_problem(problem, seed=args.seed, precomputed_base=precomputed)
     except CylcertError as exc:
         return _fail(exc)
 
@@ -217,9 +199,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     try:
         problem = _load_problem(args.input)
         solving, _record, fallback, _report = solving_frame(problem, args.seed)
-        found = certified_cylinder_min(
-            solving, fallback_x=fallback, depth_cap=args.grid_depth
-        )
+        found = certified_cylinder_min(solving, fallback_x=fallback)
     except CylcertError as exc:
         return _fail(exc)
     print(f"certified lower bound: {frac_to_str(found.lower_bound)}")
@@ -268,17 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="produce a certificate for a problem file")
     cert.add_argument("--input", required=True, help="problem JSON file")
     cert.add_argument("--output", required=True, help="certificate JSON file to write")
-    cert.add_argument("--grid-depth", type=int, default=24, help="grid refinement cap")
-    cert.add_argument(
-        "--lambda-cap",
-        type=_scaled_int_arg,
-        default=LAMBDA_CAP_DEFAULT,
-        help="perturbation weight cap (accepts forms like 2^40)",
-    )
     cert.add_argument("--seed", type=int, default=0, help="validation sampling seed")
-    cert.add_argument(
-        "--budget-cap", type=int, default=BUDGET_CAP, help="facet witness degree cap"
-    )
     cert.add_argument("--diagnostics", help="write full stage evidence JSON here")
     cert.set_defaults(func=cmd_certify)
 
@@ -295,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     mini = sub.add_parser("minimize", help="certified lower bound for f")
     mini.add_argument("--input", required=True, help="problem JSON file")
-    mini.add_argument("--grid-depth", type=int, default=24, help="grid refinement cap")
     mini.add_argument("--seed", type=int, default=0, help="validation sampling seed")
     mini.set_defaults(func=cmd_minimize)
 

@@ -69,19 +69,21 @@ class ResolutionExhaustedError(CylcertError):
 
 
 class SearchExhaustedError(CylcertError):
-    """The damping-parameter search hit its caps without certifying."""
+    """A search ran out of candidates: no perturbation weight up to its cap,
+    or no facet witness within the degree budget."""
 
     code = "SEARCH_EXHAUSTED"
 
 
 class CapExceededError(CylcertError):
-    """Polya saturation exceeded the a-priori exponent cap."""
+    """A hard size cap was hit: the Polya exponent cap, the Gram basis size
+    cap, or the variable count that facet witnesses allow."""
 
     code = "CAP_EXCEEDED"
 
 
 class BudgetExhaustedError(CylcertError):
-    """Base-certificate degree budget doubled past its cap without success."""
+    """A grid-scan pass would exceed its pair, point or memory budget."""
 
     code = "BUDGET_EXHAUSTED"
 
@@ -93,7 +95,8 @@ class SosStalledError(CylcertError):
 
 
 class IdentityMismatchError(CylcertError):
-    """An assembled certificate does not reproduce its target exactly."""
+    """Assembly broke an invariant: a degree law, or a padding variable
+    that survived substitution."""
 
     code = "IDENTITY_MISMATCH"
 

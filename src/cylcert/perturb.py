@@ -24,7 +24,7 @@ from .errors import BelowThresholdError, SearchExhaustedError
 from .poly import BlockedPoly, block_sum_of_squares, weighted_norm
 from .problem import CylinderProblem, Variant
 
-LAMBDA_CAP_DEFAULT = 2 ** 40
+LAMBDA_CAP = 2 ** 40
 
 
 def constraint_scale(g: BlockedPoly) -> Fraction:
@@ -113,29 +113,24 @@ class PerturbationResult:
     evidence: CertifiedMin
 
 
-def find_perturbation(
-    p: CylinderProblem,
-    fstar_lb: Fraction,
-    *,
-    lambda_cap: int = LAMBDA_CAP_DEFAULT,
-    depth_cap: int = 24,
-) -> PerturbationResult:
+def find_perturbation(p: CylinderProblem, fstar_lb: Fraction) -> PerturbationResult:
     """Double lam until the perturbed target clears fstar_lb/2 everywhere.
 
     On S the choice of k keeps h >= (3/4) fstar_lb regardless of lam, so
     every below-threshold witness lies outside S, and growing lam drives
-    the perturbation term positive there.  Genuine resolution or budget
-    exhaustion inside the certified check propagates unchanged.
+    the perturbation term positive there.  Raises
+    :class:`SearchExhaustedError` past ``LAMBDA_CAP``; genuine resolution
+    or budget exhaustion inside the certified check propagates unchanged.
     """
     _, blocks = p.homogenized()
     threshold = fstar_lb / 2
     lam = Fraction(1)
     attempts = []
-    while lam <= lambda_cap:
+    while lam <= LAMBDA_CAP:
         k = slack_exponent(lam, p.s, fstar_lb)
         h = perturbed_target(p, lam, k)
         try:
-            evidence = certified_excess_check(h, threshold, blocks, depth_cap=depth_cap)
+            evidence = certified_excess_check(h, threshold, blocks)
         except BelowThresholdError as exc:
             attempts.append({"lambda": str(lam), "k": k, "witness": exc.payload.get("witness")})
             lam *= 2
@@ -147,6 +142,6 @@ def find_perturbation(
     raise SearchExhaustedError(
         "no perturbation weight up to the cap pushes the target above "
         "half the certified minimum off S",
-        lambda_cap=lambda_cap,
+        lambda_cap=LAMBDA_CAP,
         attempts=attempts[-4:],
     )

@@ -5,13 +5,14 @@ simplex frame, certify the side condition and a positive floor for the
 padded target, search the perturbation weight, saturate with the slack
 variable until every coefficient form is a sum of squares, decompose the
 facet witnesses of the parity class those forms use into squares, and
-assemble the weighted-square representation.  The assembled certificate
-is re-verified before it is returned, and box-framed inputs get their
-certificate composed back through the affine change of coordinates.
+assemble the weighted-square representation.  Box-framed inputs get
+their certificate composed back through the affine change of
+coordinates, and the certificate is verified once, against the input
+problem, before it is returned.
 
 Every stage leaves its evidence in the diagnostics mapping so a caller
 can reconstruct why the run succeeded (or report precisely how it
-failed).  All stages are deterministic for a fixed configuration.
+failed).  All stages are deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .certificate import (
 )
 from .certified import certified_cylinder_min, check_leading_form_condition
 from .errors import SosStalledError, ValidationError
-from .perturb import LAMBDA_CAP_DEFAULT, find_perturbation
+from .perturb import find_perturbation
 from .polya import polya_saturate
 from .problem import (
     BOX,
@@ -38,38 +39,11 @@ from .problem import (
     rescale_to_simplex,
     validate_problem,
 )
-from .putinar_base import BUDGET_CAP, ModuleWitness, base_certificates, parity_vector
+from .putinar_base import ModuleWitness, base_certificates, parity_vector
 from .serialize import frac_to_str
 from .sos import sos_decompose
 
 Parity = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs for a certification run.
-
-    The fields cap the grid refinement depth, the perturbation weight,
-    and the facet-witness degree ladder, and seed the validation
-    sampling.  Every certificate the chain produces is exact.
-    """
-
-    grid_depth: int = 24
-    lambda_cap: int = LAMBDA_CAP_DEFAULT
-    seed: int = 0
-    budget_cap: int = BUDGET_CAP
-
-    def __post_init__(self) -> None:
-        if self.grid_depth <= 0 or self.lambda_cap <= 0 or self.budget_cap <= 0:
-            raise ValidationError("configuration caps must be positive")
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "grid_depth": self.grid_depth,
-            "lambda_cap": self.lambda_cap,
-            "seed": self.seed,
-            "budget_cap": self.budget_cap,
-        }
 
 
 @dataclass(frozen=True)
@@ -114,36 +88,29 @@ def solving_frame(
 
 def certify_problem(
     problem: CylinderProblem,
-    config: RunConfig | None = None,
     *,
+    seed: int = 0,
     precomputed_base: dict[Parity, ModuleWitness] | None = None,
 ) -> CertifyResult:
     """Run the whole certification chain on one problem.
 
-    ``precomputed_base`` may carry facet witnesses from an earlier run
-    over the same constraint list; each is re-verified before reuse and
-    silently recomputed when stale.  Raises the stage-specific error of
-    whichever stage fails; the exception payloads carry the witnesses.
+    ``seed`` seeds the validation sampling.  ``precomputed_base`` may
+    carry facet witnesses from an earlier run over the same constraint
+    list; each is re-verified before reuse and silently recomputed when
+    stale.  Raises the stage-specific error of whichever stage fails; the
+    exception payloads carry the witnesses.
     """
-    config = config or RunConfig()
-    diag: dict[str, Any] = {"config": config.to_obj()}
+    diag: dict[str, Any] = {"config": {"seed": seed}}
 
-    solving, record, fallback, report = solving_frame(problem, config.seed)
+    solving, record, fallback, report = solving_frame(problem, seed)
     diag["validate"] = report.to_obj()
     if record is not None:
         diag["rescale"] = record.to_obj()
 
-    conditions = check_leading_form_condition(
-        solving, fallback_x=fallback, depth_cap=config.grid_depth
-    )
+    conditions = check_leading_form_condition(solving, fallback_x=fallback)
     diag["conditions"] = {name: cm.to_obj() for name, cm in conditions.items()}
 
-    floor = certified_cylinder_min(
-        solving,
-        rel_slack=Fraction(1, 8),
-        fallback_x=fallback,
-        depth_cap=config.grid_depth,
-    )
+    floor = certified_cylinder_min(solving, rel_slack=Fraction(1, 8), fallback_x=fallback)
     fstar_lb = floor.lower_bound
     diag["fstar"] = floor.to_obj()
 
@@ -164,12 +131,7 @@ def certify_problem(
             diag["shortcut"] = {"used": True, "squares": len(sigma0.squares)}
 
     if cert is None:
-        pert = find_perturbation(
-            solving,
-            fstar_lb,
-            lambda_cap=config.lambda_cap,
-            depth_cap=config.grid_depth,
-        )
+        pert = find_perturbation(solving, fstar_lb)
         diag["perturbation"] = {
             "lambda": frac_to_str(pert.lam),
             "k": pert.k,
@@ -194,7 +156,6 @@ def certify_problem(
             solving.shape,
             solving.g,
             {parity_vector(key) for key in pol.forms},
-            budget_cap=config.budget_cap,
             precomputed=precomputed_base,
         )
         diag["base"] = {
@@ -214,11 +175,9 @@ def certify_problem(
             fstar_lb=fstar_lb,
         )
 
-    check = verify_certificate(solving, cert)
     if record is not None:
         cert = compose_with_frame(cert, record, problem)
-        check = verify_certificate(problem, cert)
-    diag["verify"] = check.to_obj()
+    diag["verify"] = verify_certificate(problem, cert).to_obj()
     return CertifyResult(
         certificate=cert, problem=problem, base_cache=base, diagnostics=diag
     )

@@ -153,23 +153,20 @@ def polya_saturate(
     target: BlockedPoly,
     fstar: Fraction,
     blocks: tuple[SphereBlock, ...],
-    *,
-    cap: int | None = None,
 ) -> PolyaResult:
     """Smallest exponent making every coefficient form a sum of squares.
 
     The target must already clear ``fstar`` on the simplex-cross-sphere
     domain; the caller certifies that beforehand.  Raises
-    :class:`CapExceededError` when no exponent up to the cap works (in
-    particular when the target merely touches zero, where saturation can
-    never succeed).
+    :class:`CapExceededError` when no exponent up to
+    :func:`polya_exponent_cap` works (in particular when the target merely
+    touches zero, where saturation can never succeed).
     """
     if "X0" in target.shape.homs and target.block_degree("X0") != 0:
         raise ValidationError("target must not use the slack variable yet")
     lifted = homogenize_with_slack(target)
     ell = lifted.block_degree("x", "X0")
-    if cap is None:
-        cap = polya_exponent_cap(ell, weighted_norm(target), fstar)
+    cap = polya_exponent_cap(ell, weighted_norm(target), fstar)
     shape = lifted.shape
     blocks = _remap_blocks(target.shape, shape, tuple(blocks))
     x_slots = shape.block_indices("X0") + shape.block_indices("x")

@@ -49,10 +49,13 @@ DEGREE_CAP = 64
 # ended in an OverflowError while reading the first term.
 DIM_CAP = 64
 
-# Most points in one grid level of validation.  A level has (k+1)^n
-# points, so a wide problem gets only the random samples: at n = 16 the
-# first level alone has 3^16 points.
+# Validation walks grid levels k = 2, 4, ... up to GRID_LEVEL_CAP, then
+# draws VALIDATION_SAMPLES seeded random points.  GRID_POINTS_CAP bounds
+# the points of one level: a level has (k+1)^n points, so a wide problem
+# gets only the random samples (at n = 16 the first level alone has 3^16).
+GRID_LEVEL_CAP = 32
 GRID_POINTS_CAP = 2**16
+VALIDATION_SAMPLES = 200
 
 
 class Variant(Enum):
@@ -100,15 +103,12 @@ class SamplePoint:
 
     x: tuple[Fraction, ...]
     u: tuple[Fraction, ...] = ()
-    defect: Fraction = Fraction(0)
     value: Fraction | None = None
 
     def to_obj(self) -> dict[str, Any]:
         out: dict[str, Any] = {"x": [frac_to_str(v) for v in self.x]}
         if self.u:
             out["u"] = [frac_to_str(v) for v in self.u]
-        if self.defect:
-            out["defect"] = frac_to_str(self.defect)
         if self.value is not None:
             out["value"] = frac_to_str(self.value)
         return out
@@ -385,20 +385,19 @@ def _in_frame(p: CylinderProblem, x: tuple[Fraction, ...]) -> bool:
     return all(v >= 0 for v in x) and sum(x) <= 1
 
 
-def validate_problem(
-    p: CylinderProblem, samples: int = 200, seed: int = 0, grid_cap: int = 32
-) -> ValidationReport:
+def validate_problem(p: CylinderProblem, seed: int = 0) -> ValidationReport:
     """Search for a feasible sample and check frame containment on it.
 
-    Scans [-2,2]^n with doubling grid resolution (deterministic), as long
-    as one level has at most ``GRID_POINTS_CAP`` points, then ``samples``
-    seeded random rational points.  Every feasible point found
-    must lie in the declared frame region — an open box inside (-1,1)^n,
-    or the standard simplex — otherwise it is reported as a containment
-    violation.  Archimedeanity is echoed as an attestation, never proved.
-    Raises :class:`NoFeasibleSampleError` when no feasible point turns up;
-    the search is not a decision procedure, so this means "not found",
-    not "empty".
+    Scans [-2,2]^n with doubling grid resolution (deterministic) up to
+    ``GRID_LEVEL_CAP``, as long as one level has at most
+    ``GRID_POINTS_CAP`` points, then ``VALIDATION_SAMPLES`` seeded random
+    rational points.  Every feasible point found must lie in the declared
+    frame region — an open box inside (-1,1)^n, or the standard simplex —
+    otherwise it is reported as a containment violation.  Archimedeanity
+    is echoed as an attestation, never proved.  Raises
+    :class:`NoFeasibleSampleError` when no feasible point turns up; the
+    search is not a decision procedure, so this means "not found", not
+    "empty".
     """
     report = ValidationReport(seed=seed, archimedean_attested=p.archimedean_attested)
     rng = random.Random(seed)
@@ -416,13 +415,13 @@ def validate_problem(
                 report.feasible = pt
 
     k = 2
-    while k <= grid_cap and (k + 1) ** p.n <= GRID_POINTS_CAP:
+    while k <= GRID_LEVEL_CAP and (k + 1) ** p.n <= GRID_POINTS_CAP:
         for idx in itertools.product(range(k + 1), repeat=p.n):
             visit(tuple(Fraction(4 * a, k) - 2 for a in idx))
         if report.feasible is not None or report.containment_violations:
             break
         k *= 2
-    for _ in range(samples):
+    for _ in range(VALIDATION_SAMPLES):
         denom = 2 ** rng.randint(3, 12)
         visit(tuple(Fraction(rng.randint(-2 * denom, 2 * denom), denom) for _ in range(p.n)))
     if report.feasible is None and not report.containment_violations:
@@ -501,15 +500,12 @@ def problem_from_obj(obj: Any) -> CylinderProblem:
     attested = obj.get("archimedean_attested", True)
     if not isinstance(attested, bool):
         raise SchemaError("archimedean_attested must be a boolean")
-    try:
-        return CylinderProblem(
-            shape=shape,
-            variant=variant,
-            m=m,
-            f=f,
-            g=g,
-            frame=frame,
-            archimedean_attested=attested,
-        )
-    except ValidationError:
-        raise
+    return CylinderProblem(
+        shape=shape,
+        variant=variant,
+        m=m,
+        f=f,
+        g=g,
+        frame=frame,
+        archimedean_attested=attested,
+    )

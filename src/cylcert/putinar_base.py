@@ -209,7 +209,7 @@ def module_membership(
             target=target,
             sigma0=next(
                 (deco for gen_idx, deco in sigmas if gen_idx is None),
-                SosDecomposition(shape, (), (), (), ()),
+                SosDecomposition(shape, (), ()),
             ),
             multipliers=tuple(
                 (idx, deco) for idx, deco in sigmas if idx is not None and deco.weights
@@ -221,11 +221,12 @@ def module_membership(
     return None
 
 
-def budget_ladder(gens: Sequence[BlockedPoly], cap: int = BUDGET_CAP) -> list[int]:
+def budget_ladder(gens: Sequence[BlockedPoly]) -> list[int]:
+    """Budgets doubling from twice the top generator degree up to ``BUDGET_CAP``."""
     start = max(2, 2 * max(g.block_degree("x") for g in gens))
     out = []
     budget = start
-    while budget <= cap:
+    while budget <= BUDGET_CAP:
         out.append(budget)
         budget *= 2
     return out
@@ -236,7 +237,6 @@ def base_certificates(
     gens: Sequence[BlockedPoly],
     parities: Iterable[Parity],
     *,
-    budget_cap: int = BUDGET_CAP,
     precomputed: dict[Parity, ModuleWitness] | None = None,
 ) -> dict[Parity, ModuleWitness]:
     """Module decompositions for the square-free facet products named.
@@ -245,7 +245,7 @@ def base_certificates(
     ``(u, x_1, ..., x_n)``.  ``precomputed`` entries (from a cache) are
     re-verified and reused; anything missing or failing verification is
     recomputed.  Raises :class:`SearchExhaustedError` when some product
-    resists every budget up to the cap, and :class:`CapExceededError`
+    resists every budget up to ``BUDGET_CAP``, and :class:`CapExceededError`
     when the number of cylinder variables exceeds ``MAX_VARIABLES``.
     """
     if shape.n > MAX_VARIABLES:
@@ -254,7 +254,7 @@ def base_certificates(
             n=shape.n,
             max_variables=MAX_VARIABLES,
         )
-    ladder = budget_ladder(gens, budget_cap)
+    ladder = budget_ladder(gens)
     systems: dict[int, GramSystem] = {}
     out: dict[Parity, ModuleWitness] = {}
     failed: list[Parity] = []

@@ -46,29 +46,6 @@ def frac_from_str(text: Any) -> Fraction:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None
 
 
-def parse_scaled_int(text: Any) -> int:
-    """Parse a positive integer, allowing the shorthand ``"2^40"``."""
-    if isinstance(text, bool):
-        raise SchemaError(f"expected an integer, got {text!r}")
-    if isinstance(text, int):
-        value = text
-    elif isinstance(text, str):
-        s = text.strip()
-        try:
-            if "^" in s:
-                base, _, exp = s.partition("^")
-                value = int(base) ** int(exp)
-            else:
-                value = int(s)
-        except ValueError as exc:
-            raise SchemaError(f"bad integer {text!r}: {exc}") from None
-    else:
-        raise SchemaError(f"expected an integer, got {type(text).__name__}")
-    if value <= 0:
-        raise SchemaError(f"expected a positive integer, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

@@ -357,8 +357,6 @@ class SosDecomposition:
     shape: BlockShape
     weights: tuple[Fraction, ...]
     squares: tuple[BlockedPoly, ...]
-    basis: tuple["Exponent | BlockedPoly", ...]
-    gram: tuple[tuple[Fraction, ...], ...]
 
     def as_poly(self) -> BlockedPoly:
         return expand_identity(self, ())
@@ -410,29 +408,21 @@ def decomposition_from_gram(
                 combo.add_product(lower[i][k], _as_poly(shape, basis[perm[i]]), one)
         weights.append(d)
         squares.append(combo.poly())
-    return SosDecomposition(
-        shape=shape,
-        weights=tuple(weights),
-        squares=tuple(squares),
-        basis=tuple(basis),
-        gram=tuple(tuple(row) for row in gram),
-    )
+    return SosDecomposition(shape, tuple(weights), tuple(squares))
 
 
 # ---------------------------------------------------------------------------
 # basis selection and the main entry point
 # ---------------------------------------------------------------------------
 
-def default_gram_basis(target: BlockedPoly, cap: int = GRAM_BASIS_CAP) -> list[Exponent]:
-    """Monomial basis covering every possible square support of the target.
+def default_gram_basis(target: BlockedPoly) -> list[Exponent]:
+    """Monomial basis covering every possible square support of a nonzero target.
 
     Uses the componentwise-halved exponent box intersected with the
     halved total degree; when the target is homogeneous the basis keeps
-    only the matching half degree.  Sizes beyond ``cap`` raise
+    only the matching half degree.  Sizes beyond ``GRAM_BASIS_CAP`` raise
     :class:`CapExceededError`.
     """
-    if not target.terms:
-        return [tuple([0] * target.shape.width)]
     width = target.shape.width
     box = [0] * width
     totals = set()
@@ -457,29 +447,25 @@ def default_gram_basis(target: BlockedPoly, cap: int = GRAM_BASIS_CAP) -> list[E
             if used + v <= total_cap:
                 stack.append((prefix + [v], used + v))
     out.sort()
-    if len(out) > cap:
+    if len(out) > GRAM_BASIS_CAP:
         raise CapExceededError(
             "Gram basis would exceed the size cap",
             basis_size=len(out),
-            cap=cap,
+            cap=GRAM_BASIS_CAP,
         )
     return out
 
 
-def sos_decompose(
-    target: BlockedPoly, *, basis_cap: int = GRAM_BASIS_CAP
-) -> SosDecomposition:
+def sos_decompose(target: BlockedPoly) -> SosDecomposition:
     """Write the target as an exact weighted sum of squares.
 
     Raises :class:`SosStalledError` when the numeric search cannot reach
     the SOS cone (e.g. for nonnegative polynomials that are not sums of
     squares) or when no rounding denominator yields an exact identity.
     """
-    basis = default_gram_basis(target, basis_cap)
     if not target.terms:
-        return SosDecomposition(
-            shape=target.shape, weights=(), squares=(), basis=tuple(basis), gram=()
-        )
+        return SosDecomposition(target.shape, (), ())
+    basis = default_gram_basis(target)
     system = GramSystem(target.shape, (), [(None, basis)])
     b = system.rhs(target)
     if b is None:

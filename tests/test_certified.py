@@ -387,13 +387,14 @@ def test_excess_check_with_margin_succeeds():
     assert res.lower_bound >= F(15, 16)
 
 
-def test_excess_check_at_the_exact_minimum_fails_cleanly():
+def test_excess_check_at_the_exact_minimum_fails_cleanly(monkeypatch):
     # threshold equals the true minimum: the strict margin can never close
     sh = BlockShape(1, 1, 0, ("Z",))
     h = BlockedPoly(sh, {(0, 2, 0): F(1), (0, 0, 2): F(1),
                          (1, 2, 0): F(1), (1, 0, 2): F(1)})
+    monkeypatch.setattr(certified, "DEPTH_CAP", 6)
     with pytest.raises(ResolutionExhaustedError) as info:
-        certified_excess_check(h, F(1), circle_block(sh), depth_cap=6)
+        certified_excess_check(h, F(1), circle_block(sh))
     assert "lower_bound" in info.value.payload
 
 
@@ -514,7 +515,6 @@ def _scan(target, blocks, constraints, threshold, strict=False):
         witness_exc=lambda s: NonpositiveWitnessError("unused"),
         success=lambda lb, best: False,
         fallback_x=None,
-        depth_cap=0,
     )
 
 
@@ -643,14 +643,19 @@ def _excess_targets(draw):
 
 
 @st.composite
+def _sphere_points(draw, dim):
+    """An exact point of the unit sphere in R^dim, by the half-angle map."""
+    v = [F(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in range(dim - 1)]
+    s = sum(t * t for t in v)
+    return tuple(2 * t / (1 + s) for t in v) + (draw(st.sampled_from((1, -1))) * (1 - s) / (1 + s),)
+
+
+@st.composite
 def _domain_points(draw, n, dim):
     """An exact point of the n-simplex times the unit sphere in R^dim."""
     a = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
     x = tuple(F(v, sum(a) + draw(st.integers(1, 20))) for v in a)
-    v = [F(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in range(dim - 1)]
-    s = sum(t * t for t in v)
-    u = tuple(2 * t / (1 + s) for t in v) + (draw(st.sampled_from((1, -1))) * (1 - s) / (1 + s),)
-    return x + u
+    return x + draw(_sphere_points(dim))
 
 
 @settings(max_examples=25, deadline=None)
@@ -675,6 +680,82 @@ def test_excess_check_lower_bound_is_sound_in_both_pass_regimes(data):
             assert target.eval_at(best.x + best.u) == best.value >= lb
         for pt in points:
             assert target.eval_at(pt) >= lb
+
+
+def _block_exponents(draw, size, degree):
+    """An exponent vector over ``size`` slots of total degree at most ``degree``."""
+    out = [0] * size
+    for _ in range(draw(st.integers(0, degree)) if size else 0):
+        out[draw(st.integers(0, size - 1))] += 1
+    return out
+
+
+@st.composite
+def _variant_problems(draw, variant):
+    """A simplex-frame problem of the variant, S = {a <= x1 <= b}, with a and b."""
+    n = draw(st.integers(1, 2))
+    if variant is Variant.R1_ANY_M:
+        r1, r2, m = 1, 0, draw(st.sampled_from((2, 4)))
+    elif variant is Variant.QUARTIC_R2:
+        r1, r2, m = 2, 0, 4
+    elif variant is Variant.QUADRATIC_RR:
+        r1, r2, m = draw(st.integers(1, 2)), 0, 2
+    else:
+        r1, r2, m = 1, draw(st.integers(1, 2)), 2
+    sh = BlockShape(n, r1, r2)
+    terms: dict[tuple[int, ...], F] = {}
+    for _ in range(draw(st.integers(0, 4))):
+        xe = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda e: sum(e) <= 2))
+        key = tuple(xe + _block_exponents(draw, r1, m) + _block_exponents(draw, r2, 2))
+        terms[key] = terms.get(key, F(0)) + F(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))
+    # a term of full degree in each unbounded block fixes the declared degrees
+    anchor = (0,) * n + (m,) + (0,) * (r1 - 1) + ((2,) + (0,) * (r2 - 1) if r2 else ())
+    terms[anchor] = terms.get(anchor, F(0)) + F(draw(st.integers(1, 8)))
+    if terms[anchor] == 0:
+        terms[anchor] = F(1)
+    a = draw(st.sampled_from((F(0), F(1, 8), F(1, 4))))
+    b = draw(st.sampled_from((F(1, 2), F(3, 4))))
+    x1 = BlockedPoly.variable(sh, 0)
+    one = BlockedPoly.constant(sh, 1)
+    g = (x1 - one.scale(a)) * (one.scale(b) - x1)
+    f = BlockedPoly(sh, {e: c for e, c in terms.items() if c})
+    problem = CylinderProblem(shape=sh, variant=variant, m=m, f=f, g=(g,), frame=SIMPLEX)
+    return problem, a, b
+
+
+def _pass_sizes(scan, res):
+    """Pairs of the pass at resolution ``res`` in every factor."""
+    grid = SimplexGrid(scan.n, res)
+    covers = scan._covers(len(grid), [res] * len(scan.blocks))
+    return _pass_size(scan, grid, covers)[1]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scan_passes_bound_every_variant_from_below_on_s(variant, data):
+    # the targets the pipeline scans (the homogenized f and the side-condition
+    # slices), over S times spheres, in one pass of each size regime
+    problem, a, b = data.draw(_variant_problems(variant))
+    target, blocks = problem.homogenized()
+    n = problem.n
+    for form, form_blocks in [(target, blocks)] + [
+        (form, form_blocks) for _, form, form_blocks in problem.condition_targets()
+    ]:
+        scan = _scan(form, form_blocks, problem.g, F(0))
+        large = 4
+        while _pass_sizes(scan, large) <= certified.EXACT_PAIRS:
+            large *= 2
+        assert _pass_sizes(scan, 2) <= certified.EXACT_PAIRS
+        bounds = [scan._pass(res, [res] * len(form_blocks))[0] for res in (2, large)]
+        for _ in range(data.draw(st.integers(4, 12))):
+            x1 = a + (b - a) * F(data.draw(st.integers(0, 97)), 97)
+            x = (x1,) + tuple((1 - x1) * F(data.draw(st.integers(0, 97)), 97) for _ in range(n - 1))
+            pt = list(x) + [F(0)] * (form.shape.width - n)
+            for block in form_blocks:
+                for slot, v in zip(block.indices, data.draw(_sphere_points(len(block.indices)))):
+                    pt[slot] = v
+            assert all(lb <= form.eval_at(pt) for lb in bounds)
 
 
 # --- large passes: only rows whose float bound can matter are evaluated -----

@@ -411,3 +411,22 @@ def test_usage_errors_do_not_collide_with_numeric_success(capsys):
                      "--fnorm", "1", "--fstar", "1"]) == cli.EXIT_VALIDATION
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("certify", "--grid-depth", "5"),
+        ("certify", "--lambda-cap", "2^40"),
+        ("certify", "--budget-cap", "8"),
+        ("minimize", "--grid-depth", "5"),
+    ],
+)
+def test_search_caps_are_not_options(problem_file, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "cert.json"
+    argv = [command, "--input", str(problem_file), flag, value]
+    if command == "certify":
+        argv += ["--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert not out.exists()
+    assert flag in capsys.readouterr().err

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cylcert import perturb
 from cylcert.covers import projected_sphere_cover
 from cylcert.errors import SearchExhaustedError
 from cylcert.perturb import (
@@ -246,10 +247,11 @@ def test_find_perturbation_needs_larger_lambda_for_outside_dip():
     assert res.target + perturbation_sum(prob, res.lam, res.k) == target
 
 
-def test_find_perturbation_exhausts_small_cap():
+def test_find_perturbation_exhausts_small_cap(monkeypatch):
     prob = interval_problem(DIP_TERMS)
+    monkeypatch.setattr(perturb, "LAMBDA_CAP", 2)
     with pytest.raises(SearchExhaustedError) as err:
-        find_perturbation(prob, F(8), lambda_cap=2)
+        find_perturbation(prob, F(8))
     assert err.value.payload["lambda_cap"] == 2
     assert err.value.payload["attempts"]
 

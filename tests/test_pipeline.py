@@ -10,7 +10,7 @@ from cylcert.errors import (
     NonpositiveWitnessError,
     ValidationError,
 )
-from cylcert.pipeline import RunConfig, certify_problem
+from cylcert.pipeline import certify_problem
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.problem import BOX, SIMPLEX, CylinderProblem, Variant
 from cylcert.serialize import canonical_dumps
@@ -127,8 +127,3 @@ def test_feasible_points_outside_the_frame_are_refused():
     with pytest.raises(ValidationError) as err:
         certify_problem(p)
     assert "violations" in err.value.payload
-
-
-def test_config_validation():
-    with pytest.raises(ValidationError):
-        RunConfig(grid_depth=0)

@@ -386,7 +386,7 @@ def test_sums_of_squares_and_identity_match_fraction_reference(data):
             # a square and its negation: the expansion must drop every term
             squares.append(squares[0])
             weights.append(-weights[0])
-        return SosDecomposition(KERNEL_SHAPE, tuple(weights), tuple(squares), (), ())
+        return SosDecomposition(KERNEL_SHAPE, tuple(weights), tuple(squares))
 
     sigma0 = sos(data.draw(st.booleans()))
     expanded = sigma0.as_poly()

@@ -189,9 +189,10 @@ def test_saturate_zero_touching_target_exceeds_cap():
     assert err.value.payload["rejected"]
 
 
-def test_saturate_respects_explicit_cap():
+def test_saturate_respects_explicit_cap(monkeypatch):
+    monkeypatch.setattr(polya, "polya_exponent_cap", lambda *args: 0)
     with pytest.raises(CapExceededError) as err:
-        polya_saturate(BUMP, F(1, 2), circle_block(SH), cap=0)
+        polya_saturate(BUMP, F(1, 2), circle_block(SH))
     assert err.value.payload["cap"] == 0
 
 
@@ -257,8 +258,9 @@ def test_saturate_rejects_an_exponent_whose_forms_are_not_sos(monkeypatch):
     assert res.exponent == 1
     assert all(res.sos[alpha].verify(form) for alpha, form in res.forms.items())
     calls.clear()
+    monkeypatch.setattr(polya, "polya_exponent_cap", lambda *args: 0)
     with pytest.raises(CapExceededError) as err:
-        polya_saturate(flat, F(1, 2), circle_block(SH), cap=0)
+        polya_saturate(flat, F(1, 2), circle_block(SH))
     assert err.value.payload["rejected"] == [
         {"exponent": 0, "alpha": [0, 2], "reason": "not sos"}
     ]

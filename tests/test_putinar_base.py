@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cylcert import putinar_base
 from cylcert.errors import CapExceededError, SearchExhaustedError, ValidationError
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.putinar_base import (
@@ -111,13 +112,14 @@ def test_membership_rejects_targets_outside_the_x_block():
 
 # --- the budget ladder -----------------------------------------------------
 
-def test_budget_ladder_doubles_from_twice_the_generator_degree():
+def test_budget_ladder_doubles_from_twice_the_generator_degree(monkeypatch):
     shape = BlockShape(1, 1, 0)
     assert budget_ladder(interval_gens(shape)) == [4, 8, 16]
     x = BlockedPoly.variable(shape, 0)
     assert budget_ladder((x,)) == [2, 4, 8, 16]
-    assert budget_ladder(interval_gens(shape), cap=4) == [4]
-    assert budget_ladder((x * x * x * x * x,), cap=16) == [10]
+    assert budget_ladder((x * x * x * x * x,)) == [10]
+    monkeypatch.setattr(putinar_base, "BUDGET_CAP", 4)
+    assert budget_ladder(interval_gens(shape)) == [4]
 
 
 # --- full enumerations -----------------------------------------------------
@@ -145,13 +147,14 @@ def test_two_constraint_box_covers_all_eight_parities():
             assert all(w > 0 for w in sos.weights)
 
 
-def test_unusable_generator_exhausts_the_search():
+def test_unusable_generator_exhausts_the_search(monkeypatch):
     shape = BlockShape(1, 1, 0)
     x = BlockedPoly.variable(shape, 0)
     # x^2 vanishes to second order at 0, so x itself can never be written
     # as sigma_0 + sigma_1 x^2; only the empty product survives.
+    monkeypatch.setattr(putinar_base, "BUDGET_CAP", 4)
     with pytest.raises(SearchExhaustedError) as err:
-        base_certificates(shape, (x * x,), every_parity(shape), budget_cap=4)
+        base_certificates(shape, (x * x,), every_parity(shape))
     payload = err.value.payload
     assert payload["budgets"] == [4]
     assert sorted(map(tuple, payload["parities"])) == [(0, 1), (1, 0), (1, 1)]

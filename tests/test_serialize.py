@@ -12,7 +12,6 @@ from cylcert.serialize import (
     canonical_dumps,
     frac_from_str,
     frac_to_str,
-    parse_scaled_int,
     poly_from_obj,
     poly_to_obj,
     sha256_of_obj,
@@ -36,16 +35,6 @@ def test_fraction_rejects_garbage():
         frac_from_str(True)
     with pytest.raises(SchemaError):
         frac_from_str([1, 2])
-
-
-def test_parse_scaled_int():
-    assert parse_scaled_int("2^40") == 2**40
-    assert parse_scaled_int("1024") == 1024
-    assert parse_scaled_int(7) == 7
-    with pytest.raises(SchemaError):
-        parse_scaled_int("0")
-    with pytest.raises(SchemaError):
-        parse_scaled_int("2^")
 
 
 def test_poly_round_trip_random():

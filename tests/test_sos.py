@@ -5,6 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from cylcert import sos
 from cylcert.errors import CapExceededError, SosStalledError
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.sos import (
@@ -186,7 +187,7 @@ def test_sos_of_a_binary_quartic_form():
     deco = sos_decompose(p)
     assert deco.verify(p)
     # the homogeneous filter keeps only degree-2 monomials
-    assert all(sum(e) == 2 for e in deco.basis)
+    assert all(sum(e) == 2 for e in default_gram_basis(p))
 
 
 def test_sos_of_a_positive_quadratic_form_is_the_coefficient_matrix():
@@ -234,14 +235,15 @@ def test_unproducible_monomial_is_rejected_up_front():
         sos_decompose(p)
 
 
-def test_basis_cap_is_enforced():
+def test_basis_cap_is_enforced(monkeypatch):
     shape = BlockShape(4, 0)
     p = BlockedPoly.constant(shape, F(1))
     for i in range(4):
         v = BlockedPoly.variable(shape, i)
         p = p + (v ** 4)
+    monkeypatch.setattr(sos, "GRAM_BASIS_CAP", 5)
     with pytest.raises(CapExceededError):
-        sos_decompose(p, basis_cap=5)
+        sos_decompose(p)
 
 
 def test_default_basis_respects_homogeneity():
