@@ -19,8 +19,7 @@ assembly stitches together the upstream stages:
     squares live over the original variables.
 
 Verification is independent of generation: it re-expands every square,
-compares against f exactly (or within the declared residual for
-numeric-tier certificates), and re-derives the degree report.  Nothing
+compares against f exactly, and re-derives the degree report.  Nothing
 is trusted from metadata.
 
 ``theorem_bound`` evaluates the headline degree-bound formulas as
@@ -44,12 +43,18 @@ from .perturb import factor_squares, normalized_constraints
 from .poly import BlockedPoly, BlockShape, substitute
 from .polya import PolyaResult
 from .problem import CylinderProblem, RescaleRecord, Variant
-from .putinar_base import ModuleWitness, Parity, even_square_root, parity_vector
-from .serialize import frac_from_str, frac_to_str, poly_from_obj, poly_to_obj
+from .putinar_base import (
+    ModuleWitness,
+    Parity,
+    even_square_root,
+    parity_vector,
+    simplex_u,
+)
+from .serialize import frac_from_str, frac_to_str, json_typed, poly_from_obj, poly_to_obj
 from .sos import SosDecomposition, expand_identity
 
+# Every certificate file declares this tier: the identity holds exactly.
 TIER_EXACT = "exact"
-TIER_NUMERIC = "numeric"
 
 # Rational upper bound for e, used to keep bound reports sound.
 E_UPPER = Fraction(2_718_281_829, 10**9)
@@ -101,12 +106,18 @@ class DegreeReport:
             raise SchemaError("degree report must be an object")
         try:
             return DegreeReport(
-                first_term=tuple(int(v) for v in obj["first_term"]),
-                second_term=tuple(int(v) for v in obj["second_term"]),
-                cap=int(obj["cap"]),
+                first_term=_int_list(obj["first_term"], "first_term"),
+                second_term=_int_list(obj["second_term"], "second_term"),
+                cap=json_typed(obj["cap"], int, "degree cap"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad degree report: {exc}") from None
+        except KeyError as exc:
+            raise SchemaError(f"degree report missing field {exc}") from None
+
+
+def _int_list(value: Any, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(json_typed(v, int, what) for v in value)
 
 
 @dataclass(frozen=True)
@@ -121,10 +132,9 @@ class CertificateMeta:
     archimedean_attested: bool
     scales: tuple[Fraction, ...]
     degrees: DegreeReport
-    residual: Fraction | None = None
 
     def to_obj(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "lambda": frac_to_str(self.lam),
             "k": self.k,
             "ell": self.ell,
@@ -136,9 +146,6 @@ class CertificateMeta:
             "scales": [frac_to_str(c) for c in self.scales],
             "degrees": self.degrees.to_obj(),
         }
-        if self.residual is not None:
-            out["residual"] = frac_to_str(self.residual)
-        return out
 
     @staticmethod
     def from_obj(obj: Any) -> "CertificateMeta":
@@ -147,18 +154,17 @@ class CertificateMeta:
         try:
             return CertificateMeta(
                 lam=frac_from_str(obj["lambda"]),
-                k=int(obj["k"]),
-                ell=int(obj["ell"]),
-                polya_exponent=int(obj["N"]),
-                c9=int(obj["c9"]),
+                k=json_typed(obj["k"], int, "k"),
+                ell=json_typed(obj["ell"], int, "ell"),
+                polya_exponent=json_typed(obj["N"], int, "N"),
+                c9=json_typed(obj["c9"], int, "c9"),
                 fstar_lb=frac_from_str(obj["fstar_lb"]),
                 rescale=RescaleRecord.from_obj(obj["rescale"]),
-                archimedean_attested=bool(obj["archimedean_attested"]),
+                archimedean_attested=json_typed(
+                    obj["archimedean_attested"], bool, "archimedean_attested"
+                ),
                 scales=tuple(frac_from_str(v) for v in obj["scales"]),
                 degrees=DegreeReport.from_obj(obj["degrees"]),
-                residual=(
-                    frac_from_str(obj["residual"]) if "residual" in obj else None
-                ),
             )
         except KeyError as exc:
             raise SchemaError(f"certificate metadata missing field {exc}") from None
@@ -171,7 +177,6 @@ class Certificate:
     """The full representation f = sigma_0 + sum sigma_i g_i."""
 
     problem_hash: str
-    tier: str
     sigmas: tuple[SosDecomposition, ...]
     meta: CertificateMeta
 
@@ -203,7 +208,7 @@ def sos_from_obj(obj: Any, shape: BlockShape) -> SosDecomposition:
 def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
     return {
         "problem_hash": cert.problem_hash,
-        "tier": cert.tier,
+        "tier": TIER_EXACT,
         "sigmas": [sos_to_obj(s) for s in cert.sigmas],
         "metadata": cert.meta.to_obj(),
     }
@@ -219,13 +224,12 @@ def certificate_from_obj(obj: Any, shape: BlockShape) -> Certificate:
         meta_obj = obj["metadata"]
     except KeyError as exc:
         raise SchemaError(f"certificate file missing field {exc}") from None
-    if tier not in (TIER_EXACT, TIER_NUMERIC):
-        raise SchemaError(f"unknown certificate tier {tier!r}")
+    if tier != TIER_EXACT:
+        raise SchemaError(f"certificate tier must be {TIER_EXACT!r}, got {tier!r}")
     if not isinstance(sigma_objs, list) or not sigma_objs:
         raise SchemaError("certificate needs a nonempty sigma list")
     return Certificate(
         problem_hash=str(problem_hash),
-        tier=tier,
         sigmas=tuple(sos_from_obj(s, shape) for s in sigma_objs),
         meta=CertificateMeta.from_obj(meta_obj),
     )
@@ -312,13 +316,6 @@ def _strip_padding(p: BlockedPoly, shape: BlockShape) -> BlockedPoly:
     return BlockedPoly._trusted(shape, terms)
 
 
-def _simplex_u(shape: BlockShape) -> BlockedPoly:
-    out = BlockedPoly.constant(shape, 1)
-    for i in shape.block_indices("x"):
-        out = out - BlockedPoly.variable(shape, i)
-    return out
-
-
 class _SigmaBuilder:
     """Accumulates weighted squares per sigma with degree tracking."""
 
@@ -328,7 +325,7 @@ class _SigmaBuilder:
         self.weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
         self.squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
         self.second_term = [0] * (problem.s + 1)
-        mapping = {lifted_shape.hom_index("X0"): _simplex_u(lifted_shape)}
+        mapping = {lifted_shape.hom_index("X0"): simplex_u(lifted_shape)}
         one = BlockedPoly.constant(lifted_shape, 1)
         for name in lifted_shape.homs:
             if name != "X0":
@@ -368,7 +365,6 @@ def assemble(
     polya: PolyaResult,
     base: Mapping[Parity, ModuleWitness],
     *,
-    rescale: RescaleRecord | None = None,
     fstar_lb: Fraction,
 ) -> Certificate:
     """Stitch the pipeline stages into an exact certificate.
@@ -412,7 +408,7 @@ def assemble(
         deco = polya.sos[key]
         witness = base[parity_vector(key)]
         root = even_square_root(key)
-        sq_x = _simplex_u(shape) ** root[0]
+        sq_x = simplex_u(shape) ** root[0]
         for slot, power in zip(shape.block_indices("x"), root[1:]):
             if power:
                 sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
@@ -459,14 +455,13 @@ def assemble(
         polya_exponent=polya.exponent,
         c9=c9,
         fstar_lb=fstar_lb,
-        rescale=rescale if rescale is not None else RescaleRecord(False),
+        rescale=RescaleRecord(False),
         archimedean_attested=problem.archimedean_attested,
         scales=scales,
         degrees=DegreeReport(tuple(first_term), tuple(builder.second_term), cap),
     )
     return Certificate(
         problem_hash=problem.problem_hash(),
-        tier=TIER_EXACT,
         sigmas=builder.sigmas(),
         meta=meta,
     )
@@ -476,7 +471,6 @@ def sos_only_certificate(
     problem: CylinderProblem,
     sigma0: SosDecomposition,
     *,
-    rescale: RescaleRecord | None = None,
     fstar_lb: Fraction,
 ) -> Certificate:
     """Certificate for the degenerate case with no compact variables used.
@@ -494,14 +488,13 @@ def sos_only_certificate(
         polya_exponent=0,
         c9=0,
         fstar_lb=fstar_lb,
-        rescale=rescale if rescale is not None else RescaleRecord(False),
+        rescale=RescaleRecord(False),
         archimedean_attested=problem.archimedean_attested,
         scales=tuple(c for _g, c in normalized_constraints(problem)),
         degrees=DegreeReport((), (_sos_degree(sigma0),) + (0,) * problem.s, cap),
     )
     return Certificate(
         problem_hash=problem.problem_hash(),
-        tier=TIER_EXACT,
         sigmas=sigmas,
         meta=meta,
     )
@@ -517,8 +510,6 @@ def compose_with_frame(
     constraints transport to the simplex ones under the same map.
     Degrees are unchanged (the map is affine and invertible).
     """
-    if not record.applied:
-        return cert
     shape = box_problem.shape
     mapping = record.forward_subst(shape)
     sigmas = tuple(
@@ -529,7 +520,6 @@ def compose_with_frame(
     )
     return Certificate(
         problem_hash=box_problem.problem_hash(),
-        tier=cert.tier,
         sigmas=sigmas,
         meta=replace(cert.meta, rescale=record),
     )
@@ -541,15 +531,11 @@ def compose_with_frame(
 
 @dataclass
 class VerificationReport:
-    tier: str
-    residual: Fraction
     sigma_degrees: tuple[int, ...]
     product_degrees: tuple[int, ...]
 
     def to_obj(self) -> dict[str, Any]:
         return {
-            "tier": self.tier,
-            "residual": frac_to_str(self.residual),
             "sigma_degrees": list(self.sigma_degrees),
             "product_degrees": list(self.product_degrees),
         }
@@ -559,20 +545,13 @@ def _fail(kind: str, message: str, **payload: Any) -> VerificationError:
     return VerificationError(message, kind=kind, **payload)
 
 
-def verify_certificate(
-    problem: CylinderProblem,
-    cert: Certificate,
-    *,
-    require_tier: str = TIER_EXACT,
-) -> VerificationReport:
+def verify_certificate(problem: CylinderProblem, cert: Certificate) -> VerificationReport:
     """Re-expand a certificate from scratch and check it against f.
 
     Raises :class:`VerificationError` with a ``kind`` payload naming the
     first failed check; returns a report with measured degrees when all
     checks pass.
     """
-    if require_tier not in (TIER_EXACT, TIER_NUMERIC):
-        raise ValidationError(f"unknown tier requirement {require_tier!r}")
     if cert.problem_hash != problem.problem_hash():
         raise _fail(
             "IDENTITY_FAIL",
@@ -597,30 +576,11 @@ def verify_certificate(
 
     total = expand_identity(cert.sigmas[0], zip(cert.sigmas[1:], problem.g))
     diff = total - problem.f
-    if not diff:
-        achieved = TIER_EXACT
-        residual = Fraction(0)
-    else:
-        residual = max(abs(c) for c in diff.terms.values())
-        declared = cert.meta.residual
-        if cert.tier != TIER_NUMERIC or declared is None or residual > declared:
-            raise _fail(
-                "IDENTITY_FAIL",
-                "re-expanded sigmas do not reproduce f",
-                residual=frac_to_str(residual),
-            )
-        achieved = TIER_NUMERIC
-    if cert.tier == TIER_EXACT and achieved != TIER_EXACT:
+    if diff:
         raise _fail(
             "IDENTITY_FAIL",
-            "certificate declares the exact tier but the identity has residue",
-            residual=frac_to_str(residual),
-        )
-    if require_tier == TIER_EXACT and achieved != TIER_EXACT:
-        raise _fail(
-            "TIER_INSUFFICIENT",
-            "exact tier demanded but the certificate is numeric",
-            residual=frac_to_str(residual),
+            "re-expanded sigmas do not reproduce f",
+            residual=frac_to_str(max(abs(c) for c in diff.terms.values())),
         )
 
     meta = cert.meta
@@ -692,8 +652,6 @@ def verify_certificate(
             )
         product_degrees.append(measured)
     return VerificationReport(
-        tier=achieved,
-        residual=residual,
         sigma_degrees=sigma_degrees,
         product_degrees=tuple(product_degrees),
     )

@@ -431,7 +431,6 @@ class _Scan:
         target: BlockedPoly,
         blocks: tuple[SphereBlock, ...],
         constraints: tuple[BlockedPoly, ...],
-        domain: str,
         witness_threshold: Fraction,
         witness_strict: bool,
         witness_exc: Callable[[SamplePoint], CylcertError],
@@ -443,7 +442,7 @@ class _Scan:
         self.n = n
         self.blocks = blocks
         self.constraints = constraints
-        self.domain = domain
+        self.domain = S_TIMES_SPHERE if constraints else SIMPLEX_TIMES_SPHERE
         self.witness_threshold = witness_threshold
         self.witness_strict = witness_strict
         self.witness_exc = witness_exc
@@ -877,7 +876,6 @@ def certified_cylinder_min(
         target=target,
         blocks=blocks,
         constraints=p.g,
-        domain=S_TIMES_SPHERE,
         witness_threshold=Fraction(0),
         witness_strict=False,
         witness_exc=lambda s: NonpositiveWitnessError(
@@ -902,7 +900,6 @@ def certified_excess_check(
         target=target,
         blocks=tuple(blocks),
         constraints=(),
-        domain=SIMPLEX_TIMES_SPHERE,
         witness_threshold=threshold,
         witness_strict=True,
         witness_exc=lambda s: BelowThresholdError(
@@ -935,7 +932,6 @@ def check_leading_form_condition(
             target=form,
             blocks=blocks,
             constraints=p.g,
-            domain=S_TIMES_SPHERE,
             witness_threshold=Fraction(0),
             witness_strict=False,
             witness_exc=lambda s, _name=name: IndefiniteConditionError(

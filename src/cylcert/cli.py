@@ -20,8 +20,6 @@ from typing import Any
 
 from .certificate import (
     BoundInputs,
-    TIER_EXACT,
-    TIER_NUMERIC,
     base_cache_from_obj,
     base_cache_to_obj,
     certificate_from_obj,
@@ -157,7 +155,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         )
 
     meta = cert.meta
-    print(f"certificate tier: {cert.tier}")
     print(
         f"lambda {frac_to_str(meta.lam)}  k {meta.k}  N {meta.polya_exponent}  "
         f"ell {meta.ell}  c9 {meta.c9}"
@@ -166,7 +163,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     print(f"wrote {args.output}")
     _emit(
         {
-            "tier": cert.tier,
             "problem_hash": cert.problem_hash,
             "output": args.output,
             "lambda": frac_to_str(meta.lam),
@@ -187,10 +183,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except CylcertError as exc:
         return _fail(exc)
     try:
-        report = verify_certificate(problem, cert, require_tier=args.tier)
+        report = verify_certificate(problem, cert)
     except CylcertError as exc:
         return _fail(exc)
-    print(f"certificate verifies at tier {report.tier}")
+    print("certificate verifies: f = sigma_0 + sum sigma_i g_i holds exactly")
     _emit(report.to_obj())
     return EXIT_EXACT
 
@@ -255,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check a certificate against a problem file")
     ver.add_argument("--problem", required=True, help="problem JSON file")
     ver.add_argument("--certificate", required=True, help="certificate JSON file")
-    ver.add_argument(
-        "--tier",
-        choices=(TIER_EXACT, TIER_NUMERIC),
-        default=TIER_EXACT,
-        help="demanded tier",
-    )
     ver.set_defaults(func=cmd_verify)
 
     mini = sub.add_parser("minimize", help="certified lower bound for f")

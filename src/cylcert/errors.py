@@ -103,8 +103,8 @@ class IdentityMismatchError(CylcertError):
 
 class VerificationError(CylcertError):
     """Independent re-check of a certificate file failed; ``kind`` in payload
-    is one of IDENTITY_FAIL, NEGATIVE_WEIGHT, DEGREE_METADATA_MISMATCH,
-    TIER_INSUFFICIENT.  A certificate issued for a different problem (a
-    problem-hash mismatch) is reported as IDENTITY_FAIL."""
+    is one of IDENTITY_FAIL, NEGATIVE_WEIGHT, DEGREE_METADATA_MISMATCH.  A
+    certificate issued for a different problem (a problem-hash mismatch) is
+    reported as IDENTITY_FAIL."""
 
     code = "VERIFY_FAIL"

@@ -125,9 +125,7 @@ def certify_problem(
         except SosStalledError as exc:
             diag["shortcut"] = {"used": False, "reason": exc.payload or str(exc)}
         else:
-            cert = sos_only_certificate(
-                solving, sigma0, rescale=record, fstar_lb=fstar_lb
-            )
+            cert = sos_only_certificate(solving, sigma0, fstar_lb=fstar_lb)
             diag["shortcut"] = {"used": True, "squares": len(sigma0.squares)}
 
     if cert is None:
@@ -171,7 +169,6 @@ def certify_problem(
             pert.k,
             pol,
             base,
-            rescale=record,
             fstar_lb=fstar_lb,
         )
 

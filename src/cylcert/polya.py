@@ -32,16 +32,19 @@ from .sos import SosDecomposition, sos_decompose
 SCREEN_RESOLUTION = 24
 
 
+def _simplex_total(shape: BlockShape) -> BlockedPoly:
+    """The total ``X1 + ... + Xn + X0`` of the probability simplex."""
+    slots = shape.block_indices("x") + shape.block_indices("X0")
+    return sum((BlockedPoly.variable(shape, s) for s in slots), BlockedPoly.zero(shape))
+
+
 def homogenize_with_slack(target: BlockedPoly) -> BlockedPoly:
     """Complete every term to full simplex degree with (X0 + sum X)."""
     shape = target.shape.with_homogenizers("X0")
     lifted = target.embed(shape)
     x_slots = shape.block_indices("x") + shape.block_indices("X0")
     ell = lifted.block_degree("x", "X0")
-    total = BlockedPoly(
-        shape, {tuple(1 if i == s else 0 for i in range(shape.width)): Fraction(1)
-                for s in x_slots},
-    )
+    total = _simplex_total(shape)
     out = BlockedPoly.zero(shape)
     by_deficit: dict[int, BlockedPoly] = {}
     for key, coeff in lifted.terms.items():
@@ -169,11 +172,7 @@ def polya_saturate(
     cap = polya_exponent_cap(ell, weighted_norm(target), fstar)
     shape = lifted.shape
     blocks = _remap_blocks(target.shape, shape, tuple(blocks))
-    x_slots = shape.block_indices("X0") + shape.block_indices("x")
-    total = BlockedPoly(
-        shape, {tuple(1 if i == s else 0 for i in range(shape.width)): Fraction(1)
-                for s in x_slots},
-    )
+    total = _simplex_total(shape)
     current = lifted
     rejected: list[dict[str, object]] = []
     for exponent in range(cap + 1):

@@ -21,7 +21,9 @@ from typing import Any, NamedTuple
 from .errors import NoFeasibleSampleError, SchemaError, ValidationError
 from .poly import BlockShape, BlockedPoly, homogenize_block, substitute, weighted_norm
 from .serialize import (
+    frac_from_str,
     frac_to_str,
+    json_typed,
     poly_from_obj,
     poly_to_obj,
     sha256_of_obj,
@@ -316,12 +318,13 @@ class RescaleRecord:
     def from_obj(obj: Any) -> "RescaleRecord":
         if not isinstance(obj, dict) or "applied" not in obj:
             raise SchemaError(f"bad rescale record {obj!r}")
-        if not obj["applied"]:
+        if not json_typed(obj["applied"], bool, "rescale.applied"):
             return RescaleRecord(False)
-        from .serialize import frac_from_str
-
         return RescaleRecord(
-            True, obj["n"], frac_from_str(obj["scale"]), frac_from_str(obj["offset"])
+            True,
+            json_typed(obj["n"], int, "rescale.n"),
+            frac_from_str(obj["scale"]),
+            frac_from_str(obj["offset"]),
         )
 
 

@@ -47,6 +47,14 @@ def even_square_root(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(a // 2 for a in alpha)
 
 
+def simplex_u(shape: BlockShape) -> BlockedPoly:
+    """The simplex facet polynomial ``u = 1 - sum(x)``."""
+    out = BlockedPoly.constant(shape, 1)
+    for i in shape.block_indices("x"):
+        out = out - BlockedPoly.variable(shape, i)
+    return out
+
+
 def facet_product(shape: BlockShape, parity: Parity) -> BlockedPoly:
     """``u^(p0) * prod x_i^(p_i)`` with ``u = 1 - sum(x)``, expanded.
 
@@ -61,10 +69,7 @@ def facet_product(shape: BlockShape, parity: Parity) -> BlockedPoly:
         raise ValidationError("parity entries must be 0 or 1")
     out = BlockedPoly.constant(shape, 1)
     if parity[0]:
-        u = BlockedPoly.constant(shape, 1)
-        for i in shape.block_indices("x"):
-            u = u - BlockedPoly.variable(shape, i)
-        out = out * u
+        out = out * simplex_u(shape)
     for p, i in zip(parity[1:], shape.block_indices("x")):
         if p:
             out = out * BlockedPoly.variable(shape, i)

@@ -22,7 +22,7 @@ from .errors import SchemaError
 from .poly import BlockShape, BlockedPoly
 
 # ---------------------------------------------------------------------------
-# rationals
+# scalars
 # ---------------------------------------------------------------------------
 
 def frac_to_str(value: Fraction | int) -> str:
@@ -44,6 +44,14 @@ def frac_from_str(text: Any) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None
+
+
+def json_typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` if its type is exactly ``kind``: no bool for an int, no
+    float or string for either."""
+    if type(value) is not kind:
+        raise SchemaError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

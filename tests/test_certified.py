@@ -509,7 +509,6 @@ def _scan(target, blocks, constraints, threshold, strict=False):
         target=target,
         blocks=blocks,
         constraints=constraints,
-        domain="S_TIMES_SPHERE",
         witness_threshold=threshold,
         witness_strict=strict,
         witness_exc=lambda s: NonpositiveWitnessError("unused"),

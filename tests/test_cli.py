@@ -1,4 +1,6 @@
 """Exit codes, file handling, and determinism of the command-line surface."""
+import copy
+import hashlib
 import json
 import time
 from fractions import Fraction as F
@@ -55,9 +57,30 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
     assert out.exists()
     assert (tmp_path / "cert.json.basecache.json").exists()
     assert cli.main(
-        ["verify", "--problem", str(problem_file), "--certificate", str(out),
-         "--tier", "exact"]
+        ["verify", "--problem", str(problem_file), "--certificate", str(out)]
     ) == 0
+
+
+# sha256 of the certificates `certify --seed 7` writes: one per assembly
+# path (general, the d = 0 sum-of-squares shortcut, box-frame compose)
+PINNED_CERTIFICATES = {
+    "c1_interval_line_quadratic":
+        "723a40dd3989c66f44b527725d3c638ab4827b65bc1ccf52a813ad0cb70e9dfb",
+    "c4_pure_square_quartic":
+        "8704a4c15b8fa18d6d0722e83bb55d6dda5e46953f648f32782d3c2473ad22c9",
+    "c7_box_frame_line_quadratic":
+        "20fcb11787fe834084edbdbace319488f8b1f4377811f07a0fac2822c77781a7",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(PINNED_CERTIFICATES))
+def test_certificate_bytes_are_pinned(tmp_path, stem):
+    out = tmp_path / "cert.json"
+    path = SAMPLES / f"{stem}.json"
+    assert cli.main(
+        ["certify", "--input", str(path), "--output", str(out), "--seed", "7"]
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CERTIFICATES[stem]
 
 
 def test_repeat_runs_are_byte_identical(problem_file, tmp_path):
@@ -93,7 +116,7 @@ def test_diagnostics_file(problem_file, tmp_path):
     )
     assert code == 0
     stages = json.loads(diag.read_text())
-    assert stages["verify"]["tier"] == "exact"
+    assert set(stages["verify"]) == {"sigma_degrees", "product_degrees"}
     assert stages["config"]["seed"] == 0
 
 
@@ -109,24 +132,43 @@ def test_tampered_certificate_fails_verification(problem_file, tmp_path):
     assert code == cli.EXIT_VERIFY
 
 
-def test_numeric_tier_acceptance_and_refusal(problem_file, tmp_path):
-    out = tmp_path / "cert.json"
-    cli.main(["certify", "--input", str(problem_file), "--output", str(out)])
-    obj = json.loads(out.read_text())
-    # Nudge one coefficient and declare the residue: numeric-tier valid.
-    term = obj["sigmas"][0]["squares"][0][0]
-    term["c"] = str(F(term["c"]) + F(1, 10**12))
-    obj["tier"] = "numeric"
-    obj["metadata"]["residual"] = "1/100000000"
-    out.write_text(json.dumps(obj))
-    assert cli.main(
-        ["verify", "--problem", str(problem_file), "--certificate", str(out),
-         "--tier", "numeric"]
-    ) == 0
-    assert cli.main(
-        ["verify", "--problem", str(problem_file), "--certificate", str(out),
-         "--tier", "exact"]
-    ) == cli.EXIT_VERIFY
+def test_numeric_tier_certificate_is_refused(tmp_path, capsys):
+    # f = -8 - 8x - 8y^2 is negative everywhere; a certificate without a
+    # single square that declares a residual bound must not verify
+    obj = json.loads((SAMPLES / "c1_interval_line_quadratic.json").read_text())
+    for term in obj["f"]:
+        term["c"] = str(-F(term["c"]))
+    problem_path = tmp_path / "negated.json"
+    problem_path.write_text(json.dumps(obj))
+    cert = {
+        "problem_hash": problem_from_obj(obj).problem_hash(),
+        "tier": "numeric",
+        "sigmas": [{"weights": [], "squares": []}] * 2,
+        "metadata": {
+            "lambda": "0", "k": 0, "ell": 0, "N": 0, "c9": 0, "fstar_lb": "1",
+            "rescale": {"applied": False}, "archimedean_attested": True,
+            "scales": ["1"], "residual": "1000",
+            "degrees": {"first_term": [], "second_term": [0, 0], "cap": 2},
+        },
+    }
+    cert_path = tmp_path / "cert.json"
+
+    def verify(*extra):
+        cert_path.write_text(json.dumps(cert))
+        argv = ["verify", "--problem", str(problem_path), "--certificate", str(cert_path)]
+        return cli.main(argv + list(extra))
+
+    def summary():
+        return json.loads(capsys.readouterr().err.splitlines()[-1])
+
+    assert verify() == cli.EXIT_IO
+    assert summary()["error"] == "SCHEMA"
+    cert["tier"] = "exact"
+    assert verify() == cli.EXIT_VERIFY
+    payload = summary()["payload"]
+    assert payload["kind"] == "IDENTITY_FAIL" and payload["residual"] == "8"
+    assert verify("--tier", "exact") == cli.EXIT_VALIDATION
+    assert "--tier" in capsys.readouterr().err
 
 
 def test_truncated_certificate_is_an_io_error(problem_file, tmp_path):
@@ -154,6 +196,48 @@ def test_non_integer_metadata_field_is_a_schema_error(problem_file, tmp_path, ca
     code = _verify_mutated(
         problem_file, tmp_path, lambda obj: obj["metadata"].update(k="abc")
     )
+    assert code == cli.EXIT_IO
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "SCHEMA"
+
+
+@pytest.fixture(scope="module")
+def c3_certificate(tmp_path_factory):
+    out = tmp_path_factory.mktemp("c3") / "cert.json"
+    path = SAMPLES / "c3_interval_plane_quartic.json"
+    assert cli.main(["certify", "--input", str(path), "--output", str(out)]) == 0
+    return path, json.loads(out.read_text())
+
+
+# Metadata edits that were once coerced (2.9 -> 2, "false" -> True) and verified.
+LOOSE_METADATA = [
+    (("k",), 2.9),
+    (("k",), "2"),
+    (("N",), 0.0),
+    (("c9",), "4"),
+    (("ell",), True),
+    (("degrees", "cap"), 18.5),
+    (("degrees", "second_term"), [16.0, 16]),
+    (("archimedean_attested",), "false"),
+    (("rescale", "applied"), 0),
+    (("rescale",), {"applied": True, "n": 1.0, "scale": "1/2", "offset": "1/2"}),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    LOOSE_METADATA,
+    ids=[f"{'.'.join(field)}={value!r}" for field, value in LOOSE_METADATA],
+)
+def test_metadata_is_read_strictly(c3_certificate, tmp_path, capsys, field, value):
+    problem_path, obj = c3_certificate
+    obj = copy.deepcopy(obj)
+    parent = obj["metadata"]
+    for step in field[:-1]:
+        parent = parent[step]
+    parent[field[-1]] = value
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps(obj))
+    code = cli.main(["verify", "--problem", str(problem_path), "--certificate", str(out)])
     assert code == cli.EXIT_IO
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "SCHEMA"
 

@@ -3,8 +3,9 @@
 Each example damages the JSON of a small problem or of its certificate
 (a dropped key or list item, a value of another type, a bool, negative or
 huge number where an exponent belongs, a non-string coefficient) and
-runs ``cylcert verify`` on it.  Whatever the damage, the CLI must return
-0 or one of the failure codes 10-15 and 20, never raise.
+runs ``cylcert verify``, ``certify`` or ``minimize`` on it.  Whatever the
+damage, the CLI must return 0 or one of the failure codes 10-15 and 20,
+never raise.
 """
 import copy
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylcert import cli
+from cylcert import certified, cli
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.problem import SIMPLEX, CylinderProblem, Variant, problem_to_obj
 
@@ -133,6 +134,30 @@ def test_mutated_certificate_files_end_in_a_documented_exit(documents, tmp_path,
     @given(_edits(_paths(cert_obj)))
     def run(edits):
         code = _verify_exit(tmp_path, problem_obj, _mutate(cert_obj, edits), capsys)
+        assert code in DOCUMENTED_EXITS
+
+    run()
+
+
+@pytest.mark.parametrize("command", ["certify", "minimize"])
+def test_mutated_problem_files_end_in_a_documented_exit_when_solved(
+    documents, tmp_path, capsys, monkeypatch, command
+):
+    # the unmutated problem still certifies at depth 6, and a shallow scan
+    # ends every example well within a second
+    monkeypatch.setattr(certified, "DEPTH_CAP", 6)
+    problem_obj, _cert_obj = documents
+    problem_path = tmp_path / "problem.json"
+    argv = [command, "--input", str(problem_path)]
+    if command == "certify":
+        argv += ["--output", str(tmp_path / "cert.json")]
+
+    @settings(max_examples=25)
+    @given(_edits(_paths(problem_obj)))
+    def run(edits):
+        problem_path.write_text(json.dumps(_mutate(problem_obj, edits)))
+        code = cli.main(argv)
+        capsys.readouterr()
         assert code in DOCUMENTED_EXITS
 
     run()
