@@ -27,6 +27,13 @@ per monomial when the sum is read out.  A sum that cancels to zero is
 dropped at once, so a product's terms come out in the order of the plain
 double loop over its factors.
 
+:meth:`BlockedPoly.eval_at` works the same way: each term is put over one
+common denominator (the lcm of the coefficient denominators times each
+coordinate's denominator to its highest exponent), the numerators are
+summed as Python ints from per-coordinate power tables, and one
+``Fraction`` is made at the end.  It is the same reduced rational as a
+term-by-term ``Fraction`` sum.
+
 ``BlockedPoly._trusted(shape, terms)`` wraps ``terms`` without copying or
 checking it.  Only code in this package that has just built the dict may
 call it, and only when every key is a tuple of ``shape.width``
@@ -266,20 +273,33 @@ class BlockedPoly:
 
     # ----- evaluation ---------------------------------------------------
     def eval_at(self, point: Iterable[Fraction]) -> Fraction:
-        """Exact value at a point given as one Fraction per variable slot."""
+        """Exact value at a point given as one Fraction per variable slot.
+
+        Summed over integer numerators and one common denominator (module
+        docstring).
+        """
         pt = tuple(Fraction(v) for v in point)
         if len(pt) != self.shape.width:
             raise ShapeMismatchError(
                 f"point has {len(pt)} coordinates, shape width {self.shape.width}"
             )
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            val = coeff
-            for v, e in zip(pt, exp):
-                if e:
-                    val *= v**e
-            total += val
-        return total
+        if not self.terms:
+            return Fraction(0)
+        den, cleared = _cleared(self)
+        # (i, row) with row[e] = p^e * q^(top - e), coordinate i's factor at exponent e
+        tables: list[tuple[int, list[int]]] = []
+        for i, top in enumerate(map(max, zip(*self.terms))):
+            if not top:
+                continue
+            p, q = pt[i].numerator, pt[i].denominator
+            tables.append((i, [p**e * q ** (top - e) for e in range(top + 1)]))
+            den *= q**top
+        total = 0
+        for exp, num in cleared:
+            for i, table in tables:
+                num *= table[exp[i]]
+            total += num
+        return Fraction(total, den)
 
     # ----- shape changes -------------------------------------------------
     def embed(self, shape: BlockShape) -> "BlockedPoly":

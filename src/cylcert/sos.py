@@ -9,7 +9,10 @@ The classic round-then-project scheme then runs on it:
 
 1. :func:`psd_feasibility` alternates in float64 between the affine set
    and the cone ``{every block >= tau I}``, walking ``tau`` down a
-   ladder until the two sets meet.
+   ladder until the two sets meet.  A rung is left once it stops
+   improving, or as soon as a step returns the previous point bit for
+   bit, since every later step of the rung would repeat it.  Blocks of
+   one size are projected with one stacked eigensolve.
 2. :func:`gram_decompositions` rounds that point to each denominator of
    a power-of-two ladder, re-imposes the coefficient constraints
    *exactly* (a rational solve of the normal equations), and factors
@@ -163,6 +166,19 @@ class GramSystem:
         self.aw = a * w_inv[None, :]          # A W^-1
         self.pinv_awa = np.linalg.pinv(self.aw @ a.T)
 
+        # Blocks of one size share one stacked eigensolve: per size, the
+        # upper-triangle indices and each block's positions in x.
+        positions: dict[int, list[np.ndarray]] = {}
+        offset = 0
+        for _gen, basis in self.blocks:
+            dim = len(basis)
+            count = dim * (dim + 1) // 2
+            positions.setdefault(dim, []).append(np.arange(offset, offset + count))
+            offset += count
+        self.psd_groups = [
+            (dim, np.triu_indices(dim), np.stack(pos)) for dim, pos in positions.items()
+        ]
+
         # Exact normal matrix M = A W^-1 A^T for the rational projection.
         m = [[Fraction(0)] * n_rows for _ in range(n_rows)]
         for e, col in enumerate(cols):
@@ -191,25 +207,15 @@ class GramSystem:
         return x + (self.aw.T @ (self.pinv_awa @ (b - self.a @ x)))
 
     def project_psd(self, x: np.ndarray, tau: float) -> np.ndarray:
-        out = x.copy()
-        offset = 0
-        for _gen, basis in self.blocks:
-            dim = len(basis)
-            count = dim * (dim + 1) // 2
-            mat = np.zeros((dim, dim))
-            pos = offset
-            for j in range(dim):
-                for k in range(j, dim):
-                    mat[j, k] = mat[k, j] = x[pos]
-                    pos += 1
-            vals, vecs = np.linalg.eigh(mat)
-            mat = (vecs * np.clip(vals, tau, None)) @ vecs.T
-            pos = offset
-            for j in range(dim):
-                for k in range(j, dim):
-                    out[pos] = mat[j, k]
-                    pos += 1
-            offset += count
+        out = np.empty_like(x)
+        for dim, (rows, cols), pos in self.psd_groups:
+            mats = np.zeros((len(pos), dim, dim))
+            upper = x[pos]
+            mats[:, rows, cols] = upper
+            mats[:, cols, rows] = upper
+            vals, vecs = np.linalg.eigh(mats)
+            mats = (vecs * np.clip(vals, tau, None)[:, None, :]) @ vecs.transpose(0, 2, 1)
+            out[pos] = mats[:, rows, cols]
         return out
 
     # -- exact phase ----------------------------------------------------
@@ -284,10 +290,14 @@ class GramSystem:
 def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
     """Alternating projections toward an affine-and-PSD point.
 
-    Walks :data:`TAU_LADDER`, abandoning a rung once it stops improving.
-    Returns the converged point, or the best near-feasible point seen
-    when it lies within :data:`SNAP_GAP` (boundary-feasible systems
-    stall there), or None when clearly infeasible.
+    Walks :data:`TAU_LADDER`, abandoning a rung once it stops improving
+    (300 idle steps) or at an exact fixed point: a step whose affine
+    point equals the previous one bit for bit.  From there each step of
+    the rung would repeat the same one, so leaving early returns the
+    same point as running the rung out.  Returns the converged point, or
+    the best near-feasible point seen when it lies within
+    :data:`SNAP_GAP` (boundary-feasible systems stall there), or None
+    when clearly infeasible.
     """
     per_tau = MAX_ITERATIONS // len(TAU_LADDER)
     scale = max(1.0, float(np.max(np.abs(b))))
@@ -300,7 +310,7 @@ def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
         for _ in range(per_tau):
             y = system.project_psd(x, float(tau))
             gap = float(np.max(np.abs(y - x)))
-            x = system.project_affine(y, b)
+            x_prev, x = x, system.project_affine(y, b)
             if gap < TOLERANCE * scale:
                 return x
             if gap < best_gap:
@@ -313,6 +323,10 @@ def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
                 idle += 1
                 if idle > 300:
                     break
+            if np.array_equal(x, x_prev):
+                # Each later step of this rung would repeat this one and
+                # change nothing until the idle rule ends the rung.
+                break
     if best_gap <= SNAP_GAP * scale:
         return best_x
     return None

@@ -62,12 +62,18 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
 
 
 # sha256 of the certificates `certify --seed 7` writes: one per assembly
-# path (general, the d = 0 sum-of-squares shortcut, box-frame compose)
+# path (general, the d = 0 sum-of-squares shortcut, box-frame compose),
+# plus c5, whose facet witnesses run a 4,000-step Gram search rung, and c6,
+# whose coefficient forms sit at exact fixed points of the projections
 PINNED_CERTIFICATES = {
     "c1_interval_line_quadratic":
         "723a40dd3989c66f44b527725d3c638ab4827b65bc1ccf52a813ad0cb70e9dfb",
     "c4_pure_square_quartic":
         "8704a4c15b8fa18d6d0722e83bb55d6dda5e46953f648f32782d3c2473ad22c9",
+    "c5_square_plane_quadratic":
+        "e735b3cc473a015c0f5a1db74fdaf14f054e8a77597e5f6780b624f2235ba2ac",
+    "c6_interval_split_blocks":
+        "bcb3bace2c39860c40d74053aeb70111b9748421a93f0850e0314e9b31d7098b",
     "c7_box_frame_line_quadratic":
         "20fcb11787fe834084edbdbace319488f8b1f4377811f07a0fac2822c77781a7",
 }

@@ -307,8 +307,8 @@ BIG_DENOMINATORS = (1, 3**40, 2**61 - 1, 10**9 + 7, 998_244_353, 2**89 - 1)
 
 
 @st.composite
-def kernel_polys(draw, max_terms=5):
-    exps = st.tuples(*[st.integers(0, 3)] * KERNEL_SHAPE.width)
+def kernel_polys(draw, max_terms=5, max_exp=3):
+    exps = st.tuples(*[st.integers(0, max_exp)] * KERNEL_SHAPE.width)
     coeffs = st.builds(
         Fraction, st.integers(-(10**12), 10**12), st.sampled_from(BIG_DENOMINATORS)
     )
@@ -409,6 +409,39 @@ def test_substitute_matches_fraction_reference(p, r0, r2):
         result = substitute(p, assignments)
         _assert_clean(result)
         assert result.terms == _ref_substitute(p, assignments)
+
+
+def _ref_eval(p, point):
+    total = Fraction(0)
+    for exp, coeff in p.terms.items():
+        val = coeff
+        for v, e in zip(point, exp):
+            if e:
+                val *= v**e
+        total += val
+    return total
+
+
+kernel_points = st.tuples(*[
+    st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(BIG_DENOMINATORS)),
+    )
+] * KERNEL_SHAPE.width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=kernel_polys(8, max_exp=40), point=kernel_points)
+def test_eval_at_matches_fraction_reference(p, point):
+    for poly in (p, -p, p * p, BlockedPoly.zero(KERNEL_SHAPE)):
+        value = poly.eval_at(point)
+        assert type(value) is Fraction
+        assert value == _ref_eval(poly, point)
+    for bad in (point[:-1], point + (Fraction(1),)):
+        with pytest.raises(ShapeMismatchError):
+            p.eval_at(bad)
+        with pytest.raises(ShapeMismatchError):
+            BlockedPoly.zero(KERNEL_SHAPE).eval_at(bad)
 
 
 def test_poly_from_obj_drops_cancelling_duplicates_and_checks_exponents():

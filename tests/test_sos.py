@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from cylcert import sos
@@ -206,19 +207,22 @@ def test_verification_catches_tampering():
     assert not deco.verify(p + BlockedPoly.constant(shape, F(1, 10**9)))
 
 
-def test_motzkin_form_stalls():
-    """Nonnegative but not SOS: the numeric stage must give up loudly."""
+def _motzkin():
     shape = BlockShape(2, 0)
     x = BlockedPoly.variable(shape, 0)
     y = BlockedPoly.variable(shape, 1)
-    motzkin = (
+    return (
         (x ** 4) * (y ** 2)
         + (x ** 2) * (y ** 4)
         - ((x ** 2) * (y ** 2)).scale(F(3))
         + BlockedPoly.constant(shape, 1)
     )
+
+
+def test_motzkin_form_stalls():
+    """Nonnegative but not SOS: the numeric stage must give up loudly."""
     with pytest.raises(SosStalledError):
-        sos_decompose(motzkin)
+        sos_decompose(_motzkin())
 
 
 def test_zero_polynomial_decomposes_trivially():
@@ -252,3 +256,143 @@ def test_default_basis_respects_homogeneity():
     basis = default_gram_basis(p)
     assert all(sum(e) == 2 for e in basis)
 
+
+# --- the float search against the per-block loop it replaced ---------------
+#
+# The two functions below are the earlier per-block PSD projection and
+# search loop, copied unchanged except that the loop calls the copied
+# projection and records the rung of every step.  The stacked eigensolves
+# and the fixed-point exit must return the same array, bit for bit.
+
+def _reference_project_psd(self, x, tau):
+    out = x.copy()
+    offset = 0
+    for _gen, basis in self.blocks:
+        dim = len(basis)
+        count = dim * (dim + 1) // 2
+        mat = np.zeros((dim, dim))
+        pos = offset
+        for j in range(dim):
+            for k in range(j, dim):
+                mat[j, k] = mat[k, j] = x[pos]
+                pos += 1
+        vals, vecs = np.linalg.eigh(mat)
+        mat = (vecs * np.clip(vals, tau, None)) @ vecs.T
+        pos = offset
+        for j in range(dim):
+            for k in range(j, dim):
+                out[pos] = mat[j, k]
+                pos += 1
+        offset += count
+    return out
+
+
+def _reference_psd_feasibility(system, b, rungs):
+    per_tau = sos.MAX_ITERATIONS // len(sos.TAU_LADDER)
+    scale = max(1.0, float(np.max(np.abs(b))))
+    x = system.project_affine(np.zeros(len(system.entries)), b)
+    best_gap = np.inf
+    best_x = x
+    for tau in sos.TAU_LADDER:
+        best = np.inf
+        idle = 0
+        for _ in range(per_tau):
+            rungs.append(tau)
+            y = _reference_project_psd(system, x, float(tau))
+            gap = float(np.max(np.abs(y - x)))
+            x = system.project_affine(y, b)
+            if gap < sos.TOLERANCE * scale:
+                return x
+            if gap < best_gap:
+                best_gap = gap
+                best_x = x
+            if gap < best * 0.999:
+                best = gap
+                idle = 0
+            else:
+                idle += 1
+                if idle > 300:
+                    break
+    if best_gap <= sos.SNAP_GAP * scale:
+        return best_x
+    return None
+
+
+def _search_both(system, target):
+    """``(new, reference, new steps, reference rungs)`` for one target."""
+    b = np.asarray([float(v) for v in system.rhs(target)], dtype=np.float64)
+    rungs = []
+    expected = _reference_psd_feasibility(system, b, rungs)
+    steps = []
+    project = system.project_psd
+    system.project_psd = lambda x, tau: steps.append(tau) or project(x, tau)
+    got = sos.psd_feasibility(system, b)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    return got, expected, steps, rungs
+
+
+def _form_system(target):
+    return GramSystem(target.shape, (), [(None, default_gram_basis(target))])
+
+
+def test_search_converging_on_the_first_rung_is_unchanged():
+    shape = BlockShape(0, 2, 0, ("Z",))
+    p = BlockedPoly(shape, {(4, 0, 0): F(1), (0, 4, 0): F(2), (0, 0, 4): F(3),
+                            (2, 2, 0): F(1), (1, 1, 2): F(1, 2)})
+    got, _, steps, rungs = _search_both(_form_system(p), p)
+    assert got is not None and set(rungs) == {sos.TAU_LADDER[0]}
+    assert steps == rungs
+
+
+def test_search_leaves_a_rung_at_an_exact_fixed_point():
+    # a coefficient form of sample problem c6, which sits at a fixed point
+    # of the projections on every rung
+    shape = BlockShape(n=1, r1=1, r2=1, homs=("X0", "Z1", "Z2"))
+    form = BlockedPoly(shape, {
+        (0, 0, 0, 0, 2, 2): F(2129, 512), (0, 0, 2, 0, 2, 0): F(1105, 512),
+        (0, 2, 0, 0, 0, 2): F(1105, 512), (0, 2, 2, 0, 0, 0): F(1105, 512),
+    })
+    got, _, steps, rungs = _search_both(_form_system(form), form)
+    assert got is not None
+    # the reference idles 301 steps on each rung it abandons
+    assert len(rungs) > 300 * (len(sos.TAU_LADDER) - 1)
+    assert len(steps) <= 2 * len(sos.TAU_LADDER)
+
+
+def test_search_on_the_motzkin_form_fails_the_same_way():
+    motzkin = _motzkin()
+    got, expected, _, _ = _search_both(_form_system(motzkin), motzkin)
+    assert got is None and expected is None
+
+
+def test_module_search_with_equal_block_sizes_is_unchanged():
+    # 3 - x^2 - y^2 = 1 + (1 - x^2) + (1 - y^2): sigma_0, sigma_1 and sigma_2
+    # each over (1, x, y), so one stacked eigensolve serves all three
+    shape = BlockShape(2, 0)
+    one = BlockedPoly.constant(shape, 1)
+    x, y = BlockedPoly.variable(shape, 0), BlockedPoly.variable(shape, 1)
+    gens = (one - x * x, one - y * y)
+    basis = ((0, 0), (1, 0), (0, 1))
+    system = GramSystem(shape, gens, [(None, basis), (0, basis), (1, basis[:2])])
+    target = one.scale(3) - x * x - y * y
+    got, _, _, _ = _search_both(system, target)
+    assert got is not None
+
+
+def test_stacked_projection_matches_the_per_block_loop():
+    rng = np.random.default_rng(5)
+    shape = BlockShape(2, 0)
+    one = BlockedPoly.constant(shape, 1)
+    x = BlockedPoly.variable(shape, 0)
+    basis = ((0, 0), (1, 0), (0, 1), (1, 1))
+    system = GramSystem(
+        shape, (one - x, one + x),
+        [(None, basis), (0, basis[:2]), (1, basis[:2]), (0, basis[:1]), (1, basis)],
+    )
+    for tau in (0.0, 1 / 64, 2.0**-24):
+        point = rng.standard_normal(len(system.entries))
+        got = system.project_psd(point, tau)
+        assert got.tobytes() == _reference_project_psd(system, point, tau).tobytes()
