@@ -254,10 +254,10 @@ def witness_from_obj(obj: Any, shape: BlockShape) -> ModuleWitness:
             target=poly_from_obj(obj["target"], shape),
             sigma0=sos_from_obj(obj["sigma0"], shape),
             multipliers=tuple(
-                (int(idx), sos_from_obj(deco, shape))
+                (json_typed(idx, int, "multiplier index"), sos_from_obj(deco, shape))
                 for idx, deco in obj["multipliers"]
             ),
-            budget=int(obj["budget"]),
+            budget=json_typed(obj["budget"], int, "witness budget"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad cached witness: {exc}") from None
@@ -280,9 +280,10 @@ def base_cache_from_obj(
 ) -> dict[Parity, ModuleWitness]:
     """Decode a witness cache; an unrelated or malformed cache is empty.
 
-    Cache misuse must never poison a run: entries are re-verified by the
-    consumer anyway, and a key mismatch simply means the constraints
-    changed since the cache was written.
+    Cache misuse must never poison a run: the consumer reuses an entry
+    only when it states the facet product of its key, names existing
+    generators and expands to that product exactly, and a key mismatch
+    simply means the constraints changed since the cache was written.
     """
     if not isinstance(obj, dict) or obj.get("constraints_hash") != constraints_key:
         return {}

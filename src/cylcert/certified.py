@@ -49,10 +49,9 @@ estimates their bytes and stops with :class:`BudgetExhaustedError` above
 ``MEMORY_BUDGET``, as it does above ``PAIR_BUDGET`` pairs.
 
 The sup and Lipschitz constants have one closed form (``_closed_form``),
-which :func:`bounds_for_target`, :func:`lipschitz_constants`,
-:func:`sup_bound` and :func:`x_lipschitz_constant` all return.  The
-float helpers ``_cover_product`` and ``_float_eval`` also run the Polya
-screen of :mod:`cylcert.polya`.
+which :func:`bounds_for_target` and :func:`x_lipschitz_constant` both
+return.  The float helpers ``_cover_product`` and ``_float_eval`` also
+run the Polya screen of :mod:`cylcert.polya`.
 """
 from __future__ import annotations
 
@@ -148,31 +147,6 @@ def bounds_for_target(
     """Closed-form constants computed from an explicit sphere-block layout."""
     caps = [(len(b.indices), b.degree) for b in blocks]
     return _closed_form(weighted_norm(target), n, target.block_degree("x"), caps)
-
-
-def lipschitz_constants(
-    f: BlockedPoly, d: int, m: int, r: int, *, split: bool = False
-) -> LipschitzData:
-    """The constants of :func:`bounds_for_target` for the homogenized f.
-
-    The sphere blocks are the joint one (dimension r+1, degree m) or,
-    split, a circle of degree m and a block of dimension r+1 and
-    degree 2; ``d`` may exceed the X-degree of f.
-    """
-    if d < f.block_degree("x"):
-        raise ValueError(f"d={d} below the X-degree of f")
-    caps = [(2, m), (r + 1, 2)] if split else [(r + 1, m)]
-    return _closed_form(weighted_norm(f), f.shape.n, d, caps)
-
-
-def sup_bound(f: BlockedPoly, d: int, m: int, r: int, *, split: bool = False) -> Fraction:
-    """Uniform bound on |homogenized f| over simplex x sphere(s).
-
-    Joint block: norm * C(m+r, r) * (d+1).  Split block pair:
-    norm * (m+1) * C(r+2, 2) * (d+1), i.e. half of
-    norm*(m+1)(r+1)(r+2)(d+1).
-    """
-    return lipschitz_constants(f, d, m, r, split=split).sup_bound
 
 
 def x_lipschitz_constant(g: BlockedPoly, n: int) -> Fraction:

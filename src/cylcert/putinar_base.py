@@ -12,23 +12,25 @@ degree, so they use only the half of the parities whose entries sum to
 that degree mod 2; only those are computed.  The products do not depend
 on the target, so they are good candidates for caching.
 
-Each product is one :class:`~cylcert.sos.GramSystem` search with one
-block per sigma; the degree budget for the sigmas doubles on failure up
-to a hard cap.  When the product vanishes at a simplex vertex that
-satisfies every constraint, the feasible Gram matrices are all singular
-there, so the bases are first cut down to polynomials vanishing at that
-vertex (facial reduction), which restores an interior-feasible system.
+Each product is one :func:`~cylcert.sos.module_witness` search, the same
+search that decomposes coefficient forms, over the bases of
+:func:`facet_bases`: one block per sigma, x-only monomials from
+:func:`~cylcert.sos.monomials`.  The degree budget for the sigmas
+doubles on failure up to a hard cap.  When the product vanishes at a
+simplex vertex that satisfies every constraint, the feasible Gram
+matrices are all singular there, so the bases are first cut down to
+polynomials vanishing at that vertex (facial reduction), which restores
+an interior-feasible system.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, SearchExhaustedError, ValidationError
 from .poly import BlockedPoly, BlockShape
-from .sos import GramSystem, SosDecomposition, expand_identity, gram_decompositions
+from .sos import Basis, SosDecomposition, expand_identity, module_witness, monomials
 
 Exponent = tuple[int, ...]
 Parity = tuple[int, ...]
@@ -94,34 +96,6 @@ class ModuleWitness:
         return self.as_poly(gens) == self.target
 
 
-def _monomials_up_to(shape: BlockShape, degree: int) -> list[BlockedPoly]:
-    """x-only monomials of total degree <= degree, as polynomials."""
-    n, width = shape.n, shape.width
-    exponents = []
-    for total in range(degree + 1):
-        for alpha in itertools.product(range(total + 1), repeat=n):
-            if sum(alpha) == total:
-                exponents.append(tuple(alpha) + (0,) * (width - n))
-    return [BlockedPoly(shape, {e: Fraction(1)}) for e in sorted(exponents)]
-
-
-Basis = tuple[BlockedPoly, ...]
-
-
-def default_bases(
-    shape: BlockShape, gens: Sequence[BlockedPoly], budget: int
-) -> list[tuple[int | None, Basis]]:
-    """One monomial basis per sigma block, degree-capped by the budget."""
-    out: list[tuple[int | None, Basis]] = [
-        (None, tuple(_monomials_up_to(shape, budget // 2)))
-    ]
-    for idx, g in enumerate(gens):
-        room = budget - g.block_degree("x")
-        if room >= 0:
-            out.append((idx, tuple(_monomials_up_to(shape, room // 2))))
-    return out
-
-
 def _simplex_vertices(shape: BlockShape) -> list[tuple[Fraction, ...]]:
     zero = (Fraction(0),) * shape.width
     out = [zero]
@@ -133,10 +107,10 @@ def _simplex_vertices(shape: BlockShape) -> list[tuple[Fraction, ...]]:
 
 
 def _eliminate_at_points(
-    basis: Basis, points: Sequence[tuple[Fraction, ...]]
+    shape: BlockShape, basis: Sequence[Exponent], points: Sequence[tuple[Fraction, ...]]
 ) -> Basis:
     """Cut the span down to polynomials vanishing at every given point."""
-    out = list(basis)
+    out = [BlockedPoly.monomial(shape, e) for e in basis]
     for point in points:
         values = [q.eval_at(point) for q in out]
         pivot = next((j for j, v in enumerate(values) if v != 0), None)
@@ -150,80 +124,43 @@ def _eliminate_at_points(
     return tuple(out)
 
 
-def reduced_bases(
+def facet_bases(
     shape: BlockShape,
     gens: Sequence[BlockedPoly],
     budget: int,
     target: BlockedPoly,
-) -> list[tuple[int | None, Basis]] | None:
-    """Facial reduction at simplex vertices where the target vanishes.
+) -> list[tuple[int | None, Basis]]:
+    """One basis per sigma block of a budget attempt at ``target``.
 
-    At a vertex satisfying every constraint, all terms of the would-be
-    decomposition are nonnegative, so a vanishing target forces sigma_0
-    (and every sigma_i whose generator is strictly positive there) to
-    vanish as well: their Gram matrices annihilate the evaluation
-    vector.  Restricting each basis accordingly loses no solutions and
-    restores strict feasibility in the common degenerate cases.  Returns
-    None when no vertex forces anything.
+    sigma_0 gets the x-only monomials of degree at most ``budget // 2``,
+    and sigma_i those of degree at most ``(budget - deg g_i) // 2``
+    (none when ``g_i`` alone exceeds the budget).  Facial reduction: at
+    a simplex vertex satisfying every constraint, all terms of the
+    would-be decomposition are nonnegative, so a vanishing target forces
+    sigma_0 (and every sigma_i whose generator is strictly positive
+    there) to vanish as well: their Gram matrices annihilate the
+    evaluation vector.  Each such basis is cut to the polynomials
+    vanishing at those vertices, which loses no solutions and restores
+    strict feasibility in the common degenerate cases.
     """
     vertices = [
         v
         for v in _simplex_vertices(shape)
         if target.eval_at(v) == 0 and all(g.eval_at(v) >= 0 for g in gens)
     ]
-    if not vertices:
-        return None
+    rooms = [(None, budget)] + [(idx, budget - g.block_degree("x")) for idx, g in enumerate(gens)]
     out: list[tuple[int | None, Basis]] = []
-    changed = False
-    for gen_idx, basis in default_bases(shape, gens, budget):
+    for gen_idx, room in rooms:
+        if room < 0:
+            continue
+        box = [room // 2 if i < shape.n else 0 for i in range(shape.width)]
         points = [
             v
             for v in vertices
             if gen_idx is None or gens[gen_idx].eval_at(v) > 0
         ]
-        cut = _eliminate_at_points(basis, points)
-        changed = changed or len(cut) != len(basis)
-        out.append((gen_idx, cut))
-    return out if changed else None
-
-
-def module_membership(
-    target: BlockedPoly,
-    gens: Sequence[BlockedPoly],
-    budget: int,
-    *,
-    system: GramSystem | None = None,
-) -> ModuleWitness | None:
-    """One budget attempt at target = sigma_0 + sum sigma_i g_i."""
-    if target.block_degree("x") != target.total_degree():
-        raise ValidationError("module membership targets must use x variables only")
-    shape = target.shape
-    bases = reduced_bases(shape, gens, budget, target)
-    if bases is not None:
-        system = GramSystem(shape, gens, bases)
-    elif system is None:
-        system = GramSystem(shape, gens, default_bases(shape, gens, budget))
-    if not system.entries:
-        return None
-    b = system.rhs(target)
-    if b is None:
-        return None
-    for decos in gram_decompositions(system, b):
-        sigmas = [(gen_idx, deco) for (gen_idx, _), deco in zip(system.blocks, decos)]
-        witness = ModuleWitness(
-            target=target,
-            sigma0=next(
-                (deco for gen_idx, deco in sigmas if gen_idx is None),
-                SosDecomposition(shape, (), ()),
-            ),
-            multipliers=tuple(
-                (idx, deco) for idx, deco in sigmas if idx is not None and deco.weights
-            ),
-            budget=budget,
-        )
-        if witness.verify(gens):
-            return witness
-    return None
+        out.append((gen_idx, _eliminate_at_points(shape, monomials(box, room // 2), points)))
+    return out
 
 
 def budget_ladder(gens: Sequence[BlockedPoly]) -> list[int]:
@@ -248,7 +185,8 @@ def base_certificates(
 
     ``parities`` lists the products wanted, as parity vectors over
     ``(u, x_1, ..., x_n)``.  ``precomputed`` entries (from a cache) are
-    re-verified and reused; anything missing or failing verification is
+    reused only when they state this parity's facet product, name only
+    generators that exist, and expand to it exactly; anything else is
     recomputed.  Raises :class:`SearchExhaustedError` when some product
     resists every budget up to ``BUDGET_CAP``, and :class:`CapExceededError`
     when the number of cylinder variables exceeds ``MAX_VARIABLES``.
@@ -260,30 +198,36 @@ def base_certificates(
             max_variables=MAX_VARIABLES,
         )
     ladder = budget_ladder(gens)
-    systems: dict[int, GramSystem] = {}
     out: dict[Parity, ModuleWitness] = {}
     failed: list[Parity] = []
     for parity in sorted(parities):
+        target = facet_product(shape, parity)
         cached = (precomputed or {}).get(parity)
-        if cached is not None and cached.verify(gens):
+        if (
+            cached is not None
+            and cached.target == target
+            and all(idx in range(len(gens)) for idx, _ in cached.multipliers)
+            and cached.verify(gens)
+        ):
             out[parity] = cached
             continue
-        target = facet_product(shape, parity)
-        witness = None
         for budget in ladder:
-            if budget not in systems:
-                systems[budget] = GramSystem(
-                    shape, gens, default_bases(shape, gens, budget)
+            sigmas = module_witness(target, gens, facet_bases(shape, gens, budget, target))
+            if sigmas is not None:
+                out[parity] = ModuleWitness(
+                    target=target,
+                    sigma0=next(
+                        (deco for idx, deco in sigmas if idx is None),
+                        SosDecomposition(shape, (), ()),
+                    ),
+                    multipliers=tuple(
+                        (idx, deco) for idx, deco in sigmas if idx is not None and deco.weights
+                    ),
+                    budget=budget,
                 )
-            witness = module_membership(
-                target, gens, budget, system=systems[budget]
-            )
-            if witness is not None:
                 break
-        if witness is None:
-            failed.append(parity)
         else:
-            out[parity] = witness
+            failed.append(parity)
     if failed:
         raise SearchExhaustedError(
             "some facet products admit no module decomposition within "

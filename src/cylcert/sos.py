@@ -1,8 +1,9 @@
 """Sum-of-squares decompositions with exact rational output.
 
-Every sigma in a certificate is read off a PSD Gram matrix, and one
-engine finds them all.  A :class:`GramSystem` holds one Gram block per
-sigma, each over its own basis (monomials, or arbitrary polynomials for
+Every sigma in a certificate comes from one search, :func:`module_witness`:
+find ``target = sigma_0 + sum sigma_i * g_i`` with every sigma read off a
+PSD Gram matrix.  A :class:`GramSystem` holds one Gram block per sigma,
+each over its own basis (monomials, or arbitrary polynomials for
 facially reduced systems) and optionally multiplied by a generator, and
 the sparse affine system tying the blocks to a target's coefficients.
 The classic round-then-project scheme then runs on it:
@@ -13,24 +14,26 @@ The classic round-then-project scheme then runs on it:
    improving, or as soon as a step returns the previous point bit for
    bit, since every later step of the rung would repeat it.  Blocks of
    one size are projected with one stacked eigensolve.
-2. :func:`gram_decompositions` rounds that point to each denominator of
-   a power-of-two ladder, re-imposes the coefficient constraints
+2. :func:`module_witness` rounds that point to each denominator of a
+   power-of-two ladder, re-imposes the coefficient constraints
    *exactly* (a rational solve of the normal equations), and factors
    every block with :func:`rational_ldlt`.
-3. A block set that factors yields weights and square polynomials whose
-   combination is exactly the target: no residual, no trust in floats.
+3. The first rung whose blocks all factor and whose identity expands
+   exactly to the target is the answer: no residual, no trust in floats.
 
-:func:`sos_decompose` is the one-block case (a monomial basis, no
-generator) used for forms; :mod:`cylcert.putinar_base` builds one block
-per sigma of a module witness.  Targets outside the cone make step 1
-stall at a positive residual; :func:`sos_decompose` reports that as
-:class:`SosStalledError` rather than papering over it.
+Monomial bases come from one sorted enumerator, :func:`monomials`.
+:func:`sos_decompose` is the search with no generators over
+:func:`default_gram_basis` (the halved exponent box of the target), used
+for coefficient forms and the d = 0 shortcut; :mod:`cylcert.putinar_base`
+runs it once per facet product over x-only bases.  Targets outside the
+cone make step 1 stall at a positive residual; :func:`sos_decompose`
+reports that as :class:`SosStalledError` rather than papering over it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -332,34 +335,6 @@ def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def gram_decompositions(
-    system: GramSystem, b: Sequence[Fraction]
-) -> Iterator[list["SosDecomposition"]]:
-    """Exact decompositions of every block, one list per rounding rung.
-
-    Runs the float search once, then for each denominator of
-    :data:`DEN_LADDER` rounds the point, projects it exactly onto the
-    affine set and factors each block.  Yields only rungs where every
-    block is PSD, in ladder order; stops when the search fails or the
-    exact system is inconsistent.
-    """
-    x_float = psd_feasibility(system, np.asarray([float(v) for v in b], dtype=np.float64))
-    if x_float is None:
-        return
-    for den in DEN_LADDER:
-        x_exact = system.exact_correction([Fraction(round(v * den), den) for v in x_float], b)
-        if x_exact is None:
-            return
-        decos = []
-        for (_gen, basis), gram in zip(system.blocks, system.grams_from_vector(x_exact)):
-            deco = decomposition_from_gram(system.shape, basis, gram)
-            if deco is None:
-                break
-            decos.append(deco)
-        else:
-            yield decos
-
-
 # ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------
@@ -426,8 +401,61 @@ def decomposition_from_gram(
 
 
 # ---------------------------------------------------------------------------
-# basis selection and the main entry point
+# the one module search and its bases
 # ---------------------------------------------------------------------------
+
+def module_witness(
+    target: BlockedPoly,
+    gens: Sequence[BlockedPoly],
+    bases: Sequence[tuple[int | None, Basis]],
+) -> list[tuple[int | None, SosDecomposition]] | None:
+    """Exact ``target = sigma_0 + sum sigma_i * g_i`` over the given bases.
+
+    ``bases`` pairs a generator index (``None`` for sigma_0) with a
+    basis, as for :class:`GramSystem`.  Runs the float search once, then
+    for each denominator of :data:`DEN_LADDER` rounds the point, projects
+    it exactly onto the affine set and factors every block; the first
+    rung whose identity expands to the target gives one ``(generator
+    index, decomposition)`` per nonempty block.  None when the bases
+    cannot produce the target, the search fails, or no rung verifies.
+    """
+    system = GramSystem(target.shape, gens, bases)
+    b = system.rhs(target)
+    if b is None:
+        return None
+    x_float = psd_feasibility(system, np.asarray([float(v) for v in b], dtype=np.float64))
+    if x_float is None:
+        return None
+    empty = SosDecomposition(target.shape, (), ())
+    for den in DEN_LADDER:
+        x_exact = system.exact_correction([Fraction(round(v * den), den) for v in x_float], b)
+        if x_exact is None:
+            return None
+        sigmas = []
+        for (gen_idx, basis), gram in zip(system.blocks, system.grams_from_vector(x_exact)):
+            deco = decomposition_from_gram(system.shape, basis, gram)
+            if deco is None:
+                break
+            sigmas.append((gen_idx, deco))
+        else:
+            sigma0 = next((deco for idx, deco in sigmas if idx is None), empty)
+            products = ((deco, gens[idx]) for idx, deco in sigmas if idx is not None)
+            if expand_identity(sigma0, products) == target:
+                return sigmas
+    return None
+
+
+def monomials(box: Sequence[int], top: int, *, exact: bool = False) -> list[Exponent]:
+    """Exponents at most ``box`` slot by slot, of total degree at most ``top``.
+
+    With ``exact`` only total degree ``top`` is kept.  Built slot by slot
+    with ascending entries, so the list is in sorted order.
+    """
+    out: list[Exponent] = [()]
+    for side in box:
+        out = [e + (v,) for e in out for v in range(side + 1) if sum(e) + v <= top]
+    return [e for e in out if not exact or sum(e) == top]
+
 
 def default_gram_basis(target: BlockedPoly) -> list[Exponent]:
     """Monomial basis covering every possible square support of a nonzero target.
@@ -437,30 +465,9 @@ def default_gram_basis(target: BlockedPoly) -> list[Exponent]:
     only the matching half degree.  Sizes beyond ``GRAM_BASIS_CAP`` raise
     :class:`CapExceededError`.
     """
-    width = target.shape.width
-    box = [0] * width
-    totals = set()
-    for e in target.terms:
-        totals.add(sum(e))
-        for i, v in enumerate(e):
-            box[i] = max(box[i], v)
-    total_cap = max(totals) // 2
-    homogeneous = len(totals) == 1
-    ranges = [range(v // 2 + 1) for v in box]
-    out: list[Exponent] = []
-    stack: list[tuple[list[int], int]] = [([], 0)]
-    while stack:
-        prefix, used = stack.pop()
-        i = len(prefix)
-        if i == width:
-            tot = sum(prefix)
-            if tot <= total_cap and (not homogeneous or tot == total_cap):
-                out.append(tuple(prefix))
-            continue
-        for v in ranges[i]:
-            if used + v <= total_cap:
-                stack.append((prefix + [v], used + v))
-    out.sort()
+    box = [max(e[i] for e in target.terms) // 2 for i in range(target.shape.width)]
+    totals = {sum(e) for e in target.terms}
+    out = monomials(box, max(totals) // 2, exact=len(totals) == 1)
     if len(out) > GRAM_BASIS_CAP:
         raise CapExceededError(
             "Gram basis would exceed the size cap",
@@ -473,26 +480,24 @@ def default_gram_basis(target: BlockedPoly) -> list[Exponent]:
 def sos_decompose(target: BlockedPoly) -> SosDecomposition:
     """Write the target as an exact weighted sum of squares.
 
-    Raises :class:`SosStalledError` when the numeric search cannot reach
-    the SOS cone (e.g. for nonnegative polynomials that are not sums of
-    squares) or when no rounding denominator yields an exact identity.
+    One :func:`module_witness` search with no generators over
+    :func:`default_gram_basis`.  Raises :class:`SosStalledError` when
+    the basis cannot produce some monomial of the target, when the
+    numeric search cannot reach the SOS cone (e.g. for nonnegative
+    polynomials that are not sums of squares), or when no rounding
+    denominator yields an exact identity.
     """
     if not target.terms:
         return SosDecomposition(target.shape, (), ())
     basis = default_gram_basis(target)
-    system = GramSystem(target.shape, (), [(None, basis)])
-    b = system.rhs(target)
-    if b is None:
-        missing = next(e for e in target.terms if e not in system.row_of)
-        raise ValueError(
-            f"basis cannot produce the target monomial with exponents {missing}"
+    found = module_witness(target, (), [(None, basis)])
+    if found is None:
+        raise SosStalledError(
+            "no exact positive-semidefinite Gram matrix found: the basis "
+            "cannot produce the target, the float search stalled outside "
+            "the sum-of-squares cone for this basis, or no denominator in "
+            "the rounding ladder gave a PSD matrix",
+            basis_size=len(basis),
         )
-    for (deco,) in gram_decompositions(system, b):
-        if deco.verify(target):
-            return deco
-    raise SosStalledError(
-        "no exact positive-semidefinite Gram matrix found: the float search "
-        "stalled outside the sum-of-squares cone for this basis, or no "
-        "denominator in the rounding ladder gave a PSD matrix",
-        basis_size=len(basis),
-    )
+    [(_, deco)] = found
+    return deco

@@ -25,7 +25,6 @@ from cylcert.certificate import (
     variant_degree,
     verify_certificate,
 )
-from cylcert.certified import lipschitz_constants, sup_bound
 from cylcert.covers import projected_sphere_cover
 from cylcert.errors import SosStalledError, VerificationError
 from cylcert.pipeline import certify_problem
@@ -34,6 +33,7 @@ from cylcert.polya import polya_saturate
 from cylcert.problem import SphereBlock, Variant, problem_from_obj
 from cylcert.serialize import frac_from_str, load_json
 from cylcert.sos import sos_decompose
+from helpers import sphere_constants
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "sample_problems"
 CORPUS = sorted(CORPUS_DIR.glob("*.json"))
@@ -158,9 +158,8 @@ def test_criterion_3_uniform_and_increment_bounds_dominate_samples():
     for tag, shape, m, r, split in _VARIANT_SHAPES:
         for _ in range(100):
             f = _random_poly(rng, shape, m)
-            d = f.block_degree("x")
-            sup = sup_bound(f, d, m, r, split=split)
-            lips = lipschitz_constants(f, d, m, r, split=split)
+            lips = sphere_constants(f, m, r, split=split)
+            sup = lips.sup_bound
             padded = _pad(f, m, split)
             width = padded.shape.width
             for vals in _sphere_points(padded.shape, m, split, rng, 6):

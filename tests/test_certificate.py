@@ -22,6 +22,7 @@ from cylcert.certificate import (
     theorem_bound,
     variant_degree,
     verify_certificate,
+    witness_from_obj,
 )
 from cylcert.errors import SchemaError, ValidationError, VerificationError
 from cylcert.perturb import find_perturbation
@@ -231,6 +232,22 @@ def test_base_cache_round_trip(interval_cert):
         ]
     assert base_cache_from_obj(obj, "other-key", problem.shape) == {}
     assert base_cache_from_obj({"bogus": 1}, "key-1", problem.shape) == {}
+
+
+def test_cached_witness_integers_are_read_strictly(interval_cert):
+    problem, _cert, base = interval_cert
+    parity, witness = next((p, w) for p, w in sorted(base.items()) if w.multipliers)
+    key = "".join(map(str, parity))
+    for field, bad in (("multipliers", "0"), ("multipliers", True), ("budget", 4.0)):
+        obj = base_cache_to_obj("key-1", base)
+        entry = obj["witnesses"][key]
+        if field == "budget":
+            entry["budget"] = bad
+        else:
+            entry["multipliers"][0][0] = bad
+        with pytest.raises(SchemaError):
+            witness_from_obj(entry, problem.shape)
+        assert parity not in base_cache_from_obj(obj, "key-1", problem.shape)
 
 
 # --- frame pull-back -------------------------------------------------------

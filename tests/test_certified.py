@@ -19,11 +19,9 @@ from cylcert.certified import (
     certified_cylinder_min,
     certified_excess_check,
     check_leading_form_condition,
-    lipschitz_constants,
     monomial_capacity,
-    sup_bound,
 )
-from cylcert.covers import SimplexGrid, projected_sphere_cover
+from cylcert.covers import SimplexGrid, projected_sphere_cover, sqrt_upper
 from cylcert.errors import (
     BelowThresholdError,
     BudgetExhaustedError,
@@ -39,6 +37,7 @@ from cylcert.problem import (
     SphereBlock,
     Variant,
 )
+from helpers import sphere_constants
 
 
 # --- shared fixtures -------------------------------------------------------
@@ -77,27 +76,20 @@ def test_sup_bound_joint_block_example():
     shape = BlockShape(1, 2)
     f = BlockedPoly(shape, {(1, 4, 0): F(1)})
     assert weighted_norm(f) == 1
-    assert sup_bound(f, 1, 4, 2) == 30
+    assert sphere_constants(f, 4, 2).sup_bound == 30
 
 
 def test_sup_bound_split_block_example():
     # norm-1, d=1, m=2, r=1 split: (m+1)*C(3,2)*(d+1) = 3*3*2 = 18
     shape = BlockShape(1, 1, 1)
     f = BlockedPoly(shape, {(1, 2, 2): F(1)})
-    assert sup_bound(f, 1, 2, 1, split=True) == 18
-
-
-def test_sup_bound_rejects_understated_degree():
-    shape = BlockShape(1, 1)
-    f = BlockedPoly(shape, {(2, 2): F(1)})
-    with pytest.raises(ValueError):
-        sup_bound(f, 1, 2, 1)
+    assert sphere_constants(f, 2, 1, split=True).sup_bound == 18
 
 
 def test_lipschitz_x_constant_examples():
     shape = BlockShape(1, 2)
     f = BlockedPoly(shape, {(1, 4, 0): F(1)})
-    data = lipschitz_constants(f, 1, 4, 2)
+    data = sphere_constants(f, 4, 2)
     # (1/2) * sqrt(1) * 1 * 15 * 1 * 2 = 15
     assert data.l_x == 15
     assert data.sup_bound == 30
@@ -108,7 +100,7 @@ def test_lipschitz_x_constant_examples():
 def test_lipschitz_x_vanishes_for_constant_x_part():
     shape = BlockShape(1, 1)
     f = BlockedPoly(shape, {(0, 2): F(5)})
-    data = lipschitz_constants(f, 0, 2, 1)
+    data = sphere_constants(f, 2, 1)
     assert data.l_x == 0
     assert data.sup_bound == 5 * 3 * 1
 
@@ -116,7 +108,7 @@ def test_lipschitz_x_vanishes_for_constant_x_part():
 def test_split_lipschitz_uses_both_sphere_factors():
     shape = BlockShape(1, 1, 2)
     f = BlockedPoly(shape, {(0, 2, 2, 0): F(1)})
-    data = lipschitz_constants(f, 0, 2, 2, split=True)
+    data = sphere_constants(f, 2, 2, split=True)
     sup = 1 * 3 * 6 * 1
     assert data.sup_bound == sup
     assert data.l_sphere == (2 * sup, 2 * sup)
@@ -152,8 +144,9 @@ def test_bounds_for_target_agrees_with_problem_level_formulas():
         )
         target, blocks = prob.homogenized()
         data = bounds_for_target(target, n, blocks)
-        assert data.sup_bound == sup_bound(f, prob.d, m, r1)
-        assert data.l_x == lipschitz_constants(f, prob.d, m, r1).l_x
+        norm, d, cap = weighted_norm(f), prob.d, math.comb(m + r1, r1)
+        assert data.sup_bound == norm * cap * (d + 1)
+        assert data.l_x == F(1, 2) * sqrt_upper(n) * norm * cap * d * (d + 1)
 
 
 def test_sup_bound_dominates_samples():
@@ -167,8 +160,7 @@ def test_sup_bound_dominates_samples():
             terms[e] = F(rng.randrange(-8, 9), rng.randrange(1, 5))
         terms[(0, 0, 2)] = F(1)
         f = BlockedPoly(shape, terms)
-        d = max(2, f.block_degree("x"))
-        prob_sup = sup_bound(f, d, 2, 1)
+        prob_sup = sphere_constants(f, 2, 1).sup_bound
         fbar = homogenize_block(f, "y1", 2, "Z")
         circle = projected_sphere_cover(2, 12, (0, 1))
         for _ in range(20):
@@ -184,7 +176,7 @@ def test_x_lipschitz_dominates_sample_pairs():
     rng = random.Random(5)
     shape = BlockShape(2, 1)
     f = BlockedPoly(shape, {(2, 0, 2): F(3), (1, 1, 2): F(-2), (0, 0, 2): F(1)})
-    data = lipschitz_constants(f, 2, 2, 1)
+    data = sphere_constants(f, 2, 1)
     fbar = homogenize_block(f, "y1", 2, "Z")
     u = (F(3, 5), F(4, 5))
     for _ in range(2000):
@@ -201,7 +193,7 @@ def test_sphere_lipschitz_dominates_chordal_pairs():
     """Degree-times-sup bounds the variation along the sphere factor."""
     shape = BlockShape(1, 1)
     f = BlockedPoly(shape, {(0, 2): F(1)})
-    data = lipschitz_constants(f, 0, 2, 1)
+    data = sphere_constants(f, 2, 1)
     fbar = homogenize_block(f, "y1", 2, "Z")
     circle = projected_sphere_cover(2, 64, (0, 1))
     rng = random.Random(17)

@@ -102,6 +102,34 @@ def test_repeat_runs_are_byte_identical(problem_file, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _copy_witness_00_to_11(witnesses):
+    witnesses["11"] = witnesses["00"]
+
+
+def _point_a_multiplier_at_generator_7(witnesses):
+    witnesses["11"]["multipliers"][0][0] = 7
+
+
+@pytest.mark.parametrize(
+    "tamper", [_copy_witness_00_to_11, _point_a_multiplier_at_generator_7]
+)
+def test_a_tampered_sidecar_leaves_the_run_unchanged(tmp_path, tamper):
+    path = SAMPLES / "c1_interval_line_quadratic.json"
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    cold_sidecar, warm_sidecar = (Path(f"{out}.basecache.json") for out in (cold, warm))
+
+    def certify(out):
+        return cli.main(["certify", "--input", str(path), "--output", str(out), "--seed", "7"])
+
+    assert certify(cold) == 0
+    sidecar = json.loads(cold_sidecar.read_text())
+    tamper(sidecar["witnesses"])
+    warm_sidecar.write_text(json.dumps(sidecar))
+    assert certify(warm) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    assert warm_sidecar.read_bytes() == cold_sidecar.read_bytes()
+
+
 def test_written_files_are_the_canonical_bytes(problem_file, tmp_path):
     out = tmp_path / "cert.json"
     assert cli.main(["certify", "--input", str(problem_file), "--output", str(out)]) == 0

@@ -13,7 +13,9 @@ as the benchmark does.  ``perfbench/family.py`` is executed from its
 source text, so nothing is written beside it.
 
 Two checkouts' snapshots compare with ``diff -r``; a refactor that keeps
-behaviour leaves the certificates and sidecars byte-identical.
+behaviour leaves the certificates and sidecars byte-identical.  OUTDIR
+must be new or empty (exit 2 otherwise): a second snapshot into the same
+directory would reuse the first one's sidecars and take the warm path.
 """
 from __future__ import annotations
 
@@ -55,6 +57,9 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python3 tools/snapshot.py OUTDIR", file=sys.stderr)
         return 2
     outdir = Path(args[0])
+    if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
+        print(f"snapshot: {outdir} exists and is not an empty directory", file=sys.stderr)
+        return 2
     outdir.mkdir(parents=True, exist_ok=True)
     inputs_dir = outdir / "inputs"
     inputs_dir.mkdir(exist_ok=True)
