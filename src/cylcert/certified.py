@@ -813,7 +813,7 @@ class _Scan:
         reps = []
         for cov in reversed(covers):
             j, idx = divmod(j, len(cov))
-            reps.append(cov.representatives[idx])
+            reps.append(cov.representative(idx))
         return tuple(reversed(reps))
 
 

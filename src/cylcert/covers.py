@@ -23,6 +23,17 @@ The sphere cover exists only as :func:`projected_sphere_cover`: its
 points seen through a subset of the coordinates, each with one full
 sphere point behind it.  Keeping every coordinate gives the whole cover.
 
+Sphere points are built and stored over the integers.  A circle point
+at t = s/K is the triple (2sK, K^2 - s^2, K^2 + s^2), two numerators over
+one denominator, and every point is a tuple of numerators over one
+positive common denominator.  Projections are deduplicated on the key
+(numerators, denominator) divided by their gcd: its denominator is the
+lcm of the coordinates' reduced denominators, so two points are equal
+as rational tuples exactly when their keys are equal.  Exact
+``Fraction`` coordinates are made only on request, one point at a time.
+The float64 coordinates are numerator / denominator in Python ints,
+which is correctly rounded at any size, as ``float(Fraction)`` is.
+
 Irrational radii are replaced by rational upper bounds via
 :func:`sqrt_upper`, keeping all downstream comparisons exact.
 """
@@ -30,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -97,13 +108,16 @@ class SimplexGrid:
 # sphere covers
 # ---------------------------------------------------------------------------
 
-def _half_angle_points(resolution: int) -> list[tuple[Fraction, Fraction]]:
-    """(first, second) = (2t/(1+t^2), (1-t^2)/(1+t^2)) on a t-grid of [-1,1]."""
+def _half_angle_points(resolution: int) -> list[tuple[int, int, int]]:
+    """(2t/(1+t^2), (1-t^2)/(1+t^2)) on a t-grid of [-1, 1], as integers.
+
+    With t = s/K, s = 2j - K, the pair is (2sK, K^2 - s^2) over K^2 + s^2.
+    """
+    k2 = resolution * resolution
     out = []
     for j in range(resolution + 1):
-        t = Fraction(2 * j, resolution) - 1
-        den = 1 + t * t
-        out.append((2 * t / den, (1 - t * t) / den))
+        s = 2 * j - resolution
+        out.append((2 * s * resolution, k2 - s * s, k2 + s * s))
     return out
 
 
@@ -114,85 +128,110 @@ def sphere_cover_radius(dim: int, resolution: int) -> Fraction:
     return Fraction(2 * (dim - 1), resolution)
 
 
+# A point as integer numerators over one positive common denominator.
+_IntPoint = tuple[tuple[int, ...], int]
+
+
 class ProjectedCover:
     """A sphere cover seen through a subset of its coordinates.
 
-    ``points`` are the distinct projections (exact rationals, inside the
-    unit ball of the kept coordinates); ``representatives[i]`` is one full
-    sphere point projecting to ``points[i]``.  Projection is 1-Lipschitz,
-    so the parent cover's radius still certifies: every sphere point has a
+    ``point(i)`` is the i-th distinct projection (exact rationals, inside
+    the unit ball of the kept coordinates); ``representative(i)`` is one
+    full sphere point projecting to it.  Projection is 1-Lipschitz, so
+    the parent cover's radius still certifies: every sphere point has a
     representative whose projection is within ``radius`` of its own.
+    Both are held as ``(numerators, denominator)`` pairs of ints and made
+    into ``Fraction`` tuples on demand.
     """
 
-    __slots__ = ("dim", "kept", "resolution", "points", "representatives", "radius", "_floats")
+    __slots__ = ("dim", "kept", "resolution", "_points", "_reps", "radius", "_floats")
 
     def __init__(
         self,
         dim: int,
         kept: tuple[int, ...],
         resolution: int,
-        entries: dict[tuple[Fraction, ...], tuple[Fraction, ...]],
+        entries: dict[_IntPoint, _IntPoint],
         radius: Fraction,
     ):
         self.dim = dim
         self.kept = kept
         self.resolution = resolution
-        self.points = tuple(entries.keys())
-        self.representatives = tuple(entries.values())
+        self._points = tuple(entries.keys())
+        self._reps = tuple(entries.values())
         self.radius = radius
         self._floats: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._points)
+
+    def point(self, index: int) -> tuple[Fraction, ...]:
+        nums, den = self._points[index]
+        return tuple(Fraction(a, den) for a in nums)
+
+    def representative(self, index: int) -> tuple[Fraction, ...]:
+        nums, den = self._reps[index]
+        return tuple(Fraction(a, den) for a in nums)
 
     def as_floats(self) -> np.ndarray:
         if self._floats is None:
             if self.kept:
+                # int / int is correctly rounded, as float(Fraction) is
                 self._floats = np.array(
-                    [[float(c) for c in pt] for pt in self.points], dtype=np.float64
+                    [[a / den for a in nums] for nums, den in self._points], dtype=np.float64
                 )
             else:
-                self._floats = np.zeros((len(self.points), 0), dtype=np.float64)
+                self._floats = np.zeros((len(self._points), 0), dtype=np.float64)
         return self._floats
+
+
+def _key(nums: tuple[int, ...], den: int) -> _IntPoint:
+    """The canonical form of a rational point: numerators and denominator
+    divided by their gcd, so equal points have equal keys."""
+    g = gcd(*nums, den)
+    if g == 1:
+        return nums, den
+    return tuple(a // g for a in nums), den // g
 
 
 def _projected_entries(
     dim: int, resolution: int, kept: tuple[int, ...]
-) -> dict[tuple[Fraction, ...], tuple[Fraction, ...]]:
+) -> dict[_IntPoint, _IntPoint]:
     """Distinct projections -> one full representative, built recursively.
 
     Follows the recursive construction of the module docstring but
     deduplicates by projection at every level, so dropping coordinates
     collapses the point count before the product with the half-circle
-    chart is formed.
+    chart is formed.  Keys are canonical (:func:`_key`); representatives
+    keep the unreduced numerators of the construction.
     """
     if dim == 1:
-        out: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
-        for full in ((Fraction(1),), (Fraction(-1),)):
-            out.setdefault(tuple(full[i] for i in kept), full)
+        out: dict[_IntPoint, _IntPoint] = {}
+        for full in ((1,), (-1,)):
+            out.setdefault(_key(tuple(full[i] for i in kept), 1), (full, 1))
         return out
     if dim == 2:
         out = {}
-        for first, second in _half_angle_points(resolution):
+        for first, second, den in _half_angle_points(resolution):
             for full in ((first, second), (first, -second)):
-                out.setdefault(tuple(full[i] for i in kept), full)
+                out.setdefault(_key(tuple(full[i] for i in kept), den), (full, den))
         return out
     inner_kept = tuple(i for i in kept if i < dim - 1)
     keep_last = (dim - 1) in kept
     inner = _projected_entries(dim - 1, resolution, inner_kept)
+    zeros = (0,) * len(inner_kept)
     out = {}
-    for p, q in _half_angle_points(resolution):
-        a, b = q, p
-        tail = (b,) if keep_last else ()
-        if a == 0:
-            rep_inner = next(iter(inner.values()))
-            full = tuple(Fraction(0) for _ in rep_inner) + (b,)
-            out.setdefault(tuple(Fraction(0) for _ in inner_kept) + tail, full)
+    for p, q, den in _half_angle_points(resolution):
+        # (a, b) = (q, p) / den runs over the half-circle a >= 0
+        if q == 0:
+            key = _key(zeros + ((p,) if keep_last else ()), den)
+            out.setdefault(key, ((0,) * (dim - 1) + (p,), den))
             continue
-        for proj_w, full_w in inner.items():
-            key = tuple(a * wi for wi in proj_w) + tail
+        for (proj_w, proj_den), (full_w, full_den) in inner.items():
+            tail = (p * proj_den,) if keep_last else ()
+            key = _key(tuple(q * w for w in proj_w) + tail, den * proj_den)
             if key not in out:
-                out[key] = tuple(a * wi for wi in full_w) + (b,)
+                out[key] = (tuple(q * w for w in full_w) + (p * full_den,), den * full_den)
     return out
 
 

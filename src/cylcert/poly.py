@@ -32,7 +32,10 @@ common denominator (the lcm of the coefficient denominators times each
 coordinate's denominator to its highest exponent), the numerators are
 summed as Python ints from per-coordinate power tables, and one
 ``Fraction`` is made at the end.  It is the same reduced rational as a
-term-by-term ``Fraction`` sum.
+term-by-term ``Fraction`` sum.  The lcm, the cleared numerators and each
+slot's highest exponent depend on the terms alone, and no code mutates
+``terms``, so the first call stores them on the polynomial and later
+calls reuse them.
 
 ``BlockedPoly._trusted(shape, terms)`` wraps ``terms`` without copying or
 checking it.  Only code in this package that has just built the dict may
@@ -133,7 +136,8 @@ class BlockShape:
 class BlockedPoly:
     """Immutable sparse polynomial over a :class:`BlockShape`."""
 
-    __slots__ = ("shape", "terms")
+    # _eval: what eval_at needs from the terms, filled on its first call
+    __slots__ = ("shape", "terms", "_eval")
 
     def __init__(self, shape: BlockShape, terms: Mapping[Exponent, Fraction] | None = None):
         cleaned: dict[Exponent, Fraction] = {}
@@ -278,19 +282,22 @@ class BlockedPoly:
         Summed over integer numerators and one common denominator (module
         docstring).
         """
-        pt = tuple(Fraction(v) for v in point)
+        pt = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in point)
         if len(pt) != self.shape.width:
             raise ShapeMismatchError(
                 f"point has {len(pt)} coordinates, shape width {self.shape.width}"
             )
         if not self.terms:
             return Fraction(0)
-        den, cleared = _cleared(self)
+        try:
+            den, cleared, tops = self._eval
+        except AttributeError:
+            den, cleared = _cleared(self)
+            tops = [(i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top]
+            object.__setattr__(self, "_eval", (den, cleared, tops))
         # (i, row) with row[e] = p^e * q^(top - e), coordinate i's factor at exponent e
         tables: list[tuple[int, list[int]]] = []
-        for i, top in enumerate(map(max, zip(*self.terms))):
-            if not top:
-                continue
+        for i, top in tops:
             p, q = pt[i].numerator, pt[i].denominator
             tables.append((i, [p**e * q ** (top - e) for e in range(top + 1)]))
             den *= q**top

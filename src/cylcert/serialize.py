@@ -41,6 +41,15 @@ def frac_from_str(text: Any) -> Fraction:
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {type(text).__name__}")
     try:
+        # the canonical form, ASCII -?[0-9]+(/[0-9]+)?, skips Fraction's regex
+        num, slash, den = text.removeprefix("-").partition("/")
+        if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            p = -int(num) if text[0] == "-" else int(num)
+            if not slash:
+                return Fraction(p)
+            q = int(den)
+            if q:
+                return Fraction(p, q)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None

@@ -169,8 +169,10 @@ class GramSystem:
         self.aw = a * w_inv[None, :]          # A W^-1
         self.pinv_awa = np.linalg.pinv(self.aw @ a.T)
 
-        # Blocks of one size share one stacked eigensolve: per size, the
-        # upper-triangle indices and each block's positions in x.
+        # Blocks of one size share one stacked eigensolve.  Per size: each
+        # block's positions in x, the (blocks, dim, dim) index into x that
+        # gathers the symmetric stack, and the flat upper-triangle index
+        # that reads the entries back in x's order.
         positions: dict[int, list[np.ndarray]] = {}
         offset = 0
         for _gen, basis in self.blocks:
@@ -178,9 +180,13 @@ class GramSystem:
             count = dim * (dim + 1) // 2
             positions.setdefault(dim, []).append(np.arange(offset, offset + count))
             offset += count
-        self.psd_groups = [
-            (dim, np.triu_indices(dim), np.stack(pos)) for dim, pos in positions.items()
-        ]
+        self.psd_groups = []
+        for dim, pos in positions.items():
+            upper_j, upper_k = np.triu_indices(dim)
+            entry = np.empty((dim, dim), dtype=np.intp)
+            entry[upper_j, upper_k] = entry[upper_k, upper_j] = np.arange(len(upper_j))
+            stack = np.stack(pos)
+            self.psd_groups.append((stack, stack[:, entry], upper_j * dim + upper_k))
 
         # Exact normal matrix M = A W^-1 A^T for the rational projection.
         m = [[Fraction(0)] * n_rows for _ in range(n_rows)]
@@ -211,14 +217,11 @@ class GramSystem:
 
     def project_psd(self, x: np.ndarray, tau: float) -> np.ndarray:
         out = np.empty_like(x)
-        for dim, (rows, cols), pos in self.psd_groups:
-            mats = np.zeros((len(pos), dim, dim))
-            upper = x[pos]
-            mats[:, rows, cols] = upper
-            mats[:, cols, rows] = upper
-            vals, vecs = np.linalg.eigh(mats)
-            mats = (vecs * np.clip(vals, tau, None)[:, None, :]) @ vecs.transpose(0, 2, 1)
-            out[pos] = mats[:, rows, cols]
+        for pos, gather, upper in self.psd_groups:
+            vals, vecs = np.linalg.eigh(x[gather])
+            np.maximum(vals, tau, out=vals)
+            mats = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+            out[pos] = mats.reshape(len(pos), -1)[:, upper]
         return out
 
     # -- exact phase ----------------------------------------------------

@@ -140,15 +140,15 @@ def _sphere_points(shape, m, split, rng, count):
         s1 = shape.block_indices("y1") + shape.block_indices("Z1")
         s2 = shape.block_indices("y2") + shape.block_indices("Z2")
         for _ in range(count):
-            vals = dict(zip(s1, c1.points[rng.randrange(len(c1))]))
-            vals.update(zip(s2, c2.points[rng.randrange(len(c2))]))
+            vals = dict(zip(s1, c1.point(rng.randrange(len(c1)))))
+            vals.update(zip(s2, c2.point(rng.randrange(len(c2)))))
             out.append(vals)
     else:
         dim = len(shape.block_indices("y1")) + 1
         cov = projected_sphere_cover(dim, 12, tuple(range(dim)))
         slots = shape.block_indices("y1") + shape.block_indices("Z")
         for _ in range(count):
-            out.append(dict(zip(slots, cov.points[rng.randrange(len(cov))])))
+            out.append(dict(zip(slots, cov.point(rng.randrange(len(cov))))))
     return out
 
 

@@ -167,7 +167,7 @@ def test_sup_bound_dominates_samples():
             x = (F(rng.randrange(0, 9), 16), F(rng.randrange(0, 8), 16))
             if sum(x) > 1:
                 continue
-            u = circle.points[rng.randrange(len(circle))]
+            u = circle.point(rng.randrange(len(circle)))
             val = fbar.eval_at(x + u)
             assert abs(val) <= prob_sup
 
@@ -199,8 +199,8 @@ def test_sphere_lipschitz_dominates_chordal_pairs():
     rng = random.Random(17)
     L = float(data.l_sphere[0])
     for _ in range(10_000):
-        u = circle.points[rng.randrange(len(circle))]
-        v = circle.points[rng.randrange(len(circle))]
+        u = circle.point(rng.randrange(len(circle)))
+        v = circle.point(rng.randrange(len(circle)))
         lhs = abs(fbar.eval_at((F(0),) + u) - fbar.eval_at((F(0),) + v))
         chord = math.dist([float(t) for t in u], [float(t) for t in v])
         assert float(lhs) <= L * chord + 1e-9
@@ -296,7 +296,7 @@ def test_cylinder_min_lower_bound_is_sound():
     rng = random.Random(41)
     for _ in range(10_000):
         x = F(rng.randrange(256, 513), 1024)  # dense rational sweep of [1/4, 1/2]
-        u = circle.points[rng.randrange(len(circle))]
+        u = circle.point(rng.randrange(len(circle)))
         assert target.eval_at((x,) + u) >= res.lower_bound
 
 
@@ -476,7 +476,7 @@ def test_leading_form_bounds_hold_on_fresh_points():
     rng = random.Random(3)
     for _ in range(1000):
         x = F(rng.randrange(256, 513), 1024)
-        u = (F(1),) if len(blocks[0].indices) == 1 else circle.points[rng.randrange(len(circle))]
+        u = (F(1),) if len(blocks[0].indices) == 1 else circle.point(rng.randrange(len(circle)))
         pt = [F(0)] * form.shape.width
         pt[0] = x
         for slot, v in zip(blocks[0].indices, u):
@@ -538,7 +538,9 @@ def _every_pair_exactly(scan, grid, rows, covers):
     candidates = []
     for row, feasible in zip(rows, _exact_in_s(scan, grid, rows)):
         x = grid.point(int(row))
-        for reps in itertools.product(*(c.representatives for c in covers)):
+        for reps in itertools.product(
+            *([c.representative(i) for i in range(len(c))] for c in covers)
+        ):
             entry = (x, reps[0], scan.target.eval_at(x + reps[0]), bool(feasible))
             if best is None or entry[2] < best[2]:
                 best = entry

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import time
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -64,10 +65,15 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
 # sha256 of the certificates `certify --seed 7` writes: one per assembly
 # path (general, the d = 0 sum-of-squares shortcut, box-frame compose),
 # plus c5, whose facet witnesses run a 4,000-step Gram search rung, and c6,
-# whose coefficient forms sit at exact fixed points of the projections
+# whose coefficient forms sit at exact fixed points of the projections,
+# and c2 and c3, whose floor scans read the sphere covers
 PINNED_CERTIFICATES = {
     "c1_interval_line_quadratic":
         "723a40dd3989c66f44b527725d3c638ab4827b65bc1ccf52a813ad0cb70e9dfb",
+    "c2_interval_line_quartic":
+        "c6789a27c8a8c0aa3057a298e495bbcfdfba22b594d175ba7ba277f1c2c02396",
+    "c3_interval_plane_quartic":
+        "2408a8233acf9f072ee8c5f9c0496e65c89aff3e894f380dfed1a5cb2c82ef06",
     "c4_pure_square_quartic":
         "8704a4c15b8fa18d6d0722e83bb55d6dda5e46953f648f32782d3c2473ad22c9",
     "c5_square_plane_quadratic":
@@ -87,6 +93,24 @@ def test_certificate_bytes_are_pinned(tmp_path, stem):
         ["certify", "--input", str(path), "--output", str(out), "--seed", "7"]
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CERTIFICATES[stem]
+
+
+def test_largest_family_member_certificate_bytes_are_pinned(tmp_path):
+    """The n = 2 Polya member polya2-K56: a 4,000-step facet Gram rung and
+    plane covers."""
+    path = SAMPLES.parent / "perfbench" / "family.py"
+    family = types.ModuleType("perfbench_family")
+    family.__file__ = str(path)
+    # executed from its source text, so nothing is written beside it
+    exec(compile(path.read_text(), str(path), "exec"), family.__dict__)
+    problem, out = tmp_path / "polya2-K56.json", tmp_path / "cert.json"
+    problem.write_text(json.dumps(family.largest_member(), indent=1) + "\n")
+    assert cli.main(
+        ["certify", "--input", str(problem), "--output", str(out), "--seed", "7"]
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1bad841dfe0a6d7e6bb01b2f410ae7ac64684d515d9ef4aa6691e7902fc79dbe"
+    )
 
 
 def test_repeat_runs_are_byte_identical(problem_file, tmp_path):

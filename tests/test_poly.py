@@ -444,6 +444,37 @@ def test_eval_at_matches_fraction_reference(p, point):
             BlockedPoly.zero(KERNEL_SHAPE).eval_at(bad)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    p=kernel_polys(8, max_exp=40),
+    points=st.lists(kernel_points, min_size=1, max_size=4),
+    ints=st.tuples(*[st.integers(-(10**6), 10**6)] * KERNEL_SHAPE.width),
+)
+def test_cached_evaluator_matches_fraction_reference(p, points, ints):
+    """eval_at keeps what it needs of the terms after its first call;
+    every later call, at any point, still gives the reference value."""
+    trusted = BlockedPoly._trusted(KERNEL_SHAPE, dict(p.terms))
+    built = BlockedPoly(KERNEL_SHAPE, p.terms)
+    zero = BlockedPoly(KERNEL_SHAPE, {})
+    for poly in (trusted, built, zero, p * p):
+        terms = dict(poly.terms)
+        for bad in (points[0][:-1], points[0] + (Fraction(1),)):
+            with pytest.raises(ShapeMismatchError):
+                poly.eval_at(bad)  # before the cache is filled
+        for point in [*points, *points]:
+            value = poly.eval_at(point)
+            assert type(value) is Fraction
+            assert value == _ref_eval(poly, point)
+        # a coordinate given as an int, next to Fractions
+        mixed = (ints[0], *points[0][1:])
+        assert poly.eval_at(mixed) == _ref_eval(poly, tuple(map(Fraction, mixed)))
+        assert poly.eval_at(ints) == _ref_eval(poly, tuple(map(Fraction, ints)))
+        for bad in (points[0][:-1], points[0] + (Fraction(1),)):
+            with pytest.raises(ShapeMismatchError):
+                poly.eval_at(bad)  # after it is filled
+        assert poly.terms == terms
+
+
 def test_poly_from_obj_drops_cancelling_duplicates_and_checks_exponents():
     sh = BlockShape(n=1, r1=1, homs=("Z",))
     p = poly_from_obj(

@@ -270,10 +270,10 @@ def test_saturate_rejects_an_exponent_whose_forms_are_not_sos(monkeypatch):
 
 def _exact_screen_min(form, blocks):
     """All-Fraction minimum over the full product of the blocks' covers."""
-    covers = [
-        projected_sphere_cover(len(b.indices), SCREEN_RESOLUTION, tuple(range(len(b.indices)))).points
-        for b in blocks
-    ]
+    covers = []
+    for b in blocks:
+        cover = projected_sphere_cover(len(b.indices), SCREEN_RESOLUTION, tuple(range(len(b.indices))))
+        covers.append([cover.point(i) for i in range(len(cover))])
     best = None
     for combo in itertools.product(*covers):
         point = [F(0)] * form.shape.width

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cylcert.errors import SchemaError
 from cylcert.poly import BlockShape, BlockedPoly
@@ -35,6 +37,53 @@ def test_fraction_rejects_garbage():
         frac_from_str(True)
     with pytest.raises(SchemaError):
         frac_from_str([1, 2])
+
+
+def _regex_frac_from_str(text):
+    """The parser before its canonical fast path, as the reference."""
+    if isinstance(text, bool):
+        raise SchemaError(f"expected a rational, got {text!r}")
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise SchemaError(f"expected a rational string, got {type(text).__name__}")
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational {text!r}: {exc}") from None
+
+
+_digits = st.text("0123456789", min_size=0, max_size=30)
+_canonical_like = st.builds(
+    lambda sign, num, slash, den: sign + num + slash + den,
+    st.sampled_from(["", "-", "+", "--", " "]),
+    _digits,
+    st.sampled_from(["", "/", "//", "/-"]),
+    _digits,
+)
+_near_miss = st.text("0123456789-+/_. eE\t\n²٣", max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_canonical_like, _near_miss, st.text(max_size=8)))
+@example("1/0")
+@example("-0/5")
+@example("٣/٤")
+@example("²")
+@example("1_000/3")
+@example(" -3/4\n")
+@example("9" * 5000)
+@example("1/" + "9" * 5000)
+def test_frac_from_str_agrees_with_the_regex_parser(text):
+    try:
+        expected = _regex_frac_from_str(text)
+    except SchemaError:
+        with pytest.raises(SchemaError):
+            frac_from_str(text)
+        return
+    got = frac_from_str(text)
+    assert type(got) is Fraction
+    assert got == expected
 
 
 def test_poly_round_trip_random():
