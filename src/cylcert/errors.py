@@ -77,7 +77,8 @@ class SearchExhaustedError(CylcertError):
 
 class CapExceededError(CylcertError):
     """A hard size cap was hit: the Polya exponent cap, the Gram basis size
-    cap, or the variable count that facet witnesses allow."""
+    cap, the variable count that facet witnesses allow, or the degree cap
+    on the perturbed target."""
 
     code = "CAP_EXCEEDED"
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certified import CertifiedMin, certified_excess_check
-from .errors import BelowThresholdError, SearchExhaustedError
+from .errors import BelowThresholdError, CapExceededError, SearchExhaustedError
 from .poly import BlockedPoly, block_sum_of_squares, weighted_norm
-from .problem import CylinderProblem, Variant
+from .problem import DEGREE_CAP, CylinderProblem, Variant
 
 LAMBDA_CAP = 2 ** 40
 
@@ -119,8 +119,11 @@ def find_perturbation(p: CylinderProblem, fstar_lb: Fraction) -> PerturbationRes
     On S the choice of k keeps h >= (3/4) fstar_lb regardless of lam, so
     every below-threshold witness lies outside S, and growing lam drives
     the perturbation term positive there.  Raises
-    :class:`SearchExhaustedError` past ``LAMBDA_CAP``; genuine resolution
-    or budget exhaustion inside the certified check propagates unchanged.
+    :class:`SearchExhaustedError` past ``LAMBDA_CAP``, and
+    :class:`CapExceededError` before forming a target whose degree in x,
+    ``max deg g_i * (2k + 1)``, would exceed ``DEGREE_CAP`` (k grows like
+    ``1 / fstar_lb``); genuine resolution or budget exhaustion inside the
+    certified check propagates unchanged.
     """
     _, blocks = p.homogenized()
     threshold = fstar_lb / 2
@@ -128,6 +131,12 @@ def find_perturbation(p: CylinderProblem, fstar_lb: Fraction) -> PerturbationRes
     attempts = []
     while lam <= LAMBDA_CAP:
         k = slack_exponent(lam, p.s, fstar_lb)
+        degree = max(g.block_degree("x") for g in p.g) * (2 * k + 1)
+        if degree > DEGREE_CAP:
+            raise CapExceededError(
+                "the perturbed target's degree in x would exceed the degree cap",
+                **{"lambda": str(lam), "k": k, "degree": degree, "cap": DEGREE_CAP},
+            )
         h = perturbed_target(p, lam, k)
         try:
             evidence = certified_excess_check(h, threshold, blocks)

@@ -13,11 +13,18 @@ The classic round-then-project scheme then runs on it:
    ladder until the two sets meet.  A rung is left once it stops
    improving, or as soon as a step returns the previous point bit for
    bit, since every later step of the rung would repeat it.  Blocks of
-   one size are projected with one stacked eigensolve.
+   one size are projected with one stacked call of the LAPACK gufunc
+   behind ``np.linalg.eigh``, in its error state entered once per
+   search; a failed eigensolve or a float image that overflows fails
+   the search.
 2. :func:`module_witness` rounds that point to each denominator of a
    power-of-two ladder, re-imposes the coefficient constraints
    *exactly* (a rational solve of the normal equations), and factors
-   every block with :func:`rational_ldlt`.
+   every block with :func:`rational_ldlt`.  The system comes from a
+   memo keyed on shape, generators and bases, so every target with the
+   same bases reuses it, and its exact solve records the Gauss-Jordan
+   elimination once: each right-hand side is then one rational
+   matrix-vector product.
 3. The first rung whose blocks all factor and whose identity expands
    exactly to the target is the answer: no residual, no trust in floats.
 
@@ -31,17 +38,21 @@ reports that as :class:`SosStalledError` rather than papering over it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import CapExceededError, SosStalledError
 from .poly import BlockedPoly, BlockShape, ExactSum
 
 Exponent = tuple[int, ...]
 Basis = Sequence["Exponent | BlockedPoly"]
+SparseRow = list[tuple[int, int]]
 
 TAU_LADDER = (Fraction(1, 64), Fraction(1, 1024), Fraction(1, 65536), Fraction(1, 2**24), Fraction(0))
 DEN_LADDER = tuple(2**k for k in (4, 8, 12, 16, 20, 24, 28, 32))
@@ -54,6 +65,23 @@ TOLERANCE = 1e-9
 # close are still worth handing to exact rounding, which can snap onto
 # the boundary face; genuinely infeasible systems plateau far above.
 SNAP_GAP = 1e-4
+
+# The LAPACK gufunc that np.linalg.eigh calls for float64 input, without
+# the wrapper's per-call checks, conversions and error-state switch:
+# psd_feasibility enters that error state once per search instead.
+_eigh_lo = _umath_linalg.eigh_lo
+
+
+def _search_failed(_err: str, _flag: int) -> None:
+    raise LinAlgError("the float search met a failed eigensolve or a non-finite value")
+
+
+def _as_float(v: Fraction) -> float:
+    """``float(v)``, or an infinity of v's sign where that overflows."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +191,25 @@ class GramSystem:
         a = np.zeros((n_rows, n_cols), dtype=np.float64)
         for e, col in enumerate(cols):
             for row, value in col:
-                a[row, e] = float(value)
+                a[row, e] = _as_float(value)
         w_inv = 1.0 / np.asarray(self.weights, dtype=np.float64)
         self.a = a
         self.aw = a * w_inv[None, :]          # A W^-1
-        self.pinv_awa = np.linalg.pinv(self.aw @ a.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            awa = self.aw @ a.T
+        # None when the float image overflows or LAPACK cannot take its
+        # pseudo-inverse: the float search then fails at once.
+        self.pinv_awa: np.ndarray | None = None
+        if np.isfinite(awa).all():
+            try:
+                self.pinv_awa = np.linalg.pinv(awa)
+            except LinAlgError:
+                pass
 
-        # Blocks of one size share one stacked eigensolve.  Per size: each
-        # block's positions in x, the (blocks, dim, dim) index into x that
-        # gathers the symmetric stack, and the flat upper-triangle index
-        # that reads the entries back in x's order.
+        # Blocks of one size share one stacked eigensolve.  Per size: the
+        # (blocks, dim, dim) index into x that gathers the symmetric stack,
+        # the blocks' positions in x, flattened, and the matching flat
+        # index into the projected stack that reads their upper triangles.
         positions: dict[int, list[np.ndarray]] = {}
         offset = 0
         for _gen, basis in self.blocks:
@@ -186,7 +223,8 @@ class GramSystem:
             entry = np.empty((dim, dim), dtype=np.intp)
             entry[upper_j, upper_k] = entry[upper_k, upper_j] = np.arange(len(upper_j))
             stack = np.stack(pos)
-            self.psd_groups.append((stack, stack[:, entry], upper_j * dim + upper_k))
+            pick = np.arange(len(pos))[:, None] * (dim * dim) + (upper_j * dim + upper_k)
+            self.psd_groups.append((stack[:, entry], stack.ravel(), pick.ravel()))
 
         # Exact normal matrix M = A W^-1 A^T for the rational projection.
         m = [[Fraction(0)] * n_rows for _ in range(n_rows)]
@@ -216,45 +254,86 @@ class GramSystem:
         return x + (self.aw.T @ (self.pinv_awa @ (b - self.a @ x)))
 
     def project_psd(self, x: np.ndarray, tau: float) -> np.ndarray:
+        """Clip every block's eigenvalues at ``tau``.
+
+        A failed eigensolve raises :class:`LinAlgError` inside
+        :func:`psd_feasibility`; elsewhere it gives NaN and a warning.
+        """
         out = np.empty_like(x)
-        for pos, gather, upper in self.psd_groups:
-            vals, vecs = np.linalg.eigh(x[gather])
+        for gather, scatter, pick in self.psd_groups:
+            vals, vecs = _eigh_lo(x[gather], signature="d->dd")
             np.maximum(vals, tau, out=vals)
             mats = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
-            out[pos] = mats.reshape(len(pos), -1)[:, upper]
+            out[scatter] = mats.take(pick)
         return out
 
     # -- exact phase ----------------------------------------------------
-    def _solve_exact(self, rhs: list[Fraction]) -> list[Fraction] | None:
-        """Solve M y = rhs in rationals; None when inconsistent."""
-        dim = len(rhs)
-        m = [row[:] + [rhs[i]] for i, row in enumerate(self.m_exact)]
-        piv_rows: list[int] = []
-        piv_cols: list[int] = []
+    @cached_property
+    def _elimination(self) -> tuple[list[tuple[int, SparseRow, int]], list[SparseRow]]:
+        """Gauss-Jordan on M, recorded once as ``(solve rows, null rows)``.
+
+        The pivots depend on M alone, so the steps run once on ``[M | I]``
+        and leave E, the product of the steps, in the right half; every
+        right-hand side is then one product with E.  Pivot row r of column
+        c gives unknown c as ``E[r] . rhs / M'[r][c]``: a solve row
+        ``(c, E[r], M'[r][c])``.  A row that no pivot used is zero in M',
+        so ``E[r] . rhs`` must vanish: a null row.  Each row of ``[M | I]``
+        is held as integers over one positive denominator, so a step is
+        integer arithmetic and one gcd, and the pivot is still the first
+        row of largest ``|M'[r][c]|``.  Solve rows keep E[r] and the pivot
+        over the same denominator; rows are sparse ``(column, value)``.
+        """
+        dim = len(self.m_exact)
+        rows: list[tuple[list[int], int]] = []
+        for i, m_row in enumerate(self.m_exact):
+            den = math.lcm(*(v.denominator for v in m_row))
+            nums = [v.numerator * (den // v.denominator) for v in m_row] + [0] * dim
+            nums[dim + i] = den
+            rows.append((nums, den))
+        pivots: list[tuple[int, int]] = []
         used: set[int] = set()
         for col in range(dim):
             sel = None
             for r in range(dim):
-                if r not in used and m[r][col] != 0:
-                    if sel is None or abs(m[r][col]) > abs(m[sel][col]):
+                if r not in used and rows[r][0][col]:
+                    if sel is None or (
+                        abs(rows[r][0][col]) * rows[sel][1] > abs(rows[sel][0][col]) * rows[r][1]
+                    ):
                         sel = r
             if sel is None:
                 continue
             used.add(sel)
-            piv_rows.append(sel)
-            piv_cols.append(col)
-            inv = 1 / m[sel][col]
+            pivots.append((sel, col))
+            piv_nums = rows[sel][0]
+            p = piv_nums[col]
             for r in range(dim):
-                if r != sel and m[r][col] != 0:
-                    factor = m[r][col] * inv
-                    for c in range(col, dim + 1):
-                        m[r][c] -= factor * m[sel][c]
-        for r in range(dim):
-            if r not in used and m[r][dim] != 0:
+                nums, den = rows[r]
+                f = nums[col]
+                if r != sel and f:
+                    # nums/den - (f/p) piv_nums/den = (p nums - f piv_nums) / (p den)
+                    new = [p * a - f * b for a, b in zip(nums, piv_nums)]
+                    new_den = p * den
+                    g = math.gcd(new_den, *new) * (1 if p > 0 else -1)
+                    rows[r] = ([v // g for v in new], new_den // g)
+
+        def e_row(r: int) -> SparseRow:
+            return [(k, v) for k, v in enumerate(rows[r][0][dim:]) if v]
+
+        solve_rows = [(col, e_row(r), rows[r][0][col]) for r, col in pivots]
+        null_rows = [e_row(r) for r in range(dim) if r not in used]
+        return solve_rows, null_rows
+
+    def _solve_exact(self, rhs: list[Fraction]) -> list[Fraction] | None:
+        """Solve M y = rhs in rationals; None when inconsistent."""
+        solve_rows, null_rows = self._elimination
+        den = math.lcm(*(v.denominator for v in rhs))
+        nums = [v.numerator * (den // v.denominator) for v in rhs]
+        for row in null_rows:
+            if sum(v * nums[k] for k, v in row):
                 return None
-        y = [Fraction(0)] * dim
-        for r, c in zip(piv_rows, piv_cols):
-            y[c] = m[r][dim] / m[r][c]
+        y = [Fraction(0)] * len(rhs)
+        for col, row, pivot in solve_rows:
+            y[col] = Fraction(sum(v * nums[k] for k, v in row), pivot * den)
         return y
 
     def exact_correction(
@@ -303,19 +382,35 @@ def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
     same point as running the rung out.  Returns the converged point, or
     the best near-feasible point seen when it lies within
     :data:`SNAP_GAP` (boundary-feasible systems stall there), or None
-    when clearly infeasible.
+    when clearly infeasible.  A system or target whose float image is
+    not finite, a failed eigensolve and a NaN met on the way also give
+    None: the search runs in ``np.linalg.eigh``'s error state, entered
+    once here rather than once per eigensolve.
     """
+    if system.pinv_awa is None or not np.isfinite(b).all():
+        return None
+    try:
+        with np.errstate(call=_search_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            return _alternate(system, b)
+    except LinAlgError:
+        return None
+
+
+def _alternate(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
+    """The loop of :func:`psd_feasibility`."""
     per_tau = MAX_ITERATIONS // len(TAU_LADDER)
-    scale = max(1.0, float(np.max(np.abs(b))))
+    scale = max(1.0, float(np.abs(b).max()))
     x = system.project_affine(np.zeros(len(system.entries)), b)
     best_gap = np.inf
     best_x = x
-    for tau in TAU_LADDER:
+    for rung in TAU_LADDER:
+        tau = float(rung)
         best = np.inf
         idle = 0
         for _ in range(per_tau):
-            y = system.project_psd(x, float(tau))
-            gap = float(np.max(np.abs(y - x)))
+            y = system.project_psd(x, tau)
+            gap = float(np.abs(y - x).max())
             x_prev, x = x, system.project_affine(y, b)
             if gap < TOLERANCE * scale:
                 return x
@@ -329,7 +424,7 @@ def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
                 idle += 1
                 if idle > 300:
                     break
-            if np.array_equal(x, x_prev):
+            if (x == x_prev).all():
                 # Each later step of this rung would repeat this one and
                 # change nothing until the idle rule ends the rung.
                 break
@@ -407,6 +502,16 @@ def decomposition_from_gram(
 # the one module search and its bases
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _gram_system(
+    shape: BlockShape,
+    gens: tuple[BlockedPoly, ...],
+    bases: tuple[tuple[int | None, tuple], ...],
+) -> GramSystem:
+    """One :class:`GramSystem` per distinct basis set, shared by its targets."""
+    return GramSystem(shape, gens, bases)
+
+
 def module_witness(
     target: BlockedPoly,
     gens: Sequence[BlockedPoly],
@@ -422,11 +527,13 @@ def module_witness(
     index, decomposition)`` per nonempty block.  None when the bases
     cannot produce the target, the search fails, or no rung verifies.
     """
-    system = GramSystem(target.shape, gens, bases)
+    system = _gram_system(
+        target.shape, tuple(gens), tuple((idx, tuple(basis)) for idx, basis in bases)
+    )
     b = system.rhs(target)
     if b is None:
         return None
-    x_float = psd_feasibility(system, np.asarray([float(v) for v in b], dtype=np.float64))
+    x_float = psd_feasibility(system, np.asarray([_as_float(v) for v in b], dtype=np.float64))
     if x_float is None:
         return None
     empty = SosDecomposition(target.shape, (), ())

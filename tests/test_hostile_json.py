@@ -9,7 +9,9 @@ never raise.
 """
 import copy
 import json
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 
 from cylcert import certified, cli
 from cylcert.poly import BlockShape, BlockedPoly
-from cylcert.problem import SIMPLEX, CylinderProblem, Variant, problem_to_obj
+from cylcert.problem import DEGREE_CAP, SIMPLEX, CylinderProblem, Variant, problem_to_obj
 
 DOCUMENTED_EXITS = {0, 10, 11, 12, 13, 14, 15, 20}
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
 
 _DROP = object()
 REPLACEMENTS = (
@@ -168,3 +171,47 @@ def test_a_huge_variable_count_is_refused(documents, tmp_path, capsys):
     for field in ("n", "r"):
         hostile = _mutate(problem_obj, [((field,), 2**70)])
         assert _verify_exit(tmp_path, hostile, cert_obj, capsys) == cli.EXIT_VALIDATION
+
+
+def _c1_scaled(tmp_path, key, factor):
+    """Sample c1 with every coefficient of f, or of its constraint, times factor."""
+    obj = json.loads((SAMPLES / "c1_interval_line_quadratic.json").read_text())
+    for term in obj["f"] if key == "f" else obj["g"][0]:
+        term["c"] = str(F(term["c"]) * factor)
+    path = tmp_path / f"c1-{key}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _certify_summary(tmp_path, path, capsys):
+    out = tmp_path / "cert.json"
+    started = time.monotonic()
+    code = cli.main(["certify", "--input", str(path), "--output", str(out)])
+    seconds = time.monotonic() - started
+    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert not out.exists()
+    return code, summary, seconds
+
+
+@pytest.mark.parametrize("power", [160, 200, 300])
+def test_huge_constraint_coefficients_fail_the_search(tmp_path, capsys, power):
+    # under the 2^1000 cap, but A W^-1 A^T of the facet systems overflows a
+    # float; this used to end in a LinAlgError traceback from pinv
+    path = _c1_scaled(tmp_path, "g", F(10) ** power)
+    code, summary, _ = _certify_summary(tmp_path, path, capsys)
+    assert code == cli.EXIT_EXHAUSTED
+    assert summary["error"] == "SEARCH_EXHAUSTED"
+
+
+@pytest.mark.parametrize("power", [3, 330])
+def test_a_tiny_floor_stops_at_the_degree_cap(tmp_path, capsys, power):
+    # the slack exponent k grows like 1 / floor: f / 1000 gives k = 286, a
+    # target of degree 1,146 in x whose scan ran past 100 s, and f / 10^330
+    # hung in forming the power
+    path = _c1_scaled(tmp_path, "f", F(1, 10**power))
+    code, summary, seconds = _certify_summary(tmp_path, path, capsys)
+    assert code == cli.EXIT_CAP
+    assert summary["error"] == "CAP_EXCEEDED"
+    assert summary["payload"]["lambda"] == "1"
+    assert summary["payload"]["degree"] == 2 * (2 * summary["payload"]["k"] + 1) > DEGREE_CAP
+    assert seconds < 10

@@ -6,7 +6,7 @@ import pytest
 
 from cylcert import perturb
 from cylcert.covers import projected_sphere_cover
-from cylcert.errors import SearchExhaustedError
+from cylcert.errors import CapExceededError, SearchExhaustedError
 from cylcert.perturb import (
     constraint_scale,
     factor_squares,
@@ -17,7 +17,7 @@ from cylcert.perturb import (
     sos_factor,
 )
 from cylcert.poly import BlockShape, BlockedPoly
-from cylcert.problem import SIMPLEX, CylinderProblem, Variant
+from cylcert.problem import DEGREE_CAP, SIMPLEX, CylinderProblem, Variant
 from helpers import is_block_homogeneous
 
 
@@ -254,6 +254,29 @@ def test_find_perturbation_exhausts_small_cap(monkeypatch):
         find_perturbation(prob, F(8))
     assert err.value.payload["lambda_cap"] == 2
     assert err.value.payload["attempts"]
+
+
+def test_find_perturbation_refuses_a_target_above_the_degree_cap(monkeypatch):
+    # a small floor forces a large k: k = 286 here, a target of degree
+    # 2 * 573 in x that the exact scan samples would take minutes on
+    prob = interval_problem({(0, 0): F(8, 1000), (1, 0): F(8, 1000), (0, 2): F(8, 1000)})
+    monkeypatch.setattr(perturb, "perturbed_target", lambda *args: pytest.fail("formed"))
+    with pytest.raises(CapExceededError) as err:
+        find_perturbation(prob, F(7, 1000))
+    k = slack_exponent(F(1), prob.s, F(7, 1000))
+    assert err.value.payload == {"lambda": "1", "k": k, "degree": 2 * (2 * k + 1), "cap": DEGREE_CAP}
+
+
+def test_find_perturbation_reaches_the_degree_cap_exactly(monkeypatch):
+    # k = 4 gives degree 18 in x: under a cap of 18 the search runs, under 17 it stops
+    prob = interval_problem({(0, 0): 8, (1, 0): 8, (0, 2): 8})
+    fstar_lb = F(4 * prob.s, 9)
+    assert slack_exponent(F(1), prob.s, fstar_lb) == 4
+    monkeypatch.setattr(perturb, "DEGREE_CAP", 18)
+    assert find_perturbation(prob, fstar_lb).k == 4
+    monkeypatch.setattr(perturb, "DEGREE_CAP", 17)
+    with pytest.raises(CapExceededError):
+        find_perturbation(prob, fstar_lb)
 
 
 def test_find_perturbation_deterministic():

@@ -2,19 +2,28 @@
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cylcert import sos
 from cylcert.errors import CapExceededError, SosStalledError
 from cylcert.poly import BlockShape, BlockedPoly
+from cylcert.problem import problem_from_obj
+from cylcert.putinar_base import facet_bases, facet_product
+from cylcert.serialize import load_json
 from cylcert.sos import (
     GramSystem,
     default_gram_basis,
+    module_witness,
     rational_ldlt,
     sos_decompose,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
 
 
 # --- rational LDL^T --------------------------------------------------------
@@ -260,10 +269,11 @@ def test_default_basis_respects_homogeneity():
 
 # --- the float search against the per-block loop it replaced ---------------
 #
-# The two functions below are the earlier per-block PSD projection and
-# search loop, copied unchanged except that the loop calls the copied
-# projection and records the rung of every step.  The stacked eigensolves
-# and the fixed-point exit must return the same array, bit for bit.
+# The three functions below are the earlier per-block PSD projection, the
+# affine projection and the search loop, copied unchanged except that the
+# loop calls the copied projections and records the rung of every step.
+# The stacked eigensolves, the fixed-point exit and the error state entered
+# once per search must return the same array, bit for bit.
 
 def _reference_project_psd(self, x, tau):
     out = x.copy()
@@ -288,10 +298,14 @@ def _reference_project_psd(self, x, tau):
     return out
 
 
+def _reference_project_affine(self, x, b):
+    return x + (self.aw.T @ (self.pinv_awa @ (b - self.a @ x)))
+
+
 def _reference_psd_feasibility(system, b, rungs):
     per_tau = sos.MAX_ITERATIONS // len(sos.TAU_LADDER)
     scale = max(1.0, float(np.max(np.abs(b))))
-    x = system.project_affine(np.zeros(len(system.entries)), b)
+    x = _reference_project_affine(system, np.zeros(len(system.entries)), b)
     best_gap = np.inf
     best_x = x
     for tau in sos.TAU_LADDER:
@@ -301,7 +315,7 @@ def _reference_psd_feasibility(system, b, rungs):
             rungs.append(tau)
             y = _reference_project_psd(system, x, float(tau))
             gap = float(np.max(np.abs(y - x)))
-            x = system.project_affine(y, b)
+            x = _reference_project_affine(system, y, b)
             if gap < sos.TOLERANCE * scale:
                 return x
             if gap < best_gap:
@@ -397,3 +411,195 @@ def test_stacked_projection_matches_the_per_block_loop():
         point = rng.standard_normal(len(system.entries))
         got = system.project_psd(point, tau)
         assert got.tobytes() == _reference_project_psd(system, point, tau).tobytes()
+
+
+def test_c5_facet_searches_are_unchanged():
+    # c5's facet system at budget 4 (blocks 6, 3, 3) for the four parities
+    # its forms use; one of them runs a whole rung without converging
+    problem = problem_from_obj(load_json(SAMPLES / "c5_square_plane_quadratic.json"))
+    shape, gens = problem.shape, problem.g
+    steps_per_search = []
+    for parity in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        target = facet_product(shape, parity)
+        system = GramSystem(shape, gens, facet_bases(shape, gens, 4, target))
+        assert [len(basis) for _gen, basis in system.blocks] == [6, 3, 3]
+        got, _, steps, _ = _search_both(system, target)
+        assert got is not None
+        steps_per_search.append(len(steps))
+    assert max(steps_per_search) > sos.MAX_ITERATIONS // len(sos.TAU_LADDER)
+
+
+# --- the LAPACK gufunc and failures of the float search --------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_eigh_gufunc_matches_numpy_eigh(blocks, dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((blocks, dim, dim)) * 10.0 ** int(rng.integers(-3, 4))
+    a = a + a.transpose(0, 2, 1)
+    vals, vecs = sos._eigh_lo(a, signature="d->dd")
+    ref_vals, ref_vecs = np.linalg.eigh(a)
+    assert vals.dtype == ref_vals.dtype and vecs.dtype == ref_vecs.dtype
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+def _square_system():
+    shape = BlockShape(2, 0)
+    basis = [(0, 0), (1, 0), (0, 1)]
+    target = BlockedPoly(shape, {(0, 0): F(1), (2, 0): F(1), (0, 2): F(1)})
+    system = GramSystem(shape, (), [(None, basis)])
+    return system, np.asarray([float(v) for v in system.rhs(target)])
+
+
+def test_a_nan_fails_the_search_instead_of_returning():
+    system, b = _square_system()
+    assert sos.psd_feasibility(system, b) is not None
+    b_inf = b.copy()
+    b_inf[0] = np.inf
+    assert sos.psd_feasibility(system, b_inf) is None
+    nan_x = np.full(len(system.entries), np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(nan_x[system.psd_groups[0][0]])
+    # outside the search a NaN block still warns; inside it ends the search
+    with pytest.warns(RuntimeWarning):
+        assert np.isnan(system.project_psd(nan_x, 0.0)).all()
+    system.project_affine = lambda x, b: np.full_like(x, np.nan)
+    assert sos.psd_feasibility(system, b) is None
+
+
+def test_a_float_image_that_overflows_fails_the_search():
+    # g's coefficients fit in a float, but A W^-1 A^T overflows
+    shape = BlockShape(1, 0)
+    one = BlockedPoly.constant(shape, 1)
+    x = BlockedPoly.variable(shape, 0)
+    huge = F(10) ** 200
+    gens = ((x - x * x).scale(huge),)
+    bases = [(None, [(0,), (1,)]), (0, [(0,)])]
+    assert GramSystem(shape, gens, bases).pinv_awa is None
+    assert module_witness(one + x, gens, bases) is None
+    # coefficients beyond the float range, in a generator or in the target
+    beyond = F(10) ** 400
+    assert module_witness(one + x, ((x - x * x).scale(beyond),), bases) is None
+    assert module_witness(one.scale(beyond) + x, (x - x * x,), bases) is None
+    assert module_witness(one.scale(-beyond) + x, (x - x * x,), bases) is None
+
+
+def test_a_pseudo_inverse_that_fails_fails_the_search(monkeypatch):
+    def no_svd(_a):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", no_svd)
+    system, b = _square_system()
+    assert system.pinv_awa is None
+    assert sos.psd_feasibility(system, b) is None
+
+
+def test_one_system_serves_every_target_of_a_basis_set():
+    shape = BlockShape(2, 0)
+    basis = [(0, 0), (1, 0), (0, 1)]
+    targets = [
+        BlockedPoly(shape, {(0, 0): F(c), (2, 0): F(1), (0, 2): F(2), (1, 1): F(1)})
+        for c in (1, 2, 3)
+    ]
+    sos._gram_system.cache_clear()
+    found = [module_witness(t, (), [(None, list(basis))]) for t in targets]
+    info = sos._gram_system.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for target, sigmas in zip(targets, found):
+        [(gen_idx, deco)] = sigmas
+        assert gen_idx is None and deco.verify(target)
+    sos._gram_system.cache_clear()
+    assert sos._gram_system.cache_info().currsize == 0
+
+
+# --- the recorded exact elimination against the solve it replaced ----------
+
+def _reference_solve_exact(self, rhs):
+    """Solve M y = rhs in rationals; None when inconsistent."""
+    dim = len(rhs)
+    m = [row[:] + [rhs[i]] for i, row in enumerate(self.m_exact)]
+    piv_rows: list[int] = []
+    piv_cols: list[int] = []
+    used: set[int] = set()
+    for col in range(dim):
+        sel = None
+        for r in range(dim):
+            if r not in used and m[r][col] != 0:
+                if sel is None or abs(m[r][col]) > abs(m[sel][col]):
+                    sel = r
+        if sel is None:
+            continue
+        used.add(sel)
+        piv_rows.append(sel)
+        piv_cols.append(col)
+        inv = 1 / m[sel][col]
+        for r in range(dim):
+            if r != sel and m[r][col] != 0:
+                factor = m[r][col] * inv
+                for c in range(col, dim + 1):
+                    m[r][c] -= factor * m[sel][c]
+    for r in range(dim):
+        if r not in used and m[r][dim] != 0:
+            return None
+    y = [F(0)] * dim
+    for r, c in zip(piv_rows, piv_cols):
+        y[c] = m[r][dim] / m[r][c]
+    return y
+
+
+_ENTRIES = st.one_of(st.just(F(0)), st.fractions(-50, 50, max_denominator=12))
+_NONZERO = st.fractions(-50, 50, max_denominator=12).filter(bool)
+
+
+@st.composite
+def _linear_systems(draw):
+    """``(M, right-hand sides)``: M of every rank, sides in its range or not.
+
+    M is ``left @ right`` with rows and columns shuffled, where ``left``
+    starts with a unit lower triangle and ``right`` is upper triangular
+    with a nonzero diagonal, so its rank is exactly ``rank``.
+    """
+    dim = draw(st.integers(1, 6))
+    rank = dim - draw(st.integers(0, dim))
+    left = [[F(i == k) if i <= k else draw(_ENTRIES) for k in range(rank)] for i in range(dim)]
+    right = [[F(0) if j < k else draw(_NONZERO) if j == k else draw(_ENTRIES)
+              for j in range(dim)] for k in range(rank)]
+    rows = draw(st.permutations(range(dim)))
+    cols = draw(st.permutations(range(dim)))
+    m = [[sum((left[i][k] * right[k][j] for k in range(rank)), F(0)) for j in cols]
+         for i in rows]
+    sides = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = [draw(_ENTRIES) for _ in range(dim)]
+        rhs = [sum((m[i][j] * v[j] for j in range(dim)), F(0)) for i in range(dim)]
+        if draw(st.booleans()):
+            rhs = [r + draw(_ENTRIES) for r in rhs]
+        sides.append(rhs)
+    return m, sides
+
+
+def _solver(m):
+    """A system holding only its normal matrix, which is all the solve reads."""
+    system = object.__new__(GramSystem)
+    system.m_exact = m
+    return system
+
+
+@settings(max_examples=100, deadline=None)
+@given(_linear_systems())
+@example(([[F(2), F(1)], [F(1), F(3)]], [[F(1), F(-1)]]))             # full rank
+@example(([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(2)]]))              # rank 1, consistent
+@example(([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(3)]]))              # rank 1, inconsistent
+@example(([[F(0), F(0)], [F(0), F(0)]], [[F(0), F(0)], [F(0), F(1)]]))  # rank 0
+def test_recorded_elimination_matches_the_gauss_jordan_solve(case):
+    m, sides = case
+    system = _solver(m)
+    for rhs in sides:
+        expected = _reference_solve_exact(system, rhs)
+        got = system._solve_exact(rhs)
+        if expected is None:
+            assert got is None
+        else:
+            assert got == expected and all(type(v) is F for v in got)
+            assert all(sum(a * b for a, b in zip(row, got)) == r for row, r in zip(m, rhs))

@@ -7,19 +7,23 @@ For each file of ``sample_problems/`` and each member of
 ``perfbench/family.candidates()`` it runs ``cylcert.cli.main certify
 --seed 7 --diagnostics`` in-process, writing ``<id>.cert.json``, its
 ``.basecache.json`` sidecar and ``<id>.diag.json`` into OUTDIR, and the
-problem files into ``OUTDIR/inputs``.  Within one family group the sidecar of
+problem files into ``OUTDIR/inputs``, and ``psd.sha256``: the sha256 over
+every array ``cylcert.sos.psd_feasibility`` returns in the run, in call
+order, with ``None`` hashed as the bytes ``None``.  Within one family group the sidecar of
 the previous member is copied to the next member before it is certified,
 as the benchmark does.  ``perfbench/family.py`` is executed from its
 source text, so nothing is written beside it.
 
 Two checkouts' snapshots compare with ``diff -r``; a refactor that keeps
-behaviour leaves the certificates and sidecars byte-identical.  OUTDIR
+behaviour leaves the certificates and sidecars byte-identical, and one
+that keeps the float search's bits leaves ``psd.sha256`` unchanged.  OUTDIR
 must be new or empty (exit 2 otherwise): a second snapshot into the same
 directory would reuse the first one's sidecars and take the warm path.
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -65,25 +69,38 @@ def main(argv: list[str] | None = None) -> int:
     inputs_dir.mkdir(exist_ok=True)
 
     sys.path.insert(0, str(ROOT / "src"))
-    from cylcert import cli
+    from cylcert import cli, sos
+
+    digest = hashlib.sha256()
+    search = sos.psd_feasibility
+
+    def hashed_search(system, b):
+        x = search(system, b)
+        digest.update(b"None" if x is None else x.tobytes())
+        return x
 
     worst = 0
     previous: dict[str, Path] = {}
-    for pid, group, path in _inputs(inputs_dir):
-        cert = outdir / f"{pid}.cert.json"
-        before = previous.get(group) if group else None
-        if before is not None and Path(f"{before}.basecache.json").exists():
-            shutil.copyfile(f"{before}.basecache.json", f"{cert}.basecache.json")
-        command = [
-            "certify", "--input", str(path), "--output", str(cert),
-            "--seed", "7", "--diagnostics", str(outdir / f"{pid}.diag.json"),
-        ]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(command)
-        print(f"{pid}: exit {code}")
-        worst = max(worst, code)
-        if group:
-            previous[group] = cert
+    sos.psd_feasibility = hashed_search
+    try:
+        for pid, group, path in _inputs(inputs_dir):
+            cert = outdir / f"{pid}.cert.json"
+            before = previous.get(group) if group else None
+            if before is not None and Path(f"{before}.basecache.json").exists():
+                shutil.copyfile(f"{before}.basecache.json", f"{cert}.basecache.json")
+            command = [
+                "certify", "--input", str(path), "--output", str(cert),
+                "--seed", "7", "--diagnostics", str(outdir / f"{pid}.diag.json"),
+            ]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(command)
+            print(f"{pid}: exit {code}")
+            worst = max(worst, code)
+            if group:
+                previous[group] = cert
+    finally:
+        sos.psd_feasibility = search
+    (outdir / "psd.sha256").write_text(digest.hexdigest() + "\n")
     return 1 if worst else 0
 
 
