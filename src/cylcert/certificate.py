@@ -15,8 +15,8 @@ assembly stitches together the upstream stages:
     ``u^(a0) x^alpha``, products of its coefficient-form squares, the
     even square root of the monomial, and the facet-product witnesses;
   * the slack variable is substituted back to ``u = 1 - sum(x)`` and
-    the sphere padding variables to 1, inside each square, so stored
-    squares live over the original variables.
+    the sphere padding variables to 1, once in each factor of a square,
+    so stored squares live over the original variables.
 
 Verification is independent of generation: it re-expands every square,
 compares against f exactly, and re-derives the degree report.  Nothing
@@ -40,7 +40,7 @@ from .errors import (
     VerificationError,
 )
 from .perturb import factor_squares, normalized_constraints
-from .poly import BlockedPoly, BlockShape, substitute
+from .poly import BlockedPoly, BlockShape, ExactSum, substitute
 from .polya import PolyaResult
 from .problem import CylinderProblem, RescaleRecord, Variant
 from .putinar_base import (
@@ -304,21 +304,13 @@ def base_cache_from_obj(
 # assembly
 # ---------------------------------------------------------------------------
 
-def _strip_padding(p: BlockedPoly, shape: BlockShape) -> BlockedPoly:
-    """Drop the (now unused) homogenizer slots, landing in ``shape``."""
-    width = shape.width
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for expo, coeff in p.terms.items():
-        if any(expo[width:]):
-            raise IdentityMismatchError(
-                "a padding variable survived substitution", exponent=list(expo)
-            )
-        terms[expo[:width]] = coeff
-    return BlockedPoly._trusted(shape, terms)
-
-
 class _SigmaBuilder:
-    """Accumulates weighted squares per sigma with degree tracking."""
+    """Accumulates weighted squares per sigma with degree tracking.
+
+    Squares arrive as pairs of factors that :meth:`ground` has already
+    taken back to the problem's variables; each stored square is their
+    product.
+    """
 
     def __init__(self, problem: CylinderProblem, lifted_shape: BlockShape):
         self.problem = problem
@@ -326,23 +318,38 @@ class _SigmaBuilder:
         self.weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
         self.squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
         self.second_term = [0] * (problem.s + 1)
-        mapping = {lifted_shape.hom_index("X0"): simplex_u(lifted_shape)}
-        one = BlockedPoly.constant(lifted_shape, 1)
-        for name in lifted_shape.homs:
-            if name != "X0":
-                mapping[lifted_shape.hom_index(name)] = one
-        self._mapping = mapping
+        self._x0 = lifted_shape.hom_index("X0")
+        # u**e over the problem's shape, for every X0 exponent e met so far
+        self._u_powers = {0: BlockedPoly.constant(problem.shape, 1)}
 
-    def ground(self, square: BlockedPoly) -> BlockedPoly:
-        return _strip_padding(
-            substitute(square, self._mapping), self.problem.shape
-        )
+    def ground(self, p: BlockedPoly) -> BlockedPoly:
+        """``p`` (over a shape that embeds in the lifted one) with
+        ``X0 -> u = 1 - sum(x)`` and every other homogenizer ``-> 1``,
+        over the problem's shape."""
+        p = p.embed(self.lifted)
+        shape = self.problem.shape
+        width, x0 = shape.width, self._x0
+        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for expo, coeff in p.terms.items():
+            part = parts.setdefault(expo[x0], {})
+            key = expo[:width]
+            part[key] = part[key] + coeff if key in part else coeff
+        total = ExactSum(shape)
+        for e, part in parts.items():
+            if e not in self._u_powers:
+                self._u_powers[e] = simplex_u(shape) ** e
+            rest = BlockedPoly._trusted(shape, {x: c for x, c in part.items() if c})
+            total.add_product(1, rest, self._u_powers[e])
+        return total.poly()
 
-    def add(self, index: int, weight: Fraction, square: BlockedPoly) -> None:
+    def add(
+        self, index: int, weight: Fraction, left: BlockedPoly, right: BlockedPoly
+    ) -> None:
+        """Store ``weight * (left * right)^2``; both factors are grounded."""
         if weight == 0:
             return
         self.weights[index].append(weight)
-        self.squares[index].append(self.ground(square))
+        self.squares[index].append(left * right)
 
     def sigmas(self) -> tuple[SosDecomposition, ...]:
         shape = self.problem.shape
@@ -375,6 +382,17 @@ def assemble(
     ``c9``.  A degree that breaks its law is an internal invariant breach
     and aborts; the identity itself is left to :func:`verify_certificate`,
     which the pipeline runs once on the certificate it returns.
+
+    Each stored square is a product of two lifted factors: a sphere square
+    and a slack power, or a form square times its simplex monomial and a
+    witness square.  Grounding (``X0 -> u``, the other homogenizers
+    ``-> 1``, padding slots dropped) is a ring homomorphism, so the
+    product of the grounded factors is the grounded product: the same
+    polynomial with the same ``Fraction``s.  Each factor is therefore
+    grounded once and reused for every square it enters.  The degree law
+    reads lifted degrees, and total degree is additive over ℚ (the top
+    forms of two nonzero polynomials multiply to a nonzero form), so a
+    square's degree is the sum of its factors' degrees.
     """
     shape = problem.shape
     lifted = polya.saturated.shape
@@ -383,17 +401,19 @@ def assemble(
 
     # Term one: absorption squares for each constraint.
     scales = tuple(c for _ghat, c in normalized_constraints(problem))
-    sphere_squares = [q.embed(lifted) for q in factor_squares(problem)]
-    one = BlockedPoly.constant(lifted, 1)
+    sphere_squares = [
+        (builder.ground(q), q.total_degree()) for q in factor_squares(problem)
+    ]
+    one = BlockedPoly.constant(shape, 1)
     first_term = []
     for i, (ghat, c_i) in enumerate(normalized_constraints(problem)):
-        slack = (ghat.embed(lifted) - one) ** k
-        for sq in sphere_squares:
-            builder.add(i + 1, lam / c_i, sq * slack)
-        expected = vdeg + (2 * k + 1) * problem.g[i].block_degree("x")
+        slack = (ghat - one) ** k
+        for sq, _deg in sphere_squares:
+            builder.add(i + 1, lam / c_i, sq, slack)
+        gdeg = problem.g[i].block_degree("x")
+        expected = vdeg + (2 * k + 1) * gdeg
         measured = max(
-            2 * (sq * slack).total_degree() + problem.g[i].block_degree("x")
-            for sq in sphere_squares
+            2 * (deg + slack.total_degree()) + gdeg for _sq, deg in sphere_squares
         )
         if measured != expected:
             raise IdentityMismatchError(
@@ -405,30 +425,40 @@ def assemble(
         first_term.append(expected)
 
     # Term two: saturated remainder through the facet-product witnesses.
+    # Per parity: (sigma index, deg g, [(weight, grounded square, degree)]).
+    witness_squares: dict[Parity, list] = {}
     for key in sorted(polya.forms):
         deco = polya.sos[key]
-        witness = base[parity_vector(key)]
+        parity = parity_vector(key)
+        if parity not in witness_squares:
+            witness = base[parity]
+            blocks = [(0, witness.sigma0)] + [
+                (idx + 1, tau) for idx, tau in witness.multipliers
+            ]
+            witness_squares[parity] = [
+                (
+                    index,
+                    problem.g[index - 1].block_degree("x") if index else 0,
+                    [
+                        (w, builder.ground(t), t.total_degree())
+                        for w, t in zip(tau.weights, tau.squares)
+                    ],
+                )
+                for index, tau in blocks
+            ]
         root = even_square_root(key)
         sq_x = simplex_u(shape) ** root[0]
         for slot, power in zip(shape.block_indices("x"), root[1:]):
             if power:
                 sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
         sq_x = sq_x.embed(lifted)
-        tau_blocks = [(0, witness.sigma0)] + [
-            (idx + 1, tau) for idx, tau in witness.multipliers
-        ]
         for w_form, q_form in zip(deco.weights, deco.squares):
             partial = q_form * sq_x
-            for sigma_index, tau in tau_blocks:
-                gdeg = (
-                    0
-                    if sigma_index == 0
-                    else problem.g[sigma_index - 1].block_degree("x")
-                )
-                for w_tau, t in zip(tau.weights, tau.squares):
-                    square = partial * t.embed(lifted)
-                    builder.add(sigma_index, w_form * w_tau, square)
-                    degree = 2 * square.total_degree() + gdeg
+            grounded, pdeg = builder.ground(partial), partial.total_degree()
+            for sigma_index, gdeg, squares in witness_squares[parity]:
+                for w_tau, t, tdeg in squares:
+                    builder.add(sigma_index, w_form * w_tau, grounded, t)
+                    degree = 2 * (pdeg + tdeg) + gdeg
                     if degree > builder.second_term[sigma_index]:
                         builder.second_term[sigma_index] = degree
 

@@ -466,8 +466,10 @@ def substitute(p: BlockedPoly, assignments: Mapping[int, BlockedPoly]) -> Blocke
     """Replace variables (by slot index) with polynomials of the same shape.
 
     Unlisted variables are untouched.  Replacement powers, and their
-    products per combination of replaced exponents, are cached per call;
-    every term is added into one :class:`ExactSum`.
+    products per combination of replaced exponents, are cached for this
+    one call only; every term is added into one :class:`ExactSum`.
+    Certificate assembly does not come through here: it grounds each
+    factor once and keeps the powers of ``u`` for the whole assembly.
     """
     for idx, rhs in assignments.items():
         if not 0 <= idx < p.shape.width:

@@ -1,13 +1,25 @@
 """Canonical JSON encoding shared by problem, certificate and report files.
 
-Everything that reaches disk goes through :func:`canonical_dumps`, which
-fixes key order, spacing and number formatting, so identical data always
-produces identical bytes.  Rationals are strings (``"3"`` or ``"-3/4"``),
-never floats.  Polynomials use a term-list encoding: each term is an
-object with per-block exponent lists (``"x"``, ``"y1"``, ``"y2"``), a
-``"h"`` map for homogenizer exponents, and the coefficient under ``"c"``;
-blocks absent from the shape are omitted, and terms appear in canonical
-sorted order.
+Certificates, facet-witness sidecars and the problem hash go through
+:func:`canonical_dumps`, which fixes key order, spacing and number
+formatting, so identical data always produces identical bytes.  The
+``certify --diagnostics`` file does not: ``cli`` writes it with
+``json.dumps(..., indent=2, sort_keys=True, default=str)``, so a value
+outside the canonical types would be written as its ``str`` instead of
+being refused.  Its layout is the same.
+
+Rationals are strings (``"3"`` or ``"-3/4"``), never floats.
+Polynomials use a term-list encoding: each term is an object with
+per-block exponent lists (``"x"``, ``"y1"``, ``"y2"``), a ``"h"`` map for
+homogenizer exponents, and the coefficient under ``"c"``; blocks absent
+from the shape are omitted, and terms appear in canonical sorted order.
+
+:func:`canonical_dumps` returns exactly ``json.dumps(obj, sort_keys=True,
+indent=2, separators=(",", ": ")) + "\n"``, but from a small recursive
+emitter instead of the generic encoder (which ``indent`` confines to its
+pure-Python path).  It takes only what the ``*_to_obj`` functions build:
+dicts with str keys, lists, tuples, str, int, bool and None.  Anything
+else, a float or a non-str key included, raises ``TypeError``.
 """
 from __future__ import annotations
 
@@ -16,6 +28,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import SchemaError
@@ -26,7 +39,7 @@ from .poly import BlockShape, BlockedPoly
 # ---------------------------------------------------------------------------
 
 def frac_to_str(value: Fraction | int) -> str:
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -69,17 +82,18 @@ def json_typed(value: Any, kind: type, what: str) -> Any:
 
 def poly_to_obj(p: BlockedPoly) -> list[dict[str, Any]]:
     shape = p.shape
+    n, y1_end, base = shape.n, shape.n + shape.r1, shape.n + shape.r1 + shape.r2
+    hom_slots = tuple(enumerate(shape.homs, base))
     out: list[dict[str, Any]] = []
-    base = shape.n + shape.r1 + shape.r2
     for exp, coeff in p.sorted_terms():
         term: dict[str, Any] = {}
-        if shape.n:
-            term["x"] = list(exp[: shape.n])
+        if n:
+            term["x"] = list(exp[:n])
         if shape.r1:
-            term["y1"] = list(exp[shape.n : shape.n + shape.r1])
+            term["y1"] = list(exp[n:y1_end])
         if shape.r2:
-            term["y2"] = list(exp[shape.n + shape.r1 : base])
-        homs = {h: exp[base + i] for i, h in enumerate(shape.homs) if exp[base + i]}
+            term["y2"] = list(exp[y1_end:base])
+        homs = {h: exp[i] for i, h in hom_slots if exp[i]}
         if homs:
             term["h"] = homs
         term["c"] = frac_to_str(coeff)
@@ -135,7 +149,40 @@ def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
 
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, newline-terminated."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    return _emit(obj, "\n") + "\n"
+
+
+def _emit(obj: Any, newline: str) -> str:
+    """JSON text of ``obj`` whose inner lines start with ``newline`` plus two spaces."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(v) is int for v in obj):
+            items: Any = map(int.__repr__, obj)
+        else:
+            items = [_emit(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + _emit(obj[key], inner)
+            for key in sorted(obj)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"canonical JSON cannot encode {type(obj).__name__}")
 
 
 def sha256_of_obj(obj: Any) -> str:

@@ -1,16 +1,30 @@
 """Certificate assembly, verification, serialization, and bound formulas."""
+from __future__ import annotations
+
+import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from fractions import Fraction as F
+from pathlib import Path
+from typing import Mapping
 
 import pytest
+from helpers import largest_family_member
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cylcert import pipeline
 from cylcert.certificate import (
     BoundInputs,
+    Certificate,
+    CertificateMeta,
+    DegreeReport,
     E_UPPER,
     EXP_UPPER_CAP,
     base_cache_from_obj,
     base_cache_to_obj,
+    _SigmaBuilder,
     assemble,
     certificate_from_obj,
     certificate_to_obj,
@@ -24,18 +38,32 @@ from cylcert.certificate import (
     verify_certificate,
     witness_from_obj,
 )
-from cylcert.errors import SchemaError, ValidationError, VerificationError
-from cylcert.perturb import find_perturbation
-from cylcert.poly import BlockShape, BlockedPoly
-from cylcert.polya import polya_saturate
+from cylcert.errors import (
+    IdentityMismatchError,
+    SchemaError,
+    ValidationError,
+    VerificationError,
+)
+from cylcert.perturb import factor_squares, find_perturbation, normalized_constraints
+from cylcert.poly import BlockShape, BlockedPoly, substitute
+from cylcert.polya import PolyaResult, polya_saturate
 from cylcert.problem import (
     BOX,
     SIMPLEX,
     CylinderProblem,
+    RescaleRecord,
     Variant,
+    problem_from_obj,
     rescale_to_simplex,
 )
-from cylcert.putinar_base import base_certificates, parity_vector
+from cylcert.putinar_base import (
+    ModuleWitness,
+    Parity,
+    base_certificates,
+    even_square_root,
+    parity_vector,
+    simplex_u,
+)
 from cylcert.serialize import canonical_dumps
 from cylcert.sos import SosDecomposition, sos_decompose
 
@@ -248,6 +276,246 @@ def test_cached_witness_integers_are_read_strictly(interval_cert):
         with pytest.raises(SchemaError):
             witness_from_obj(entry, problem.shape)
         assert parity not in base_cache_from_obj(obj, "key-1", problem.shape)
+
+
+# --- assembly against the per-square reference ---------------------------
+#
+# Reference: the per-square assembly that grounding each factor once
+# replaced, copied verbatim with names prefixed.  Every lifted product
+# square is grounded on its own (X0 -> u, other homogenizers -> 1,
+# padding stripped), and each degree is read off the product.
+
+def _reference_strip_padding(p: BlockedPoly, shape: BlockShape) -> BlockedPoly:
+    """Drop the (now unused) homogenizer slots, landing in ``shape``."""
+    width = shape.width
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for expo, coeff in p.terms.items():
+        if any(expo[width:]):
+            raise IdentityMismatchError(
+                "a padding variable survived substitution", exponent=list(expo)
+            )
+        terms[expo[:width]] = coeff
+    return BlockedPoly._trusted(shape, terms)
+
+
+class _ReferenceSigmaBuilder:
+    """Accumulates weighted squares per sigma with degree tracking."""
+
+    def __init__(self, problem: CylinderProblem, lifted_shape: BlockShape):
+        self.problem = problem
+        self.lifted = lifted_shape
+        self.weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
+        self.squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
+        self.second_term = [0] * (problem.s + 1)
+        mapping = {lifted_shape.hom_index("X0"): simplex_u(lifted_shape)}
+        one = BlockedPoly.constant(lifted_shape, 1)
+        for name in lifted_shape.homs:
+            if name != "X0":
+                mapping[lifted_shape.hom_index(name)] = one
+        self._mapping = mapping
+
+    def ground(self, square: BlockedPoly) -> BlockedPoly:
+        return _reference_strip_padding(
+            substitute(square, self._mapping), self.problem.shape
+        )
+
+    def add(self, index: int, weight: Fraction, square: BlockedPoly) -> None:
+        if weight == 0:
+            return
+        self.weights[index].append(weight)
+        self.squares[index].append(self.ground(square))
+
+    def sigmas(self) -> tuple[SosDecomposition, ...]:
+        shape = self.problem.shape
+        return tuple(
+            SosDecomposition(shape, tuple(w), tuple(q))
+            for w, q in zip(self.weights, self.squares)
+        )
+
+
+def _reference_sos_degree(deco: SosDecomposition) -> int:
+    """Total degree of the expanded SOS (tops of squares cannot cancel)."""
+    if not deco.weights:
+        return 0
+    return max(2 * q.total_degree() for q in deco.squares)
+
+
+def reference_assemble(
+    problem: CylinderProblem,
+    lam: Fraction,
+    k: int,
+    polya: PolyaResult,
+    base: Mapping[Parity, ModuleWitness],
+    *,
+    fstar_lb: Fraction,
+) -> Certificate:
+    """Stitch the pipeline stages into an exact certificate.
+
+    ``polya.sos`` holds an SOS decomposition of each coefficient form;
+    ``base`` must cover every parity that occurs, and its witnesses set
+    ``c9``.  A degree that breaks its law is an internal invariant breach
+    and aborts; the identity itself is left to :func:`verify_certificate`,
+    which the pipeline runs once on the certificate it returns.
+    """
+    shape = problem.shape
+    lifted = polya.saturated.shape
+    builder = _ReferenceSigmaBuilder(problem, lifted)
+    vdeg = variant_degree(problem.variant, problem.m)
+
+    # Term one: absorption squares for each constraint.
+    scales = tuple(c for _ghat, c in normalized_constraints(problem))
+    sphere_squares = [q.embed(lifted) for q in factor_squares(problem)]
+    one = BlockedPoly.constant(lifted, 1)
+    first_term = []
+    for i, (ghat, c_i) in enumerate(normalized_constraints(problem)):
+        slack = (ghat.embed(lifted) - one) ** k
+        for sq in sphere_squares:
+            builder.add(i + 1, lam / c_i, sq * slack)
+        expected = vdeg + (2 * k + 1) * problem.g[i].block_degree("x")
+        measured = max(
+            2 * (sq * slack).total_degree() + problem.g[i].block_degree("x")
+            for sq in sphere_squares
+        )
+        if measured != expected:
+            raise IdentityMismatchError(
+                "absorption-term degree drifted from its formula",
+                constraint=i + 1,
+                measured=measured,
+                expected=expected,
+            )
+        first_term.append(expected)
+
+    # Term two: saturated remainder through the facet-product witnesses.
+    for key in sorted(polya.forms):
+        deco = polya.sos[key]
+        witness = base[parity_vector(key)]
+        root = even_square_root(key)
+        sq_x = simplex_u(shape) ** root[0]
+        for slot, power in zip(shape.block_indices("x"), root[1:]):
+            if power:
+                sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
+        sq_x = sq_x.embed(lifted)
+        tau_blocks = [(0, witness.sigma0)] + [
+            (idx + 1, tau) for idx, tau in witness.multipliers
+        ]
+        for w_form, q_form in zip(deco.weights, deco.squares):
+            partial = q_form * sq_x
+            for sigma_index, tau in tau_blocks:
+                gdeg = (
+                    0
+                    if sigma_index == 0
+                    else problem.g[sigma_index - 1].block_degree("x")
+                )
+                for w_tau, t in zip(tau.weights, tau.squares):
+                    square = partial * t.embed(lifted)
+                    builder.add(sigma_index, w_form * w_tau, square)
+                    degree = 2 * square.total_degree() + gdeg
+                    if degree > builder.second_term[sigma_index]:
+                        builder.second_term[sigma_index] = degree
+
+    # c9 from the facet witnesses (sigma_0's generator is 1).
+    c9 = 0
+    for witness in base.values():
+        c9 = max(c9, _reference_sos_degree(witness.sigma0))
+        for idx, tau in witness.multipliers:
+            c9 = max(c9, _reference_sos_degree(tau) + problem.g[idx].block_degree("x"))
+
+    cap = vdeg + polya.exponent + polya.ell + c9
+    for index, degree in enumerate(builder.second_term):
+        if degree > cap:
+            raise IdentityMismatchError(
+                "remainder-term degree exceeded its cap",
+                sigma=index,
+                measured=degree,
+                cap=cap,
+            )
+
+    meta = CertificateMeta(
+        lam=lam,
+        k=k,
+        ell=polya.ell,
+        polya_exponent=polya.exponent,
+        c9=c9,
+        fstar_lb=fstar_lb,
+        rescale=RescaleRecord(False),
+        archimedean_attested=problem.archimedean_attested,
+        scales=scales,
+        degrees=DegreeReport(tuple(first_term), tuple(builder.second_term), cap),
+    )
+    return Certificate(
+        problem_hash=problem.problem_hash(),
+        sigmas=builder.sigmas(),
+        meta=meta,
+    )
+
+
+_LIFTED = BlockShape(1, 1, 0, ("X0", "Z"))
+_lifted_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * _LIFTED.width),
+    st.fractions(max_denominator=9).filter(bool),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=_lifted_terms)
+@example({(1, 1, 0, 0): F(1), (1, 1, 0, 2): F(-1), (0, 0, 2, 0): F(1, 2), (0, 0, 2, 1): F(1, 2)})
+def test_grounding_matches_the_reference_substitution(terms):
+    """X0 powers, and terms that meet once Z is set to 1, which the
+    pipeline's own factors never produce."""
+    problem = interval_problem()
+    p = BlockedPoly(_LIFTED, terms)
+    expected = _ReferenceSigmaBuilder(problem, _LIFTED).ground(p)
+    assert _SigmaBuilder(problem, _LIFTED).ground(p).terms == expected.terms
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _assembly_inputs(name):
+    """The arguments the pipeline hands ``assemble`` for one input."""
+    if name == "polya2-K56":
+        obj = largest_family_member()
+    else:
+        obj = json.loads((ROOT / "sample_problems" / f"{name}.json").read_text())
+    calls = []
+    original = pipeline.assemble
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    pipeline.assemble = record
+    try:
+        pipeline.certify_problem(problem_from_obj(obj), seed=7)
+    finally:
+        pipeline.assemble = original
+    [call] = calls
+    return call
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "c1_interval_line_quadratic",
+        "c5_square_plane_quadratic",
+        "c7_box_frame_line_quadratic",
+        "polya2-K56",
+    ],
+)
+def test_assembly_matches_the_per_square_reference(name):
+    args, kwargs = _assembly_inputs(name)
+    got = assemble(*args, **kwargs)
+    expected = reference_assemble(*args, **kwargs)
+    assert len(got.sigmas) == len(expected.sigmas)
+    for mine, theirs in zip(got.sigmas, expected.sigmas):
+        assert mine.shape == theirs.shape
+        assert mine.weights == theirs.weights
+        assert [q.terms for q in mine.squares] == [q.terms for q in theirs.squares]
+    assert got.meta.degrees.second_term == expected.meta.degrees.second_term
+    assert got.meta.degrees == expected.meta.degrees
+    assert got.meta == expected.meta
+    assert got.problem_hash == expected.problem_hash
 
 
 # --- frame pull-back -------------------------------------------------------

@@ -3,11 +3,11 @@ import copy
 import hashlib
 import json
 import time
-import types
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from helpers import largest_family_member
 
 from cylcert import cli
 from cylcert.certificate import (
@@ -84,6 +84,13 @@ PINNED_CERTIFICATES = {
         "20fcb11787fe834084edbdbace319488f8b1f4377811f07a0fac2822c77781a7",
 }
 
+# sha256 of the `.basecache.json` sidecars the same runs write, for the two
+# inputs whose sidecars are largest (c5 here, polya2-K56 below)
+PINNED_SIDECARS = {
+    "c5_square_plane_quadratic":
+        "1d56dc049e34fe78a1947f6626cf2ed902bed58983d9181d14cdd5fe61869557",
+}
+
 
 @pytest.mark.parametrize("stem", sorted(PINNED_CERTIFICATES))
 def test_certificate_bytes_are_pinned(tmp_path, stem):
@@ -93,23 +100,25 @@ def test_certificate_bytes_are_pinned(tmp_path, stem):
         ["certify", "--input", str(path), "--output", str(out), "--seed", "7"]
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CERTIFICATES[stem]
+    if stem in PINNED_SIDECARS:
+        sidecar = tmp_path / "cert.json.basecache.json"
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == PINNED_SIDECARS[stem]
 
 
 def test_largest_family_member_certificate_bytes_are_pinned(tmp_path):
     """The n = 2 Polya member polya2-K56: a 4,000-step facet Gram rung and
-    plane covers."""
-    path = SAMPLES.parent / "perfbench" / "family.py"
-    family = types.ModuleType("perfbench_family")
-    family.__file__ = str(path)
-    # executed from its source text, so nothing is written beside it
-    exec(compile(path.read_text(), str(path), "exec"), family.__dict__)
+    plane covers.  Its sidecar is pinned too."""
     problem, out = tmp_path / "polya2-K56.json", tmp_path / "cert.json"
-    problem.write_text(json.dumps(family.largest_member(), indent=1) + "\n")
+    problem.write_text(json.dumps(largest_family_member(), indent=1) + "\n")
     assert cli.main(
         ["certify", "--input", str(problem), "--output", str(out), "--seed", "7"]
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "1bad841dfe0a6d7e6bb01b2f410ae7ac64684d515d9ef4aa6691e7902fc79dbe"
+    )
+    sidecar = tmp_path / "cert.json.basecache.json"
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == (
+        "8a4b3e8e5ee6351a9ffd4bcedd85d5104f0024685fabba1134205f9b26502580"
     )
 
 

@@ -1,12 +1,14 @@
 """Canonical encoding round-trips and schema rejection."""
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import snapshot_tool
 
 from cylcert.errors import SchemaError
 from cylcert.poly import BlockShape, BlockedPoly
@@ -127,3 +129,61 @@ def test_canonical_dumps_is_key_order_independent():
     assert sha256_of_obj({"b": 1, "a": [1, 2], "c": {"y": 0, "x": 1}}) == sha256_of_obj(
         {"c": {"x": 1, "y": 0}, "a": [1, 2], "b": 1}
     )
+
+
+def _generic_dumps(obj):
+    """What :func:`canonical_dumps` must return, from the generic encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone surrogates
+_awkward = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "\ud800", "\udfff"]
+)
+_texts = st.text(st.one_of(_awkward, st.characters(blacklist_categories=())), max_size=10)
+_ints = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+)
+_scalars = st.one_of(st.none(), st.booleans(), _ints, _texts)
+_trees = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_ints, max_size=4),
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+_deep = {"a": [[{"b": ({"c": [[{"d": [1, -2**70, True, None, "\ud800\n"]}]]},)}], [], {}, ()]}
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_trees)
+@example(_deep)
+@example({"": {}, "é": [], "\x00": (), "x": [False, 2**64, -(2**64) - 1]})
+@example([1, True, 2])
+def test_canonical_dumps_matches_the_generic_encoder(obj):
+    assert canonical_dumps(obj) == _generic_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {None: 1}}, b"x", Fraction(1, 2)],
+)
+def test_canonical_dumps_refuses_what_the_encoders_never_build(obj):
+    with pytest.raises(TypeError):
+        canonical_dumps(obj)
+
+
+def test_every_snapshot_file_re_emits_to_its_own_bytes(tmp_path):
+    """Certificates, sidecars and diagnostics: the diagnostics file comes
+    from the generic encoder, so it checks the emitter against it too."""
+    assert snapshot_tool().main([str(tmp_path)]) == 0
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 38
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert canonical_dumps(json.loads(text)) == text, path.name
