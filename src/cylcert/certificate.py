@@ -42,7 +42,7 @@ from .errors import (
 from .perturb import factor_squares, normalized_constraints
 from .poly import BlockedPoly, BlockShape, ExactSum, substitute
 from .polya import PolyaResult
-from .problem import CylinderProblem, RescaleRecord, Variant
+from .problem import CylinderProblem, RescaleRecord
 from .putinar_base import (
     ModuleWitness,
     Parity,
@@ -67,11 +67,6 @@ EXP_UPPER_CAP = 2**17
 # reach (argument**p, or the q-th root's operand for c = p/q): about a
 # million bits, formed in about 0.1 s.
 POWER_BITS_CAP = 2**20
-
-
-def variant_degree(variant: Variant, m: int) -> int:
-    """Total degree of the sphere-padding SOS factor for the regime."""
-    return m + 2 if variant is Variant.SPLIT_M_BY_2 else m
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +158,9 @@ class CertificateMeta:
                 archimedean_attested=json_typed(
                     obj["archimedean_attested"], bool, "archimedean_attested"
                 ),
-                scales=tuple(frac_from_str(v) for v in obj["scales"]),
+                scales=tuple(
+                    frac_from_str(v) for v in json_typed(obj["scales"], list, "scales")
+                ),
                 degrees=DegreeReport.from_obj(obj["degrees"]),
             )
         except KeyError as exc:
@@ -196,8 +193,10 @@ def sos_from_obj(obj: Any, shape: BlockShape) -> SosDecomposition:
     if not isinstance(obj, dict) or "weights" not in obj or "squares" not in obj:
         raise SchemaError("an SOS entry needs 'weights' and 'squares'")
     try:
-        weights = tuple(frac_from_str(w) for w in obj["weights"])
-        squares = tuple(poly_from_obj(q, shape) for q in obj["squares"])
+        weights = tuple(frac_from_str(w) for w in json_typed(obj["weights"], list, "weights"))
+        squares = tuple(
+            poly_from_obj(q, shape) for q in json_typed(obj["squares"], list, "squares")
+        )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad SOS entry: {exc}") from None
     if len(weights) != len(squares):
@@ -239,10 +238,7 @@ def witness_to_obj(witness: ModuleWitness) -> dict[str, Any]:
     return {
         "target": poly_to_obj(witness.target),
         "budget": witness.budget,
-        "sigma0": sos_to_obj(witness.sigma0),
-        "multipliers": [
-            [idx, sos_to_obj(deco)] for idx, deco in witness.multipliers
-        ],
+        "sigmas": [sos_to_obj(s) for s in witness.sigmas],
     }
 
 
@@ -252,10 +248,8 @@ def witness_from_obj(obj: Any, shape: BlockShape) -> ModuleWitness:
     try:
         return ModuleWitness(
             target=poly_from_obj(obj["target"], shape),
-            sigma0=sos_from_obj(obj["sigma0"], shape),
-            multipliers=tuple(
-                (json_typed(idx, int, "multiplier index"), sos_from_obj(deco, shape))
-                for idx, deco in obj["multipliers"]
+            sigmas=tuple(
+                sos_from_obj(s, shape) for s in json_typed(obj["sigmas"], list, "sigmas")
             ),
             budget=json_typed(obj["budget"], int, "witness budget"),
         )
@@ -281,9 +275,11 @@ def base_cache_from_obj(
     """Decode a witness cache; an unrelated or malformed cache is empty.
 
     Cache misuse must never poison a run: the consumer reuses an entry
-    only when it states the facet product of its key, names existing
-    generators and expands to that product exactly, and a key mismatch
-    simply means the constraints changed since the cache was written.
+    only when it states the facet product of its key, carries one sigma
+    per generator plus sigma_0 and expands to that product exactly, and
+    a key mismatch simply means the constraints changed since the cache
+    was written.  An entry without ``sigmas`` (the older ``sigma0`` plus
+    ``multipliers`` layout) is skipped, so it is recomputed.
     """
     if not isinstance(obj, dict) or obj.get("constraints_hash") != constraints_key:
         return {}
@@ -366,6 +362,73 @@ def _sos_degree(deco: SosDecomposition) -> int:
     return max(2 * q.total_degree() for q in deco.squares)
 
 
+def degree_laws(
+    problem: CylinderProblem, lam: Fraction, k: int, N: int, ell: int, c9: int
+) -> tuple[tuple[int, ...], int]:
+    """The construction's degree laws: ``(absorption degrees, cap)``.
+
+    With ``vdeg`` the degree of the padding factor (the sum of the
+    :meth:`~cylcert.problem.CylinderProblem.padding` degrees), the
+    absorption term of constraint i has degree ``vdeg + (2k+1) deg g_i``
+    (no such terms when ``lam`` is 0), and every remainder term stays
+    within ``vdeg + N + ell + c9``.  Assembly checks what it builds
+    against these, and verification what a certificate declares.
+    """
+    vdeg = sum(degree for _block, _hom, degree in problem.padding())
+    absorption = () if lam == 0 else tuple(
+        vdeg + (2 * k + 1) * g.block_degree("x") for g in problem.g
+    )
+    return absorption, vdeg + N + ell + c9
+
+
+def _certificate(
+    problem: CylinderProblem,
+    sigmas: tuple[SosDecomposition, ...],
+    absorption: tuple[int, ...],
+    remainder: tuple[int, ...],
+    *,
+    lam: Fraction,
+    k: int,
+    ell: int,
+    N: int,
+    c9: int,
+    fstar_lb: Fraction,
+) -> Certificate:
+    """The certificate of ``sigmas`` with its metadata, once the measured
+    absorption and remainder degrees are checked against
+    :func:`degree_laws`; a breach is an internal invariant failure."""
+    expected, cap = degree_laws(problem, lam, k, N, ell, c9)
+    for i, (measured, want) in enumerate(zip(absorption, expected)):
+        if measured != want:
+            raise IdentityMismatchError(
+                "absorption-term degree drifted from its formula",
+                constraint=i + 1,
+                measured=measured,
+                expected=want,
+            )
+    for index, degree in enumerate(remainder):
+        if degree > cap:
+            raise IdentityMismatchError(
+                "remainder-term degree exceeded its cap",
+                sigma=index,
+                measured=degree,
+                cap=cap,
+            )
+    meta = CertificateMeta(
+        lam=lam,
+        k=k,
+        ell=ell,
+        polya_exponent=N,
+        c9=c9,
+        fstar_lb=fstar_lb,
+        rescale=RescaleRecord(False),
+        archimedean_attested=problem.archimedean_attested,
+        scales=tuple(c for _ghat, c in normalized_constraints(problem)),
+        degrees=DegreeReport(expected, remainder, cap),
+    )
+    return Certificate(problem_hash=problem.problem_hash(), sigmas=sigmas, meta=meta)
+
+
 def assemble(
     problem: CylinderProblem,
     lam: Fraction,
@@ -397,54 +460,33 @@ def assemble(
     shape = problem.shape
     lifted = polya.saturated.shape
     builder = _SigmaBuilder(problem, lifted)
-    vdeg = variant_degree(problem.variant, problem.m)
+    # deg g per sigma position; sigma_0's generator is 1
+    gdegs = (0,) + tuple(g.block_degree("x") for g in problem.g)
 
     # Term one: absorption squares for each constraint.
-    scales = tuple(c for _ghat, c in normalized_constraints(problem))
     sphere_squares = [
         (builder.ground(q), q.total_degree()) for q in factor_squares(problem)
     ]
     one = BlockedPoly.constant(shape, 1)
-    first_term = []
+    absorption = []
     for i, (ghat, c_i) in enumerate(normalized_constraints(problem)):
         slack = (ghat - one) ** k
         for sq, _deg in sphere_squares:
             builder.add(i + 1, lam / c_i, sq, slack)
-        gdeg = problem.g[i].block_degree("x")
-        expected = vdeg + (2 * k + 1) * gdeg
-        measured = max(
-            2 * (deg + slack.total_degree()) + gdeg for _sq, deg in sphere_squares
+        absorption.append(
+            max(2 * (deg + slack.total_degree()) + gdegs[i + 1] for _sq, deg in sphere_squares)
         )
-        if measured != expected:
-            raise IdentityMismatchError(
-                "absorption-term degree drifted from its formula",
-                constraint=i + 1,
-                measured=measured,
-                expected=expected,
-            )
-        first_term.append(expected)
 
     # Term two: saturated remainder through the facet-product witnesses.
-    # Per parity: (sigma index, deg g, [(weight, grounded square, degree)]).
+    # Per parity and sigma position: [(weight, grounded square, degree)].
     witness_squares: dict[Parity, list] = {}
     for key in sorted(polya.forms):
         deco = polya.sos[key]
         parity = parity_vector(key)
         if parity not in witness_squares:
-            witness = base[parity]
-            blocks = [(0, witness.sigma0)] + [
-                (idx + 1, tau) for idx, tau in witness.multipliers
-            ]
             witness_squares[parity] = [
-                (
-                    index,
-                    problem.g[index - 1].block_degree("x") if index else 0,
-                    [
-                        (w, builder.ground(t), t.total_degree())
-                        for w, t in zip(tau.weights, tau.squares)
-                    ],
-                )
-                for index, tau in blocks
+                [(w, builder.ground(t), t.total_degree()) for w, t in zip(tau.weights, tau.squares)]
+                for tau in base[parity].sigmas
             ]
         root = even_square_root(key)
         sq_x = simplex_u(shape) ** root[0]
@@ -455,46 +497,33 @@ def assemble(
         for w_form, q_form in zip(deco.weights, deco.squares):
             partial = q_form * sq_x
             grounded, pdeg = builder.ground(partial), partial.total_degree()
-            for sigma_index, gdeg, squares in witness_squares[parity]:
+            for index, squares in enumerate(witness_squares[parity]):
                 for w_tau, t, tdeg in squares:
-                    builder.add(sigma_index, w_form * w_tau, grounded, t)
-                    degree = 2 * (pdeg + tdeg) + gdeg
-                    if degree > builder.second_term[sigma_index]:
-                        builder.second_term[sigma_index] = degree
+                    builder.add(index, w_form * w_tau, grounded, t)
+                    degree = 2 * (pdeg + tdeg) + gdegs[index]
+                    if degree > builder.second_term[index]:
+                        builder.second_term[index] = degree
 
-    # c9 from the facet witnesses (sigma_0's generator is 1).
-    c9 = 0
-    for witness in base.values():
-        c9 = max(c9, _sos_degree(witness.sigma0))
-        for idx, tau in witness.multipliers:
-            c9 = max(c9, _sos_degree(tau) + problem.g[idx].block_degree("x"))
-
-    cap = vdeg + polya.exponent + polya.ell + c9
-    for index, degree in enumerate(builder.second_term):
-        if degree > cap:
-            raise IdentityMismatchError(
-                "remainder-term degree exceeded its cap",
-                sigma=index,
-                measured=degree,
-                cap=cap,
-            )
-
-    meta = CertificateMeta(
+    c9 = max(
+        (
+            _sos_degree(tau) + gdegs[index]
+            for witness in base.values()
+            for index, tau in enumerate(witness.sigmas)
+            if tau.weights
+        ),
+        default=0,
+    )
+    return _certificate(
+        problem,
+        builder.sigmas(),
+        tuple(absorption),
+        tuple(builder.second_term),
         lam=lam,
         k=k,
         ell=polya.ell,
-        polya_exponent=polya.exponent,
+        N=polya.exponent,
         c9=c9,
         fstar_lb=fstar_lb,
-        rescale=RescaleRecord(False),
-        archimedean_attested=problem.archimedean_attested,
-        scales=scales,
-        degrees=DegreeReport(tuple(first_term), tuple(builder.second_term), cap),
-    )
-    return Certificate(
-        problem_hash=problem.problem_hash(),
-        sigmas=builder.sigmas(),
-        meta=meta,
     )
 
 
@@ -510,24 +539,17 @@ def sos_only_certificate(
     of squares; the constraint multipliers are all zero.
     """
     empty = SosDecomposition(problem.shape, (), ())
-    sigmas = (sigma0,) + (empty,) * problem.s
-    cap = variant_degree(problem.variant, problem.m)
-    meta = CertificateMeta(
+    return _certificate(
+        problem,
+        (sigma0,) + (empty,) * problem.s,
+        (),
+        (_sos_degree(sigma0),) + (0,) * problem.s,
         lam=Fraction(0),
         k=0,
         ell=0,
-        polya_exponent=0,
+        N=0,
         c9=0,
         fstar_lb=fstar_lb,
-        rescale=RescaleRecord(False),
-        archimedean_attested=problem.archimedean_attested,
-        scales=tuple(c for _g, c in normalized_constraints(problem)),
-        degrees=DegreeReport((), (_sos_degree(sigma0),) + (0,) * problem.s, cap),
-    )
-    return Certificate(
-        problem_hash=problem.problem_hash(),
-        sigmas=sigmas,
-        meta=meta,
     )
 
 
@@ -616,8 +638,9 @@ def verify_certificate(problem: CylinderProblem, cert: Certificate) -> Verificat
 
     meta = cert.meta
     degrees = meta.degrees
-    vdeg = variant_degree(problem.variant, problem.m)
-    cap = vdeg + meta.polya_exponent + meta.ell + meta.c9
+    absorption, cap = degree_laws(
+        problem, meta.lam, meta.k, meta.polya_exponent, meta.ell, meta.c9
+    )
     if degrees.cap != cap:
         raise _fail(
             "DEGREE_METADATA_MISMATCH",
@@ -634,39 +657,24 @@ def verify_certificate(problem: CylinderProblem, cert: Certificate) -> Verificat
             declared=list(degrees.second_term),
             cap=cap,
         )
+    if degrees.first_term != absorption:
+        raise _fail(
+            "DEGREE_METADATA_MISMATCH",
+            "absorption-term degrees differ from their formula",
+            declared=list(degrees.first_term),
+            expected=list(absorption),
+        )
+    if meta.lam == 0 and any(any(deco.squares) for deco in cert.sigmas[1:]):
+        raise _fail(
+            "DEGREE_METADATA_MISMATCH",
+            "a certificate without absorption must not use constraints",
+        )
     # Every weight is positive by now, so a sigma is zero exactly when all
     # its squares are, and its degree is _sos_degree.
     sigma_degrees = tuple(_sos_degree(deco) for deco in cert.sigmas)
-    if meta.lam == 0:
-        if degrees.first_term or any(any(deco.squares) for deco in cert.sigmas[1:]):
-            raise _fail(
-                "DEGREE_METADATA_MISMATCH",
-                "a certificate without absorption must not use constraints",
-            )
-    else:
-        if len(degrees.first_term) != problem.s:
-            raise _fail(
-                "DEGREE_METADATA_MISMATCH",
-                "one absorption degree per constraint is required",
-                declared=len(degrees.first_term),
-                constraints=problem.s,
-            )
-        for i, declared_deg in enumerate(degrees.first_term):
-            expected = vdeg + (2 * meta.k + 1) * problem.g[i].block_degree("x")
-            if declared_deg != expected:
-                raise _fail(
-                    "DEGREE_METADATA_MISMATCH",
-                    "absorption-term degree differs from its formula",
-                    constraint=i + 1,
-                    declared=declared_deg,
-                    expected=expected,
-                )
     product_degrees = []
     for i, (deco, degree) in enumerate(zip(cert.sigmas, sigma_degrees)):
-        if i == 0 or meta.lam == 0:
-            bound = cap
-        else:
-            bound = max(degrees.first_term[i - 1], cap)
+        bound = max(absorption[i - 1], cap) if i and absorption else cap
         if not any(deco.squares):
             measured = 0
         elif i == 0:

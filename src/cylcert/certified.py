@@ -580,23 +580,23 @@ class _Scan:
     # ----- one pass --------------------------------------------------------
     def _covers(self, grid_size: int, res_b: list[int]) -> list[ProjectedCover]:
         """The pass's sphere covers, after checking every size before building."""
-        if grid_size > min(PAIR_BUDGET, GRID_POINT_CAP):
+        if grid_size > GRID_POINT_CAP:
             raise BudgetExhaustedError(
                 "simplex grid alone exceeds the evaluation budget",
                 rows=grid_size,
-                budget=min(PAIR_BUDGET, GRID_POINT_CAP),
+                budget=GRID_POINT_CAP,
             )
         kept_local = [
             tuple(b.indices.index(s) for s in kept) for b, kept in zip(self.blocks, self.kept)
         ]
         for i, b in enumerate(self.blocks):
             est = _cover_cost(len(b.indices), res_b[i], kept_local[i])
-            if est > min(PAIR_BUDGET, COVER_POINT_CAP):
+            if est > COVER_POINT_CAP:
                 raise BudgetExhaustedError(
                     "sphere cover construction exceeds the evaluation budget",
                     block=i,
                     estimated_points=est,
-                    budget=min(PAIR_BUDGET, COVER_POINT_CAP),
+                    budget=COVER_POINT_CAP,
                 )
         return [
             projected_sphere_cover(len(b.indices), res_b[i], kept_local[i])

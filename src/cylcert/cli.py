@@ -148,11 +148,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             cache_path, canonical_dumps(base_cache_to_obj(key, result.base_cache))
         )
     if args.diagnostics:
-        atomic_write_text(
-            args.diagnostics,
-            json.dumps(result.diagnostics, indent=2, sort_keys=True, default=str)
-            + "\n",
-        )
+        atomic_write_text(args.diagnostics, canonical_dumps(result.diagnostics))
 
     meta = cert.meta
     print(

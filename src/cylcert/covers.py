@@ -46,19 +46,22 @@ from math import gcd, isqrt
 import numpy as np
 
 
-def sqrt_upper(value: Fraction | int, bits: int = 20) -> Fraction:
-    """A rational upper bound on sqrt(value), within 2**-bits of it."""
+SQRT_BITS = 20
+
+
+def sqrt_upper(value: Fraction | int) -> Fraction:
+    """A rational upper bound on sqrt(value), within 2**-SQRT_BITS of it."""
     v = Fraction(value)
     if v < 0:
         raise ValueError("square root of a negative value")
     if v == 0:
         return Fraction(0)
     # sqrt(p/q) = sqrt(p*q)/q; isqrt gives the floor, +1 an upper bound.
-    scaled = v.numerator * v.denominator << (2 * bits)
+    scaled = v.numerator * v.denominator << (2 * SQRT_BITS)
     root = isqrt(scaled)
     if root * root < scaled:
         root += 1
-    return Fraction(root, v.denominator << bits)
+    return Fraction(root, v.denominator << SQRT_BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certified import CertifiedMin, certified_excess_check
+from .certified import CertifiedMin, _closed_form, certified_excess_check
 from .errors import BelowThresholdError, CapExceededError, SearchExhaustedError
 from .poly import BlockedPoly, block_sum_of_squares, weighted_norm
-from .problem import DEGREE_CAP, CylinderProblem, Variant
+from .problem import DEGREE_CAP, CylinderProblem
 
 LAMBDA_CAP = 2 ** 40
 
 
 def constraint_scale(g: BlockedPoly) -> Fraction:
     """Divisor making |g / scale| <= 1 on the reference simplex."""
-    degree = g.block_degree("x")
-    return max(Fraction(1), weighted_norm(g) * (degree + 1))
+    sup = _closed_form(weighted_norm(g), g.shape.n, g.block_degree("x"), ()).sup_bound
+    return max(Fraction(1), sup)
 
 
 def normalized_constraints(p: CylinderProblem) -> tuple[tuple[BlockedPoly, Fraction], ...]:
@@ -54,24 +54,14 @@ def slack_exponent(lam: Fraction, s: int, fstar_lb: Fraction) -> int:
     return max(0, math.ceil(need))
 
 
-def sos_factor(p: CylinderProblem) -> BlockedPoly:
-    """The block-homogeneous SOS power multiplying the perturbation.
-
-    Single-block regimes use (|Y|^2 + Z^2)^(m/2); the split regime uses
-    (Y1^2 + Z1^2)^(m/2) * (|Y2|^2 + Z2^2) so both block degrees match
-    the doubly homogenized target.
-    """
-    target, _ = p.homogenized()
-    shape = target.shape
-    if p.variant is Variant.SPLIT_M_BY_2:
-        q1 = block_sum_of_squares(shape, "y1", "Z1") ** (p.m // 2)
-        q2 = block_sum_of_squares(shape, "y2", "Z2")
-        return q1 * q2
-    return block_sum_of_squares(shape, "y1", "Z") ** (p.m // 2)
-
-
 def factor_squares(p: CylinderProblem) -> tuple[BlockedPoly, ...]:
-    """Explicit polynomials whose squares sum to :func:`sos_factor`."""
+    """Explicit polynomials whose squares sum to the padding factor Q.
+
+    Q is the product over :meth:`~cylcert.problem.CylinderProblem.padding`
+    of ``(|block|^2 + hom^2)^(degree/2)``, so its block degrees match the
+    homogenized target: ``(|Y|^2 + Z^2)^(m/2)`` in the single-block
+    regimes, ``(Y1^2 + Z1^2)^(m/2) * (|Y2|^2 + Z2^2)`` in the split one.
+    """
     target, _ = p.homogenized()
     shape = target.shape
 
@@ -83,18 +73,19 @@ def factor_squares(p: CylinderProblem) -> tuple[BlockedPoly, ...]:
         slots = shape.block_indices(block) + shape.block_indices(hom)
         return [BlockedPoly.variable(shape, i) * half for i in slots]
 
-    if p.variant is Variant.SPLIT_M_BY_2:
-        first = power_squares("y1", "Z1", p.m // 2)
-        second = power_squares("y2", "Z2", 1)
-        return tuple(a * b for a in first for b in second)
-    return tuple(power_squares("y1", "Z", p.m // 2))
+    squares = [BlockedPoly.constant(shape, 1)]
+    for block, hom, degree in p.padding():
+        squares = [a * b for a in squares for b in power_squares(block, hom, degree // 2)]
+    return tuple(squares)
 
 
 def perturbed_target(p: CylinderProblem, lam: Fraction, k: int) -> BlockedPoly:
-    """h = f-bar - lam * Q * sum ghat_i (ghat_i - 1)^(2k)."""
+    """h = f-bar - lam * Q * sum ghat_i (ghat_i - 1)^(2k), Q = sum of squared factors."""
     target, _ = p.homogenized()
     shape = target.shape
-    q = sos_factor(p)
+    q = BlockedPoly.zero(shape)
+    for sq in factor_squares(p):
+        q = q + sq * sq
     one = BlockedPoly.constant(shape, 1)
     acc = BlockedPoly.zero(shape)
     for ghat, _scale in normalized_constraints(p):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, NamedTuple
 
 from .errors import NoFeasibleSampleError, SchemaError, ValidationError
-from .poly import BlockShape, BlockedPoly, homogenize_block, substitute, weighted_norm
+from .poly import BlockShape, BlockedPoly, homogenize_block, substitute
 from .serialize import (
     frac_from_str,
     frac_to_str,
@@ -200,33 +200,37 @@ class CylinderProblem:
     def d(self) -> int:
         return self.f.block_degree("x")
 
-    def f_norm(self) -> Fraction:
-        return weighted_norm(self.f)
-
     def problem_hash(self) -> str:
         return sha256_of_obj(problem_to_obj(self))
 
     # ----- homogenized target -------------------------------------------
-    def homogenized(self) -> tuple[BlockedPoly, tuple[SphereBlock, ...]]:
-        """The degree-saturated target and its sphere blocks.
+    def padding(self) -> tuple[tuple[str, str, int], ...]:
+        """``(block, homogenizer, degree)`` for each unbounded block.
 
         Single-block regimes pad the unbounded block to degree m with Z;
         the split regime pads Y1 to m with Z1 and the second block to 2
-        with Z2.  The returned target is positive on S x (product of unit
-        spheres) exactly when f is positive on the cylinder and the side
-        condition holds.
+        with Z2.  The sphere blocks, the padding SOS factor and its degree
+        all follow from this list.
         """
-        if not self.variant.is_split:
-            fb = homogenize_block(self.f, "y1", self.m, "Z")
-            sh = fb.shape
-            block = SphereBlock(sh.block_indices("y1") + sh.block_indices("Z"), self.m)
-            return fb, (block,)
-        fbb = homogenize_block(self.f, "y1", self.m, "Z1")
-        fbb = homogenize_block(fbb, "y2", 2, "Z2")
-        sh = fbb.shape
-        b1 = SphereBlock(sh.block_indices("y1") + sh.block_indices("Z1"), self.m)
-        b2 = SphereBlock(sh.block_indices("y2") + sh.block_indices("Z2"), 2)
-        return fbb, (b1, b2)
+        if self.variant.is_split:
+            return (("y1", "Z1", self.m), ("y2", "Z2", 2))
+        return (("y1", "Z", self.m),)
+
+    def homogenized(self) -> tuple[BlockedPoly, tuple[SphereBlock, ...]]:
+        """The degree-saturated target and its sphere blocks, per :meth:`padding`.
+
+        The returned target is positive on S x (product of unit spheres)
+        exactly when f is positive on the cylinder and the side condition
+        holds.
+        """
+        target = self.f
+        for block, hom, degree in self.padding():
+            target = homogenize_block(target, block, degree, hom)
+        sh = target.shape
+        return target, tuple(
+            SphereBlock(sh.block_indices(block) + sh.block_indices(hom), degree)
+            for block, hom, degree in self.padding()
+        )
 
     # ----- side-condition slices ----------------------------------------
     def condition_targets(self) -> list[tuple[str, BlockedPoly, tuple[SphereBlock, ...]]]:

@@ -15,8 +15,11 @@ on the target, so they are good candidates for caching.
 Each product is one :func:`~cylcert.sos.module_witness` search, the same
 search that decomposes coefficient forms, over the bases of
 :func:`facet_bases`: one block per sigma, x-only monomials from
-:func:`~cylcert.sos.monomials`.  The degree budget for the sigmas
-doubles on failure up to a hard cap.  When the product vanishes at a
+:func:`~cylcert.sos.monomials`.  The search returns the tuple
+``(sigma_0, sigma_1, ..., sigma_s)``, empty where no basis was given, and
+a :class:`ModuleWitness` keeps that tuple as it is, as a certificate
+does.  The degree budget for the sigmas doubles on failure up to a hard
+cap.  When the product vanishes at a
 simplex vertex that satisfies every constraint, the feasible Gram
 matrices are all singular there, so the bases are first cut down to
 polynomials vanishing at that vertex (facial reduction), which restores
@@ -80,20 +83,19 @@ def facet_product(shape: BlockShape, parity: Parity) -> BlockedPoly:
 
 @dataclass(frozen=True)
 class ModuleWitness:
-    """Exact decomposition target = sigma_0 + sum sigma_i * g_i."""
+    """Exact decomposition target = sigma_0 + sum sigma_i * g_i.
+
+    ``sigmas`` is ``(sigma_0, sigma_1, ..., sigma_s)``, as in a certificate.
+    """
 
     target: BlockedPoly
-    sigma0: SosDecomposition
-    multipliers: tuple[tuple[int, SosDecomposition], ...]
+    sigmas: tuple[SosDecomposition, ...]
     budget: int
 
-    def as_poly(self, gens: Sequence[BlockedPoly]) -> BlockedPoly:
-        return expand_identity(
-            self.sigma0, ((sos, gens[idx]) for idx, sos in self.multipliers)
-        )
-
     def verify(self, gens: Sequence[BlockedPoly]) -> bool:
-        return self.as_poly(gens) == self.target
+        return len(self.sigmas) == len(gens) + 1 and (
+            expand_identity(self.sigmas[0], zip(self.sigmas[1:], gens)) == self.target
+        )
 
 
 def _simplex_vertices(shape: BlockShape) -> list[tuple[Fraction, ...]]:
@@ -185,9 +187,9 @@ def base_certificates(
 
     ``parities`` lists the products wanted, as parity vectors over
     ``(u, x_1, ..., x_n)``.  ``precomputed`` entries (from a cache) are
-    reused only when they state this parity's facet product, name only
-    generators that exist, and expand to it exactly; anything else is
-    recomputed.  Raises :class:`SearchExhaustedError` when some product
+    reused only when they state this parity's facet product, carry one
+    sigma per generator plus sigma_0, and expand to it exactly; anything
+    else is recomputed.  Raises :class:`SearchExhaustedError` when some product
     resists every budget up to ``BUDGET_CAP``, and :class:`CapExceededError`
     when the number of cylinder variables exceeds ``MAX_VARIABLES``.
     """
@@ -203,28 +205,13 @@ def base_certificates(
     for parity in sorted(parities):
         target = facet_product(shape, parity)
         cached = (precomputed or {}).get(parity)
-        if (
-            cached is not None
-            and cached.target == target
-            and all(idx in range(len(gens)) for idx, _ in cached.multipliers)
-            and cached.verify(gens)
-        ):
+        if cached is not None and cached.target == target and cached.verify(gens):
             out[parity] = cached
             continue
         for budget in ladder:
             sigmas = module_witness(target, gens, facet_bases(shape, gens, budget, target))
             if sigmas is not None:
-                out[parity] = ModuleWitness(
-                    target=target,
-                    sigma0=next(
-                        (deco for idx, deco in sigmas if idx is None),
-                        SosDecomposition(shape, (), ()),
-                    ),
-                    multipliers=tuple(
-                        (idx, deco) for idx, deco in sigmas if idx is not None and deco.weights
-                    ),
-                    budget=budget,
-                )
+                out[parity] = ModuleWitness(target, sigmas, budget)
                 break
         else:
             failed.append(parity)

@@ -1,12 +1,9 @@
 """Canonical JSON encoding shared by problem, certificate and report files.
 
-Certificates, facet-witness sidecars and the problem hash go through
-:func:`canonical_dumps`, which fixes key order, spacing and number
-formatting, so identical data always produces identical bytes.  The
-``certify --diagnostics`` file does not: ``cli`` writes it with
-``json.dumps(..., indent=2, sort_keys=True, default=str)``, so a value
-outside the canonical types would be written as its ``str`` instead of
-being refused.  Its layout is the same.
+Certificates, facet-witness sidecars, the ``certify --diagnostics`` file
+and the problem hash all go through :func:`canonical_dumps`, which fixes
+key order, spacing and number formatting, so identical data always
+produces identical bytes.
 
 Rationals are strings (``"3"`` or ``"-3/4"``), never floats.
 Polynomials use a term-list encoding: each term is an object with

@@ -27,6 +27,9 @@ The classic round-then-project scheme then runs on it:
    matrix-vector product.
 3. The first rung whose blocks all factor and whose identity expands
    exactly to the target is the answer: no residual, no trust in floats.
+   It is the tuple ``(sigma_0, sigma_1, ..., sigma_s)``, one entry per
+   generator after sigma_0 and empty where no basis was given, the shape
+   in which facet witnesses and certificates store their sigmas.
 
 Monomial bases come from one sorted enumerator, :func:`monomials`.
 :func:`sos_decompose` is the search with no generators over
@@ -448,9 +451,6 @@ class SosDecomposition:
     def as_poly(self) -> BlockedPoly:
         return expand_identity(self, ())
 
-    def verify(self, target: BlockedPoly) -> bool:
-        return self.as_poly() == target
-
 
 def expand_identity(
     sigma0: SosDecomposition,
@@ -516,16 +516,17 @@ def module_witness(
     target: BlockedPoly,
     gens: Sequence[BlockedPoly],
     bases: Sequence[tuple[int | None, Basis]],
-) -> list[tuple[int | None, SosDecomposition]] | None:
+) -> tuple[SosDecomposition, ...] | None:
     """Exact ``target = sigma_0 + sum sigma_i * g_i`` over the given bases.
 
     ``bases`` pairs a generator index (``None`` for sigma_0) with a
     basis, as for :class:`GramSystem`.  Runs the float search once, then
     for each denominator of :data:`DEN_LADDER` rounds the point, projects
     it exactly onto the affine set and factors every block; the first
-    rung whose identity expands to the target gives one ``(generator
-    index, decomposition)`` per nonempty block.  None when the bases
-    cannot produce the target, the search fails, or no rung verifies.
+    rung whose identity expands to the target gives the tuple
+    ``(sigma_0, sigma_1, ..., sigma_s)``, one entry per generator after
+    sigma_0, empty where no basis was given.  None when the bases cannot
+    produce the target, the search fails, or no rung verifies.
     """
     system = _gram_system(
         target.shape, tuple(gens), tuple((idx, tuple(basis)) for idx, basis in bases)
@@ -536,22 +537,19 @@ def module_witness(
     x_float = psd_feasibility(system, np.asarray([_as_float(v) for v in b], dtype=np.float64))
     if x_float is None:
         return None
-    empty = SosDecomposition(target.shape, (), ())
     for den in DEN_LADDER:
         x_exact = system.exact_correction([Fraction(round(v * den), den) for v in x_float], b)
         if x_exact is None:
             return None
-        sigmas = []
+        sigmas = [SosDecomposition(target.shape, (), ())] * (len(gens) + 1)
         for (gen_idx, basis), gram in zip(system.blocks, system.grams_from_vector(x_exact)):
             deco = decomposition_from_gram(system.shape, basis, gram)
             if deco is None:
                 break
-            sigmas.append((gen_idx, deco))
+            sigmas[0 if gen_idx is None else gen_idx + 1] = deco
         else:
-            sigma0 = next((deco for idx, deco in sigmas if idx is None), empty)
-            products = ((deco, gens[idx]) for idx, deco in sigmas if idx is not None)
-            if expand_identity(sigma0, products) == target:
-                return sigmas
+            if expand_identity(sigmas[0], zip(sigmas[1:], gens)) == target:
+                return tuple(sigmas)
     return None
 
 
@@ -609,5 +607,4 @@ def sos_decompose(target: BlockedPoly) -> SosDecomposition:
             "the rounding ladder gave a PSD matrix",
             basis_size=len(basis),
         )
-    [(_, deco)] = found
-    return deco
+    return found[0]

@@ -33,8 +33,8 @@ from cylcert.certificate import (
     integer_root_upper,
     rational_power_upper,
     sos_only_certificate,
+    degree_laws,
     theorem_bound,
-    variant_degree,
     verify_certificate,
     witness_from_obj,
 )
@@ -115,10 +115,15 @@ def test_identity_is_a_term_map_equality(interval_cert):
     assert total == problem.f
 
 
+def padding_degree(problem):
+    """Degree of the padding factor: m, plus 2 for the second block when split."""
+    return problem.m + (2 if problem.variant.is_split else 0)
+
+
 def test_degree_report_matches_formulas(interval_cert):
     problem, cert, _base = interval_cert
     meta = cert.meta
-    vdeg = variant_degree(problem.variant, problem.m)
+    vdeg = padding_degree(problem)
     for i, g in enumerate(problem.g):
         expected = vdeg + (2 * meta.k + 1) * g.block_degree("x")
         assert meta.degrees.first_term[i] == expected
@@ -127,17 +132,26 @@ def test_degree_report_matches_formulas(interval_cert):
     assert all(d <= cap for d in meta.degrees.second_term)
 
 
+def test_degree_laws_state_the_declared_degrees(interval_cert):
+    problem, cert, _base = interval_cert
+    meta = cert.meta
+    absorption, cap = degree_laws(
+        problem, meta.lam, meta.k, meta.polya_exponent, meta.ell, meta.c9
+    )
+    assert absorption == meta.degrees.first_term
+    assert cap == meta.degrees.cap
+    # without absorption there are no first-term degrees, and the cap is
+    # the padding degree plus the remainder's components
+    assert degree_laws(problem, F(0), 5, 1, 2, 3) == ((), padding_degree(problem) + 6)
+
+
 def test_c9_matches_the_witnesses_used(interval_cert):
     problem, cert, base = interval_cert
     best = 0
+    gdegs = [0] + [g.block_degree("x") for g in problem.g]
     for witness in base.values():
-        degs = [2 * q.total_degree() for q in witness.sigma0.squares]
-        best = max([best] + degs)
-        for idx, tau in witness.multipliers:
-            gdeg = problem.g[idx].block_degree("x")
-            best = max(
-                [best] + [2 * q.total_degree() + gdeg for q in tau.squares]
-            )
+        for tau, gdeg in zip(witness.sigmas, gdegs, strict=True):
+            best = max([best] + [2 * q.total_degree() + gdeg for q in tau.squares])
     assert cert.meta.c9 == best
 
 
@@ -253,26 +267,22 @@ def test_base_cache_round_trip(interval_cert):
         assert witness.verify(problem.g)
         assert witness.target == original.target
         assert witness.budget == original.budget
-        assert witness.sigma0.weights == original.sigma0.weights
-        assert witness.sigma0.squares == original.sigma0.squares
-        assert [idx for idx, _ in witness.multipliers] == [
-            idx for idx, _ in original.multipliers
-        ]
+        assert len(witness.sigmas) == problem.s + 1
+        for sigma, want in zip(witness.sigmas, original.sigmas, strict=True):
+            assert sigma.weights == want.weights
+            assert sigma.squares == want.squares
     assert base_cache_from_obj(obj, "other-key", problem.shape) == {}
     assert base_cache_from_obj({"bogus": 1}, "key-1", problem.shape) == {}
 
 
 def test_cached_witness_integers_are_read_strictly(interval_cert):
     problem, _cert, base = interval_cert
-    parity, witness = next((p, w) for p, w in sorted(base.items()) if w.multipliers)
+    parity = min(base)
     key = "".join(map(str, parity))
-    for field, bad in (("multipliers", "0"), ("multipliers", True), ("budget", 4.0)):
+    for field, bad in (("budget", 4.0), ("budget", True), ("sigmas", "[]"), ("sigmas", {})):
         obj = base_cache_to_obj("key-1", base)
         entry = obj["witnesses"][key]
-        if field == "budget":
-            entry["budget"] = bad
-        else:
-            entry["multipliers"][0][0] = bad
+        entry[field] = bad
         with pytest.raises(SchemaError):
             witness_from_obj(entry, problem.shape)
         assert parity not in base_cache_from_obj(obj, "key-1", problem.shape)
@@ -360,7 +370,7 @@ def reference_assemble(
     shape = problem.shape
     lifted = polya.saturated.shape
     builder = _ReferenceSigmaBuilder(problem, lifted)
-    vdeg = variant_degree(problem.variant, problem.m)
+    vdeg = padding_degree(problem)
 
     # Term one: absorption squares for each constraint.
     scales = tuple(c for _ghat, c in normalized_constraints(problem))
@@ -395,12 +405,9 @@ def reference_assemble(
             if power:
                 sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
         sq_x = sq_x.embed(lifted)
-        tau_blocks = [(0, witness.sigma0)] + [
-            (idx + 1, tau) for idx, tau in witness.multipliers
-        ]
         for w_form, q_form in zip(deco.weights, deco.squares):
             partial = q_form * sq_x
-            for sigma_index, tau in tau_blocks:
+            for sigma_index, tau in enumerate(witness.sigmas):
                 gdeg = (
                     0
                     if sigma_index == 0
@@ -416,9 +423,10 @@ def reference_assemble(
     # c9 from the facet witnesses (sigma_0's generator is 1).
     c9 = 0
     for witness in base.values():
-        c9 = max(c9, _reference_sos_degree(witness.sigma0))
-        for idx, tau in witness.multipliers:
-            c9 = max(c9, _reference_sos_degree(tau) + problem.g[idx].block_degree("x"))
+        c9 = max(c9, _reference_sos_degree(witness.sigmas[0]))
+        for idx, tau in enumerate(witness.sigmas[1:]):
+            if tau.weights:
+                c9 = max(c9, _reference_sos_degree(tau) + problem.g[idx].block_degree("x"))
 
     cap = vdeg + polya.exponent + polya.ell + c9
     for index, degree in enumerate(builder.second_term):

@@ -7,12 +7,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from helpers import largest_family_member
+from helpers import largest_family_member, snapshot_tool
 
 from cylcert import cli
 from cylcert.certificate import (
     E_UPPER,
     POWER_BITS_CAP,
+    base_cache_from_obj,
     certificate_from_obj,
     certificate_to_obj,
 )
@@ -62,11 +63,12 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
     ) == 0
 
 
-# sha256 of the certificates `certify --seed 7` writes: one per assembly
-# path (general, the d = 0 sum-of-squares shortcut, box-frame compose),
-# plus c5, whose facet witnesses run a 4,000-step Gram search rung, and c6,
-# whose coefficient forms sit at exact fixed points of the projections,
-# and c2 and c3, whose floor scans read the sphere covers
+# sha256 of the certificates `certify --seed 7` writes for every input
+# of `tools/snapshot.py`: one per assembly path (general, the d = 0
+# sum-of-squares shortcut, box-frame compose), plus c5 and polya2-K56,
+# whose facet witnesses run a 4,000-step Gram search rung, c6, whose
+# coefficient forms sit at exact fixed points of the projections, c2 and
+# c3, whose floor scans read the sphere covers, and the bench family
 PINNED_CERTIFICATES = {
     "c1_interval_line_quadratic":
         "723a40dd3989c66f44b527725d3c638ab4827b65bc1ccf52a813ad0cb70e9dfb",
@@ -82,44 +84,67 @@ PINNED_CERTIFICATES = {
         "bcb3bace2c39860c40d74053aeb70111b9748421a93f0850e0314e9b31d7098b",
     "c7_box_frame_line_quadratic":
         "20fcb11787fe834084edbdbace319488f8b1f4377811f07a0fac2822c77781a7",
+    "lambda-K16":
+        "999a62e19dec8ccf548c71474bce69970c29e711f5f4ab46eb84e8f0ee7d7a68",
+    "lambda-K64":
+        "6e38ea29602d087a296e7240b565fc90231021d4f10501eac57f0b686b6e5fc4",
+    "polya1-s1":
+        "33cd3097db6d58fa16a13506d6416be8f0001e1969b8a0081c774bae725cb7b8",
+    "polya1-s1_2":
+        "b0ef7c7d4b4967c00cd0341bdf97b0d2bbc50b809c44cc391fdd2320c2fbd715",
+    "polya1-s2":
+        "7fdf1e131459173bb0804c5001f5e69167ce5290e720ef614e674502604e00d9",
+    "polya2-K56":
+        "1bad841dfe0a6d7e6bb01b2f410ae7ac64684d515d9ef4aa6691e7902fc79dbe",
 }
 
 # sha256 of the `.basecache.json` sidecars the same runs write, for the two
-# inputs whose sidecars are largest (c5 here, polya2-K56 below)
+# inputs whose sidecars are largest
 PINNED_SIDECARS = {
     "c5_square_plane_quadratic":
-        "1d56dc049e34fe78a1947f6626cf2ed902bed58983d9181d14cdd5fe61869557",
+        "6acc6065a7ea0ae0dcac0ddc150e455fe8d15c0bdfffbec9a6464ce8e35d2d8c",
+    "polya2-K56":
+        "2badbd9d022a5c9fe4cec8a0a9850756eb1d1c3f7bc19ae820dad2e2e20dc64a",
 }
+
+# sha256 over every float point the Gram searches of the snapshot return
+PINNED_PSD = "cb5415d7524504073465deb961f5d87511effd2123ace3bff8b29513841a58f4"
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    """One `tools/snapshot.py` run: every sample and bench family member."""
+    outdir = tmp_path_factory.mktemp("snapshot")
+    assert snapshot_tool().main([str(outdir)]) == 0
+    return outdir
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("stem", sorted(PINNED_CERTIFICATES))
-def test_certificate_bytes_are_pinned(tmp_path, stem):
-    out = tmp_path / "cert.json"
-    path = SAMPLES / f"{stem}.json"
-    assert cli.main(
-        ["certify", "--input", str(path), "--output", str(out), "--seed", "7"]
-    ) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CERTIFICATES[stem]
+def test_certificate_bytes_are_pinned(snapshot, stem):
+    assert _sha256(snapshot / f"{stem}.cert.json") == PINNED_CERTIFICATES[stem]
     if stem in PINNED_SIDECARS:
-        sidecar = tmp_path / "cert.json.basecache.json"
-        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == PINNED_SIDECARS[stem]
+        sidecar = snapshot / f"{stem}.cert.json.basecache.json"
+        assert _sha256(sidecar) == PINNED_SIDECARS[stem]
 
 
-def test_largest_family_member_certificate_bytes_are_pinned(tmp_path):
-    """The n = 2 Polya member polya2-K56: a 4,000-step facet Gram rung and
-    plane covers.  Its sidecar is pinned too."""
-    problem, out = tmp_path / "polya2-K56.json", tmp_path / "cert.json"
-    problem.write_text(json.dumps(largest_family_member(), indent=1) + "\n")
-    assert cli.main(
-        ["certify", "--input", str(problem), "--output", str(out), "--seed", "7"]
-    ) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "1bad841dfe0a6d7e6bb01b2f410ae7ac64684d515d9ef4aa6691e7902fc79dbe"
-    )
-    sidecar = tmp_path / "cert.json.basecache.json"
-    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == (
-        "8a4b3e8e5ee6351a9ffd4bcedd85d5104f0024685fabba1134205f9b26502580"
-    )
+def test_largest_family_member_certificate_bytes_are_pinned(snapshot):
+    """The snapshot's polya2-K56 is the n = 2 Polya member of the bench
+    family: a 4,000-step facet Gram rung and plane covers."""
+    written = json.loads((snapshot / "inputs" / "polya2-K56.json").read_text())
+    assert written == largest_family_member()
+    assert _sha256(snapshot / "polya2-K56.cert.json") == PINNED_CERTIFICATES["polya2-K56"]
+    sidecar = snapshot / "polya2-K56.cert.json.basecache.json"
+    assert _sha256(sidecar) == PINNED_SIDECARS["polya2-K56"]
+
+
+def test_snapshot_covers_every_input_and_pins_the_float_search(snapshot):
+    written = sorted(p.name.removesuffix(".cert.json") for p in snapshot.glob("*.cert.json"))
+    assert written == sorted(PINNED_CERTIFICATES)
+    assert (snapshot / "psd.sha256").read_text() == PINNED_PSD + "\n"
 
 
 def test_repeat_runs_are_byte_identical(problem_file, tmp_path):
@@ -140,7 +165,9 @@ def _copy_witness_00_to_11(witnesses):
 
 
 def _point_a_multiplier_at_generator_7(witnesses):
-    witnesses["11"]["multipliers"][0][0] = 7
+    # c1 has one constraint: pad sigma_2 .. sigma_6 empty and copy sigma_1 to sigma_7
+    sigmas = witnesses["11"]["sigmas"]
+    sigmas += [{"weights": [], "squares": []}] * 5 + [sigmas[1]]
 
 
 @pytest.mark.parametrize(
@@ -158,6 +185,30 @@ def test_a_tampered_sidecar_leaves_the_run_unchanged(tmp_path, tamper):
     sidecar = json.loads(cold_sidecar.read_text())
     tamper(sidecar["witnesses"])
     warm_sidecar.write_text(json.dumps(sidecar))
+    assert certify(warm) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    assert warm_sidecar.read_bytes() == cold_sidecar.read_bytes()
+
+
+def test_an_older_sidecar_is_read_as_empty_and_recomputed(tmp_path):
+    # the layout before sidecars stored sigmas as a certificate does:
+    # sigma_0, then [generator index, sigma] for each nonzero multiplier
+    path = SAMPLES / "c5_square_plane_quadratic.json"
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    cold_sidecar, warm_sidecar = (Path(f"{out}.basecache.json") for out in (cold, warm))
+
+    def certify(out):
+        return cli.main(["certify", "--input", str(path), "--output", str(out), "--seed", "7"])
+
+    assert certify(cold) == 0
+    sidecar = json.loads(cold_sidecar.read_text())
+    for witness in sidecar["witnesses"].values():
+        sigma0, *rest = witness.pop("sigmas")
+        witness["sigma0"] = sigma0
+        witness["multipliers"] = [[i, s] for i, s in enumerate(rest) if s["weights"]]
+    warm_sidecar.write_text(json.dumps(sidecar))
+    problem = problem_from_obj(json.loads(path.read_text()))
+    assert base_cache_from_obj(sidecar, cli._constraints_key(problem), problem.shape) == {}
     assert certify(warm) == 0
     assert warm.read_bytes() == cold.read_bytes()
     assert warm_sidecar.read_bytes() == cold_sidecar.read_bytes()

@@ -215,3 +215,42 @@ def test_a_tiny_floor_stops_at_the_degree_cap(tmp_path, capsys, power):
     assert summary["payload"]["lambda"] == "1"
     assert summary["payload"]["degree"] == 2 * (2 * summary["payload"]["k"] + 1) > DEGREE_CAP
     assert seconds < 10
+
+
+@pytest.fixture(scope="module")
+def sample_certificates(tmp_path_factory):
+    """c1 and c2 with the certificates `certify` writes for them."""
+    root = tmp_path_factory.mktemp("samples")
+    out = {}
+    for stem in ("c1_interval_line_quadratic", "c2_interval_line_quartic"):
+        path = SAMPLES / f"{stem}.json"
+        cert = root / f"{stem}.cert.json"
+        assert cli.main(["certify", "--input", str(path), "--output", str(cert)]) == 0
+        out[stem[:2]] = (json.loads(path.read_text()), json.loads(cert.read_text()))
+    return out
+
+
+def _sigma0_weights_keyed(cert):
+    weights = cert["sigmas"][0]["weights"]
+    cert["sigmas"][0]["weights"] = {w: 1 for w in weights}
+
+
+# Iterables that are not JSON lists where the format requires one; each
+# of these once verified.
+NON_LISTS = [
+    ("c2", _sigma0_weights_keyed),
+    ("c1", lambda cert: cert["metadata"].update(scales="12")),
+    ("c1", lambda cert: cert["metadata"].update(scales={"3": 1})),
+]
+
+
+@pytest.mark.parametrize(
+    "sample, mutate", NON_LISTS, ids=["weights-object", "scales-string", "scales-object"]
+)
+def test_a_non_list_where_a_list_belongs_is_a_schema_error(
+    sample_certificates, tmp_path, capsys, sample, mutate
+):
+    problem_obj, cert_obj = sample_certificates[sample]
+    cert_obj = copy.deepcopy(cert_obj)
+    mutate(cert_obj)
+    assert _verify_exit(tmp_path, problem_obj, cert_obj, capsys) == cli.EXIT_IO

@@ -14,9 +14,8 @@ from cylcert.perturb import (
     normalized_constraints,
     perturbed_target,
     slack_exponent,
-    sos_factor,
 )
-from cylcert.poly import BlockShape, BlockedPoly
+from cylcert.poly import BlockShape, BlockedPoly, block_sum_of_squares
 from cylcert.problem import DEGREE_CAP, SIMPLEX, CylinderProblem, Variant
 from helpers import is_block_homogeneous
 
@@ -37,6 +36,16 @@ def interval_problem(f_terms, *, m=2, variant=Variant.R1_ANY_M, r1=1, r2=0):
     return CylinderProblem(
         shape=shape, variant=variant, m=m, f=f, g=(interval_g(shape),), frame=SIMPLEX
     )
+
+
+def sos_factor(p):
+    """Reference padding factor Q, written out per regime: (|Y|^2 + Z^2)^(m/2),
+    or (Y1^2 + Z1^2)^(m/2) * (|Y2|^2 + Z2^2) when split."""
+    shape = p.homogenized()[0].shape
+    if p.variant is Variant.SPLIT_M_BY_2:
+        q1 = block_sum_of_squares(shape, "y1", "Z1") ** (p.m // 2)
+        return q1 * block_sum_of_squares(shape, "y2", "Z2")
+    return block_sum_of_squares(shape, "y1", "Z") ** (p.m // 2)
 
 
 def perturbation_sum(p, lam, k):

@@ -152,7 +152,7 @@ def test_saturate_bump_needs_exponent_one():
     assert res.ell == 2
     assert sorted(res.forms) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     for alpha, form in res.forms.items():
-        assert res.sos[alpha].verify(form)
+        assert res.sos[alpha].as_poly() == form
     total = BlockedPoly.zero(res.saturated.shape)
     shape = res.saturated.shape
     slots = shape.block_indices("X0") + shape.block_indices("x")
@@ -171,7 +171,7 @@ def test_saturate_positive_coefficients_need_no_exponent():
     flat = poly({(0, 2, 0): 1, (0, 0, 2): 1, (2, 2, 0): 1, (2, 0, 2): 1})
     res = polya_saturate(flat, F(1, 2), circle_block(SH))
     assert res.exponent == 0
-    assert all(res.sos[alpha].verify(form) for alpha, form in res.forms.items())
+    assert all(res.sos[alpha].as_poly() == form for alpha, form in res.forms.items())
 
 
 def test_saturate_zero_touching_target_exceeds_cap():
@@ -237,7 +237,7 @@ def test_saturate_split_shape_two_blocks():
     for block, want in zip(res.blocks, ({"Y1", "Z1"}, {"W1", "Z2"})):
         assert {new_shape.var_name(i) for i in block.indices} == want
     for alpha, form in res.forms.items():
-        assert res.sos[alpha].verify(form)
+        assert res.sos[alpha].as_poly() == form
 
 
 def test_saturate_rejects_an_exponent_whose_forms_are_not_sos(monkeypatch):
@@ -256,7 +256,7 @@ def test_saturate_rejects_an_exponent_whose_forms_are_not_sos(monkeypatch):
     monkeypatch.setattr(polya, "sos_decompose", stall_first_call)
     res = polya_saturate(flat, F(1, 2), circle_block(SH))
     assert res.exponent == 1
-    assert all(res.sos[alpha].verify(form) for alpha, form in res.forms.items())
+    assert all(res.sos[alpha].as_poly() == form for alpha, form in res.forms.items())
     calls.clear()
     monkeypatch.setattr(polya, "polya_exponent_cap", lambda *args: 0)
     with pytest.raises(CapExceededError) as err:

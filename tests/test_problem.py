@@ -101,6 +101,7 @@ def test_homogenized_single_block():
         (0, 0, 2): F(1),
     }
     assert blocks == ((tuple([y, z]), 2),)
+    assert p.padding() == (("y1", "Z", 2),)
     assert is_block_homogeneous(fb, "y1", "Z")
 
 
@@ -122,7 +123,9 @@ def test_split_slices():
     f = (one + x) * (one + y * y) * (one + w * w)
     g = xpoly(sh, {(1, 0, 0): 1})
     p = CylinderProblem(sh, Variant.SPLIT_M_BY_2, 2, f, (g,), SIMPLEX)
+    assert p.padding() == (("y1", "Z1", 2), ("y2", "Z2", 2))
     target, (b1, b2) = p.homogenized()
+    assert target.shape.homs == ("Z1", "Z2")
     assert is_block_homogeneous(target, "y1", "Z1")
     assert is_block_homogeneous(target, "y2", "Z2")
     assert b1.degree == 2 and b2.degree == 2
@@ -296,4 +299,4 @@ def test_problem_from_obj_missing_field():
 def test_derived_quantities():
     p = interval_problem({(1, 2): 1, (1, 0): 1, (0, 0): 1})
     assert (p.n, p.r, p.s, p.d, p.m) == (1, 1, 1, 1, 2)
-    assert p.f_norm() == 1
+    assert weighted_norm(p.f) == 1

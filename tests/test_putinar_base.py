@@ -23,7 +23,14 @@ from cylcert.putinar_base import (
     parity_vector,
 )
 from cylcert.serialize import load_json
-from cylcert.sos import GRAM_BASIS_CAP, Exponent, expand_identity, module_witness, monomials
+from cylcert.sos import (
+    GRAM_BASIS_CAP,
+    Exponent,
+    SosDecomposition,
+    expand_identity,
+    module_witness,
+    monomials,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
 
@@ -92,8 +99,8 @@ def test_facet_product_rejects_bad_parities():
 # --- single budget attempts ------------------------------------------------
 
 def witness_identity(sigmas, gens):
-    sigma0 = next(deco for idx, deco in sigmas if idx is None)
-    return expand_identity(sigma0, ((deco, gens[idx]) for idx, deco in sigmas if idx is not None))
+    assert len(sigmas) == len(gens) + 1
+    return expand_identity(sigmas[0], zip(sigmas[1:], gens))
 
 
 def test_membership_on_the_interval():
@@ -103,7 +110,7 @@ def test_membership_on_the_interval():
     sigmas = module_witness(x, gens, facet_bases(shape, gens, 4, x))
     assert sigmas is not None
     assert witness_identity(sigmas, gens) == x
-    for _idx, deco in sigmas:
+    for deco in sigmas:
         assert all(w > 0 for w in deco.weights)
 
 
@@ -348,7 +355,8 @@ def test_two_constraint_box_covers_all_eight_parities():
     for parity, witness in certs.items():
         assert witness.verify(gens)
         assert witness.target == facet_product(shape, parity)
-        for _idx, sos in (((None, witness.sigma0),) + witness.multipliers):
+        assert len(witness.sigmas) == len(gens) + 1
+        for sos in witness.sigmas:
             assert all(w > 0 for w in sos.weights)
 
 
@@ -393,8 +401,7 @@ def test_tampered_cache_entries_are_recomputed():
     # so the entry must be rebuilt rather than trusted.
     wrong = ModuleWitness(
         target=facet_product(shape, (0, 1)),
-        sigma0=first[(1, 0)].sigma0,
-        multipliers=first[(1, 0)].multipliers,
+        sigmas=first[(1, 0)].sigmas,
         budget=first[(1, 0)].budget,
     )
     tampered[(0, 1)] = wrong
@@ -402,6 +409,20 @@ def test_tampered_cache_entries_are_recomputed():
     assert repaired[(0, 1)] is not wrong
     assert repaired[(0, 1)].verify(gens)
     assert repaired[(1, 0)] is first[(1, 0)]
+
+
+def test_a_cached_witness_needs_one_sigma_per_generator():
+    shape = BlockShape(1, 1, 0)
+    gens = interval_gens(shape)
+    first = base_certificates(shape, gens, every_parity(shape))
+    empty = SosDecomposition(shape, (), ())
+    # an extra empty sigma leaves the expansion unchanged but names a
+    # generator that does not exist, so the entry is rebuilt
+    padded = ModuleWitness(first[(1, 0)].target, first[(1, 0)].sigmas + (empty,), 4)
+    assert not padded.verify(gens)
+    again = base_certificates(shape, gens, every_parity(shape), precomputed={(1, 0): padded})
+    assert again[(1, 0)] is not padded
+    assert again[(1, 0)].sigmas == first[(1, 0)].sigmas
 
 
 def test_enumeration_is_deterministic():
