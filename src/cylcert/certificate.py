@@ -12,11 +12,12 @@ assembly stitches together the upstream stages:
     squares ``(lam/c_i) * (sq * (ghat_i - 1)^k)^2`` where the sq run
     over a square decomposition of the sphere-padding factor;
   * the saturated remainder contributes, per simplex monomial
-    ``u^(a0) x^alpha``, products of its coefficient-form squares, the
-    even square root of the monomial, and the facet-product witnesses;
-  * the slack variable is substituted back to ``u = 1 - sum(x)`` and
-    the sphere padding variables to 1, once in each factor of a square,
-    so stored squares live over the original variables.
+    ``u^(a0) x^alpha`` with ``u = 1 - sum(x)``, products of its
+    coefficient-form squares, the even square root of the monomial
+    (expanded in x), and the facet-product witnesses;
+  * the sphere padding variables are set to 1 (their slots dropped)
+    once in each factor of a square, so stored squares live over the
+    original variables.
 
 Verification is independent of generation: it re-expands every square,
 compares against f exactly, and re-derives the degree report.  Nothing
@@ -40,7 +41,7 @@ from .errors import (
     VerificationError,
 )
 from .perturb import factor_squares, normalized_constraints
-from .poly import BlockedPoly, BlockShape, ExactSum, substitute
+from .poly import BlockedPoly, BlockShape, substitute
 from .polya import PolyaResult
 from .problem import CylinderProblem, RescaleRecord
 from .putinar_base import (
@@ -308,35 +309,25 @@ class _SigmaBuilder:
     product.
     """
 
-    def __init__(self, problem: CylinderProblem, lifted_shape: BlockShape):
+    def __init__(self, problem: CylinderProblem):
         self.problem = problem
-        self.lifted = lifted_shape
         self.weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
         self.squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
         self.second_term = [0] * (problem.s + 1)
-        self._x0 = lifted_shape.hom_index("X0")
-        # u**e over the problem's shape, for every X0 exponent e met so far
-        self._u_powers = {0: BlockedPoly.constant(problem.shape, 1)}
 
     def ground(self, p: BlockedPoly) -> BlockedPoly:
-        """``p`` (over a shape that embeds in the lifted one) with
-        ``X0 -> u = 1 - sum(x)`` and every other homogenizer ``-> 1``,
-        over the problem's shape."""
-        p = p.embed(self.lifted)
+        """``p`` with every homogenizer ``-> 1``, over the problem's shape.
+
+        The problem's shape has no homogenizers, so this drops the slots
+        after its width and sums the terms that meet there.
+        """
         shape = self.problem.shape
-        width, x0 = shape.width, self._x0
-        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        width = shape.width
+        terms: dict[tuple[int, ...], Fraction] = {}
         for expo, coeff in p.terms.items():
-            part = parts.setdefault(expo[x0], {})
             key = expo[:width]
-            part[key] = part[key] + coeff if key in part else coeff
-        total = ExactSum(shape)
-        for e, part in parts.items():
-            if e not in self._u_powers:
-                self._u_powers[e] = simplex_u(shape) ** e
-            rest = BlockedPoly._trusted(shape, {x: c for x, c in part.items() if c})
-            total.add_product(1, rest, self._u_powers[e])
-        return total.poly()
+            terms[key] = terms[key] + coeff if key in terms else coeff
+        return BlockedPoly._trusted(shape, {x: c for x, c in terms.items() if c})
 
     def add(
         self, index: int, weight: Fraction, left: BlockedPoly, right: BlockedPoly
@@ -446,20 +437,20 @@ def assemble(
     and aborts; the identity itself is left to :func:`verify_certificate`,
     which the pipeline runs once on the certificate it returns.
 
-    Each stored square is a product of two lifted factors: a sphere square
-    and a slack power, or a form square times its simplex monomial and a
-    witness square.  Grounding (``X0 -> u``, the other homogenizers
-    ``-> 1``, padding slots dropped) is a ring homomorphism, so the
-    product of the grounded factors is the grounded product: the same
-    polynomial with the same ``Fraction``s.  Each factor is therefore
-    grounded once and reused for every square it enters.  The degree law
-    reads lifted degrees, and total degree is additive over ℚ (the top
-    forms of two nonzero polynomials multiply to a nonzero form), so a
-    square's degree is the sum of its factors' degrees.
+    Each stored square is a product of factors: a sphere square and a
+    slack power, or a form square, its simplex monomial's root (over the
+    problem's shape, ``u`` already expanded) and a witness square.
+    Grounding (homogenizers ``-> 1``, their slots dropped) is a ring
+    homomorphism, so the product of the grounded factors is the grounded
+    product: the same polynomial with the same ``Fraction``s.  Each factor
+    is therefore grounded once and reused for every square it enters.  The
+    degree law reads degrees before grounding, and total degree is
+    additive over ℚ (the top forms of two nonzero polynomials multiply to
+    a nonzero form), so a square's degree is the sum of its factors'
+    degrees.
     """
     shape = problem.shape
-    lifted = polya.saturated.shape
-    builder = _SigmaBuilder(problem, lifted)
+    builder = _SigmaBuilder(problem)
     # deg g per sigma position; sigma_0's generator is 1
     gdegs = (0,) + tuple(g.block_degree("x") for g in problem.g)
 
@@ -493,10 +484,9 @@ def assemble(
         for slot, power in zip(shape.block_indices("x"), root[1:]):
             if power:
                 sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
-        sq_x = sq_x.embed(lifted)
         for w_form, q_form in zip(deco.weights, deco.squares):
-            partial = q_form * sq_x
-            grounded, pdeg = builder.ground(partial), partial.total_degree()
+            grounded = builder.ground(q_form) * sq_x
+            pdeg = q_form.total_degree() + sq_x.total_degree()
             for index, squares in enumerate(witness_squares[parity]):
                 for w_tau, t, tdeg in squares:
                     builder.add(index, w_form * w_tau, grounded, t)
@@ -793,6 +783,29 @@ def _beyond_exp_cap(**payload: int) -> ValidationError:
     )
 
 
+def _check_power_bits(power_bits: int) -> None:
+    """Refuse a power whose estimated bit length exceeds :data:`POWER_BITS_CAP`."""
+    if power_bits > POWER_BITS_CAP:
+        raise ValidationError(
+            "bound too costly to evaluate exactly: a power in it would have "
+            f"more than {POWER_BITS_CAP} bits",
+            power_bits_estimate=power_bits,
+        )
+
+
+def _int_power(base: int, exponent: int) -> int:
+    """``base ** exponent`` for ``base >= 1``, refused before it is formed
+    when its bit length, ``floor(exponent * log2(base)) + 1``, is too large."""
+    if base > 1:
+        # an exponent past the cap is too large alone, and its float could overflow
+        _check_power_bits(
+            exponent + 1
+            if exponent > POWER_BITS_CAP
+            else math.floor(exponent * math.log2(base)) + 1
+        )
+    return base**exponent
+
+
 _BOUND_FORMULAS = ("1.1", "1.2", "1.3", "1.4", "1.5", "2.3")
 
 
@@ -811,20 +824,18 @@ def theorem_bound(formula: str, inputs: BoundInputs) -> Fraction:
         )
     c, d, m, r, n = inputs.c, inputs.d, inputs.m, inputs.r, inputs.n
     base = inputs.f_norm * d * d / inputs.fstar
-    scaled = base * Fraction(3 * n) ** d
     if formula == "1.1":
-        prefactor, argument = c, base * Fraction(n) ** d
-    elif formula == "1.2":
-        prefactor, argument = c * (m + 1) * 2 ** (m // 2), scaled * (m + 1)
-    elif formula == "1.3":
-        prefactor, argument = c, scaled
-    elif formula == "1.4":
-        prefactor, argument = c * r * r, scaled * r * r
-    elif formula == "1.5":
-        prefactor = c * (m + 1) * 2 ** (m // 2) * r * r
-        argument = scaled * (m + 1) * r * r
-    else:
+        prefactor, argument = c, base * _int_power(n, d)
+    elif formula == "2.3":
         prefactor, argument = c, base
+    else:
+        prefactor, argument = c, base * _int_power(3 * n, d)
+        if formula in ("1.2", "1.5"):
+            prefactor *= (m + 1) * _int_power(2, m // 2)
+            argument *= m + 1
+        if formula in ("1.4", "1.5"):
+            prefactor *= r * r
+            argument *= r * r
     if argument <= 0:
         raise ValidationError("bound argument must be positive")
     if argument <= 1:
@@ -843,13 +854,7 @@ def theorem_bound(formula: str, inputs: BoundInputs) -> Fraction:
     # power argument**p has up to p times the bits of a or b, and for
     # c = p/q the root operand a^p * b^(p(q-1)) of rational_power_upper
     # up to p*q times.
-    power_bits = c.numerator * c.denominator * max(a.bit_length(), b.bit_length())
-    if power_bits > POWER_BITS_CAP:
-        raise ValidationError(
-            "bound too costly to evaluate exactly: the power of its argument "
-            f"would have more than {POWER_BITS_CAP} bits",
-            power_bits_estimate=power_bits,
-        )
+    _check_power_bits(c.numerator * c.denominator * max(a.bit_length(), b.bit_length()))
     if c.denominator == 1:
         exponent = argument ** int(c)
     else:

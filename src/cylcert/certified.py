@@ -214,29 +214,37 @@ def _reduce_block(target: BlockedPoly, slots: tuple[int, ...]) -> tuple[BlockedP
 # float evaluation helpers
 # ---------------------------------------------------------------------------
 
+def _power_tables(points: np.ndarray, exps: Sequence[tuple[int, ...]]) -> list[list[np.ndarray]]:
+    """``tables[j][e] = points[:, j] ** e`` by repeated products, up to
+    column j's largest exponent in ``exps``."""
+    tables = []
+    for j in range(points.shape[1]):
+        col = [np.ones(points.shape[0])]
+        for _ in range(max((exp[j] for exp in exps), default=0)):
+            col.append(col[-1] * points[:, j])
+        tables.append(col)
+    return tables
+
+
+def _times_monomial(
+    v: np.ndarray, tables: list[list[np.ndarray]], exp: tuple[int, ...]
+) -> np.ndarray:
+    """``v`` times the monomial ``exp`` read off :func:`_power_tables`."""
+    for j, e in enumerate(exp):
+        if e:
+            v = v * tables[j][e]
+    return v
+
+
 def _float_eval(
     points: np.ndarray, terms: Sequence[tuple[tuple[int, ...], Fraction]]
 ) -> np.ndarray:
     """Evaluate sum c * prod points[:,j]^e_j with power tables per column."""
     count = points.shape[0]
-    max_exp = [0] * points.shape[1]
-    for exp, _ in terms:
-        for j, e in enumerate(exp):
-            if e > max_exp[j]:
-                max_exp[j] = e
-    tables: list[list[np.ndarray]] = []
-    for j, top in enumerate(max_exp):
-        col = [np.ones(count)]
-        for _ in range(top):
-            col.append(col[-1] * points[:, j])
-        tables.append(col)
+    tables = _power_tables(points, [exp for exp, _c in terms])
     acc = np.zeros(count)
     for exp, coeff in terms:
-        v = np.full(count, float(coeff))
-        for j, e in enumerate(exp):
-            if e:
-                v = v * tables[j][e]
-        acc += v
+        acc += _times_monomial(np.full(count, float(coeff)), tables, exp)
     return acc
 
 
@@ -785,22 +793,9 @@ class _Scan:
         # per-signature u-monomials
         n_sig = len(self.sigs)
         bmat = np.empty((n_sig, n_u))
-        max_exp = [0] * len(self.kept_all)
-        for sig in self.sigs:
-            for j, e in enumerate(sig):
-                max_exp[j] = max(max_exp[j], e)
-        tables = []
-        for j, top in enumerate(max_exp):
-            col = [np.ones(n_u)]
-            for _ in range(top):
-                col.append(col[-1] * ucoords[:, j])
-            tables.append(col)
+        tables = _power_tables(ucoords, self.sigs)
         for k, sig in enumerate(self.sigs):
-            v = np.ones(n_u)
-            for j, e in enumerate(sig):
-                if e:
-                    v = v * tables[j][e]
-            bmat[k] = v
+            bmat[k] = _times_monomial(np.ones(n_u), tables, sig)
 
         amat = np.empty((xf.shape[0], n_sig))
         for k, coeffs in enumerate(self.sig_coeffs):

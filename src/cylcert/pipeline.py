@@ -2,8 +2,8 @@
 
 The chain is fixed: validate the input, move box-framed problems into the
 simplex frame, certify the side condition and a positive floor for the
-padded target, search the perturbation weight, saturate with the slack
-variable until every coefficient form is a sum of squares, decompose the
+padded target, search the perturbation weight, saturate with the simplex
+sum until every coefficient form is a sum of squares, decompose the
 facet witnesses of the parity class those forms use into squares, and
 assemble the weighted-square representation.  Box-framed inputs get
 their certificate composed back through the affine change of

@@ -4,10 +4,10 @@ A polynomial lives over a :class:`BlockShape` that fixes the variable
 layout: ``n`` compact variables X1..Xn (ranging over a box or simplex),
 a first unbounded block Y1..Y{r1}, an optional second unbounded block
 W1..W{r2}, and any active homogenizing variables drawn from
-``("X0", "Z", "Z1", "Z2")``.  Terms are stored sparsely as a dict from
-exponent tuples (one slot per variable, in the layout order above) to
-nonzero ``Fraction`` coefficients.  All arithmetic is exact; operations
-never mutate their inputs.
+``("Z", "Z1", "Z2")``, which pad the unbounded blocks.  Terms are stored
+sparsely as a dict from exponent tuples (one slot per variable, in the
+layout order above) to nonzero ``Fraction`` coefficients.  All
+arithmetic is exact; operations never mutate their inputs.
 
 The norm used throughout treats the X-part of each monomial in the
 multinomial-weighted representation
@@ -15,9 +15,8 @@ multinomial-weighted representation
     f = sum_{a,b} binom(|a|, a) * c_{a,b} * X^a * (unbounded part)^b,
 
 i.e. ``weighted_norm(f) = max |stored coefficient| / multinomial(a)``
-over all terms, where ``a`` is the X-block exponent (homogenizer ``X0``
-counts as part of the X block for the weight).  Exponents of unbounded
-blocks and of Z-type homogenizers carry no weight.
+over all terms, where ``a`` is the X-block exponent.  Exponents of
+unbounded blocks and of homogenizers carry no weight.
 
 Products go through :class:`ExactSum`, which keeps a sum of weighted
 products as one dict of Python ints over one running common denominator.
@@ -55,7 +54,7 @@ from typing import Iterable, Mapping
 
 from .errors import ShapeMismatchError
 
-HOMOGENIZER_ORDER = ("X0", "Z", "Z1", "Z2")
+HOMOGENIZER_ORDER = ("Z", "Z1", "Z2")
 
 Exponent = tuple[int, ...]
 
@@ -121,7 +120,7 @@ class BlockShape:
         return BlockShape(self.n, self.r1, self.r2, homs)
 
     def var_name(self, index: int) -> str:
-        """Printable name of a variable slot (X1.., Y1.., W1.., X0/Z/..)."""
+        """Printable name of a variable slot (X1.., Y1.., W1.., Z/Z1/Z2)."""
         if index < self.n:
             return f"X{index + 1}"
         index -= self.n
@@ -406,19 +405,16 @@ class ExactSum:
 def weighted_norm(p: BlockedPoly) -> Fraction:
     """Max |coefficient| of ``p`` in the multinomial-weighted representation.
 
-    The weight of a term is the multinomial coefficient of its X-part
-    (including ``X0`` when active); unbounded blocks and Z-type
-    homogenizers contribute no weight.  For polynomials with no unbounded
-    variables this is the classical weighted coefficient norm.  The value
-    does not depend on any ambient degree.
+    The weight of a term is the multinomial coefficient of its X-part;
+    unbounded blocks and homogenizers contribute no weight.  For
+    polynomials with no unbounded variables this is the classical
+    weighted coefficient norm.  The value does not depend on any ambient
+    degree.
     """
-    shape = p.shape
-    xidx = list(range(shape.n))
-    if "X0" in shape.homs:
-        xidx.append(shape.hom_index("X0"))
+    n = p.shape.n
     best = Fraction(0)
     for exp, coeff in p.terms.items():
-        w = multinomial(tuple(exp[i] for i in xidx))
+        w = multinomial(exp[:n])
         cand = abs(coeff) / w
         if cand > best:
             best = cand
@@ -469,7 +465,7 @@ def substitute(p: BlockedPoly, assignments: Mapping[int, BlockedPoly]) -> Blocke
     products per combination of replaced exponents, are cached for this
     one call only; every term is added into one :class:`ExactSum`.
     Certificate assembly does not come through here: it grounds each
-    factor once and keeps the powers of ``u`` for the whole assembly.
+    factor once.
     """
     for idx, rhs in assignments.items():
         if not 0 <= idx < p.shape.width:

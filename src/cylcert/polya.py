@@ -1,18 +1,21 @@
-"""Simplex saturation: make every slack-variable coefficient positive.
+"""Simplex saturation: make every coefficient of the Pólya product positive.
 
 A target positive on the reference simplex lifts to a form on the
 probability simplex by completing each term to full degree with powers
-of ``X0 + X1 + ... + Xn`` (``X0`` is the slack variable, so substituting
-``X0 -> 1 - sum(X)`` recovers the original exactly).  Multiplying the
-lifted form by further powers of the total sum eventually turns every
-coefficient -- here a polynomial in the sphere variables -- into a form
-that is strictly positive on the sphere(s).  The smallest such power is
-found by incremental search: a cheap float screen over sphere sample
-points first, then an exact sum-of-squares decomposition of every
-coefficient, which is what the certificate needs.  In the regimes
-covered here a form is nonnegative on the sphere exactly when it is a
-sum of squares, so the decomposition is the acceptance test.  The
-quantitative positivity bound caps the search.
+of ``u + x1 + ... + xn``, where ``u = 1 - sum(x)`` is the slack
+coordinate.  Multiplying the lifted form by further powers of the total
+sum eventually turns every coefficient -- here a polynomial in the
+sphere variables -- into a form that is strictly positive on the
+sphere(s).  :func:`coefficient_forms` reads those coefficients straight
+off the multinomial formula, so neither the lift nor the product is
+built and no polynomial ever carries a slot for ``u``: a form is keyed
+by its simplex monomial and lives in the target's own shape.  The
+smallest such power is found by incremental search: a cheap float
+screen over sphere sample points first, then an exact sum-of-squares
+decomposition of every coefficient, which is what the certificate
+needs.  In the regimes covered here a form is nonnegative on the sphere
+exactly when it is a sum of squares, so the decomposition is the
+acceptance test.  The quantitative positivity bound caps the search.
 """
 from __future__ import annotations
 
@@ -23,37 +26,13 @@ from .certified import _cover_product, _float_eval, _terms_on_slots
 # Not called here; the benchmark's layer tracer wraps this name.
 from .certified import certified_excess_check  # noqa: F401
 from .covers import projected_sphere_cover
-from .errors import CapExceededError, SosStalledError, ValidationError
-from .poly import BlockedPoly, BlockShape, weighted_norm
+from .errors import CapExceededError, SosStalledError
+from .poly import BlockedPoly, multinomial, weighted_norm
 from .problem import SphereBlock
-from .sos import SosDecomposition, sos_decompose
+from .sos import SosDecomposition, monomials, sos_decompose
 
 # Resolution of the sphere covers behind the float screen.
 SCREEN_RESOLUTION = 24
-
-
-def _simplex_total(shape: BlockShape) -> BlockedPoly:
-    """The total ``X1 + ... + Xn + X0`` of the probability simplex."""
-    slots = shape.block_indices("x") + shape.block_indices("X0")
-    return sum((BlockedPoly.variable(shape, s) for s in slots), BlockedPoly.zero(shape))
-
-
-def homogenize_with_slack(target: BlockedPoly) -> BlockedPoly:
-    """Complete every term to full simplex degree with (X0 + sum X)."""
-    shape = target.shape.with_homogenizers("X0")
-    lifted = target.embed(shape)
-    x_slots = shape.block_indices("x") + shape.block_indices("X0")
-    ell = lifted.block_degree("x", "X0")
-    total = _simplex_total(shape)
-    out = BlockedPoly.zero(shape)
-    by_deficit: dict[int, BlockedPoly] = {}
-    for key, coeff in lifted.terms.items():
-        deficit = ell - sum(key[s] for s in x_slots)
-        part = by_deficit.setdefault(deficit, BlockedPoly.zero(shape))
-        by_deficit[deficit] = part + BlockedPoly(shape, {key: coeff})
-    for deficit, part in by_deficit.items():
-        out = out + part * (total ** deficit)
-    return out
 
 
 def polya_exponent_cap(ell: int, target_norm: Fraction, fstar: Fraction) -> int:
@@ -69,60 +48,37 @@ def polya_exponent_cap(ell: int, target_norm: Fraction, fstar: Fraction) -> int:
     return bound.__floor__() + 1
 
 
-def _compositions(total: int, parts: int):
-    """All exponent vectors of the given length summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def coefficient_forms(
-    lifted: BlockedPoly,
+    target: BlockedPoly, exponent: int
 ) -> dict[tuple[int, ...], BlockedPoly]:
-    """Split a lifted target into sphere-variable forms per simplex monomial.
+    """Sphere-variable forms of the saturated target, per simplex monomial.
 
-    Keys are exponent vectors over ``(X0, X1, ..., Xn)``, one for *every*
-    monomial of the full simplex degree -- absent coefficients appear as
-    zero polynomials, since saturation must reject those.  Values keep
-    the full shape but use no simplex variables.
+    With ``target = sum_a x^a F_a`` of x-degree ``ell``, the slack lift
+    is ``sum_a x^a F_a (u + sum x)^(ell - |a|)``, so the coefficient of
+    ``u^alpha0 x^alpha'`` in ``(u + sum x)^exponent`` times the lift is
+    ``sum_{a <= alpha'} multinomial(alpha0, alpha' - a) F_a``.  Keys are
+    ``(alpha0, alpha1, ..., alphan)``, one for *every* monomial of degree
+    ``ell + exponent`` -- absent coefficients appear as zero polynomials,
+    since saturation must reject those.  Values live in the target's
+    shape with the x slots at zero.
     """
-    shape = lifted.shape
-    x_slots = shape.block_indices("X0") + shape.block_indices("x")
-    degree = lifted.block_degree("x", "X0")
-    forms: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
-        alpha: {} for alpha in _compositions(degree, len(x_slots))
-    }
-    for key, coeff in lifted.terms.items():
-        alpha = tuple(key[s] for s in x_slots)
-        stripped = list(key)
-        for s in x_slots:
-            stripped[s] = 0
-        forms[alpha][tuple(stripped)] = coeff
-    return {a: BlockedPoly(shape, t) for a, t in sorted(forms.items())}
-
-
-def _remap_blocks(
-    old: BlockShape, new: BlockShape, blocks: tuple[SphereBlock, ...]
-) -> tuple[SphereBlock, ...]:
-    """Re-express sphere blocks after homogenizer slots moved.
-
-    Variable slots keep their meaning by name; adding ``X0`` shifts every
-    later homogenizer slot by one.
-    """
-    base = old.n + old.r1 + old.r2
-
-    def shift(i: int) -> int:
-        if i < base:
-            return i
-        return new.hom_index(old.homs[i - base])
-
-    return tuple(
-        SphereBlock(indices=tuple(shift(i) for i in b.indices), degree=b.degree)
-        for b in blocks
-    )
+    shape, n = target.shape, target.shape.n
+    parts: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for key, coeff in target.terms.items():
+        parts.setdefault(key[:n], {})[(0,) * n + key[n:]] = coeff
+    degree = target.block_degree("x") + exponent
+    forms: dict[tuple[int, ...], BlockedPoly] = {}
+    for alpha in monomials([degree] * (n + 1), degree, exact=True):
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for a, part in parts.items():
+            rest = tuple(e - f for e, f in zip(alpha[1:], a))
+            if any(e < 0 for e in rest):
+                continue
+            weight = multinomial((alpha[0],) + rest)
+            for key, coeff in part.items():
+                terms[key] = terms.get(key, 0) + weight * coeff
+        forms[alpha] = BlockedPoly._trusted(shape, {k: c for k, c in terms.items() if c})
+    return forms
 
 
 def _screen_min(form: BlockedPoly, blocks: tuple[SphereBlock, ...]) -> float:
@@ -144,10 +100,8 @@ def _screen_min(form: BlockedPoly, blocks: tuple[SphereBlock, ...]) -> float:
 @dataclass(frozen=True)
 class PolyaResult:
     exponent: int                      # power of the total sum applied
-    ell: int                           # simplex degree of the lifted target
+    ell: int                           # x-degree of the target, the lift's simplex degree
     cap: int                           # search bound that was in force
-    saturated: BlockedPoly             # (sum X)^exponent * lifted target
-    blocks: tuple[SphereBlock, ...]    # sphere blocks in lifted coordinates
     forms: dict[tuple[int, ...], BlockedPoly]
     sos: dict[tuple[int, ...], SosDecomposition]
 
@@ -165,27 +119,14 @@ def polya_saturate(
     :func:`polya_exponent_cap` works (in particular when the target merely
     touches zero, where saturation can never succeed).
     """
-    if "X0" in target.shape.homs and target.block_degree("X0") != 0:
-        raise ValidationError("target must not use the slack variable yet")
-    lifted = homogenize_with_slack(target)
-    ell = lifted.block_degree("x", "X0")
+    ell = target.block_degree("x")
     cap = polya_exponent_cap(ell, weighted_norm(target), fstar)
-    shape = lifted.shape
-    blocks = _remap_blocks(target.shape, shape, tuple(blocks))
-    total = _simplex_total(shape)
-    current = lifted
     rejected: list[dict[str, object]] = []
     for exponent in range(cap + 1):
-        if exponent:
-            current = current * total
-        forms = coefficient_forms(current)
+        forms = coefficient_forms(target, exponent)
         sos, diagnostic = _decompose_forms(forms, blocks)
         if sos is not None:
-            return PolyaResult(
-                exponent=exponent, ell=ell, cap=cap,
-                saturated=current, blocks=blocks,
-                forms=forms, sos=sos,
-            )
+            return PolyaResult(exponent=exponent, ell=ell, cap=cap, forms=forms, sos=sos)
         rejected.append({"exponent": exponent, **diagnostic})
     raise CapExceededError(
         "no saturation exponent up to the cap makes every coefficient "

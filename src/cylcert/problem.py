@@ -480,8 +480,7 @@ def problem_from_obj(obj: Any) -> CylinderProblem:
         g_obj = obj["g"]
     except KeyError as exc:
         raise SchemaError(f"problem file missing field {exc}") from None
-    if not isinstance(n, int) or not isinstance(m, int) or not isinstance(r, int):
-        raise SchemaError("n, m, r must be integers")
+    n, m, r = (json_typed(v, int, name) for name, v in (("n", n), ("m", m), ("r", r)))
     try:
         variant = Variant(variant_tag)
     except ValueError:

@@ -291,9 +291,10 @@ def test_cached_witness_integers_are_read_strictly(interval_cert):
 # --- assembly against the per-square reference ---------------------------
 #
 # Reference: the per-square assembly that grounding each factor once
-# replaced, copied verbatim with names prefixed.  Every lifted product
-# square is grounded on its own (X0 -> u, other homogenizers -> 1,
-# padding stripped), and each degree is read off the product.
+# replaced, copied with names prefixed, over the padded target's shape.
+# Every product square is grounded on its own (homogenizers -> 1 by
+# substitution, padding stripped), and each degree is read off the
+# product.
 
 def _reference_strip_padding(p: BlockedPoly, shape: BlockShape) -> BlockedPoly:
     """Drop the (now unused) homogenizer slots, landing in ``shape``."""
@@ -311,18 +312,13 @@ def _reference_strip_padding(p: BlockedPoly, shape: BlockShape) -> BlockedPoly:
 class _ReferenceSigmaBuilder:
     """Accumulates weighted squares per sigma with degree tracking."""
 
-    def __init__(self, problem: CylinderProblem, lifted_shape: BlockShape):
+    def __init__(self, problem: CylinderProblem, padded_shape: BlockShape):
         self.problem = problem
-        self.lifted = lifted_shape
         self.weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
         self.squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
         self.second_term = [0] * (problem.s + 1)
-        mapping = {lifted_shape.hom_index("X0"): simplex_u(lifted_shape)}
-        one = BlockedPoly.constant(lifted_shape, 1)
-        for name in lifted_shape.homs:
-            if name != "X0":
-                mapping[lifted_shape.hom_index(name)] = one
-        self._mapping = mapping
+        one = BlockedPoly.constant(padded_shape, 1)
+        self._mapping = {padded_shape.hom_index(name): one for name in padded_shape.homs}
 
     def ground(self, square: BlockedPoly) -> BlockedPoly:
         return _reference_strip_padding(
@@ -368,17 +364,17 @@ def reference_assemble(
     which the pipeline runs once on the certificate it returns.
     """
     shape = problem.shape
-    lifted = polya.saturated.shape
-    builder = _ReferenceSigmaBuilder(problem, lifted)
+    padded = problem.homogenized()[0].shape
+    builder = _ReferenceSigmaBuilder(problem, padded)
     vdeg = padding_degree(problem)
 
     # Term one: absorption squares for each constraint.
     scales = tuple(c for _ghat, c in normalized_constraints(problem))
-    sphere_squares = [q.embed(lifted) for q in factor_squares(problem)]
-    one = BlockedPoly.constant(lifted, 1)
+    sphere_squares = [q.embed(padded) for q in factor_squares(problem)]
+    one = BlockedPoly.constant(padded, 1)
     first_term = []
     for i, (ghat, c_i) in enumerate(normalized_constraints(problem)):
-        slack = (ghat.embed(lifted) - one) ** k
+        slack = (ghat.embed(padded) - one) ** k
         for sq in sphere_squares:
             builder.add(i + 1, lam / c_i, sq * slack)
         expected = vdeg + (2 * k + 1) * problem.g[i].block_degree("x")
@@ -404,7 +400,7 @@ def reference_assemble(
         for slot, power in zip(shape.block_indices("x"), root[1:]):
             if power:
                 sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
-        sq_x = sq_x.embed(lifted)
+        sq_x = sq_x.embed(padded)
         for w_form, q_form in zip(deco.weights, deco.squares):
             partial = q_form * sq_x
             for sigma_index, tau in enumerate(witness.sigmas):
@@ -414,7 +410,7 @@ def reference_assemble(
                     else problem.g[sigma_index - 1].block_degree("x")
                 )
                 for w_tau, t in zip(tau.weights, tau.squares):
-                    square = partial * t.embed(lifted)
+                    square = partial * t.embed(padded)
                     builder.add(sigma_index, w_form * w_tau, square)
                     degree = 2 * square.total_degree() + gdeg
                     if degree > builder.second_term[sigma_index]:
@@ -457,24 +453,24 @@ def reference_assemble(
     )
 
 
-_LIFTED = BlockShape(1, 1, 0, ("X0", "Z"))
-_lifted_terms = st.dictionaries(
-    st.tuples(*[st.integers(0, 3)] * _LIFTED.width),
+_PADDED = BlockShape(1, 1, 0, ("Z",))
+_padded_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * _PADDED.width),
     st.fractions(max_denominator=9).filter(bool),
     max_size=8,
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(terms=_lifted_terms)
-@example({(1, 1, 0, 0): F(1), (1, 1, 0, 2): F(-1), (0, 0, 2, 0): F(1, 2), (0, 0, 2, 1): F(1, 2)})
+@given(terms=_padded_terms)
+@example({(1, 1, 0): F(1), (1, 1, 2): F(-1), (0, 2, 0): F(1, 2), (0, 2, 1): F(1, 2)})
 def test_grounding_matches_the_reference_substitution(terms):
-    """X0 powers, and terms that meet once Z is set to 1, which the
-    pipeline's own factors never produce."""
+    """Terms that meet once Z is set to 1, summing or cancelling, which
+    the pipeline's own factors never produce."""
     problem = interval_problem()
-    p = BlockedPoly(_LIFTED, terms)
-    expected = _ReferenceSigmaBuilder(problem, _LIFTED).ground(p)
-    assert _SigmaBuilder(problem, _LIFTED).ground(p).terms == expected.terms
+    p = BlockedPoly(_PADDED, terms)
+    expected = _ReferenceSigmaBuilder(problem, _PADDED).ground(p)
+    assert _SigmaBuilder(problem).ground(p).terms == expected.terms
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -589,6 +589,29 @@ def test_bound_with_an_argument_just_above_one_is_refused_quickly(capsys):
     assert summary["payload"]["power_bits_estimate"] > POWER_BITS_CAP
 
 
+def test_bound_of_a_formula_without_the_degree_power_is_refused_quickly(capsys):
+    # formula 2.3 never uses (3n)^d, which once was formed anyway: past
+    # 60 s at d = 10^8; the argument 10^16 is then refused at exp_upper
+    started = time.monotonic()
+    code, summary = _bound_line(["--theorem", "2.3", "--d", "100000000", "--fnorm", "1"], capsys)
+    assert time.monotonic() - started < 1
+    assert code == cli.EXIT_VALIDATION
+    assert summary["error"] == "VALIDATION"
+
+
+def test_bound_with_a_huge_block_degree_is_refused_quickly(capsys):
+    # 2^(m/2) with m = 10^7 has 5 * 10^6 bits; printing the 1.5-million-digit
+    # bound it gave took 81 s
+    started = time.monotonic()
+    code, summary = _bound_line(
+        ["--theorem", "1.2", "--m", "10000000", "--fnorm", "1", "--fstar", "100000000000"],
+        capsys,
+    )
+    assert time.monotonic() - started < 1
+    assert code == cli.EXIT_VALIDATION
+    assert summary["payload"]["power_bits_estimate"] > POWER_BITS_CAP
+
+
 def test_bound_with_a_fractional_c_of_large_denominator_ends_quickly(capsys):
     # c = 1/100000: the root operand of argument^c has 100000 times the
     # bits of the argument, and the root has degree 100000

@@ -254,3 +254,16 @@ def test_a_non_list_where_a_list_belongs_is_a_schema_error(
     cert_obj = copy.deepcopy(cert_obj)
     mutate(cert_obj)
     assert _verify_exit(tmp_path, problem_obj, cert_obj, capsys) == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("field", ["n", "m", "r"])
+def test_a_boolean_size_is_a_schema_error(tmp_path, capsys, field):
+    # true is an int to isinstance: c1 with "n" or "r" true once certified
+    # and verified, and "n": true under another problem hash than c1
+    obj = json.loads((SAMPLES / "c1_interval_line_quadratic.json").read_text())
+    obj[field] = True
+    path = tmp_path / "c1-bool.json"
+    path.write_text(json.dumps(obj))
+    code, summary, _ = _certify_summary(tmp_path, path, capsys)
+    assert code == cli.EXIT_IO
+    assert summary["error"] == "SCHEMA"

@@ -89,12 +89,12 @@ def test_ring_axioms_random():
 # ---------------------------------------------------------------------------
 
 def test_substitute_x0_affine():
-    # X0^2 with X0 -> 1 - X1 gives 1 - 2 X1 + X1^2
-    sh = BlockShape(n=1, r1=0, homs=("X0",))
-    x0 = sh.hom_index("X0")
+    # Z^2 with Z -> 1 - X1 gives 1 - 2 X1 + X1^2
+    sh = BlockShape(n=1, r1=0, homs=("Z",))
+    z = sh.hom_index("Z")
     p = BlockedPoly.monomial(sh, (0, 2))
     repl = BlockedPoly.constant(sh, 1) - BlockedPoly.variable(sh, 0)
-    q = substitute(p, {x0: repl})
+    q = substitute(p, {z: repl})
     assert q.terms == {(0, 0): 1, (1, 0): -2, (2, 0): 1}
 
 
@@ -200,13 +200,6 @@ def test_norm_constant():
     assert weighted_norm(BlockedPoly.constant(sh, 3)) == 3
 
 
-def test_norm_counts_x0_in_weight():
-    # X0*X1 with active X0: weight binom(2;1,1) = 2
-    sh = BlockShape(n=1, r1=0, homs=("X0",))
-    p = P(sh, {(1, 1): 1})
-    assert weighted_norm(p) == Fraction(1, 2)
-
-
 def test_norm_homogeneity_and_subadditivity():
     rng = random.Random(99)
     sh = BlockShape(n=3, r1=1)
@@ -255,22 +248,20 @@ def test_eval_exact():
 
 
 def simplex_sum(shape: BlockShape) -> BlockedPoly:
-    """X1 + ... + Xn, plus X0 when active."""
+    """X1 + ... + Xn."""
     total = BlockedPoly.zero(shape)
     for i in range(shape.n):
         total = total + BlockedPoly.variable(shape, i)
-    if "X0" in shape.homs:
-        total = total + BlockedPoly.variable(shape, shape.hom_index("X0"))
     return total
 
 
 def test_block_sum_of_squares_and_simplex_sum():
-    sh = BlockShape(n=2, r1=2, homs=("X0", "Z"))
+    sh = BlockShape(n=3, r1=2, homs=("Z",))
     q = block_sum_of_squares(sh, "y1", "Z")
-    pt = [Fraction(0), Fraction(0), Fraction(2), Fraction(3), Fraction(0), Fraction(5)]
+    pt = [Fraction(0), Fraction(0), Fraction(0), Fraction(2), Fraction(3), Fraction(5)]
     assert q.eval_at(pt) == 4 + 9 + 25
     s = simplex_sum(sh)
-    pt2 = [Fraction(1, 4), Fraction(1, 4), Fraction(0), Fraction(0), Fraction(1, 2), Fraction(0)]
+    pt2 = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0)]
     assert s.eval_at(pt2) == 1
 
 
@@ -292,8 +283,8 @@ def test_zero_coefficients_dropped():
 def test_embed_and_drop_homogenizers():
     sh = BlockShape(n=1, r1=1)
     p = P(sh, {(1, 1): 2})
-    wide = p.embed(sh.with_homogenizers("Z", "X0"))
-    assert wide.shape.homs == ("X0", "Z")
+    wide = p.embed(sh.with_homogenizers("Z2", "Z"))
+    assert wide.shape.homs == ("Z", "Z2")
     assert wide.terms == {(1, 1, 0, 0): 2}
 
 

@@ -5,22 +5,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylcert import polya
 from cylcert.certified import _float_slack
 from cylcert.covers import projected_sphere_cover
-from cylcert.errors import CapExceededError, SosStalledError, ValidationError
+from cylcert.errors import CapExceededError, SosStalledError
 from cylcert.polya import (
     SCREEN_RESOLUTION,
     _screen_min,
     coefficient_forms,
-    homogenize_with_slack,
     polya_exponent_cap,
     polya_saturate,
 )
-from cylcert.poly import BlockShape, BlockedPoly, substitute
+from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.problem import SphereBlock
-from helpers import is_block_homogeneous
+from cylcert.putinar_base import simplex_u
 
 
 SH = BlockShape(n=1, r1=1, r2=0, homs=("Z",))
@@ -38,7 +39,7 @@ def circle_block(shape):
     )
 
 
-# h = (2x^2 - 2x + 1)(Y^2 + Z^2); its slack lift is (X0^2+X1^2)(Y^2+Z^2)
+# h = (2x^2 - 2x + 1)(Y^2 + Z^2); its slack lift is (u^2 + x^2)(Y^2 + Z^2)
 BUMP = poly({
     (2, 2, 0): 2, (2, 0, 2): 2,
     (1, 2, 0): -2, (1, 0, 2): -2,
@@ -46,24 +47,46 @@ BUMP = poly({
 })
 
 
+def explicit_product(target, exponent):
+    """``(u + sum x)^exponent`` times the slack lift of ``target``, expanded.
+
+    The slack coordinate u is an extra compact variable in the first x
+    slot, so the product's x-part exponents read ``(alpha0, alpha1, ...)``.
+    """
+    sh = target.shape
+    wide = BlockShape(sh.n + 1, sh.r1, sh.r2, sh.homs)
+    total = sum((BlockedPoly.variable(wide, i) for i in range(wide.n)), BlockedPoly.zero(wide))
+    degree = target.block_degree("x") + exponent
+    out = BlockedPoly.zero(wide)
+    for key, coeff in target.terms.items():
+        term = BlockedPoly.monomial(wide, (0,) + key, coeff)
+        out = out + term * total ** (degree - sum(key[: sh.n]))
+    return out
+
+
+def reassemble(forms, shape):
+    """``sum_alpha u^alpha0 x^alpha' F_alpha`` with u an extra first x slot."""
+    wide = BlockShape(shape.n + 1, shape.r1, shape.r2, shape.homs)
+    out = BlockedPoly.zero(wide)
+    for alpha, form in forms.items():
+        assert form.shape == shape
+        assert all(e[: shape.n] == (0,) * shape.n for e in form.terms)
+        for key, coeff in form.terms.items():
+            out = out + BlockedPoly.monomial(wide, alpha + key[shape.n :], coeff)
+    return out
+
+
 # --- the slack lift --------------------------------------------------------
 
 def test_slack_lift_of_bump_is_sum_of_square_slices():
-    lifted = homogenize_with_slack(BUMP)
-    shape = lifted.shape
-    x1, y = shape.block_indices("x")[0], shape.block_indices("y1")[0]
-    x0, z = shape.block_indices("X0")[0], shape.block_indices("Z")[0]
-    expect = {}
-    for a in (x0, x1):
-        for b in (y, z):
-            key = [0] * shape.width
-            key[a] += 2
-            key[b] += 2
-            expect[tuple(key)] = F(1)
-    assert dict(lifted.terms) == expect
+    forms = coefficient_forms(BUMP, 0)
+    circle = poly({(0, 2, 0): 1, (0, 0, 2): 1})
+    assert forms == {(0, 2): circle, (1, 1): BlockedPoly.zero(SH), (2, 0): circle}
 
 
 def test_slack_lift_substitution_recovers_target():
+    # u + sum x = 1 on the simplex, so every saturation exponent gives
+    # back the target once u -> 1 - sum x
     rng = random.Random(3)
     for _ in range(25):
         terms = {}
@@ -71,19 +94,19 @@ def test_slack_lift_substitution_recovers_target():
             ey = rng.choice([(2, 0), (0, 2)])
             terms[(ex,) + ey] = F(rng.randint(-9, 9), rng.randint(1, 5))
         target = poly(terms)
-        lifted = homogenize_with_slack(target)
-        shape = lifted.shape
-        x0 = shape.block_indices("X0")[0]
-        ones = BlockedPoly.constant(shape, 1)
-        for i in shape.block_indices("x"):
-            ones = ones - BlockedPoly.variable(shape, i)
-        assert substitute(lifted, {x0: ones}) == target.embed(shape)
+        for exponent in range(3):
+            total = BlockedPoly.zero(SH)
+            for alpha, form in coefficient_forms(target, exponent).items():
+                mono = simplex_u(SH) ** alpha[0]
+                for slot, e in zip(SH.block_indices("x"), alpha[1:]):
+                    mono = mono * BlockedPoly.variable(SH, slot) ** e
+                total = total + mono * form
+            assert total == target
 
 
 def test_slack_lift_is_simplex_homogeneous():
-    lifted = homogenize_with_slack(BUMP)
-    assert is_block_homogeneous(lifted, "x", "X0")
-    assert lifted.block_degree("x", "X0") == 2
+    for exponent in range(4):
+        assert {sum(alpha) for alpha in coefficient_forms(BUMP, exponent)} == {2 + exponent}
 
 
 # --- the exponent cap ------------------------------------------------------
@@ -109,8 +132,7 @@ def test_exponent_cap_rejects_nonpositive_clearance():
 # --- coefficient forms -----------------------------------------------------
 
 def test_coefficient_forms_enumerate_every_monomial():
-    lifted = homogenize_with_slack(BUMP)
-    forms = coefficient_forms(lifted)
+    forms = coefficient_forms(BUMP, 0)
     assert sorted(forms) == [(0, 2), (1, 1), (2, 0)]
     assert forms[(1, 1)].terms == {}  # the absent middle coefficient
 
@@ -122,22 +144,42 @@ def test_coefficient_forms_reconstruct_the_polynomial():
         for ex in range(3):
             for ey in ((2, 0), (1, 1), (0, 2)):
                 terms[(ex,) + ey] = F(rng.randint(-5, 5))
-        lifted = homogenize_with_slack(poly(terms))
-        shape = lifted.shape
-        slots = shape.block_indices("X0") + shape.block_indices("x")
-        acc = BlockedPoly.zero(shape)
-        for alpha, form in coefficient_forms(lifted).items():
-            mono = BlockedPoly.constant(shape, 1)
-            for s, e in zip(slots, alpha):
-                for _ in range(e):
-                    mono = mono * BlockedPoly.variable(shape, s)
-            acc = acc + mono * form
-        assert acc == lifted
+        target = poly(terms)
+        for exponent in range(3):
+            forms = coefficient_forms(target, exponent)
+            assert reassemble(forms, SH) == explicit_product(target, exponent)
+
+
+SH2 = BlockShape(n=2, r1=1, r2=0, homs=("Z",))
+
+
+@st.composite
+def targets(draw):
+    shape = draw(st.sampled_from([SH, SH2]))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * shape.width),
+        st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+        max_size=6,
+    ))
+    return BlockedPoly(shape, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=targets(), exponent=st.integers(0, 3))
+def test_coefficient_forms_are_the_coefficients_of_the_explicit_product(target, exponent):
+    shape, n = target.shape, target.shape.n
+    forms = coefficient_forms(target, exponent)
+    degree = target.block_degree("x") + exponent
+    every = [a for a in itertools.product(range(degree + 1), repeat=n + 1) if sum(a) == degree]
+    assert sorted(forms) == every
+    expected = {alpha: {} for alpha in every}
+    for key, coeff in explicit_product(target, exponent).terms.items():
+        expected[key[: n + 1]][(0,) * n + key[n + 1 :]] = coeff
+    assert forms == {alpha: BlockedPoly(shape, t) for alpha, t in expected.items()}
 
 
 def test_coefficient_form_count_matches_stars_and_bars():
-    lifted = homogenize_with_slack(poly({(3, 2, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}))
-    forms = coefficient_forms(lifted)
+    forms = coefficient_forms(poly({(3, 2, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}), 0)
     assert len(forms) == math.comb(3 + 1, 1)
 
 
@@ -145,7 +187,7 @@ def test_coefficient_form_count_matches_stars_and_bars():
 
 def test_saturate_bump_needs_exponent_one():
     # At exponent 0 the middle coefficient form is identically zero, so
-    # the lift itself is rejected; one multiplication by (X0 + X1) fixes
+    # the lift itself is rejected; one multiplication by (u + x) fixes
     # every coefficient to Y^2 + Z^2.
     res = polya_saturate(BUMP, F(1, 2), circle_block(SH))
     assert res.exponent == 1
@@ -153,20 +195,11 @@ def test_saturate_bump_needs_exponent_one():
     assert sorted(res.forms) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     for alpha, form in res.forms.items():
         assert res.sos[alpha].as_poly() == form
-    total = BlockedPoly.zero(res.saturated.shape)
-    shape = res.saturated.shape
-    slots = shape.block_indices("X0") + shape.block_indices("x")
-    for alpha, form in res.forms.items():
-        mono = BlockedPoly.constant(shape, 1)
-        for s, e in zip(slots, alpha):
-            for _ in range(e):
-                mono = mono * BlockedPoly.variable(shape, s)
-        total = total + mono * form
-    assert total == res.saturated
+    assert reassemble(res.forms, SH) == explicit_product(BUMP, 1)
 
 
 def test_saturate_positive_coefficients_need_no_exponent():
-    # (1 + x^2)(Y^2 + Z^2) lifts to ((X0+X1)^2 + X1^2)(Y^2+Z^2): every
+    # (1 + x^2)(Y^2 + Z^2) lifts to ((u + x)^2 + x^2)(Y^2 + Z^2): every
     # coefficient is already a positive multiple of the sphere form.
     flat = poly({(0, 2, 0): 1, (0, 0, 2): 1, (2, 2, 0): 1, (2, 0, 2): 1})
     res = polya_saturate(flat, F(1, 2), circle_block(SH))
@@ -196,23 +229,6 @@ def test_saturate_respects_explicit_cap(monkeypatch):
     assert err.value.payload["cap"] == 0
 
 
-def test_saturate_rejects_slack_variable_use():
-    shape = SH.with_homogenizers("X0")
-    bad = BlockedPoly(
-        shape, {(0, 2, 1, 0): F(1), (0, 0, 1, 2): F(1)}
-    )
-    with pytest.raises(ValidationError):
-        polya_saturate(bad, F(1), circle_block(SH))
-
-
-def test_saturate_remaps_sphere_blocks_into_lifted_coordinates():
-    res = polya_saturate(BUMP, F(1, 2), circle_block(SH))
-    shape = res.saturated.shape
-    (block,) = res.blocks
-    names = {shape.var_name(i) for i in block.indices}
-    assert names == {"Y1", "Z"}
-
-
 def test_saturate_split_shape_two_blocks():
     # (1 + x^2)(Y1^2 + Z1^2)(W1^2 + Z2^2): bihomogeneous of degree (2, 2).
     shape = BlockShape(n=1, r1=1, r2=1, homs=("Z1", "Z2"))
@@ -233,10 +249,8 @@ def test_saturate_split_shape_two_blocks():
     )
     res = polya_saturate(target, F(1, 2), blocks)
     assert res.exponent == 0
-    new_shape = res.saturated.shape
-    for block, want in zip(res.blocks, ({"Y1", "Z1"}, {"W1", "Z2"})):
-        assert {new_shape.var_name(i) for i in block.indices} == want
     for alpha, form in res.forms.items():
+        assert form.shape == shape
         assert res.sos[alpha].as_poly() == form
 
 

@@ -1,8 +1,10 @@
 """The benchmark's layer tracer still finds every name it wraps."""
+import json
 import types
 from pathlib import Path
 
 from cylcert import cli
+from helpers import largest_family_member
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,3 +44,24 @@ def test_tracer_wraps_existing_names_and_counts_every_psd_search(tmp_path, capsy
         capsys.readouterr()
     for owner, attr, original in originals:
         assert _current(owner, attr) is original
+
+
+def test_coefficient_forms_are_traced_once_per_exponent_tried(tmp_path, capsys):
+    # a Polya-forcing family member (N > 0): forms computed past the
+    # traced name would show fewer calls than exponents tried
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    problem = tmp_path / "polya2.json"
+    problem.write_text(json.dumps(largest_family_member()))
+    try:
+        code = cli.main(
+            ["certify", "--input", str(problem), "--output", str(tmp_path / "polya2.cert.json")]
+        )
+    finally:
+        tracer.uninstall()
+        capsys.readouterr()
+    assert code == 0
+    exponent = tracer.counts["polya.exponent"]
+    assert exponent > 0
+    assert tracer.stats["polya.coefficient_forms"][0] == exponent + 1
