@@ -12,7 +12,14 @@ any even top degree, two unbounded variables of degree four, any number
 of unbounded variables of degree two, and a split pair of blocks of
 degrees m and two.  See :mod:`cylcert.pipeline` for the certification
 chain and :mod:`cylcert.cli` for the command-line entry points.
+
+Importing the package loads only the checker: the certificate format,
+verification and the exact modules, all on the standard library.  The
+search names (``certify_problem`` and the rest of :data:`_SEARCH_NAMES`)
+load the search and numpy on first use.
 """
+
+from importlib import import_module
 
 from .certificate import (
     BoundInputs,
@@ -24,12 +31,6 @@ from .certificate import (
     certificate_to_obj,
     theorem_bound,
     verify_certificate,
-)
-from .certified import (
-    CertifiedMin,
-    certified_cylinder_min,
-    certified_excess_check,
-    check_leading_form_condition,
 )
 from .errors import (
     CapExceededError,
@@ -43,8 +44,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .pipeline import CertifyResult, certify_problem
-from .poly import BlockedPoly, BlockShape
+from .poly import BlockedPoly, BlockShape, SosDecomposition
 from .problem import (
     CylinderProblem,
     RescaleRecord,
@@ -54,9 +54,28 @@ from .problem import (
     rescale_to_simplex,
     validate_problem,
 )
-from .sos import SosDecomposition, sos_decompose
 
 __version__ = "0.1.0"
+
+# name -> the search module that defines it
+_SEARCH_NAMES = {
+    "CertifiedMin": "certified",
+    "certified_cylinder_min": "certified",
+    "certified_excess_check": "certified",
+    "check_leading_form_condition": "certified",
+    "CertifyResult": "pipeline",
+    "certify_problem": "pipeline",
+    "sos_decompose": "sos",
+}
+
+
+def __getattr__(name: str):
+    """Load a search name on first use (PEP 562)."""
+    module = _SEARCH_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "BlockShape",

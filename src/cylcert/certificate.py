@@ -1,23 +1,18 @@
-"""Final certificates: assembly, verification, serialization, size bounds.
+"""Final certificates: file format, degree laws, verification, size bounds.
 
 A certificate for ``f > 0`` on the cylinder is the list of SOS
 multipliers ``sigma_0, ..., sigma_s`` with
 
     f = sigma_0 + sum_i sigma_i * g_i
 
-checked coefficient-by-coefficient in exact rational arithmetic.  The
-assembly stitches together the upstream stages:
-
-  * the absorption step contributes, to each sigma_i, the explicit
-    squares ``(lam/c_i) * (sq * (ghat_i - 1)^k)^2`` where the sq run
-    over a square decomposition of the sphere-padding factor;
-  * the saturated remainder contributes, per simplex monomial
-    ``u^(a0) x^alpha`` with ``u = 1 - sum(x)``, products of its
-    coefficient-form squares, the even square root of the monomial
-    (expanded in x), and the facet-product witnesses;
-  * the sphere padding variables are set to 1 (their slots dropped)
-    once in each factor of a square, so stored squares live over the
-    original variables.
+checked coefficient-by-coefficient in exact rational arithmetic.  This
+module is the checker's side of the program: it reads and writes
+certificate files, states the construction's degree laws
+(:func:`degree_laws`), pulls a simplex-frame certificate back to a box
+frame, and verifies.  It imports only the standard library and the
+exact modules (``errors``, ``poly``, ``serialize``, ``problem``), so a
+verifying process never loads numpy or the search; the search builds
+certificates in :mod:`cylcert.pipeline`.
 
 Verification is independent of generation: it re-expands every square,
 compares against f exactly, and re-derives the degree report.  Nothing
@@ -32,27 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
-from .errors import (
-    IdentityMismatchError,
-    SchemaError,
-    ValidationError,
-    VerificationError,
-)
-from .perturb import factor_squares, normalized_constraints
-from .poly import BlockedPoly, BlockShape, substitute
-from .polya import PolyaResult
+from .errors import SchemaError, ValidationError, VerificationError
+from .poly import BlockShape, SosDecomposition, expand_identity, substitute
 from .problem import CylinderProblem, RescaleRecord
-from .putinar_base import (
-    ModuleWitness,
-    Parity,
-    even_square_root,
-    parity_vector,
-    simplex_u,
-)
 from .serialize import frac_from_str, frac_to_str, json_typed, poly_from_obj, poly_to_obj
-from .sos import SosDecomposition, expand_identity
 
 # Every certificate file declares this tier: the identity holds exactly.
 TIER_EXACT = "exact"
@@ -235,123 +215,9 @@ def certificate_from_obj(obj: Any, shape: BlockShape) -> Certificate:
     )
 
 
-def witness_to_obj(witness: ModuleWitness) -> dict[str, Any]:
-    return {
-        "target": poly_to_obj(witness.target),
-        "budget": witness.budget,
-        "sigmas": [sos_to_obj(s) for s in witness.sigmas],
-    }
-
-
-def witness_from_obj(obj: Any, shape: BlockShape) -> ModuleWitness:
-    if not isinstance(obj, dict):
-        raise SchemaError("a cached witness must be an object")
-    try:
-        return ModuleWitness(
-            target=poly_from_obj(obj["target"], shape),
-            sigmas=tuple(
-                sos_from_obj(s, shape) for s in json_typed(obj["sigmas"], list, "sigmas")
-            ),
-            budget=json_typed(obj["budget"], int, "witness budget"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad cached witness: {exc}") from None
-
-
-def base_cache_to_obj(
-    constraints_key: str, witnesses: Mapping[Parity, ModuleWitness]
-) -> dict[str, Any]:
-    return {
-        "constraints_hash": constraints_key,
-        "witnesses": {
-            "".join(str(b) for b in parity): witness_to_obj(w)
-            for parity, w in sorted(witnesses.items())
-        },
-    }
-
-
-def base_cache_from_obj(
-    obj: Any, constraints_key: str, shape: BlockShape
-) -> dict[Parity, ModuleWitness]:
-    """Decode a witness cache; an unrelated or malformed cache is empty.
-
-    Cache misuse must never poison a run: the consumer reuses an entry
-    only when it states the facet product of its key, carries one sigma
-    per generator plus sigma_0 and expands to that product exactly, and
-    a key mismatch simply means the constraints changed since the cache
-    was written.  An entry without ``sigmas`` (the older ``sigma0`` plus
-    ``multipliers`` layout) is skipped, so it is recomputed.
-    """
-    if not isinstance(obj, dict) or obj.get("constraints_hash") != constraints_key:
-        return {}
-    out: dict[Parity, ModuleWitness] = {}
-    raw = obj.get("witnesses")
-    if not isinstance(raw, dict):
-        return {}
-    for key, wobj in raw.items():
-        try:
-            parity = tuple(int(ch) for ch in key)
-            out[parity] = witness_from_obj(wobj, shape)
-        except (SchemaError, ValueError):
-            continue
-    return out
-
-
 # ---------------------------------------------------------------------------
-# assembly
+# degree laws and frames
 # ---------------------------------------------------------------------------
-
-class _SigmaBuilder:
-    """Accumulates weighted squares per sigma with degree tracking.
-
-    Squares arrive as pairs of factors that :meth:`ground` has already
-    taken back to the problem's variables; each stored square is their
-    product.
-    """
-
-    def __init__(self, problem: CylinderProblem):
-        self.problem = problem
-        self.weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
-        self.squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
-        self.second_term = [0] * (problem.s + 1)
-
-    def ground(self, p: BlockedPoly) -> BlockedPoly:
-        """``p`` with every homogenizer ``-> 1``, over the problem's shape.
-
-        The problem's shape has no homogenizers, so this drops the slots
-        after its width and sums the terms that meet there.
-        """
-        shape = self.problem.shape
-        width = shape.width
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in p.terms.items():
-            key = expo[:width]
-            terms[key] = terms[key] + coeff if key in terms else coeff
-        return BlockedPoly._trusted(shape, {x: c for x, c in terms.items() if c})
-
-    def add(
-        self, index: int, weight: Fraction, left: BlockedPoly, right: BlockedPoly
-    ) -> None:
-        """Store ``weight * (left * right)^2``; both factors are grounded."""
-        if weight == 0:
-            return
-        self.weights[index].append(weight)
-        self.squares[index].append(left * right)
-
-    def sigmas(self) -> tuple[SosDecomposition, ...]:
-        shape = self.problem.shape
-        return tuple(
-            SosDecomposition(shape, tuple(w), tuple(q))
-            for w, q in zip(self.weights, self.squares)
-        )
-
-
-def _sos_degree(deco: SosDecomposition) -> int:
-    """Total degree of the expanded SOS (tops of squares cannot cancel)."""
-    if not deco.weights:
-        return 0
-    return max(2 * q.total_degree() for q in deco.squares)
-
 
 def degree_laws(
     problem: CylinderProblem, lam: Fraction, k: int, N: int, ell: int, c9: int
@@ -370,177 +236,6 @@ def degree_laws(
         vdeg + (2 * k + 1) * g.block_degree("x") for g in problem.g
     )
     return absorption, vdeg + N + ell + c9
-
-
-def _certificate(
-    problem: CylinderProblem,
-    sigmas: tuple[SosDecomposition, ...],
-    absorption: tuple[int, ...],
-    remainder: tuple[int, ...],
-    *,
-    lam: Fraction,
-    k: int,
-    ell: int,
-    N: int,
-    c9: int,
-    fstar_lb: Fraction,
-) -> Certificate:
-    """The certificate of ``sigmas`` with its metadata, once the measured
-    absorption and remainder degrees are checked against
-    :func:`degree_laws`; a breach is an internal invariant failure."""
-    expected, cap = degree_laws(problem, lam, k, N, ell, c9)
-    for i, (measured, want) in enumerate(zip(absorption, expected)):
-        if measured != want:
-            raise IdentityMismatchError(
-                "absorption-term degree drifted from its formula",
-                constraint=i + 1,
-                measured=measured,
-                expected=want,
-            )
-    for index, degree in enumerate(remainder):
-        if degree > cap:
-            raise IdentityMismatchError(
-                "remainder-term degree exceeded its cap",
-                sigma=index,
-                measured=degree,
-                cap=cap,
-            )
-    meta = CertificateMeta(
-        lam=lam,
-        k=k,
-        ell=ell,
-        polya_exponent=N,
-        c9=c9,
-        fstar_lb=fstar_lb,
-        rescale=RescaleRecord(False),
-        archimedean_attested=problem.archimedean_attested,
-        scales=tuple(c for _ghat, c in normalized_constraints(problem)),
-        degrees=DegreeReport(expected, remainder, cap),
-    )
-    return Certificate(problem_hash=problem.problem_hash(), sigmas=sigmas, meta=meta)
-
-
-def assemble(
-    problem: CylinderProblem,
-    lam: Fraction,
-    k: int,
-    polya: PolyaResult,
-    base: Mapping[Parity, ModuleWitness],
-    *,
-    fstar_lb: Fraction,
-) -> Certificate:
-    """Stitch the pipeline stages into an exact certificate.
-
-    ``polya.sos`` holds an SOS decomposition of each coefficient form;
-    ``base`` must cover every parity that occurs, and its witnesses set
-    ``c9``.  A degree that breaks its law is an internal invariant breach
-    and aborts; the identity itself is left to :func:`verify_certificate`,
-    which the pipeline runs once on the certificate it returns.
-
-    Each stored square is a product of factors: a sphere square and a
-    slack power, or a form square, its simplex monomial's root (over the
-    problem's shape, ``u`` already expanded) and a witness square.
-    Grounding (homogenizers ``-> 1``, their slots dropped) is a ring
-    homomorphism, so the product of the grounded factors is the grounded
-    product: the same polynomial with the same ``Fraction``s.  Each factor
-    is therefore grounded once and reused for every square it enters.  The
-    degree law reads degrees before grounding, and total degree is
-    additive over ℚ (the top forms of two nonzero polynomials multiply to
-    a nonzero form), so a square's degree is the sum of its factors'
-    degrees.
-    """
-    shape = problem.shape
-    builder = _SigmaBuilder(problem)
-    # deg g per sigma position; sigma_0's generator is 1
-    gdegs = (0,) + tuple(g.block_degree("x") for g in problem.g)
-
-    # Term one: absorption squares for each constraint.
-    sphere_squares = [
-        (builder.ground(q), q.total_degree()) for q in factor_squares(problem)
-    ]
-    one = BlockedPoly.constant(shape, 1)
-    absorption = []
-    for i, (ghat, c_i) in enumerate(normalized_constraints(problem)):
-        slack = (ghat - one) ** k
-        for sq, _deg in sphere_squares:
-            builder.add(i + 1, lam / c_i, sq, slack)
-        absorption.append(
-            max(2 * (deg + slack.total_degree()) + gdegs[i + 1] for _sq, deg in sphere_squares)
-        )
-
-    # Term two: saturated remainder through the facet-product witnesses.
-    # Per parity and sigma position: [(weight, grounded square, degree)].
-    witness_squares: dict[Parity, list] = {}
-    for key in sorted(polya.forms):
-        deco = polya.sos[key]
-        parity = parity_vector(key)
-        if parity not in witness_squares:
-            witness_squares[parity] = [
-                [(w, builder.ground(t), t.total_degree()) for w, t in zip(tau.weights, tau.squares)]
-                for tau in base[parity].sigmas
-            ]
-        root = even_square_root(key)
-        sq_x = simplex_u(shape) ** root[0]
-        for slot, power in zip(shape.block_indices("x"), root[1:]):
-            if power:
-                sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
-        for w_form, q_form in zip(deco.weights, deco.squares):
-            grounded = builder.ground(q_form) * sq_x
-            pdeg = q_form.total_degree() + sq_x.total_degree()
-            for index, squares in enumerate(witness_squares[parity]):
-                for w_tau, t, tdeg in squares:
-                    builder.add(index, w_form * w_tau, grounded, t)
-                    degree = 2 * (pdeg + tdeg) + gdegs[index]
-                    if degree > builder.second_term[index]:
-                        builder.second_term[index] = degree
-
-    c9 = max(
-        (
-            _sos_degree(tau) + gdegs[index]
-            for witness in base.values()
-            for index, tau in enumerate(witness.sigmas)
-            if tau.weights
-        ),
-        default=0,
-    )
-    return _certificate(
-        problem,
-        builder.sigmas(),
-        tuple(absorption),
-        tuple(builder.second_term),
-        lam=lam,
-        k=k,
-        ell=polya.ell,
-        N=polya.exponent,
-        c9=c9,
-        fstar_lb=fstar_lb,
-    )
-
-
-def sos_only_certificate(
-    problem: CylinderProblem,
-    sigma0: SosDecomposition,
-    *,
-    fstar_lb: Fraction,
-) -> Certificate:
-    """Certificate for the degenerate case with no compact variables used.
-
-    When f does not involve the X-block it is certified as a single sum
-    of squares; the constraint multipliers are all zero.
-    """
-    empty = SosDecomposition(problem.shape, (), ())
-    return _certificate(
-        problem,
-        (sigma0,) + (empty,) * problem.s,
-        (),
-        (_sos_degree(sigma0),) + (0,) * problem.s,
-        lam=Fraction(0),
-        k=0,
-        ell=0,
-        N=0,
-        c9=0,
-        fstar_lb=fstar_lb,
-    )
 
 
 def compose_with_frame(
@@ -660,8 +355,8 @@ def verify_certificate(problem: CylinderProblem, cert: Certificate) -> Verificat
             "a certificate without absorption must not use constraints",
         )
     # Every weight is positive by now, so a sigma is zero exactly when all
-    # its squares are, and its degree is _sos_degree.
-    sigma_degrees = tuple(_sos_degree(deco) for deco in cert.sigmas)
+    # its squares are, and its degree is SosDecomposition.degree.
+    sigma_degrees = tuple(deco.degree() for deco in cert.sigmas)
     product_degrees = []
     for i, (deco, degree) in enumerate(zip(cert.sigmas, sigma_degrees)):
         bound = max(absorption[i - 1], cap) if i and absorption else cap

@@ -20,14 +20,11 @@ from typing import Any
 
 from .certificate import (
     BoundInputs,
-    base_cache_from_obj,
-    base_cache_to_obj,
     certificate_from_obj,
     certificate_to_obj,
     theorem_bound,
     verify_certificate,
 )
-from .certified import certified_cylinder_min
 from .errors import (
     BelowThresholdError,
     BudgetExhaustedError,
@@ -44,8 +41,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .pipeline import certify_problem, solving_frame
-from .problem import BOX, CylinderProblem, problem_from_obj, rescale_to_simplex
+from .problem import BOX, CylinderProblem, problem_from_obj, problem_to_obj, rescale_to_simplex
 from .serialize import (
     atomic_write_text,
     canonical_dumps,
@@ -113,8 +109,6 @@ def _fraction_arg(text: str) -> Fraction:
 
 def _constraints_key(problem: CylinderProblem) -> str:
     """Cache key for facet witnesses: the solving-frame constraint list."""
-    from .problem import problem_to_obj
-
     solving = problem
     if problem.frame == BOX:
         solving, _ = rescale_to_simplex(problem)
@@ -127,6 +121,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
         problem = _load_problem(args.input)
     except CylcertError as exc:
         return _fail(exc)
+    # The search and numpy load here, once there is a problem to search on.
+    from .pipeline import certify_problem
+    from .putinar_base import base_cache_from_obj, base_cache_to_obj
 
     cache_path = args.output + ".basecache.json"
     key = _constraints_key(problem)
@@ -188,6 +185,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
+    from .certified import certified_cylinder_min
+    from .pipeline import solving_frame
+
     try:
         problem = _load_problem(args.input)
         solving, _record, fallback, _report = solving_frame(problem, args.seed)

@@ -5,10 +5,28 @@ simplex frame, certify the side condition and a positive floor for the
 padded target, search the perturbation weight, saturate with the simplex
 sum until every coefficient form is a sum of squares, decompose the
 facet witnesses of the parity class those forms use into squares, and
-assemble the weighted-square representation.  Box-framed inputs get
-their certificate composed back through the affine change of
-coordinates, and the certificate is verified once, against the input
-problem, before it is returned.
+assemble the weighted-square representation (:func:`assemble`, at the
+end of this module).  Box-framed inputs get their certificate composed
+back through the affine change of coordinates, and the certificate is
+verified once, against the input problem, before it is returned.
+
+The assembly stitches together the upstream stages:
+
+  * the absorption step contributes, to each sigma_i, the explicit
+    squares ``(lam/c_i) * (sq * (ghat_i - 1)^k)^2`` where the sq run
+    over a square decomposition of the sphere-padding factor;
+  * the saturated remainder contributes, per simplex monomial
+    ``u^(a0) x^alpha`` with ``u = 1 - sum(x)``, products of its
+    coefficient-form squares, the even square root of the monomial
+    (expanded in x), and the facet-product witnesses;
+  * the sphere padding variables are set to 1 (their slots dropped)
+    once in each factor of a square, so stored squares live over the
+    original variables.
+
+This module is the top of the search: it and the stages it calls
+(``certified``, ``covers``, ``perturb``, ``polya``, ``putinar_base``,
+``sos``) use numpy.  What it hands back is checked by
+:mod:`cylcert.certificate`, which needs none of them.
 
 Every stage leaves its evidence in the diagnostics mapping so a caller
 can reconstruct why the run succeeded (or report precisely how it
@@ -18,19 +36,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Mapping
 
 from .certificate import (
     Certificate,
-    assemble,
+    CertificateMeta,
+    DegreeReport,
     compose_with_frame,
-    sos_only_certificate,
+    degree_laws,
     verify_certificate,
 )
 from .certified import certified_cylinder_min, check_leading_form_condition
-from .errors import SosStalledError, ValidationError
-from .perturb import find_perturbation
-from .polya import polya_saturate
+from .errors import IdentityMismatchError, SosStalledError, ValidationError
+from .perturb import factor_squares, find_perturbation, normalized_constraints
+from .poly import BlockedPoly, SosDecomposition
+from .polya import PolyaResult, polya_saturate
 from .problem import (
     BOX,
     CylinderProblem,
@@ -39,11 +59,16 @@ from .problem import (
     rescale_to_simplex,
     validate_problem,
 )
-from .putinar_base import ModuleWitness, base_certificates, parity_vector
+from .putinar_base import (
+    ModuleWitness,
+    Parity,
+    base_certificates,
+    even_square_root,
+    parity_vector,
+    simplex_u,
+)
 from .serialize import frac_to_str
 from .sos import sos_decompose
-
-Parity = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -177,4 +202,224 @@ def certify_problem(
     diag["verify"] = verify_certificate(problem, cert).to_obj()
     return CertifyResult(
         certificate=cert, problem=problem, base_cache=base, diagnostics=diag
+    )
+
+
+# ---------------------------------------------------------------------------
+# assembly
+# ---------------------------------------------------------------------------
+
+class _SigmaBuilder:
+    """Accumulates weighted squares per sigma with degree tracking.
+
+    Squares arrive as pairs of factors that :meth:`ground` has already
+    taken back to the problem's variables; each stored square is their
+    product.
+    """
+
+    def __init__(self, problem: CylinderProblem):
+        self.problem = problem
+        self.weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
+        self.squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
+        self.second_term = [0] * (problem.s + 1)
+
+    def ground(self, p: BlockedPoly) -> BlockedPoly:
+        """``p`` with every homogenizer ``-> 1``, over the problem's shape.
+
+        The problem's shape has no homogenizers, so this drops the slots
+        after its width and sums the terms that meet there.
+        """
+        shape = self.problem.shape
+        width = shape.width
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for expo, coeff in p.terms.items():
+            key = expo[:width]
+            terms[key] = terms[key] + coeff if key in terms else coeff
+        return BlockedPoly._trusted(shape, {x: c for x, c in terms.items() if c})
+
+    def add(
+        self, index: int, weight: Fraction, left: BlockedPoly, right: BlockedPoly
+    ) -> None:
+        """Store ``weight * (left * right)^2``; both factors are grounded."""
+        if weight == 0:
+            return
+        self.weights[index].append(weight)
+        self.squares[index].append(left * right)
+
+    def sigmas(self) -> tuple[SosDecomposition, ...]:
+        shape = self.problem.shape
+        return tuple(
+            SosDecomposition(shape, tuple(w), tuple(q))
+            for w, q in zip(self.weights, self.squares)
+        )
+
+
+def _certificate(
+    problem: CylinderProblem,
+    sigmas: tuple[SosDecomposition, ...],
+    absorption: tuple[int, ...],
+    remainder: tuple[int, ...],
+    *,
+    lam: Fraction,
+    k: int,
+    ell: int,
+    N: int,
+    c9: int,
+    fstar_lb: Fraction,
+) -> Certificate:
+    """The certificate of ``sigmas`` with its metadata, once the measured
+    absorption and remainder degrees are checked against
+    :func:`degree_laws`; a breach is an internal invariant failure."""
+    expected, cap = degree_laws(problem, lam, k, N, ell, c9)
+    for i, (measured, want) in enumerate(zip(absorption, expected)):
+        if measured != want:
+            raise IdentityMismatchError(
+                "absorption-term degree drifted from its formula",
+                constraint=i + 1,
+                measured=measured,
+                expected=want,
+            )
+    for index, degree in enumerate(remainder):
+        if degree > cap:
+            raise IdentityMismatchError(
+                "remainder-term degree exceeded its cap",
+                sigma=index,
+                measured=degree,
+                cap=cap,
+            )
+    meta = CertificateMeta(
+        lam=lam,
+        k=k,
+        ell=ell,
+        polya_exponent=N,
+        c9=c9,
+        fstar_lb=fstar_lb,
+        rescale=RescaleRecord(False),
+        archimedean_attested=problem.archimedean_attested,
+        scales=tuple(c for _ghat, c in normalized_constraints(problem)),
+        degrees=DegreeReport(expected, remainder, cap),
+    )
+    return Certificate(problem_hash=problem.problem_hash(), sigmas=sigmas, meta=meta)
+
+
+def assemble(
+    problem: CylinderProblem,
+    lam: Fraction,
+    k: int,
+    polya: PolyaResult,
+    base: Mapping[Parity, ModuleWitness],
+    *,
+    fstar_lb: Fraction,
+) -> Certificate:
+    """Stitch the pipeline stages into an exact certificate.
+
+    ``polya.sos`` holds an SOS decomposition of each coefficient form;
+    ``base`` must cover every parity that occurs, and its witnesses set
+    ``c9``.  A degree that breaks its law is an internal invariant breach
+    and aborts; the identity itself is left to :func:`verify_certificate`,
+    which the pipeline runs once on the certificate it returns.
+
+    Each stored square is a product of factors: a sphere square and a
+    slack power, or a form square, its simplex monomial's root (over the
+    problem's shape, ``u`` already expanded) and a witness square.
+    Grounding (homogenizers ``-> 1``, their slots dropped) is a ring
+    homomorphism, so the product of the grounded factors is the grounded
+    product: the same polynomial with the same ``Fraction``s.  Each factor
+    is therefore grounded once and reused for every square it enters.  The
+    degree law reads degrees before grounding, and total degree is
+    additive over ℚ (the top forms of two nonzero polynomials multiply to
+    a nonzero form), so a square's degree is the sum of its factors'
+    degrees.
+    """
+    shape = problem.shape
+    builder = _SigmaBuilder(problem)
+    # deg g per sigma position; sigma_0's generator is 1
+    gdegs = (0,) + tuple(g.block_degree("x") for g in problem.g)
+
+    # Term one: absorption squares for each constraint.
+    sphere_squares = [
+        (builder.ground(q), q.total_degree()) for q in factor_squares(problem)
+    ]
+    one = BlockedPoly.constant(shape, 1)
+    absorption = []
+    for i, (ghat, c_i) in enumerate(normalized_constraints(problem)):
+        slack = (ghat - one) ** k
+        for sq, _deg in sphere_squares:
+            builder.add(i + 1, lam / c_i, sq, slack)
+        absorption.append(
+            max(2 * (deg + slack.total_degree()) + gdegs[i + 1] for _sq, deg in sphere_squares)
+        )
+
+    # Term two: saturated remainder through the facet-product witnesses.
+    # Per parity and sigma position: [(weight, grounded square, degree)].
+    witness_squares: dict[Parity, list] = {}
+    for key in sorted(polya.forms):
+        deco = polya.sos[key]
+        parity = parity_vector(key)
+        if parity not in witness_squares:
+            witness_squares[parity] = [
+                [(w, builder.ground(t), t.total_degree()) for w, t in zip(tau.weights, tau.squares)]
+                for tau in base[parity].sigmas
+            ]
+        root = even_square_root(key)
+        sq_x = simplex_u(shape) ** root[0]
+        for slot, power in zip(shape.block_indices("x"), root[1:]):
+            if power:
+                sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
+        for w_form, q_form in zip(deco.weights, deco.squares):
+            grounded = builder.ground(q_form) * sq_x
+            pdeg = q_form.total_degree() + sq_x.total_degree()
+            for index, squares in enumerate(witness_squares[parity]):
+                for w_tau, t, tdeg in squares:
+                    builder.add(index, w_form * w_tau, grounded, t)
+                    degree = 2 * (pdeg + tdeg) + gdegs[index]
+                    if degree > builder.second_term[index]:
+                        builder.second_term[index] = degree
+
+    c9 = max(
+        (
+            tau.degree() + gdegs[index]
+            for witness in base.values()
+            for index, tau in enumerate(witness.sigmas)
+            if tau.weights
+        ),
+        default=0,
+    )
+    return _certificate(
+        problem,
+        builder.sigmas(),
+        tuple(absorption),
+        tuple(builder.second_term),
+        lam=lam,
+        k=k,
+        ell=polya.ell,
+        N=polya.exponent,
+        c9=c9,
+        fstar_lb=fstar_lb,
+    )
+
+
+def sos_only_certificate(
+    problem: CylinderProblem,
+    sigma0: SosDecomposition,
+    *,
+    fstar_lb: Fraction,
+) -> Certificate:
+    """Certificate for the degenerate case with no compact variables used.
+
+    When f does not involve the X-block it is certified as a single sum
+    of squares; the constraint multipliers are all zero.
+    """
+    empty = SosDecomposition(problem.shape, (), ())
+    return _certificate(
+        problem,
+        (sigma0,) + (empty,) * problem.s,
+        (),
+        (sigma0.degree(),) + (0,) * problem.s,
+        lam=Fraction(0),
+        k=0,
+        ell=0,
+        N=0,
+        c9=0,
+        fstar_lb=fstar_lb,
     )

@@ -36,6 +36,13 @@ slot's highest exponent depend on the terms alone, and no code mutates
 ``terms``, so the first call stores them on the polynomial and later
 calls reuse them.
 
+A :class:`SosDecomposition` is a list of weighted squares, and
+:func:`expand_identity` expands ``sigma_0 + sum sigma_i * g_i`` through
+one :class:`ExactSum`: the single identity check that assembly, the
+facet witnesses and verification share.  Like the rest of this module
+it uses only the standard library, so the checker can verify a
+certificate without loading the search.
+
 ``BlockedPoly._trusted(shape, terms)`` wraps ``terms`` without copying or
 checking it.  Only code in this package that has just built the dict may
 call it, and only when every key is a tuple of ``shape.width``
@@ -267,11 +274,9 @@ class BlockedPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def block_degree(self, block: str, *extra: str) -> int:
-        """Max combined exponent over a named block (plus extra parts)."""
+    def block_degree(self, block: str) -> int:
+        """Max combined exponent over a named block."""
         idx = self.shape.block_indices(block)
-        for name in extra:
-            idx = idx + self.shape.block_indices(name)
         return max((sum(e[i] for i in idx) for e in self.terms), default=0)
 
     # ----- evaluation ---------------------------------------------------
@@ -396,6 +401,41 @@ class ExactSum:
         return BlockedPoly._trusted(
             self.shape, {e: Fraction(v, den) for e, v in self.nums.items()}
         )
+
+
+@dataclass(frozen=True)
+class SosDecomposition:
+    """Weighted squares summing exactly to a target polynomial."""
+
+    shape: BlockShape
+    weights: tuple[Fraction, ...]
+    squares: tuple[BlockedPoly, ...]
+
+    def as_poly(self) -> BlockedPoly:
+        return expand_identity(self, ())
+
+    def degree(self) -> int:
+        """Total degree of the expanded sum: with positive weights the top
+        forms of the squares cannot cancel."""
+        return max((2 * q.total_degree() for q in self.squares), default=0)
+
+
+def expand_identity(
+    sigma0: SosDecomposition,
+    products: Iterable[tuple[SosDecomposition, BlockedPoly]],
+) -> BlockedPoly:
+    """Expand ``sigma_0 + sum sigma_i * g_i`` exactly, in one sum.
+
+    ``products`` pairs each multiplier sigma_i with its generator g_i.
+    Assembly, verification and the facet witnesses all check their
+    identity through this one expansion.
+    """
+    total = ExactSum(sigma0.shape)
+    for w, q in zip(sigma0.weights, sigma0.squares):
+        total.add_product(w, q, q, square=True)
+    for sigma, g in products:
+        total.add_product(1, sigma.as_poly(), g)
+    return total.poly()
 
 
 # ---------------------------------------------------------------------------

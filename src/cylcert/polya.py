@@ -27,9 +27,9 @@ from .certified import _cover_product, _float_eval, _terms_on_slots
 from .certified import certified_excess_check  # noqa: F401
 from .covers import projected_sphere_cover
 from .errors import CapExceededError, SosStalledError
-from .poly import BlockedPoly, multinomial, weighted_norm
+from .poly import BlockedPoly, SosDecomposition, multinomial, weighted_norm
 from .problem import SphereBlock
-from .sos import SosDecomposition, monomials, sos_decompose
+from .sos import monomials, sos_decompose
 
 # Resolution of the sphere covers behind the float screen.
 SCREEN_RESOLUTION = 24

@@ -24,16 +24,23 @@ simplex vertex that satisfies every constraint, the feasible Gram
 matrices are all singular there, so the bases are first cut down to
 polynomials vanishing at that vertex (facial reduction), which restores
 an interior-feasible system.
+
+``cylcert certify`` keeps the witnesses in a ``.basecache.json`` sidecar
+beside the certificate; :func:`base_cache_to_obj` and
+:func:`base_cache_from_obj` are its codec, with polynomials and sums of
+squares written as in a certificate file.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import CapExceededError, SearchExhaustedError, ValidationError
-from .poly import BlockedPoly, BlockShape
-from .sos import Basis, SosDecomposition, expand_identity, module_witness, monomials
+from .certificate import sos_from_obj, sos_to_obj
+from .errors import CapExceededError, SchemaError, SearchExhaustedError, ValidationError
+from .poly import BlockedPoly, BlockShape, SosDecomposition, expand_identity
+from .serialize import json_typed, poly_from_obj, poly_to_obj
+from .sos import Basis, module_witness, monomials
 
 Exponent = tuple[int, ...]
 Parity = tuple[int, ...]
@@ -97,6 +104,76 @@ class ModuleWitness:
             expand_identity(self.sigmas[0], zip(self.sigmas[1:], gens)) == self.target
         )
 
+
+# ---------------------------------------------------------------------------
+# the witness sidecar
+# ---------------------------------------------------------------------------
+
+def witness_to_obj(witness: ModuleWitness) -> dict[str, Any]:
+    return {
+        "target": poly_to_obj(witness.target),
+        "budget": witness.budget,
+        "sigmas": [sos_to_obj(s) for s in witness.sigmas],
+    }
+
+
+def witness_from_obj(obj: Any, shape: BlockShape) -> ModuleWitness:
+    if not isinstance(obj, dict):
+        raise SchemaError("a cached witness must be an object")
+    try:
+        return ModuleWitness(
+            target=poly_from_obj(obj["target"], shape),
+            sigmas=tuple(
+                sos_from_obj(s, shape) for s in json_typed(obj["sigmas"], list, "sigmas")
+            ),
+            budget=json_typed(obj["budget"], int, "witness budget"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad cached witness: {exc}") from None
+
+
+def base_cache_to_obj(
+    constraints_key: str, witnesses: Mapping[Parity, ModuleWitness]
+) -> dict[str, Any]:
+    return {
+        "constraints_hash": constraints_key,
+        "witnesses": {
+            "".join(str(b) for b in parity): witness_to_obj(w)
+            for parity, w in sorted(witnesses.items())
+        },
+    }
+
+
+def base_cache_from_obj(
+    obj: Any, constraints_key: str, shape: BlockShape
+) -> dict[Parity, ModuleWitness]:
+    """Decode a witness cache; an unrelated or malformed cache is empty.
+
+    Cache misuse must never poison a run: the consumer reuses an entry
+    only when it states the facet product of its key, carries one sigma
+    per generator plus sigma_0 and expands to that product exactly, and
+    a key mismatch simply means the constraints changed since the cache
+    was written.  An entry without ``sigmas`` (the older ``sigma0`` plus
+    ``multipliers`` layout) is skipped, so it is recomputed.
+    """
+    if not isinstance(obj, dict) or obj.get("constraints_hash") != constraints_key:
+        return {}
+    out: dict[Parity, ModuleWitness] = {}
+    raw = obj.get("witnesses")
+    if not isinstance(raw, dict):
+        return {}
+    for key, wobj in raw.items():
+        try:
+            parity = tuple(int(ch) for ch in key)
+            out[parity] = witness_from_obj(wobj, shape)
+        except (SchemaError, ValueError):
+            continue
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the search
+# ---------------------------------------------------------------------------
 
 def _simplex_vertices(shape: BlockShape) -> list[tuple[Fraction, ...]]:
     zero = (Fraction(0),) * shape.width

@@ -31,6 +31,11 @@ from typing import Any
 from .errors import SchemaError
 from .poly import BlockShape, BlockedPoly
 
+# Largest decimal exponent, in magnitude, that a rational may carry: the
+# 4,300-digit limit CPython puts on reading an integer, so ``1e4300``
+# costs no more than reading the longest integer the parser accepts.
+EXPONENT_CAP = 4300
+
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
@@ -40,6 +45,24 @@ def frac_to_str(value: Fraction | int) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse a decimal exponent above :data:`EXPONENT_CAP` in magnitude.
+
+    ``Fraction`` forms ``10**exponent`` for text such as ``"1e10000000"``,
+    which takes seconds to hours; a rational may contain no letter but
+    its exponent marker, so the text after the last ``e`` is the exponent
+    whenever ``Fraction`` would read one.
+    """
+    _, marker, exponent = text.strip().lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal() and (
+        len(digits) > len(str(EXPONENT_CAP)) or int(digits) > EXPONENT_CAP
+    ):
+        raise SchemaError(
+            f"bad rational {text[:40]!r}: decimal exponent above {EXPONENT_CAP}"
+        )
 
 
 def frac_from_str(text: Any) -> Fraction:
@@ -60,6 +83,7 @@ def frac_from_str(text: Any) -> Fraction:
             q = int(den)
             if q:
                 return Fraction(p, q)
+        _check_exponent(text)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None

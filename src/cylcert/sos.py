@@ -42,16 +42,15 @@ reports that as :class:`SosStalledError` rather than papering over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import CapExceededError, SosStalledError
-from .poly import BlockedPoly, BlockShape, ExactSum
+from .poly import BlockedPoly, BlockShape, ExactSum, SosDecomposition, expand_identity
 
 Exponent = tuple[int, ...]
 Basis = Sequence["Exponent | BlockedPoly"]
@@ -439,36 +438,6 @@ def _alternate(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SosDecomposition:
-    """Weighted squares summing exactly to a target polynomial."""
-
-    shape: BlockShape
-    weights: tuple[Fraction, ...]
-    squares: tuple[BlockedPoly, ...]
-
-    def as_poly(self) -> BlockedPoly:
-        return expand_identity(self, ())
-
-
-def expand_identity(
-    sigma0: SosDecomposition,
-    products: Iterable[tuple[SosDecomposition, BlockedPoly]],
-) -> BlockedPoly:
-    """Expand ``sigma_0 + sum sigma_i * g_i`` exactly, in one sum.
-
-    ``products`` pairs each multiplier sigma_i with its generator g_i.
-    Assembly, verification and the facet witnesses all check their
-    identity through this one expansion.
-    """
-    total = ExactSum(sigma0.shape)
-    for w, q in zip(sigma0.weights, sigma0.squares):
-        total.add_product(w, q, q, square=True)
-    for sigma, g in products:
-        total.add_product(1, sigma.as_poly(), g)
-    return total.poly()
-
 
 def decomposition_from_gram(
     shape: BlockShape,

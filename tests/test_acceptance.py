@@ -19,8 +19,6 @@ from cylcert import cli
 from cylcert.certificate import (
     BoundInputs,
     E_UPPER,
-    base_cache_from_obj,
-    base_cache_to_obj,
     theorem_bound,
     verify_certificate,
 )
@@ -30,6 +28,7 @@ from cylcert.pipeline import certify_problem
 from cylcert.poly import BlockShape, BlockedPoly, homogenize_block
 from cylcert.polya import polya_saturate
 from cylcert.problem import SphereBlock, Variant, problem_from_obj
+from cylcert.putinar_base import base_cache_from_obj, base_cache_to_obj
 from cylcert.serialize import frac_from_str, load_json
 from cylcert.sos import sos_decompose
 from helpers import sphere_constants

@@ -22,21 +22,15 @@ from cylcert.certificate import (
     DegreeReport,
     E_UPPER,
     EXP_UPPER_CAP,
-    base_cache_from_obj,
-    base_cache_to_obj,
-    _SigmaBuilder,
-    assemble,
     certificate_from_obj,
     certificate_to_obj,
     compose_with_frame,
     exp_upper,
     integer_root_upper,
     rational_power_upper,
-    sos_only_certificate,
     degree_laws,
     theorem_bound,
     verify_certificate,
-    witness_from_obj,
 )
 from cylcert.errors import (
     IdentityMismatchError,
@@ -45,7 +39,8 @@ from cylcert.errors import (
     VerificationError,
 )
 from cylcert.perturb import factor_squares, find_perturbation, normalized_constraints
-from cylcert.poly import BlockShape, BlockedPoly, substitute
+from cylcert.pipeline import _SigmaBuilder, assemble, sos_only_certificate
+from cylcert.poly import BlockShape, BlockedPoly, SosDecomposition, substitute
 from cylcert.polya import PolyaResult, polya_saturate
 from cylcert.problem import (
     BOX,
@@ -59,13 +54,16 @@ from cylcert.problem import (
 from cylcert.putinar_base import (
     ModuleWitness,
     Parity,
+    base_cache_from_obj,
+    base_cache_to_obj,
     base_certificates,
     even_square_root,
     parity_vector,
     simplex_u,
+    witness_from_obj,
 )
 from cylcert.serialize import canonical_dumps
-from cylcert.sos import SosDecomposition, sos_decompose
+from cylcert.sos import sos_decompose
 
 
 def interval_problem():

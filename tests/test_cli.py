@@ -13,7 +13,6 @@ from cylcert import cli
 from cylcert.certificate import (
     E_UPPER,
     POWER_BITS_CAP,
-    base_cache_from_obj,
     certificate_from_obj,
     certificate_to_obj,
 )
@@ -26,6 +25,7 @@ from cylcert.problem import (
     problem_from_obj,
     problem_to_obj,
 )
+from cylcert.putinar_base import base_cache_from_obj
 from cylcert.serialize import canonical_dumps
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"

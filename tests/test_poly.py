@@ -13,15 +13,16 @@ from cylcert.poly import (
     BlockShape,
     BlockedPoly,
     ExactSum,
+    SosDecomposition,
     block_sum_of_squares,
     coeff_abs_sum,
+    expand_identity,
     homogenize_block,
     multinomial,
     substitute,
     weighted_norm,
 )
 from cylcert.serialize import poly_from_obj
-from cylcert.sos import SosDecomposition, expand_identity
 from helpers import is_block_homogeneous
 
 

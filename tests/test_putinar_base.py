@@ -10,7 +10,7 @@ import pytest
 from cylcert import polya, putinar_base, sos
 from cylcert.errors import CapExceededError, SearchExhaustedError, ValidationError
 from cylcert.pipeline import certify_problem
-from cylcert.poly import BlockShape, BlockedPoly
+from cylcert.poly import BlockShape, BlockedPoly, SosDecomposition, expand_identity
 from cylcert.problem import problem_from_obj
 from cylcert.putinar_base import (
     ModuleWitness,
@@ -26,8 +26,6 @@ from cylcert.serialize import load_json
 from cylcert.sos import (
     GRAM_BASIS_CAP,
     Exponent,
-    SosDecomposition,
-    expand_identity,
     module_witness,
     monomials,
 )

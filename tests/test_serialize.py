@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,14 +42,25 @@ def test_fraction_rejects_garbage():
         frac_from_str([1, 2])
 
 
+# a decimal exponent as Fraction reads it, at the end of the text
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _regex_frac_from_str(text):
-    """The parser before its canonical fast path, as the reference."""
+    """The parser before its canonical fast path, as the reference.
+
+    A decimal exponent above 4300 in magnitude is refused before
+    ``Fraction`` would form its power of ten.
+    """
     if isinstance(text, bool):
         raise SchemaError(f"expected a rational, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {type(text).__name__}")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > 4300:
+        raise SchemaError(f"bad rational {text!r}: exponent too large")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -76,6 +88,14 @@ _near_miss = st.text("0123456789-+/_. eE\t\n²٣", max_size=12)
 @example(" -3/4\n")
 @example("9" * 5000)
 @example("1/" + "9" * 5000)
+@example("1e4300")
+@example("-1E-4300")
+@example("1e4301")
+@example("1e-4301")
+@example("2.5e+0004301")
+@example("1e10000000")
+@example("1e1_000_000")
+@example("1e٤٣٠١")
 def test_frac_from_str_agrees_with_the_regex_parser(text):
     try:
         expected = _regex_frac_from_str(text)
