@@ -44,9 +44,18 @@ Refinement doubles the resolution of whichever factor currently
 contributes the largest error term, and the running lower bound is the
 max over passes, hence monotone in depth; a scan that has not succeeded
 after ``DEPTH_CAP`` refinements stops with
-:class:`ResolutionExhaustedError`.  Before it builds its arrays, a pass
-estimates their bytes and stops with :class:`BudgetExhaustedError` above
-``MEMORY_BUDGET``, as it does above ``PAIR_BUDGET`` pairs.
+:class:`ResolutionExhaustedError`.
+
+A pass works through the grid in blocks of rows sized to about
+``BLOCK_VALUES`` float64 values: float coordinates, power tables and
+value chunks exist for one block at a time.  The only arrays that span a
+pass are per-row vectors (the integer lattice, the kept-row indices, the
+"in S" mask, the row bounds and ``amat``, one float per sphere
+signature) and the cover-sized arrays (cover coordinates, their power
+tables and ``bmat``).  Before it builds them, a pass estimates their
+bytes (``_Scan._float_bytes``) and stops with
+:class:`BudgetExhaustedError` above ``MEMORY_BUDGET``, as it does above
+``PAIR_BUDGET`` pairs.
 
 The sup and Lipschitz constants have one closed form (``_closed_form``),
 which :func:`bounds_for_target` and :func:`x_lipschitz_constant` both
@@ -214,6 +223,27 @@ def _reduce_block(target: BlockedPoly, slots: tuple[int, ...]) -> tuple[BlockedP
 # float evaluation helpers
 # ---------------------------------------------------------------------------
 
+# Rows of one block are sized so that the block's row-length arrays hold
+# about this many float64 values (512 KiB): power tables and work arrays of
+# _float_eval, and the value chunk of _value_rows.
+BLOCK_VALUES = 1 << 16
+
+
+def _row_width(exps: Sequence[tuple[int, ...]], cols: int) -> int:
+    """Float64 values per row that :func:`_float_eval` holds for terms with
+    exponents ``exps`` in ``cols`` coordinates: the power tables of every
+    column up to its largest exponent, and one work array."""
+    return 1 + sum(max((exp[j] for exp in exps), default=0) + 1 for j in range(cols))
+
+
+def _blocks(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)``, each of ``BLOCK_VALUES //
+    width`` rows (at least one), for ``width`` values per row."""
+    step = max(1, BLOCK_VALUES // max(width, 1))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
 def _power_tables(points: np.ndarray, exps: Sequence[tuple[int, ...]]) -> list[list[np.ndarray]]:
     """``tables[j][e] = points[:, j] ** e`` by repeated products, up to
     column j's largest exponent in ``exps``."""
@@ -229,22 +259,30 @@ def _power_tables(points: np.ndarray, exps: Sequence[tuple[int, ...]]) -> list[l
 def _times_monomial(
     v: np.ndarray, tables: list[list[np.ndarray]], exp: tuple[int, ...]
 ) -> np.ndarray:
-    """``v`` times the monomial ``exp`` read off :func:`_power_tables`."""
+    """``v`` times the monomial ``exp`` read off :func:`_power_tables`, in place."""
     for j, e in enumerate(exp):
         if e:
-            v = v * tables[j][e]
+            v *= tables[j][e]
     return v
 
 
 def _float_eval(
     points: np.ndarray, terms: Sequence[tuple[tuple[int, ...], Fraction]]
 ) -> np.ndarray:
-    """Evaluate sum c * prod points[:,j]^e_j with power tables per column."""
-    count = points.shape[0]
-    tables = _power_tables(points, [exp for exp, _c in terms])
-    acc = np.zeros(count)
-    for exp, coeff in terms:
-        acc += _times_monomial(np.full(count, float(coeff)), tables, exp)
+    """Evaluate sum c * prod points[:,j]^e_j with power tables per column.
+
+    The tables are built for one block of rows at a time (:func:`_blocks`);
+    every value is the same chain of products and sums in term order
+    whatever the block, so blocking changes no bit.
+    """
+    exps = [exp for exp, _c in terms]
+    coeffs = [float(c) for _e, c in terms]
+    acc = np.zeros(points.shape[0])
+    for blk in _blocks(points.shape[0], _row_width(exps, points.shape[1])):
+        tables = _power_tables(points[blk], exps)
+        part = acc[blk]
+        for exp, coeff in zip(exps, coeffs):
+            part += _times_monomial(np.full(part.shape[0], coeff), tables, exp)
     return acc
 
 
@@ -278,28 +316,26 @@ def _terms_on_slots(p: BlockedPoly, slots: Sequence[int]) -> list[tuple[tuple[in
     return out
 
 
-_CHUNK_VALUES = 4_000_000  # float values per chunk of _value_rows
-
-
 def _value_rows(
     amat: np.ndarray, bmat: np.ndarray, rows: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Float64 values ``sum_k amat[i, k] * bmat[k, :]`` for the given rows.
 
-    Rows are taken in the given order, in chunks of about ``_CHUNK_VALUES``
-    values, each yielded with its row indices.  Products and sums are
-    rounded one at a time in signature order, so a value does not depend
-    on which other rows are evaluated with it, and :func:`_row_bounds`
-    stays below it.
+    Rows are taken in the given order, in chunks of about ``BLOCK_VALUES``
+    values, each yielded with its row indices.  Each signature's products
+    go into one reused buffer.  Products and sums are rounded one at a
+    time in signature order, so a value does not depend on which other
+    rows are evaluated with it, and :func:`_row_bounds` stays below it.
     """
     n_u = bmat.shape[1]
-    chunk = max(1, _CHUNK_VALUES // n_u)
-    for lo in range(0, len(rows), chunk):
-        sel = rows[lo : lo + chunk]
+    product = np.empty((min(len(rows), max(1, BLOCK_VALUES // n_u)), n_u))
+    for blk in _blocks(len(rows), n_u):
+        sel = rows[blk]
         a = amat[sel]
-        block = np.zeros((len(sel), n_u))
+        block, prod = np.zeros((len(sel), n_u)), product[: len(sel)]
         for k in range(bmat.shape[0]):
-            block += a[:, k, None] * bmat[None, k, :]
+            np.multiply(a[:, k, None], bmat[None, k, :], out=prod)
+            block += prod
         yield sel, block
 
 
@@ -311,13 +347,16 @@ def _row_bounds(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     products in the same order as the values.  Round-to-nearest multiply
     and add are monotone in each argument, so every rounded step stays at
     or below the matching step of every value in the row, with no slack.
-    A NaN anywhere gives a NaN bound, which no comparison prunes.
+    A NaN anywhere gives a NaN bound, which no comparison prunes.  Rows
+    are bounded one block at a time.
     """
     low, high = bmat.min(axis=1), bmat.max(axis=1)
     bound = np.zeros(amat.shape[0])
-    for k in range(bmat.shape[0]):
-        a = amat[:, k]
-        bound += a * np.where(a >= 0, low[k], high[k])
+    for blk in _blocks(amat.shape[0], amat.shape[1] + 2):
+        part = bound[blk]
+        for k in range(bmat.shape[0]):
+            a = amat[blk, k]
+            part += a * np.where(a >= 0, low[k], high[k])
     return bound
 
 
@@ -371,7 +410,7 @@ S_TIMES_SPHERE = "S_TIMES_SPHERE"
 # of at most EXACT_PAIRS grid x cover pairs has an exact result.  A pass
 # returns at most WITNESS_CAP witness-valued samples.  PAIR_BUDGET caps the
 # pairs of one pass and DEPTH_CAP the refinements of one scan;
-# MEMORY_BUDGET caps the bytes of a pass's float64 arrays, and
+# MEMORY_BUDGET caps the estimated bytes of a pass's arrays, and
 # GRID_POINT_CAP and COVER_POINT_CAP cap the simplex lattice and each
 # recursive sphere cover whatever the pair budget.
 START_RESOLUTION = 8
@@ -482,9 +521,10 @@ class _Scan:
         ]
         self.g_slack = [_float_slack(g) for g in constraints]
 
-        # power-table sizes of the float evaluations (see _float_bytes)
+        # values per grid row of a block (coordinates, x power tables and a
+        # work array; see _blocks), and the cover power tables (see _float_bytes)
         x_terms = [*reduced.terms, *(e for g in constraints for e in g.terms)]
-        self.x_powers = sum(max(e[j] for e in x_terms) + 1 for j in range(n))
+        self.x_width = n + _row_width(x_terms, n)
         self.u_powers = sum(max(s[j] for s in self.sigs) + 1 for j in range(len(self.kept_all)))
 
         # work counts over all passes: grid x cover pairs, and those whose
@@ -612,20 +652,24 @@ class _Scan:
         ]
 
     def _float_bytes(self, rows: int, n_u: int) -> int:
-        """An estimate of the bytes of the float64 arrays a pass builds.
+        """An estimate of the bytes of the arrays a pass builds.
 
-        Counts, for ``rows`` grid points: the lattice, its float copy and
-        the rows kept from it, the per-column power tables of
-        :func:`_float_eval` (up to the largest x-exponent of the target
-        and the constraints) with its two work arrays, and ``amat``;
-        for ``n_u`` cover combinations: their coordinates with a copy,
-        their power tables and ``bmat``; and one value chunk of
-        :func:`_value_rows` with its temporary.
+        Counts, for ``rows`` grid points, the arrays that span the pass:
+        the int64 lattice, the kept-row indices (twice while their blocks
+        are joined), the "in S" mask, ``amat``, the row bounds and the
+        index and bound arrays that select rows by bound; for ``n_u``
+        cover combinations: their coordinates with a copy, their power
+        tables, ``bmat`` and one work row; and for one block of rows:
+        ``BLOCK_VALUES`` values of power tables and work arrays, and the
+        value chunk of :func:`_value_rows` with its product buffer and the
+        masks and copies the pass takes of it.  The Python objects of a
+        first-time :func:`projected_sphere_cover` and of exact samples are
+        left out.
         """
-        per_row = 3 * self.n + self.x_powers + 2 + len(self.sigs)
-        per_u = 2 * len(self.kept_all) + self.u_powers + len(self.sigs)
-        chunk = min(rows * n_u, max(n_u, _CHUNK_VALUES))
-        return 8 * (rows * per_row + n_u * per_u + 2 * chunk)
+        per_row = self.n + len(self.sigs) + 4
+        per_u = 2 * len(self.kept_all) + self.u_powers + len(self.sigs) + 1
+        chunk = min(rows * n_u, max(n_u, BLOCK_VALUES))
+        return 8 * (rows * per_row + n_u * per_u + 4 * chunk + 2 * BLOCK_VALUES)
 
     def _rows_in_s(self, grid: SimplexGrid) -> tuple[np.ndarray, np.ndarray]:
         """The grid rows the constraint screen keeps, and which of them lie in S.
@@ -635,21 +679,28 @@ class _Scan:
         cells cover S.  float64 decides whether a kept row lies in S when
         every g_i is at least its slack (in S) or some g_i lies below
         minus its slack (not in S); only the other rows are checked in
-        exact arithmetic, so the mask is exact.
+        exact arithmetic, so the mask is exact.  The grid is screened one
+        block of rows at a time.
         """
-        xf = grid.as_floats()
-        keep = np.ones(len(grid), dtype=bool)
-        sure = np.ones(len(grid), dtype=bool)
-        out = np.zeros(len(grid), dtype=bool)
-        for terms, lip, slack in zip(self.g_terms, self.g_lip, self.g_slack):
-            vals = _float_eval(xf, terms)
-            bar = _ceil_float(slack)
-            keep &= vals >= -_ceil_float(lip * grid.radius + slack)
-            sure &= vals >= bar
-            out |= vals < -bar
-        rows = np.flatnonzero(keep)
-        in_s = sure[rows]
-        for pos in np.flatnonzero(~in_s & ~out[rows]):
+        screens = [
+            (terms, -_ceil_float(lip * grid.radius + slack), _ceil_float(slack))
+            for terms, lip, slack in zip(self.g_terms, self.g_lip, self.g_slack)
+        ]
+        parts = []
+        for blk in _blocks(len(grid), self.x_width):
+            xf = grid.floats(blk)
+            keep = np.ones(len(xf), dtype=bool)
+            sure = np.ones(len(xf), dtype=bool)
+            out = np.zeros(len(xf), dtype=bool)
+            for terms, floor, bar in screens:
+                vals = _float_eval(xf, terms)
+                keep &= vals >= floor
+                sure &= vals >= bar
+                out |= vals < -bar
+            idx = np.flatnonzero(keep)
+            parts.append((idx + blk.start, sure[idx], out[idx]))
+        rows, in_s, out = (np.concatenate(part) for part in zip(*parts))
+        for pos in np.flatnonzero(~in_s & ~out):
             in_s[pos] = self._in_feasible_set(grid.point(int(rows[pos])))
         return rows, in_s
 
@@ -697,7 +748,7 @@ class _Scan:
         exact = rows.size * n_u <= EXACT_PAIRS
         margin = self._near if exact else float
 
-        amat, bmat = self._factors(grid.as_floats()[rows], covers)
+        amat, bmat = self._factors(grid, rows, covers)
         bound = _row_bounds(amat, bmat)
 
         def reach(among: np.ndarray) -> float:
@@ -777,29 +828,32 @@ class _Scan:
         """Float value bound of every pair whose exact value is the exact minimum behind fmin."""
         return _ceil_float(Fraction(fmin) + 2 * self.slack)
 
-    def _factors(self, xf: np.ndarray, covers) -> tuple[np.ndarray, np.ndarray]:
+    def _factors(
+        self, grid: SimplexGrid, rows: np.ndarray, covers: Sequence[ProjectedCover]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The two float64 factors of the reduced target's value block.
 
-        ``amat[i, k]`` is signature k's x-coefficient at grid row i and
-        ``bmat[k, j]`` its sphere monomial at cover combination j, so the
-        value at (i, j) is the sum over k of their products (see
-        :func:`_value_rows`).  Columns enumerate the product of the covers'
-        projected points with the first cover outermost (see
-        :meth:`_reps_at`).
+        ``amat[i, k]`` is signature k's x-coefficient at grid row
+        ``rows[i]`` and ``bmat[k, j]`` its sphere monomial at cover
+        combination j, so the value at (i, j) is the sum over k of their
+        products (see :func:`_value_rows`).  Columns enumerate the product
+        of the covers' projected points with the first cover outermost
+        (see :meth:`_reps_at`).  ``amat`` is filled one block of rows at a
+        time, from float coordinates formed per block.
         """
         ucoords = _cover_product(covers)
-        n_u = ucoords.shape[0]
-
-        # per-signature u-monomials
-        n_sig = len(self.sigs)
-        bmat = np.empty((n_sig, n_u))
         tables = _power_tables(ucoords, self.sigs)
+        bmat = np.ones((len(self.sigs), ucoords.shape[0]))
         for k, sig in enumerate(self.sigs):
-            bmat[k] = _times_monomial(np.ones(n_u), tables, sig)
+            _times_monomial(bmat[k], tables, sig)
+        # the cover arrays are no longer needed while amat is built
+        del ucoords, tables
 
-        amat = np.empty((xf.shape[0], n_sig))
-        for k, coeffs in enumerate(self.sig_coeffs):
-            amat[:, k] = _float_eval(xf, coeffs)
+        amat = np.empty((len(rows), len(self.sigs)))
+        for blk in _blocks(len(rows), self.x_width):
+            xf = grid.floats(rows[blk])
+            for k, coeffs in enumerate(self.sig_coeffs):
+                amat[blk, k] = _float_eval(xf, coeffs)
         return amat, bmat
 
     @staticmethod

@@ -13,10 +13,11 @@ Exit codes: 0 success, 10 validation, 11 indefinite side condition,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .certificate import (
     BoundInputs,
@@ -43,8 +44,10 @@ from .errors import (
 )
 from .problem import BOX, CylinderProblem, problem_from_obj, problem_to_obj, rescale_to_simplex
 from .serialize import (
+    DIGIT_CAP,
     atomic_write_text,
     canonical_dumps,
+    digits_over_cap,
     frac_from_str,
     frac_to_str,
     load_json,
@@ -139,7 +142,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return _fail(exc)
 
     cert = result.certificate
-    atomic_write_text(args.output, canonical_dumps(certificate_to_obj(cert)))
+    text = canonical_dumps(certificate_to_obj(cert))
+    if digits_over_cap(text):
+        # verify would refuse to read it
+        return _fail(CapExceededError(
+            f"a certificate rational would have more than {DIGIT_CAP} digits",
+            cap=DIGIT_CAP,
+        ))
+    atomic_write_text(args.output, text)
     if result.base_cache:
         atomic_write_text(
             cache_path, canonical_dumps(base_cache_to_obj(key, result.base_cache))
@@ -272,11 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _any_digit_count() -> Iterator[None]:
+    """Lift CPython's int-to-str digit limit (3.10.7 and later) for the block.
+
+    Bounds, certificate coefficients and verification residuals are exact
+    rationals whose digit counts can exceed it; files are still read under
+    ``serialize.DIGIT_CAP``, and the caller gets its own limit back.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
-    # The bound formulas yield exact rationals whose digit counts exceed
-    # CPython's default int-to-str conversion limit.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     # argparse exits 2 on usage errors; every failure of this tool exits
     # with a code of 10 or more, so remap those to the validation code.
     try:
@@ -284,7 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_EXACT if not exc.code else EXIT_VALIDATION
     try:
-        return args.func(args)
+        with _any_digit_count():
+            return args.func(args)
     except OSError as exc:
         print(f"error[IO]: {exc}")
         _emit({"error": "IO", "message": str(exc)})

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -69,21 +69,34 @@ def sqrt_upper(value: Fraction | int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _lattice_rows(n: int, total: int) -> np.ndarray:
-    """All nonnegative integer n-vectors with coordinate sum <= total."""
-    if n == 1:
-        return np.arange(total + 1, dtype=np.int64).reshape(-1, 1)
-    blocks = []
-    for first in range(total + 1):
-        rest = _lattice_rows(n - 1, total - first)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+    """All nonnegative integer n-vectors with coordinate sum <= total, in
+    lexicographic order, written in place into one array."""
+    out = np.empty((comb(total + n, n), n), dtype=np.int64)
+
+    def fill(lo: int, col: int, left: int) -> int:
+        """Write the rows of columns col.. with sum <= left from row lo; return their count."""
+        if col == n - 1:
+            out[lo : lo + left + 1, col] = np.arange(left + 1)
+            return left + 1
+        pos = lo
+        for first in range(left + 1):
+            count = fill(pos, col + 1, left - first)
+            out[pos : pos + count, col] = first
+            pos += count
+        return pos - lo
+
+    fill(0, 0, total)
+    return out
 
 
 class SimplexGrid:
-    """The points (a_1/K, ..., a_n/K), a_i >= 0, sum a_i <= K."""
+    """The points (a_1/K, ..., a_n/K), a_i >= 0, sum a_i <= K.
 
-    __slots__ = ("n", "resolution", "lattice", "radius", "_floats")
+    Only the integer lattice is stored; float64 coordinates are formed
+    on request for the rows a caller asks for (:meth:`floats`).
+    """
+
+    __slots__ = ("n", "resolution", "lattice", "radius")
 
     def __init__(self, n: int, resolution: int):
         if n < 1 or resolution < 1:
@@ -92,15 +105,14 @@ class SimplexGrid:
         self.resolution = resolution
         self.lattice = _lattice_rows(n, resolution)
         self.radius = sqrt_upper(n) / resolution
-        self._floats: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.lattice.shape[0]
 
-    def as_floats(self) -> np.ndarray:
-        if self._floats is None:
-            self._floats = self.lattice.astype(np.float64) / self.resolution
-        return self._floats
+    def floats(self, index: slice | np.ndarray) -> np.ndarray:
+        """Float64 coordinates of the rows ``lattice[index]``, each a_i / K
+        correctly rounded."""
+        return self.lattice[index] / self.resolution
 
     def point(self, index: int) -> tuple[Fraction, ...]:
         row = self.lattice[index]

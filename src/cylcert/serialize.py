@@ -31,10 +31,17 @@ from typing import Any
 from .errors import SchemaError
 from .poly import BlockShape, BlockedPoly
 
-# Largest decimal exponent, in magnitude, that a rational may carry: the
-# 4,300-digit limit CPython puts on reading an integer, so ``1e4300``
-# costs no more than reading the longest integer the parser accepts.
-EXPONENT_CAP = 4300
+# Most decimal digits a numerator, denominator or JSON integer may have
+# when a file is read.  ``int()`` takes time quadratic in the digit count,
+# so a longer one is refused before any conversion.  The cap is checked
+# here, not left to CPython's int-to-str limit (the same 4,300 digits by
+# default), which the command line lifts while it formats exact results
+# and which CPython before 3.10.7 does not have.
+DIGIT_CAP = 4300
+
+# Largest decimal exponent, in magnitude, that a rational may carry, so
+# ``1e4300`` costs no more than reading the longest integer accepted.
+EXPONENT_CAP = DIGIT_CAP
 
 # ---------------------------------------------------------------------------
 # scalars
@@ -65,6 +72,20 @@ def _check_exponent(text: str) -> None:
         )
 
 
+def _too_many_digits(text: str) -> bool:
+    """Whether a rational string longer than :data:`DIGIT_CAP` has more
+    than that many digits on one side of its slash (a decimal's integer
+    and fraction digits make one integer)."""
+    return any(sum(map(str.isdigit, part)) > DIGIT_CAP for part in text.split("/", 1))
+
+
+def digits_over_cap(json_text: str) -> bool:
+    """Whether a string in ``json_text`` is a rational that
+    :func:`frac_from_str` refuses for its digit count."""
+    strings = json_text.split('"')
+    return any(_too_many_digits(s) for s in strings if len(s) > DIGIT_CAP)
+
+
 def frac_from_str(text: Any) -> Fraction:
     """Parse a rational from ``"p/q"``, an integer string, or an int."""
     if isinstance(text, bool):
@@ -73,6 +94,8 @@ def frac_from_str(text: Any) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {type(text).__name__}")
+    if len(text) > DIGIT_CAP and _too_many_digits(text):
+        raise SchemaError(f"bad rational {text[:40]!r}...: more than {DIGIT_CAP} digits")
     try:
         # the canonical form, ASCII -?[0-9]+(/[0-9]+)?, skips Fraction's regex
         num, slash, den = text.removeprefix("-").partition("/")
@@ -210,13 +233,21 @@ def sha256_of_obj(obj: Any) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
 
 
+def _parse_int(literal: str) -> int:
+    """A JSON integer literal of at most :data:`DIGIT_CAP` digits."""
+    if len(literal) > DIGIT_CAP and len(literal.lstrip("-")) > DIGIT_CAP:
+        raise ValueError(f"an integer of more than {DIGIT_CAP} digits")
+    return int(literal)
+
+
 def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal over DIGIT_CAP digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -1,8 +1,12 @@
 """Certified minimization: closed-form constants, bounds, witnesses."""
 import itertools
+import json
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,13 +35,15 @@ from cylcert.errors import (
     ValidationError,
 )
 from cylcert.poly import BlockShape, BlockedPoly, coeff_abs_sum, homogenize_block, weighted_norm
+from cylcert.pipeline import certify_problem
 from cylcert.problem import (
     SIMPLEX,
     CylinderProblem,
     SphereBlock,
     Variant,
+    problem_from_obj,
 )
-from helpers import sphere_constants
+from helpers import largest_family_member, sphere_constants
 
 
 # --- shared fixtures -------------------------------------------------------
@@ -756,7 +762,7 @@ def test_scan_passes_bound_every_variant_from_below_on_s(variant, data):
 def _dense_float_pass(scan, grid, rows, covers, in_s):
     """The reference: the large pass reducing every grid x cover pair, given the "in S" mask."""
     cut = _ceil_float(scan.witness_threshold + scan.slack)
-    amat, bmat = scan._factors(grid.as_floats()[rows], covers)
+    amat, bmat = scan._factors(grid, rows, covers)
     n_u = bmat.shape[1]
     best_val = math.inf
     best_idx = (0, 0)
@@ -979,8 +985,9 @@ def test_only_rows_float64_cannot_place_are_checked_exactly(monkeypatch):
     assert checked == [(F(1, 4),), (F(1, 2),)]
 
 
-def test_row_bounds_stay_below_every_value_bit_for_bit():
+def test_row_bounds_stay_below_every_value_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(3)
+    default = certified.BLOCK_VALUES
     for _ in range(40):
         rows, sigs, cols = (int(v) for v in rng.integers(1, 40, 3))
         # magnitudes over 16 decades, with zeros and negative zeros, so
@@ -989,6 +996,152 @@ def test_row_bounds_stay_below_every_value_bit_for_bit():
         bmat = rng.standard_normal((sigs, cols)) * 10.0 ** rng.integers(-8, 9, (sigs, cols))
         amat[rng.random(amat.shape) < 0.2] = 0.0
         bmat[rng.random(bmat.shape) < 0.2] = -0.0
-        bound = _row_bounds(amat, bmat)
-        for sel, block in _value_rows(amat, bmat, np.arange(rows)):
-            assert (bound[sel, None] <= block).all()
+        results = set()
+        # chunks of 1 and 3 rows, and the default size (one chunk here)
+        for chunk_rows in (1, 3, default // cols):
+            monkeypatch.setattr(certified, "BLOCK_VALUES", chunk_rows * cols)
+            bound = _row_bounds(amat, bmat)
+            chunks = []
+            for sel, block in _value_rows(amat, bmat, np.arange(rows)):
+                assert len(sel) == min(chunk_rows, rows - len(chunks) * chunk_rows)
+                assert (bound[sel, None] <= block).all()
+                chunks.append(block)
+            results.add((bound.tobytes(), np.concatenate(chunks).tobytes()))
+        assert len(results) == 1
+
+
+def _whole_array_float_eval(points, terms):
+    """The reference: one power table per column over every row at once."""
+    count = points.shape[0]
+    tables = []
+    for j in range(points.shape[1]):
+        col = [np.ones(count)]
+        for _ in range(max((exp[j] for exp, _c in terms), default=0)):
+            col.append(col[-1] * points[:, j])
+        tables.append(col)
+    acc = np.zeros(count)
+    for exp, coeff in terms:
+        v = np.full(count, float(coeff))
+        for j, e in enumerate(exp):
+            if e:
+                v = v * tables[j][e]
+        acc += v
+    return acc
+
+
+_float_entries = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-8, 8)),
+)
+
+
+@st.composite
+def _eval_cases(draw):
+    rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    points = np.array(
+        draw(st.lists(_float_entries, min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    coeff = st.builds(
+        lambda m, e: F(m) * F(10) ** e, st.integers(-9, 9), st.integers(-8, 8)
+    )
+    exps = st.tuples(*[st.integers(0, 6)] * cols)
+    terms = draw(st.lists(st.tuples(exps, coeff), max_size=6, unique_by=lambda t: t[0]))
+    return points, terms
+
+
+@settings(max_examples=60)
+@given(case=_eval_cases())
+def test_float_eval_blocks_match_the_whole_array_evaluation_bit_for_bit(case):
+    points, terms = case
+    expected = _whole_array_float_eval(points, terms).tobytes()
+    width = certified._row_width([e for e, _c in terms], points.shape[1])
+    for block_rows in (1, 7, len(points) + 1):
+        sizes = []
+        tables = certified._power_tables
+
+        def spy(block, exps):
+            sizes.append(len(block))
+            return tables(block, exps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certified, "BLOCK_VALUES", block_rows * width)
+            mp.setattr(certified, "_power_tables", spy)
+            got = certified._float_eval(points, terms)
+        assert got.tobytes() == expected
+        assert sizes == [min(block_rows, len(points) - lo) for lo in range(0, len(points), block_rows)]
+
+
+# --- memory: a pass's arrays scale with a block, not with the grid -----------
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
+
+
+def _problem(name):
+    if name == "polya2-K56":
+        return problem_from_obj(largest_family_member())
+    return problem_from_obj(json.loads(next(SAMPLES.glob(f"{name}_*.json")).read_text()))
+
+
+def _clear_caches():
+    """Empty every ``functools`` cache of cylcert, as a fresh process would."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cylcert"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def recorded_passes():
+    """Every pass of certifying c5, c6 and polya2-K56, as (scan, res_x, res_b)."""
+    passes = {}
+    scan_pass = _Scan._pass
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("c5", "c6", "polya2-K56"):
+            seen = passes.setdefault(name, [])
+
+            def recording(scan, res_x, res_b, seen=seen):
+                seen.append((scan, res_x, list(res_b)))
+                return scan_pass(scan, res_x, res_b)
+
+            mp.setattr(_Scan, "_pass", recording)
+            certify_problem(_problem(name), seed=7)
+    return passes
+
+
+def _estimate(scan, res_x, res_b):
+    grid_size = math.comb(res_x + scan.n, scan.n)
+    n_u = math.prod(len(c) for c in scan._covers(grid_size, res_b))
+    return scan._float_bytes(grid_size, n_u)
+
+
+def test_pass_memory_stays_within_its_estimate(recorded_passes):
+    # the estimate leaves out the Python objects of a first-time sphere
+    # cover, so _estimate builds the covers before tracing starts
+    largest = [max(p, key=lambda r: _estimate(*r)) for p in recorded_passes.values()]
+    smallest = min(recorded_passes["c5"], key=lambda r: _estimate(*r))
+    for scan, res_x, res_b in [*largest, smallest]:
+        estimate = _estimate(scan, res_x, res_b)
+        tracemalloc.start()
+        try:
+            scan._pass(res_x, res_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate, (res_x, res_b, peak, estimate)
+    assert [r[1:] for r in largest] == [(16, [64]), (128, [256, 256]), (1024, [8])]
+    assert smallest[1:] == (1, [8])
+
+
+@pytest.mark.parametrize("name, limit_mb", [("c6", 16), ("polya2-K56", 27)])
+def test_certify_peak_memory(name, limit_mb):
+    # whole-pass float arrays gave traced peaks of 52.1 and 53.9 MB
+    problem = _problem(name)
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        certify_problem(problem, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 2**20

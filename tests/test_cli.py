@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -539,6 +540,7 @@ def test_bound_subcommand(capsys):
 def test_bound_survives_astronomical_values(capsys):
     # Tower formulas blow past both the float range and CPython's default
     # int-to-str digit limit; the exact value must still print.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     assert cli.main(
         ["bound", "--theorem", "1.4", "--c", "1", "--d", "2", "--m", "2",
          "--r", "3", "--n", "2", "--fnorm", "1", "--fstar", "1/2"]
@@ -546,6 +548,10 @@ def test_bound_survives_astronomical_values(capsys):
     out = capsys.readouterr().out
     assert "degree bound (1.4):" in out
     assert "~ 10^" in out
+    # every digit is printed, and the limit is back for the caller
+    digits = out.split("degree bound (1.4): ")[1].split()[0].split("/")
+    assert len(digits[0]) > 4300 and all(part.isdigit() for part in digits)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_bound_beyond_exact_reach_is_a_validation_error(capsys):
@@ -655,3 +661,48 @@ def test_search_caps_are_not_options(problem_file, tmp_path, capsys, command, fl
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert not out.exists()
     assert flag in capsys.readouterr().err
+
+
+def _box_problem(n, f_terms):
+    """A box-frame r1_any_m problem with one constraint 1/4 - x_i^2 per coordinate."""
+    def term(c, x, y):
+        return {"c": c, "x": x, "y1": [y]}
+
+    g = [
+        [term("1/4", [0] * n, 0), term("-1", [2 if j == i else 0 for j in range(n)], 0)]
+        for i in range(n)
+    ]
+    return {
+        "archimedean_attested": True, "frame": "box", "m": 2, "n": n, "r": 1,
+        "variant": "r1_any_m", "f": [term(*t) for t in f_terms], "g": g,
+    }
+
+
+BOX_INPUTS = {
+    # f = 1 + y^2 + x1 y^2 / 2 + x1^2 + x2^2 / 2
+    "box2": _box_problem(2, [
+        ("1", [0, 0], 0), ("1", [0, 0], 2), ("1/2", [1, 0], 2), ("1", [2, 0], 0),
+        ("1/2", [0, 2], 0),
+    ]),
+    # the same with x2 x3 / 2 in place of x2^2 / 2
+    "box3": _box_problem(3, [
+        ("1", [0, 0, 0], 0), ("1", [0, 0, 0], 2), ("1/2", [1, 0, 0], 2), ("1", [2, 0, 0], 0),
+        ("1/2", [0, 1, 1], 0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name, payload", [
+    # before the scan's arrays were blocked, both stopped earlier, at the
+    # memory budget: box2 at resolutions 2048 x 2048, box3 at 256 x 128
+    ("box2", {"budget": 250_000_000, "rows": 290_521, "sphere_points": 2049}),
+    ("box3", {"budget": 16_777_216, "rows": 22_632_705}),
+])
+def test_box_inputs_stop_at_a_scan_budget(tmp_path, capsys, name, payload):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(BOX_INPUTS[name]))
+    code = cli.main(["certify", "--input", str(path), "--output", str(tmp_path / "c.json")])
+    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (code, summary["error"], summary["payload"]) == (
+        cli.EXIT_EXHAUSTED, "BUDGET_EXHAUSTED", payload
+    )

@@ -155,6 +155,18 @@ def test_simplex_grid_counts(n, resolution, count):
     assert len(grid) == count == math.comb(resolution + n, n)
 
 
+@pytest.mark.parametrize("n,resolution", [(1, 4), (2, 5), (3, 4), (4, 3)])
+def test_simplex_grid_rows_are_in_lexicographic_order(n, resolution):
+    # the rows the scan indexes by: every vector with sum <= K, first
+    # coordinate outermost, as the stacked construction gave them
+    expected = [
+        list(e) for e in itertools.product(range(resolution + 1), repeat=n) if sum(e) <= resolution
+    ]
+    grid = SimplexGrid(n, resolution)
+    assert grid.lattice.dtype == np.int64
+    assert grid.lattice.tolist() == expected
+
+
 def test_simplex_grid_points_are_exact_and_in_the_simplex():
     grid = SimplexGrid(3, 5)
     seen = set()
@@ -184,7 +196,7 @@ def test_simplex_grid_covering_radius_empirically():
 
 def test_simplex_grid_floats_match_exact_points():
     grid = SimplexGrid(2, 6)
-    xf = grid.as_floats()
+    xf = grid.floats(slice(None))
     for i in range(len(grid)):
         exact = grid.point(i)
         assert tuple(xf[i]) == tuple(float(v) for v in exact)

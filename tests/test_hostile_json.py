@@ -267,3 +267,63 @@ def test_a_boolean_size_is_a_schema_error(tmp_path, capsys, field):
     code, summary, _ = _certify_summary(tmp_path, path, capsys)
     assert code == cli.EXIT_IO
     assert summary["error"] == "SCHEMA"
+
+
+def test_a_rational_past_the_digit_limit_is_refused_at_once(documents, tmp_path, capsys):
+    # CPython's int() is quadratic in the digit count; its default limit of
+    # 4,300 digits stays in force while files are read, so a 200,000-digit
+    # coefficient or weight is refused before any conversion
+    problem_obj, cert_obj = documents
+    digits = "9" * 200_000
+    hostile_problem = _mutate(problem_obj, [(("f", 0, "c"), digits)])
+    hostile_cert = _mutate(cert_obj, [(("sigmas", 0, "weights", 0), digits)])
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(hostile_problem))
+    literal_path = tmp_path / "literal.json"
+    literal_path.write_text(json.dumps(problem_obj).replace('"n": 1', '"n": ' + digits, 1))
+    for path in (problem_path, literal_path):
+        code, summary, seconds = _certify_summary(tmp_path, path, capsys)
+        assert (code, summary["error"]) == (cli.EXIT_IO, "SCHEMA")
+        assert seconds <= 1
+    for problem, cert in ((hostile_problem, cert_obj), (problem_obj, hostile_cert)):
+        started = time.monotonic()
+        assert _verify_exit(tmp_path, problem, cert, capsys) == cli.EXIT_IO
+        assert time.monotonic() - started <= 1
+
+
+def test_a_4301_digit_denominator_ends_in_a_documented_exit(documents, tmp_path, capsys):
+    # "1e-4300" passes the exponent cap, and its denominator has 4,301
+    # digits: hashing the problem formats it past CPython's default
+    # int-to-str limit, and the certificate would carry it past what
+    # verify reads, so certify stops at the cap and writes nothing
+    problem_obj, cert_obj = documents
+    tiny = copy.deepcopy(problem_obj)
+    tiny["f"].append({"c": "1e-4300", "x": [1], "y1": [2]})
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny))
+    code, summary, seconds = _certify_summary(tmp_path, path, capsys)
+    assert (code, summary["error"], summary["payload"]) == (
+        cli.EXIT_CAP, "CAP_EXCEEDED", {"cap": 4300}
+    )
+    assert seconds <= 30
+    # the old certificate was issued for the problem without the term
+    assert _verify_exit(tmp_path, tiny, cert_obj, capsys) == cli.EXIT_VERIFY
+
+
+def test_a_residual_past_the_int_to_str_limit_is_reported(documents, tmp_path, capsys):
+    # 4,000-digit weights and coefficients are read; the residual they
+    # leave has about 12,000 digits and is reported in full
+    problem_obj, cert_obj = documents
+    big = "9" * 4000
+    hostile = _mutate(cert_obj, [
+        (("sigmas", 0, "weights", 0), big), (("sigmas", 0, "squares", 0, 0, "c"), big),
+    ])
+    problem_path = tmp_path / "problem.json"
+    cert_path = tmp_path / "cert.json"
+    problem_path.write_text(json.dumps(problem_obj))
+    cert_path.write_text(json.dumps(hostile))
+    code = cli.main(["verify", "--problem", str(problem_path), "--certificate", str(cert_path)])
+    payload = json.loads(capsys.readouterr().err.splitlines()[-1])["payload"]
+    assert (code, payload["kind"]) == (cli.EXIT_VERIFY, "IDENTITY_FAIL")
+    numerator = payload["residual"].partition("/")[0]
+    assert len(numerator) > 11_000 and numerator.isdigit()

@@ -15,8 +15,10 @@ from cylcert.errors import SchemaError
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.serialize import (
     canonical_dumps,
+    digits_over_cap,
     frac_from_str,
     frac_to_str,
+    load_json,
     poly_from_obj,
     poly_to_obj,
     sha256_of_obj,
@@ -40,6 +42,33 @@ def test_fraction_rejects_garbage():
         frac_from_str(True)
     with pytest.raises(SchemaError):
         frac_from_str([1, 2])
+
+
+@pytest.mark.parametrize("text, refused", [
+    ("9" * 4300 + "/" + "7" * 4300, False),
+    (" " * 5000 + "12", False),
+    ("-" + "9" * 4301, True),
+    ("1/" + "7" * 4301, True),
+    # a decimal's integer and fraction digits make one integer
+    ("1." + "0" * 4299 + "1", True),
+    ("1_0" * 2200, True),
+])
+def test_the_digit_cap_counts_each_side_of_the_slash(text, refused):
+    assert digits_over_cap(json.dumps({"c": text})) == refused
+    if refused:
+        with pytest.raises(SchemaError, match="more than 4300 digits"):
+            frac_from_str(text)
+    else:
+        assert frac_from_str(text) == Fraction(text.strip())
+
+
+def test_json_integers_past_the_digit_cap_are_refused(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("[-" + "9" * 4300 + "]")
+    assert load_json(str(path)) == [-int("9" * 4300)]
+    path.write_text("[" + "9" * 4301 + "]")
+    with pytest.raises(SchemaError, match="more than 4300 digits"):
+        load_json(str(path))
 
 
 # a decimal exponent as Fraction reads it, at the end of the text
