@@ -1,9 +1,9 @@
 """Canonical JSON encoding shared by problem, certificate and report files.
 
-Certificates, facet-witness sidecars, the ``certify --diagnostics`` file
-and the problem hash all go through :func:`canonical_dumps`, which fixes
-key order, spacing and number formatting, so identical data always
-produces identical bytes.
+Certificates, facet-witness sidecars and the ``certify --diagnostics``
+file all go through :func:`canonical_dumps`, which fixes key order,
+spacing and number formatting, so identical data always produces
+identical bytes.
 
 Rationals are strings (``"3"`` or ``"-3/4"``), never floats.
 Polynomials use a term-list encoding: each term is an object with
@@ -12,17 +12,23 @@ homogenizer exponents, and the coefficient under ``"c"``; blocks absent
 from the shape are omitted, and terms appear in canonical sorted order.
 
 :func:`canonical_dumps` returns exactly ``json.dumps(obj, sort_keys=True,
-indent=2, separators=(",", ": ")) + "\n"``, but from a small recursive
-emitter instead of the generic encoder (which ``indent`` confines to its
-pure-Python path).  It takes only what the ``*_to_obj`` functions build:
+separators=(",", ":")) + "\n"``: one line with no spaces, from a small
+recursive emitter that takes only what the ``*_to_obj`` functions build:
 dicts with str keys, lists, tuples, str, int, bool and None.  Anything
 else, a float or a non-str key included, raises ``TypeError``.
+
+:func:`sha256_of_obj`, which gives the problem hash and the sidecar key,
+hashes the two-space-indented form, ``json.dumps(obj, sort_keys=True,
+indent=2, separators=(",", ": ")) + "\n"``, that files were written in
+before they became compact, so every hash stays what it was.  Readers
+ignore whitespace: files in either encoding load to the same objects.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import stat
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -192,12 +198,12 @@ def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
 # ---------------------------------------------------------------------------
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, newline-terminated."""
-    return _emit(obj, "\n") + "\n"
+    """Deterministic JSON text: sorted keys, no spaces, newline-terminated."""
+    return _emit(obj) + "\n"
 
 
-def _emit(obj: Any, newline: str) -> str:
-    """JSON text of ``obj`` whose inner lines start with ``newline`` plus two spaces."""
+def _emit(obj: Any) -> str:
+    """Compact JSON text of ``obj``."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -209,28 +215,21 @@ def _emit(obj: Any, newline: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
         if all(type(v) is int for v in obj):
-            items: Any = map(int.__repr__, obj)
-        else:
-            items = [_emit(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            return "[" + ",".join(map(int.__repr__, obj)) + "]"
+        return "[" + ",".join(map(_emit, obj)) + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        items = [
-            encode_basestring_ascii(key) + ": " + _emit(obj[key], inner)
-            for key in sorted(obj)
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return "{" + ",".join([
+            encode_basestring_ascii(key) + ":" + _emit(obj[key]) for key in sorted(obj)
+        ]) + "}"
     raise TypeError(f"canonical JSON cannot encode {type(obj).__name__}")
 
 
 def sha256_of_obj(obj: Any) -> str:
-    return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
+    """sha256 of the two-space-indented canonical text of ``obj``."""
+    canonical_dumps(obj)  # refuses what canonical_dumps refuses
+    text = json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_int(literal: str) -> int:
@@ -249,15 +248,29 @@ def load_json(path: str) -> Any:
     except ValueError as exc:
         # a JSONDecodeError, or an integer literal over DIGIT_CAP digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests deeper than the JSON reader goes") from None
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename over."""
+    """Write via a temp file in the target directory, then rename over.
+
+    The file keeps the mode of the one it replaces; a new file gets
+    ``0o666`` less the umask, as ``open`` would give it, not the ``0600``
+    of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:

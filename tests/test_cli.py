@@ -2,6 +2,8 @@
 import copy
 import hashlib
 import json
+import os
+import stat
 import sys
 import time
 from fractions import Fraction as F
@@ -26,8 +28,8 @@ from cylcert.problem import (
     problem_from_obj,
     problem_to_obj,
 )
-from cylcert.putinar_base import base_cache_from_obj
-from cylcert.serialize import canonical_dumps
+from cylcert.putinar_base import base_cache_from_obj, base_cache_to_obj
+from cylcert.serialize import canonical_dumps, load_json, sha256_of_obj
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
 
@@ -64,12 +66,14 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
     ) == 0
 
 
-# sha256 of the certificates `certify --seed 7` writes for every input
-# of `tools/snapshot.py`: one per assembly path (general, the d = 0
-# sum-of-squares shortcut, box-frame compose), plus c5 and polya2-K56,
-# whose facet witnesses run a 4,000-step Gram search rung, c6, whose
-# coefficient forms sit at exact fixed points of the projections, c2 and
-# c3, whose floor scans read the sphere covers, and the bench family
+# sha256_of_obj of the certificates `certify --seed 7` writes for every
+# input of `tools/snapshot.py`, so the sha256 of the two-space-indented
+# files written before certificates became compact: one per assembly
+# path (general, the d = 0 sum-of-squares shortcut, box-frame compose),
+# plus c5 and polya2-K56, whose facet witnesses run a 4,000-step Gram
+# search rung, c6, whose coefficient forms sit at exact fixed points of
+# the projections, c2 and c3, whose floor scans read the sphere covers,
+# and the bench family
 PINNED_CERTIFICATES = {
     "c1_interval_line_quadratic":
         "723a40dd3989c66f44b527725d3c638ab4827b65bc1ccf52a813ad0cb70e9dfb",
@@ -99,13 +103,47 @@ PINNED_CERTIFICATES = {
         "1bad841dfe0a6d7e6bb01b2f410ae7ac64684d515d9ef4aa6691e7902fc79dbe",
 }
 
-# sha256 of the `.basecache.json` sidecars the same runs write, for the two
-# inputs whose sidecars are largest
+# sha256_of_obj of the `.basecache.json` sidecars the same runs write, for
+# the two inputs whose sidecars are largest
 PINNED_SIDECARS = {
     "c5_square_plane_quadratic":
         "6acc6065a7ea0ae0dcac0ddc150e455fe8d15c0bdfffbec9a6464ce8e35d2d8c",
     "polya2-K56":
         "2badbd9d022a5c9fe4cec8a0a9850756eb1d1c3f7bc19ae820dad2e2e20dc64a",
+}
+
+# sha256 of the compact files themselves, certificates and the two sidecars
+PINNED_FILES = {
+    "c1_interval_line_quadratic.cert.json":
+        "f0b184ddd14c87b0a3695472b57ca54d855e87747c3898c5446b3e86054bf094",
+    "c2_interval_line_quartic.cert.json":
+        "18b89029976293bc04dfab95141f48f86c81677d09516e6f08ff894b9c17fb95",
+    "c3_interval_plane_quartic.cert.json":
+        "7296c06b0db202f8ae1c8d832a3163210527bf0f307a809f5fa1ce2127a37663",
+    "c4_pure_square_quartic.cert.json":
+        "73064750392765c01353630217ef79b90c4193eb4027b25f5273760b025dc1a8",
+    "c5_square_plane_quadratic.cert.json":
+        "11089f3f32b620da76a206fdea1335542c2ed0fead9b4f7554d1519d72194ab2",
+    "c6_interval_split_blocks.cert.json":
+        "8309f562ce9f01e147b520aadfc617e276682b952c5dc3adbd83c5c8b4f5fdd3",
+    "c7_box_frame_line_quadratic.cert.json":
+        "8edb14f847291faf6fe1f377ba420fa0fe4c7021187d5c8f141c92e3d28d2e7a",
+    "lambda-K16.cert.json":
+        "680d38149ec9a2fd4e34a502948e1b21ac56850053c0b10d2632549cabd1b262",
+    "lambda-K64.cert.json":
+        "7948387bbfcda377c0409a7a25f94d2a56a3e68f5f7dd9cc10cbfb7369dfa198",
+    "polya1-s1.cert.json":
+        "852b45a3ce71697643e6ef736bacb68230f03848c23536409c96ed1ae60f50b4",
+    "polya1-s1_2.cert.json":
+        "e4fc8e551c843857dacaf921fa6a215d52dd3c5888fe8eef0910a25122dbd2d0",
+    "polya1-s2.cert.json":
+        "526256c05b7d6c9dcf127393a63c7cafe55cd7426bfa4ccb71f0db21019960da",
+    "polya2-K56.cert.json":
+        "0a23e9f5ef03fe5f75caf77bd9f7c45f5aa2dcd1c4c4e4333c10e68ab7c2843b",
+    "c5_square_plane_quadratic.cert.json.basecache.json":
+        "f5a23c4cb67b00eab3478298d47399e9007e872abb057355adafd349c82b1028",
+    "polya2-K56.cert.json.basecache.json":
+        "904a4c33a06e30bebdbb2484b7d6bac8ebb65d1d5ebe0a73c594c63841313730",
 }
 
 # sha256 over every float point the Gram searches of the snapshot return
@@ -124,12 +162,18 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _pinned(snapshot, name, content_pin):
+    """The file's content hashes to ``content_pin`` and its bytes to their pin."""
+    path = snapshot / name
+    assert sha256_of_obj(json.loads(path.read_text())) == content_pin
+    assert _sha256(path) == PINNED_FILES[name]
+
+
 @pytest.mark.parametrize("stem", sorted(PINNED_CERTIFICATES))
 def test_certificate_bytes_are_pinned(snapshot, stem):
-    assert _sha256(snapshot / f"{stem}.cert.json") == PINNED_CERTIFICATES[stem]
+    _pinned(snapshot, f"{stem}.cert.json", PINNED_CERTIFICATES[stem])
     if stem in PINNED_SIDECARS:
-        sidecar = snapshot / f"{stem}.cert.json.basecache.json"
-        assert _sha256(sidecar) == PINNED_SIDECARS[stem]
+        _pinned(snapshot, f"{stem}.cert.json.basecache.json", PINNED_SIDECARS[stem])
 
 
 def test_largest_family_member_certificate_bytes_are_pinned(snapshot):
@@ -137,9 +181,8 @@ def test_largest_family_member_certificate_bytes_are_pinned(snapshot):
     family: a 4,000-step facet Gram rung and plane covers."""
     written = json.loads((snapshot / "inputs" / "polya2-K56.json").read_text())
     assert written == largest_family_member()
-    assert _sha256(snapshot / "polya2-K56.cert.json") == PINNED_CERTIFICATES["polya2-K56"]
-    sidecar = snapshot / "polya2-K56.cert.json.basecache.json"
-    assert _sha256(sidecar) == PINNED_SIDECARS["polya2-K56"]
+    _pinned(snapshot, "polya2-K56.cert.json", PINNED_CERTIFICATES["polya2-K56"])
+    _pinned(snapshot, "polya2-K56.cert.json.basecache.json", PINNED_SIDECARS["polya2-K56"])
 
 
 def test_snapshot_covers_every_input_and_pins_the_float_search(snapshot):
@@ -222,8 +265,72 @@ def test_written_files_are_the_canonical_bytes(problem_file, tmp_path):
     cert = certificate_from_obj(json.loads(out.read_text()), problem.shape)
     assert out.read_bytes() == canonical_dumps(certificate_to_obj(cert)).encode()
     assert out.read_bytes().endswith(b"}\n")
+    assert out.read_bytes().count(b"\n") == 1
     sidecar = tmp_path / "cert.json.basecache.json"
     assert sidecar.read_bytes() == canonical_dumps(json.loads(sidecar.read_text())).encode()
+
+
+def _mode(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def test_written_files_get_the_umask_mode_or_keep_their_own(problem_file, tmp_path):
+    out, diag = tmp_path / "cert.json", tmp_path / "diag.json"
+    sidecar = tmp_path / "cert.json.basecache.json"
+    argv = ["certify", "--input", str(problem_file), "--output", str(out),
+            "--diagnostics", str(diag)]
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(argv) == 0
+        assert [_mode(p) for p in (out, sidecar, diag)] == [0o644] * 3
+        # a file that exists keeps its mode; a new one follows the umask
+        os.umask(0o077)
+        out.chmod(0o640)
+        diag.unlink()
+        assert cli.main(argv) == 0
+        assert [_mode(p) for p in (out, sidecar, diag)] == [0o640, 0o644, 0o600]
+    finally:
+        os.umask(umask)
+
+
+def _write_indented(source, dest):
+    """``source`` in the two-space-indented encoding files had before."""
+    obj = json.loads(source.read_text())
+    dest.write_text(json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n")
+
+
+def test_indented_files_still_verify_and_fill_the_cache(snapshot, tmp_path, capsys):
+    # a box-frame certificate and a sidecar as certify wrote them before
+    # files became compact: the bytes hash to the content pins
+    stem = "c7_box_frame_line_quadratic"
+    problem = SAMPLES / f"{stem}.json"
+    indented = tmp_path / f"{stem}.cert.json"
+    _write_indented(snapshot / f"{stem}.cert.json", indented)
+    assert _sha256(indented) == PINNED_CERTIFICATES[stem]
+    reports = []
+    for cert in (snapshot / f"{stem}.cert.json", indented):
+        assert cli.main(["verify", "--problem", str(problem), "--certificate", str(cert)]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+
+    stem = "c5_square_plane_quadratic"
+    compact = snapshot / f"{stem}.cert.json.basecache.json"
+    indented = tmp_path / f"{stem}.cert.json.basecache.json"
+    _write_indented(compact, indented)
+    assert _sha256(indented) == PINNED_SIDECARS[stem]
+    problem = problem_from_obj(json.loads((SAMPLES / f"{stem}.json").read_text()))
+    key = cli._constraints_key(problem)
+    cache = base_cache_from_obj(load_json(str(indented)), key, problem.shape)
+    stored = json.loads(compact.read_text())
+    assert len(cache) == len(stored["witnesses"])
+    assert base_cache_to_obj(key, cache) == stored
+    # certify reads it as warm and writes the same compact files again
+    out = tmp_path / f"{stem}.cert.json"
+    argv = ["certify", "--input", str(SAMPLES / f"{stem}.json"), "--output", str(out),
+            "--seed", "7"]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == (snapshot / f"{stem}.cert.json").read_bytes()
+    assert indented.read_bytes() == compact.read_bytes()
 
 
 def test_diagnostics_file(problem_file, tmp_path):

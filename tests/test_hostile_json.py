@@ -327,3 +327,38 @@ def test_a_residual_past_the_int_to_str_limit_is_reported(documents, tmp_path, c
     assert (code, payload["kind"]) == (cli.EXIT_VERIFY, "IDENTITY_FAIL")
     numerator = payload["residual"].partition("/")[0]
     assert len(numerator) > 11_000 and numerator.isdigit()
+
+
+# 200,000 nested arrays and 5,000 nested objects: the JSON reader recurses
+# once per level, and both once ended in a RecursionError traceback
+DEEP = {"arrays": "[" * 200_000, "objects": '{"a":' * 5_000}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP))
+def test_deeply_nested_json_is_a_schema_error(documents, tmp_path, capsys, kind):
+    problem_obj, cert_obj = documents
+    deep, problem, cert = tmp_path / "deep.json", tmp_path / "problem.json", tmp_path / "cert.json"
+    deep.write_text(DEEP[kind])
+    problem.write_text(json.dumps(problem_obj))
+    cert.write_text(json.dumps(cert_obj))
+    for argv in (
+        ["certify", "--input", str(deep), "--output", str(tmp_path / "out.json")],
+        ["verify", "--problem", str(deep), "--certificate", str(cert)],
+        ["verify", "--problem", str(problem), "--certificate", str(deep)],
+    ):
+        assert cli.main(argv) == cli.EXIT_IO
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "SCHEMA"
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP))
+def test_a_deeply_nested_sidecar_is_recomputed(documents, tmp_path, kind):
+    problem_obj, _cert_obj = documents
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(problem_obj))
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    warm_sidecar = tmp_path / "warm.json.basecache.json"
+    warm_sidecar.write_text(DEEP[kind])
+    for out in (cold, warm):
+        assert cli.main(["certify", "--input", str(problem), "--output", str(out)]) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    assert warm_sidecar.read_bytes() == (tmp_path / "cold.json.basecache.json").read_bytes()

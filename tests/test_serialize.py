@@ -1,6 +1,7 @@
 """Canonical encoding round-trips and schema rejection."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -182,6 +183,11 @@ def test_canonical_dumps_is_key_order_independent():
 
 def _generic_dumps(obj):
     """What :func:`canonical_dumps` must return, from the generic encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _indented_dumps(obj):
+    """The two-space-indented text :func:`sha256_of_obj` hashes."""
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
@@ -218,6 +224,16 @@ def test_canonical_dumps_matches_the_generic_encoder(obj):
     assert canonical_dumps(obj) == _generic_dumps(obj)
 
 
+@settings(max_examples=200, deadline=None)
+@given(obj=_trees)
+@example(_deep)
+@example({"g": [[{"c": "-3/4", "x": [1]}]], "n": 1, "variant": "R1_ANY_M"})
+def test_sha256_of_obj_hashes_the_indented_text(obj):
+    # problem hashes and sidecar keys stay those of the indented files
+    expected = hashlib.sha256(_indented_dumps(obj).encode("utf-8")).hexdigest()
+    assert sha256_of_obj(obj) == expected
+
+
 @pytest.mark.parametrize(
     "obj",
     [1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {None: 1}}, b"x", Fraction(1, 2)],
@@ -227,12 +243,19 @@ def test_canonical_dumps_refuses_what_the_encoders_never_build(obj):
         canonical_dumps(obj)
 
 
+@pytest.mark.parametrize("obj", [{"a": [0.0]}, {1: "a"}, [Fraction(1, 2)]])
+def test_sha256_of_obj_refuses_what_canonical_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        sha256_of_obj(obj)
+
+
 def test_every_snapshot_file_re_emits_to_its_own_bytes(tmp_path):
-    """Certificates, sidecars and diagnostics: the diagnostics file comes
-    from the generic encoder, so it checks the emitter against it too."""
+    """Certificates, sidecars and diagnostics, each also the generic
+    encoder's compact text."""
     assert snapshot_tool().main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     assert len(files) == 38
     for path in files:
         text = path.read_text(encoding="utf-8")
         assert canonical_dumps(json.loads(text)) == text, path.name
+        assert _generic_dumps(json.loads(text)) == text, path.name

@@ -16,9 +16,16 @@ source text, so nothing is written beside it.
 
 Two checkouts' snapshots compare with ``diff -r``; a refactor that keeps
 behaviour leaves the certificates and sidecars byte-identical, and one
-that keeps the float search's bits leaves ``psd.sha256`` unchanged.  OUTDIR
-must be new or empty (exit 2 otherwise): a second snapshot into the same
-directory would reuse the first one's sidecars and take the warm path.
+that keeps the float search's bits leaves ``psd.sha256`` unchanged.  When
+the two checkouts write different encodings (files became compact JSON
+after they had been written two-space-indented), compare each pair of
+files by parsed content, ``json.loads(a) == json.loads(b)``, instead.
+
+OUTDIR must be new or empty (exit 2 otherwise): a second snapshot into
+the same directory would reuse the first one's sidecars and take the
+warm path.  ``-h`` or ``--help`` prints the usage; any other argument
+that starts with ``-`` is refused (exit 2) before anything is written,
+so a directory of such a name is given as ``./-name``.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+USAGE = "usage: python3 tools/snapshot.py OUTDIR"
 
 
 def _family() -> types.ModuleType:
@@ -57,8 +65,11 @@ def _inputs(workdir: Path) -> list[tuple[str, str | None, Path]]:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python3 tools/snapshot.py OUTDIR", file=sys.stderr)
+    if args in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
+    if len(args) != 1 or args[0].startswith("-"):
+        print(USAGE, file=sys.stderr)
         return 2
     outdir = Path(args[0])
     if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
