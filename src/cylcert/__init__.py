@@ -25,7 +25,6 @@ from .certificate import (
     BoundInputs,
     Certificate,
     CertificateMeta,
-    DegreeReport,
     VerificationReport,
     certificate_from_obj,
     certificate_to_obj,
@@ -88,7 +87,6 @@ __all__ = [
     "CertifyResult",
     "CylcertError",
     "CylinderProblem",
-    "DegreeReport",
     "IdentityMismatchError",
     "IndefiniteConditionError",
     "NonpositiveWitnessError",

@@ -15,8 +15,9 @@ verifying process never loads numpy or the search; the search builds
 certificates in :mod:`cylcert.pipeline`.
 
 Verification is independent of generation: it re-expands every square,
-compares against f exactly, and re-derives the degree report.  Nothing
-is trusted from metadata.
+compares against f exactly, and checks the degree of every sigma against
+the degree laws recomputed from the parameters in the metadata.  No
+degree is read from the file.
 
 ``theorem_bound`` evaluates the headline degree-bound formulas as
 certified rational upper bounds; they are reporting devices, never used
@@ -25,7 +26,7 @@ by the pipeline itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -55,59 +56,19 @@ POWER_BITS_CAP = 2**20
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DegreeReport:
-    """Degrees of the two construction terms, measured before padding
-    variables are substituted away (substitution can only lower them).
+class CertificateMeta:
+    """The construction's parameters, from which :func:`verify_certificate`
+    recomputes the degree laws, and the certified floor ``fstar_lb``.
 
-    ``first_term[i]`` is the exact degree of the absorption contribution
-    to ``sigma_i * g_i``; ``second_term`` has one entry per sigma
-    (sigma_0 first) with the largest remainder-contribution degree; all
-    second-term entries are bounded by ``cap``.
+    A file may carry further metadata keys; the reader ignores them.
     """
 
-    first_term: tuple[int, ...]
-    second_term: tuple[int, ...]
-    cap: int
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "first_term": list(self.first_term),
-            "second_term": list(self.second_term),
-            "cap": self.cap,
-        }
-
-    @staticmethod
-    def from_obj(obj: Any) -> "DegreeReport":
-        if not isinstance(obj, dict):
-            raise SchemaError("degree report must be an object")
-        try:
-            return DegreeReport(
-                first_term=_int_list(obj["first_term"], "first_term"),
-                second_term=_int_list(obj["second_term"], "second_term"),
-                cap=json_typed(obj["cap"], int, "degree cap"),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"degree report missing field {exc}") from None
-
-
-def _int_list(value: Any, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise SchemaError(f"{what} must be a list of integers, got {value!r}")
-    return tuple(json_typed(v, int, what) for v in value)
-
-
-@dataclass(frozen=True)
-class CertificateMeta:
     lam: Fraction
     k: int
     ell: int
     polya_exponent: int
     c9: int
     fstar_lb: Fraction
-    rescale: RescaleRecord
-    archimedean_attested: bool
-    scales: tuple[Fraction, ...]
-    degrees: DegreeReport
 
     def to_obj(self) -> dict[str, Any]:
         return {
@@ -117,10 +78,6 @@ class CertificateMeta:
             "N": self.polya_exponent,
             "c9": self.c9,
             "fstar_lb": frac_to_str(self.fstar_lb),
-            "rescale": self.rescale.to_obj(),
-            "archimedean_attested": self.archimedean_attested,
-            "scales": [frac_to_str(c) for c in self.scales],
-            "degrees": self.degrees.to_obj(),
         }
 
     @staticmethod
@@ -135,19 +92,9 @@ class CertificateMeta:
                 polya_exponent=json_typed(obj["N"], int, "N"),
                 c9=json_typed(obj["c9"], int, "c9"),
                 fstar_lb=frac_from_str(obj["fstar_lb"]),
-                rescale=RescaleRecord.from_obj(obj["rescale"]),
-                archimedean_attested=json_typed(
-                    obj["archimedean_attested"], bool, "archimedean_attested"
-                ),
-                scales=tuple(
-                    frac_from_str(v) for v in json_typed(obj["scales"], list, "scales")
-                ),
-                degrees=DegreeReport.from_obj(obj["degrees"]),
             )
         except KeyError as exc:
             raise SchemaError(f"certificate metadata missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad certificate metadata: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -209,7 +156,7 @@ def certificate_from_obj(obj: Any, shape: BlockShape) -> Certificate:
     if not isinstance(sigma_objs, list) or not sigma_objs:
         raise SchemaError("certificate needs a nonempty sigma list")
     return Certificate(
-        problem_hash=str(problem_hash),
+        problem_hash=json_typed(problem_hash, str, "problem_hash"),
         sigmas=tuple(sos_from_obj(s, shape) for s in sigma_objs),
         meta=CertificateMeta.from_obj(meta_obj),
     )
@@ -229,7 +176,8 @@ def degree_laws(
     absorption term of constraint i has degree ``vdeg + (2k+1) deg g_i``
     (no such terms when ``lam`` is 0), and every remainder term stays
     within ``vdeg + N + ell + c9``.  Assembly checks what it builds
-    against these, and verification what a certificate declares.
+    against these, and verification the sigmas of a certificate, from the
+    parameters in its metadata.
     """
     vdeg = sum(degree for _block, _hom, degree in problem.padding())
     absorption = () if lam == 0 else tuple(
@@ -259,7 +207,7 @@ def compose_with_frame(
     return Certificate(
         problem_hash=box_problem.problem_hash(),
         sigmas=sigmas,
-        meta=replace(cert.meta, rescale=record),
+        meta=cert.meta,
     )
 
 
@@ -322,33 +270,9 @@ def verify_certificate(problem: CylinderProblem, cert: Certificate) -> Verificat
         )
 
     meta = cert.meta
-    degrees = meta.degrees
     absorption, cap = degree_laws(
         problem, meta.lam, meta.k, meta.polya_exponent, meta.ell, meta.c9
     )
-    if degrees.cap != cap:
-        raise _fail(
-            "DEGREE_METADATA_MISMATCH",
-            "degree cap does not match its components",
-            declared=degrees.cap,
-            recomputed=cap,
-        )
-    if len(degrees.second_term) != problem.s + 1 or any(
-        d > cap for d in degrees.second_term
-    ):
-        raise _fail(
-            "DEGREE_METADATA_MISMATCH",
-            "remainder-term degrees must stay within the cap",
-            declared=list(degrees.second_term),
-            cap=cap,
-        )
-    if degrees.first_term != absorption:
-        raise _fail(
-            "DEGREE_METADATA_MISMATCH",
-            "absorption-term degrees differ from their formula",
-            declared=list(degrees.first_term),
-            expected=list(absorption),
-        )
     if meta.lam == 0 and any(any(deco.squares) for deco in cert.sigmas[1:]):
         raise _fail(
             "DEGREE_METADATA_MISMATCH",
@@ -369,7 +293,7 @@ def verify_certificate(problem: CylinderProblem, cert: Certificate) -> Verificat
         if measured > bound:
             raise _fail(
                 "DEGREE_METADATA_MISMATCH",
-                "a sigma exceeds every degree recorded for it",
+                "a sigma exceeds the degree law of its parameters",
                 sigma=i,
                 measured=measured,
                 bound=bound,

@@ -23,6 +23,12 @@ The assembly stitches together the upstream stages:
     once in each factor of a square, so stored squares live over the
     original variables.
 
+The certificate carries only what the checker reads: the sigmas, the
+construction's parameters (lambda, k, N, ell, c9) and the certified
+floor.  The degrees assembly measures are checked against the laws and
+not stored, since verification measures them again; the box-to-simplex
+record goes to ``diagnostics["rescale"]``.
+
 This module is the top of the search: it and the stages it calls
 (``certified``, ``covers``, ``perturb``, ``polya``, ``putinar_base``,
 ``sos``) use numpy.  What it hands back is checked by
@@ -41,7 +47,6 @@ from typing import Any, Mapping
 from .certificate import (
     Certificate,
     CertificateMeta,
-    DegreeReport,
     compose_with_frame,
     degree_laws,
     verify_certificate,
@@ -267,7 +272,7 @@ def _certificate(
     c9: int,
     fstar_lb: Fraction,
 ) -> Certificate:
-    """The certificate of ``sigmas`` with its metadata, once the measured
+    """The certificate of ``sigmas`` with its parameters, once the measured
     absorption and remainder degrees are checked against
     :func:`degree_laws`; a breach is an internal invariant failure."""
     expected, cap = degree_laws(problem, lam, k, N, ell, c9)
@@ -294,10 +299,6 @@ def _certificate(
         polya_exponent=N,
         c9=c9,
         fstar_lb=fstar_lb,
-        rescale=RescaleRecord(False),
-        archimedean_attested=problem.archimedean_attested,
-        scales=tuple(c for _ghat, c in normalized_constraints(problem)),
-        degrees=DegreeReport(expected, remainder, cap),
     )
     return Certificate(problem_hash=problem.problem_hash(), sigmas=sigmas, meta=meta)
 

@@ -21,7 +21,6 @@ from typing import Any, NamedTuple
 from .errors import NoFeasibleSampleError, SchemaError, ValidationError
 from .poly import BlockShape, BlockedPoly, homogenize_block, substitute
 from .serialize import (
-    frac_from_str,
     frac_to_str,
     json_typed,
     poly_from_obj,
@@ -285,10 +284,9 @@ class RescaleRecord:
     frame (constraints pull back exactly).
     """
 
-    applied: bool
-    n: int = 0
-    scale: Fraction = Fraction(1)
-    offset: Fraction = Fraction(0)
+    n: int
+    scale: Fraction
+    offset: Fraction
 
     def forward_coord(self, value: Fraction) -> Fraction:
         return self.scale * value + self.offset
@@ -309,27 +307,11 @@ class RescaleRecord:
         }
 
     def to_obj(self) -> dict[str, Any]:
-        if not self.applied:
-            return {"applied": False}
         return {
-            "applied": True,
             "n": self.n,
             "scale": frac_to_str(self.scale),
             "offset": frac_to_str(self.offset),
         }
-
-    @staticmethod
-    def from_obj(obj: Any) -> "RescaleRecord":
-        if not isinstance(obj, dict) or "applied" not in obj:
-            raise SchemaError(f"bad rescale record {obj!r}")
-        if not json_typed(obj["applied"], bool, "rescale.applied"):
-            return RescaleRecord(False)
-        return RescaleRecord(
-            True,
-            json_typed(obj["n"], int, "rescale.n"),
-            frac_from_str(obj["scale"]),
-            frac_from_str(obj["offset"]),
-        )
 
 
 def rescale_to_simplex(p: CylinderProblem) -> tuple[CylinderProblem, RescaleRecord]:
@@ -343,7 +325,7 @@ def rescale_to_simplex(p: CylinderProblem) -> tuple[CylinderProblem, RescaleReco
     """
     if p.frame != BOX:
         raise ValidationError("problem is already in the simplex frame")
-    record = RescaleRecord(True, p.n, Fraction(1, 2 * p.n), Fraction(1, 2 * p.n))
+    record = RescaleRecord(p.n, Fraction(1, 2 * p.n), Fraction(1, 2 * p.n))
     inv = record.inverse_subst(p.shape)
     moved = CylinderProblem(
         shape=p.shape,

@@ -7,9 +7,10 @@ identical bytes.
 
 Rationals are strings (``"3"`` or ``"-3/4"``), never floats.
 Polynomials use a term-list encoding: each term is an object with
-per-block exponent lists (``"x"``, ``"y1"``, ``"y2"``), a ``"h"`` map for
-homogenizer exponents, and the coefficient under ``"c"``; blocks absent
-from the shape are omitted, and terms appear in canonical sorted order.
+per-block exponent lists (``"x"``, ``"y1"``, ``"y2"``) and the
+coefficient under ``"c"``; blocks absent from the shape are omitted, and
+terms appear in canonical sorted order.  Files hold polynomials over a
+problem's shape, which has no homogenizers: a term's ``"h"`` must be ``{}``.
 
 :func:`canonical_dumps` returns exactly ``json.dumps(obj, sort_keys=True,
 separators=(",", ":")) + "\n"``: one line with no spaces, from a small
@@ -34,7 +35,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .errors import SchemaError
+from .errors import SchemaError, ShapeMismatchError
 from .poly import BlockShape, BlockedPoly
 
 # Most decimal digits a numerator, denominator or JSON integer may have
@@ -130,10 +131,18 @@ def json_typed(value: Any, kind: type, what: str) -> Any:
 # polynomials
 # ---------------------------------------------------------------------------
 
+def _no_homogenizers(shape: BlockShape) -> None:
+    """Refuse a shape with homogenizer slots: no file format has one."""
+    if shape.homs:
+        raise ShapeMismatchError(
+            "polynomials with homogenizers have no file encoding", homs=list(shape.homs)
+        )
+
+
 def poly_to_obj(p: BlockedPoly) -> list[dict[str, Any]]:
     shape = p.shape
-    n, y1_end, base = shape.n, shape.n + shape.r1, shape.n + shape.r1 + shape.r2
-    hom_slots = tuple(enumerate(shape.homs, base))
+    _no_homogenizers(shape)
+    n, y1_end = shape.n, shape.n + shape.r1
     out: list[dict[str, Any]] = []
     for exp, coeff in p.sorted_terms():
         term: dict[str, Any] = {}
@@ -142,19 +151,16 @@ def poly_to_obj(p: BlockedPoly) -> list[dict[str, Any]]:
         if shape.r1:
             term["y1"] = list(exp[n:y1_end])
         if shape.r2:
-            term["y2"] = list(exp[y1_end:base])
-        homs = {h: exp[i] for i, h in hom_slots if exp[i]}
-        if homs:
-            term["h"] = homs
+            term["y2"] = list(exp[y1_end:])
         term["c"] = frac_to_str(coeff)
         out.append(term)
     return out
 
 
 def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
+    _no_homogenizers(shape)
     if not isinstance(obj, list):
         raise SchemaError(f"polynomial must be a term list, got {type(obj).__name__}")
-    base = shape.n + shape.r1 + shape.r2
     terms: dict[tuple[int, ...], Fraction] = {}
     for item in obj:
         if not isinstance(item, dict) or "c" not in item:
@@ -171,17 +177,8 @@ def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
                     f"term block {key!r} must be {count} nonnegative ints, got {block!r}"
                 )
             exp.extend(block)
-        homs = item.get("h", {})
-        if not isinstance(homs, dict):
-            raise SchemaError(f"term 'h' must be an object, got {homs!r}")
-        unknown = set(homs) - set(shape.homs)
-        if unknown:
-            raise SchemaError(f"homogenizers {sorted(unknown)} not active in shape")
-        for name in shape.homs:
-            e = homs.get(name, 0)
-            if type(e) is not int or e < 0:
-                raise SchemaError(f"bad exponent for {name!r}: {e!r}")
-            exp.append(e)
+        if item.get("h", {}) != {}:
+            raise SchemaError(f"term 'h' must be {{}} (no homogenizers), got {item['h']!r}")
         key = tuple(exp)
         coeff = frac_from_str(item["c"])
         if key in terms:

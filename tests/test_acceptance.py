@@ -19,6 +19,7 @@ from cylcert import cli
 from cylcert.certificate import (
     BoundInputs,
     E_UPPER,
+    degree_laws,
     theorem_bound,
     verify_certificate,
 )
@@ -221,16 +222,17 @@ def test_criterion_5_square_sum_round_trip_and_motzkin():
 
 
 def test_criterion_6_degree_accounting(corpus_runs):
-    """Term-one degrees exact, term-two within the cap, c9 from the cache."""
+    """Term-one degrees by formula, every sigma within its law, c9 from the cache."""
     for name, (problem, res) in corpus_runs.items():
-        cert = res.certificate
-        meta = cert.meta
+        meta = res.certificate.meta
         # degree of the padding factor: m, plus 2 for the second block when split
         vdeg = problem.m + (2 if problem.variant.is_split else 0)
-        if meta.lam:
-            for i, g in enumerate(problem.g):
-                expected = vdeg + (2 * meta.k + 1) * g.block_degree("x")
-                assert meta.degrees.first_term[i] == expected, name
+        absorption, cap = degree_laws(
+            problem, meta.lam, meta.k, meta.polya_exponent, meta.ell, meta.c9
+        )
+        expected = tuple(vdeg + (2 * meta.k + 1) * g.block_degree("x") for g in problem.g)
+        assert absorption == (expected if meta.lam else ()), name
+        assert cap == vdeg + meta.polya_exponent + meta.ell + meta.c9, name
 
         decoded = base_cache_from_obj(
             base_cache_to_obj("probe", res.base_cache), "probe", problem.shape
@@ -243,8 +245,11 @@ def test_criterion_6_degree_accounting(corpus_runs):
                     c9 = max(c9, 2 * q.total_degree() + gdeg)
         assert meta.c9 <= c9 or not decoded, name
         cap = vdeg + meta.polya_exponent + meta.ell + c9
-        assert all(dv <= cap for dv in meta.degrees.second_term), name
-        assert meta.degrees.cap == vdeg + meta.polya_exponent + meta.ell + meta.c9
+        measured = res.diagnostics["verify"]["product_degrees"]
+        assert measured[0] <= cap, name
+        for i, degree in enumerate(measured[1:]):
+            bound = max(absorption[i], cap) if absorption else cap
+            assert degree <= bound, name
 
 
 def test_criterion_7_perturbation_constraint(corpus_runs):

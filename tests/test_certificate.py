@@ -19,7 +19,6 @@ from cylcert.certificate import (
     BoundInputs,
     Certificate,
     CertificateMeta,
-    DegreeReport,
     E_UPPER,
     EXP_UPPER_CAP,
     certificate_from_obj,
@@ -46,7 +45,6 @@ from cylcert.problem import (
     BOX,
     SIMPLEX,
     CylinderProblem,
-    RescaleRecord,
     Variant,
     problem_from_obj,
     rescale_to_simplex,
@@ -119,25 +117,31 @@ def padding_degree(problem):
 
 
 def test_degree_report_matches_formulas(interval_cert):
+    # the measured degrees of verification stay within the formulas
     problem, cert, _base = interval_cert
     meta = cert.meta
     vdeg = padding_degree(problem)
-    for i, g in enumerate(problem.g):
-        expected = vdeg + (2 * meta.k + 1) * g.block_degree("x")
-        assert meta.degrees.first_term[i] == expected
     cap = vdeg + meta.polya_exponent + meta.ell + meta.c9
-    assert meta.degrees.cap == cap
-    assert all(d <= cap for d in meta.degrees.second_term)
+    report = verify_certificate(problem, cert)
+    assert report.product_degrees[0] == report.sigma_degrees[0] <= cap
+    for i, g in enumerate(problem.g):
+        absorption = vdeg + (2 * meta.k + 1) * g.block_degree("x")
+        measured = report.product_degrees[i + 1]
+        assert measured == report.sigma_degrees[i + 1] + g.block_degree("x")
+        assert absorption <= measured <= max(absorption, cap)
 
 
 def test_degree_laws_state_the_declared_degrees(interval_cert):
     problem, cert, _base = interval_cert
     meta = cert.meta
+    vdeg = padding_degree(problem)
     absorption, cap = degree_laws(
         problem, meta.lam, meta.k, meta.polya_exponent, meta.ell, meta.c9
     )
-    assert absorption == meta.degrees.first_term
-    assert cap == meta.degrees.cap
+    assert absorption == tuple(
+        vdeg + (2 * meta.k + 1) * g.block_degree("x") for g in problem.g
+    )
+    assert cap == vdeg + meta.polya_exponent + meta.ell + meta.c9
     # without absorption there are no first-term degrees, and the cap is
     # the padding degree plus the remainder's components
     assert degree_laws(problem, F(0), 5, 1, 2, 3) == ((), padding_degree(problem) + 6)
@@ -195,22 +199,31 @@ def test_wrong_problem_is_caught(interval_cert):
 
 
 def test_metadata_degree_tampering_is_caught(interval_cert):
+    # lowering a parameter until its cap falls below a measured sigma
     problem, cert, _base = interval_cert
     meta = cert.meta
-    for broken in (
-        replace(meta, c9=meta.c9 + 1),
-        replace(meta, degrees=replace(meta.degrees, cap=meta.degrees.cap + 2)),
-        replace(
-            meta,
-            degrees=replace(
-                meta.degrees,
-                first_term=tuple(d + 2 for d in meta.degrees.first_term),
-            ),
-        ),
-    ):
+    _absorption, cap = degree_laws(
+        problem, meta.lam, meta.k, meta.polya_exponent, meta.ell, meta.c9
+    )
+    # one below sigma_0's measured degree, which only the cap bounds
+    excess = cap - verify_certificate(problem, cert).product_degrees[0] + 1
+    for field in ("c9", "polya_exponent", "ell"):
+        broken = replace(meta, **{field: getattr(meta, field) - excess})
         with pytest.raises(VerificationError) as err:
             verify_certificate(problem, replace(cert, meta=broken))
         assert err.value.payload["kind"] == "DEGREE_METADATA_MISMATCH"
+        assert err.value.payload["sigma"] == 0
+
+
+def test_a_certificate_without_absorption_must_not_use_constraints(interval_cert):
+    # a nonzero sigma_i under lambda = 0 fails before any degree is compared
+    problem, cert, _base = interval_cert
+    assert any(cert.sigmas[1].squares)
+    broken = replace(cert.meta, lam=F(0), c9=cert.meta.c9 + 100)
+    with pytest.raises(VerificationError) as err:
+        verify_certificate(problem, replace(cert, meta=broken))
+    assert err.value.payload["kind"] == "DEGREE_METADATA_MISMATCH"
+    assert "must not use constraints" in str(err.value)
 
 
 # --- the one tier ----------------------------------------------------------
@@ -352,14 +365,15 @@ def reference_assemble(
     base: Mapping[Parity, ModuleWitness],
     *,
     fstar_lb: Fraction,
-) -> Certificate:
+) -> tuple[Certificate, tuple[int, ...], tuple[int, ...]]:
     """Stitch the pipeline stages into an exact certificate.
 
     ``polya.sos`` holds an SOS decomposition of each coefficient form;
     ``base`` must cover every parity that occurs, and its witnesses set
     ``c9``.  A degree that breaks its law is an internal invariant breach
     and aborts; the identity itself is left to :func:`verify_certificate`,
-    which the pipeline runs once on the certificate it returns.
+    which the pipeline runs once on the certificate it returns.  Returns
+    the certificate with the measured absorption and remainder degrees.
     """
     shape = problem.shape
     padded = problem.homogenized()[0].shape
@@ -367,7 +381,6 @@ def reference_assemble(
     vdeg = padding_degree(problem)
 
     # Term one: absorption squares for each constraint.
-    scales = tuple(c for _ghat, c in normalized_constraints(problem))
     sphere_squares = [q.embed(padded) for q in factor_squares(problem)]
     one = BlockedPoly.constant(padded, 1)
     first_term = []
@@ -439,16 +452,13 @@ def reference_assemble(
         polya_exponent=polya.exponent,
         c9=c9,
         fstar_lb=fstar_lb,
-        rescale=RescaleRecord(False),
-        archimedean_attested=problem.archimedean_attested,
-        scales=scales,
-        degrees=DegreeReport(tuple(first_term), tuple(builder.second_term), cap),
     )
-    return Certificate(
+    cert = Certificate(
         problem_hash=problem.problem_hash(),
         sigmas=builder.sigmas(),
         meta=meta,
     )
+    return cert, tuple(first_term), tuple(builder.second_term)
 
 
 _PADDED = BlockShape(1, 1, 0, ("Z",))
@@ -505,17 +515,24 @@ def _assembly_inputs(name):
         "polya2-K56",
     ],
 )
-def test_assembly_matches_the_per_square_reference(name):
+def test_assembly_matches_the_per_square_reference(name, monkeypatch):
     args, kwargs = _assembly_inputs(name)
+    measured = []
+    original = pipeline._certificate
+
+    def record(problem, sigmas, absorption, remainder, **params):
+        measured.append((absorption, remainder))
+        return original(problem, sigmas, absorption, remainder, **params)
+
+    monkeypatch.setattr(pipeline, "_certificate", record)
     got = assemble(*args, **kwargs)
-    expected = reference_assemble(*args, **kwargs)
+    expected, first_term, second_term = reference_assemble(*args, **kwargs)
     assert len(got.sigmas) == len(expected.sigmas)
     for mine, theirs in zip(got.sigmas, expected.sigmas):
         assert mine.shape == theirs.shape
         assert mine.weights == theirs.weights
         assert [q.terms for q in mine.squares] == [q.terms for q in theirs.squares]
-    assert got.meta.degrees.second_term == expected.meta.degrees.second_term
-    assert got.meta.degrees == expected.meta.degrees
+    assert measured == [(first_term, second_term)]
     assert got.meta == expected.meta
     assert got.problem_hash == expected.problem_hash
 
@@ -539,7 +556,7 @@ def test_box_frame_certificate_pulls_back():
     pulled = compose_with_frame(cert, record, box)
     assert pulled.problem_hash == box.problem_hash()
     verify_certificate(box, pulled)
-    assert pulled.meta.rescale == record
+    assert pulled.meta == cert.meta
 
 
 # --- the degenerate shortcut ----------------------------------------------

@@ -67,8 +67,8 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
 
 
 # sha256_of_obj of the certificates `certify --seed 7` writes for every
-# input of `tools/snapshot.py`, so the sha256 of the two-space-indented
-# files written before certificates became compact: one per assembly
+# input of `tools/snapshot.py`, so the sha256 of their two-space-indented
+# text, with metadata holding only the construction's parameters: one per assembly
 # path (general, the d = 0 sum-of-squares shortcut, box-frame compose),
 # plus c5 and polya2-K56, whose facet witnesses run a 4,000-step Gram
 # search rung, c6, whose coefficient forms sit at exact fixed points of
@@ -76,31 +76,62 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
 # and the bench family
 PINNED_CERTIFICATES = {
     "c1_interval_line_quadratic":
-        "723a40dd3989c66f44b527725d3c638ab4827b65bc1ccf52a813ad0cb70e9dfb",
+        "e7a42c44c9a38fb40b5d64d77700740492f0ad641be8cd5db296b194f0656be3",
     "c2_interval_line_quartic":
-        "c6789a27c8a8c0aa3057a298e495bbcfdfba22b594d175ba7ba277f1c2c02396",
+        "17b3a0b70a45c99dd0870e962934eb485cdb01db94975fc77d69353936d22f36",
     "c3_interval_plane_quartic":
-        "2408a8233acf9f072ee8c5f9c0496e65c89aff3e894f380dfed1a5cb2c82ef06",
+        "d3118f2008fb82e0bd6630158cb56cc5693aea7ed5caa7283c14c3de57c2dc90",
     "c4_pure_square_quartic":
-        "8704a4c15b8fa18d6d0722e83bb55d6dda5e46953f648f32782d3c2473ad22c9",
+        "b368c586abe8d4e421b23cf88a4cde027dceb1a47765fe0982448fcde6e35799",
     "c5_square_plane_quadratic":
-        "e735b3cc473a015c0f5a1db74fdaf14f054e8a77597e5f6780b624f2235ba2ac",
+        "4d7b605905d9391d7746e77d37a6223d1146bf5f28798f33aa4b7f530999f61e",
     "c6_interval_split_blocks":
-        "bcb3bace2c39860c40d74053aeb70111b9748421a93f0850e0314e9b31d7098b",
+        "5c464a186b75e4f9d815b46ac3e86df3c243b6213f6be2ad76640f5f9990f1e9",
     "c7_box_frame_line_quadratic":
-        "20fcb11787fe834084edbdbace319488f8b1f4377811f07a0fac2822c77781a7",
+        "e34bb9c1b6d81788677c4eb2adad272a68e025693d2608aeedb5bfc0ed46822b",
     "lambda-K16":
-        "999a62e19dec8ccf548c71474bce69970c29e711f5f4ab46eb84e8f0ee7d7a68",
+        "7f3a804a79892cc5b0268ed122c85b5bcbd18cdec8743c449a6b2aa5d4eea0d3",
     "lambda-K64":
-        "6e38ea29602d087a296e7240b565fc90231021d4f10501eac57f0b686b6e5fc4",
+        "3e89c9c959ad0a633b211489b56fd28c8f2c8ce214cf4468815815226bcfad65",
     "polya1-s1":
-        "33cd3097db6d58fa16a13506d6416be8f0001e1969b8a0081c774bae725cb7b8",
+        "f6360d4e83eadbc20bc658d3fbd0fe32b6e0769f031aacdcb00001e4fd32e531",
     "polya1-s1_2":
-        "b0ef7c7d4b4967c00cd0341bdf97b0d2bbc50b809c44cc391fdd2320c2fbd715",
+        "564130e550974697cbf3e9e92830b8a718cccc3019f9a80a90baf13542ea74fd",
     "polya1-s2":
-        "7fdf1e131459173bb0804c5001f5e69167ce5290e720ef614e674502604e00d9",
+        "918a1dc02cd17efeda2d5e3a7633bc96012fc1ca98468f52492b787df1b39ace",
     "polya2-K56":
-        "1bad841dfe0a6d7e6bb01b2f410ae7ac64684d515d9ef4aa6691e7902fc79dbe",
+        "5d11db747cce788f6d209abd29344c6e9d43100999543eb5937eddbd0dd5b1d4",
+}
+
+# sha256_of_obj of each certificate's `sigmas` list alone: the content
+# the checker expands, pinned apart from the metadata beside it
+PINNED_SIGMAS = {
+    "c1_interval_line_quadratic":
+        "49bf24ea5489c51a94cd000f82938f3f49c638ed4248bfe571bf2c400ff5700c",
+    "c2_interval_line_quartic":
+        "4e9a6b8689b1d18802fb02b0ea23499e75354f4535e6dc7b50e94fbf3df4d4b3",
+    "c3_interval_plane_quartic":
+        "0043b71e65b0783c5fc7cba8680032609cde1e555e9107f15f06bbc96e783582",
+    "c4_pure_square_quartic":
+        "d920f3a6f57fd806c307dcb60d50456fe7610795443ad012f14d3d7dc8d9d043",
+    "c5_square_plane_quadratic":
+        "c515bb02fc040813d760bae79796df408ff08c921290cd6a4531d68dab3aa1db",
+    "c6_interval_split_blocks":
+        "1960f543bee5dc30c3a152fb56147ac8d7ecd7d51092714b12a1a0cdd43e8f99",
+    "c7_box_frame_line_quadratic":
+        "82fc5fc29f91a52bce99bdd6ec884dd9c25b3eb7e1c324abc15b60f6b1d59cc0",
+    "lambda-K16":
+        "499e78eb86529aa428c192eb3bb7d9df5ed243e303eac6713fb85c68a5793177",
+    "lambda-K64":
+        "a8b25041001374c0984ef069a8fd4e3562a2d6c3cc42e8360e67b7ad85cc170e",
+    "polya1-s1":
+        "26702fa707bcba26e27442255cf254ac2889ef740da293a7941644bf68d1dc39",
+    "polya1-s1_2":
+        "f941ac78ca81c9142560e07e32d62c252851f983a60c0d2ba9496bf4a1da6109",
+    "polya1-s2":
+        "4a0c2fcea7515dff42ea40d2c9eb3b59312a60f90b1c5cb80853a99bacaebaa8",
+    "polya2-K56":
+        "c663adb3fd98a606b02ab60f40c00fbb1fee5829df3199bef92c540763bf9a67",
 }
 
 # sha256_of_obj of the `.basecache.json` sidecars the same runs write, for
@@ -115,31 +146,31 @@ PINNED_SIDECARS = {
 # sha256 of the compact files themselves, certificates and the two sidecars
 PINNED_FILES = {
     "c1_interval_line_quadratic.cert.json":
-        "f0b184ddd14c87b0a3695472b57ca54d855e87747c3898c5446b3e86054bf094",
+        "878e027159b6706f65bcf0ca675653999a7d239c98466664169a4361419db9ea",
     "c2_interval_line_quartic.cert.json":
-        "18b89029976293bc04dfab95141f48f86c81677d09516e6f08ff894b9c17fb95",
+        "01b6b5d07528e956084457497957b6f00201b0f7e05e495bb9110ac4ef244413",
     "c3_interval_plane_quartic.cert.json":
-        "7296c06b0db202f8ae1c8d832a3163210527bf0f307a809f5fa1ce2127a37663",
+        "20f240f0549d36fb0154a316f1c3d9bf5f9e05816e96ed083531bd8adb243dcf",
     "c4_pure_square_quartic.cert.json":
-        "73064750392765c01353630217ef79b90c4193eb4027b25f5273760b025dc1a8",
+        "b91edb884206fe58cba1a4c369ac7fd4ee90d70094ffe69b0522bd65819ea87d",
     "c5_square_plane_quadratic.cert.json":
-        "11089f3f32b620da76a206fdea1335542c2ed0fead9b4f7554d1519d72194ab2",
+        "1b1c3ae16f04d50635b9d077b53a8a4e5be64937f519e149a67e2fcfd7598c44",
     "c6_interval_split_blocks.cert.json":
-        "8309f562ce9f01e147b520aadfc617e276682b952c5dc3adbd83c5c8b4f5fdd3",
+        "ebfd766ee12c1df2bc45b0ff45919b1fdc752202fa7a51debe7c1a231b99fb7f",
     "c7_box_frame_line_quadratic.cert.json":
-        "8edb14f847291faf6fe1f377ba420fa0fe4c7021187d5c8f141c92e3d28d2e7a",
+        "48cb5a9a8e67c7b6d904e89d8fd7e6ab86173cb2c569a13a2d37119945406d60",
     "lambda-K16.cert.json":
-        "680d38149ec9a2fd4e34a502948e1b21ac56850053c0b10d2632549cabd1b262",
+        "e492e195120787d43561476397e2eff5fa476e9c3f63765b8b59e00ff2d5cbd3",
     "lambda-K64.cert.json":
-        "7948387bbfcda377c0409a7a25f94d2a56a3e68f5f7dd9cc10cbfb7369dfa198",
+        "4d089723b96f816c228d5af6633b51572c07e903db8b6e4a6edfbe7aa0a304bf",
     "polya1-s1.cert.json":
-        "852b45a3ce71697643e6ef736bacb68230f03848c23536409c96ed1ae60f50b4",
+        "7363dcd24065ff16c0010a8af131695b8d5c00311a061e28c2152f83d2eec469",
     "polya1-s1_2.cert.json":
-        "e4fc8e551c843857dacaf921fa6a215d52dd3c5888fe8eef0910a25122dbd2d0",
+        "4c81743e4acfbb9849f1a391998bb6b1648a4532a8002e07e631805061e22b5b",
     "polya1-s2.cert.json":
-        "526256c05b7d6c9dcf127393a63c7cafe55cd7426bfa4ccb71f0db21019960da",
+        "2a28732814fa951d348b48a983cf2663edd140de5b44cc6cb6da98249ddb5ef9",
     "polya2-K56.cert.json":
-        "0a23e9f5ef03fe5f75caf77bd9f7c45f5aa2dcd1c4c4e4333c10e68ab7c2843b",
+        "c2c88fd6d5a4dc246946432fa0e92cc8693106a2a53b8294c07d9a47dad8883a",
     "c5_square_plane_quadratic.cert.json.basecache.json":
         "f5a23c4cb67b00eab3478298d47399e9007e872abb057355adafd349c82b1028",
     "polya2-K56.cert.json.basecache.json":
@@ -171,6 +202,8 @@ def _pinned(snapshot, name, content_pin):
 
 @pytest.mark.parametrize("stem", sorted(PINNED_CERTIFICATES))
 def test_certificate_bytes_are_pinned(snapshot, stem):
+    sigmas = json.loads((snapshot / f"{stem}.cert.json").read_text())["sigmas"]
+    assert sha256_of_obj(sigmas) == PINNED_SIGMAS[stem]
     _pinned(snapshot, f"{stem}.cert.json", PINNED_CERTIFICATES[stem])
     if stem in PINNED_SIDECARS:
         _pinned(snapshot, f"{stem}.cert.json.basecache.json", PINNED_SIDECARS[stem])
@@ -189,6 +222,9 @@ def test_snapshot_covers_every_input_and_pins_the_float_search(snapshot):
     written = sorted(p.name.removesuffix(".cert.json") for p in snapshot.glob("*.cert.json"))
     assert written == sorted(PINNED_CERTIFICATES)
     assert (snapshot / "psd.sha256").read_text() == PINNED_PSD + "\n"
+    lines = (snapshot / "sigmas.sha256").read_text().splitlines()
+    assert dict(line.split(" ") for line in lines) == PINNED_SIGMAS
+    assert len(lines) == len(PINNED_SIGMAS)
 
 
 def test_repeat_runs_are_byte_identical(problem_file, tmp_path):
@@ -333,6 +369,53 @@ def test_indented_files_still_verify_and_fill_the_cache(snapshot, tmp_path, caps
     assert indented.read_bytes() == compact.read_bytes()
 
 
+# Metadata that certificates carried beside their parameters before they
+# held only those: for c4 (lambda = 0, the sum-of-squares shortcut) and
+# c7 (box frame), as certify wrote it.  The reader ignores these keys.
+OLDER_METADATA = {
+    "c4_pure_square_quartic": {
+        "archimedean_attested": True,
+        "degrees": {"cap": 4, "first_term": [], "second_term": [4, 0]},
+        "rescale": {"applied": False},
+        "scales": ["3"],
+    },
+    "c7_box_frame_line_quadratic": {
+        "archimedean_attested": True,
+        "degrees": {"cap": 8, "first_term": [4], "second_term": [8, 8]},
+        "rescale": {"applied": True, "n": 1, "offset": "1/2", "scale": "1/2"},
+        "scales": ["12"],
+    },
+}
+
+# sha256 of those compact files, and the report verify printed for them
+OLDER_FILES = {
+    "c4_pure_square_quartic": (
+        "73064750392765c01353630217ef79b90c4193eb4027b25f5273760b025dc1a8",
+        '{"product_degrees": [4, 0], "sigma_degrees": [4, 0]}',
+    ),
+    "c7_box_frame_line_quadratic": (
+        "8edb14f847291faf6fe1f377ba420fa0fe4c7021187d5c8f141c92e3d28d2e7a",
+        '{"product_degrees": [8, 8], "sigma_degrees": [8, 6]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(OLDER_METADATA))
+def test_certificates_in_the_older_layout_still_verify(snapshot, tmp_path, capsys, stem):
+    obj = json.loads((snapshot / f"{stem}.cert.json").read_text())
+    obj["metadata"].update(OLDER_METADATA[stem])
+    compact = tmp_path / f"{stem}.cert.json"
+    compact.write_text(canonical_dumps(obj))
+    file_pin, report = OLDER_FILES[stem]
+    assert _sha256(compact) == file_pin
+    indented = tmp_path / f"{stem}.indented.json"
+    _write_indented(compact, indented)
+    for cert in (compact, indented):
+        argv = ["verify", "--problem", str(SAMPLES / f"{stem}.json"), "--certificate", str(cert)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == report
+
+
 def test_diagnostics_file(problem_file, tmp_path):
     out = tmp_path / "cert.json"
     diag = tmp_path / "diag.json"
@@ -372,9 +455,7 @@ def test_numeric_tier_certificate_is_refused(tmp_path, capsys):
         "sigmas": [{"weights": [], "squares": []}] * 2,
         "metadata": {
             "lambda": "0", "k": 0, "ell": 0, "N": 0, "c9": 0, "fstar_lb": "1",
-            "rescale": {"applied": False}, "archimedean_attested": True,
-            "scales": ["1"], "residual": "1000",
-            "degrees": {"first_term": [], "second_term": [0, 0], "cap": 2},
+            "residual": "1000",
         },
     }
     cert_path = tmp_path / "cert.json"
@@ -434,30 +515,33 @@ def c3_certificate(tmp_path_factory):
     return path, json.loads(out.read_text())
 
 
-# Metadata edits that were once coerced (2.9 -> 2, "false" -> True) and verified.
+# Edits that were once coerced (2.9 -> 2, 123 -> "123") and verified, or
+# failed as another problem's certificate (exit 15); each path starts at
+# the certificate object.
 LOOSE_METADATA = [
-    (("k",), 2.9),
-    (("k",), "2"),
-    (("N",), 0.0),
-    (("c9",), "4"),
-    (("ell",), True),
-    (("degrees", "cap"), 18.5),
-    (("degrees", "second_term"), [16.0, 16]),
-    (("archimedean_attested",), "false"),
-    (("rescale", "applied"), 0),
-    (("rescale",), {"applied": True, "n": 1.0, "scale": "1/2", "offset": "1/2"}),
+    (("metadata", "k"), 2.9),
+    (("metadata", "k"), "2"),
+    (("metadata", "N"), 0.0),
+    (("metadata", "c9"), "4"),
+    (("metadata", "ell"), True),
+    (("problem_hash",), 123),
+    (("problem_hash",), ["x"]),
+    (("problem_hash",), None),
 ]
 
 
 @pytest.mark.parametrize(
     "field, value",
     LOOSE_METADATA,
-    ids=[f"{'.'.join(field)}={value!r}" for field, value in LOOSE_METADATA],
+    ids=[
+        f"{'.'.join(field).removeprefix('metadata.')}={value!r}"
+        for field, value in LOOSE_METADATA
+    ],
 )
 def test_metadata_is_read_strictly(c3_certificate, tmp_path, capsys, field, value):
     problem_path, obj = c3_certificate
     obj = copy.deepcopy(obj)
-    parent = obj["metadata"]
+    parent = obj
     for step in field[:-1]:
         parent = parent[step]
     parent[field[-1]] = value

@@ -235,17 +235,22 @@ def _sigma0_weights_keyed(cert):
     cert["sigmas"][0]["weights"] = {w: 1 for w in weights}
 
 
-# Iterables that are not JSON lists where the format requires one; each
-# of these once verified.
+def _sigma0_squares_keyed(cert):
+    squares = cert["sigmas"][0]["squares"]
+    cert["sigmas"][0]["squares"] = {str(i): q for i, q in enumerate(squares)}
+
+
+# Iterables that are not JSON lists where the format requires one; the
+# keyed weights once verified.
 NON_LISTS = [
     ("c2", _sigma0_weights_keyed),
-    ("c1", lambda cert: cert["metadata"].update(scales="12")),
-    ("c1", lambda cert: cert["metadata"].update(scales={"3": 1})),
+    ("c1", _sigma0_squares_keyed),
+    ("c1", lambda cert: cert.update(sigmas="12")),
 ]
 
 
 @pytest.mark.parametrize(
-    "sample, mutate", NON_LISTS, ids=["weights-object", "scales-string", "scales-object"]
+    "sample, mutate", NON_LISTS, ids=["weights-object", "squares-object", "sigmas-string"]
 )
 def test_a_non_list_where_a_list_belongs_is_a_schema_error(
     sample_certificates, tmp_path, capsys, sample, mutate

@@ -79,8 +79,7 @@ def test_box_frame_round_trip():
         frame=BOX,
     )
     res = certify_problem(p)
-    assert "rescale" in res.diagnostics
-    assert res.certificate.meta.rescale.applied
+    assert res.diagnostics["rescale"] == {"n": 1, "scale": "1/2", "offset": "1/2"}
     assert res.certificate.problem_hash == p.problem_hash()
     verify_certificate(p, res.certificate)
 

@@ -468,21 +468,24 @@ def test_cached_evaluator_matches_fraction_reference(p, points, ints):
 
 
 def test_poly_from_obj_drops_cancelling_duplicates_and_checks_exponents():
-    sh = BlockShape(n=1, r1=1, homs=("Z",))
+    sh = BlockShape(n=1, r1=1)
     p = poly_from_obj(
         [
             {"x": [1], "y1": [0], "c": "1/3"},
             {"x": [2], "y1": [1], "c": "5"},
             {"x": [1], "y1": [0], "c": "-1/3"},
-            {"x": [2], "y1": [1], "h": {"Z": 1}, "c": "2"},
+            {"x": [2], "y1": [1], "h": {}, "c": "2"},
         ],
         sh,
     )
     _assert_clean(p)
-    assert p.terms == {(2, 1, 0): 5, (2, 1, 1): 2}
+    assert p.terms == {(2, 1): 7}
     for bad in ([-1], [1.0], ["1"], [True]):
         with pytest.raises(SchemaError):
             poly_from_obj([{"x": bad, "y1": [0], "c": "1"}], sh)
-    for bad in (-1, 1.5, "2", True):
+    # no file has homogenizers: a term's "h" is {} or absent
+    for bad in ({"Z": 1}, {"Z": 0}, [], None):
         with pytest.raises(SchemaError):
-            poly_from_obj([{"x": [0], "y1": [0], "h": {"Z": bad}, "c": "1"}], sh)
+            poly_from_obj([{"x": [0], "y1": [0], "h": bad, "c": "1"}], sh)
+    with pytest.raises(ShapeMismatchError):
+        poly_from_obj([], BlockShape(n=1, r1=1, homs=("Z",)))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import snapshot_tool
 
-from cylcert.errors import SchemaError
+from cylcert.errors import SchemaError, ShapeMismatchError
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.serialize import (
     canonical_dumps,
@@ -140,7 +140,7 @@ def test_frac_from_str_agrees_with_the_regex_parser(text):
 
 def test_poly_round_trip_random():
     rng = random.Random(31)
-    shape = BlockShape(2, 1, 1, ("Z1", "Z2"))
+    shape = BlockShape(2, 1, 1)
     for _ in range(25):
         terms = {}
         for _ in range(rng.randint(0, 6)):
@@ -148,6 +148,9 @@ def test_poly_round_trip_random():
             terms[exp] = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
         p = BlockedPoly(shape, terms)
         assert poly_from_obj(poly_to_obj(p), shape) == p
+    # no file has homogenizers, so a polynomial with them has no encoding
+    with pytest.raises(ShapeMismatchError):
+        poly_to_obj(BlockedPoly.constant(BlockShape(2, 1, 1, ("Z1",)), 1))
 
 
 def test_poly_obj_omits_absent_blocks():
@@ -163,8 +166,9 @@ def test_poly_from_obj_rejects_bad_terms():
         poly_from_obj([{"x": [1, 2], "y1": [0], "c": "1"}], shape)
     with pytest.raises(SchemaError):
         poly_from_obj([{"x": [1], "y1": [-1], "c": "1"}], shape)
-    with pytest.raises(SchemaError):
-        poly_from_obj([{"x": [1], "y1": [0], "h": {"Z": 1}, "c": "1"}], shape)
+    for homs in ({"Z": 1}, {"Z": 0}, [], None):
+        with pytest.raises(SchemaError):
+            poly_from_obj([{"x": [1], "y1": [0], "h": homs, "c": "1"}], shape)
     with pytest.raises(SchemaError):
         poly_from_obj({"x": [1]}, shape)
     with pytest.raises(SchemaError):

@@ -7,9 +7,12 @@ For each file of ``sample_problems/`` and each member of
 ``perfbench/family.candidates()`` it runs ``cylcert.cli.main certify
 --seed 7 --diagnostics`` in-process, writing ``<id>.cert.json``, its
 ``.basecache.json`` sidecar and ``<id>.diag.json`` into OUTDIR, and the
-problem files into ``OUTDIR/inputs``, and ``psd.sha256``: the sha256 over
-every array ``cylcert.sos.psd_feasibility`` returns in the run, in call
-order, with ``None`` hashed as the bytes ``None``.  Within one family group the sidecar of
+problem files into ``OUTDIR/inputs``.  It also writes ``psd.sha256``: the
+sha256 over every array ``cylcert.sos.psd_feasibility`` returns in the
+run, in call order, with ``None`` hashed as the bytes ``None``; and
+``sigmas.sha256``: one line ``<id> <sha256>`` per certificate written, in
+certification order, hashing its ``sigmas`` list with
+``cylcert.serialize.sha256_of_obj``.  Within one family group the sidecar of
 the previous member is copied to the next member before it is certified,
 as the benchmark does.  ``perfbench/family.py`` is executed from its
 source text, so nothing is written beside it.
@@ -17,9 +20,11 @@ source text, so nothing is written beside it.
 Two checkouts' snapshots compare with ``diff -r``; a refactor that keeps
 behaviour leaves the certificates and sidecars byte-identical, and one
 that keeps the float search's bits leaves ``psd.sha256`` unchanged.  When
-the two checkouts write different encodings (files became compact JSON
-after they had been written two-space-indented), compare each pair of
-files by parsed content, ``json.loads(a) == json.loads(b)``, instead.
+the two checkouts write different metadata beside the same squares,
+``sigmas.sha256`` still compares with ``diff``; when they write different
+encodings (files became compact JSON after they had been written
+two-space-indented), compare each pair of files by parsed content,
+``json.loads(a) == json.loads(b)``, instead.
 
 OUTDIR must be new or empty (exit 2 otherwise): a second snapshot into
 the same directory would reuse the first one's sidecars and take the
@@ -81,6 +86,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     from cylcert import cli, sos
+    from cylcert.serialize import sha256_of_obj
 
     digest = hashlib.sha256()
     search = sos.psd_feasibility
@@ -92,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
 
     worst = 0
     previous: dict[str, Path] = {}
+    sigma_lines = []
     sos.psd_feasibility = hashed_search
     try:
         for pid, group, path in _inputs(inputs_dir):
@@ -107,11 +114,15 @@ def main(argv: list[str] | None = None) -> int:
                 code = cli.main(command)
             print(f"{pid}: exit {code}")
             worst = max(worst, code)
+            if cert.exists():
+                sigmas = json.loads(cert.read_text())["sigmas"]
+                sigma_lines.append(f"{pid} {sha256_of_obj(sigmas)}\n")
             if group:
                 previous[group] = cert
     finally:
         sos.psd_feasibility = search
     (outdir / "psd.sha256").write_text(digest.hexdigest() + "\n")
+    (outdir / "sigmas.sha256").write_text("".join(sigma_lines))
     return 1 if worst else 0
 
 
