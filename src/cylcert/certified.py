@@ -13,10 +13,12 @@ and :func:`check_leading_form_condition` is one grid scan:
    constant times the cell radius), so the kept cells cover a superset
    of S and sampled minima honestly under-approximate the S-restricted
    minimum.
-3. Sampled values are combined with Lipschitz error terms — the smaller
-   of the closed-form simplex/sphere constants (:func:`bounds_for_target`)
-   and coefficient-sum gradient bounds for the reduced target — to get a
-   lower bound valid on the whole continuum domain.
+3. Sampled values are combined with Lipschitz error terms to get a
+   lower bound valid on the whole continuum domain.  Each factor (the
+   simplex, each sphere) has one constant: the coefficient-sum gradient
+   bound of the reduced target over that factor's coordinates
+   (``_gradient_constant``); the constraint screen of point 2 uses the
+   same bound for each g_i.
 4. Every pass is one reduction in float64, within a rigorous
    rounding-error term ``slack`` of the exact values (see
    ``_float_slack``).  The constraint screen also decides once per kept
@@ -57,10 +59,8 @@ bytes (``_Scan._float_bytes``) and stops with
 :class:`BudgetExhaustedError` above ``MEMORY_BUDGET``, as it does above
 ``PAIR_BUDGET`` pairs.
 
-The sup and Lipschitz constants have one closed form (``_closed_form``),
-which :func:`bounds_for_target` and :func:`x_lipschitz_constant` both
-return.  The float helpers ``_cover_product`` and ``_float_eval`` also
-run the Polya screen of :mod:`cylcert.polya`.
+The float helpers ``_cover_product`` and ``_float_eval`` also run the
+Polya screen of :mod:`cylcert.polya`.
 """
 from __future__ import annotations
 
@@ -81,7 +81,7 @@ from .errors import (
     ResolutionExhaustedError,
     ValidationError,
 )
-from .poly import BlockedPoly, coeff_abs_sum, weighted_norm
+from .poly import BlockedPoly, coeff_abs_sum
 from .problem import SIMPLEX, CylinderProblem, SamplePoint, SphereBlock
 from .serialize import frac_to_str
 
@@ -97,71 +97,8 @@ def _float_slack(p: BlockedPoly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# closed-form bounds
+# Lipschitz constants
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LipschitzData:
-    """Sup and Lipschitz constants for a block-homogeneous target.
-
-    ``sup_bound`` dominates |target| on simplex x spheres; ``l_x`` is the
-    Lipschitz constant in the X-variables at a fixed sphere point;
-    ``l_sphere[i]`` bounds variation along the i-th sphere factor in the
-    chord metric (degree times sup, by the Bernstein inequality for
-    trigonometric polynomials).  sqrt(n) enters via a rational upper
-    bound, recorded in ``sqrt_n``.
-    """
-
-    sup_bound: Fraction
-    l_x: Fraction
-    l_sphere: tuple[Fraction, ...]
-    sqrt_n: Fraction
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "sup_bound": frac_to_str(self.sup_bound),
-            "l_x": frac_to_str(self.l_x),
-            "l_sphere": [frac_to_str(v) for v in self.l_sphere],
-            "sqrt_n": frac_to_str(self.sqrt_n),
-        }
-
-
-def monomial_capacity(blocks: Sequence[tuple[int, int]]) -> int:
-    """Number of degree-deg monomials over each dim-sized block, multiplied."""
-    out = 1
-    for dim, deg in blocks:
-        out *= math.comb(deg + dim - 1, dim - 1)
-    return out
-
-
-def _closed_form(
-    norm: Fraction, n: int, d: int, caps: Sequence[tuple[int, int]]
-) -> LipschitzData:
-    """The constants for X-degree ``d`` and sphere blocks ``(dim, degree)``.
-
-    sup = norm * capacity * (d+1) and l_x = (1/2) sqrt(n) * norm *
-    capacity * d(d+1), with capacity from :func:`monomial_capacity`; each
-    sphere factor gets degree-times-sup.
-    """
-    cap = monomial_capacity(caps)
-    sup = norm * cap * (d + 1)
-    rn = sqrt_upper(n)
-    l_x = Fraction(1, 2) * rn * norm * cap * d * (d + 1)
-    return LipschitzData(sup, l_x, tuple(Fraction(deg) * sup for _, deg in caps), rn)
-
-
-def bounds_for_target(
-    target: BlockedPoly, n: int, blocks: Sequence[SphereBlock]
-) -> LipschitzData:
-    """Closed-form constants computed from an explicit sphere-block layout."""
-    caps = [(len(b.indices), b.degree) for b in blocks]
-    return _closed_form(weighted_norm(target), n, target.block_degree("x"), caps)
-
-
-def x_lipschitz_constant(g: BlockedPoly, n: int) -> Fraction:
-    """Simplex Lipschitz constant for an X-only polynomial (no sphere factor)."""
-    return _closed_form(weighted_norm(g), n, g.block_degree("x"), ()).l_x
-
 
 def _gradient_constant(p: BlockedPoly, slots: Iterable[int]) -> Fraction:
     """Coefficient-sum gradient bound over the unit box times the simplex.
@@ -371,7 +308,6 @@ class CertifiedMin:
     lower_bound: Fraction
     best_sample: SamplePoint
     grid_depth: int
-    lipschitz: LipschitzData
     used_x_constant: Fraction
     used_sphere_constants: tuple[Fraction, ...]
     domain: str
@@ -387,7 +323,6 @@ class CertifiedMin:
             "domain": self.domain,
             "witness": self.best_sample.to_obj(),
             "resolutions": list(self.resolutions),
-            "lipschitz": self.lipschitz.to_obj(),
             "used_constants": {
                 "x": frac_to_str(self.used_x_constant),
                 "sphere": [frac_to_str(v) for v in self.used_sphere_constants],
@@ -485,7 +420,6 @@ class _Scan:
                     raise ValidationError(
                         "target is not homogeneous of the declared degree in a sphere block"
                     )
-        self.lemma = bounds_for_target(target, n, blocks)
 
         # reduce modulo the sphere relations, block by block
         reduced = target
@@ -496,12 +430,8 @@ class _Scan:
         self.reduced = reduced
         self.slack = _float_slack(reduced)
 
-        self.grad_x = _gradient_constant(reduced, range(n))
-        self.used_x = min(self.lemma.l_x, self.grad_x)
-        self.used_sphere = tuple(
-            min(ls, _gradient_constant(reduced, kept))
-            for ls, kept in zip(self.lemma.l_sphere, self.kept)
-        )
+        self.used_x = _gradient_constant(reduced, range(n))
+        self.used_sphere = tuple(_gradient_constant(reduced, kept) for kept in self.kept)
 
         # decompose the reduced target into x-coefficients per sphere signature
         self.kept_all = tuple(i for kept in self.kept for i in kept)
@@ -515,10 +445,7 @@ class _Scan:
 
         # constraint data: term lists over x plus sound keep-thresholds
         self.g_terms = [_terms_on_slots(g, range(g.shape.n)) for g in constraints]
-        self.g_lip = [
-            min(x_lipschitz_constant(g, n), _gradient_constant(g, range(g.shape.n)))
-            for g in constraints
-        ]
+        self.g_lip = [_gradient_constant(g, range(g.shape.n)) for g in constraints]
         self.g_slack = [_float_slack(g) for g in constraints]
 
         # values per grid row of a block (coordinates, x power tables and a
@@ -593,7 +520,6 @@ class _Scan:
                     lower_bound=lower,
                     best_sample=best,
                     grid_depth=depth,
-                    lipschitz=self.lemma,
                     used_x_constant=self.used_x,
                     used_sphere_constants=self.used_sphere,
                     domain=self.domain,

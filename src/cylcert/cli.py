@@ -3,8 +3,8 @@
 Human-readable progress goes to stdout; every outcome (success or
 failure) additionally emits one line of structured JSON on stderr so a
 harness can consume results without parsing prose.  Certificate files
-are written atomically and are byte-identical across reruns with the
-same seed.
+are written atomically and are byte-identical across reruns on the
+same problem file.
 
 Exit codes: 0 success, 10 validation, 11 indefinite side condition,
 12 nonpositive target, 13 search/budget exhausted, 14 cap exceeded,
@@ -137,7 +137,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         precomputed = None
 
     try:
-        result = certify_problem(problem, seed=args.seed, precomputed_base=precomputed)
+        result = certify_problem(problem, precomputed_base=precomputed)
     except CylcertError as exc:
         return _fail(exc)
 
@@ -200,7 +200,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 
     try:
         problem = _load_problem(args.input)
-        solving, _record, fallback, _report = solving_frame(problem, args.seed)
+        solving, _record, fallback, _report = solving_frame(problem)
         found = certified_cylinder_min(solving, fallback_x=fallback)
     except CylcertError as exc:
         return _fail(exc)
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="produce a certificate for a problem file")
     cert.add_argument("--input", required=True, help="problem JSON file")
     cert.add_argument("--output", required=True, help="certificate JSON file to write")
-    cert.add_argument("--seed", type=int, default=0, help="validation sampling seed")
     cert.add_argument("--diagnostics", help="write full stage evidence JSON here")
     cert.set_defaults(func=cmd_certify)
 
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     mini = sub.add_parser("minimize", help="certified lower bound for f")
     mini.add_argument("--input", required=True, help="problem JSON file")
-    mini.add_argument("--seed", type=int, default=0, help="validation sampling seed")
     mini.set_defaults(func=cmd_minimize)
 
     bnd = sub.add_parser("bound", help="evaluate a sigma-degree bound formula")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certified import CertifiedMin, _closed_form, certified_excess_check
+from .certified import CertifiedMin, certified_excess_check
 from .errors import BelowThresholdError, CapExceededError, SearchExhaustedError
 from .poly import BlockedPoly, block_sum_of_squares, weighted_norm
 from .problem import DEGREE_CAP, CylinderProblem
@@ -28,9 +28,13 @@ LAMBDA_CAP = 2 ** 40
 
 
 def constraint_scale(g: BlockedPoly) -> Fraction:
-    """Divisor making |g / scale| <= 1 on the reference simplex."""
-    sup = _closed_form(weighted_norm(g), g.shape.n, g.block_degree("x"), ()).sup_bound
-    return max(Fraction(1), sup)
+    """Divisor making |g / scale| <= 1 on the reference simplex.
+
+    With ``w`` the weighted norm of g, every x-degree k part of g is at
+    most ``w * (x_1 + ... + x_n)^k <= w`` in absolute value on the
+    simplex, so ``|g| <= w * (deg_x g + 1)`` there.
+    """
+    return max(Fraction(1), weighted_norm(g) * (g.block_degree("x") + 1))
 
 
 def normalized_constraints(p: CylinderProblem) -> tuple[tuple[BlockedPoly, Fraction], ...]:

@@ -36,7 +36,8 @@ This module is the top of the search: it and the stages it calls
 
 Every stage leaves its evidence in the diagnostics mapping so a caller
 can reconstruct why the run succeeded (or report precisely how it
-failed).  All stages are deterministic for a fixed seed.
+failed).  All stages are deterministic: the same problem gives the same
+certificate and diagnostics.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ class CertifyResult:
 
 
 def solving_frame(
-    problem: CylinderProblem, seed: int
+    problem: CylinderProblem,
 ) -> tuple[CylinderProblem, RescaleRecord | None, tuple[Fraction, ...], ValidationReport]:
     """Validate a problem and move it into the simplex frame.
 
@@ -103,7 +104,7 @@ def solving_frame(
     :class:`ValidationError` when feasible samples escape the declared
     frame region, since no certificate or bound then covers S.
     """
-    report = validate_problem(problem, seed=seed)
+    report = validate_problem(problem)
     if not report.ok:
         raise ValidationError(
             "feasible samples escape the declared frame region",
@@ -119,21 +120,17 @@ def solving_frame(
 def certify_problem(
     problem: CylinderProblem,
     *,
-    seed: int = 0,
     precomputed_base: dict[Parity, ModuleWitness] | None = None,
 ) -> CertifyResult:
     """Run the whole certification chain on one problem.
 
-    ``seed`` seeds the validation sampling.  ``precomputed_base`` may
-    carry facet witnesses from an earlier run over the same constraint
-    list; each is re-verified before reuse and silently recomputed when
-    stale.  Raises the stage-specific error of whichever stage fails; the
+    ``precomputed_base`` may carry facet witnesses from an earlier run
+    over the same constraint list; each is re-verified before reuse and
+    silently recomputed when stale.  Raises the stage-specific error of whichever stage fails; the
     exception payloads carry the witnesses.
     """
-    diag: dict[str, Any] = {"config": {"seed": seed}}
-
-    solving, record, fallback, report = solving_frame(problem, seed)
-    diag["validate"] = report.to_obj()
+    solving, record, fallback, report = solving_frame(problem)
+    diag: dict[str, Any] = {"validate": report.to_obj()}
     if record is not None:
         diag["rescale"] = record.to_obj()
 

@@ -51,7 +51,7 @@ DEGREE_CAP = 64
 DIM_CAP = 64
 
 # Validation walks grid levels k = 2, 4, ... up to GRID_LEVEL_CAP, then
-# draws VALIDATION_SAMPLES seeded random points.  GRID_POINTS_CAP bounds
+# draws VALIDATION_SAMPLES random points from a fixed seed.  GRID_POINTS_CAP bounds
 # the points of one level: a level has (k+1)^n points, so a wide problem
 # gets only the random samples (at n = 16 the first level alone has 3^16).
 GRID_LEVEL_CAP = 32
@@ -345,11 +345,9 @@ def rescale_to_simplex(p: CylinderProblem) -> tuple[CylinderProblem, RescaleReco
 
 @dataclass
 class ValidationReport:
-    seed: int
     points_checked: int = 0
     feasible: SamplePoint | None = None
     containment_violations: list[SamplePoint] = field(default_factory=list)
-    archimedean_attested: bool = True
 
     @property
     def ok(self) -> bool:
@@ -357,13 +355,11 @@ class ValidationReport:
 
     def to_obj(self) -> dict[str, Any]:
         return {
-            "seed": self.seed,
             "points_checked": self.points_checked,
             "feasible": None if self.feasible is None else self.feasible.to_obj(),
             "containment_violations": [
                 pt.to_obj() for pt in self.containment_violations
             ],
-            "archimedean_attested": self.archimedean_attested,
             "ok": self.ok,
         }
 
@@ -374,22 +370,22 @@ def _in_frame(p: CylinderProblem, x: tuple[Fraction, ...]) -> bool:
     return all(v >= 0 for v in x) and sum(x) <= 1
 
 
-def validate_problem(p: CylinderProblem, seed: int = 0) -> ValidationReport:
+def validate_problem(p: CylinderProblem) -> ValidationReport:
     """Search for a feasible sample and check frame containment on it.
 
     Scans [-2,2]^n with doubling grid resolution (deterministic) up to
     ``GRID_LEVEL_CAP``, as long as one level has at most
-    ``GRID_POINTS_CAP`` points, then ``VALIDATION_SAMPLES`` seeded random
-    rational points.  Every feasible point found must lie in the declared
+    ``GRID_POINTS_CAP`` points, then ``VALIDATION_SAMPLES`` random
+    rational points from one fixed seed, so the report depends on the
+    problem alone.  Every feasible point found must lie in the declared
     frame region — an open box inside (-1,1)^n, or the standard simplex —
-    otherwise it is reported as a containment violation.  Archimedeanity
-    is echoed as an attestation, never proved.  Raises
+    otherwise it is reported as a containment violation.  Raises
     :class:`NoFeasibleSampleError` when no feasible point turns up; the
     search is not a decision procedure, so this means "not found", not
     "empty".
     """
-    report = ValidationReport(seed=seed, archimedean_attested=p.archimedean_attested)
-    rng = random.Random(seed)
+    report = ValidationReport()
+    rng = random.Random(0)
 
     pad = (Fraction(0),) * (p.shape.width - p.n)
 
@@ -417,7 +413,6 @@ def validate_problem(p: CylinderProblem, seed: int = 0) -> ValidationReport:
         raise NoFeasibleSampleError(
             "no feasible point of S found; cannot proceed",
             points_checked=report.points_checked,
-            seed=seed,
         )
     return report
 

@@ -499,7 +499,7 @@ def _assembly_inputs(name):
 
     pipeline.assemble = record
     try:
-        pipeline.certify_problem(problem_from_obj(obj), seed=7)
+        pipeline.certify_problem(problem_from_obj(obj))
     finally:
         pipeline.assemble = original
     [call] = calls

@@ -1,4 +1,4 @@
-"""Certified minimization: closed-form constants, bounds, witnesses."""
+"""Certified minimization: Lipschitz constants, bounds, witnesses."""
 import itertools
 import json
 import math
@@ -19,13 +19,11 @@ from cylcert.certified import (
     _Scan,
     _row_bounds,
     _value_rows,
-    bounds_for_target,
     certified_cylinder_min,
     certified_excess_check,
     check_leading_form_condition,
-    monomial_capacity,
 )
-from cylcert.covers import SimplexGrid, projected_sphere_cover, sqrt_upper
+from cylcert.covers import SimplexGrid, projected_sphere_cover
 from cylcert.errors import (
     BelowThresholdError,
     BudgetExhaustedError,
@@ -34,8 +32,9 @@ from cylcert.errors import (
     ResolutionExhaustedError,
     ValidationError,
 )
-from cylcert.poly import BlockShape, BlockedPoly, coeff_abs_sum, homogenize_block, weighted_norm
-from cylcert.pipeline import certify_problem
+from cylcert.poly import BlockShape, BlockedPoly, coeff_abs_sum
+from cylcert.perturb import constraint_scale
+from cylcert.pipeline import certify_problem, solving_frame
 from cylcert.problem import (
     SIMPLEX,
     CylinderProblem,
@@ -43,7 +42,14 @@ from cylcert.problem import (
     Variant,
     problem_from_obj,
 )
-from helpers import largest_family_member, sphere_constants
+from helpers import (
+    check_constraint_scales,
+    check_sphere_constants,
+    check_x_constants,
+    largest_family_member,
+    pipeline_scans,
+    random_problem,
+)
 
 
 # --- shared fixtures -------------------------------------------------------
@@ -69,147 +75,62 @@ def interval_problem(f_terms, *, m=2, variant=Variant.R1_ANY_M, r1=1, r2=0):
 FALLBACK = (F(3, 8),)
 
 
-# --- closed-form constants -------------------------------------------------
-
-def test_monomial_capacity_values():
-    assert monomial_capacity([(3, 4)]) == 15       # forms of degree 4 in 3 slots
-    assert monomial_capacity([(2, 2), (3, 2)]) == 18
-    assert monomial_capacity([(2, 0)]) == 1
-
-
-def test_sup_bound_joint_block_example():
-    # norm-1 polynomial, d=1, m=4, r=2: capacity C(6,2)=15, so bound 30
-    shape = BlockShape(1, 2)
-    f = BlockedPoly(shape, {(1, 4, 0): F(1)})
-    assert weighted_norm(f) == 1
-    assert sphere_constants(f, 4, 2).sup_bound == 30
-
-
-def test_sup_bound_split_block_example():
-    # norm-1, d=1, m=2, r=1 split: (m+1)*C(3,2)*(d+1) = 3*3*2 = 18
-    shape = BlockShape(1, 1, 1)
-    f = BlockedPoly(shape, {(1, 2, 2): F(1)})
-    assert sphere_constants(f, 2, 1, split=True).sup_bound == 18
-
-
-def test_lipschitz_x_constant_examples():
-    shape = BlockShape(1, 2)
-    f = BlockedPoly(shape, {(1, 4, 0): F(1)})
-    data = sphere_constants(f, 4, 2)
-    # (1/2) * sqrt(1) * 1 * 15 * 1 * 2 = 15
-    assert data.l_x == 15
-    assert data.sup_bound == 30
-    assert data.l_sphere == (4 * 30,)
-    assert data.sqrt_n == 1
-
-
-def test_lipschitz_x_vanishes_for_constant_x_part():
-    shape = BlockShape(1, 1)
-    f = BlockedPoly(shape, {(0, 2): F(5)})
-    data = sphere_constants(f, 2, 1)
-    assert data.l_x == 0
-    assert data.sup_bound == 5 * 3 * 1
-
-
-def test_split_lipschitz_uses_both_sphere_factors():
-    shape = BlockShape(1, 1, 2)
-    f = BlockedPoly(shape, {(0, 2, 2, 0): F(1)})
-    data = sphere_constants(f, 2, 2, split=True)
-    sup = 1 * 3 * 6 * 1
-    assert data.sup_bound == sup
-    assert data.l_sphere == (2 * sup, 2 * sup)
-
-
-def test_bounds_for_target_agrees_with_problem_level_formulas():
-    """The explicit-block constants reproduce the closed forms on f-bar."""
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randrange(1, 3)
-        r1 = rng.randrange(1, 3)
-        m = 2 * rng.randrange(1, 3)
-        if r1 == 2 and m != 4:
-            continue
-        if r1 == 2:
-            variant = Variant.QUARTIC_R2
-        elif m == 2 and rng.random() < 0.5:
-            variant = Variant.QUADRATIC_RR
-        else:
-            variant = Variant.R1_ANY_M
-        shape = BlockShape(n, r1)
-        terms = {}
-        for _ in range(rng.randrange(1, 5)):
-            xe = tuple(rng.randrange(0, 3) for _ in range(n))
-            ye = [0] * r1
-            ye[rng.randrange(r1)] = m
-            terms[xe + tuple(ye)] = F(rng.randrange(1, 9), rng.randrange(1, 4))
-        terms[(0,) * n + (0,) * r1] = F(1)
-        f = BlockedPoly(shape, terms)
-        prob = CylinderProblem(
-            shape=shape, variant=variant, m=m, f=f,
-            g=(interval_g(shape),), frame=SIMPLEX,
-        )
-        target, blocks = prob.homogenized()
-        data = bounds_for_target(target, n, blocks)
-        norm, d, cap = weighted_norm(f), prob.d, math.comb(m + r1, r1)
-        assert data.sup_bound == norm * cap * (d + 1)
-        assert data.l_x == F(1, 2) * sqrt_upper(n) * norm * cap * d * (d + 1)
-
+# --- the Lipschitz constants the scans use ----------------------------------
 
 def test_sup_bound_dominates_samples():
-    """|f-bar| never exceeds the closed-form bound on simplex x sphere."""
+    """|g / constraint_scale(g)| <= 1 on the simplex, for random g of every variant.
+
+    Includes g = 1/4 - (x1 + x2)^2, whose x-coefficients are exactly their
+    multinomial weights, so each degree part meets the weighted norm.
+    """
     rng = random.Random(23)
+    for variant in Variant:
+        for _ in range(25):
+            check_constraint_scales(random_problem(rng, variant), rng, samples=40)
     shape = BlockShape(2, 1)
-    for _ in range(100):
-        terms = {}
-        for _ in range(rng.randrange(1, 6)):
-            e = (rng.randrange(0, 3), rng.randrange(0, 3), 2 * rng.randrange(0, 2))
-            terms[e] = F(rng.randrange(-8, 9), rng.randrange(1, 5))
-        terms[(0, 0, 2)] = F(1)
-        f = BlockedPoly(shape, terms)
-        prob_sup = sphere_constants(f, 2, 1).sup_bound
-        fbar = homogenize_block(f, "y1", 2, "Z")
-        circle = projected_sphere_cover(2, 12, (0, 1))
-        for _ in range(20):
-            x = (F(rng.randrange(0, 9), 16), F(rng.randrange(0, 8), 16))
-            if sum(x) > 1:
-                continue
-            u = circle.point(rng.randrange(len(circle)))
-            val = fbar.eval_at(x + u)
-            assert abs(val) <= prob_sup
+    g = BlockedPoly(shape, {(0, 0, 0): F(1, 4), (2, 0, 0): F(-1), (1, 1, 0): F(-2),
+                            (0, 2, 0): F(-1)})
+    assert constraint_scale(g) == 3
+    problem = CylinderProblem(shape, Variant.R1_ANY_M, 2,
+                              BlockedPoly(shape, {(0, 0, 2): F(1)}), (g,), SIMPLEX)
+    check_constraint_scales(problem, rng, samples=200)
 
 
 def test_x_lipschitz_dominates_sample_pairs():
+    """used_x and the constraint screen's g_lip bound every scan of every sample."""
     rng = random.Random(5)
-    shape = BlockShape(2, 1)
-    f = BlockedPoly(shape, {(2, 0, 2): F(3), (1, 1, 2): F(-2), (0, 0, 2): F(1)})
-    data = sphere_constants(f, 2, 1)
-    fbar = homogenize_block(f, "y1", 2, "Z")
-    u = (F(3, 5), F(4, 5))
-    for _ in range(2000):
-        a = (F(rng.randrange(0, 9), 16), F(rng.randrange(0, 8), 16))
-        b = (F(rng.randrange(0, 9), 16), F(rng.randrange(0, 8), 16))
-        if sum(a) > 1 or sum(b) > 1:
-            continue
-        lhs = abs(fbar.eval_at(a + u) - fbar.eval_at(b + u))
-        dist = math.dist([float(v) for v in a], [float(v) for v in b])
-        assert float(lhs) <= float(data.l_x) * dist + 1e-9
+    for path in sorted(SAMPLES.glob("*.json")):
+        solving = solving_frame(problem_from_obj(json.loads(path.read_text())))[0]
+        for scan in pipeline_scans(solving):
+            check_x_constants(scan, rng, pairs=40)
 
 
 def test_sphere_lipschitz_dominates_chordal_pairs():
-    """Degree-times-sup bounds the variation along the sphere factor."""
-    shape = BlockShape(1, 1)
-    f = BlockedPoly(shape, {(0, 2): F(1)})
-    data = sphere_constants(f, 2, 1)
-    fbar = homogenize_block(f, "y1", 2, "Z")
-    circle = projected_sphere_cover(2, 64, (0, 1))
+    """used_sphere bounds the target along each sphere, in the kept coordinates."""
     rng = random.Random(17)
-    L = float(data.l_sphere[0])
-    for _ in range(10_000):
-        u = circle.point(rng.randrange(len(circle)))
-        v = circle.point(rng.randrange(len(circle)))
-        lhs = abs(fbar.eval_at((F(0),) + u) - fbar.eval_at((F(0),) + v))
-        chord = math.dist([float(t) for t in u], [float(t) for t in v])
-        assert float(lhs) <= L * chord + 1e-9
+    for variant in (Variant.QUARTIC_R2, Variant.QUADRATIC_RR, Variant.SPLIT_M_BY_2):
+        for _ in range(6):
+            for scan in pipeline_scans(random_problem(rng, variant)):
+                check_sphere_constants(scan, rng, pairs=10)
+
+
+def test_lipschitz_x_vanishes_for_constant_x_part():
+    # 5 y^2 + 2 is constant in x, so the floor scan's simplex error term is
+    # exactly zero and the scan never refines the simplex
+    prob = interval_problem({(0, 2): 5, (0, 0): 2})
+    [_cond, floor, _excess] = pipeline_scans(prob)
+    assert floor.used_x == 0 and floor.used_sphere[0] >= 6
+    res = certified_cylinder_min(prob, fallback_x=FALLBACK)
+    assert res.used_x_constant == 0 and res.resolutions[0] == 1
+
+
+def test_split_lipschitz_uses_both_sphere_factors():
+    # c6 splits its unbounded variables into two sphere blocks; the floor
+    # has one nonzero constant for each
+    prob = solving_frame(_problem("c6"))[0]
+    [_top, _quad, floor, _excess] = pipeline_scans(prob)
+    assert len(floor.blocks) == len(floor.used_sphere) == 2
+    assert all(c > 0 for c in floor.used_sphere)
 
 
 # --- certified cylinder minimum -------------------------------------------
@@ -494,7 +415,9 @@ def test_certified_min_serializes_with_its_evidence():
     prob = interval_problem({(1, 0): 1, (1, 2): 1})
     res = certified_cylinder_min(prob, rel_slack=F(1, 8), fallback_x=FALLBACK)
     obj = res.to_obj()
-    assert set(obj) >= {"lower_bound", "depth", "domain", "witness", "lipschitz"}
+    assert set(obj) >= {"lower_bound", "depth", "domain", "witness", "used_constants"}
+    assert F(obj["used_constants"]["x"]) == res.used_x_constant > 0
+    assert len(obj["used_constants"]["sphere"]) == 1
     assert obj["domain"] == "S_TIMES_SPHERE"
     assert isinstance(obj["witness"]["x"], list)
 
@@ -1105,7 +1028,7 @@ def recorded_passes():
                 return scan_pass(scan, res_x, res_b)
 
             mp.setattr(_Scan, "_pass", recording)
-            certify_problem(_problem(name), seed=7)
+            certify_problem(_problem(name))
     return passes
 
 
@@ -1140,7 +1063,7 @@ def test_certify_peak_memory(name, limit_mb):
     _clear_caches()
     tracemalloc.start()
     try:
-        certify_problem(problem, seed=7)
+        certify_problem(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

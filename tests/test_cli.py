@@ -66,7 +66,7 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
     ) == 0
 
 
-# sha256_of_obj of the certificates `certify --seed 7` writes for every
+# sha256_of_obj of the certificates `certify` writes for every
 # input of `tools/snapshot.py`, so the sha256 of their two-space-indented
 # text, with metadata holding only the construction's parameters: one per assembly
 # path (general, the d = 0 sum-of-squares shortcut, box-frame compose),
@@ -259,7 +259,7 @@ def test_a_tampered_sidecar_leaves_the_run_unchanged(tmp_path, tamper):
     cold_sidecar, warm_sidecar = (Path(f"{out}.basecache.json") for out in (cold, warm))
 
     def certify(out):
-        return cli.main(["certify", "--input", str(path), "--output", str(out), "--seed", "7"])
+        return cli.main(["certify", "--input", str(path), "--output", str(out)])
 
     assert certify(cold) == 0
     sidecar = json.loads(cold_sidecar.read_text())
@@ -278,7 +278,7 @@ def test_an_older_sidecar_is_read_as_empty_and_recomputed(tmp_path):
     cold_sidecar, warm_sidecar = (Path(f"{out}.basecache.json") for out in (cold, warm))
 
     def certify(out):
-        return cli.main(["certify", "--input", str(path), "--output", str(out), "--seed", "7"])
+        return cli.main(["certify", "--input", str(path), "--output", str(out)])
 
     assert certify(cold) == 0
     sidecar = json.loads(cold_sidecar.read_text())
@@ -362,8 +362,7 @@ def test_indented_files_still_verify_and_fill_the_cache(snapshot, tmp_path, caps
     assert base_cache_to_obj(key, cache) == stored
     # certify reads it as warm and writes the same compact files again
     out = tmp_path / f"{stem}.cert.json"
-    argv = ["certify", "--input", str(SAMPLES / f"{stem}.json"), "--output", str(out),
-            "--seed", "7"]
+    argv = ["certify", "--input", str(SAMPLES / f"{stem}.json"), "--output", str(out)]
     assert cli.main(argv) == 0
     assert out.read_bytes() == (snapshot / f"{stem}.cert.json").read_bytes()
     assert indented.read_bytes() == compact.read_bytes()
@@ -426,7 +425,6 @@ def test_diagnostics_file(problem_file, tmp_path):
     assert code == 0
     stages = json.loads(diag.read_text())
     assert set(stages["verify"]) == {"sigma_degrees", "product_degrees"}
-    assert stages["config"]["seed"] == 0
 
 
 def test_tampered_certificate_fails_verification(problem_file, tmp_path):
@@ -835,6 +833,8 @@ def test_usage_errors_do_not_collide_with_numeric_success(capsys):
     capsys.readouterr()
 
 
+# removed options are usage errors: the search caps, now constants, and
+# the validation seed, which changed no certificate
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -842,6 +842,8 @@ def test_usage_errors_do_not_collide_with_numeric_success(capsys):
         ("certify", "--lambda-cap", "2^40"),
         ("certify", "--budget-cap", "8"),
         ("minimize", "--grid-depth", "5"),
+        ("certify", "--seed", "7"),
+        ("minimize", "--seed", "7"),
     ],
 )
 def test_search_caps_are_not_options(problem_file, tmp_path, capsys, command, flag, value):

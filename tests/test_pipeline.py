@@ -44,7 +44,7 @@ def test_line_instance_certifies_exact(line_result):
 
 def test_diagnostics_cover_every_stage(line_result):
     _p, res = line_result
-    for stage in ("config", "validate", "conditions", "fstar", "perturbation",
+    for stage in ("validate", "conditions", "fstar", "perturbation",
                   "polya", "form_sos", "base", "verify"):
         assert stage in res.diagnostics
     assert res.diagnostics["validate"]["ok"]

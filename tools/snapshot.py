@@ -5,7 +5,7 @@
 It imports ``cylcert`` from the ``src/`` of the checkout it lives in.
 For each file of ``sample_problems/`` and each member of
 ``perfbench/family.candidates()`` it runs ``cylcert.cli.main certify
---seed 7 --diagnostics`` in-process, writing ``<id>.cert.json``, its
+--diagnostics`` in-process, writing ``<id>.cert.json``, its
 ``.basecache.json`` sidecar and ``<id>.diag.json`` into OUTDIR, and the
 problem files into ``OUTDIR/inputs``.  It also writes ``psd.sha256``: the
 sha256 over every array ``cylcert.sos.psd_feasibility`` returns in the
@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copyfile(f"{before}.basecache.json", f"{cert}.basecache.json")
             command = [
                 "certify", "--input", str(path), "--output", str(cert),
-                "--seed", "7", "--diagnostics", str(outdir / f"{pid}.diag.json"),
+                "--diagnostics", str(outdir / f"{pid}.diag.json"),
             ]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(command)
