@@ -180,20 +180,30 @@ def check_constraint_scales(problem: CylinderProblem, rng, samples: int) -> None
             assert abs(g.eval_at(simplex_point(rng, problem.n) + pad)) <= scale
 
 
-def largest_family_member() -> dict:
-    """The problem object of the bench family's n = 2 Polya member polya2-K56."""
+def family_module() -> types.ModuleType:
+    """``perfbench/family.py``, executed from its source text so that
+    nothing is written beside it."""
     path = ROOT / "perfbench" / "family.py"
     family = types.ModuleType("perfbench_family")
     family.__file__ = str(path)
-    # executed from its source text, so nothing is written beside it
     exec(compile(path.read_text(), str(path), "exec"), family.__dict__)
-    return family.largest_member()
+    return family
+
+
+def largest_family_member() -> dict:
+    """The problem object of the bench family's n = 2 Polya member polya2-K56."""
+    return family_module().largest_member()
+
+
+def tool_module(name: str) -> types.ModuleType:
+    """``tools/<name>.py``, imported from its file."""
+    path = ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def snapshot_tool() -> types.ModuleType:
     """``tools/snapshot.py``, imported from its file."""
-    path = ROOT / "tools" / "snapshot.py"
-    spec = importlib.util.spec_from_file_location("snapshot_tool", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return tool_module("snapshot")

@@ -334,6 +334,29 @@ def test_a_residual_past_the_int_to_str_limit_is_reported(documents, tmp_path, c
     assert len(numerator) > 11_000 and numerator.isdigit()
 
 
+def test_a_4000_digit_exponent_in_a_square_fails_verification(
+    sample_certificates, tmp_path, capsys
+):
+    # the identity check packs each monomial into one int whose fields are
+    # as wide as the largest exponent needs: here about 13,300 bits a slot
+    problem_obj, cert_obj = sample_certificates["c1"]
+    hostile = copy.deepcopy(cert_obj)
+    hostile["sigmas"][0]["squares"][0][0]["x"] = [10**3999]
+    problem_path = tmp_path / "problem.json"
+    cert_path = tmp_path / "cert.json"
+    problem_path.write_text(json.dumps(problem_obj))
+    cert_path.write_text(json.dumps(hostile))
+    started = time.monotonic()
+    code = cli.main(["verify", "--problem", str(problem_path), "--certificate", str(cert_path)])
+    seconds = time.monotonic() - started
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert (code, json.loads(err.splitlines()[-1])["payload"]["kind"]) == (
+        cli.EXIT_VERIFY, "IDENTITY_FAIL"
+    )
+    assert seconds < 1
+
+
 # 200,000 nested arrays and 5,000 nested objects: the JSON reader recurses
 # once per level, and both once ended in a RecursionError traceback
 DEEP = {"arrays": "[" * 200_000, "objects": '{"a":' * 5_000}

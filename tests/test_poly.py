@@ -298,9 +298,17 @@ KERNEL_SHAPE = BlockShape(n=2, r1=1)
 BIG_DENOMINATORS = (1, 3**40, 2**61 - 1, 10**9 + 7, 998_244_353, 2**89 - 1)
 
 
+# Exponents past a 64-bit field: expand_identity packs each monomial into
+# one int, with fields as wide as the largest exponent needs.
+HUGE_EXPONENTS = st.sampled_from((2**64 - 1, 2**64, 2**64 + 1, 2**65 + 3, 10**30))
+
+
 @st.composite
-def kernel_polys(draw, max_terms=5, max_exp=3):
-    exps = st.tuples(*[st.integers(0, max_exp)] * KERNEL_SHAPE.width)
+def kernel_polys(draw, max_terms=5, max_exp=3, huge_slot=None):
+    slots = [st.integers(0, max_exp)] * KERNEL_SHAPE.width
+    if huge_slot is not None:
+        slots[huge_slot] = st.one_of(slots[huge_slot], HUGE_EXPONENTS)
+    exps = st.tuples(*slots)
     coeffs = st.builds(
         Fraction, st.integers(-(10**12), 10**12), st.sampled_from(BIG_DENOMINATORS)
     )
@@ -364,34 +372,69 @@ def test_product_matches_fraction_reference(p, q):
     assert not cancelled.poly().terms
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_sums_of_squares_and_identity_match_fraction_reference(data):
+    huge_slot = data.draw(st.sampled_from((None, 0, 2)))
     weight = st.builds(
         Fraction, st.integers(1, 10**9), st.sampled_from(BIG_DENOMINATORS)
     )
+    one = BlockedPoly.constant(KERNEL_SHAPE, 1)
 
     def sos(cancel):
-        squares = data.draw(st.lists(kernel_polys(4), max_size=4))
-        weights = [data.draw(weight) for _ in squares]
-        if cancel and squares:
+        squares = data.draw(st.lists(kernel_polys(4, huge_slot=huge_slot), max_size=4))
+        if data.draw(st.booleans()):
+            # one weight denominator, and q + 1 beside each q, which keeps
+            # q's denominator: several squares share each denominator group
+            den = data.draw(st.sampled_from(BIG_DENOMINATORS))
+            squares += [q + one for q in squares]
+            weights = [Fraction(data.draw(st.integers(1, 10**9)), den) for _ in squares]
+        else:
+            weights = [data.draw(weight) for _ in squares]
+        if cancel == "one" and squares:
             # a square and its negation: the expansion must drop every term
             squares.append(squares[0])
             weights.append(-weights[0])
+        elif cancel == "all":
+            # every square against its negation: the sigma is zero
+            squares += squares
+            weights += [-w for w in weights]
         return SosDecomposition(KERNEL_SHAPE, tuple(weights), tuple(squares))
 
-    sigma0 = sos(data.draw(st.booleans()))
+    cancels = st.sampled_from(("none", "one", "all"))
+    sigma0 = sos(data.draw(cancels))
     expanded = sigma0.as_poly()
     _assert_clean(expanded)
     assert expanded.terms == _ref_sos(sigma0.weights, sigma0.squares)
 
-    products = [(sos(data.draw(st.booleans())), data.draw(kernel_polys(3))) for _ in range(2)]
+    products = [(sos(data.draw(cancels)), data.draw(kernel_polys(3, huge_slot=huge_slot)))
+                for _ in range(2)]
     identity = expand_identity(sigma0, products)
     expected = _ref_sos(sigma0.weights, sigma0.squares)
     for sigma, g in products:
         _ref_add(expected, Fraction(1), _ref_mul(_ref_sos(sigma.weights, sigma.squares), g.terms))
     _assert_clean(identity)
     assert identity.terms == expected
+
+
+def test_monomials_that_share_a_64_bit_packing_stay_distinct():
+    # In fixed 64-bit fields, X1^(2^64) would pack to the key of X2: the
+    # two terms below would merge, and with opposite signs cancel.
+    x1_half = BlockedPoly.monomial(KERNEL_SHAPE, (2**63, 0, 0))
+    x2 = BlockedPoly.variable(KERNEL_SHAPE, 1)
+    one = BlockedPoly.constant(KERNEL_SHAPE, 1)
+    sigma0 = SosDecomposition(KERNEL_SHAPE, (Fraction(1),), (x1_half,))
+    sigma1 = SosDecomposition(KERNEL_SHAPE, (Fraction(1, 3),), (one,))
+    for sign in (1, -1):
+        identity = expand_identity(sigma0, [(sigma1, x2.scale(sign))])
+        assert identity.terms == {(2**64, 0, 0): Fraction(1), (0, 1, 0): Fraction(sign, 3)}
+    # the same two keys from one square's cross terms, and the top slot too
+    y_top = BlockedPoly.monomial(KERNEL_SHAPE, (0, 0, 2**64))
+    square = SosDecomposition(KERNEL_SHAPE, (Fraction(2),), (x1_half + x2 + y_top,))
+    assert square.as_poly() == P(KERNEL_SHAPE, {
+        (2**64, 0, 0): 2, (0, 2, 0): 2, (0, 0, 2**65): 2,
+        (2**63, 1, 0): 4, (2**63, 0, 2**64): 4, (0, 1, 2**64): 4,
+    })
 
 
 @settings(max_examples=25, deadline=None)
