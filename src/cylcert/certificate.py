@@ -17,7 +17,10 @@ certificates in :mod:`cylcert.pipeline`.
 Verification is independent of generation: it re-expands every square,
 compares against f exactly, and checks the degree of every sigma against
 the degree laws recomputed from the parameters in the metadata.  No
-degree is read from the file.
+degree is read from the file.  The first part, one sigma per constraint
+plus sigma_0, positive weights and the exact identity, is
+:func:`check_representation`; the facet-witness sidecar accepts a
+cached entry by the same function.
 
 ``theorem_bound`` evaluates the headline degree-bound formulas as
 certified rational upper bounds; they are reporting devices, never used
@@ -28,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .errors import SchemaError, ValidationError, VerificationError
-from .poly import BlockShape, SosDecomposition, expand_identity, substitute
+from .poly import BlockedPoly, BlockShape, SosDecomposition, expand_identity, substitute
 from .problem import CylinderProblem, RescaleRecord
 from .serialize import frac_from_str, frac_to_str, json_typed, poly_from_obj, poly_to_obj
 
@@ -231,6 +234,44 @@ def _fail(kind: str, message: str, **payload: Any) -> VerificationError:
     return VerificationError(message, kind=kind, **payload)
 
 
+def check_representation(
+    target: BlockedPoly,
+    sigmas: Sequence[SosDecomposition],
+    gens: Sequence[BlockedPoly],
+) -> None:
+    """Check ``target = sigma_0 + sum sigma_i * g_i`` exactly.
+
+    ``sigmas`` must hold one sigma per generator plus sigma_0, every
+    weight strictly positive.  Raises :class:`VerificationError` with the
+    ``kind`` of the first failed check.  :func:`verify_certificate` runs
+    it on a certificate's sigmas against f, and
+    :func:`cylcert.putinar_base.base_certificates` on a cached facet
+    witness against its facet product, so the sidecar reuses an entry
+    exactly when a certificate holding it would verify.
+    """
+    if len(sigmas) != len(gens) + 1:
+        raise _fail(
+            "IDENTITY_FAIL",
+            "certificate must carry one sigma per constraint plus sigma_0",
+            sigmas=len(sigmas),
+            constraints=len(gens),
+        )
+    for index, deco in enumerate(sigmas):
+        if any(w <= 0 for w in deco.weights):
+            raise _fail(
+                "NEGATIVE_WEIGHT",
+                "all square weights must be strictly positive",
+                sigma=index,
+            )
+    diff = expand_identity(sigmas[0], zip(sigmas[1:], gens)) - target
+    if diff:
+        raise _fail(
+            "IDENTITY_FAIL",
+            "re-expanded sigmas do not reproduce f",
+            residual=frac_to_str(max(abs(c) for c in diff.terms.values())),
+        )
+
+
 def verify_certificate(problem: CylinderProblem, cert: Certificate) -> VerificationReport:
     """Re-expand a certificate from scratch and check it against f.
 
@@ -245,29 +286,7 @@ def verify_certificate(problem: CylinderProblem, cert: Certificate) -> Verificat
             expected=problem.problem_hash(),
             declared=cert.problem_hash,
         )
-    if len(cert.sigmas) != problem.s + 1:
-        raise _fail(
-            "IDENTITY_FAIL",
-            "certificate must carry one sigma per constraint plus sigma_0",
-            sigmas=len(cert.sigmas),
-            constraints=problem.s,
-        )
-    for index, deco in enumerate(cert.sigmas):
-        if any(w <= 0 for w in deco.weights):
-            raise _fail(
-                "NEGATIVE_WEIGHT",
-                "all square weights must be strictly positive",
-                sigma=index,
-            )
-
-    total = expand_identity(cert.sigmas[0], zip(cert.sigmas[1:], problem.g))
-    diff = total - problem.f
-    if diff:
-        raise _fail(
-            "IDENTITY_FAIL",
-            "re-expanded sigmas do not reproduce f",
-            residual=frac_to_str(max(abs(c) for c in diff.terms.values())),
-        )
+    check_representation(problem.f, cert.sigmas, problem.g)
 
     meta = cert.meta
     absorption, cap = degree_laws(

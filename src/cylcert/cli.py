@@ -20,28 +20,14 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 from .certificate import (
+    _BOUND_FORMULAS,
     BoundInputs,
     certificate_from_obj,
     certificate_to_obj,
     theorem_bound,
     verify_certificate,
 )
-from .errors import (
-    BelowThresholdError,
-    BudgetExhaustedError,
-    CapExceededError,
-    CylcertError,
-    IdentityMismatchError,
-    IndefiniteConditionError,
-    NonpositiveWitnessError,
-    ResolutionExhaustedError,
-    SchemaError,
-    SearchExhaustedError,
-    ShapeMismatchError,
-    SosStalledError,
-    ValidationError,
-    VerificationError,
-)
+from .errors import CapExceededError, CylcertError
 from .problem import BOX, CylinderProblem, problem_from_obj, problem_to_obj, rescale_to_simplex
 from .serialize import (
     DIGIT_CAP,
@@ -63,29 +49,6 @@ EXIT_CAP = 14
 EXIT_VERIFY = 15
 EXIT_IO = 20
 
-_EXIT_FOR = {
-    SchemaError: EXIT_IO,
-    ShapeMismatchError: EXIT_IO,
-    IndefiniteConditionError: EXIT_INDEFINITE,
-    NonpositiveWitnessError: EXIT_NONPOSITIVE,
-    BelowThresholdError: EXIT_EXHAUSTED,
-    ResolutionExhaustedError: EXIT_EXHAUSTED,
-    SearchExhaustedError: EXIT_EXHAUSTED,
-    BudgetExhaustedError: EXIT_EXHAUSTED,
-    SosStalledError: EXIT_EXHAUSTED,
-    CapExceededError: EXIT_CAP,
-    IdentityMismatchError: EXIT_VERIFY,
-    VerificationError: EXIT_VERIFY,
-    ValidationError: EXIT_VALIDATION,
-}
-
-
-def _exit_code_for(exc: CylcertError) -> int:
-    for klass in type(exc).__mro__:
-        if klass in _EXIT_FOR:
-            return _EXIT_FOR[klass]
-    return EXIT_VALIDATION
-
 
 def _emit(obj: dict[str, Any]) -> None:
     """One structured line on the side channel."""
@@ -93,10 +56,9 @@ def _emit(obj: dict[str, Any]) -> None:
 
 
 def _fail(exc: CylcertError) -> int:
-    code = _exit_code_for(exc)
     print(f"error[{exc.code}]: {exc}")
     _emit({"error": exc.code, "message": str(exc), "payload": exc.payload})
-    return code
+    return exc.exit_code
 
 
 def _load_problem(path: str) -> CylinderProblem:
@@ -130,10 +92,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     cache_path = args.output + ".basecache.json"
     key = _constraints_key(problem)
-    precomputed = None
     try:
         precomputed = base_cache_from_obj(load_json(cache_path), key, problem.shape)
-    except (OSError, CylcertError, ValueError):
+    except CylcertError:
         precomputed = None
 
     try:
@@ -266,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument(
         "--theorem",
         required=True,
-        choices=("1.1", "1.2", "1.3", "1.4", "1.5", "2.3"),
+        choices=_BOUND_FORMULAS,
         help="which bound formula",
     )
     bnd.add_argument("--c", type=_fraction_arg, default=Fraction(1))

@@ -3,7 +3,8 @@
 Every error that can abort a pipeline stage carries a small ``payload``
 dict with exact (JSON-serializable) data: witnesses, best bounds seen,
 exhausted caps.  The CLI turns these into structured diagnostics and
-exit codes; library callers can inspect ``payload`` directly.
+exits with the class's ``exit_code`` (the README table); library
+callers can inspect ``payload`` directly.
 """
 from __future__ import annotations
 
@@ -11,9 +12,11 @@ from typing import Any
 
 
 class CylcertError(Exception):
-    """Base class; ``payload`` holds structured diagnostic data."""
+    """Base class; ``payload`` holds structured diagnostic data, and
+    ``exit_code`` is the status ``cylcert`` exits with."""
 
     code = "ERROR"
+    exit_code = 10
 
     def __init__(self, message: str, **payload: Any) -> None:
         super().__init__(message)
@@ -24,48 +27,56 @@ class ShapeMismatchError(CylcertError):
     """Two polynomials with different variable layouts were combined."""
 
     code = "SHAPE_MISMATCH"
+    exit_code = 20
 
 
 class SchemaError(CylcertError):
     """A JSON document does not match the expected on-disk format."""
 
     code = "SCHEMA"
+    exit_code = 20
 
 
 class ValidationError(CylcertError):
     """A problem fails its declared preconditions (frame, degrees, ...)."""
 
     code = "VALIDATION"
+    exit_code = 10
 
 
 class NoFeasibleSampleError(ValidationError):
     """No point satisfying every constraint was found at the search cap."""
 
     code = "NO_FEASIBLE_SAMPLE"
+    exit_code = 10
 
 
 class IndefiniteConditionError(CylcertError):
     """A required leading-form positivity condition fails; witness attached."""
 
     code = "INDEFINITE_CONDITION"
+    exit_code = 11
 
 
 class NonpositiveWitnessError(CylcertError):
     """A feasible sample of the target region evaluated to <= 0."""
 
     code = "NONPOSITIVE_WITNESS"
+    exit_code = 12
 
 
 class BelowThresholdError(CylcertError):
     """A sample of the full domain evaluated strictly below the threshold."""
 
     code = "BELOW_THRESHOLD"
+    exit_code = 13
 
 
 class ResolutionExhaustedError(CylcertError):
     """Grid refinement hit its depth cap without a conclusive answer."""
 
     code = "RESOLUTION_EXHAUSTED"
+    exit_code = 13
 
 
 class SearchExhaustedError(CylcertError):
@@ -73,6 +84,7 @@ class SearchExhaustedError(CylcertError):
     or no facet witness within the degree budget."""
 
     code = "SEARCH_EXHAUSTED"
+    exit_code = 13
 
 
 class CapExceededError(CylcertError):
@@ -81,18 +93,21 @@ class CapExceededError(CylcertError):
     on the perturbed target."""
 
     code = "CAP_EXCEEDED"
+    exit_code = 14
 
 
 class BudgetExhaustedError(CylcertError):
     """A grid-scan pass would exceed its pair, point or memory budget."""
 
     code = "BUDGET_EXHAUSTED"
+    exit_code = 13
 
 
 class SosStalledError(CylcertError):
     """PSD feasibility iteration stalled (no Gram matrix found)."""
 
     code = "STALLED"
+    exit_code = 13
 
 
 class IdentityMismatchError(CylcertError):
@@ -100,6 +115,7 @@ class IdentityMismatchError(CylcertError):
     that survived substitution."""
 
     code = "IDENTITY_MISMATCH"
+    exit_code = 15
 
 
 class VerificationError(CylcertError):
@@ -109,3 +125,4 @@ class VerificationError(CylcertError):
     reported as IDENTITY_FAIL."""
 
     code = "VERIFY_FAIL"
+    exit_code = 15

@@ -66,8 +66,8 @@ from .problem import (
     validate_problem,
 )
 from .putinar_base import (
-    ModuleWitness,
     Parity,
+    Witness,
     base_certificates,
     even_square_root,
     parity_vector,
@@ -82,14 +82,16 @@ class CertifyResult:
     """A verified certificate plus the evidence trail that produced it.
 
     ``certificate`` is stated in the frame of the input problem.  The
-    facet witnesses in ``base_cache`` live in the solving (simplex)
-    frame and are keyed by parity vector; they are reusable across runs
-    that share the constraint list.
+    facet witnesses in ``base_cache`` are sigma tuples
+    ``(sigma_0, sigma_1, ..., sigma_s)`` in the solving (simplex) frame,
+    keyed by parity vector; they are reusable across runs that share the
+    constraint list.  ``diagnostics["base"]["reused"]`` names the
+    parities whose witness was taken from ``precomputed_base``.
     """
 
     certificate: Certificate
     problem: CylinderProblem
-    base_cache: dict[Parity, ModuleWitness] = field(default_factory=dict)
+    base_cache: dict[Parity, Witness] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
@@ -120,13 +122,14 @@ def solving_frame(
 def certify_problem(
     problem: CylinderProblem,
     *,
-    precomputed_base: dict[Parity, ModuleWitness] | None = None,
+    precomputed_base: Mapping[Parity, Witness] | None = None,
 ) -> CertifyResult:
     """Run the whole certification chain on one problem.
 
     ``precomputed_base`` may carry facet witnesses from an earlier run
-    over the same constraint list; each is re-verified before reuse and
-    silently recomputed when stale.  Raises the stage-specific error of whichever stage fails; the
+    over the same constraint list; each is checked by the rule
+    :func:`verify_certificate` applies before reuse and silently
+    recomputed when it fails.  Raises the stage-specific error of whichever stage fails; the
     exception payloads carry the witnesses.
     """
     solving, record, fallback, report = solving_frame(problem)
@@ -142,7 +145,7 @@ def certify_problem(
     diag["fstar"] = floor.to_obj()
 
     cert: Certificate | None = None
-    base: dict[Parity, ModuleWitness] = {}
+    base: dict[Parity, Witness] = {}
     if solving.d == 0:
         # The target does not involve the bounded block at all, so a
         # plain square decomposition is a complete certificate; fall
@@ -183,11 +186,12 @@ def certify_problem(
             {parity_vector(key) for key in pol.forms},
             precomputed=precomputed_base,
         )
+        cached = precomputed_base or {}
         diag["base"] = {
             "parities": ["".join(map(str, p)) for p in sorted(base)],
-            "budgets": {
-                "".join(map(str, p)): base[p].budget for p in sorted(base)
-            },
+            "reused": [
+                "".join(map(str, p)) for p in sorted(base) if base[p] is cached.get(p)
+            ],
         }
 
         cert = assemble(
@@ -305,7 +309,7 @@ def assemble(
     lam: Fraction,
     k: int,
     polya: PolyaResult,
-    base: Mapping[Parity, ModuleWitness],
+    base: Mapping[Parity, Witness],
     *,
     fstar_lb: Fraction,
 ) -> Certificate:
@@ -357,7 +361,7 @@ def assemble(
         if parity not in witness_squares:
             witness_squares[parity] = [
                 [(w, builder.ground(t), t.total_degree()) for w, t in zip(tau.weights, tau.squares)]
-                for tau in base[parity].sigmas
+                for tau in base[parity]
             ]
         root = even_square_root(key)
         sq_x = simplex_u(shape) ** root[0]
@@ -378,7 +382,7 @@ def assemble(
         (
             tau.degree() + gdegs[index]
             for witness in base.values()
-            for index, tau in enumerate(witness.sigmas)
+            for index, tau in enumerate(witness)
             if tau.weights
         ),
         default=0,

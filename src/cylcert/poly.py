@@ -403,9 +403,6 @@ class SosDecomposition:
     weights: tuple[Fraction, ...]
     squares: tuple[BlockedPoly, ...]
 
-    def as_poly(self) -> BlockedPoly:
-        return expand_identity(self, ())
-
     def degree(self) -> int:
         """Total degree of the expanded sum: with positive weights the top
         forms of the squares cannot cancel."""

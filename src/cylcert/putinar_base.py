@@ -16,10 +16,10 @@ Each product is one :func:`~cylcert.sos.module_witness` search, the same
 search that decomposes coefficient forms, over the bases of
 :func:`facet_bases`: one block per sigma, x-only monomials from
 :func:`~cylcert.sos.monomials`.  The search returns the tuple
-``(sigma_0, sigma_1, ..., sigma_s)``, empty where no basis was given, and
-a :class:`ModuleWitness` keeps that tuple as it is, as a certificate
-does.  The degree budget for the sigmas doubles on failure up to a hard
-cap.  When the product vanishes at a
+``(sigma_0, sigma_1, ..., sigma_s)``, empty where no basis was given,
+and that tuple is the witness, as a certificate holds its sigmas.  The
+degree budget for the sigmas doubles on failure up to a hard cap.  When
+the product vanishes at a
 simplex vertex that satisfies every constraint, the feasible Gram
 matrices are all singular there, so the bases are first cut down to
 polynomials vanishing at that vertex (facial reduction), which restores
@@ -27,23 +27,35 @@ an interior-feasible system.
 
 ``cylcert certify`` keeps the witnesses in a ``.basecache.json`` sidecar
 beside the certificate; :func:`base_cache_to_obj` and
-:func:`base_cache_from_obj` are its codec, with polynomials and sums of
-squares written as in a certificate file.
+:func:`base_cache_from_obj` are its codec, each entry the sigma list
+written as in a certificate file.  :func:`base_certificates` reuses a
+cached entry only when
+:func:`~cylcert.certificate.check_representation`, the check
+``cylcert verify`` runs on a certificate, accepts it for its facet
+product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-from .certificate import sos_from_obj, sos_to_obj
-from .errors import CapExceededError, SchemaError, SearchExhaustedError, ValidationError
-from .poly import BlockedPoly, BlockShape, SosDecomposition, expand_identity
-from .serialize import json_typed, poly_from_obj, poly_to_obj
+from .certificate import check_representation, sos_from_obj, sos_to_obj
+from .errors import (
+    CapExceededError,
+    SchemaError,
+    SearchExhaustedError,
+    ShapeMismatchError,
+    ValidationError,
+    VerificationError,
+)
+from .poly import BlockedPoly, BlockShape, SosDecomposition
+from .serialize import json_typed
 from .sos import Basis, module_witness, monomials
 
 Exponent = tuple[int, ...]
 Parity = tuple[int, ...]
+# (sigma_0, sigma_1, ..., sigma_s), as module_witness returns it
+Witness = tuple[SosDecomposition, ...]
 
 MAX_VARIABLES = 6
 BUDGET_CAP = 16
@@ -88,84 +100,46 @@ def facet_product(shape: BlockShape, parity: Parity) -> BlockedPoly:
     return out
 
 
-@dataclass(frozen=True)
-class ModuleWitness:
-    """Exact decomposition target = sigma_0 + sum sigma_i * g_i.
-
-    ``sigmas`` is ``(sigma_0, sigma_1, ..., sigma_s)``, as in a certificate.
-    """
-
-    target: BlockedPoly
-    sigmas: tuple[SosDecomposition, ...]
-    budget: int
-
-    def verify(self, gens: Sequence[BlockedPoly]) -> bool:
-        return len(self.sigmas) == len(gens) + 1 and (
-            expand_identity(self.sigmas[0], zip(self.sigmas[1:], gens)) == self.target
-        )
-
-
 # ---------------------------------------------------------------------------
 # the witness sidecar
 # ---------------------------------------------------------------------------
 
-def witness_to_obj(witness: ModuleWitness) -> dict[str, Any]:
-    return {
-        "target": poly_to_obj(witness.target),
-        "budget": witness.budget,
-        "sigmas": [sos_to_obj(s) for s in witness.sigmas],
-    }
-
-
-def witness_from_obj(obj: Any, shape: BlockShape) -> ModuleWitness:
-    if not isinstance(obj, dict):
-        raise SchemaError("a cached witness must be an object")
-    try:
-        return ModuleWitness(
-            target=poly_from_obj(obj["target"], shape),
-            sigmas=tuple(
-                sos_from_obj(s, shape) for s in json_typed(obj["sigmas"], list, "sigmas")
-            ),
-            budget=json_typed(obj["budget"], int, "witness budget"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad cached witness: {exc}") from None
-
-
 def base_cache_to_obj(
-    constraints_key: str, witnesses: Mapping[Parity, ModuleWitness]
+    constraints_key: str, witnesses: Mapping[Parity, Witness]
 ) -> dict[str, Any]:
     return {
         "constraints_hash": constraints_key,
         "witnesses": {
-            "".join(str(b) for b in parity): witness_to_obj(w)
-            for parity, w in sorted(witnesses.items())
+            "".join(str(b) for b in parity): [sos_to_obj(s) for s in sigmas]
+            for parity, sigmas in sorted(witnesses.items())
         },
     }
 
 
 def base_cache_from_obj(
     obj: Any, constraints_key: str, shape: BlockShape
-) -> dict[Parity, ModuleWitness]:
+) -> dict[Parity, Witness]:
     """Decode a witness cache; an unrelated or malformed cache is empty.
 
-    Cache misuse must never poison a run: the consumer reuses an entry
-    only when it states the facet product of its key, carries one sigma
-    per generator plus sigma_0 and expands to that product exactly, and
-    a key mismatch simply means the constraints changed since the cache
-    was written.  An entry without ``sigmas`` (the older ``sigma0`` plus
-    ``multipliers`` layout) is skipped, so it is recomputed.
+    Cache misuse must never poison a run: :func:`base_certificates`
+    checks every entry before reuse, and a key mismatch simply means the
+    constraints changed since the cache was written.  An entry that is
+    not a sigma list (the older layouts, an object with ``target``,
+    ``budget`` and ``sigmas`` or with ``sigma0`` and ``multipliers``)
+    is skipped, so it is recomputed.
     """
     if not isinstance(obj, dict) or obj.get("constraints_hash") != constraints_key:
         return {}
-    out: dict[Parity, ModuleWitness] = {}
+    out: dict[Parity, Witness] = {}
     raw = obj.get("witnesses")
     if not isinstance(raw, dict):
         return {}
-    for key, wobj in raw.items():
+    for key, entry in raw.items():
         try:
             parity = tuple(int(ch) for ch in key)
-            out[parity] = witness_from_obj(wobj, shape)
+            out[parity] = tuple(
+                sos_from_obj(s, shape) for s in json_typed(entry, list, "cached witness")
+            )
         except (SchemaError, ValueError):
             continue
     return out
@@ -258,15 +232,15 @@ def base_certificates(
     gens: Sequence[BlockedPoly],
     parities: Iterable[Parity],
     *,
-    precomputed: dict[Parity, ModuleWitness] | None = None,
-) -> dict[Parity, ModuleWitness]:
+    precomputed: Mapping[Parity, Witness] | None = None,
+) -> dict[Parity, Witness]:
     """Module decompositions for the square-free facet products named.
 
     ``parities`` lists the products wanted, as parity vectors over
-    ``(u, x_1, ..., x_n)``.  ``precomputed`` entries (from a cache) are
-    reused only when they state this parity's facet product, carry one
-    sigma per generator plus sigma_0, and expand to it exactly; anything
-    else is recomputed.  Raises :class:`SearchExhaustedError` when some product
+    ``(u, x_1, ..., x_n)``.  A ``precomputed`` entry (from a cache) is
+    returned as it is when :func:`~cylcert.certificate.check_representation`
+    accepts it for this parity's facet product; anything else, an entry
+    over another variable layout too, is recomputed.  Raises :class:`SearchExhaustedError` when some product
     resists every budget up to ``BUDGET_CAP``, and :class:`CapExceededError`
     when the number of cylinder variables exceeds ``MAX_VARIABLES``.
     """
@@ -277,18 +251,23 @@ def base_certificates(
             max_variables=MAX_VARIABLES,
         )
     ladder = budget_ladder(gens)
-    out: dict[Parity, ModuleWitness] = {}
+    out: dict[Parity, Witness] = {}
     failed: list[Parity] = []
     for parity in sorted(parities):
         target = facet_product(shape, parity)
         cached = (precomputed or {}).get(parity)
-        if cached is not None and cached.target == target and cached.verify(gens):
-            out[parity] = cached
-            continue
+        if cached is not None:
+            try:
+                check_representation(target, cached, gens)
+            except (VerificationError, ShapeMismatchError):
+                pass
+            else:
+                out[parity] = cached
+                continue
         for budget in ladder:
             sigmas = module_witness(target, gens, facet_bases(shape, gens, budget, target))
             if sigmas is not None:
-                out[parity] = ModuleWitness(target, sigmas, budget)
+                out[parity] = sigmas
                 break
         else:
             failed.append(parity)

@@ -136,7 +136,7 @@ def rational_ldlt(
 # the Gram system
 # ---------------------------------------------------------------------------
 
-def _as_poly(shape: BlockShape, base: "Exponent | BlockedPoly") -> BlockedPoly:
+def _basis_poly(shape: BlockShape, base: "Exponent | BlockedPoly") -> BlockedPoly:
     return base if isinstance(base, BlockedPoly) else BlockedPoly.monomial(shape, base)
 
 
@@ -172,7 +172,7 @@ class GramSystem:
 
         # Sparse columns: entry -> [(row, coefficient)] over all monomials
         # the entry can produce.
-        polys = [[_as_poly(shape, q) for q in basis] for _gen, basis in self.blocks]
+        polys = [[_basis_poly(shape, q) for q in basis] for _gen, basis in self.blocks]
         row_of: dict[Exponent, int] = {}
         cols: list[list[tuple[int, Fraction]]] = []
         for b, j, k in self.entries:
@@ -461,7 +461,7 @@ def decomposition_from_gram(
         combo = ExactSum(shape)
         for i in range(k, len(basis)):
             if lower[i][k]:
-                combo.add_product(lower[i][k], _as_poly(shape, basis[perm[i]]), one)
+                combo.add_product(lower[i][k], _basis_poly(shape, basis[perm[i]]), one)
         weights.append(d)
         squares.append(combo.poly())
     return SosDecomposition(shape, tuple(weights), tuple(squares))

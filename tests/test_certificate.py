@@ -23,6 +23,7 @@ from cylcert.certificate import (
     EXP_UPPER_CAP,
     certificate_from_obj,
     certificate_to_obj,
+    check_representation,
     compose_with_frame,
     exp_upper,
     integer_root_upper,
@@ -39,7 +40,13 @@ from cylcert.errors import (
 )
 from cylcert.perturb import factor_squares, find_perturbation, normalized_constraints
 from cylcert.pipeline import _SigmaBuilder, assemble, sos_only_certificate
-from cylcert.poly import BlockShape, BlockedPoly, SosDecomposition, substitute
+from cylcert.poly import (
+    BlockShape,
+    BlockedPoly,
+    SosDecomposition,
+    expand_identity,
+    substitute,
+)
 from cylcert.polya import PolyaResult, polya_saturate
 from cylcert.problem import (
     BOX,
@@ -50,15 +57,15 @@ from cylcert.problem import (
     rescale_to_simplex,
 )
 from cylcert.putinar_base import (
-    ModuleWitness,
     Parity,
+    Witness,
     base_cache_from_obj,
     base_cache_to_obj,
     base_certificates,
     even_square_root,
+    facet_product,
     parity_vector,
     simplex_u,
-    witness_from_obj,
 )
 from cylcert.serialize import canonical_dumps
 from cylcert.sos import sos_decompose
@@ -105,9 +112,9 @@ def test_assembled_certificate_verifies_exact(interval_cert):
 
 def test_identity_is_a_term_map_equality(interval_cert):
     problem, cert, _base = interval_cert
-    total = cert.sigmas[0].as_poly()
+    total = expand_identity(cert.sigmas[0], ())
     for sigma, g in zip(cert.sigmas[1:], problem.g):
-        total = total + sigma.as_poly() * g
+        total = total + expand_identity(sigma, ()) * g
     assert total == problem.f
 
 
@@ -152,7 +159,7 @@ def test_c9_matches_the_witnesses_used(interval_cert):
     best = 0
     gdegs = [0] + [g.block_degree("x") for g in problem.g]
     for witness in base.values():
-        for tau, gdeg in zip(witness.sigmas, gdegs, strict=True):
+        for tau, gdeg in zip(witness, gdegs, strict=True):
             best = max([best] + [2 * q.total_degree() + gdeg for q in tau.squares])
     assert cert.meta.c9 == best
 
@@ -274,12 +281,8 @@ def test_base_cache_round_trip(interval_cert):
     back = base_cache_from_obj(obj, "key-1", problem.shape)
     assert set(back) == set(base)
     for parity, witness in back.items():
-        original = base[parity]
-        assert witness.verify(problem.g)
-        assert witness.target == original.target
-        assert witness.budget == original.budget
-        assert len(witness.sigmas) == problem.s + 1
-        for sigma, want in zip(witness.sigmas, original.sigmas, strict=True):
+        check_representation(facet_product(problem.shape, parity), witness, problem.g)
+        for sigma, want in zip(witness, base[parity], strict=True):
             assert sigma.weights == want.weights
             assert sigma.squares == want.squares
     assert base_cache_from_obj(obj, "other-key", problem.shape) == {}
@@ -290,13 +293,21 @@ def test_cached_witness_integers_are_read_strictly(interval_cert):
     problem, _cert, base = interval_cert
     parity = min(base)
     key = "".join(map(str, parity))
-    for field, bad in (("budget", 4.0), ("budget", True), ("sigmas", "[]"), ("sigmas", {})):
+
+    def exponent_as(value):
+        def tamper(entry):
+            term = next(s for s in entry if s["squares"])["squares"][0][0]
+            term["x"][0] = value
+            return entry
+        return tamper
+
+    # an entry is a list of sigmas, and an exponent a JSON int
+    for tamper in (lambda e: "[]", lambda e: {"sigmas": e}, exponent_as(1.0), exponent_as(True)):
         obj = base_cache_to_obj("key-1", base)
-        entry = obj["witnesses"][key]
-        entry[field] = bad
-        with pytest.raises(SchemaError):
-            witness_from_obj(entry, problem.shape)
-        assert parity not in base_cache_from_obj(obj, "key-1", problem.shape)
+        obj["witnesses"][key] = tamper(obj["witnesses"][key])
+        back = base_cache_from_obj(obj, "key-1", problem.shape)
+        assert parity not in back
+        assert set(back) == set(base) - {parity}
 
 
 # --- assembly against the per-square reference ---------------------------
@@ -362,7 +373,7 @@ def reference_assemble(
     lam: Fraction,
     k: int,
     polya: PolyaResult,
-    base: Mapping[Parity, ModuleWitness],
+    base: Mapping[Parity, Witness],
     *,
     fstar_lb: Fraction,
 ) -> tuple[Certificate, tuple[int, ...], tuple[int, ...]]:
@@ -414,7 +425,7 @@ def reference_assemble(
         sq_x = sq_x.embed(padded)
         for w_form, q_form in zip(deco.weights, deco.squares):
             partial = q_form * sq_x
-            for sigma_index, tau in enumerate(witness.sigmas):
+            for sigma_index, tau in enumerate(witness):
                 gdeg = (
                     0
                     if sigma_index == 0
@@ -430,8 +441,8 @@ def reference_assemble(
     # c9 from the facet witnesses (sigma_0's generator is 1).
     c9 = 0
     for witness in base.values():
-        c9 = max(c9, _reference_sos_degree(witness.sigmas[0]))
-        for idx, tau in enumerate(witness.sigmas[1:]):
+        c9 = max(c9, _reference_sos_degree(witness[0]))
+        for idx, tau in enumerate(witness[1:]):
             if tau.weights:
                 c9 = max(c9, _reference_sos_degree(tau) + problem.g[idx].block_degree("x"))
 

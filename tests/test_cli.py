@@ -3,6 +3,8 @@ import copy
 import hashlib
 import json
 import os
+import re
+import shutil
 import stat
 import sys
 import time
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 from helpers import largest_family_member, snapshot_tool
 
-from cylcert import cli
+from cylcert import cli, errors
 from cylcert.certificate import (
     E_UPPER,
     POWER_BITS_CAP,
@@ -28,8 +30,8 @@ from cylcert.problem import (
     problem_from_obj,
     problem_to_obj,
 )
-from cylcert.putinar_base import base_cache_from_obj, base_cache_to_obj
-from cylcert.serialize import canonical_dumps, load_json, sha256_of_obj
+from cylcert.putinar_base import base_cache_from_obj, base_cache_to_obj, facet_product
+from cylcert.serialize import canonical_dumps, load_json, poly_to_obj, sha256_of_obj
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
 
@@ -138,9 +140,9 @@ PINNED_SIGMAS = {
 # the two inputs whose sidecars are largest
 PINNED_SIDECARS = {
     "c5_square_plane_quadratic":
-        "6acc6065a7ea0ae0dcac0ddc150e455fe8d15c0bdfffbec9a6464ce8e35d2d8c",
+        "8e05f1a162bc11429d323e239455b3a3a4bb8505b35cbf58b486f7bfa988c562",
     "polya2-K56":
-        "2badbd9d022a5c9fe4cec8a0a9850756eb1d1c3f7bc19ae820dad2e2e20dc64a",
+        "47e4d2f8574db5ba0c2c45b1a4400a85dc0cda3acd153e1d0a51ff1114dfea1f",
 }
 
 # sha256 of the compact files themselves, certificates and the two sidecars
@@ -172,9 +174,9 @@ PINNED_FILES = {
     "polya2-K56.cert.json":
         "c2c88fd6d5a4dc246946432fa0e92cc8693106a2a53b8294c07d9a47dad8883a",
     "c5_square_plane_quadratic.cert.json.basecache.json":
-        "f5a23c4cb67b00eab3478298d47399e9007e872abb057355adafd349c82b1028",
+        "be82d24bcdbf3bbb9134caf53d6e8f7e8eb94c63f835ce759442b5f7ca538d26",
     "polya2-K56.cert.json.basecache.json":
-        "904a4c33a06e30bebdbb2484b7d6bac8ebb65d1d5ebe0a73c594c63841313730",
+        "1ae142b4131feb8cc13b24a61d4a3f7da987cc6780c87ea44d7ed61a1c0edbb0",
 }
 
 # sha256 over every float point the Gram searches of the snapshot return
@@ -246,12 +248,35 @@ def _copy_witness_00_to_11(witnesses):
 
 def _point_a_multiplier_at_generator_7(witnesses):
     # c1 has one constraint: pad sigma_2 .. sigma_6 empty and copy sigma_1 to sigma_7
-    sigmas = witnesses["11"]["sigmas"]
+    sigmas = witnesses["11"]
     sigmas += [{"weights": [], "squares": []}] * 5 + [sigmas[1]]
 
 
+def _cancel_a_doubled_square(witnesses):
+    # sigma_0's first square at twice its weight, and again at minus that
+    # weight: the identity holds, but a weight is negative
+    sigma0 = witnesses["00"][0]
+    weight = F(sigma0["weights"][0])
+    sigma0["weights"][0] = str(2 * weight)
+    sigma0["weights"].append(str(-weight))
+    sigma0["squares"].append(sigma0["squares"][0])
+
+
+def _add_x5_at_weight_0(witnesses):
+    # a zero weight leaves the expansion unchanged; reused, x^5 would raise c9
+    sigma0 = witnesses["00"][0]
+    sigma0["weights"].append("0")
+    sigma0["squares"].append([{"c": "1", "x": [5], "y1": [0]}])
+
+
 @pytest.mark.parametrize(
-    "tamper", [_copy_witness_00_to_11, _point_a_multiplier_at_generator_7]
+    "tamper",
+    [
+        _copy_witness_00_to_11,
+        _point_a_multiplier_at_generator_7,
+        _cancel_a_doubled_square,
+        _add_x5_at_weight_0,
+    ],
 )
 def test_a_tampered_sidecar_leaves_the_run_unchanged(tmp_path, tamper):
     path = SAMPLES / "c1_interval_line_quadratic.json"
@@ -270,28 +295,61 @@ def test_a_tampered_sidecar_leaves_the_run_unchanged(tmp_path, tamper):
     assert warm_sidecar.read_bytes() == cold_sidecar.read_bytes()
 
 
+def test_a_sidecar_of_other_constraints_is_not_read(tmp_path):
+    # c1's witnesses hold for c1's constraint; at c7's output path the
+    # constraints hash keeps them out of c7's run
+    c1, c7 = (SAMPLES / f"{stem}.json" for stem in ("c1_interval_line_quadratic",
+                                                    "c7_box_frame_line_quadratic"))
+    first, cold, warm = tmp_path / "c1.json", tmp_path / "cold.json", tmp_path / "warm.json"
+
+    def certify(problem, out):
+        return cli.main(["certify", "--input", str(problem), "--output", str(out)])
+
+    assert certify(c1, first) == 0
+    assert certify(c7, cold) == 0
+    shutil.copyfile(f"{first}.basecache.json", f"{warm}.basecache.json")
+    assert certify(c7, warm) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    assert Path(f"{warm}.basecache.json").read_bytes() == Path(f"{cold}.basecache.json").read_bytes()
+
+
+def _entry_with_target_and_budget(key, sigmas, shape):
+    parity = tuple(int(ch) for ch in key)
+    return {"target": poly_to_obj(facet_product(shape, parity)), "budget": 4, "sigmas": sigmas}
+
+
+def _entry_with_sigma0_and_multipliers(key, sigmas, shape):
+    sigma0, *rest = sigmas
+    return {"sigma0": sigma0, "multipliers": [[i, s] for i, s in enumerate(rest) if s["weights"]]}
+
+
 def test_an_older_sidecar_is_read_as_empty_and_recomputed(tmp_path):
-    # the layout before sidecars stored sigmas as a certificate does:
-    # sigma_0, then [generator index, sigma] for each nonzero multiplier
+    # the layouts before entries became sigma lists: an object holding the
+    # facet product as `target`, the degree `budget` and the `sigmas`, and
+    # before that sigma_0, then [generator index, sigma] for each nonzero
+    # multiplier
     path = SAMPLES / "c5_square_plane_quadratic.json"
-    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
-    cold_sidecar, warm_sidecar = (Path(f"{out}.basecache.json") for out in (cold, warm))
+    problem = problem_from_obj(json.loads(path.read_text()))
+    key = cli._constraints_key(problem)
+    cold = tmp_path / "cold.json"
+    cold_sidecar = Path(f"{cold}.basecache.json")
 
     def certify(out):
         return cli.main(["certify", "--input", str(path), "--output", str(out)])
 
     assert certify(cold) == 0
-    sidecar = json.loads(cold_sidecar.read_text())
-    for witness in sidecar["witnesses"].values():
-        sigma0, *rest = witness.pop("sigmas")
-        witness["sigma0"] = sigma0
-        witness["multipliers"] = [[i, s] for i, s in enumerate(rest) if s["weights"]]
-    warm_sidecar.write_text(json.dumps(sidecar))
-    problem = problem_from_obj(json.loads(path.read_text()))
-    assert base_cache_from_obj(sidecar, cli._constraints_key(problem), problem.shape) == {}
-    assert certify(warm) == 0
-    assert warm.read_bytes() == cold.read_bytes()
-    assert warm_sidecar.read_bytes() == cold_sidecar.read_bytes()
+    for older in (_entry_with_target_and_budget, _entry_with_sigma0_and_multipliers):
+        warm = tmp_path / f"{older.__name__}.json"
+        warm_sidecar = Path(f"{warm}.basecache.json")
+        sidecar = json.loads(cold_sidecar.read_text())
+        sidecar["witnesses"] = {
+            key: older(key, sigmas, problem.shape) for key, sigmas in sidecar["witnesses"].items()
+        }
+        warm_sidecar.write_text(json.dumps(sidecar))
+        assert base_cache_from_obj(sidecar, key, problem.shape) == {}, older.__name__
+        assert certify(warm) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        assert warm_sidecar.read_bytes() == cold_sidecar.read_bytes()
 
 
 def test_written_files_are_the_canonical_bytes(problem_file, tmp_path):
@@ -831,6 +889,42 @@ def test_usage_errors_do_not_collide_with_numeric_success(capsys):
                      "--fnorm", "1", "--fstar", "1"]) == cli.EXIT_VALIDATION
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# the row of the README exit-code table each error class exits with,
+# by the start of its meaning
+README_ROW = {
+    errors.CylcertError: "invalid input problem",
+    errors.ValidationError: "invalid input problem",
+    errors.NoFeasibleSampleError: "invalid input problem",
+    errors.IndefiniteConditionError: "leading form condition fails",
+    errors.NonpositiveWitnessError: "target is not positive",
+    errors.BelowThresholdError: "search exhausted",
+    errors.ResolutionExhaustedError: "search exhausted",
+    errors.SearchExhaustedError: "search exhausted",
+    errors.BudgetExhaustedError: "search exhausted",
+    errors.SosStalledError: "search exhausted",
+    errors.CapExceededError: "cap exceeded",
+    errors.IdentityMismatchError: "certificate fails verification",
+    errors.VerificationError: "certificate fails verification",
+    errors.SchemaError: "I/O or schema error",
+    errors.ShapeMismatchError: "I/O or schema error",
+}
+
+ERROR_CLASSES = [
+    klass for klass in vars(errors).values()
+    if isinstance(klass, type) and issubclass(klass, errors.CylcertError)
+]
+
+
+@pytest.mark.parametrize("klass", ERROR_CLASSES, ids=lambda klass: klass.__name__)
+def test_every_error_exits_with_its_readme_code(klass, capsys):
+    section = (SAMPLES.parent / "README.md").read_text().split("### Exit codes")[1]
+    table = dict(re.findall(r"^\| (\d+) +\| (.+?) \|$", section.split("\n## ")[0], re.M))
+    [code] = [int(c) for c, meaning in table.items() if meaning.startswith(README_ROW[klass])]
+    assert klass.exit_code == code
+    assert cli._fail(klass("probe")) == code
+    assert json.loads(capsys.readouterr().err)["error"] == klass.code
 
 
 # removed options are usage errors: the search caps, now constants, and

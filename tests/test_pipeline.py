@@ -70,6 +70,10 @@ def test_reusing_the_base_cache_changes_nothing(line_result):
     assert canonical_dumps(certificate_to_obj(again.certificate)) == canonical_dumps(
         certificate_to_obj(res.certificate)
     )
+    # the diagnostics name the parities taken from the cache
+    cold, warm = res.diagnostics["base"], again.diagnostics["base"]
+    assert cold["reused"] == []
+    assert warm["reused"] == warm["parities"] == cold["parities"]
 
 
 def test_box_frame_round_trip():

@@ -403,7 +403,7 @@ def test_sums_of_squares_and_identity_match_fraction_reference(data):
 
     cancels = st.sampled_from(("none", "one", "all"))
     sigma0 = sos(data.draw(cancels))
-    expanded = sigma0.as_poly()
+    expanded = expand_identity(sigma0, ())
     _assert_clean(expanded)
     assert expanded.terms == _ref_sos(sigma0.weights, sigma0.squares)
 
@@ -431,7 +431,7 @@ def test_monomials_that_share_a_64_bit_packing_stay_distinct():
     # the same two keys from one square's cross terms, and the top slot too
     y_top = BlockedPoly.monomial(KERNEL_SHAPE, (0, 0, 2**64))
     square = SosDecomposition(KERNEL_SHAPE, (Fraction(2),), (x1_half + x2 + y_top,))
-    assert square.as_poly() == P(KERNEL_SHAPE, {
+    assert expand_identity(square, ()) == P(KERNEL_SHAPE, {
         (2**64, 0, 0): 2, (0, 2, 0): 2, (0, 0, 2**65): 2,
         (2**63, 1, 0): 4, (2**63, 0, 2**64): 4, (0, 1, 2**64): 4,
     })

@@ -8,12 +8,17 @@ from typing import Sequence
 import pytest
 
 from cylcert import polya, putinar_base, sos
-from cylcert.errors import CapExceededError, SearchExhaustedError, ValidationError
+from cylcert.certificate import check_representation
+from cylcert.errors import (
+    CapExceededError,
+    SearchExhaustedError,
+    ValidationError,
+    VerificationError,
+)
 from cylcert.pipeline import certify_problem
 from cylcert.poly import BlockShape, BlockedPoly, SosDecomposition, expand_identity
 from cylcert.problem import problem_from_obj
 from cylcert.putinar_base import (
-    ModuleWitness,
     _simplex_vertices,
     base_certificates,
     budget_ladder,
@@ -340,9 +345,9 @@ def test_interval_certificates_cover_all_four_parities():
     certs = base_certificates(shape, gens, every_parity(shape))
     assert set(certs) == set(itertools.product((0, 1), repeat=2))
     for parity, witness in certs.items():
-        assert witness.budget == 4
-        assert witness.target == facet_product(shape, parity)
-        assert witness.verify(gens)
+        check_representation(facet_product(shape, parity), witness, gens)
+        # found at the first budget of the ladder, 4
+        assert witness[0].degree() <= 4 and witness[1].degree() + 2 <= 4
 
 
 def test_two_constraint_box_covers_all_eight_parities():
@@ -351,10 +356,9 @@ def test_two_constraint_box_covers_all_eight_parities():
     certs = base_certificates(shape, gens, every_parity(shape))
     assert set(certs) == set(itertools.product((0, 1), repeat=3))
     for parity, witness in certs.items():
-        assert witness.verify(gens)
-        assert witness.target == facet_product(shape, parity)
-        assert len(witness.sigmas) == len(gens) + 1
-        for sos in witness.sigmas:
+        check_representation(facet_product(shape, parity), witness, gens)
+        assert len(witness) == len(gens) + 1
+        for sos in witness:
             assert all(w > 0 for w in sos.weights)
 
 
@@ -390,23 +394,34 @@ def test_precomputed_witnesses_are_reused_verbatim():
         assert again[parity] is first[parity]
 
 
+def _cancel_a_doubled_square(witness):
+    """One square's weight doubled and the same square added at minus that
+    weight: the identity still holds, but a weight is negative."""
+    index = next(i for i, tau in enumerate(witness) if tau.squares)
+    tau = witness[index]
+    w, q = tau.weights[0], tau.squares[0]
+    doubled = SosDecomposition(
+        tau.shape, (2 * w,) + tau.weights[1:] + (-w,), tau.squares + (q,)
+    )
+    return witness[:index] + (doubled,) + witness[index + 1:]
+
+
 def test_tampered_cache_entries_are_recomputed():
     shape = BlockShape(1, 1, 0)
     gens = interval_gens(shape)
     first = base_certificates(shape, gens, every_parity(shape))
-    tampered = dict(first)
-    # Claim the decomposition of u for the parity of x: verification fails,
-    # so the entry must be rebuilt rather than trusted.
-    wrong = ModuleWitness(
-        target=facet_product(shape, (0, 1)),
-        sigmas=first[(1, 0)].sigmas,
-        budget=first[(1, 0)].budget,
-    )
-    tampered[(0, 1)] = wrong
-    repaired = base_certificates(shape, gens, every_parity(shape), precomputed=tampered)
-    assert repaired[(0, 1)] is not wrong
-    assert repaired[(0, 1)].verify(gens)
-    assert repaired[(1, 0)] is first[(1, 0)]
+    # Claim the decomposition of u for the parity of x (the identity
+    # fails), or cancel a doubled square (a weight is negative): either
+    # way the entry must be rebuilt rather than trusted.
+    for wrong in (first[(1, 0)], _cancel_a_doubled_square(first[(0, 1)])):
+        with pytest.raises(VerificationError):
+            check_representation(facet_product(shape, (0, 1)), wrong, gens)
+        tampered = dict(first)
+        tampered[(0, 1)] = wrong
+        repaired = base_certificates(shape, gens, every_parity(shape), precomputed=tampered)
+        assert repaired[(0, 1)] is not wrong
+        assert repaired[(0, 1)] == first[(0, 1)]
+        assert repaired[(1, 0)] is first[(1, 0)]
 
 
 def test_a_cached_witness_needs_one_sigma_per_generator():
@@ -416,11 +431,22 @@ def test_a_cached_witness_needs_one_sigma_per_generator():
     empty = SosDecomposition(shape, (), ())
     # an extra empty sigma leaves the expansion unchanged but names a
     # generator that does not exist, so the entry is rebuilt
-    padded = ModuleWitness(first[(1, 0)].target, first[(1, 0)].sigmas + (empty,), 4)
-    assert not padded.verify(gens)
+    padded = first[(1, 0)] + (empty,)
+    with pytest.raises(VerificationError):
+        check_representation(facet_product(shape, (1, 0)), padded, gens)
     again = base_certificates(shape, gens, every_parity(shape), precomputed={(1, 0): padded})
     assert again[(1, 0)] is not padded
-    assert again[(1, 0)].sigmas == first[(1, 0)].sigmas
+    assert again[(1, 0)] == first[(1, 0)]
+
+
+def test_a_cached_witness_over_another_layout_is_recomputed():
+    shape, other = BlockShape(1, 1, 0), BlockShape(1, 2, 0)
+    gens = interval_gens(shape)
+    first = base_certificates(shape, gens, every_parity(shape))
+    foreign = base_certificates(other, interval_gens(other), every_parity(other))
+    again = base_certificates(shape, gens, every_parity(shape), precomputed=foreign)
+    assert again == first
+    assert all(again[p] is not foreign[p] for p in again)
 
 
 def test_enumeration_is_deterministic():
