@@ -6,9 +6,9 @@ harness can consume results without parsing prose.  Certificate files
 are written atomically and are byte-identical across reruns on the
 same problem file.
 
-Exit codes: 0 success, 10 validation, 11 indefinite side condition,
-12 nonpositive target, 13 search/budget exhausted, 14 cap exceeded,
-15 verification failure, 20 I/O or schema trouble.
+A failure exits with the ``exit_code`` of its :mod:`cylcert.errors`
+class, as the README's exit-code table lists them; usage errors exit
+with the validation code and operating-system errors with the I/O code.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .certificate import (
     verify_certificate,
 )
 from .errors import CapExceededError, CylcertError
-from .problem import BOX, CylinderProblem, problem_from_obj, problem_to_obj, rescale_to_simplex
+from .problem import CylinderProblem, problem_from_obj
 from .serialize import (
     DIGIT_CAP,
     atomic_write_text,
@@ -37,16 +37,10 @@ from .serialize import (
     frac_from_str,
     frac_to_str,
     load_json,
-    sha256_of_obj,
 )
 
 EXIT_EXACT = 0
 EXIT_VALIDATION = 10
-EXIT_INDEFINITE = 11
-EXIT_NONPOSITIVE = 12
-EXIT_EXHAUSTED = 13
-EXIT_CAP = 14
-EXIT_VERIFY = 15
 EXIT_IO = 20
 
 
@@ -72,44 +66,29 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _constraints_key(problem: CylinderProblem) -> str:
-    """Cache key for facet witnesses: the solving-frame constraint list."""
-    solving = problem
-    if problem.frame == BOX:
-        solving, _ = rescale_to_simplex(problem)
-    obj = problem_to_obj(solving)
-    return sha256_of_obj({"g": obj["g"], "n": obj["n"], "variant": obj["variant"]})
-
-
 def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        problem = _load_problem(args.input)
-    except CylcertError as exc:
-        return _fail(exc)
+    problem = _load_problem(args.input)
     # The search and numpy load here, once there is a problem to search on.
     from .pipeline import certify_problem
-    from .putinar_base import base_cache_from_obj, base_cache_to_obj
+    from .putinar_base import base_cache_from_obj, base_cache_to_obj, constraints_key
 
     cache_path = args.output + ".basecache.json"
-    key = _constraints_key(problem)
+    key = constraints_key(problem)
     try:
         precomputed = base_cache_from_obj(load_json(cache_path), key, problem.shape)
     except CylcertError:
+        # a missing or unreadable sidecar means a cold run
         precomputed = None
 
-    try:
-        result = certify_problem(problem, precomputed_base=precomputed)
-    except CylcertError as exc:
-        return _fail(exc)
-
+    result = certify_problem(problem, precomputed_base=precomputed)
     cert = result.certificate
     text = canonical_dumps(certificate_to_obj(cert))
     if digits_over_cap(text):
         # verify would refuse to read it
-        return _fail(CapExceededError(
+        raise CapExceededError(
             f"a certificate rational would have more than {DIGIT_CAP} digits",
             cap=DIGIT_CAP,
-        ))
+        )
     atomic_write_text(args.output, text)
     if result.base_cache:
         atomic_write_text(
@@ -125,46 +104,27 @@ def cmd_certify(args: argparse.Namespace) -> int:
     )
     print(f"certified floor: {frac_to_str(meta.fstar_lb)}")
     print(f"wrote {args.output}")
-    _emit(
-        {
-            "problem_hash": cert.problem_hash,
-            "output": args.output,
-            "lambda": frac_to_str(meta.lam),
-            "k": meta.k,
-            "N": meta.polya_exponent,
-            "ell": meta.ell,
-            "c9": meta.c9,
-            "fstar_lb": frac_to_str(meta.fstar_lb),
-        }
-    )
+    _emit({"problem_hash": cert.problem_hash, "output": args.output, **meta.to_obj()})
     return EXIT_EXACT
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        problem = _load_problem(args.problem)
-        cert = certificate_from_obj(load_json(args.certificate), problem.shape)
-    except CylcertError as exc:
-        return _fail(exc)
-    try:
-        report = verify_certificate(problem, cert)
-    except CylcertError as exc:
-        return _fail(exc)
+    problem = _load_problem(args.problem)
+    cert = certificate_from_obj(load_json(args.certificate), problem.shape)
+    report = verify_certificate(problem, cert)
     print("certificate verifies: f = sigma_0 + sum sigma_i g_i holds exactly")
     _emit(report.to_obj())
     return EXIT_EXACT
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
+    problem = _load_problem(args.input)
+    # as in certify, the search loads once the problem parses
     from .certified import certified_cylinder_min
     from .pipeline import solving_frame
 
-    try:
-        problem = _load_problem(args.input)
-        solving, _record, fallback, _report = solving_frame(problem)
-        found = certified_cylinder_min(solving, fallback_x=fallback)
-    except CylcertError as exc:
-        return _fail(exc)
+    solving, _record, fallback, _report = solving_frame(problem)
+    found = certified_cylinder_min(solving, fallback_x=fallback)
     print(f"certified lower bound: {frac_to_str(found.lower_bound)}")
     print(f"  ~ {float(found.lower_bound):.6g} at grid depth {found.grid_depth}")
     _emit(found.to_obj())
@@ -172,19 +132,16 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        inputs = BoundInputs(
-            c=args.c,
-            d=args.d,
-            m=args.m,
-            r=args.r,
-            n=args.n,
-            f_norm=args.fnorm,
-            fstar=args.fstar,
-        )
-        value = theorem_bound(args.theorem, inputs)
-    except CylcertError as exc:
-        return _fail(exc)
+    inputs = BoundInputs(
+        c=args.c,
+        d=args.d,
+        m=args.m,
+        r=args.r,
+        n=args.n,
+        f_norm=args.fnorm,
+        fstar=args.fstar,
+    )
+    value = theorem_bound(args.theorem, inputs)
     print(f"degree bound ({args.theorem}): {frac_to_str(value)}")
     try:
         approx = f"{float(value):.6g}"
@@ -269,7 +226,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_EXACT if not exc.code else EXIT_VALIDATION
     try:
         with _any_digit_count():
-            return args.func(args)
+            try:
+                return args.func(args)
+            except CylcertError as exc:
+                # payloads can hold integers past the digit limit
+                return _fail(exc)
     except OSError as exc:
         print(f"error[IO]: {exc}")
         _emit({"error": "IO", "message": str(exc)})

@@ -150,13 +150,12 @@ _IntPoint = tuple[tuple[int, ...], int]
 class ProjectedCover:
     """A sphere cover seen through a subset of its coordinates.
 
-    ``point(i)`` is the i-th distinct projection (exact rationals, inside
-    the unit ball of the kept coordinates); ``representative(i)`` is one
-    full sphere point projecting to it.  Projection is 1-Lipschitz, so
-    the parent cover's radius still certifies: every sphere point has a
-    representative whose projection is within ``radius`` of its own.
-    Both are held as ``(numerators, denominator)`` pairs of ints and made
-    into ``Fraction`` tuples on demand.
+    Entry i is a distinct projection, inside the unit ball of the kept
+    coordinates, and ``representative(i)`` is one full sphere point
+    projecting to it.  Projection is 1-Lipschitz, so the parent cover's
+    radius still certifies: every sphere point has a representative whose
+    projection is within ``radius`` of its own.  Both are held as
+    ``(numerators, denominator)`` pairs of ints.
     """
 
     __slots__ = ("dim", "kept", "resolution", "_points", "_reps", "radius", "_floats")
@@ -179,10 +178,6 @@ class ProjectedCover:
 
     def __len__(self) -> int:
         return len(self._points)
-
-    def point(self, index: int) -> tuple[Fraction, ...]:
-        nums, den = self._points[index]
-        return tuple(Fraction(a, den) for a in nums)
 
     def representative(self, index: int) -> tuple[Fraction, ...]:
         nums, den = self._reps[index]

@@ -90,7 +90,6 @@ class CertifyResult:
     """
 
     certificate: Certificate
-    problem: CylinderProblem
     base_cache: dict[Parity, Witness] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
@@ -206,9 +205,7 @@ def certify_problem(
     if record is not None:
         cert = compose_with_frame(cert, record, problem)
     diag["verify"] = verify_certificate(problem, cert).to_obj()
-    return CertifyResult(
-        certificate=cert, problem=problem, base_cache=base, diagnostics=diag
-    )
+    return CertifyResult(certificate=cert, base_cache=base, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ polynomials vanishing at that vertex (facial reduction), which restores
 an interior-feasible system.
 
 ``cylcert certify`` keeps the witnesses in a ``.basecache.json`` sidecar
-beside the certificate; :func:`base_cache_to_obj` and
-:func:`base_cache_from_obj` are its codec, each entry the sigma list
-written as in a certificate file.  :func:`base_certificates` reuses a
-cached entry only when
+beside the certificate, keyed by :func:`constraints_key`;
+:func:`base_cache_to_obj` and :func:`base_cache_from_obj` are its codec,
+each entry the sigma list written as in a certificate file.
+:func:`base_certificates` reuses a cached entry only when
 :func:`~cylcert.certificate.check_representation`, the check
 ``cylcert verify`` runs on a certificate, accepts it for its facet
 product.
@@ -49,7 +49,8 @@ from .errors import (
     VerificationError,
 )
 from .poly import BlockedPoly, BlockShape, SosDecomposition
-from .serialize import json_typed
+from .problem import CylinderProblem, problem_to_obj
+from .serialize import json_typed, sha256_of_obj
 from .sos import Basis, module_witness, monomials
 
 Exponent = tuple[int, ...]
@@ -104,11 +105,16 @@ def facet_product(shape: BlockShape, parity: Parity) -> BlockedPoly:
 # the witness sidecar
 # ---------------------------------------------------------------------------
 
-def base_cache_to_obj(
-    constraints_key: str, witnesses: Mapping[Parity, Witness]
-) -> dict[str, Any]:
+def constraints_key(problem: CylinderProblem) -> str:
+    """The sidecar key: a hash of the input problem's constraint system,
+    its ``frame``, ``g``, ``n`` and ``variant``, as the problem file states it."""
+    obj = problem_to_obj(problem)
+    return sha256_of_obj({field: obj[field] for field in ("frame", "g", "n", "variant")})
+
+
+def base_cache_to_obj(key: str, witnesses: Mapping[Parity, Witness]) -> dict[str, Any]:
     return {
-        "constraints_hash": constraints_key,
+        "constraints_hash": key,
         "witnesses": {
             "".join(str(b) for b in parity): [sos_to_obj(s) for s in sigmas]
             for parity, sigmas in sorted(witnesses.items())
@@ -116,9 +122,7 @@ def base_cache_to_obj(
     }
 
 
-def base_cache_from_obj(
-    obj: Any, constraints_key: str, shape: BlockShape
-) -> dict[Parity, Witness]:
+def base_cache_from_obj(obj: Any, key: str, shape: BlockShape) -> dict[Parity, Witness]:
     """Decode a witness cache; an unrelated or malformed cache is empty.
 
     Cache misuse must never poison a run: :func:`base_certificates`
@@ -128,15 +132,15 @@ def base_cache_from_obj(
     ``budget`` and ``sigmas`` or with ``sigma0`` and ``multipliers``)
     is skipped, so it is recomputed.
     """
-    if not isinstance(obj, dict) or obj.get("constraints_hash") != constraints_key:
+    if not isinstance(obj, dict) or obj.get("constraints_hash") != key:
         return {}
     out: dict[Parity, Witness] = {}
     raw = obj.get("witnesses")
     if not isinstance(raw, dict):
         return {}
-    for key, entry in raw.items():
+    for label, entry in raw.items():
         try:
-            parity = tuple(int(ch) for ch in key)
+            parity = tuple(int(ch) for ch in label)
             out[parity] = tuple(
                 sos_from_obj(s, shape) for s in json_typed(entry, list, "cached witness")
             )

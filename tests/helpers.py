@@ -122,7 +122,7 @@ def sq_dist(a, b) -> F:
 def sphere_points(dim: int, resolution: int = 8) -> list[tuple[F, ...]]:
     """Every point of the full sphere cover of S^(dim-1) at ``resolution``."""
     cover = projected_sphere_cover(dim, resolution, tuple(range(dim)))
-    return [cover.point(i) for i in range(len(cover))]
+    return [cover.representative(i) for i in range(len(cover))]
 
 
 def check_x_constants(scan, rng, pairs: int) -> None:

@@ -223,7 +223,7 @@ def test_cylinder_min_lower_bound_is_sound():
     rng = random.Random(41)
     for _ in range(10_000):
         x = F(rng.randrange(256, 513), 1024)  # dense rational sweep of [1/4, 1/2]
-        u = circle.point(rng.randrange(len(circle)))
+        u = circle.representative(rng.randrange(len(circle)))
         assert target.eval_at((x,) + u) >= res.lower_bound
 
 
@@ -403,7 +403,10 @@ def test_leading_form_bounds_hold_on_fresh_points():
     rng = random.Random(3)
     for _ in range(1000):
         x = F(rng.randrange(256, 513), 1024)
-        u = (F(1),) if len(blocks[0].indices) == 1 else circle.point(rng.randrange(len(circle)))
+        u = (
+            (F(1),) if len(blocks[0].indices) == 1
+            else circle.representative(rng.randrange(len(circle)))
+        )
         pt = [F(0)] * form.shape.width
         pt[0] = x
         for slot, v in zip(blocks[0].indices, u):

@@ -23,14 +23,21 @@ from cylcert.certificate import (
 )
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.problem import (
+    BOX,
     DEGREE_CAP,
     SIMPLEX,
     CylinderProblem,
     Variant,
     problem_from_obj,
     problem_to_obj,
+    rescale_to_simplex,
 )
-from cylcert.putinar_base import base_cache_from_obj, base_cache_to_obj, facet_product
+from cylcert.putinar_base import (
+    base_cache_from_obj,
+    base_cache_to_obj,
+    constraints_key,
+    facet_product,
+)
 from cylcert.serialize import canonical_dumps, load_json, poly_to_obj, sha256_of_obj
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_problems"
@@ -140,9 +147,9 @@ PINNED_SIGMAS = {
 # the two inputs whose sidecars are largest
 PINNED_SIDECARS = {
     "c5_square_plane_quadratic":
-        "8e05f1a162bc11429d323e239455b3a3a4bb8505b35cbf58b486f7bfa988c562",
+        "fd7f1751b87fa25d1ffe92269a8f0f6204fcb3ad42d2c6c9fab04e7928f149d7",
     "polya2-K56":
-        "47e4d2f8574db5ba0c2c45b1a4400a85dc0cda3acd153e1d0a51ff1114dfea1f",
+        "a0ee6afeaba3f98b54f617e7c0c599fadd1c16e7aae25e59192e128fd5819c0f",
 }
 
 # sha256 of the compact files themselves, certificates and the two sidecars
@@ -174,9 +181,9 @@ PINNED_FILES = {
     "polya2-K56.cert.json":
         "c2c88fd6d5a4dc246946432fa0e92cc8693106a2a53b8294c07d9a47dad8883a",
     "c5_square_plane_quadratic.cert.json.basecache.json":
-        "be82d24bcdbf3bbb9134caf53d6e8f7e8eb94c63f835ce759442b5f7ca538d26",
+        "be623a0245632c1833ac15e0d088f874d4a2637f829a7d110899e25e0f22e37c",
     "polya2-K56.cert.json.basecache.json":
-        "1ae142b4131feb8cc13b24a61d4a3f7da987cc6780c87ea44d7ed61a1c0edbb0",
+        "8936d328080ad34010ff33141a5e0749999e30449db9362a91eb0aae1c941fc3",
 }
 
 # sha256 over every float point the Gram searches of the snapshot return
@@ -330,7 +337,7 @@ def test_an_older_sidecar_is_read_as_empty_and_recomputed(tmp_path):
     # multiplier
     path = SAMPLES / "c5_square_plane_quadratic.json"
     problem = problem_from_obj(json.loads(path.read_text()))
-    key = cli._constraints_key(problem)
+    key = constraints_key(problem)
     cold = tmp_path / "cold.json"
     cold_sidecar = Path(f"{cold}.basecache.json")
 
@@ -350,6 +357,40 @@ def test_an_older_sidecar_is_read_as_empty_and_recomputed(tmp_path):
         assert certify(warm) == 0
         assert warm.read_bytes() == cold.read_bytes()
         assert warm_sidecar.read_bytes() == cold_sidecar.read_bytes()
+
+
+def _solving_frame_key(problem):
+    """The key sidecars had before: the hash of the constraint list after
+    the move to simplex coordinates, without the frame."""
+    solving = rescale_to_simplex(problem)[0] if problem.frame == BOX else problem
+    obj = problem_to_obj(solving)
+    return sha256_of_obj({"g": obj["g"], "n": obj["n"], "variant": obj["variant"]})
+
+
+@pytest.mark.parametrize("stem", ["c5_square_plane_quadratic", "c7_box_frame_line_quadratic"])
+def test_a_sidecar_keyed_by_the_solving_frame_is_read_as_empty(tmp_path, stem):
+    path = SAMPLES / f"{stem}.json"
+    problem = problem_from_obj(json.loads(path.read_text()))
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    cold_sidecar, warm_sidecar = (Path(f"{out}.basecache.json") for out in (cold, warm))
+
+    def reused(out):
+        diag = tmp_path / "diag.json"
+        argv = ["certify", "--input", str(path), "--output", str(out), "--diagnostics", str(diag)]
+        assert cli.main(argv) == 0
+        return json.loads(diag.read_text())["base"]["reused"]
+
+    assert reused(cold) == []
+    sidecar = json.loads(cold_sidecar.read_text())
+    assert sidecar["constraints_hash"] == constraints_key(problem) != _solving_frame_key(problem)
+    sidecar["constraints_hash"] = _solving_frame_key(problem)
+    warm_sidecar.write_text(json.dumps(sidecar))
+    assert base_cache_from_obj(sidecar, constraints_key(problem), problem.shape) == {}
+    # read as empty once, then rewritten under the new key and reused
+    assert reused(warm) == []
+    assert warm.read_bytes() == cold.read_bytes()
+    assert warm_sidecar.read_bytes() == cold_sidecar.read_bytes()
+    assert reused(warm) == sorted(sidecar["witnesses"])
 
 
 def test_written_files_are_the_canonical_bytes(problem_file, tmp_path):
@@ -413,7 +454,7 @@ def test_indented_files_still_verify_and_fill_the_cache(snapshot, tmp_path, caps
     _write_indented(compact, indented)
     assert _sha256(indented) == PINNED_SIDECARS[stem]
     problem = problem_from_obj(json.loads((SAMPLES / f"{stem}.json").read_text()))
-    key = cli._constraints_key(problem)
+    key = constraints_key(problem)
     cache = base_cache_from_obj(load_json(str(indented)), key, problem.shape)
     stored = json.loads(compact.read_text())
     assert len(cache) == len(stored["witnesses"])
@@ -494,7 +535,7 @@ def test_tampered_certificate_fails_verification(problem_file, tmp_path):
     code = cli.main(
         ["verify", "--problem", str(problem_file), "--certificate", str(out)]
     )
-    assert code == cli.EXIT_VERIFY
+    assert code == errors.VerificationError.exit_code
 
 
 def test_numeric_tier_certificate_is_refused(tmp_path, capsys):
@@ -527,7 +568,7 @@ def test_numeric_tier_certificate_is_refused(tmp_path, capsys):
     assert verify() == cli.EXIT_IO
     assert summary()["error"] == "SCHEMA"
     cert["tier"] = "exact"
-    assert verify() == cli.EXIT_VERIFY
+    assert verify() == errors.VerificationError.exit_code
     payload = summary()["payload"]
     assert payload["kind"] == "IDENTITY_FAIL" and payload["residual"] == "8"
     assert verify("--tier", "exact") == cli.EXIT_VALIDATION
@@ -637,6 +678,26 @@ def test_coefficient_above_the_cap_is_a_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_box_constraint_past_the_cap_in_simplex_coordinates_is_a_validation_error(
+    tmp_path, capsys
+):
+    # c7 with g = 2^1000/4 - 2^1000 x^2: every input coefficient is within
+    # the cap, but the move to simplex coordinates multiplies x^2 by 4;
+    # keying the sidecar once ended this in a traceback
+    obj = json.loads((SAMPLES / "c7_box_frame_line_quadratic.json").read_text())
+    for term in obj["g"][0]:
+        term["c"] = str(F(term["c"]) * 2**1000)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "cert.json"
+    code = cli.main(["certify", "--input", str(path), "--output", str(out)])
+    printed, err = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert "Traceback" not in printed + err
+    assert json.loads(err.splitlines()[-1])["error"] == "VALIDATION"
+    assert not out.exists()
+
+
 def test_large_coefficients_under_the_cap_still_certify(tmp_path):
     out = tmp_path / "cert.json"
     path = _scaled_c1(tmp_path, 10**200)
@@ -707,7 +768,7 @@ def test_nonpositive_problem_exits_12(tmp_path):
     write_problem(path, lambda x, ys, one: ys[0] * ys[0] - one.scale(9))
     out = tmp_path / "cert.json"
     code = cli.main(["certify", "--input", str(path), "--output", str(out)])
-    assert code == cli.EXIT_NONPOSITIVE
+    assert code == errors.NonpositiveWitnessError.exit_code
     assert not out.exists()
 
 
@@ -722,7 +783,7 @@ def test_indefinite_condition_exits_11(tmp_path):
     )
     out = tmp_path / "cert.json"
     code = cli.main(["certify", "--input", str(path), "--output", str(out)])
-    assert code == cli.EXIT_INDEFINITE
+    assert code == errors.IndefiniteConditionError.exit_code
 
 
 def test_minimize_subcommand(problem_file):
@@ -736,7 +797,7 @@ def test_minimize_subcommand(problem_file):
 def test_minimize_nonpositive_exits_12(tmp_path):
     path = tmp_path / "neg.json"
     write_problem(path, lambda x, ys, one: ys[0] * ys[0] - one.scale(9))
-    assert cli.main(["minimize", "--input", str(path)]) == cli.EXIT_NONPOSITIVE
+    assert cli.main(["minimize", "--input", str(path)]) == errors.NonpositiveWitnessError.exit_code
 
 
 def test_minimize_refuses_a_set_that_escapes_the_frame(tmp_path, capsys):
@@ -798,6 +859,21 @@ def test_bound_survives_astronomical_values(capsys):
     # every digit is printed, and the limit is back for the caller
     digits = out.split("degree bound (1.4): ")[1].split()[0].split("/")
     assert len(digits[0]) > 4300 and all(part.isdigit() for part in digits)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_a_failure_payload_past_the_int_to_str_limit_still_prints(capsys):
+    # c = (10^4200 - 1)/(10^4200 - 3) makes the power's bit estimate an
+    # 8,401-digit integer, which the failure line prints in full
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code = cli.main(
+        ["bound", "--theorem", "1.1", "--c", "9" * 4200 + "/" + "9" * 4199 + "7",
+         "--d", "2", "--n", "1", "--fnorm", "3", "--fstar", "1/2"]
+    )
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert code == cli.EXIT_VALIDATION
+    assert '"error": "VALIDATION"' in err
+    assert len(re.search(r'"power_bits_estimate": (\d+)', err)[1]) == 8401
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
@@ -991,5 +1067,5 @@ def test_box_inputs_stop_at_a_scan_budget(tmp_path, capsys, name, payload):
     code = cli.main(["certify", "--input", str(path), "--output", str(tmp_path / "c.json")])
     summary = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert (code, summary["error"], summary["payload"]) == (
-        cli.EXIT_EXHAUSTED, "BUDGET_EXHAUSTED", payload
+        errors.BudgetExhaustedError.exit_code, "BUDGET_EXHAUSTED", payload
     )

@@ -97,7 +97,8 @@ def full_cover(dim, resolution):
 
 
 def points(cover):
-    return tuple(cover.point(i) for i in range(len(cover)))
+    """Each distinct projection: its representative at the kept coordinates."""
+    return tuple(tuple(rep[k] for k in cover.kept) for rep in representatives(cover))
 
 
 def representatives(cover):

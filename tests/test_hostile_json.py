@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylcert import certified, cli
+from cylcert import certified, cli, errors
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.problem import DEGREE_CAP, SIMPLEX, CylinderProblem, Variant, problem_to_obj
 
@@ -199,7 +199,7 @@ def test_huge_constraint_coefficients_fail_the_search(tmp_path, capsys, power):
     # float; this used to end in a LinAlgError traceback from pinv
     path = _c1_scaled(tmp_path, "g", F(10) ** power)
     code, summary, _ = _certify_summary(tmp_path, path, capsys)
-    assert code == cli.EXIT_EXHAUSTED
+    assert code == errors.SearchExhaustedError.exit_code
     assert summary["error"] == "SEARCH_EXHAUSTED"
 
 
@@ -210,7 +210,7 @@ def test_a_tiny_floor_stops_at_the_degree_cap(tmp_path, capsys, power):
     # hung in forming the power
     path = _c1_scaled(tmp_path, "f", F(1, 10**power))
     code, summary, seconds = _certify_summary(tmp_path, path, capsys)
-    assert code == cli.EXIT_CAP
+    assert code == errors.CapExceededError.exit_code
     assert summary["error"] == "CAP_EXCEEDED"
     assert summary["payload"]["lambda"] == "1"
     assert summary["payload"]["degree"] == 2 * (2 * summary["payload"]["k"] + 1) > DEGREE_CAP
@@ -308,11 +308,11 @@ def test_a_4301_digit_denominator_ends_in_a_documented_exit(documents, tmp_path,
     path.write_text(json.dumps(tiny))
     code, summary, seconds = _certify_summary(tmp_path, path, capsys)
     assert (code, summary["error"], summary["payload"]) == (
-        cli.EXIT_CAP, "CAP_EXCEEDED", {"cap": 4300}
+        errors.CapExceededError.exit_code, "CAP_EXCEEDED", {"cap": 4300}
     )
     assert seconds <= 30
     # the old certificate was issued for the problem without the term
-    assert _verify_exit(tmp_path, tiny, cert_obj, capsys) == cli.EXIT_VERIFY
+    assert _verify_exit(tmp_path, tiny, cert_obj, capsys) == errors.VerificationError.exit_code
 
 
 def test_a_residual_past_the_int_to_str_limit_is_reported(documents, tmp_path, capsys):
@@ -329,7 +329,7 @@ def test_a_residual_past_the_int_to_str_limit_is_reported(documents, tmp_path, c
     cert_path.write_text(json.dumps(hostile))
     code = cli.main(["verify", "--problem", str(problem_path), "--certificate", str(cert_path)])
     payload = json.loads(capsys.readouterr().err.splitlines()[-1])["payload"]
-    assert (code, payload["kind"]) == (cli.EXIT_VERIFY, "IDENTITY_FAIL")
+    assert (code, payload["kind"]) == (errors.VerificationError.exit_code, "IDENTITY_FAIL")
     numerator = payload["residual"].partition("/")[0]
     assert len(numerator) > 11_000 and numerator.isdigit()
 
@@ -352,7 +352,7 @@ def test_a_4000_digit_exponent_in_a_square_fails_verification(
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
     assert (code, json.loads(err.splitlines()[-1])["payload"]["kind"]) == (
-        cli.EXIT_VERIFY, "IDENTITY_FAIL"
+        errors.VerificationError.exit_code, "IDENTITY_FAIL"
     )
     assert seconds < 1
 

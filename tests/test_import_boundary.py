@@ -1,8 +1,9 @@
 """The checker stays on the standard library.
 
-``cylcert verify``, ``cylcert bound`` and a ``certify`` that stops at the
-schema never load numpy or the search modules; each case runs in a fresh
-child process and reads ``sys.modules`` after the command.
+``cylcert verify``, ``cylcert bound`` and a ``certify`` or ``minimize``
+that stops at the schema never load numpy or the search modules; each
+case runs in a fresh child process and reads ``sys.modules`` after the
+command.
 """
 import json
 import os
@@ -71,6 +72,13 @@ def test_certify_of_a_schema_failure_loads_no_search_module(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"variant": "r1_any_m", "f": []}))
     got = run_child(CHILD, "certify", "--input", str(bad), "--output", str(tmp_path / "out.json"))
+    assert got == {"exit": cli.EXIT_IO, "loaded": []}
+
+
+def test_minimize_of_a_schema_failure_loads_no_search_module(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"variant": "r1_any_m", "f": []}))
+    got = run_child(CHILD, "minimize", "--input", str(bad))
     assert got == {"exit": cli.EXIT_IO, "loaded": []}
 
 

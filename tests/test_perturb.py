@@ -181,7 +181,7 @@ def test_sos_factor_is_one_on_the_sphere():
     cover = projected_sphere_cover(2, 16, (0, 1))
     shape = q.shape
     slots = shape.block_indices("y1") + shape.block_indices("Z")
-    for u in map(cover.point, range(len(cover))):
+    for u in map(cover.representative, range(len(cover))):
         point = [F(0)] * shape.width
         for slot, c in zip(slots, u):
             point[slot] = c
@@ -211,7 +211,7 @@ def test_perturbation_small_where_constraints_hold():
         slots = shape.block_indices("y1") + shape.block_indices("Z")
         cover = projected_sphere_cover(2, 8, (0, 1))
         for xval in (F(1, 4), F(3, 8), F(1, 2)):
-            for u in map(cover.point, range(len(cover))):
+            for u in map(cover.representative, range(len(cover))):
                 point = [F(0)] * shape.width
                 point[0] = xval
                 for slot, c in zip(slots, u):

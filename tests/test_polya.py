@@ -287,7 +287,7 @@ def _exact_screen_min(form, blocks):
     covers = []
     for b in blocks:
         cover = projected_sphere_cover(len(b.indices), SCREEN_RESOLUTION, tuple(range(len(b.indices))))
-        covers.append([cover.point(i) for i in range(len(cover))])
+        covers.append([cover.representative(i) for i in range(len(cover))])
     best = None
     for combo in itertools.product(*covers):
         point = [F(0)] * form.shape.width
