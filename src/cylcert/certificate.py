@@ -36,7 +36,7 @@ from typing import Any, Sequence
 from .errors import SchemaError, ValidationError, VerificationError
 from .poly import BlockedPoly, BlockShape, SosDecomposition, expand_identity, substitute
 from .problem import CylinderProblem, RescaleRecord
-from .serialize import frac_from_str, frac_to_str, json_typed, poly_from_obj, poly_to_obj
+from .serialize import frac_from_str, frac_to_str, json_typed, poly_to_obj, polys_from_obj
 
 # Every certificate file declares this tier: the identity holds exactly.
 TIER_EXACT = "exact"
@@ -125,9 +125,7 @@ def sos_from_obj(obj: Any, shape: BlockShape) -> SosDecomposition:
         raise SchemaError("an SOS entry needs 'weights' and 'squares'")
     try:
         weights = tuple(frac_from_str(w) for w in json_typed(obj["weights"], list, "weights"))
-        squares = tuple(
-            poly_from_obj(q, shape) for q in json_typed(obj["squares"], list, "squares")
-        )
+        squares = polys_from_obj(json_typed(obj["squares"], list, "squares"), shape)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad SOS entry: {exc}") from None
     if len(weights) != len(squares):
@@ -292,7 +290,7 @@ def verify_certificate(problem: CylinderProblem, cert: Certificate) -> Verificat
     absorption, cap = degree_laws(
         problem, meta.lam, meta.k, meta.polya_exponent, meta.ell, meta.c9
     )
-    if meta.lam == 0 and any(any(deco.squares) for deco in cert.sigmas[1:]):
+    if meta.lam == 0 and any(deco.nonzero() for deco in cert.sigmas[1:]):
         raise _fail(
             "DEGREE_METADATA_MISMATCH",
             "a certificate without absorption must not use constraints",
@@ -303,7 +301,7 @@ def verify_certificate(problem: CylinderProblem, cert: Certificate) -> Verificat
     product_degrees = []
     for i, (deco, degree) in enumerate(zip(cert.sigmas, sigma_degrees)):
         bound = max(absorption[i - 1], cap) if i and absorption else cap
-        if not any(deco.squares):
+        if not deco.nonzero():
             measured = 0
         elif i == 0:
             measured = degree

@@ -7,8 +7,10 @@ are written atomically and are byte-identical across reruns on the
 same problem file.
 
 A failure exits with the ``exit_code`` of its :mod:`cylcert.errors`
-class, as the README's exit-code table lists them; usage errors exit
-with the validation code and operating-system errors with the I/O code.
+class, as the README's exit-code table lists them.  A usage error is a
+:class:`~cylcert.errors.ValidationError`, running out of memory a
+:class:`~cylcert.errors.BudgetExhaustedError`, and operating-system
+errors exit with the I/O code.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Iterator, NoReturn
 
 from .certificate import (
     _BOUND_FORMULAS,
@@ -27,7 +29,7 @@ from .certificate import (
     theorem_bound,
     verify_certificate,
 )
-from .errors import CapExceededError, CylcertError
+from .errors import BudgetExhaustedError, CapExceededError, CylcertError, ValidationError
 from .problem import CylinderProblem, problem_from_obj
 from .serialize import (
     DIGIT_CAP,
@@ -40,7 +42,6 @@ from .serialize import (
 )
 
 EXIT_EXACT = 0
-EXIT_VALIDATION = 10
 EXIT_IO = 20
 
 
@@ -155,8 +156,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_EXACT
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so that they end in the
+    structured line like every other failure; subcommand parsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(f"{self.prog}: {message}", usage=self.format_usage().strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cylcert",
         description=(
             "Exact positivity certificates for polynomials on cylinders "
@@ -218,12 +227,13 @@ def _any_digit_count() -> Iterator[None]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse exits 2 on usage errors; every failure of this tool exits
-    # with a code of 10 or more, so remap those to the validation code.
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_EXACT if not exc.code else EXIT_VALIDATION
+    except SystemExit:
+        # only -h/--help exits here: a usage error raises ValidationError
+        return EXIT_EXACT
+    except ValidationError as exc:
+        return _fail(exc)
     try:
         with _any_digit_count():
             try:
@@ -231,6 +241,10 @@ def main(argv: list[str] | None = None) -> int:
             except CylcertError as exc:
                 # payloads can hold integers past the digit limit
                 return _fail(exc)
+            except MemoryError:
+                return _fail(BudgetExhaustedError(
+                    f"cylcert {args.command} ran out of memory", command=args.command
+                ))
     except OSError as exc:
         print(f"error[IO]: {exc}")
         _emit({"error": "IO", "message": str(exc)})

@@ -20,21 +20,29 @@ unbounded blocks and of homogenizers carry no weight.
 
 Products go through :class:`ExactSum`, which keeps a sum of weighted
 products as one dict of Python ints over one running common denominator.
-Each factor is cleared to integer numerators over the lcm of its own
-denominators, products are formed in ints, and one ``Fraction`` is made
-per monomial when the sum is read out.  A sum that cancels to zero is
-dropped at once, so a product's terms come out in the order of the plain
-double loop over its factors.
+Each factor enters in its integer view (``_ints``, below), products are
+formed in ints, and one ``Fraction`` is made per monomial when the sum is
+read out.  A sum that cancels to zero is dropped at once, so a product's
+terms come out in the order of the plain double loop over its factors.
 
-:meth:`BlockedPoly.eval_at` works the same way: each term is put over one
-common denominator (the lcm of the coefficient denominators times each
-coordinate's denominator to its highest exponent), the numerators are
-summed as Python ints from per-coordinate power tables, and one
-``Fraction`` is made at the end.  It is the same reduced rational as a
-term-by-term ``Fraction`` sum.  The lcm, the cleared numerators and each
-slot's highest exponent depend on the terms alone, and no code mutates
-``terms``, so the first call stores them on the polynomial and later
-calls reuse them.
+Coefficients have two views.  ``terms`` maps exponent tuples to
+``Fraction`` coefficients; ``_ints`` is ``(den, [(e, a_e)])`` with
+``p = sum (a_e / den) X^e`` and ``den`` the lcm of the coefficients'
+denominators, which is the integer form every exact kernel works in.  A
+polynomial is built with one view, and the other is computed from it on
+first use and kept.  No code mutates either, so the cache cannot go
+stale.  :class:`ExactSum` reads each factor's ``_ints``, so a factor that
+enters many products is cleared once, and the certificate reader builds
+squares with ``_ints`` alone, so verification makes no ``Fraction`` per
+square coefficient.
+
+:meth:`BlockedPoly.eval_at` works in the integer view too: each term is
+put over one common denominator (``den`` times each coordinate's
+denominator to its highest exponent), the numerators are summed as Python
+ints from per-coordinate power tables, and one ``Fraction`` is made at
+the end.  It is the same reduced rational as a term-by-term ``Fraction``
+sum.  Each slot's highest exponent is kept on the polynomial after the
+first call.
 
 A :class:`SosDecomposition` is a list of weighted squares, and
 :func:`expand_identity` expands ``sigma_0 + sum sigma_i * g_i`` in ints
@@ -47,8 +55,15 @@ checker can verify a certificate without loading the search.
 checking it.  Only code in this package that has just built the dict may
 call it, and only when every key is a tuple of ``shape.width``
 nonnegative ints, every value is a nonzero ``Fraction`` and nothing else
-keeps the dict.  Input from outside the program goes through the public
-constructor, which checks all of this.
+keeps the dict.  ``BlockedPoly._from_ints(shape, den, nums)`` wraps an
+integer view on the same terms: the keys of ``nums`` meet the same rule
+and are distinct, no numerator is zero, ``den`` is positive and
+``gcd(den, *numerators)`` is 1, so ``den`` is the lcm of the reduced
+denominators (1 for the zero polynomial), and nothing else keeps the
+list.  Input from outside the program goes through the public
+constructor, which checks all of this, or through the file reader
+:func:`cylcert.serialize.polys_from_obj`, which checks it before it calls
+``_from_ints``.
 """
 from __future__ import annotations
 
@@ -143,8 +158,9 @@ class BlockShape:
 class BlockedPoly:
     """Immutable sparse polynomial over a :class:`BlockShape`."""
 
-    # _eval: what eval_at needs from the terms, filled on its first call
-    __slots__ = ("shape", "terms", "_eval")
+    # terms and _ints: the two views of the coefficients (module docstring),
+    # each filled from the other on first use; _tops: eval_at's slot tops
+    __slots__ = ("shape", "terms", "_ints", "_tops")
 
     def __init__(self, shape: BlockShape, terms: Mapping[Exponent, Fraction] | None = None):
         cleaned: dict[Exponent, Fraction] = {}
@@ -165,12 +181,38 @@ class BlockedPoly:
     def __setattr__(self, *_: object) -> None:  # pragma: no cover - guard
         raise AttributeError("BlockedPoly is immutable")
 
+    def __getattr__(self, name: str) -> object:
+        # Python calls this only for a slot not yet filled: every polynomial
+        # holds one view of its coefficients, and the other is built from it.
+        if name == "terms":
+            den, nums = self._ints
+            value: object = {e: Fraction(a, den) for e, a in nums}
+        elif name == "_ints":
+            terms = self.terms
+            den = lcm(*[c.denominator for c in terms.values()])
+            value = den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
     @classmethod
     def _trusted(cls, shape: BlockShape, terms: dict[Exponent, Fraction]) -> "BlockedPoly":
         """Wrap a term dict that already meets the invariant (module docstring)."""
         p = object.__new__(cls)
         object.__setattr__(p, "shape", shape)
         object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
+    def _from_ints(
+        cls, shape: BlockShape, den: int, nums: list[tuple[Exponent, int]]
+    ) -> "BlockedPoly":
+        """Wrap an integer view that already meets its invariant (module
+        docstring); ``terms`` is built on first use."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "shape", shape)
+        object.__setattr__(p, "_ints", (den, nums))
         return p
 
     # ----- constructors -------------------------------------------------
@@ -292,14 +334,15 @@ class BlockedPoly:
             raise ShapeMismatchError(
                 f"point has {len(pt)} coordinates, shape width {self.shape.width}"
             )
-        if not self.terms:
+        den, cleared = self._ints
+        if not cleared:
             return Fraction(0)
         try:
-            den, cleared, tops = self._eval
+            tops = self._tops
         except AttributeError:
-            den, cleared = _cleared(self)
-            tops = [(i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top]
-            object.__setattr__(self, "_eval", (den, cleared, tops))
+            exps = [e for e, _ in cleared]
+            tops = [(i, top) for i, top in enumerate(map(max, zip(*exps))) if top]
+            object.__setattr__(self, "_tops", tops)
         # (i, row) with row[e] = p^e * q^(top - e), coordinate i's factor at exponent e
         tables: list[tuple[int, list[int]]] = []
         for i, top in tops:
@@ -340,12 +383,6 @@ class BlockedPoly:
 # exact sums of products
 # ---------------------------------------------------------------------------
 
-def _cleared(p: BlockedPoly) -> tuple[int, list[tuple[Exponent, int]]]:
-    """``(d, [(e, a_e)])`` with ``p = sum (a_e / d) X^e`` and d the lcm of p's denominators."""
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
-
-
 class ExactSum:
     """A sum of weighted polynomial products, held over integer numerators.
 
@@ -365,8 +402,8 @@ class ExactSum:
         """Add ``weight * left * right``."""
         if not weight:
             return
-        left_den, left_terms = _cleared(left)
-        right_den, right_terms = _cleared(right)
+        left_den, left_terms = left._ints
+        right_den, right_terms = right._ints
         den = weight.denominator * left_den * right_den
         common = lcm(self.den, den)
         nums = self.nums
@@ -406,7 +443,11 @@ class SosDecomposition:
     def degree(self) -> int:
         """Total degree of the expanded sum: with positive weights the top
         forms of the squares cannot cancel."""
-        return max((2 * q.total_degree() for q in self.squares), default=0)
+        return 2 * max((sum(e) for q in self.squares for e, _ in q._ints[1]), default=0)
+
+    def nonzero(self) -> bool:
+        """Whether some square is nonzero: with positive weights, whether the sum is."""
+        return any(q._ints[1] for q in self.squares)
 
 
 def expand_identity(
@@ -430,11 +471,11 @@ def expand_identity(
     (:func:`_merge_groups`) and multiplied by g_i in ints, and all of them
     are merged at the end.  Only the surviving monomials are unpacked.
     """
-    products = [(sigma, g) for sigma, g in products if g.terms]
+    products = [(sigma, g) for sigma, g in products if g._ints[1]]
     polys = list(sigma0.squares)
     for sigma, g in products:
         polys += (*sigma.squares, g)
-    top = max(chain.from_iterable(chain.from_iterable(p.terms for p in polys)), default=0)
+    top = max(chain.from_iterable(e for p in polys for e, _ in p._ints[1]), default=0)
     bits = (3 * top).bit_length()
     offsets = [bits * i for i in range(sigma0.shape.width)]
     shifts = [1 << o for o in offsets]
@@ -460,8 +501,8 @@ def expand_identity(
 
 
 def _packed(p: BlockedPoly, shifts: list[int]) -> tuple[int, list[tuple[int, int]]]:
-    """:func:`_cleared`, with each exponent tuple packed by ``shifts``."""
-    den, cleared = _cleared(p)
+    """``p._ints``, with each exponent tuple packed by ``shifts``."""
+    den, cleared = p._ints
     return den, [(sum(map(mul, e, shifts)), a) for e, a in cleared]
 
 
@@ -472,9 +513,9 @@ def _square_groups(sigma: SosDecomposition, shifts: list[int]) -> dict[int, dict
     """
     groups: dict[int, dict[int, int]] = {}
     for w, q in zip(sigma.weights, sigma.squares):
-        if not w or not q.terms:
-            continue
         den, terms = _packed(q, shifts)
+        if not w or not terms:
+            continue
         nums = groups.setdefault(w.denominator * den * den, {})
         get = nums.get
         for i, (k1, a) in enumerate(terms):
@@ -615,7 +656,7 @@ def substitute(p: BlockedPoly, assignments: Mapping[int, BlockedPoly]) -> Blocke
             for idx, e in key:
                 product = product * rhs_power(idx, e)
             product_cache[key] = product
-        mono = BlockedPoly._trusted(p.shape, {tuple(residual): Fraction(1)})
+        mono = BlockedPoly._from_ints(p.shape, 1, [(tuple(residual), 1)])
         total.add_product(coeff, mono, product_cache[key])
     return total.poly()
 

@@ -25,6 +25,7 @@ from .serialize import (
     json_typed,
     poly_from_obj,
     poly_to_obj,
+    polys_from_obj,
     sha256_of_obj,
 )
 
@@ -479,7 +480,7 @@ def problem_from_obj(obj: Any) -> CylinderProblem:
     ):
         raise SchemaError(f"variant {variant.value} fixes r, got r={r}")
     f = poly_from_obj(f_obj, shape)
-    g = tuple(poly_from_obj(gi, shape) for gi in g_obj)
+    g = polys_from_obj(g_obj, shape)
     attested = obj.get("archimedean_attested", True)
     if not isinstance(attested, bool):
         raise SchemaError("archimedean_attested must be a boolean")

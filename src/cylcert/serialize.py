@@ -23,6 +23,13 @@ hashes the two-space-indented form, ``json.dumps(obj, sort_keys=True,
 indent=2, separators=(",", ": ")) + "\n"``, that files were written in
 before they became compact, so every hash stays what it was.  Readers
 ignore whitespace: files in either encoding load to the same objects.
+
+Reading is capped at :data:`DIGIT_CAP` digits per integer, in rational
+strings and JSON integers alike.  :func:`polys_from_obj` reads term
+lists, and :func:`poly_from_obj` one, into the integer view of
+:mod:`cylcert.poly` (one common denominator and integer numerators per
+polynomial) without a ``Fraction`` per term: canonical coefficient
+strings go straight to ints, and other spellings through ``Fraction``.
 """
 from __future__ import annotations
 
@@ -30,9 +37,12 @@ import hashlib
 import json
 import os
 import stat
+import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from typing import Any
 
 from .errors import SchemaError, ShapeMismatchError
@@ -40,10 +50,11 @@ from .poly import BlockShape, BlockedPoly
 
 # Most decimal digits a numerator, denominator or JSON integer may have
 # when a file is read.  ``int()`` takes time quadratic in the digit count,
-# so a longer one is refused before any conversion.  The cap is checked
-# here, not left to CPython's int-to-str limit (the same 4,300 digits by
-# default), which the command line lifts while it formats exact results
-# and which CPython before 3.10.7 does not have.
+# so a longer one is refused before any conversion.  Rational strings are
+# checked here.  JSON integers are held to it by CPython's own int-from-str
+# limit, which :func:`load_json` sets to the cap while it parses, because
+# the command line lifts that limit while it formats exact results; before
+# CPython 3.10.7, which has no such limit, a hook checks each integer.
 DIGIT_CAP = 4300
 
 # Largest decimal exponent, in magnitude, that a rational may carry, so
@@ -95,6 +106,28 @@ def digits_over_cap(json_text: str) -> bool:
 
 def frac_from_str(text: Any) -> Fraction:
     """Parse a rational from ``"p/q"``, an integer string, or an int."""
+    return Fraction(*_ratio(text))
+
+
+def _ratio(value: Any) -> tuple[int, int]:
+    """``(p, q)`` with ``q > 0`` and ``p/q`` the rational :func:`frac_from_str` reads.
+
+    The canonical form, ASCII ``-?[0-9]+(/[0-9]+)?`` within the digit
+    cap, is read straight into ints without ``Fraction``'s regex, and
+    then ``p/q`` need not be in lowest terms.
+    """
+    if type(value) is str and (len(value) <= DIGIT_CAP or not _too_many_digits(value)):
+        num, slash, den = value.removeprefix("-").partition("/")
+        if value.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            q = int(den) if slash else 1
+            if q:
+                return (-int(num) if value[0] == "-" else int(num)), q
+    c = _parse_rational(value)
+    return c.numerator, c.denominator
+
+
+def _parse_rational(text: Any) -> Fraction:
+    """A rational in any other form that :func:`frac_from_str` accepts."""
     if isinstance(text, bool):
         raise SchemaError(f"expected a rational, got {text!r}")
     if isinstance(text, int):
@@ -104,15 +137,6 @@ def frac_from_str(text: Any) -> Fraction:
     if len(text) > DIGIT_CAP and _too_many_digits(text):
         raise SchemaError(f"bad rational {text[:40]!r}...: more than {DIGIT_CAP} digits")
     try:
-        # the canonical form, ASCII -?[0-9]+(/[0-9]+)?, skips Fraction's regex
-        num, slash, den = text.removeprefix("-").partition("/")
-        if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
-            p = -int(num) if text[0] == "-" else int(num)
-            if not slash:
-                return Fraction(p)
-            q = int(den)
-            if q:
-                return Fraction(p, q)
         _check_exponent(text)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -157,37 +181,79 @@ def poly_to_obj(p: BlockedPoly) -> list[dict[str, Any]]:
     return out
 
 
+def _bad_block(key: str, count: int, block: Any) -> SchemaError:
+    return SchemaError(f"term block {key!r} must be {count} nonnegative ints, got {block!r}")
+
+
 def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
+    """The polynomial of a term list, built in its integer view alone.
+
+    Terms of one monomial are summed, and a sum of zero is dropped.
+    """
+    return polys_from_obj([obj], shape)[0]
+
+
+def polys_from_obj(objs: list[Any], shape: BlockShape) -> tuple[BlockedPoly, ...]:
+    """:func:`poly_from_obj` of each term list in ``objs``, read in one pass.
+
+    The blocks' lengths are checked term by term, and their entries in
+    one pass over the terms of every list.
+    """
     _no_homogenizers(shape)
-    if not isinstance(obj, list):
-        raise SchemaError(f"polynomial must be a term list, got {type(obj).__name__}")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for item in obj:
-        if not isinstance(item, dict) or "c" not in item:
-            raise SchemaError(f"bad polynomial term {item!r}")
-        exp: list[int] = []
-        for key, count in (("x", shape.n), ("y1", shape.r1), ("y2", shape.r2)):
-            block = item.get(key, [0] * count)
-            if (
-                not isinstance(block, list)
-                or len(block) != count
-                or not all(type(e) is int and e >= 0 for e in block)
-            ):
-                raise SchemaError(
-                    f"term block {key!r} must be {count} nonnegative ints, got {block!r}"
-                )
-            exp.extend(block)
-        if item.get("h", {}) != {}:
-            raise SchemaError(f"term 'h' must be {{}} (no homogenizers), got {item['h']!r}")
-        key = tuple(exp)
-        coeff = frac_from_str(item["c"])
-        if key in terms:
-            coeff += terms[key]
-        if coeff:
-            terms[key] = coeff
+    blocks = [
+        (key, count, [0] * count)
+        for key, count in (("x", shape.n), ("y1", shape.r1), ("y2", shape.r2))
+    ]
+    exps: list[tuple[int, ...]] = []
+    ratios: list[tuple[int, int]] = []
+    sizes: list[int] = []
+    for obj in objs:
+        if not isinstance(obj, list):
+            raise SchemaError(f"polynomial must be a term list, got {type(obj).__name__}")
+        sizes.append(len(obj))
+        for item in obj:
+            if not isinstance(item, dict) or "c" not in item:
+                raise SchemaError(f"bad polynomial term {item!r}")
+            exp: list[int] = []
+            for key, count, zeros in blocks:
+                block = item.get(key, zeros)
+                if not isinstance(block, list) or len(block) != count:
+                    raise _bad_block(key, count, block)
+                exp += block
+            if item.get("h", {}) != {}:
+                raise SchemaError(f"term 'h' must be {{}} (no homogenizers), got {item['h']!r}")
+            exps.append(tuple(exp))
+            ratios.append(_ratio(item["c"]))
+    flat = list(chain.from_iterable(exps))
+    if flat and (set(map(type, flat)) != {int} or min(flat) < 0):
+        for item in chain.from_iterable(objs):
+            for key, count, zeros in blocks:
+                block = item.get(key, zeros)
+                if not all(type(e) is int and e >= 0 for e in block):
+                    raise _bad_block(key, count, block)
+    terms = zip(exps, ratios)
+    return tuple(_from_terms(shape, list(islice(terms, size))) for size in sizes)
+
+
+def _from_terms(
+    shape: BlockShape, terms: list[tuple[tuple[int, ...], tuple[int, int]]]
+) -> BlockedPoly:
+    """``sum p/q X^e`` over ``terms``, each ``(e, (p, q))``, in its integer view."""
+    den = lcm(*[q for _, (_, q) in terms])
+    nums: dict[tuple[int, ...], int] = {}
+    get = nums.get
+    for exp, (p, q) in terms:
+        a = get(exp, 0) + p * (den // q)
+        if a:
+            nums[exp] = a
         else:
-            terms.pop(key, None)
-    return BlockedPoly._trusted(shape, terms)
+            nums.pop(exp, None)
+    common = gcd(den, *nums.values())
+    if common > 1:
+        # a coefficient not in lowest terms, or a sum that reduced
+        den //= common
+        nums = {e: a // common for e, a in nums.items()}
+    return BlockedPoly._from_ints(shape, den, list(nums.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +302,37 @@ def _parse_int(literal: str) -> int:
     return int(literal)
 
 
+def _load_capped(fh: Any) -> Any:
+    """``json.load`` with JSON integers of at most :data:`DIGIT_CAP` digits.
+
+    Where the interpreter has an int-from-str digit limit (CPython 3.10.7
+    and later), the limit is set to the cap while the document parses and
+    the caller's own limit is put back; elsewhere :func:`_parse_int` is
+    called per integer.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.load(fh, parse_int=_parse_int)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_CAP)
+    try:
+        return json.load(fh)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_parse_int)
+            return _load_capped(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer literal over DIGIT_CAP digits
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError:
+        # the only other ValueError: an integer literal over DIGIT_CAP digits
+        raise SchemaError(
+            f"{path} is not valid JSON: an integer of more than {DIGIT_CAP} digits"
+        ) from None
     except RecursionError:
         raise SchemaError(f"{path} nests deeper than the JSON reader goes") from None
 

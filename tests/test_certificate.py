@@ -548,6 +548,22 @@ def test_assembly_matches_the_per_square_reference(name, monkeypatch):
     assert got.problem_hash == expected.problem_hash
 
 
+def test_verifying_a_stored_certificate_builds_no_fraction_per_square_coefficient():
+    obj = json.loads((ROOT / "sample_problems" / "c5_square_plane_quadratic.json").read_text())
+    problem = problem_from_obj(obj)
+    stored = json.loads(canonical_dumps(certificate_to_obj(
+        pipeline.certify_problem(problem).certificate
+    )))
+    cert = certificate_from_obj(stored, problem.shape)
+    verify_certificate(problem, cert)
+    squares = [q for deco in cert.sigmas for q in deco.squares]
+    assert len(squares) == 684
+    for q in squares:
+        with pytest.raises(AttributeError):
+            BlockedPoly.terms.__get__(q)  # the slot of the Fraction view is unset
+    assert cert.sigmas[0].squares[0].terms  # and is built on first use
+
+
 # --- frame pull-back -------------------------------------------------------
 
 def test_box_frame_certificate_pulls_back():

@@ -571,7 +571,7 @@ def test_numeric_tier_certificate_is_refused(tmp_path, capsys):
     assert verify() == errors.VerificationError.exit_code
     payload = summary()["payload"]
     assert payload["kind"] == "IDENTITY_FAIL" and payload["residual"] == "8"
-    assert verify("--tier", "exact") == cli.EXIT_VALIDATION
+    assert verify("--tier", "exact") == errors.ValidationError.exit_code
     assert "--tier" in capsys.readouterr().err
 
 
@@ -671,7 +671,7 @@ def test_coefficient_above_the_cap_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "cert.json"
     path = _scaled_c1(tmp_path, 10**310)
     code = cli.main(["certify", "--input", str(path), "--output", str(out)])
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     summary = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert summary["error"] == "VALIDATION"
     assert summary["payload"]["polynomial"] == "f"
@@ -692,7 +692,7 @@ def test_a_box_constraint_past_the_cap_in_simplex_coordinates_is_a_validation_er
     out = tmp_path / "cert.json"
     code = cli.main(["certify", "--input", str(path), "--output", str(out)])
     printed, err = capsys.readouterr()
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     assert "Traceback" not in printed + err
     assert json.loads(err.splitlines()[-1])["error"] == "VALIDATION"
     assert not out.exists()
@@ -722,7 +722,7 @@ def _assert_degree_refused(tmp_path, capsys, path, polynomial, block, degree):
     started = time.monotonic()
     code = cli.main(["certify", "--input", str(path), "--output", str(out)])
     assert time.monotonic() - started < 2
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     summary = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert summary["payload"] == {
         "polynomial": polynomial, "block": block, "degree": degree, "cap": DEGREE_CAP,
@@ -791,7 +791,7 @@ def test_minimize_subcommand(problem_file):
     # minimize always bounds f; a --target flag is a usage error
     assert cli.main(
         ["minimize", "--input", str(problem_file), "--target", "f"]
-    ) == cli.EXIT_VALIDATION
+    ) == errors.ValidationError.exit_code
 
 
 def test_minimize_nonpositive_exits_12(tmp_path):
@@ -809,7 +809,7 @@ def test_minimize_refuses_a_set_that_escapes_the_frame(tmp_path, capsys):
     path = tmp_path / "escaping.json"
     path.write_text(json.dumps(obj))
     capsys.readouterr()
-    assert cli.main(["minimize", "--input", str(path)]) == cli.EXIT_VALIDATION
+    assert cli.main(["minimize", "--input", str(path)]) == errors.ValidationError.exit_code
     summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert summary["payload"]["violations"]
 
@@ -828,7 +828,7 @@ def test_wide_box_problem_ends_in_validation_quickly(tmp_path, capsys):
     started = time.monotonic()
     code = cli.main(["certify", "--input", str(path), "--output", str(tmp_path / "c.json")])
     assert time.monotonic() - started < 2
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     capsys.readouterr()
 
 
@@ -842,7 +842,7 @@ def test_bound_subcommand(capsys):
     assert cli.main(
         ["bound", "--theorem", "1.1", "--c", "1", "--d", "1", "--n", "1",
          "--fnorm", "1", "--fstar", "0"]
-    ) == cli.EXIT_VALIDATION
+    ) == errors.ValidationError.exit_code
 
 
 def test_bound_survives_astronomical_values(capsys):
@@ -871,7 +871,7 @@ def test_a_failure_payload_past_the_int_to_str_limit_still_prints(capsys):
          "--d", "2", "--n", "1", "--fnorm", "3", "--fstar", "1/2"]
     )
     err = capsys.readouterr().err.splitlines()[-1]
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     assert '"error": "VALIDATION"' in err
     assert len(re.search(r'"power_bits_estimate": (\d+)', err)[1]) == 8401
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
@@ -883,7 +883,7 @@ def test_bound_beyond_exact_reach_is_a_validation_error(capsys):
     assert cli.main(
         ["bound", "--theorem", "1.1", "--c", "1/2", "--d", "40", "--n", "3",
          "--fnorm", "1e300", "--fstar", "1"]
-    ) == cli.EXIT_VALIDATION
+    ) == errors.ValidationError.exit_code
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "VALIDATION"
 
 
@@ -895,14 +895,14 @@ def _bound_line(argv, capsys):
 def test_bound_with_a_huge_integer_c_is_refused_before_the_power(capsys):
     # e^(2^(10^12)): forming 2^(10^12) alone would not fit in memory
     code, summary = _bound_line(["--c", "1000000000000", "--fnorm", "2"], capsys)
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     assert summary["error"] == "VALIDATION"
     assert summary["payload"]["exponent_bits_at_least"] > 2**17
 
 
 def test_bound_with_a_huge_fractional_c_is_refused_before_the_root(capsys):
     code, summary = _bound_line(["--c", "2000000000001/2", "--fnorm", "2"], capsys)
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     assert summary["payload"]["exponent_bits_at_least"] > 2**17
 
 
@@ -914,7 +914,7 @@ def test_bound_with_an_argument_just_above_one_is_refused_quickly(capsys):
         ["--c", "1000000000000", "--fnorm", "1000000000001/1000000000000"], capsys
     )
     assert time.monotonic() - started < 1
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     assert summary["payload"]["power_bits_estimate"] > POWER_BITS_CAP
 
 
@@ -924,7 +924,7 @@ def test_bound_of_a_formula_without_the_degree_power_is_refused_quickly(capsys):
     started = time.monotonic()
     code, summary = _bound_line(["--theorem", "2.3", "--d", "100000000", "--fnorm", "1"], capsys)
     assert time.monotonic() - started < 1
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     assert summary["error"] == "VALIDATION"
 
 
@@ -937,7 +937,7 @@ def test_bound_with_a_huge_block_degree_is_refused_quickly(capsys):
         capsys,
     )
     assert time.monotonic() - started < 1
-    assert code == cli.EXIT_VALIDATION
+    assert code == errors.ValidationError.exit_code
     assert summary["payload"]["power_bits_estimate"] > POWER_BITS_CAP
 
 
@@ -949,7 +949,7 @@ def test_bound_with_a_fractional_c_of_large_denominator_ends_quickly(capsys):
         ["--c", "1/100000", "--fnorm", "1000000000001/1000000000000"], capsys
     )
     assert time.monotonic() - started < 1
-    assert code in (0, cli.EXIT_VALIDATION)
+    assert code in (0, errors.ValidationError.exit_code)
 
 
 def test_bound_with_an_argument_below_one_needs_no_power(capsys):
@@ -960,11 +960,51 @@ def test_bound_with_an_argument_below_one_needs_no_power(capsys):
 
 
 def test_usage_errors_do_not_collide_with_numeric_success(capsys):
-    assert cli.main(["certify", "--input", "p.json"]) == cli.EXIT_VALIDATION
+    assert cli.main(["certify", "--input", "p.json"]) == errors.ValidationError.exit_code
     assert cli.main(["bound", "--theorem", "7.7", "--d", "1", "--n", "1",
-                     "--fnorm", "1", "--fstar", "1"]) == cli.EXIT_VALIDATION
+                     "--fnorm", "1", "--fstar", "1"]) == errors.ValidationError.exit_code
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--input", "x"],
+        ["bound", "--theorem", "1.1", "--d", "1", "--n", "1", "--fnorm", "1", "--fstar", "abc"],
+        ["frobnicate"],
+    ],
+)
+def test_a_usage_error_ends_in_the_json_summary_line(argv, capsys):
+    assert cli.main(argv) == errors.ValidationError.exit_code
+    last = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert sorted(last) == ["error", "message", "payload"]
+    assert last["error"] == "VALIDATION"
+    assert last["message"].startswith("cylcert")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["certify", "--help"], ["bound", "-h"]])
+def test_help_still_exits_zero(argv, capsys):
+    assert cli.main(argv) == 0
+    assert "usage: cylcert" in capsys.readouterr().out
+
+
+def test_running_out_of_memory_ends_as_an_exhausted_budget(
+    problem_file, tmp_path, capsys, monkeypatch
+):
+    from cylcert import pipeline
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "certify_problem", exhausted)
+    out = tmp_path / "cert.json"
+    code = cli.main(["certify", "--input", str(problem_file), "--output", str(out)])
+    assert code == errors.BudgetExhaustedError.exit_code == 13
+    last = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert last["error"] == "BUDGET_EXHAUSTED"
+    assert last["payload"] == {"command": "certify"}
+    assert not out.exists()
 
 
 # the row of the README exit-code table each error class exits with,
@@ -1021,7 +1061,7 @@ def test_search_caps_are_not_options(problem_file, tmp_path, capsys, command, fl
     argv = [command, "--input", str(problem_file), flag, value]
     if command == "certify":
         argv += ["--output", str(out)]
-    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert cli.main(argv) == errors.ValidationError.exit_code
     assert not out.exists()
     assert flag in capsys.readouterr().err
 

@@ -170,7 +170,7 @@ def test_a_huge_variable_count_is_refused(documents, tmp_path, capsys):
     problem_obj, cert_obj = documents
     for field in ("n", "r"):
         hostile = _mutate(problem_obj, [((field,), 2**70)])
-        assert _verify_exit(tmp_path, hostile, cert_obj, capsys) == cli.EXIT_VALIDATION
+        assert _verify_exit(tmp_path, hostile, cert_obj, capsys) == errors.ValidationError.exit_code
 
 
 def _c1_scaled(tmp_path, key, factor):

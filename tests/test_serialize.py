@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,26 @@ def test_json_integers_past_the_digit_cap_are_refused(tmp_path):
     path.write_text("[" + "9" * 4301 + "]")
     with pytest.raises(SchemaError, match="more than 4300 digits"):
         load_json(str(path))
+
+
+@pytest.mark.parametrize("hook", [False, True])
+def test_load_json_caps_integers_and_keeps_the_callers_limit(tmp_path, monkeypatch, hook):
+    path = tmp_path / "doc.json"
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # as cylcert.cli leaves it while a command runs
+        if hook:
+            # an interpreter before 3.10.7 has no limit to set: a parse_int hook checks
+            monkeypatch.delattr(sys, "set_int_max_str_digits")
+        path.write_text("[" + "9" * 4300 + "]")
+        assert load_json(str(path)) == [int("9" * 4300)]
+        path.write_text('{"a": [1, -' + "9" * 4301 + "]}")
+        with pytest.raises(SchemaError, match="an integer of more than 4300 digits"):
+            load_json(str(path))
+        assert sys.get_int_max_str_digits() == 0
+    finally:
+        monkeypatch.undo()
+        sys.set_int_max_str_digits(default)
 
 
 # a decimal exponent as Fraction reads it, at the end of the text
@@ -151,6 +173,101 @@ def test_poly_round_trip_random():
     # no file has homogenizers, so a polynomial with them has no encoding
     with pytest.raises(ShapeMismatchError):
         poly_to_obj(BlockedPoly.constant(BlockShape(2, 1, 1, ("Z1",)), 1))
+
+
+@st.composite
+def file_polys(draw):
+    """A polynomial over a shape without homogenizers, as files hold them."""
+    shape = BlockShape(draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1)))
+    exps = st.tuples(*[st.integers(0, 5)] * shape.width)
+    coeffs = st.fractions(max_denominator=10**12).filter(bool)
+    return BlockedPoly(shape, draw(st.dictionaries(exps, coeffs, max_size=8)))
+
+
+@given(file_polys())
+@settings(max_examples=200, deadline=None)
+def test_poly_from_obj_inverts_poly_to_obj(p):
+    assert poly_from_obj(poly_to_obj(p), p.shape) == p
+
+
+def _views_agree(p):
+    """The integer view is the lcm of the reduced denominators over the
+    numerators of the Fraction view."""
+    den, nums = p._ints
+    assert den == math.lcm(*[c.denominator for c in p.terms.values()])
+    assert math.gcd(den, *[a for _, a in nums]) == 1
+    assert len(nums) == len(p.terms)
+    assert dict(nums) == {e: c * den for e, c in p.terms.items()}
+    assert all(a for _, a in nums)
+
+
+def _reference_terms(obj, shape):
+    """Fractions summed per monomial, zeros dropped: the reader's value."""
+    sums = {}
+    for item in obj:
+        exp = (*item.get("x", [0] * shape.n), *item.get("y1", [0] * shape.r1),
+               *item.get("y2", [0] * shape.r2))
+        sums[exp] = sums.get(exp, 0) + Fraction(item["c"])
+    return {e: c for e, c in sums.items() if c}
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        ["2/4"],
+        ["-0"],
+        ["0/5"],
+        ["1.5"],
+        ["3e2"],
+        ["-2.5e-3"],
+        [" 7 "],
+        [6],
+        ["00012/0008"],
+        ["1/3", "1/6"],  # one monomial twice: 1/2
+        ["1/3", "-1/3"],  # a sum of zero is dropped
+        ["1/3", "-1/3", "5/7"],  # and a later term starts it again
+        ["-3/9", "2/4", "-0/1"],
+    ],
+)
+def test_any_spelling_reads_to_the_fraction_reference(coeffs):
+    shape = BlockShape(1, 1)
+    # a second term on another monomial keeps the denominators apart
+    obj = [{"x": [1], "y1": [0], "c": c} for c in coeffs] + [{"x": [0], "y1": [2], "c": "5/6"}]
+    p = poly_from_obj(obj, shape)
+    assert p.terms == _reference_terms(obj, shape)
+    _views_agree(p)
+
+
+@given(file_polys())
+@settings(max_examples=100, deadline=None)
+def test_the_two_views_agree_on_read_and_computed_polynomials(p):
+    read = poly_from_obj(poly_to_obj(p), p.shape)
+    _views_agree(read)  # the Fraction view built from the integer one
+    one = BlockedPoly.constant(p.shape, Fraction(2, 3))
+    for q in (p, p * p, p + one, p.scale(Fraction(-3, 4)), read * read, read - p):
+        _views_agree(q)  # the integer view built from the Fraction one
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"x": [True], "y1": [0], "c": "1"},
+        {"x": [1.0], "y1": [0], "c": "1"},
+        {"x": [1], "y1": [-1], "c": "1"},
+        {"x": ["1"], "y1": [0], "c": "1"},
+        {"x": [1, 0], "y1": [0], "c": "1"},
+        {"x": [], "y1": [0], "c": "1"},
+        {"x": [1], "y1": [0], "y2": [1], "c": "1"},
+        {"x": [1], "y1": [0], "h": {"Z": 1}, "c": "1"},
+        {"x": [1], "y1": [0], "c": "1/0"},
+    ],
+)
+def test_a_bad_term_anywhere_in_the_list_is_a_schema_error(term):
+    shape = BlockShape(1, 1)
+    good = {"x": [0], "y1": [2], "c": "1"}
+    for obj in ([term], [good, term], [term, good]):
+        with pytest.raises(SchemaError):
+            poly_from_obj(obj, shape)
 
 
 def test_poly_obj_omits_absent_blocks():
