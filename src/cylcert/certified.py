@@ -108,8 +108,9 @@ def _gradient_constant(p: BlockedPoly, slots: Iterable[int]) -> Fraction:
     per-slot bounds is a Lipschitz constant on any convex such domain.
     """
     sq = Fraction(0)
+    terms = p.terms.items()
     for s in slots:
-        tot = sum((abs(c) * e[s] for e, c in p.terms.items()), start=Fraction(0))
+        tot = sum((abs(c) * e[s] for e, c in terms), start=Fraction(0))
         sq += tot * tot
     return sqrt_upper(sq) if sq else Fraction(0)
 
@@ -127,10 +128,11 @@ def _eliminate_square(target: BlockedPoly, slots: tuple[int, ...], pivot: int) -
             repl = repl - BlockedPoly.monomial(shape, tuple(2 if i == s else 0 for i in range(shape.width)))
     current = target
     while True:
-        high = {e: c for e, c in current.terms.items() if e[pivot] >= 2}
+        terms = current.terms
+        high = {e: c for e, c in terms.items() if e[pivot] >= 2}
         if not high:
             return current
-        rest = BlockedPoly(shape, {e: c for e, c in current.terms.items() if e[pivot] < 2})
+        rest = BlockedPoly(shape, {e: c for e, c in terms.items() if e[pivot] < 2})
         lowered = BlockedPoly(
             shape,
             {tuple(v - 2 if i == pivot else v for i, v in enumerate(e)): c for e, c in high.items()},
@@ -149,7 +151,8 @@ def _reduce_block(target: BlockedPoly, slots: tuple[int, ...]) -> tuple[BlockedP
     best: tuple[BlockedPoly, tuple[int, ...]] | None = None
     for pivot in reversed(slots):
         red = _eliminate_square(target, slots, pivot)
-        kept = tuple(s for s in slots if any(e[s] for e in red.terms))
+        exps = list(red.terms)
+        kept = tuple(s for s in slots if any(e[s] for e in exps))
         if best is None or len(kept) < len(best[1]):
             best = (red, kept)
     assert best is not None

@@ -209,15 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _any_digit_count() -> Iterator[None]:
-    """Lift CPython's int-to-str digit limit (3.10.7 and later) for the block.
+    """Lift the interpreter's int-to-str digit limit for the block.
 
     Bounds, certificate coefficients and verification residuals are exact
     rationals whose digit counts can exceed it; files are still read under
     ``serialize.DIGIT_CAP``, and the caller gets its own limit back.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -111,8 +111,8 @@ class SosStalledError(CylcertError):
 
 
 class IdentityMismatchError(CylcertError):
-    """Assembly broke an invariant: a degree law, or a padding variable
-    that survived substitution."""
+    """Assembly broke a degree law: an absorption term's degree left its
+    formula, or a remainder term's degree passed its cap."""
 
     code = "IDENTITY_MISMATCH"
     exit_code = 15

@@ -234,11 +234,12 @@ class _SigmaBuilder:
         """
         shape = self.problem.shape
         width = shape.width
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in p.terms.items():
+        den, nums = p._ints
+        out: dict[tuple[int, ...], int] = {}
+        for expo, a in nums:
             key = expo[:width]
-            terms[key] = terms[key] + coeff if key in terms else coeff
-        return BlockedPoly._trusted(shape, {x: c for x, c in terms.items() if c})
+            out[key] = out.get(key, 0) + a
+        return BlockedPoly._from_ints(shape, den, out)
 
     def add(
         self, index: int, weight: Fraction, left: BlockedPoly, right: BlockedPoly

@@ -5,8 +5,13 @@ layout: ``n`` compact variables X1..Xn (ranging over a box or simplex),
 a first unbounded block Y1..Y{r1}, an optional second unbounded block
 W1..W{r2}, and any active homogenizing variables drawn from
 ``("Z", "Z1", "Z2")``, which pad the unbounded blocks.  Terms are stored
-sparsely as a dict from exponent tuples (one slot per variable, in the
-layout order above) to nonzero ``Fraction`` coefficients.  All
+sparsely in one integer form, ``_ints = (den, [(e, a_e)])`` with
+``p = sum (a_e / den) X^e``: each exponent tuple has one slot per
+variable, in the layout order above, and appears once; no ``a_e`` is
+zero; ``den`` is positive and ``gcd(den, *a_e)`` is 1, so ``den`` is the
+lcm of the reduced denominators (1 for the zero polynomial).  The form is
+canonical, so equal polynomials store equal ``den`` and equal term sets.
+``terms`` builds the ``Fraction`` dict from it on each read.  All
 arithmetic is exact; operations never mutate their inputs.
 
 The norm used throughout treats the X-part of each monomial in the
@@ -20,23 +25,10 @@ unbounded blocks and of homogenizers carry no weight.
 
 Products go through :class:`ExactSum`, which keeps a sum of weighted
 products as one dict of Python ints over one running common denominator.
-Each factor enters in its integer view (``_ints``, below), products are
-formed in ints, and one ``Fraction`` is made per monomial when the sum is
-read out.  A sum that cancels to zero is dropped at once, so a product's
-terms come out in the order of the plain double loop over its factors.
+A sum that cancels to zero is dropped at once, so a product's terms come
+out in the order of the plain double loop over its factors.
 
-Coefficients have two views.  ``terms`` maps exponent tuples to
-``Fraction`` coefficients; ``_ints`` is ``(den, [(e, a_e)])`` with
-``p = sum (a_e / den) X^e`` and ``den`` the lcm of the coefficients'
-denominators, which is the integer form every exact kernel works in.  A
-polynomial is built with one view, and the other is computed from it on
-first use and kept.  No code mutates either, so the cache cannot go
-stale.  :class:`ExactSum` reads each factor's ``_ints``, so a factor that
-enters many products is cleared once, and the certificate reader builds
-squares with ``_ints`` alone, so verification makes no ``Fraction`` per
-square coefficient.
-
-:meth:`BlockedPoly.eval_at` works in the integer view too: each term is
+:meth:`BlockedPoly.eval_at` works in the integer form too: each term is
 put over one common denominator (``den`` times each coordinate's
 denominator to its highest exponent), the numerators are summed as Python
 ints from per-coordinate power tables, and one ``Fraction`` is made at
@@ -51,26 +43,23 @@ check that assembly, the facet witnesses and verification share.  Like
 the rest of this module it uses only the standard library, so the
 checker can verify a certificate without loading the search.
 
-``BlockedPoly._trusted(shape, terms)`` wraps ``terms`` without copying or
-checking it.  Only code in this package that has just built the dict may
-call it, and only when every key is a tuple of ``shape.width``
-nonnegative ints, every value is a nonzero ``Fraction`` and nothing else
-keeps the dict.  ``BlockedPoly._from_ints(shape, den, nums)`` wraps an
-integer view on the same terms: the keys of ``nums`` meet the same rule
-and are distinct, no numerator is zero, ``den`` is positive and
-``gcd(den, *numerators)`` is 1, so ``den`` is the lcm of the reduced
-denominators (1 for the zero polynomial), and nothing else keeps the
-list.  Input from outside the program goes through the public
-constructor, which checks all of this, or through the file reader
-:func:`cylcert.serialize.polys_from_obj`, which checks it before it calls
-``_from_ints``.
+Every polynomial is made by one of two constructors.  The public one
+takes ``Fraction``-like coefficients, checks every exponent and clears
+the coefficients to the integer form.  ``BlockedPoly._from_ints(shape,
+den, nums)`` takes the numerators as a dict, drops zeros and divides out
+the gcd itself; only code in this package may call it, and only with
+keys that are tuples of ``shape.width`` nonnegative ints and a positive
+``den``.  Input from outside the program goes through the public
+constructor or through the file reader
+:func:`cylcert.serialize.polys_from_obj`, which checks its exponents
+before it calls ``_from_ints``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from itertools import chain
 from operator import add, mul
 from typing import Iterable, Mapping
@@ -158,12 +147,11 @@ class BlockShape:
 class BlockedPoly:
     """Immutable sparse polynomial over a :class:`BlockShape`."""
 
-    # terms and _ints: the two views of the coefficients (module docstring),
-    # each filled from the other on first use; _tops: eval_at's slot tops
-    __slots__ = ("shape", "terms", "_ints", "_tops")
+    # _ints: the stored coefficients (module docstring); _tops: eval_at's slot tops
+    __slots__ = ("shape", "_ints", "_tops")
 
     def __init__(self, shape: BlockShape, terms: Mapping[Exponent, Fraction] | None = None):
-        cleaned: dict[Exponent, Fraction] = {}
+        coeffs: dict[Exponent, Fraction] = {}
         width = shape.width
         for exp, coeff in (terms or {}).items():
             if len(exp) != width:
@@ -172,48 +160,29 @@ class BlockedPoly:
                 )
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = Fraction(coeff)
-            if c:
-                cleaned[tuple(exp)] = c
+            coeffs[tuple(exp)] = Fraction(coeff)
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        nums = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_ints", _reduced(den, nums))
 
     def __setattr__(self, *_: object) -> None:  # pragma: no cover - guard
         raise AttributeError("BlockedPoly is immutable")
 
-    def __getattr__(self, name: str) -> object:
-        # Python calls this only for a slot not yet filled: every polynomial
-        # holds one view of its coefficients, and the other is built from it.
-        if name == "terms":
-            den, nums = self._ints
-            value: object = {e: Fraction(a, den) for e, a in nums}
-        elif name == "_ints":
-            terms = self.terms
-            den = lcm(*[c.denominator for c in terms.values()])
-            value = den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
-
     @classmethod
-    def _trusted(cls, shape: BlockShape, terms: dict[Exponent, Fraction]) -> "BlockedPoly":
-        """Wrap a term dict that already meets the invariant (module docstring)."""
+    def _from_ints(cls, shape: BlockShape, den: int, nums: dict[Exponent, int]) -> "BlockedPoly":
+        """``sum nums[e] / den * X^e``, with the keys of ``nums`` meeting the
+        rule of the module docstring and ``den`` positive."""
         p = object.__new__(cls)
         object.__setattr__(p, "shape", shape)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_ints", _reduced(den, nums))
         return p
 
-    @classmethod
-    def _from_ints(
-        cls, shape: BlockShape, den: int, nums: list[tuple[Exponent, int]]
-    ) -> "BlockedPoly":
-        """Wrap an integer view that already meets its invariant (module
-        docstring); ``terms`` is built on first use."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "shape", shape)
-        object.__setattr__(p, "_ints", (den, nums))
-        return p
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """The coefficients as ``Fraction``s, built anew on each read."""
+        den, nums = self._ints
+        return {e: Fraction(a, den) for e, a in nums}
 
     # ----- constructors -------------------------------------------------
     @staticmethod
@@ -236,18 +205,20 @@ class BlockedPoly:
 
     # ----- basic protocol ----------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._ints[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedPoly):
             return NotImplemented
-        return self.shape == other.shape and self.terms == other.terms
+        (den, nums), (other_den, other_nums) = self._ints, other._ints
+        return self.shape == other.shape and den == other_den and dict(nums) == dict(other_nums)
 
     def __hash__(self) -> int:
-        return hash((self.shape, tuple(sorted(self.terms.items()))))
+        den, nums = self._ints
+        return hash((self.shape, den, frozenset(nums)))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self:
             return "BlockedPoly(0)"
         bits = []
         for exp, coeff in self.sorted_terms()[:6]:
@@ -257,7 +228,7 @@ class BlockedPoly:
                 if e
             )
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
-        tail = " + ..." if len(self.terms) > 6 else ""
+        tail = " + ..." if len(self._ints[1]) > 6 else ""
         return f"BlockedPoly({' + '.join(bits)}{tail})"
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
@@ -273,17 +244,19 @@ class BlockedPoly:
     # ----- ring operations ----------------------------------------------
     def __add__(self, other: "BlockedPoly") -> "BlockedPoly":
         self._check_shape(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            s = out.get(exp, Fraction(0)) + coeff
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return BlockedPoly._trusted(self.shape, out)
+        (left_den, left), (right_den, right) = self._ints, other._ints
+        den = lcm(left_den, right_den)
+        grow = den // left_den
+        out = {e: a * grow for e, a in left}
+        grow = den // right_den
+        get = out.get
+        for e, a in right:
+            out[e] = get(e, 0) + a * grow
+        return BlockedPoly._from_ints(self.shape, den, out)
 
     def __neg__(self) -> "BlockedPoly":
-        return BlockedPoly._trusted(self.shape, {e: -c for e, c in self.terms.items()})
+        den, nums = self._ints
+        return BlockedPoly._from_ints(self.shape, den, {e: -a for e, a in nums})
 
     def __sub__(self, other: "BlockedPoly") -> "BlockedPoly":
         return self + (-other)
@@ -296,9 +269,10 @@ class BlockedPoly:
 
     def scale(self, c: Fraction | int) -> "BlockedPoly":
         c = Fraction(c)
-        if not c:
-            return BlockedPoly.zero(self.shape)
-        return BlockedPoly._trusted(self.shape, {e: k * c for e, k in self.terms.items()})
+        den, nums = self._ints
+        return BlockedPoly._from_ints(
+            self.shape, den * c.denominator, {e: a * c.numerator for e, a in nums}
+        )
 
     def __pow__(self, exponent: int) -> "BlockedPoly":
         if exponent < 0:
@@ -315,12 +289,12 @@ class BlockedPoly:
 
     # ----- degrees ------------------------------------------------------
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e, _ in self._ints[1]), default=0)
 
     def block_degree(self, block: str) -> int:
         """Max combined exponent over a named block."""
         idx = self.shape.block_indices(block)
-        return max((sum(e[i] for i in idx) for e in self.terms), default=0)
+        return max((sum(e[i] for i in idx) for e, _ in self._ints[1]), default=0)
 
     # ----- evaluation ---------------------------------------------------
     def eval_at(self, point: Iterable[Fraction]) -> Fraction:
@@ -370,13 +344,23 @@ class BlockedPoly:
         if not set(self.shape.homs) <= set(shape.homs):
             raise ShapeMismatchError(f"cannot embed {self.shape} into {shape}")
         base = self.shape.n + self.shape.r1 + self.shape.r2
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
+        den, nums = self._ints
+        out: dict[Exponent, int] = {}
+        for exp, a in nums:
             new = list(exp[:base]) + [0] * len(shape.homs)
             for pos, h in enumerate(self.shape.homs):
                 new[base + shape.homs.index(h)] = exp[base + pos]
-            out[tuple(new)] = coeff
-        return BlockedPoly(shape, out)
+            out[tuple(new)] = a
+        return BlockedPoly._from_ints(shape, den, out)
+
+
+def _reduced(den: int, nums: dict[Exponent, int]) -> tuple[int, list[tuple[Exponent, int]]]:
+    """``(den, [(e, a)])`` for ``sum nums[e] / den * X^e`` in its stored form:
+    zero numerators dropped and ``gcd(den, *numerators)`` divided out."""
+    common = gcd(den, *nums.values())
+    if common == 1 and all(nums.values()):
+        return den, list(nums.items())
+    return den // common, [(e, a // common) for e, a in nums.items() if a]
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +409,8 @@ class ExactSum:
                     del nums[key]
 
     def poly(self) -> BlockedPoly:
-        """The sum as a polynomial: one ``Fraction`` per monomial."""
-        den = self.den
-        return BlockedPoly._trusted(
-            self.shape, {e: Fraction(v, den) for e, v in self.nums.items()}
-        )
+        """The sum as a polynomial."""
+        return BlockedPoly._from_ints(self.shape, self.den, self.nums)
 
 
 @dataclass(frozen=True)
@@ -494,9 +475,8 @@ def expand_identity(
         groups.append((den * g_den, out))
     den, nums = _merge_groups(groups)
     mask = (1 << bits) - 1
-    return BlockedPoly._trusted(sigma0.shape, {
-        tuple([(key >> o) & mask for o in offsets]): Fraction(v, den)
-        for key, v in nums.items() if v
+    return BlockedPoly._from_ints(sigma0.shape, den, {
+        tuple([(key >> o) & mask for o in offsets]): v for key, v in nums.items() if v
     })
 
 
@@ -582,7 +562,8 @@ def weighted_norm(p: BlockedPoly) -> Fraction:
 
 def coeff_abs_sum(p: BlockedPoly) -> Fraction:
     """Sum of absolute stored coefficients (used for rounding-error slack)."""
-    return sum((abs(c) for c in p.terms.values()), start=Fraction(0))
+    den, nums = p._ints
+    return Fraction(sum(abs(a) for _, a in nums), den)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +583,9 @@ def homogenize_block(
         p = p.embed(p.shape.with_homogenizers(homogenizer))
     idx = p.shape.block_indices(block)
     hidx = p.shape.hom_index(homogenizer)
-    out: dict[Exponent, Fraction] = {}
-    for exp, coeff in p.terms.items():
+    den, nums = p._ints
+    out: dict[Exponent, int] = {}
+    for exp, a in nums:
         d = sum(exp[i] for i in idx)
         pad = target_degree - d - exp[hidx]
         if pad < 0:
@@ -613,8 +595,8 @@ def homogenize_block(
         new = list(exp)
         new[hidx] += pad
         key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return BlockedPoly(p.shape, out)
+        out[key] = out.get(key, 0) + a
+    return BlockedPoly._from_ints(p.shape, den, out)
 
 
 def substitute(p: BlockedPoly, assignments: Mapping[int, BlockedPoly]) -> BlockedPoly:
@@ -656,7 +638,7 @@ def substitute(p: BlockedPoly, assignments: Mapping[int, BlockedPoly]) -> Blocke
             for idx, e in key:
                 product = product * rhs_power(idx, e)
             product_cache[key] = product
-        mono = BlockedPoly._from_ints(p.shape, 1, [(tuple(residual), 1)])
+        mono = BlockedPoly._from_ints(p.shape, 1, {tuple(residual): 1})
         total.add_product(coeff, mono, product_cache[key])
     return total.poly()
 

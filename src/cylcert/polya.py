@@ -63,21 +63,22 @@ def coefficient_forms(
     shape with the x slots at zero.
     """
     shape, n = target.shape, target.shape.n
-    parts: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for key, coeff in target.terms.items():
-        parts.setdefault(key[:n], {})[(0,) * n + key[n:]] = coeff
+    den, nums = target._ints
+    parts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for key, num in nums:
+        parts.setdefault(key[:n], {})[(0,) * n + key[n:]] = num
     degree = target.block_degree("x") + exponent
     forms: dict[tuple[int, ...], BlockedPoly] = {}
     for alpha in monomials([degree] * (n + 1), degree, exact=True):
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for a, part in parts.items():
             rest = tuple(e - f for e, f in zip(alpha[1:], a))
             if any(e < 0 for e in rest):
                 continue
             weight = multinomial((alpha[0],) + rest)
-            for key, coeff in part.items():
-                terms[key] = terms.get(key, 0) + weight * coeff
-        forms[alpha] = BlockedPoly._trusted(shape, {k: c for k, c in terms.items() if c})
+            for key, num in part.items():
+                terms[key] = terms.get(key, 0) + weight * num
+        forms[alpha] = BlockedPoly._from_ints(shape, den, terms)
     return forms
 
 
@@ -89,8 +90,9 @@ def _screen_min(form: BlockedPoly, blocks: tuple[SphereBlock, ...]) -> float:
     """
     covers = []
     slots: list[int] = []
+    exps = list(form.terms)
     for b in blocks:
-        kept = tuple(i for i, s in enumerate(b.indices) if any(e[s] for e in form.terms))
+        kept = tuple(i for i, s in enumerate(b.indices) if any(e[s] for e in exps))
         covers.append(projected_sphere_cover(len(b.indices), SCREEN_RESOLUTION, kept))
         slots.extend(b.indices[i] for i in kept)
     values = _float_eval(_cover_product(covers), _terms_on_slots(form, slots))
@@ -148,7 +150,7 @@ def _decompose_forms(
     every form before any exact decomposition starts.
     """
     for alpha, form in forms.items():
-        if not form.terms:
+        if not form:
             return None, {"alpha": list(alpha), "reason": "zero coefficient"}
         low = _screen_min(form, blocks)
         if low <= 0.0:

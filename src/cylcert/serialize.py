@@ -26,7 +26,7 @@ ignore whitespace: files in either encoding load to the same objects.
 
 Reading is capped at :data:`DIGIT_CAP` digits per integer, in rational
 strings and JSON integers alike.  :func:`polys_from_obj` reads term
-lists, and :func:`poly_from_obj` one, into the integer view of
+lists, and :func:`poly_from_obj` one, into the integer form of
 :mod:`cylcert.poly` (one common denominator and integer numerators per
 polynomial) without a ``Fraction`` per term: canonical coefficient
 strings go straight to ints, and other spellings through ``Fraction``.
@@ -42,7 +42,7 @@ import tempfile
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import lcm
 from typing import Any
 
 from .errors import SchemaError, ShapeMismatchError
@@ -53,8 +53,7 @@ from .poly import BlockShape, BlockedPoly
 # so a longer one is refused before any conversion.  Rational strings are
 # checked here.  JSON integers are held to it by CPython's own int-from-str
 # limit, which :func:`load_json` sets to the cap while it parses, because
-# the command line lifts that limit while it formats exact results; before
-# CPython 3.10.7, which has no such limit, a hook checks each integer.
+# the command line lifts that limit while it formats exact results.
 DIGIT_CAP = 4300
 
 # Largest decimal exponent, in magnitude, that a rational may carry, so
@@ -186,7 +185,7 @@ def _bad_block(key: str, count: int, block: Any) -> SchemaError:
 
 
 def poly_from_obj(obj: Any, shape: BlockShape) -> BlockedPoly:
-    """The polynomial of a term list, built in its integer view alone.
+    """The polynomial of a term list, built in its integer form.
 
     Terms of one monomial are summed, and a sum of zero is dropped.
     """
@@ -238,22 +237,13 @@ def polys_from_obj(objs: list[Any], shape: BlockShape) -> tuple[BlockedPoly, ...
 def _from_terms(
     shape: BlockShape, terms: list[tuple[tuple[int, ...], tuple[int, int]]]
 ) -> BlockedPoly:
-    """``sum p/q X^e`` over ``terms``, each ``(e, (p, q))``, in its integer view."""
+    """``sum p/q X^e`` over ``terms``, each ``(e, (p, q))``."""
     den = lcm(*[q for _, (_, q) in terms])
     nums: dict[tuple[int, ...], int] = {}
     get = nums.get
     for exp, (p, q) in terms:
-        a = get(exp, 0) + p * (den // q)
-        if a:
-            nums[exp] = a
-        else:
-            nums.pop(exp, None)
-    common = gcd(den, *nums.values())
-    if common > 1:
-        # a coefficient not in lowest terms, or a sum that reduced
-        den //= common
-        nums = {e: a // common for e, a in nums.items()}
-    return BlockedPoly._from_ints(shape, den, list(nums.items()))
+        nums[exp] = get(exp, 0) + p * (den // q)
+    return BlockedPoly._from_ints(shape, den, nums)
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +285,12 @@ def sha256_of_obj(obj: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _parse_int(literal: str) -> int:
-    """A JSON integer literal of at most :data:`DIGIT_CAP` digits."""
-    if len(literal) > DIGIT_CAP and len(literal.lstrip("-")) > DIGIT_CAP:
-        raise ValueError(f"an integer of more than {DIGIT_CAP} digits")
-    return int(literal)
-
-
 def _load_capped(fh: Any) -> Any:
     """``json.load`` with JSON integers of at most :data:`DIGIT_CAP` digits.
 
-    Where the interpreter has an int-from-str digit limit (CPython 3.10.7
-    and later), the limit is set to the cap while the document parses and
-    the caller's own limit is put back; elsewhere :func:`_parse_int` is
-    called per integer.
+    The interpreter's int-from-str digit limit is set to the cap while the
+    document parses, and the caller's own limit is put back.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return json.load(fh, parse_int=_parse_int)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(DIGIT_CAP)
     try:

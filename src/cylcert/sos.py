@@ -494,8 +494,9 @@ def module_witness(
     it exactly onto the affine set and factors every block; the first
     rung whose identity expands to the target gives the tuple
     ``(sigma_0, sigma_1, ..., sigma_s)``, one entry per generator after
-    sigma_0, empty where no basis was given.  None when the bases cannot
-    produce the target, the search fails, or no rung verifies.
+    sigma_0, empty where no basis was given; blocks with the same index
+    add their squares to one sigma, in block order.  None when the bases
+    cannot produce the target, the search fails, or no rung verifies.
     """
     system = _gram_system(
         target.shape, tuple(gens), tuple((idx, tuple(basis)) for idx, basis in bases)
@@ -515,7 +516,10 @@ def module_witness(
             deco = decomposition_from_gram(system.shape, basis, gram)
             if deco is None:
                 break
-            sigmas[0 if gen_idx is None else gen_idx + 1] = deco
+            i = 0 if gen_idx is None else gen_idx + 1
+            sigmas[i] = SosDecomposition(
+                target.shape, sigmas[i].weights + deco.weights, sigmas[i].squares + deco.squares
+            )
         else:
             if expand_identity(sigmas[0], zip(sigmas[1:], gens)) == target:
                 return tuple(sigmas)
@@ -542,8 +546,9 @@ def default_gram_basis(target: BlockedPoly) -> list[Exponent]:
     only the matching half degree.  Sizes beyond ``GRAM_BASIS_CAP`` raise
     :class:`CapExceededError`.
     """
-    box = [max(e[i] for e in target.terms) // 2 for i in range(target.shape.width)]
-    totals = {sum(e) for e in target.terms}
+    exps = list(target.terms)
+    box = [max(e[i] for e in exps) // 2 for i in range(target.shape.width)]
+    totals = {sum(e) for e in exps}
     out = monomials(box, max(totals) // 2, exact=len(totals) == 1)
     if len(out) > GRAM_BASIS_CAP:
         raise CapExceededError(
@@ -564,7 +569,7 @@ def sos_decompose(target: BlockedPoly) -> SosDecomposition:
     polynomials that are not sums of squares), or when no rounding
     denominator yields an exact identity.
     """
-    if not target.terms:
+    if not target:
         return SosDecomposition(target.shape, (), ())
     basis = default_gram_basis(target)
     found = module_witness(target, (), [(None, basis)])

@@ -328,7 +328,7 @@ def _reference_strip_padding(p: BlockedPoly, shape: BlockShape) -> BlockedPoly:
                 "a padding variable survived substitution", exponent=list(expo)
             )
         terms[expo[:width]] = coeff
-    return BlockedPoly._trusted(shape, terms)
+    return BlockedPoly(shape, terms)
 
 
 class _ReferenceSigmaBuilder:
@@ -548,20 +548,27 @@ def test_assembly_matches_the_per_square_reference(name, monkeypatch):
     assert got.problem_hash == expected.problem_hash
 
 
-def test_verifying_a_stored_certificate_builds_no_fraction_per_square_coefficient():
+def test_verifying_a_stored_certificate_builds_no_fraction_per_square_coefficient(monkeypatch):
     obj = json.loads((ROOT / "sample_problems" / "c5_square_plane_quadratic.json").read_text())
     problem = problem_from_obj(obj)
     stored = json.loads(canonical_dumps(certificate_to_obj(
         pipeline.certify_problem(problem).certificate
     )))
+    read = []  # every polynomial whose Fraction terms were built, kept alive
+    terms = BlockedPoly.terms
+
+    def counted(p):
+        read.append(p)
+        return terms.fget(p)
+
+    monkeypatch.setattr(BlockedPoly, "terms", property(counted))
     cert = certificate_from_obj(stored, problem.shape)
     verify_certificate(problem, cert)
     squares = [q for deco in cert.sigmas for q in deco.squares]
     assert len(squares) == 684
-    for q in squares:
-        with pytest.raises(AttributeError):
-            BlockedPoly.terms.__get__(q)  # the slot of the Fraction view is unset
-    assert cert.sigmas[0].squares[0].terms  # and is built on first use
+    assert not {id(q) for q in squares} & {id(p) for p in read}
+    assert cert.sigmas[0].squares[0].terms  # built when asked for
+    assert read[-1] is cert.sigmas[0].squares[0]
 
 
 # --- frame pull-back -------------------------------------------------------

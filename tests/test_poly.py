@@ -1,6 +1,7 @@
 """Unit tests for the exact blocked-polynomial core."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -488,10 +489,11 @@ def test_eval_at_matches_fraction_reference(p, point):
 def test_cached_evaluator_matches_fraction_reference(p, points, ints):
     """eval_at keeps what it needs of the terms after its first call;
     every later call, at any point, still gives the reference value."""
-    trusted = BlockedPoly._trusted(KERNEL_SHAPE, dict(p.terms))
+    den, nums = p._ints
+    from_ints = BlockedPoly._from_ints(KERNEL_SHAPE, den, dict(nums))
     built = BlockedPoly(KERNEL_SHAPE, p.terms)
     zero = BlockedPoly(KERNEL_SHAPE, {})
-    for poly in (trusted, built, zero, p * p):
+    for poly in (from_ints, built, zero, p * p):
         terms = dict(poly.terms)
         for bad in (points[0][:-1], points[0] + (Fraction(1),)):
             with pytest.raises(ShapeMismatchError):
@@ -508,6 +510,28 @@ def test_cached_evaluator_matches_fraction_reference(p, points, ints):
             with pytest.raises(ShapeMismatchError):
                 poly.eval_at(bad)  # after it is filled
         assert poly.terms == terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=kernel_polys(8),
+    k=st.integers(1, 10**6),
+    zeros=st.lists(st.tuples(*[st.integers(0, 3)] * KERNEL_SHAPE.width), max_size=4),
+)
+def test_fractions_and_unreduced_numerators_store_one_form(p, k, zeros):
+    """The same value given as Fractions, or as numerators over k times its
+    denominator with zero entries mixed in, is one stored form."""
+    terms = p.terms
+    den = k * math.lcm(*[c.denominator for c in terms.values()])
+    nums = {e: 0 for e in zeros}
+    nums.update({e: int(c * den) for e, c in terms.items()})
+    nums.update({(9, *e[1:]): 0 for e in zeros})
+    q = BlockedPoly._from_ints(KERNEL_SHAPE, den, nums)
+    built = BlockedPoly(KERNEL_SHAPE, terms)
+    assert q == built and hash(q) == hash(built)
+    assert q._ints[0] == built._ints[0] and dict(q._ints[1]) == dict(built._ints[1])
+    assert q.terms == terms
+    _assert_clean(q)
 
 
 def test_poly_from_obj_drops_cancelling_duplicates_and_checks_exponents():

@@ -495,6 +495,23 @@ def test_a_pseudo_inverse_that_fails_fails_the_search(monkeypatch):
     assert sos.psd_feasibility(system, b) is None
 
 
+def test_blocks_of_one_sigma_add_their_squares():
+    # x^2 + y^2 from two one-monomial blocks of sigma_0, and from one block
+    shape = BlockShape(1, 1)
+    x, y = BlockedPoly.variable(shape, 0), BlockedPoly.variable(shape, 1)
+    target = x * x + y * y
+    [split] = module_witness(target, (), [(None, [(1, 0)]), (None, [(0, 1)])])
+    [joined] = module_witness(target, (), [(None, [(1, 0), (0, 1)])])
+    assert split.squares == (x, y) and split.weights == (1, 1)
+    assert expand_identity(split, ()) == expand_identity(joined, ()) == target
+    # 1 - x^4 = (1 + x^2) * g with g = 1 - x^2: sigma_1 = 1^2 + x^2 from two blocks
+    one = BlockedPoly.constant(shape, 1)
+    g = one - x * x
+    sigma0, sigma1 = module_witness((one + x * x) * g, (g,), [(0, [(0, 0)]), (0, [(1, 0)])])
+    assert not sigma0.squares
+    assert sigma1.squares == (one, x) and sigma1.weights == (1, 1)
+
+
 def test_one_system_serves_every_target_of_a_basis_set():
     shape = BlockShape(2, 0)
     basis = [(0, 0), (1, 0), (0, 1)]
