@@ -57,7 +57,9 @@ signature) and the cover-sized arrays (cover coordinates, their power
 tables and ``bmat``).  Before it builds them, a pass estimates their
 bytes (``_Scan._float_bytes``) and stops with
 :class:`BudgetExhaustedError` above ``MEMORY_BUDGET``, as it does above
-``PAIR_BUDGET`` pairs.
+``PAIR_BUDGET`` pairs.  Each sphere cover is sized by
+:func:`~cylcert.covers.projected_sphere_cover` itself, which refuses one
+too large to build.
 
 The float helpers ``_cover_product`` and ``_float_eval`` also run the
 Polya screen of :mod:`cylcert.polya`.
@@ -348,39 +350,21 @@ S_TIMES_SPHERE = "S_TIMES_SPHERE"
 # of at most EXACT_PAIRS grid x cover pairs has an exact result.  A pass
 # returns at most WITNESS_CAP witness-valued samples.  PAIR_BUDGET caps the
 # pairs of one pass and DEPTH_CAP the refinements of one scan;
-# MEMORY_BUDGET caps the estimated bytes of a pass's arrays, and
-# GRID_POINT_CAP and COVER_POINT_CAP cap the simplex lattice and each
-# recursive sphere cover whatever the pair budget.
+# MEMORY_BUDGET caps the estimated bytes of a pass's arrays.  The cap on
+# each sphere cover's construction lives with the builder, in
+# covers.COVER_POINT_CAP.
 START_RESOLUTION = 8
 EXACT_PAIRS = 4096
 WITNESS_CAP = 64
 PAIR_BUDGET = 250_000_000
 DEPTH_CAP = 24
 MEMORY_BUDGET = 1 << 28
-GRID_POINT_CAP = 1 << 24
-COVER_POINT_CAP = 1 << 22
 
 
 def _ceil_float(v: Fraction) -> float:
     """A float upper bound of an exact rational."""
     f = float(v)
     return f if Fraction(f) >= v else math.nextafter(f, math.inf)
-
-
-def _cover_cost(dim: int, resolution: int, kept: tuple[int, ...]) -> int:
-    """Work estimate for building a projected sphere cover.
-
-    The recursive construction touches one entry per outer point times
-    the projected inner cover's size, so levels whose projection
-    collapses contribute a constant, not a factor of resolution.
-    """
-    if dim == 1:
-        return 2
-    if dim == 2:
-        return 2 * (resolution + 1)
-    inner = tuple(i for i in kept if i < dim - 1)
-    inner_cost = _cover_cost(dim - 1, resolution, inner) if inner else 1
-    return (resolution + 1) * inner_cost
 
 
 class _Scan:
@@ -555,29 +539,11 @@ class _Scan:
         )
 
     # ----- one pass --------------------------------------------------------
-    def _covers(self, grid_size: int, res_b: list[int]) -> list[ProjectedCover]:
-        """The pass's sphere covers, after checking every size before building."""
-        if grid_size > GRID_POINT_CAP:
-            raise BudgetExhaustedError(
-                "simplex grid alone exceeds the evaluation budget",
-                rows=grid_size,
-                budget=GRID_POINT_CAP,
-            )
-        kept_local = [
-            tuple(b.indices.index(s) for s in kept) for b, kept in zip(self.blocks, self.kept)
-        ]
-        for i, b in enumerate(self.blocks):
-            est = _cover_cost(len(b.indices), res_b[i], kept_local[i])
-            if est > COVER_POINT_CAP:
-                raise BudgetExhaustedError(
-                    "sphere cover construction exceeds the evaluation budget",
-                    block=i,
-                    estimated_points=est,
-                    budget=COVER_POINT_CAP,
-                )
+    def _covers(self, res_b: list[int]) -> list[ProjectedCover]:
+        """The pass's sphere covers, projected onto the kept slots."""
         return [
-            projected_sphere_cover(len(b.indices), res_b[i], kept_local[i])
-            for i, b in enumerate(self.blocks)
+            projected_sphere_cover(len(b.indices), res, tuple(b.indices.index(s) for s in kept))
+            for b, kept, res in zip(self.blocks, self.kept, res_b)
         ]
 
     def _float_bytes(self, rows: int, n_u: int) -> int:
@@ -642,7 +608,7 @@ class _Scan:
         covers.
         """
         grid_size = math.comb(res_x + self.n, self.n)
-        covers = self._covers(grid_size, res_b)
+        covers = self._covers(res_b)
         n_u = math.prod(len(c) for c in covers)
         estimated = self._float_bytes(grid_size, n_u)
         if estimated > MEMORY_BUDGET:

@@ -239,9 +239,12 @@ def main(argv: list[str] | None = None) -> int:
                 # payloads can hold integers past the digit limit
                 return _fail(exc)
             except MemoryError:
-                return _fail(BudgetExhaustedError(
-                    f"cylcert {args.command} ran out of memory", command=args.command
-                ))
+                pass
+            # reported outside the handler, whose traceback would keep the
+            # failed command's frames, and their memory, alive
+            return _fail(BudgetExhaustedError(
+                f"cylcert {args.command} ran out of memory", command=args.command
+            ))
     except OSError as exc:
         print(f"error[IO]: {exc}")
         _emit({"error": "IO", "message": str(exc)})

@@ -22,6 +22,10 @@ metric:
 The sphere cover exists only as :func:`projected_sphere_cover`: its
 points seen through a subset of the coordinates, each with one full
 sphere point behind it.  Keeping every coordinate gives the whole cover.
+It is also where every sphere cover is sized: a request whose
+construction would touch more than ``COVER_POINT_CAP`` entries
+(``_cover_cost``) stops with :class:`BudgetExhaustedError` before any
+point is built, in the floor scan and the Polya screen alike.
 
 Sphere points are built and stored over the integers.  A circle point
 at t = s/K is the triple (2sK, K^2 - s^2, K^2 + s^2), two numerators over
@@ -45,8 +49,13 @@ from math import comb, gcd, isqrt
 
 import numpy as np
 
+from .errors import BudgetExhaustedError
 
 SQRT_BITS = 20
+# The most construction entries (``_cover_cost``) one sphere cover may
+# take.  Under 64-bit CPython 3.11 a build peaked at 254-632 bytes per
+# entry over dims 2-5, so the largest cover allowed stays near 1.3 GB.
+COVER_POINT_CAP = 1 << 21
 
 
 def sqrt_upper(value: Fraction | int) -> Fraction:
@@ -158,19 +167,12 @@ class ProjectedCover:
     ``(numerators, denominator)`` pairs of ints.
     """
 
-    __slots__ = ("dim", "kept", "resolution", "_points", "_reps", "radius", "_floats")
+    __slots__ = ("kept", "_points", "_reps", "radius", "_floats")
 
     def __init__(
-        self,
-        dim: int,
-        kept: tuple[int, ...],
-        resolution: int,
-        entries: dict[_IntPoint, _IntPoint],
-        radius: Fraction,
+        self, kept: tuple[int, ...], entries: dict[_IntPoint, _IntPoint], radius: Fraction
     ):
-        self.dim = dim
         self.kept = kept
-        self.resolution = resolution
         self._points = tuple(entries.keys())
         self._reps = tuple(entries.values())
         self.radius = radius
@@ -202,6 +204,22 @@ def _key(nums: tuple[int, ...], den: int) -> _IntPoint:
     if g == 1:
         return nums, den
     return tuple(a // g for a in nums), den // g
+
+
+def _cover_cost(dim: int, resolution: int, kept: tuple[int, ...]) -> int:
+    """Work estimate for building a projected sphere cover.
+
+    The recursive construction touches one entry per outer point times
+    the projected inner cover's size, so levels whose projection
+    collapses contribute a constant, not a factor of resolution.
+    """
+    if dim == 1:
+        return 2
+    if dim == 2:
+        return 2 * (resolution + 1)
+    inner = tuple(i for i in kept if i < dim - 1)
+    inner_cost = _cover_cost(dim - 1, resolution, inner) if inner else 1
+    return (resolution + 1) * inner_cost
 
 
 def _projected_entries(
@@ -254,5 +272,14 @@ def projected_sphere_cover(
         raise ValueError("need dim >= 1 and resolution >= 1")
     if not all(0 <= i < dim for i in kept) or list(kept) != sorted(set(kept)):
         raise ValueError(f"kept must be a sorted subset of range({dim})")
+    estimated = _cover_cost(dim, resolution, kept)
+    if estimated > COVER_POINT_CAP:
+        raise BudgetExhaustedError(
+            "sphere cover construction exceeds the evaluation budget",
+            dim=dim,
+            resolution=resolution,
+            estimated_points=estimated,
+            budget=COVER_POINT_CAP,
+        )
     entries = _projected_entries(dim, resolution, kept)
-    return ProjectedCover(dim, kept, resolution, entries, sphere_cover_radius(dim, resolution))
+    return ProjectedCover(kept, entries, sphere_cover_radius(dim, resolution))

@@ -97,7 +97,8 @@ class CapExceededError(CylcertError):
 
 
 class BudgetExhaustedError(CylcertError):
-    """A grid-scan pass would exceed its pair, point or memory budget."""
+    """A grid-scan pass would exceed its pair or memory budget, or a sphere
+    cover its construction cap."""
 
     code = "BUDGET_EXHAUSTED"
     exit_code = 13

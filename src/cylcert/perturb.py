@@ -104,7 +104,6 @@ class PerturbationResult:
     k: int
     target: BlockedPoly          # h, block-homogeneous over the padded shape
     threshold: Fraction          # fstar_lb / 2, cleared on the whole domain
-    fstar_lb: Fraction
     evidence: CertifiedMin
 
 
@@ -139,10 +138,7 @@ def find_perturbation(p: CylinderProblem, fstar_lb: Fraction) -> PerturbationRes
             attempts.append({"lambda": str(lam), "k": k, "witness": exc.payload.get("witness")})
             lam *= 2
             continue
-        return PerturbationResult(
-            lam=lam, k=k, target=h, threshold=threshold,
-            fstar_lb=fstar_lb, evidence=evidence,
-        )
+        return PerturbationResult(lam=lam, k=k, target=h, threshold=threshold, evidence=evidence)
     raise SearchExhaustedError(
         "no perturbation weight up to the cap pushes the target above "
         "half the certified minimum off S",

@@ -90,7 +90,7 @@ def certify(problem, fstar_lb):
     pol = polya_saturate(pert.target, pert.threshold, blocks)
     parities = {parity_vector(key) for key in pol.forms}
     base = base_certificates(problem.shape, problem.g, parities)
-    cert = assemble(problem, pert.lam, pert.k, pol, base, fstar_lb=pert.fstar_lb)
+    cert = assemble(problem, pert.lam, pert.k, pol, base, fstar_lb=fstar_lb)
     return cert, base
 
 

@@ -651,7 +651,7 @@ def _variant_problems(draw, variant):
 def _pass_sizes(scan, res):
     """Pairs of the pass at resolution ``res`` in every factor."""
     grid = SimplexGrid(scan.n, res)
-    covers = scan._covers(len(grid), [res] * len(scan.blocks))
+    covers = scan._covers([res] * len(scan.blocks))
     return _pass_size(scan, grid, covers)[1]
 
 
@@ -1037,7 +1037,7 @@ def recorded_passes():
 
 def _estimate(scan, res_x, res_b):
     grid_size = math.comb(res_x + scan.n, scan.n)
-    n_u = math.prod(len(c) for c in scan._covers(grid_size, res_b))
+    n_u = math.prod(len(c) for c in scan._covers(res_b))
     return scan._float_bytes(grid_size, n_u)
 
 

@@ -8,6 +8,7 @@ import shutil
 import stat
 import sys
 import time
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -1007,6 +1008,35 @@ def test_running_out_of_memory_ends_as_an_exhausted_budget(
     assert not out.exists()
 
 
+def test_out_of_memory_is_reported_after_the_failed_command_is_freed(
+    problem_file, tmp_path, monkeypatch
+):
+    from cylcert import pipeline
+
+    class Held:
+        pass
+
+    finalizers = []
+
+    def exhausted(*args, **kwargs):
+        held = Held()
+        finalizers.append(weakref.finalize(held, lambda: None))
+        raise MemoryError
+
+    alive_at_emit = []
+    emit = cli._emit
+
+    def recording(obj):
+        alive_at_emit.append(finalizers[0].alive)
+        emit(obj)
+
+    monkeypatch.setattr(pipeline, "certify_problem", exhausted)
+    monkeypatch.setattr(cli, "_emit", recording)
+    argv = ["certify", "--input", str(problem_file), "--output", str(tmp_path / "cert.json")]
+    assert cli.main(argv) == errors.BudgetExhaustedError.exit_code
+    assert alive_at_emit == [False]
+
+
 # the row of the README exit-code table each error class exits with,
 # by the start of its meaning
 README_ROW = {
@@ -1095,11 +1125,51 @@ BOX_INPUTS = {
 }
 
 
+def _qrr_problem(r):
+    """f = (1 + x)(1 + sum y_j^2) on g = -1/8 + 3x/4 - x^2, simplex frame, quadratic_rr."""
+    zero = [0] * r
+
+    def term(c, x, y):
+        return {"c": c, "x": [x], "y1": y}
+
+    squares = [[2 if i == j else 0 for i in range(r)] for j in range(r)]
+    f = [term("1", x, y) for x in (0, 1) for y in (zero, *squares)]
+    g = [[term("-1/8", 0, zero), term("3/4", 1, zero), term("-1", 2, zero)]]
+    return {
+        "archimedean_attested": True, "frame": "simplex", "m": 2, "n": 1, "r": r,
+        "variant": "quadratic_rr", "f": f, "g": g,
+    }
+
+
+def test_a_wide_polya_screen_stops_before_building_its_cover(tmp_path, capsys, monkeypatch):
+    # r = 5 asks the screen for 19.5 M construction entries, gigabytes of
+    # Python objects; the floor scan's covers keep no coordinate
+    from cylcert import covers
+
+    build = covers._projected_entries
+
+    def guarded(dim, resolution, kept):
+        if (resolution + 1) ** len(kept) > 1 << 16:
+            pytest.fail(f"built a cover of dim {dim} at resolution {resolution}")
+        return build(dim, resolution, kept)
+
+    monkeypatch.setattr(covers, "_projected_entries", guarded)
+    path = tmp_path / "qrr5.json"
+    path.write_text(json.dumps(_qrr_problem(5)))
+    code = cli.main(["certify", "--input", str(path), "--output", str(tmp_path / "c.json")])
+    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (code, summary["error"], summary["payload"]) == (
+        errors.BudgetExhaustedError.exit_code,
+        "BUDGET_EXHAUSTED",
+        {"budget": 2_097_152, "dim": 6, "estimated_points": 19_531_250, "resolution": 24},
+    )
+
+
 @pytest.mark.parametrize("name, payload", [
-    # before the scan's arrays were blocked, both stopped earlier, at the
-    # memory budget: box2 at resolutions 2048 x 2048, box3 at 256 x 128
+    # box2 stops at the pair budget; box3's 22.6 M-row grid at resolution
+    # 512 is refused by the memory estimate before the grid is built
     ("box2", {"budget": 250_000_000, "rows": 290_521, "sphere_points": 2049}),
-    ("box3", {"budget": 16_777_216, "rows": 22_632_705}),
+    ("box3", {"budget": 268_435_456, "estimated_bytes": 1_632_716_936, "resolutions": [512, 256]}),
 ])
 def test_box_inputs_stop_at_a_scan_budget(tmp_path, capsys, name, payload):
     path = tmp_path / f"{name}.json"

@@ -8,12 +8,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from cylcert import covers
 from cylcert.covers import (
+    COVER_POINT_CAP,
     SimplexGrid,
+    _cover_cost,
     projected_sphere_cover,
     sphere_cover_radius,
     sqrt_upper,
 )
+from cylcert.errors import BudgetExhaustedError
 
 
 # The Fraction construction the integer covers replace, kept verbatim as
@@ -289,3 +293,31 @@ def test_projected_cover_rejects_bad_kept_sets():
         projected_sphere_cover(3, 8, (1, 0))
     with pytest.raises(ValueError):
         projected_sphere_cover(3, 8, (0, 3))
+
+
+@pytest.mark.parametrize("dim, resolution, estimated", [
+    (3, 1024, 2_101_250),   # a floor scan's circle-times-circle cover, all slots kept
+    (6, 24, 19_531_250),    # the Polya screen of a quadratic_rr problem with r = 5
+])
+def test_projected_cover_refuses_before_building(monkeypatch, dim, resolution, estimated):
+    def refuse(*args):
+        pytest.fail("the cover was built")
+
+    monkeypatch.setattr(covers, "_projected_entries", refuse)
+    with pytest.raises(BudgetExhaustedError) as info:
+        projected_sphere_cover(dim, resolution, tuple(range(dim)))
+    assert info.value.payload == {
+        "dim": dim, "resolution": resolution, "estimated_points": estimated,
+        "budget": COVER_POINT_CAP,
+    }
+
+
+def test_cover_cost_bounds_every_cover_size():
+    # the estimate is the only bound checked before a cover is built
+    for dim in range(1, 6):
+        for kept in itertools.chain.from_iterable(
+            itertools.combinations(range(dim), size) for size in range(dim + 1)
+        ):
+            for resolution in (1, 2, 5, 8) if dim < 5 else (1, 4):
+                cover = projected_sphere_cover(dim, resolution, kept)
+                assert len(cover) <= _cover_cost(dim, resolution, kept)
