@@ -33,14 +33,23 @@ and :func:`check_leading_form_condition` is one grid scan:
    bit for bit, and the pruned rows cannot change the pass result.
    The input size picks one of two results.  A pass of at most
    ``EXACT_PAIRS`` (4096) pairs prunes with the minimum plus 2*slack and
-   evaluates exactly every pair within 2*slack of the float minimum
+   values exactly every pair within 2*slack of the float minimum
    (overall and over the rows of S) and every pair below the witness
    cutoff; these hold every exact minimizer and witness, so its bound is
    the exact minimum minus the error terms.  A larger pass keeps the
    ``WITNESS_CAP`` smallest pairs below the cutoff and its two float
    argmins, and its bound is the float minimum minus ``slack`` and the
-   error terms.  Each sample a pass returns is evaluated exactly once,
-   so every reported witness and sample value is exact.
+   error terms, so every reported witness and sample value is exact.
+   Exact values come from the integer counterparts of the float
+   factors (``_Scan._exact_values``): one integer factor per signature
+   for each grid row, from its lattice integers, and for each cover
+   combination, from the covers' stored numerators and denominators, so
+   a pair's value is one integer dot product over a positive
+   denominator.  Minima and witness tests compare these fractions in
+   integers, and a ``Fraction`` is made only for a returned sample.
+   Every cover representative lies exactly on its sphere, where the
+   target equals the reduced target at the projected point, so the value
+   is the target's at the sample's full point.
 
 Refinement doubles the resolution of whichever factor currently
 contributes the largest error term, and the running lower bound is the
@@ -67,6 +76,7 @@ Polya screen of :mod:`cylcert.polya`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -414,21 +424,29 @@ class _Scan:
         for b in blocks:
             reduced, kept = _reduce_block(reduced, b.indices)
             self.kept.append(kept)
-        self.reduced = reduced
         self.slack = _float_slack(reduced)
 
         self.used_x = _gradient_constant(reduced, range(n))
         self.used_sphere = tuple(_gradient_constant(reduced, kept) for kept in self.kept)
 
-        # decompose the reduced target into x-coefficients per sphere signature
+        # decompose the reduced target into x-coefficients per sphere
+        # signature, as numerators over den, with the top degrees in x and in
+        # each block's kept slots that put every term over one denominator
         self.kept_all = tuple(i for kept in self.kept for i in kept)
-        sig_map: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for exp, coeff in reduced.sorted_terms():
-            sig = tuple(exp[i] for i in self.kept_all)
-            xpart = tuple(exp[i] for i in range(n))
-            sig_map.setdefault(sig, {})[xpart] = coeff
+        self.den, cleared = reduced._ints
+        sig_map: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for exp, num in cleared:
+            sig_map.setdefault(tuple(exp[i] for i in self.kept_all), {})[exp[:n]] = num
         self.sigs = sorted(sig_map)
-        self.sig_coeffs = [sorted(sig_map[s].items()) for s in self.sigs]
+        self.sig_ints = [sorted(sig_map[s].items()) for s in self.sigs]
+        self.sig_coeffs = [[(e, Fraction(a, self.den)) for e, a in terms] for terms in self.sig_ints]
+        self.x_top = reduced.block_degree("x")
+        self.u_parts: list[tuple[int, list[tuple[int, ...]]]] = []
+        lo = 0
+        for kept in self.kept:
+            parts = [s[lo : lo + len(kept)] for s in self.sigs]
+            self.u_parts.append((max(map(sum, parts), default=0), parts))
+            lo += len(kept)
 
         # constraint data: term lists over x plus sound keep-thresholds
         self.g_terms = [_terms_on_slots(g, range(g.shape.n)) for g in constraints]
@@ -464,14 +482,16 @@ class _Scan:
         pad = (Fraction(0),) * (self.constraints[0].shape.width - len(x)) if self.constraints else ()
         return all(g.eval_at(tuple(x) + pad) >= 0 for g in self.constraints)
 
-    def _is_witness_value(self, value: Fraction) -> bool:
-        if self.witness_strict:
-            return value < self.witness_threshold
-        return value <= self.witness_threshold
+    def _is_witness_value(self, num: Fraction | int, den: int = 1) -> bool:
+        """Whether ``num / den`` (``den`` > 0) is a witness value, compared
+        without dividing."""
+        t = self.witness_threshold
+        lhs, rhs = num * t.denominator, t.numerator * den
+        return lhs < rhs if self.witness_strict else lhs <= rhs
 
     # ----- main loop -----------------------------------------------------
     def run(self) -> CertifiedMin:
-        res_x = START_RESOLUTION if self.reduced.block_degree("x") > 0 else 1
+        res_x = START_RESOLUTION if self.x_top > 0 else 1
         res_b = [START_RESOLUTION] * len(self.blocks)
         lower: Fraction | None = None
         best: SamplePoint | None = None
@@ -550,7 +570,8 @@ class _Scan:
         """An estimate of the bytes of the arrays a pass builds.
 
         Counts, for ``rows`` grid points, the arrays that span the pass:
-        the int64 lattice, the kept-row indices (twice while their blocks
+        the lattice (at 8 bytes a coordinate, an upper bound for its
+        int32 entries), the kept-row indices (twice while their blocks
         are joined), the "in S" mask, ``amat``, the row bounds and the
         index and bound arrays that select rows by bound; for ``n_u``
         cover combinations: their coordinates with a copy, their power
@@ -558,7 +579,7 @@ class _Scan:
         ``BLOCK_VALUES`` values of power tables and work arrays, and the
         value chunk of :func:`_value_rows` with its product buffer and the
         masks and copies the pass takes of it.  The Python objects of a
-        first-time :func:`projected_sphere_cover` and of exact samples are
+        first-time :func:`projected_sphere_cover` and of exact values are
         left out.
         """
         per_row = self.n + len(self.sigs) + 4
@@ -685,29 +706,22 @@ class _Scan:
             del block, take
         vals, pos, cols = (np.concatenate(part) for part in zip(*low_parts))
 
-        def at(i: int, j: int) -> SamplePoint:
-            return self._sample(grid.point(int(rows[i])), self._reps_at(covers, j))
-
-        found: dict[tuple[int, int], SamplePoint] = {}
         if exact:
             pick = (vals <= cut) | (vals <= self._near(best[0]))
             if best_s[1] is not None:
                 pick |= in_s[pos] & (vals <= self._near(best_s[0]))
-            found = {ij: at(*ij) for ij in zip(pos[pick].tolist(), cols[pick].tolist())}
-
-            def value(ij: tuple[int, int]) -> Fraction:
-                return found[ij].value
-
-            # min() keeps the first of equal values, in row-major order
+            window = list(zip(pos[pick].tolist(), cols[pick].tolist()))
+            value = dict(zip(window, self._exact_values(grid, rows, covers, window)))
             extras = (
-                min(found, key=value),
-                min((ij for ij in found if in_s[ij[0]]), key=value, default=None),
+                _first_min(window, value),
+                _first_min([ij for ij in window if in_s[ij[0]]], value),
             )
+            # int / int is correctly rounded, as float(Fraction) is
             picks = sorted(
-                (ij for ij in found if self._is_witness_value(value(ij))),
-                key=lambda ij: float(value(ij)),
+                (ij for ij in window if self._is_witness_value(*value[ij])),
+                key=lambda ij: value[ij][0] / value[ij][1],
             )[:WITNESS_CAP]
-            lb = value(extras[0]) - total_err
+            lb = Fraction(*value[extras[0]]) - total_err
         else:
             order = np.argsort(vals, kind="stable")[:WITNESS_CAP]
             picks = list(zip(pos[order].tolist(), cols[order].tolist()))
@@ -716,7 +730,13 @@ class _Scan:
         for ij in extras:
             if ij is not None and ij not in picks:
                 picks.append(ij)
-        samples = [(found[ij] if ij in found else at(*ij), bool(in_s[ij[0]])) for ij in picks]
+        if not exact:
+            value = dict(zip(picks, self._exact_values(grid, rows, covers, picks)))
+        samples = []
+        for i, j in picks:
+            u = tuple(v for rep in self._reps_at(covers, j) for v in rep)
+            sample = SamplePoint(x=grid.point(int(rows[i])), u=u, value=Fraction(*value[i, j]))
+            samples.append((sample, bool(in_s[i])))
         return lb, samples, grid, covers
 
     def _near(self, fmin: float) -> float:
@@ -751,14 +771,74 @@ class _Scan:
                 amat[blk, k] = _float_eval(xf, coeffs)
         return amat, bmat
 
+    def _exact_values(
+        self,
+        grid: SimplexGrid,
+        rows: np.ndarray,
+        covers: Sequence[ProjectedCover],
+        pairs: Sequence[tuple[int, int]],
+    ) -> list[tuple[int, int]]:
+        """Exact values of value-block pairs (i, j) as ``(numerator,
+        denominator)``, the denominator positive (point 4 of the module
+        docstring).
+
+        The integer counterparts of :meth:`_factors`, one per distinct row
+        and column.  Row i's factor for signature k is its x-part at the
+        lattice integers of grid row ``rows[i]``, over ``K^x_top``; column
+        j's is the signature's monomial at the covers' stored points, over
+        each block's point denominator to the block's top signature degree.
+        A pair's value is their dot product over ``den * K^x_top`` times the
+        column's denominator.
+        """
+        res = grid.resolution
+        row_factors = {}
+        for i in {i for i, _ in pairs}:
+            a = grid.lattice[rows[i]].tolist()
+            row_factors[i] = [
+                sum(
+                    num * math.prod(map(pow, a, exp)) * res ** (self.x_top - sum(exp))
+                    for exp, num in terms
+                )
+                for terms in self.sig_ints
+            ]
+        col_factors = {}
+        for j in {j for _, j in pairs}:
+            nums, den = [1] * len(self.sigs), 1
+            for cov, idx, (top, parts) in zip(covers, _cover_indices(covers, j), self.u_parts):
+                p, q = cov._points[idx]
+                for k, part in enumerate(parts):
+                    nums[k] *= math.prod(map(pow, p, part)) * q ** (top - sum(part))
+                den *= q**top
+            col_factors[j] = (nums, den)
+        scale = self.den * res**self.x_top
+        return [
+            (sum(map(operator.mul, row_factors[i], col_factors[j][0])), scale * col_factors[j][1])
+            for i, j in pairs
+        ]
+
     @staticmethod
     def _reps_at(covers, j: int) -> tuple[tuple[Fraction, ...], ...]:
         """Sphere representatives of value-block column j (first cover outermost)."""
-        reps = []
-        for cov in reversed(covers):
-            j, idx = divmod(j, len(cov))
-            reps.append(cov.representative(idx))
-        return tuple(reversed(reps))
+        return tuple(cov.representative(idx) for cov, idx in zip(covers, _cover_indices(covers, j)))
+
+
+def _cover_indices(covers: Sequence[ProjectedCover], j: int) -> list[int]:
+    """Each cover's point index in value-block column j (first cover outermost)."""
+    out = []
+    for cov in reversed(covers):
+        j, idx = divmod(j, len(cov))
+        out.append(idx)
+    return out[::-1]
+
+
+def _first_min(pairs: Sequence[tuple[int, int]], value: dict) -> tuple[int, int] | None:
+    """The first of the pairs with the least exact value ``(numerator,
+    denominator)``, denominators positive; None for no pairs."""
+    best = None
+    for ij in pairs:
+        if best is None or value[ij][0] * value[best][1] < value[best][0] * value[ij][1]:
+            best = ij
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,10 @@ def sqrt_upper(value: Fraction | int) -> Fraction:
 
 def _lattice_rows(n: int, total: int) -> np.ndarray:
     """All nonnegative integer n-vectors with coordinate sum <= total, in
-    lexicographic order, written in place into one array."""
-    out = np.empty((comb(total + n, n), n), dtype=np.int64)
+    lexicographic order, written in place into one int32 array (no
+    coordinate exceeds ``total``, and a grid of 2^31 rows could not be
+    held in memory)."""
+    out = np.empty((comb(total + n, n), n), dtype=np.int32)
 
     def fill(lo: int, col: int, left: int) -> int:
         """Write the rows of columns col.. with sum <= left from row lo; return their count."""

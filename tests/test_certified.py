@@ -465,7 +465,10 @@ def _entries(samples):
 # --- small passes: float screen with exact confirmation ---------------------
 
 def _every_pair_exactly(scan, grid, rows, covers):
-    """The reference: evaluate every grid x cover pair in exact arithmetic."""
+    """The reference: evaluate every grid x cover pair in exact arithmetic.
+
+    The blocks' slots must follow x in order, so x + u is the full point.
+    """
     best = best_feas = None
     candidates = []
     for row, feasible in zip(rows, _exact_in_s(scan, grid, rows)):
@@ -473,7 +476,8 @@ def _every_pair_exactly(scan, grid, rows, covers):
         for reps in itertools.product(
             *([c.representative(i) for i in range(len(c))] for c in covers)
         ):
-            entry = (x, reps[0], scan.target.eval_at(x + reps[0]), bool(feasible))
+            u = sum(reps, ())
+            entry = (x, u, scan.target.eval_at(x + u), bool(feasible))
             if best is None or entry[2] < best[2]:
                 best = entry
             if feasible and (best_feas is None or entry[2] < best_feas[2]):
@@ -492,9 +496,11 @@ def _every_pair_exactly(scan, grid, rows, covers):
     return best[2] - _total_err(scan, grid, covers), candidates, witnesses
 
 
-def _assert_small_pass_matches_exact(target, constraints, threshold, strict, res=8):
-    scan = _scan(target, (SphereBlock((2, 3), 2),), constraints, threshold, strict)
-    lb, samples, grid, covers = scan._pass(res, [res])
+def _assert_small_pass_matches_exact(
+    target, constraints, threshold, strict, res=8, blocks=(SphereBlock((2, 3), 2),)
+):
+    scan = _scan(target, blocks, constraints, threshold, strict)
+    lb, samples, grid, covers = scan._pass(res, [res] * len(blocks))
     rows, pairs = _pass_size(scan, grid, covers)
     assert scan.evaluated <= scan.pairs == pairs <= certified.EXACT_PAIRS
     ref_lb, ref_candidates, witnesses = _every_pair_exactly(scan, grid, rows, covers)
@@ -503,18 +509,52 @@ def _assert_small_pass_matches_exact(target, constraints, threshold, strict, res
     return witnesses
 
 
-def test_small_pass_matches_every_pair_exactly_under_ties():
-    # (x1 - x2)^2 y1^2 + (y1^2 + y2^2)/4: the minimum 1/4 is attained on the
-    # whole diagonal x1 = x2 and wherever y1 = 0, and every value ties with
-    # its y1 -> -y1 mirror; x1 >= 1/4 makes the feasible minimum differ.
+def _tied_target():
+    """(x1 - x2)^2 y1^2 + (y1^2 + y2^2)/4 and the constraint x1 >= 1/4.
+
+    The minimum 1/4 is attained on the whole diagonal x1 = x2 and wherever
+    y1 = 0, and every value ties with its y1 -> -y1 mirror; the constraint
+    makes the feasible minimum differ.
+    """
     sh = BlockShape(2, 2, 0)
     target = BlockedPoly(sh, {
         (2, 0, 2, 0): F(1), (1, 1, 2, 0): F(-2), (0, 2, 2, 0): F(1),
         (0, 0, 2, 0): F(1, 4), (0, 0, 0, 2): F(1, 4),
     })
     g = BlockedPoly(sh, {(1, 0, 0, 0): F(1), (0, 0, 0, 0): F(-1, 4)})
+    return target, g
+
+
+def test_small_pass_matches_every_pair_exactly_under_ties():
+    target, g = _tied_target()
     witnesses = _assert_small_pass_matches_exact(target, (g,), F(1, 4), False)
     assert witnesses > 1
+
+
+def test_small_pass_values_no_pair_with_the_full_evaluator(monkeypatch):
+    # the window of this pass holds more tied pairs than the pass returns;
+    # only samples may reach BlockedPoly.eval_at (here: the constraint's
+    # exact "in S" checks), never one call per pair of the window
+    target, g = _tied_target()
+    scan = _scan(target, (SphereBlock((2, 3), 2),), (g,), F(1, 4))
+    calls = []
+    evaluate = BlockedPoly.eval_at
+
+    def counted(poly, point):
+        calls.append(poly)
+        return evaluate(poly, point)
+
+    monkeypatch.setattr(BlockedPoly, "eval_at", counted)
+    _lb, samples, _grid, _covers = scan._pass(8, [8])
+    assert len(samples) == certified.WITNESS_CAP
+    assert len(calls) <= len(samples)
+    assert target not in calls
+
+
+def test_small_pass_over_two_spheres_matches_every_pair_exactly():
+    target, blocks, constraints = _two_circle_target()
+    for threshold in (F(0), F(-1)):
+        _assert_small_pass_matches_exact(target, constraints, threshold, False, 4, blocks)
 
 
 def test_small_pass_matches_every_pair_exactly_past_the_witness_cap():
@@ -681,6 +721,42 @@ def test_scan_passes_bound_every_variant_from_below_on_s(variant, data):
                 for slot, v in zip(block.indices, data.draw(_sphere_points(len(block.indices)))):
                     pt[slot] = v
             assert all(lb <= form.eval_at(pt) for lb in bounds)
+
+
+# --- exact values: integer factors against the full evaluator ---------------
+
+def _check_exact_values(scan):
+    """Every pair of the grid at resolutions 2 and 8 in every factor, when
+    that pass is small: its integer-factor value is the target's value at
+    the full domain point."""
+    for res in (2, 8):
+        grid = SimplexGrid(scan.n, res)
+        covers = scan._covers([res] * len(scan.blocks))
+        n_u = math.prod(len(c) for c in covers)
+        if len(grid) * n_u > certified.EXACT_PAIRS:
+            continue
+        pairs = list(itertools.product(range(len(grid)), range(n_u)))
+        values = scan._exact_values(grid, np.arange(len(grid)), covers, pairs)
+        for (i, j), (num, den) in zip(pairs, values):
+            assert den > 0
+            full = scan._sample(grid.point(i), scan._reps_at(covers, j))
+            assert F(num, den) == full.value, (res, i, j)
+
+
+def test_exact_values_match_the_target_on_every_sample_scan():
+    for path in sorted(SAMPLES.glob("*.json")):
+        solving = solving_frame(problem_from_obj(json.loads(path.read_text())))[0]
+        for scan in pipeline_scans(solving):
+            _check_exact_values(scan)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_values_match_the_target_on_every_variant(variant, data):
+    problem, _a, _b = data.draw(_variant_problems(variant))
+    for scan in pipeline_scans(problem):
+        _check_exact_values(scan)
 
 
 # --- large passes: only rows whose float bound can matter are evaluated -----

@@ -190,6 +190,13 @@ PINNED_FILES = {
 # sha256 over every float point the Gram searches of the snapshot return
 PINNED_PSD = "cb5415d7524504073465deb961f5d87511effd2123ace3bff8b29513841a58f4"
 
+# sha256_of_obj of the list, in certification order, of the `fstar`,
+# `conditions` and `perturbation` blocks of each `<id>.diag.json` of the
+# snapshot: the floor scans' bounds, witnesses, resolutions and pair
+# counts, which no certificate holds.  Computed at commit c676c2a, where
+# the scan still valued each exact pair with `BlockedPoly.eval_at`.
+PINNED_SCANS = "c9063ad603f8a5406067e14c6dfcb2bac8e03731fce745370821fbe016d71649"
+
 
 @pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
@@ -235,6 +242,16 @@ def test_snapshot_covers_every_input_and_pins_the_float_search(snapshot):
     lines = (snapshot / "sigmas.sha256").read_text().splitlines()
     assert dict(line.split(" ") for line in lines) == PINNED_SIGMAS
     assert len(lines) == len(PINNED_SIGMAS)
+
+
+def test_snapshot_pins_the_scan_evidence(snapshot):
+    order = [line.split(" ")[0] for line in (snapshot / "sigmas.sha256").read_text().splitlines()]
+    scans = []
+    for stem in order:
+        diag = json.loads((snapshot / f"{stem}.diag.json").read_text())
+        scans.append({k: diag[k] for k in ("fstar", "conditions", "perturbation") if k in diag})
+    assert len(scans) == len(PINNED_CERTIFICATES)
+    assert sha256_of_obj(scans) == PINNED_SCANS
 
 
 def test_repeat_runs_are_byte_identical(problem_file, tmp_path):

@@ -168,7 +168,7 @@ def test_simplex_grid_rows_are_in_lexicographic_order(n, resolution):
         list(e) for e in itertools.product(range(resolution + 1), repeat=n) if sum(e) <= resolution
     ]
     grid = SimplexGrid(n, resolution)
-    assert grid.lattice.dtype == np.int64
+    assert grid.lattice.dtype == np.int32
     assert grid.lattice.tolist() == expected
 
 
