@@ -34,7 +34,6 @@ from .certificate import (
 from .errors import (
     CapExceededError,
     CylcertError,
-    IdentityMismatchError,
     IndefiniteConditionError,
     NonpositiveWitnessError,
     SchemaError,
@@ -87,7 +86,6 @@ __all__ = [
     "CertifyResult",
     "CylcertError",
     "CylinderProblem",
-    "IdentityMismatchError",
     "IndefiniteConditionError",
     "NonpositiveWitnessError",
     "RescaleRecord",

@@ -176,9 +176,9 @@ def degree_laws(
     :meth:`~cylcert.problem.CylinderProblem.padding` degrees), the
     absorption term of constraint i has degree ``vdeg + (2k+1) deg g_i``
     (no such terms when ``lam`` is 0), and every remainder term stays
-    within ``vdeg + N + ell + c9``.  Assembly checks what it builds
-    against these, and verification the sigmas of a certificate, from the
-    parameters in its metadata.
+    within ``vdeg + N + ell + c9``.  :func:`verify_certificate`, the one
+    caller in the package, checks the sigmas of a certificate against
+    these, from the parameters in its metadata.
     """
     vdeg = sum(degree for _block, _hom, degree in problem.padding())
     absorption = () if lam == 0 else tuple(

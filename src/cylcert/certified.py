@@ -682,7 +682,8 @@ class _Scan:
 
         # float minima overall and in S, and the pairs a result can need
         best = best_s = (math.inf, None)
-        low_parts = []
+        # an empty part first, so a pass that takes no pair still has arrays
+        low_parts = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
         for sel, block in _value_rows(amat, bmat, kept):
             i, j = divmod(int(np.argmin(block)), n_u)
             if block[i, j] < best[0]:
@@ -696,12 +697,13 @@ class _Scan:
             take = block <= cut
             if exact:
                 take |= (block <= lim) | (sl[:, None] & (block <= lim_s))
-            ii, jj = np.nonzero(take)
-            vals = block[ii, jj]
-            if not exact:
-                order = np.argsort(vals, kind="stable")[:WITNESS_CAP]
-                ii, jj, vals = ii[order], jj[order], vals[order]
-            low_parts.append((vals, sel[ii], jj))
+            if take.any():
+                ii, jj = np.nonzero(take)
+                vals = block[ii, jj]
+                if not exact:
+                    order = np.argsort(vals, kind="stable")[:WITNESS_CAP]
+                    ii, jj, vals = ii[order], jj[order], vals[order]
+                low_parts.append((vals, sel[ii], jj))
             # free this chunk before the generator builds the next one
             del block, take
         vals, pos, cols = (np.concatenate(part) for part in zip(*low_parts))

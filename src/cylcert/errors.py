@@ -111,14 +111,6 @@ class SosStalledError(CylcertError):
     exit_code = 13
 
 
-class IdentityMismatchError(CylcertError):
-    """Assembly broke a degree law: an absorption term's degree left its
-    formula, or a remainder term's degree passed its cap."""
-
-    code = "IDENTITY_MISMATCH"
-    exit_code = 15
-
-
 class VerificationError(CylcertError):
     """Independent re-check of a certificate file failed; ``kind`` in payload
     is one of IDENTITY_FAIL, NEGATIVE_WEIGHT, DEGREE_METADATA_MISMATCH.  A

@@ -25,9 +25,9 @@ The assembly stitches together the upstream stages:
 
 The certificate carries only what the checker reads: the sigmas, the
 construction's parameters (lambda, k, N, ell, c9) and the certified
-floor.  The degrees assembly measures are checked against the laws and
-not stored, since verification measures them again; the box-to-simplex
-record goes to ``diagnostics["rescale"]``.
+floor.  Assembly measures no degree: verification measures each sigma's
+and checks it against the degree laws of those parameters.  The
+box-to-simplex record goes to ``diagnostics["rescale"]``.
 
 This module is the top of the search: it and the stages it calls
 (``certified``, ``covers``, ``perturb``, ``polya``, ``putinar_base``,
@@ -49,13 +49,12 @@ from .certificate import (
     Certificate,
     CertificateMeta,
     compose_with_frame,
-    degree_laws,
     verify_certificate,
 )
 from .certified import certified_cylinder_min, check_leading_form_condition
-from .errors import IdentityMismatchError, SosStalledError, ValidationError
+from .errors import SosStalledError, ValidationError
 from .perturb import factor_squares, find_perturbation, normalized_constraints
-from .poly import BlockedPoly, SosDecomposition
+from .poly import BlockedPoly, BlockShape, SosDecomposition
 from .polya import PolyaResult, polya_saturate
 from .problem import (
     BOX,
@@ -212,94 +211,19 @@ def certify_problem(
 # assembly
 # ---------------------------------------------------------------------------
 
-class _SigmaBuilder:
-    """Accumulates weighted squares per sigma with degree tracking.
+def _ground(shape: BlockShape, p: BlockedPoly) -> BlockedPoly:
+    """``p`` with every homogenizer ``-> 1``, over the problem's ``shape``.
 
-    Squares arrive as pairs of factors that :meth:`ground` has already
-    taken back to the problem's variables; each stored square is their
-    product.
+    The problem's shape has no homogenizers, so this drops the slots
+    after its width and sums the terms that meet there.
     """
-
-    def __init__(self, problem: CylinderProblem):
-        self.problem = problem
-        self.weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
-        self.squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
-        self.second_term = [0] * (problem.s + 1)
-
-    def ground(self, p: BlockedPoly) -> BlockedPoly:
-        """``p`` with every homogenizer ``-> 1``, over the problem's shape.
-
-        The problem's shape has no homogenizers, so this drops the slots
-        after its width and sums the terms that meet there.
-        """
-        shape = self.problem.shape
-        width = shape.width
-        den, nums = p._ints
-        out: dict[tuple[int, ...], int] = {}
-        for expo, a in nums:
-            key = expo[:width]
-            out[key] = out.get(key, 0) + a
-        return BlockedPoly._from_ints(shape, den, out)
-
-    def add(
-        self, index: int, weight: Fraction, left: BlockedPoly, right: BlockedPoly
-    ) -> None:
-        """Store ``weight * (left * right)^2``; both factors are grounded."""
-        if weight == 0:
-            return
-        self.weights[index].append(weight)
-        self.squares[index].append(left * right)
-
-    def sigmas(self) -> tuple[SosDecomposition, ...]:
-        shape = self.problem.shape
-        return tuple(
-            SosDecomposition(shape, tuple(w), tuple(q))
-            for w, q in zip(self.weights, self.squares)
-        )
-
-
-def _certificate(
-    problem: CylinderProblem,
-    sigmas: tuple[SosDecomposition, ...],
-    absorption: tuple[int, ...],
-    remainder: tuple[int, ...],
-    *,
-    lam: Fraction,
-    k: int,
-    ell: int,
-    N: int,
-    c9: int,
-    fstar_lb: Fraction,
-) -> Certificate:
-    """The certificate of ``sigmas`` with its parameters, once the measured
-    absorption and remainder degrees are checked against
-    :func:`degree_laws`; a breach is an internal invariant failure."""
-    expected, cap = degree_laws(problem, lam, k, N, ell, c9)
-    for i, (measured, want) in enumerate(zip(absorption, expected)):
-        if measured != want:
-            raise IdentityMismatchError(
-                "absorption-term degree drifted from its formula",
-                constraint=i + 1,
-                measured=measured,
-                expected=want,
-            )
-    for index, degree in enumerate(remainder):
-        if degree > cap:
-            raise IdentityMismatchError(
-                "remainder-term degree exceeded its cap",
-                sigma=index,
-                measured=degree,
-                cap=cap,
-            )
-    meta = CertificateMeta(
-        lam=lam,
-        k=k,
-        ell=ell,
-        polya_exponent=N,
-        c9=c9,
-        fstar_lb=fstar_lb,
-    )
-    return Certificate(problem_hash=problem.problem_hash(), sigmas=sigmas, meta=meta)
+    width = shape.width
+    den, nums = p._ints
+    out: dict[tuple[int, ...], int] = {}
+    for expo, a in nums:
+        key = expo[:width]
+        out[key] = out.get(key, 0) + a
+    return BlockedPoly._from_ints(shape, den, out)
 
 
 def assemble(
@@ -315,9 +239,9 @@ def assemble(
 
     ``polya.sos`` holds an SOS decomposition of each coefficient form;
     ``base`` must cover every parity that occurs, and its witnesses set
-    ``c9``.  A degree that breaks its law is an internal invariant breach
-    and aborts; the identity itself is left to :func:`verify_certificate`,
-    which the pipeline runs once on the certificate it returns.
+    ``c9``.  Nothing is checked here: :func:`verify_certificate`, which
+    the pipeline runs once on the certificate it returns, checks the
+    identity and the degree laws.
 
     Each stored square is a product of factors: a sphere square and a
     slack power, or a form square, its simplex monomial's root (over the
@@ -325,40 +249,29 @@ def assemble(
     Grounding (homogenizers ``-> 1``, their slots dropped) is a ring
     homomorphism, so the product of the grounded factors is the grounded
     product: the same polynomial with the same ``Fraction``s.  Each factor
-    is therefore grounded once and reused for every square it enters.  The
-    degree law reads degrees before grounding, and total degree is
-    additive over ℚ (the top forms of two nonzero polynomials multiply to
-    a nonzero form), so a square's degree is the sum of its factors'
-    degrees.
+    is therefore grounded once and reused for every square it enters.
     """
     shape = problem.shape
-    builder = _SigmaBuilder(problem)
-    # deg g per sigma position; sigma_0's generator is 1
-    gdegs = (0,) + tuple(g.block_degree("x") for g in problem.g)
+    weights: list[list[Fraction]] = [[] for _ in range(problem.s + 1)]
+    squares: list[list[BlockedPoly]] = [[] for _ in range(problem.s + 1)]
 
     # Term one: absorption squares for each constraint.
-    sphere_squares = [
-        (builder.ground(q), q.total_degree()) for q in factor_squares(problem)
-    ]
+    sphere_squares = [_ground(shape, q) for q in factor_squares(problem)]
     one = BlockedPoly.constant(shape, 1)
-    absorption = []
-    for i, (ghat, c_i) in enumerate(normalized_constraints(problem)):
+    for i, (ghat, c_i) in enumerate(normalized_constraints(problem), start=1):
         slack = (ghat - one) ** k
-        for sq, _deg in sphere_squares:
-            builder.add(i + 1, lam / c_i, sq, slack)
-        absorption.append(
-            max(2 * (deg + slack.total_degree()) + gdegs[i + 1] for _sq, deg in sphere_squares)
-        )
+        weights[i] += [lam / c_i] * len(sphere_squares)
+        squares[i] += [sq * slack for sq in sphere_squares]
 
     # Term two: saturated remainder through the facet-product witnesses.
-    # Per parity and sigma position: [(weight, grounded square, degree)].
+    # Per parity and sigma position: [(weight, grounded square)].
     witness_squares: dict[Parity, list] = {}
     for key in sorted(polya.forms):
         deco = polya.sos[key]
         parity = parity_vector(key)
         if parity not in witness_squares:
             witness_squares[parity] = [
-                [(w, builder.ground(t), t.total_degree()) for w, t in zip(tau.weights, tau.squares)]
+                [(w, _ground(shape, t)) for w, t in zip(tau.weights, tau.squares)]
                 for tau in base[parity]
             ]
         root = even_square_root(key)
@@ -367,15 +280,14 @@ def assemble(
             if power:
                 sq_x = sq_x * BlockedPoly.variable(shape, slot) ** power
         for w_form, q_form in zip(deco.weights, deco.squares):
-            grounded = builder.ground(q_form) * sq_x
-            pdeg = q_form.total_degree() + sq_x.total_degree()
-            for index, squares in enumerate(witness_squares[parity]):
-                for w_tau, t, tdeg in squares:
-                    builder.add(index, w_form * w_tau, grounded, t)
-                    degree = 2 * (pdeg + tdeg) + gdegs[index]
-                    if degree > builder.second_term[index]:
-                        builder.second_term[index] = degree
+            grounded = _ground(shape, q_form) * sq_x
+            for index, pairs in enumerate(witness_squares[parity]):
+                for w_tau, t in pairs:
+                    weights[index].append(w_form * w_tau)
+                    squares[index].append(grounded * t)
 
+    # sigma_0's generator is 1
+    gdegs = (0,) + tuple(g.block_degree("x") for g in problem.g)
     c9 = max(
         (
             tau.degree() + gdegs[index]
@@ -385,17 +297,14 @@ def assemble(
         ),
         default=0,
     )
-    return _certificate(
-        problem,
-        builder.sigmas(),
-        tuple(absorption),
-        tuple(builder.second_term),
-        lam=lam,
-        k=k,
-        ell=polya.ell,
-        N=polya.exponent,
-        c9=c9,
-        fstar_lb=fstar_lb,
+    return Certificate(
+        problem_hash=problem.problem_hash(),
+        sigmas=tuple(
+            SosDecomposition(shape, tuple(w), tuple(q)) for w, q in zip(weights, squares)
+        ),
+        meta=CertificateMeta(
+            lam=lam, k=k, ell=polya.ell, polya_exponent=polya.exponent, c9=c9, fstar_lb=fstar_lb
+        ),
     )
 
 
@@ -411,15 +320,10 @@ def sos_only_certificate(
     of squares; the constraint multipliers are all zero.
     """
     empty = SosDecomposition(problem.shape, (), ())
-    return _certificate(
-        problem,
-        (sigma0,) + (empty,) * problem.s,
-        (),
-        (sigma0.degree(),) + (0,) * problem.s,
-        lam=Fraction(0),
-        k=0,
-        ell=0,
-        N=0,
-        c9=0,
-        fstar_lb=fstar_lb,
+    return Certificate(
+        problem_hash=problem.problem_hash(),
+        sigmas=(sigma0,) + (empty,) * problem.s,
+        meta=CertificateMeta(
+            lam=Fraction(0), k=0, ell=0, polya_exponent=0, c9=0, fstar_lb=fstar_lb
+        ),
     )

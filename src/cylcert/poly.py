@@ -39,7 +39,7 @@ first call.
 A :class:`SosDecomposition` is a list of weighted squares, and
 :func:`expand_identity` expands ``sigma_0 + sum sigma_i * g_i`` in ints
 over packed monomials, one sum per denominator: the single identity
-check that assembly, the facet witnesses and verification share.  Like
+check that the square search and verification share.  Like
 the rest of this module it uses only the standard library, so the
 checker can verify a certificate without loading the search.
 
@@ -438,8 +438,8 @@ def expand_identity(
     """Expand ``sigma_0 + sum sigma_i * g_i`` exactly, in integers.
 
     ``products`` pairs each multiplier sigma_i with its generator g_i.
-    Assembly, verification and the facet witnesses all check their
-    identity through this one expansion.
+    The square search (forms and facet witnesses) and verification
+    check their identity through this one expansion.
 
     Each exponent tuple is packed into one int, slot i in bits
     ``[i*b, (i+1)*b)``.  ``b`` is the bit length of three times the

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Mapping
 
 import pytest
-from helpers import largest_family_member
+from helpers import family_module
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,13 +33,12 @@ from cylcert.certificate import (
     verify_certificate,
 )
 from cylcert.errors import (
-    IdentityMismatchError,
     SchemaError,
     ValidationError,
     VerificationError,
 )
 from cylcert.perturb import factor_squares, find_perturbation, normalized_constraints
-from cylcert.pipeline import _SigmaBuilder, assemble, sos_only_certificate
+from cylcert.pipeline import assemble, sos_only_certificate
 from cylcert.poly import (
     BlockShape,
     BlockedPoly,
@@ -222,6 +221,41 @@ def test_metadata_degree_tampering_is_caught(interval_cert):
         assert err.value.payload["sigma"] == 0
 
 
+def multiplier_certificate(root: int):
+    """f := sigma_0 + sigma_1 g with sigma_0 = 1 + y^2, sigma_1 = (x^root)^2
+    and g = x(1 - x), stated with lambda = 1 and k = N = ell = c9 = 0: an
+    absorption degree of 4 and a cap of 2."""
+    sh = BlockShape(1, 1, 0)
+    x = BlockedPoly.variable(sh, 0)
+    y = BlockedPoly.variable(sh, sh.block_indices("y1")[0])
+    one = BlockedPoly.constant(sh, 1)
+    g = x * (one - x)
+    square = x**root
+    problem = CylinderProblem(
+        shape=sh, variant=Variant.R1_ANY_M, m=2, f=one + y * y + square * square * g,
+        g=(g,), frame=SIMPLEX,
+    )
+    sigmas = (
+        SosDecomposition(sh, (F(1), F(1)), (one, y)),
+        SosDecomposition(sh, (F(1),), (square,)),
+    )
+    meta = CertificateMeta(lam=F(1), k=0, ell=0, polya_exponent=0, c9=0, fstar_lb=F(1))
+    return problem, Certificate(problem.problem_hash(), sigmas, meta)
+
+
+def test_a_constraint_multiplier_past_its_degree_law_is_caught():
+    # sigma_1 g = x^4 g has degree 6, against max(absorption 4, cap 2)
+    problem, cert = multiplier_certificate(2)
+    assert degree_laws(problem, F(1), 0, 0, 0, 0) == ((4,), 2)
+    with pytest.raises(VerificationError) as err:
+        verify_certificate(problem, cert)
+    assert err.value.payload["kind"] == "DEGREE_METADATA_MISMATCH"
+    assert err.value.payload["sigma"] == 1
+    # x^2 g has degree 4, the absorption degree
+    problem, cert = multiplier_certificate(1)
+    assert verify_certificate(problem, cert).product_degrees == (2, 4)
+
+
 def test_a_certificate_without_absorption_must_not_use_constraints(interval_cert):
     # a nonzero sigma_i under lambda = 0 fails before any degree is compared
     problem, cert, _base = interval_cert
@@ -316,17 +350,16 @@ def test_cached_witness_integers_are_read_strictly(interval_cert):
 # replaced, copied with names prefixed, over the padded target's shape.
 # Every product square is grounded on its own (homogenizers -> 1 by
 # substitution, padding stripped), and each degree is read off the
-# product.
+# product.  Assembly itself measures no degree, so the reference keeps
+# the per-term degree property: each absorption term's degree equals its
+# formula, and each remainder term's stays within the cap.
 
 def _reference_strip_padding(p: BlockedPoly, shape: BlockShape) -> BlockedPoly:
     """Drop the (now unused) homogenizer slots, landing in ``shape``."""
     width = shape.width
     terms: dict[tuple[int, ...], Fraction] = {}
     for expo, coeff in p.terms.items():
-        if any(expo[width:]):
-            raise IdentityMismatchError(
-                "a padding variable survived substitution", exponent=list(expo)
-            )
+        assert not any(expo[width:]), f"a padding variable survived substitution: {expo}"
         terms[expo[:width]] = coeff
     return BlockedPoly(shape, terms)
 
@@ -381,9 +414,7 @@ def reference_assemble(
 
     ``polya.sos`` holds an SOS decomposition of each coefficient form;
     ``base`` must cover every parity that occurs, and its witnesses set
-    ``c9``.  A degree that breaks its law is an internal invariant breach
-    and aborts; the identity itself is left to :func:`verify_certificate`,
-    which the pipeline runs once on the certificate it returns.  Returns
+    ``c9``.  A degree that breaks its law fails an assertion.  Returns
     the certificate with the measured absorption and remainder degrees.
     """
     shape = problem.shape
@@ -404,14 +435,8 @@ def reference_assemble(
             2 * (sq * slack).total_degree() + problem.g[i].block_degree("x")
             for sq in sphere_squares
         )
-        if measured != expected:
-            raise IdentityMismatchError(
-                "absorption-term degree drifted from its formula",
-                constraint=i + 1,
-                measured=measured,
-                expected=expected,
-            )
-        first_term.append(expected)
+        assert measured == expected, ("absorption-term degree drifted", i + 1, measured)
+        first_term.append(measured)
 
     # Term two: saturated remainder through the facet-product witnesses.
     for key in sorted(polya.forms):
@@ -448,13 +473,7 @@ def reference_assemble(
 
     cap = vdeg + polya.exponent + polya.ell + c9
     for index, degree in enumerate(builder.second_term):
-        if degree > cap:
-            raise IdentityMismatchError(
-                "remainder-term degree exceeded its cap",
-                sigma=index,
-                measured=degree,
-                cap=cap,
-            )
+        assert degree <= cap, ("remainder-term degree exceeded its cap", index, degree, cap)
 
     meta = CertificateMeta(
         lam=lam,
@@ -489,18 +508,21 @@ def test_grounding_matches_the_reference_substitution(terms):
     problem = interval_problem()
     p = BlockedPoly(_PADDED, terms)
     expected = _ReferenceSigmaBuilder(problem, _PADDED).ground(p)
-    assert _SigmaBuilder(problem).ground(p).terms == expected.terms
+    assert pipeline._ground(problem.shape, p).terms == expected.terms
 
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _assembly_inputs(name):
-    """The arguments the pipeline hands ``assemble`` for one input."""
-    if name == "polya2-K56":
-        obj = largest_family_member()
+    """The arguments the pipeline hands ``assemble`` for one input: a
+    sample problem, or a member of the bench family."""
+    path = ROOT / "sample_problems" / f"{name}.json"
+    if path.exists():
+        obj = json.loads(path.read_text())
     else:
-        obj = json.loads((ROOT / "sample_problems" / f"{name}.json").read_text())
+        members = family_module().candidates()
+        [obj] = [obj for group in members for pid, _group, obj in group if pid == name]
     calls = []
     original = pipeline.assemble
 
@@ -522,20 +544,15 @@ def _assembly_inputs(name):
     [
         "c1_interval_line_quadratic",
         "c5_square_plane_quadratic",
+        "c6_interval_split_blocks",
         "c7_box_frame_line_quadratic",
+        "lambda-K16",
         "polya2-K56",
     ],
 )
-def test_assembly_matches_the_per_square_reference(name, monkeypatch):
+def test_assembly_matches_the_per_square_reference(name):
     args, kwargs = _assembly_inputs(name)
-    measured = []
-    original = pipeline._certificate
-
-    def record(problem, sigmas, absorption, remainder, **params):
-        measured.append((absorption, remainder))
-        return original(problem, sigmas, absorption, remainder, **params)
-
-    monkeypatch.setattr(pipeline, "_certificate", record)
+    problem = args[0]
     got = assemble(*args, **kwargs)
     expected, first_term, second_term = reference_assemble(*args, **kwargs)
     assert len(got.sigmas) == len(expected.sigmas)
@@ -543,7 +560,12 @@ def test_assembly_matches_the_per_square_reference(name, monkeypatch):
         assert mine.shape == theirs.shape
         assert mine.weights == theirs.weights
         assert [q.terms for q in mine.squares] == [q.terms for q in theirs.squares]
-    assert measured == [(first_term, second_term)]
+    meta = got.meta
+    absorption, cap = degree_laws(
+        problem, meta.lam, meta.k, meta.polya_exponent, meta.ell, meta.c9
+    )
+    assert first_term == absorption
+    assert max(second_term) <= cap
     assert got.meta == expected.meta
     assert got.problem_hash == expected.problem_hash
 

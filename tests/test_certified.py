@@ -969,6 +969,25 @@ def test_large_pass_counts_a_boundary_row_in_s():
     assert lb <= F(1, 4)
 
 
+def test_a_large_pass_searches_no_chunk_without_a_candidate(monkeypatch):
+    # every value is near 1/4 or above, far over the witness cutoff of
+    # threshold 0 plus the slack, so no chunk is searched for candidates
+    scan = _interval_scan()
+    searched = []
+    nonzero = np.nonzero
+
+    def counted(a):
+        if np.ndim(a) == 2:
+            searched.append(np.shape(a))
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", counted)
+    lb, samples, grid, covers = scan._pass(32768, [8])
+    assert _pass_size(scan, grid, covers)[1] > certified.EXACT_PAIRS
+    assert searched == []
+    assert F(0) < lb <= F(1, 4) and samples
+
+
 def test_only_rows_float64_cannot_place_are_checked_exactly(monkeypatch):
     scan = _interval_scan()
     checked = []

@@ -1068,7 +1068,6 @@ README_ROW = {
     errors.BudgetExhaustedError: "search exhausted",
     errors.SosStalledError: "search exhausted",
     errors.CapExceededError: "cap exceeded",
-    errors.IdentityMismatchError: "certificate fails verification",
     errors.VerificationError: "certificate fails verification",
     errors.SchemaError: "I/O or schema error",
     errors.ShapeMismatchError: "I/O or schema error",
