@@ -11,12 +11,14 @@ The classic round-then-project scheme then runs on it:
 1. :func:`psd_feasibility` alternates in float64 between the affine set
    and the cone ``{every block >= tau I}``, walking ``tau`` down a
    ladder until the two sets meet.  A rung is left once it stops
-   improving, or as soon as a step returns the previous point bit for
-   bit, since every later step of the rung would repeat it.  Blocks of
-   one size are projected with one stacked call of the LAPACK gufunc
-   behind ``np.linalg.eigh``, in its error state entered once per
-   search; a failed eigensolve or a float image that overflows fails
-   the search.
+   improving, once its gap has not halved over a quarter of the rung's
+   budget (two disjoint sets stall at their positive distance, and at
+   that rate the rest of the rung cannot reach the tolerance), or as
+   soon as a step returns the previous point bit for bit, since every
+   later step of the rung would repeat it.  Blocks of one size are
+   projected with one stacked call of the LAPACK gufunc behind
+   ``np.linalg.eigh``, in its error state entered once per search; a
+   failed eigensolve or a float image that overflows fails the search.
 2. :func:`module_witness` rounds that point to each denominator of a
    power-of-two ladder, re-imposes the coefficient constraints
    *exactly* (a rational solve of the normal equations), and factors
@@ -378,10 +380,13 @@ def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
     """Alternating projections toward an affine-and-PSD point.
 
     Walks :data:`TAU_LADDER`, abandoning a rung once it stops improving
-    (300 idle steps) or at an exact fixed point: a step whose affine
-    point equals the previous one bit for bit.  From there each step of
-    the rung would repeat the same one, so leaving early returns the
-    same point as running the rung out.  Returns the converged point, or
+    (300 idle steps), once its gap has not halved over the last quarter
+    of the rung's steps (the remaining three quarters could halve it at
+    most three more times at that rate, far short of the tolerance), or
+    at an exact fixed point: a step whose affine point equals the
+    previous one bit for bit.  From there each step of the rung would
+    repeat the same one, so leaving early returns the same point as
+    running the rung out.  Returns the converged point, or
     the best near-feasible point seen when it lies within
     :data:`SNAP_GAP` (boundary-feasible systems stall there), or None
     when clearly infeasible.  A system or target whose float image is
@@ -402,6 +407,7 @@ def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
 def _alternate(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
     """The loop of :func:`psd_feasibility`."""
     per_tau = MAX_ITERATIONS // len(TAU_LADDER)
+    window = per_tau // 4
     scale = max(1.0, float(np.abs(b).max()))
     x = system.project_affine(np.zeros(len(system.entries)), b)
     best_gap = np.inf
@@ -410,7 +416,8 @@ def _alternate(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
         tau = float(rung)
         best = np.inf
         idle = 0
-        for _ in range(per_tau):
+        gaps = []
+        for step in range(per_tau):
             y = system.project_psd(x, tau)
             gap = float(np.abs(y - x).max())
             x_prev, x = x, system.project_affine(y, b)
@@ -426,6 +433,11 @@ def _alternate(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
                 idle += 1
                 if idle > 300:
                     break
+            gaps.append(gap)
+            if step >= window and gap > gaps[step - window] / 2:
+                # Not halved in a quarter of the budget: at that rate the
+                # rest of the rung halves it at most three more times.
+                break
             if (x == x_prev).all():
                 # Each later step of this rung would repeat this one and
                 # change nothing until the idle rule ends the rung.

@@ -80,9 +80,9 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
 # input of `tools/snapshot.py`, so the sha256 of their two-space-indented
 # text, with metadata holding only the construction's parameters: one per assembly
 # path (general, the d = 0 sum-of-squares shortcut, box-frame compose),
-# plus c5 and polya2-K56, whose facet witnesses run a 4,000-step Gram
-# search rung, c6, whose coefficient forms sit at exact fixed points of
-# the projections, c2 and c3, whose floor scans read the sphere covers,
+# plus c5 and polya2-K56, whose facet witnesses leave a stalled Gram
+# search rung once its gap stops halving, c6, whose coefficient forms sit
+# at exact fixed points of the projections, c2 and c3, whose floor scans read the sphere covers,
 # and the bench family
 PINNED_CERTIFICATES = {
     "c1_interval_line_quadratic":
@@ -187,8 +187,11 @@ PINNED_FILES = {
         "8936d328080ad34010ff33141a5e0749999e30449db9362a91eb0aae1c941fc3",
 }
 
-# sha256 over every float point the Gram searches of the snapshot return
-PINNED_PSD = "cb5415d7524504073465deb961f5d87511effd2123ace3bff8b29513841a58f4"
+# sha256 over every float point the Gram searches of the snapshot return,
+# and the projections they make between them (13,710 before the stalled
+# c5 and polya2-K56 rungs were left once their gaps stopped halving)
+PINNED_PSD = "3482dd5e7bf5273a97c582065579d7028155b5d05ea248ad169e29dd83a3ffe6"
+PINNED_PSD_STEPS = 8748
 
 # sha256_of_obj of the list, in certification order, of the `fstar`,
 # `conditions` and `perturbation` blocks of each `<id>.diag.json` of the
@@ -228,7 +231,7 @@ def test_certificate_bytes_are_pinned(snapshot, stem):
 
 def test_largest_family_member_certificate_bytes_are_pinned(snapshot):
     """The snapshot's polya2-K56 is the n = 2 Polya member of the bench
-    family: a 4,000-step facet Gram rung and plane covers."""
+    family: a stalled facet Gram rung and plane covers."""
     written = json.loads((snapshot / "inputs" / "polya2-K56.json").read_text())
     assert written == largest_family_member()
     _pinned(snapshot, "polya2-K56.cert.json", PINNED_CERTIFICATES["polya2-K56"])
@@ -239,6 +242,8 @@ def test_snapshot_covers_every_input_and_pins_the_float_search(snapshot):
     written = sorted(p.name.removesuffix(".cert.json") for p in snapshot.glob("*.cert.json"))
     assert written == sorted(PINNED_CERTIFICATES)
     assert (snapshot / "psd.sha256").read_text() == PINNED_PSD + "\n"
+    steps = (snapshot / "psd.steps").read_text().splitlines()
+    assert sum(int(line.split(" ")[1]) for line in steps) == PINNED_PSD_STEPS
     lines = (snapshot / "sigmas.sha256").read_text().splitlines()
     assert dict(line.split(" ") for line in lines) == PINNED_SIGMAS
     assert len(lines) == len(PINNED_SIGMAS)

@@ -271,9 +271,11 @@ def test_default_basis_respects_homogeneity():
 #
 # The three functions below are the earlier per-block PSD projection, the
 # affine projection and the search loop, copied unchanged except that the
-# loop calls the copied projections and records the rung of every step.
-# The stacked eigensolves, the fixed-point exit and the error state entered
-# once per search must return the same array, bit for bit.
+# loop calls the copied projections, records the rung of every step and
+# leaves a rung whose gap has not halved in a quarter of its budget (unless
+# ``halving`` is false).  The stacked eigensolves, the fixed-point exit and
+# the error state entered once per search must return the same array, bit
+# for bit.
 
 def _reference_project_psd(self, x, tau):
     out = x.copy()
@@ -302,8 +304,9 @@ def _reference_project_affine(self, x, b):
     return x + (self.aw.T @ (self.pinv_awa @ (b - self.a @ x)))
 
 
-def _reference_psd_feasibility(system, b, rungs):
+def _reference_psd_feasibility(system, b, rungs, halving=True):
     per_tau = sos.MAX_ITERATIONS // len(sos.TAU_LADDER)
+    window = per_tau // 4
     scale = max(1.0, float(np.max(np.abs(b))))
     x = _reference_project_affine(system, np.zeros(len(system.entries)), b)
     best_gap = np.inf
@@ -311,7 +314,8 @@ def _reference_psd_feasibility(system, b, rungs):
     for tau in sos.TAU_LADDER:
         best = np.inf
         idle = 0
-        for _ in range(per_tau):
+        gaps = []
+        for step in range(per_tau):
             rungs.append(tau)
             y = _reference_project_psd(system, x, float(tau))
             gap = float(np.max(np.abs(y - x)))
@@ -328,6 +332,9 @@ def _reference_psd_feasibility(system, b, rungs):
                 idle += 1
                 if idle > 300:
                     break
+            gaps.append(gap)
+            if halving and step >= window and gap > gaps[step - window] / 2:
+                break
     if best_gap <= sos.SNAP_GAP * scale:
         return best_x
     return None
@@ -362,14 +369,18 @@ def test_search_converging_on_the_first_rung_is_unchanged():
     assert steps == rungs
 
 
-def test_search_leaves_a_rung_at_an_exact_fixed_point():
+def _c6_form():
     # a coefficient form of sample problem c6, which sits at a fixed point
     # of the projections on every rung
     shape = BlockShape(n=1, r1=1, r2=1, homs=("Z1", "Z2"))
-    form = BlockedPoly(shape, {
+    return BlockedPoly(shape, {
         (0, 0, 0, 2, 2): F(2129, 512), (0, 0, 2, 2, 0): F(1105, 512),
         (0, 2, 0, 0, 2): F(1105, 512), (0, 2, 2, 0, 0): F(1105, 512),
     })
+
+
+def test_search_leaves_a_rung_at_an_exact_fixed_point():
+    form = _c6_form()
     got, _, steps, rungs = _search_both(_form_system(form), form)
     assert got is not None
     # the reference idles 301 steps on each rung it abandons
@@ -413,20 +424,43 @@ def test_stacked_projection_matches_the_per_block_loop():
         assert got.tobytes() == _reference_project_psd(system, point, tau).tobytes()
 
 
-def test_c5_facet_searches_are_unchanged():
-    # c5's facet system at budget 4 (blocks 6, 3, 3) for the four parities
-    # its forms use; one of them runs a whole rung without converging
+# c5's facet system at budget 4 (blocks 6, 3, 3) for the four parities its
+# forms use, with the projections each search makes.  Parity (0, 1, 1) has
+# no feasible point at tau = 1/64: its gap crawls from about 1e-3 and the
+# rung is left at its 1,519th step, not run out to 4,000; the search then
+# converges on the first step at tau = 1/1024.
+C5_FACET_STEPS = {(0, 0, 0): 46, (0, 1, 1): 1520, (1, 0, 1): 562, (1, 1, 0): 562}
+
+
+def _c5_facet_system(parity):
     problem = problem_from_obj(load_json(SAMPLES / "c5_square_plane_quadratic.json"))
     shape, gens = problem.shape, problem.g
-    steps_per_search = []
-    for parity in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        target = facet_product(shape, parity)
-        system = GramSystem(shape, gens, facet_bases(shape, gens, 4, target))
-        assert [len(basis) for _gen, basis in system.blocks] == [6, 3, 3]
-        got, _, steps, _ = _search_both(system, target)
+    target = facet_product(shape, parity)
+    system = GramSystem(shape, gens, facet_bases(shape, gens, 4, target))
+    assert [len(basis) for _gen, basis in system.blocks] == [6, 3, 3]
+    return system, target
+
+
+def test_c5_stalled_rung_is_left_early():
+    steps_per_search = {}
+    for parity in C5_FACET_STEPS:
+        got, _, steps, _ = _search_both(*_c5_facet_system(parity))
         assert got is not None
-        steps_per_search.append(len(steps))
-    assert max(steps_per_search) > sos.MAX_ITERATIONS // len(sos.TAU_LADDER)
+        steps_per_search[parity] = len(steps)
+    assert steps_per_search == C5_FACET_STEPS
+
+
+def test_halving_rule_touches_only_the_stalled_rung():
+    # the three converging c5 searches and c6's fixed-point one return the
+    # same bytes with the rule as without it
+    cases = [_c5_facet_system(parity) for parity in C5_FACET_STEPS if parity != (0, 1, 1)]
+    form = _c6_form()
+    cases.append((_form_system(form), form))
+    for system, target in cases:
+        got, _, _, _ = _search_both(system, target)
+        b = np.asarray([float(v) for v in system.rhs(target)], dtype=np.float64)
+        unhalved = _reference_psd_feasibility(system, b, [], halving=False)
+        assert got.tobytes() == unhalved.tobytes()
 
 
 # --- the LAPACK gufunc and failures of the float search --------------------

@@ -9,13 +9,16 @@ For each file of ``sample_problems/`` and each member of
 ``.basecache.json`` sidecar and ``<id>.diag.json`` into OUTDIR, and the
 problem files into ``OUTDIR/inputs``.  It also writes ``psd.sha256``: the
 sha256 over every array ``cylcert.sos.psd_feasibility`` returns in the
-run, in call order, with ``None`` hashed as the bytes ``None``; and
-``sigmas.sha256``: one line ``<id> <sha256>`` per certificate written, in
-certification order, hashing its ``sigmas`` list with
-``cylcert.serialize.sha256_of_obj``.  Within one family group the sidecar of
-the previous member is copied to the next member before it is certified,
-as the benchmark does.  ``perfbench/family.py`` is executed from its
-source text, so nothing is written beside it.
+run, in call order, with ``None`` hashed as the bytes ``None``;
+``psd.steps``: one line ``<id> <projections>`` per call of
+``cylcert.sos.psd_feasibility``, in the same order, counting the calls
+of ``GramSystem.project_psd`` it made, one per step of the alternating
+projections; and ``sigmas.sha256``: one line ``<id> <sha256>`` per
+certificate written, in certification order, hashing its ``sigmas`` list
+with ``cylcert.serialize.sha256_of_obj``.  Within one family group the
+sidecar of the previous member is copied to the next member before it is
+certified, as the benchmark does.  ``perfbench/family.py`` is executed
+from its source text, so nothing is written beside it.
 
 Two checkouts' snapshots compare with ``diff -r``; a refactor that keeps
 behaviour leaves the certificates and sidecars byte-identical, and one
@@ -90,16 +93,26 @@ def main(argv: list[str] | None = None) -> int:
 
     digest = hashlib.sha256()
     search = sos.psd_feasibility
+    project = sos.GramSystem.project_psd
+    steps = [0]
+    step_lines = []
+
+    def counted_project(self, x, tau):
+        steps[0] += 1
+        return project(self, x, tau)
 
     def hashed_search(system, b):
+        steps[0] = 0
         x = search(system, b)
         digest.update(b"None" if x is None else x.tobytes())
+        step_lines.append(f"{pid} {steps[0]}\n")
         return x
 
     worst = 0
     previous: dict[str, Path] = {}
     sigma_lines = []
     sos.psd_feasibility = hashed_search
+    sos.GramSystem.project_psd = counted_project
     try:
         for pid, group, path in _inputs(inputs_dir):
             cert = outdir / f"{pid}.cert.json"
@@ -121,7 +134,9 @@ def main(argv: list[str] | None = None) -> int:
                 previous[group] = cert
     finally:
         sos.psd_feasibility = search
+        sos.GramSystem.project_psd = project
     (outdir / "psd.sha256").write_text(digest.hexdigest() + "\n")
+    (outdir / "psd.steps").write_text("".join(step_lines))
     (outdir / "sigmas.sha256").write_text("".join(sigma_lines))
     return 1 if worst else 0
 
