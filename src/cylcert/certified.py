@@ -69,9 +69,6 @@ bytes (``_Scan._float_bytes``) and stops with
 ``PAIR_BUDGET`` pairs.  Each sphere cover is sized by
 :func:`~cylcert.covers.projected_sphere_cover` itself, which refuses one
 too large to build.
-
-The float helpers ``_cover_product`` and ``_float_eval`` also run the
-Polya screen of :mod:`cylcert.polya`.
 """
 from __future__ import annotations
 

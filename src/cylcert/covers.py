@@ -1,9 +1,9 @@
 """Deterministic covers of the simplex and of unit spheres.
 
-Two cover families drive the certified minimization and the Polya
-screen: the scaled integer lattice on the standard simplex, and rational
-point sets on unit spheres built from the tangent half-angle
-parametrization of the circle.  Every sphere point is *exactly* on the
+Two cover families drive the certified minimization: the scaled
+integer lattice on the standard simplex, and rational point sets on
+unit spheres built from the tangent half-angle parametrization of the
+circle.  Every sphere point is *exactly* on the
 sphere (coordinates are rationals whose squares sum to 1), so evaluating
 a homogeneous form at a cover point needs no radial-defect correction.
 Each cover carries a proven covering radius in the Euclidean (chord)
@@ -25,7 +25,7 @@ sphere point behind it.  Keeping every coordinate gives the whole cover.
 It is also where every sphere cover is sized: a request whose
 construction would touch more than ``COVER_POINT_CAP`` entries
 (``_cover_cost``) stops with :class:`BudgetExhaustedError` before any
-point is built, in the floor scan and the Polya screen alike.
+point is built.
 
 Sphere points are built and stored over the integers.  A circle point
 at t = s/K is the triple (2sK, K^2 - s^2, K^2 + s^2), two numerators over

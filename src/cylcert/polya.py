@@ -10,29 +10,27 @@ sphere(s).  :func:`coefficient_forms` reads those coefficients straight
 off the multinomial formula, so neither the lift nor the product is
 built and no polynomial ever carries a slot for ``u``: a form is keyed
 by its simplex monomial and lives in the target's own shape.  The
-smallest such power is found by incremental search: a cheap float
-screen over sphere sample points first, then an exact sum-of-squares
-decomposition of every coefficient, which is what the certificate
-needs.  In the regimes covered here a form is nonnegative on the sphere
-exactly when it is a sum of squares, so the decomposition is the
-acceptance test.  The quantitative positivity bound caps the search.
+smallest such power is found by incremental search: an exact sign test
+at the spheres' coordinate points first (a sum of squares is
+nonnegative everywhere, so a form negative at one of them cannot pass),
+then an exact sum-of-squares decomposition of every coefficient, which
+is what the certificate needs.  In the regimes covered here a form is
+nonnegative on the sphere exactly when it is a sum of squares, so the
+decomposition is the acceptance test.  The quantitative positivity
+bound caps the search.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certified import _cover_product, _float_eval, _terms_on_slots
 # Not called here; the benchmark's layer tracer wraps this name.
 from .certified import certified_excess_check  # noqa: F401
-from .covers import projected_sphere_cover
 from .errors import CapExceededError, SosStalledError
 from .poly import BlockedPoly, SosDecomposition, multinomial, weighted_norm
 from .problem import SphereBlock
 from .sos import monomials, sos_decompose
-
-# Resolution of the sphere covers behind the float screen.
-SCREEN_RESOLUTION = 24
 
 
 def polya_exponent_cap(ell: int, target_norm: Fraction, fstar: Fraction) -> int:
@@ -82,23 +80,6 @@ def coefficient_forms(
     return forms
 
 
-def _screen_min(form: BlockedPoly, blocks: tuple[SphereBlock, ...]) -> float:
-    """Float64 minimum of a sphere-only form over products of cover points.
-
-    Each block's cover is projected onto the block slots the form
-    mentions, which drops duplicate values but no value.
-    """
-    covers = []
-    slots: list[int] = []
-    exps = list(form.terms)
-    for b in blocks:
-        kept = tuple(i for i, s in enumerate(b.indices) if any(e[s] for e in exps))
-        covers.append(projected_sphere_cover(len(b.indices), SCREEN_RESOLUTION, kept))
-        slots.extend(b.indices[i] for i in kept)
-    values = _float_eval(_cover_product(covers), _terms_on_slots(form, slots))
-    return float(values.min())
-
-
 @dataclass(frozen=True)
 class PolyaResult:
     exponent: int                      # power of the total sum applied
@@ -146,15 +127,22 @@ def _decompose_forms(
     """All-or-nothing pass over the coefficient forms.
 
     Returns ``(decompositions, {})`` on success or ``(None, diagnostic)``
-    naming the first offending multi-index.  The float screen runs over
-    every form before any exact decomposition starts.
+    naming the first offending multi-index.  Before any decomposition
+    starts, every form is evaluated exactly at the coordinate points: one
+    slot of each sphere block at 1, every other slot at 0.  A form
+    negative there is no sum of squares, so the test rejects nothing the
+    decomposition would accept.
     """
+    width = next(iter(forms.values())).shape.width
+    points = [
+        [int(i in slots) for i in range(width)]
+        for slots in itertools.product(*(b.indices for b in blocks))
+    ]
     for alpha, form in forms.items():
         if not form:
             return None, {"alpha": list(alpha), "reason": "zero coefficient"}
-        low = _screen_min(form, blocks)
-        if low <= 0.0:
-            return None, {"alpha": list(alpha), "reason": "screen", "value": low}
+        if any(form.eval_at(point) < 0 for point in points):
+            return None, {"alpha": list(alpha), "reason": "negative at a coordinate point"}
     sos: dict[tuple[int, ...], SosDecomposition] = {}
     for alpha, form in forms.items():
         try:

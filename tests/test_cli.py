@@ -1162,9 +1162,10 @@ def _qrr_problem(r):
     }
 
 
-def test_a_wide_polya_screen_stops_before_building_its_cover(tmp_path, capsys, monkeypatch):
-    # r = 5 asks the screen for 19.5 M construction entries, gigabytes of
-    # Python objects; the floor scan's covers keep no coordinate
+def test_wide_quadratic_rr_problems_certify_without_a_wide_cover(tmp_path, capsys, monkeypatch):
+    # The Polya stage tests its exponents at coordinate points and builds
+    # no cover, and the floor scan's covers keep no coordinate, so r = 5
+    # and r = 8 certify without any cover above 2^16 entries
     from cylcert import covers
 
     build = covers._projected_entries
@@ -1175,15 +1176,30 @@ def test_a_wide_polya_screen_stops_before_building_its_cover(tmp_path, capsys, m
         return build(dim, resolution, kept)
 
     monkeypatch.setattr(covers, "_projected_entries", guarded)
-    path = tmp_path / "qrr5.json"
-    path.write_text(json.dumps(_qrr_problem(5)))
-    code = cli.main(["certify", "--input", str(path), "--output", str(tmp_path / "c.json")])
-    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert (code, summary["error"], summary["payload"]) == (
-        errors.BudgetExhaustedError.exit_code,
-        "BUDGET_EXHAUSTED",
-        {"budget": 2_097_152, "dim": 6, "estimated_points": 19_531_250, "resolution": 24},
-    )
+    for r in (5, 8):
+        path, cert = tmp_path / f"qrr{r}.json", tmp_path / f"qrr{r}.cert.json"
+        path.write_text(json.dumps(_qrr_problem(r)))
+        assert cli.main(["certify", "--input", str(path), "--output", str(cert)]) == 0
+        assert cli.main(["verify", "--problem", str(path), "--certificate", str(cert)]) == 0
+    capsys.readouterr()
+
+
+# sha256 of the narrow quadratic_rr certificates; they certify at N = 0,
+# so no change to the Polya stage's exponent test may alter them
+PINNED_QRR = {
+    2: "85c368b40c114b8981132edf986554f3637de19260525085dd0082157db69b2a",
+    3: "d8e779da1fab566bbabeb32e4855135c2b1bebf3ade3bcbe36f3b9840a41b357",
+    4: "636c02538e2f84c2028256cb983ec00f07d744d176a1227580c2533b22426b71",
+}
+
+
+@pytest.mark.parametrize("r", sorted(PINNED_QRR))
+def test_narrow_quadratic_rr_certificates_are_pinned(tmp_path, capsys, r):
+    path, cert = tmp_path / f"qrr{r}.json", tmp_path / f"qrr{r}.cert.json"
+    path.write_text(json.dumps(_qrr_problem(r)))
+    assert cli.main(["certify", "--input", str(path), "--output", str(cert)]) == 0
+    capsys.readouterr()
+    assert _sha256(cert) == PINNED_QRR[r]
 
 
 @pytest.mark.parametrize("name, payload", [

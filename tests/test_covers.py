@@ -297,7 +297,7 @@ def test_projected_cover_rejects_bad_kept_sets():
 
 @pytest.mark.parametrize("dim, resolution, estimated", [
     (3, 1024, 2_101_250),   # a floor scan's circle-times-circle cover, all slots kept
-    (6, 24, 19_531_250),    # the Polya screen of a quadratic_rr problem with r = 5
+    (6, 24, 19_531_250),    # a six-slot sphere at a coarse resolution, still over the cap
 ])
 def test_projected_cover_refuses_before_building(monkeypatch, dim, resolution, estimated):
     def refuse(*args):

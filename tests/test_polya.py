@@ -1,4 +1,4 @@
-"""Simplex saturation: slack lift, exponent cap, coefficient forms, screen."""
+"""Simplex saturation: slack lift, exponent cap, coefficient forms, sign test."""
 import itertools
 import math
 import random
@@ -9,12 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylcert import polya
-from cylcert.certified import _float_slack
-from cylcert.covers import projected_sphere_cover
 from cylcert.errors import CapExceededError, SosStalledError
 from cylcert.polya import (
-    SCREEN_RESOLUTION,
-    _screen_min,
+    _decompose_forms,
     coefficient_forms,
     polya_exponent_cap,
     polya_saturate,
@@ -280,24 +277,80 @@ def test_saturate_rejects_an_exponent_whose_forms_are_not_sos(monkeypatch):
     ]
 
 
-# --- the float screen ------------------------------------------------------
+# --- the sign test at the coordinate points --------------------------------
 
-def _exact_screen_min(form, blocks):
-    """All-Fraction minimum over the full product of the blocks' covers."""
-    covers = []
-    for b in blocks:
-        cover = projected_sphere_cover(len(b.indices), SCREEN_RESOLUTION, tuple(range(len(b.indices))))
-        covers.append([cover.representative(i) for i in range(len(cover))])
-    best = None
-    for combo in itertools.product(*covers):
-        point = [F(0)] * form.shape.width
-        for block, u in zip(blocks, combo):
-            for slot, coord in zip(block.indices, u):
-                point[slot] = coord
-        value = form.eval_at(point)
-        if best is None or value < best:
-            best = value
-    return best
+NEGATIVE = {"alpha": [0], "reason": "negative at a coordinate point"}
+
+ONE = BlockShape(n=1, r1=2, r2=0, homs=("Z",))
+Y1, Y2 = ONE.block_indices("y1")
+(Z,) = ONE.block_indices("Z")
+ONE_BLOCK = (SphereBlock(indices=(Y1, Y2, Z), degree=2),)
+TWO = BlockShape(n=1, r1=1, r2=1, homs=("Z1", "Z2"))
+BLOCK1 = TWO.block_indices("y1") + TWO.block_indices("Z1")
+BLOCK2 = TWO.block_indices("y2") + TWO.block_indices("Z2")
+TWO_BLOCKS = (SphereBlock(indices=BLOCK1, degree=2), SphereBlock(indices=BLOCK2, degree=2))
+
+
+def _square_key(shape, *slots):
+    key = [0] * shape.width
+    for slot in slots:
+        key[slot] += 2
+    return tuple(key)
+
+
+def _count_searches(monkeypatch):
+    real = polya.sos_decompose
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(polya, "sos_decompose", counted)
+    return calls
+
+
+def test_a_form_negative_at_a_coordinate_point_of_two_blocks_is_never_searched(monkeypatch):
+    # Y1^2 W1^2 + Y1^2 Z2^2 + Z1^2 W1^2 - Z1^2 Z2^2 is -1 at (Z1, Z2) = (1, 1)
+    # and 1 at the three other coordinate points
+    (z1, z2) = BLOCK1[1], BLOCK2[1]
+    form = BlockedPoly(TWO, {
+        _square_key(TWO, BLOCK1[0], BLOCK2[0]): 1,
+        _square_key(TWO, BLOCK1[0], z2): 1,
+        _square_key(TWO, z1, BLOCK2[0]): 1,
+        _square_key(TWO, z1, z2): -1,
+    })
+    point = [0] * TWO.width
+    point[z1] = point[z2] = 1
+    assert form.eval_at(point) == -1
+    calls = _count_searches(monkeypatch)
+    assert _decompose_forms({(0,): form}, TWO_BLOCKS) == (None, NEGATIVE)
+    assert calls == []
+
+
+def test_a_negative_pure_square_coefficient_is_rejected_unsearched(monkeypatch):
+    form = BlockedPoly(ONE, {
+        _square_key(ONE, Y1): 1, _square_key(ONE, Y2): -2, _square_key(ONE, Z): 1,
+    })
+    calls = _count_searches(monkeypatch)
+    assert _decompose_forms({(0,): form}, ONE_BLOCK) == (None, NEGATIVE)
+    assert calls == []
+
+
+def test_a_form_positive_at_every_coordinate_point_goes_to_the_search(monkeypatch):
+    # y1^2 + y2^2 + z^2 - 3 y1 y2 is 1 at each coordinate point, but -1/2
+    # at y1 = y2 = 1/sqrt(2): no sum of squares, and the search says so
+    y1y2 = [0] * ONE.width
+    y1y2[Y1] = y1y2[Y2] = 1
+    form = BlockedPoly(ONE, {
+        _square_key(ONE, Y1): 1, _square_key(ONE, Y2): 1, _square_key(ONE, Z): 1,
+        tuple(y1y2): -3,
+    })
+    calls = _count_searches(monkeypatch)
+    assert _decompose_forms({(0,): form}, ONE_BLOCK) == (
+        None, {"alpha": [0], "reason": "not sos"}
+    )
+    assert calls == [form]
 
 
 def _random_form(rng, shape, slot_degrees):
@@ -312,25 +365,31 @@ def _random_form(rng, shape, slot_degrees):
     return BlockedPoly(shape, terms)
 
 
-def test_screen_minimum_matches_an_exact_loop():
-    """The float screen is within the float slack of the exact minimum."""
+def test_every_form_the_sign_test_rejects_is_negative_there_and_no_sum_of_squares():
     rng = random.Random(29)
-    one = BlockShape(n=1, r1=2, r2=0, homs=("Z",))
-    y1, y2 = one.block_indices("y1")
-    (z,) = one.block_indices("Z")
-    one_block = (SphereBlock(indices=(y1, y2, z), degree=2),)
-    two = BlockShape(n=1, r1=1, r2=1, homs=("Z1", "Z2"))
-    block1 = two.block_indices("y1") + two.block_indices("Z1")
-    block2 = two.block_indices("y2") + two.block_indices("Z2")
-    two_blocks = (SphereBlock(indices=block1, degree=2), SphereBlock(indices=block2, degree=2))
     cases = [
-        (one, one_block, [((y1, y2, z), 2)]),
-        (one, one_block, [((y1, z), 2)]),            # y2 never appears
-        (two, two_blocks, [(block1, 2), (block2, 2)]),
-        (two, two_blocks, [(block1, 2), (block2[1:], 2)]),  # y2 never appears
+        (ONE, ONE_BLOCK, [((Y1, Y2, Z), 2)]),
+        (ONE, ONE_BLOCK, [((Y1, Z), 2)]),                      # y2 never appears
+        (TWO, TWO_BLOCKS, [(BLOCK1, 2), (BLOCK2, 2)]),
+        (TWO, TWO_BLOCKS, [(BLOCK1, 2), (BLOCK2[1:], 2)]),     # y2 never appears
     ]
+    rejected = 0
     for shape, blocks, slot_degrees in cases:
-        for _ in range(3):
+        for _ in range(12):
             form = _random_form(rng, shape, slot_degrees)
-            exact = _exact_screen_min(form, blocks)
-            assert abs(F(_screen_min(form, blocks)) - exact) <= _float_slack(form)
+            if not form:
+                continue
+            sos, diagnostic = _decompose_forms({(0,): form}, blocks)
+            if diagnostic.get("reason") != NEGATIVE["reason"]:
+                continue
+            rejected += 1
+            points = []
+            for slots in itertools.product(*(b.indices for b in blocks)):
+                point = [0] * shape.width
+                for slot in slots:
+                    point[slot] = 1
+                points.append(point)
+            assert min(form.eval_at(point) for point in points) < 0
+            with pytest.raises(SosStalledError):
+                polya.sos_decompose(form)
+    assert rejected
