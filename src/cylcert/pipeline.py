@@ -7,8 +7,11 @@ sum until every coefficient form is a sum of squares, decompose the
 facet witnesses of the parity class those forms use into squares, and
 assemble the weighted-square representation (:func:`assemble`, at the
 end of this module).  Box-framed inputs get their certificate composed
-back through the affine change of coordinates, and the certificate is
-verified once, against the input problem, before it is returned.
+back through the affine change of coordinates.  Each sigma is then made
+primitive (:meth:`~cylcert.poly.SosDecomposition.primitive`: integer
+squares of content 1, the content moved into the weights, equal squares
+merged), and the certificate is verified once, against the input
+problem, before it is returned, so the one verified is the one written.
 
 The assembly stitches together the upstream stages:
 
@@ -41,7 +44,7 @@ certificate and diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -203,6 +206,7 @@ def certify_problem(
 
     if record is not None:
         cert = compose_with_frame(cert, record, problem)
+    cert = replace(cert, sigmas=tuple(deco.primitive() for deco in cert.sigmas))
     diag["verify"] = verify_certificate(problem, cert).to_obj()
     return CertifyResult(certificate=cert, base_cache=base, diagnostics=diag)
 

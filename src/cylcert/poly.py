@@ -36,7 +36,9 @@ the end.  It is the same reduced rational as a term-by-term ``Fraction``
 sum.  Each slot's highest exponent is kept on the polynomial after the
 first call.
 
-A :class:`SosDecomposition` is a list of weighted squares, and
+A :class:`SosDecomposition` is a list of weighted squares;
+:meth:`SosDecomposition.primitive` rewrites it over primitive integer
+squares, each content moved into its weight, and
 :func:`expand_identity` expands ``sigma_0 + sum sigma_i * g_i`` in ints
 over packed monomials, one sum per denominator: the single identity
 check that the square search and verification share.  Like
@@ -430,6 +432,33 @@ class SosDecomposition:
         """Whether some square is nonzero: with positive weights, whether the sum is."""
         return any(q._ints[1] for q in self.squares)
 
+    def primitive(self) -> "SosDecomposition":
+        """The same sum over primitive integer squares, equal ones merged.
+
+        Each nonzero square is ``c * p`` with ``p`` an integer polynomial
+        of content 1 whose first term in canonical order is positive, and
+        ``w * q**2 = (w * c**2) * p**2``.  Equal ``p`` merge by adding
+        their weights, in first-seen order; zero squares are dropped.
+        """
+        index: dict[BlockedPoly, int] = {}  # each primitive square's place in weights
+        weights: list[Fraction] = []
+        for w, q in zip(self.weights, self.squares):
+            den, nums = q._ints
+            if not nums:
+                continue
+            content = gcd(*[a for _, a in nums])
+            if min(nums)[1] < 0:
+                content = -content
+            if den != 1 or content != 1:
+                q = BlockedPoly._from_ints(q.shape, 1, {e: a // content for e, a in nums})
+                w = Fraction(w.numerator * content * content, w.denominator * den * den)
+            at = index.setdefault(q, len(weights))
+            if at < len(weights):
+                weights[at] += w
+            else:
+                weights.append(w)
+        return SosDecomposition(self.shape, tuple(weights), tuple(index))
+
 
 def expand_identity(
     sigma0: SosDecomposition,
@@ -515,9 +544,9 @@ def _merge_groups(groups: Iterable[tuple[int, dict[int, int]]]) -> tuple[int, di
     The groups are sorted by denominator and merged in pairs of
     neighbours, round by round, each pair over the lcm of its two
     denominators.  Neighbours share most of their factors, so the lcms
-    stay small until the last rounds: c5's sigma_0 has 74 groups of up
-    to 389 digits, the first three rounds stay within 592 digits, and only
-    the last reaches the full 1,290.
+    stay small until the last rounds: c5's sigma_0 has 75 groups of up
+    to 262 digits, the first two rounds stay within 355 digits, and only
+    the last two reach the full 664.
     """
     groups = sorted(groups, key=lambda group: group[0])
     while len(groups) > 1:

@@ -42,7 +42,7 @@ import tempfile
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from math import lcm
+from math import gcd, lcm
 from typing import Any
 
 from .errors import SchemaError, ShapeMismatchError
@@ -163,11 +163,14 @@ def _no_homogenizers(shape: BlockShape) -> None:
 
 
 def poly_to_obj(p: BlockedPoly) -> list[dict[str, Any]]:
+    """The term list of ``p``, each coefficient reduced from its integer
+    form with one ``gcd`` and spelled as :func:`frac_to_str` spells it."""
     shape = p.shape
     _no_homogenizers(shape)
     n, y1_end = shape.n, shape.n + shape.r1
+    den, nums = p._ints
     out: list[dict[str, Any]] = []
-    for exp, coeff in p.sorted_terms():
+    for exp, a in sorted(nums):
         term: dict[str, Any] = {}
         if n:
             term["x"] = list(exp[:n])
@@ -175,7 +178,8 @@ def poly_to_obj(p: BlockedPoly) -> list[dict[str, Any]]:
             term["y1"] = list(exp[n:y1_end])
         if shape.r2:
             term["y2"] = list(exp[y1_end:])
-        term["c"] = frac_to_str(coeff)
+        common = gcd(a, den)
+        term["c"] = str(a // common) if common == den else f"{a // common}/{den // common}"
         out.append(term)
     return out
 

@@ -587,7 +587,7 @@ def test_verifying_a_stored_certificate_builds_no_fraction_per_square_coefficien
     cert = certificate_from_obj(stored, problem.shape)
     verify_certificate(problem, cert)
     squares = [q for deco in cert.sigmas for q in deco.squares]
-    assert len(squares) == 684
+    assert len(squares) == 594
     assert not {id(q) for q in squares} & {id(p) for p in read}
     assert cert.sigmas[0].squares[0].terms  # built when asked for
     assert read[-1] is cert.sigmas[0].squares[0]

@@ -5,8 +5,10 @@ accept every certificate ``cylcert verify`` accepts and reject every
 mutation ``cylcert verify`` rejects.  The certificates are those of c1,
 c3, c7 and the deep_search member polya1-s1, certified here; the
 mutations make a weight negative or zero, drop a square with its weight,
-change one coefficient, swap two sigmas, or check a file against another
-problem.
+change one coefficient, double one square's coefficients beside its
+weight, swap two sigmas, or check a file against another problem.  A
+square written with fractions, its content moved back out of its weight,
+is the same certificate and both accept it.
 """
 import ast
 import copy
@@ -38,6 +40,15 @@ def _change_coefficient(cert):
     term["c"] = str(Fraction(term["c"]) + 1)
 
 
+def _scale_square(factor, weight_factor):
+    def mutate(cert):
+        sigma = cert["sigmas"][0]
+        for term in sigma["squares"][0]:
+            term["c"] = str(Fraction(term["c"]) * factor)
+        sigma["weights"][0] = str(Fraction(sigma["weights"][0]) * weight_factor)
+    return mutate
+
+
 def _swap_sigmas(cert):
     sigmas = cert["sigmas"]
     sigmas[0], sigmas[-1] = sigmas[-1], sigmas[0]
@@ -48,6 +59,7 @@ MUTATIONS = {
     "zero-weight": _set_weight(lambda w: "0"),
     "square-dropped": _drop_square,
     "coefficient-changed": _change_coefficient,
+    "square-rescaled": _scale_square(2, 1),
     "sigmas-swapped": _swap_sigmas,
 }
 
@@ -94,6 +106,16 @@ def test_both_checkers_reject_a_mutation(certified, checker, tmp_path, capsys, n
         cert = copy.deepcopy(cert)
         MUTATIONS[name](cert)
         assert _both_accept(tmp_path, capsys, checker, problem, cert) == (False, False)
+
+
+def test_both_checkers_accept_a_fractional_square_with_its_content_out_of_its_weight(
+    certified, checker, tmp_path, capsys
+):
+    for problem, cert in certified:
+        cert = copy.deepcopy(cert)
+        _scale_square(Fraction(1, 3), 9)(cert)
+        assert any("/" in term["c"] for term in cert["sigmas"][0]["squares"][0])
+        assert _both_accept(tmp_path, capsys, checker, problem, cert) == (True, True)
 
 
 def test_both_checkers_reject_a_file_checked_against_another_problem(

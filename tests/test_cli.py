@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -86,62 +87,62 @@ def test_certify_verify_round_trip(problem_file, tmp_path):
 # and the bench family
 PINNED_CERTIFICATES = {
     "c1_interval_line_quadratic":
-        "e7a42c44c9a38fb40b5d64d77700740492f0ad641be8cd5db296b194f0656be3",
+        "f70c65a8c08a17c053e84536203f4c4c94681d115353d4d83a34a16206a41527",
     "c2_interval_line_quartic":
-        "17b3a0b70a45c99dd0870e962934eb485cdb01db94975fc77d69353936d22f36",
+        "c584568fdb3d34b301de770efba8a034782a7ac82ef0d36862e63d4eeb155141",
     "c3_interval_plane_quartic":
-        "d3118f2008fb82e0bd6630158cb56cc5693aea7ed5caa7283c14c3de57c2dc90",
+        "48eab918190e2f27e0111da700571f338ef65273f01da2dede7145d5ccd72b8d",
     "c4_pure_square_quartic":
-        "b368c586abe8d4e421b23cf88a4cde027dceb1a47765fe0982448fcde6e35799",
+        "040bd55ad3a46f3f40f20596f792ff7eccc87b20f1b2b625f0bd01e4647b10ad",
     "c5_square_plane_quadratic":
-        "4d7b605905d9391d7746e77d37a6223d1146bf5f28798f33aa4b7f530999f61e",
+        "699f2b03fdb49e13e40a79973a977cad375eb14e066181aecda51fe672830167",
     "c6_interval_split_blocks":
-        "5c464a186b75e4f9d815b46ac3e86df3c243b6213f6be2ad76640f5f9990f1e9",
+        "e09e3aa374df8dc77d3a8aab0ab40a81007f8f2487f9700dbfa6cf89c105012d",
     "c7_box_frame_line_quadratic":
-        "e34bb9c1b6d81788677c4eb2adad272a68e025693d2608aeedb5bfc0ed46822b",
+        "2987c1092790ad6b85a33a258cd9f44fa22f07fff3859f941d8609591101b6eb",
     "lambda-K16":
-        "7f3a804a79892cc5b0268ed122c85b5bcbd18cdec8743c449a6b2aa5d4eea0d3",
+        "fa392da6405872d016a25ba3671d4b6996e95124df7f57df37eb56489f19fd4e",
     "lambda-K64":
-        "3e89c9c959ad0a633b211489b56fd28c8f2c8ce214cf4468815815226bcfad65",
+        "c36a88e552cfde63f68b56bf6a8fa31f70bdea033b6b8694befb2ece3178b0b5",
     "polya1-s1":
-        "f6360d4e83eadbc20bc658d3fbd0fe32b6e0769f031aacdcb00001e4fd32e531",
+        "6f2efab9dbfcad99dee4c25963b0d0e52d847aff534a1b4782bb77a948cd851a",
     "polya1-s1_2":
-        "564130e550974697cbf3e9e92830b8a718cccc3019f9a80a90baf13542ea74fd",
+        "b171a08a344e420f46104c5c7536e675b44497e3b0da2fa6232abc7eac0dd610",
     "polya1-s2":
-        "918a1dc02cd17efeda2d5e3a7633bc96012fc1ca98468f52492b787df1b39ace",
+        "c87f0ad6e0c6cce49ef7cf32da6c95549a18baabceaad043d44400a1f5d7a44f",
     "polya2-K56":
-        "5d11db747cce788f6d209abd29344c6e9d43100999543eb5937eddbd0dd5b1d4",
+        "bca6bdff13bf6f729d25b28368af76b46b4ee05021e454c84b0c74b977474362",
 }
 
 # sha256_of_obj of each certificate's `sigmas` list alone: the content
 # the checker expands, pinned apart from the metadata beside it
 PINNED_SIGMAS = {
     "c1_interval_line_quadratic":
-        "49bf24ea5489c51a94cd000f82938f3f49c638ed4248bfe571bf2c400ff5700c",
+        "57b2018b790b28f122e09ca8b97991ce09c340331e8d117f3bbae48d9fb9915e",
     "c2_interval_line_quartic":
-        "4e9a6b8689b1d18802fb02b0ea23499e75354f4535e6dc7b50e94fbf3df4d4b3",
+        "7b58e932bd4f16b962c5b2236820b0eda923e236b316eeacee38acc1400d41ec",
     "c3_interval_plane_quartic":
-        "0043b71e65b0783c5fc7cba8680032609cde1e555e9107f15f06bbc96e783582",
+        "5dcf62a142ad6f0705191a975938803e2373151ae9c74064c8facbf02e979aed",
     "c4_pure_square_quartic":
-        "d920f3a6f57fd806c307dcb60d50456fe7610795443ad012f14d3d7dc8d9d043",
+        "0ca50ab58515e02d11f247b53e7ff216e3c8e2c206b0872c72a07dac4f6f5456",
     "c5_square_plane_quadratic":
-        "c515bb02fc040813d760bae79796df408ff08c921290cd6a4531d68dab3aa1db",
+        "0e339f13cb090c0da1284aeb51ac0957a5e0d377cddf8b79d1e806b1709c0093",
     "c6_interval_split_blocks":
-        "1960f543bee5dc30c3a152fb56147ac8d7ecd7d51092714b12a1a0cdd43e8f99",
+        "f423a5938e42b9e72aa463d689a38b560e1ade73c44033ff7587f1bc880bcad2",
     "c7_box_frame_line_quadratic":
-        "82fc5fc29f91a52bce99bdd6ec884dd9c25b3eb7e1c324abc15b60f6b1d59cc0",
+        "035ebad07aa1cb014eaded404c28a6f9c6da41127903a3a052a9de31b2578120",
     "lambda-K16":
-        "499e78eb86529aa428c192eb3bb7d9df5ed243e303eac6713fb85c68a5793177",
+        "40a8739e8beca7cbad87cf5b7fcce3c37029d797716c13f306f389fae2bcdc64",
     "lambda-K64":
-        "a8b25041001374c0984ef069a8fd4e3562a2d6c3cc42e8360e67b7ad85cc170e",
+        "31f6bd9744d09dba22960c7d9d2d098bb9a5d12a62b832758be309fa4c542055",
     "polya1-s1":
-        "26702fa707bcba26e27442255cf254ac2889ef740da293a7941644bf68d1dc39",
+        "c52d4dbcd261a6d47b43680215334b82487f799089a8ce1f768f3d1332fb52b3",
     "polya1-s1_2":
-        "f941ac78ca81c9142560e07e32d62c252851f983a60c0d2ba9496bf4a1da6109",
+        "9108ccfcc343c67d587372b8660527deae1fd9d3f79fdb597024329bcc746ebc",
     "polya1-s2":
-        "4a0c2fcea7515dff42ea40d2c9eb3b59312a60f90b1c5cb80853a99bacaebaa8",
+        "984713ba8479555e07537d81f9ab1983a97929056fbd61c1ba9a232d60784c7d",
     "polya2-K56":
-        "c663adb3fd98a606b02ab60f40c00fbb1fee5829df3199bef92c540763bf9a67",
+        "74af7d6995f6c884d04e0fbd74db659de0aa5225cb7aaa7c2b7f12ea1d48074f",
 }
 
 # sha256_of_obj of the `.basecache.json` sidecars the same runs write, for
@@ -156,31 +157,31 @@ PINNED_SIDECARS = {
 # sha256 of the compact files themselves, certificates and the two sidecars
 PINNED_FILES = {
     "c1_interval_line_quadratic.cert.json":
-        "878e027159b6706f65bcf0ca675653999a7d239c98466664169a4361419db9ea",
+        "edfb4be264f8e62ea825f41ec070076e235fd3f3291ca164041e41380f00197e",
     "c2_interval_line_quartic.cert.json":
-        "01b6b5d07528e956084457497957b6f00201b0f7e05e495bb9110ac4ef244413",
+        "56b72761666eb0cef772ed5cb356bcc0e5b831e8813caa9c335f66da89aa5992",
     "c3_interval_plane_quartic.cert.json":
-        "20f240f0549d36fb0154a316f1c3d9bf5f9e05816e96ed083531bd8adb243dcf",
+        "66ba2ce1233f3d2602ffaa5268a05c8bc50bd9c62a34addac06bb3cc1dc71ba1",
     "c4_pure_square_quartic.cert.json":
-        "b91edb884206fe58cba1a4c369ac7fd4ee90d70094ffe69b0522bd65819ea87d",
+        "51d423ade62e6c78845055abb2652d5ac80fd31268da1d39184b93b033d1cb13",
     "c5_square_plane_quadratic.cert.json":
-        "1b1c3ae16f04d50635b9d077b53a8a4e5be64937f519e149a67e2fcfd7598c44",
+        "97f85f211cb1c625a7b6b5a397c983016550cec3f22399739bd076ba7aa8572c",
     "c6_interval_split_blocks.cert.json":
-        "ebfd766ee12c1df2bc45b0ff45919b1fdc752202fa7a51debe7c1a231b99fb7f",
+        "f2e10e75d1a87e0a1f67ae2eda3d0d5b7befff3ecde44366a5d4c416a8100e69",
     "c7_box_frame_line_quadratic.cert.json":
-        "48cb5a9a8e67c7b6d904e89d8fd7e6ab86173cb2c569a13a2d37119945406d60",
+        "140546daa2f390d7a148f485e8b66c5822934cb6fff50b266e77eb36e0d5e8e4",
     "lambda-K16.cert.json":
-        "e492e195120787d43561476397e2eff5fa476e9c3f63765b8b59e00ff2d5cbd3",
+        "663081049d86bc8b1d19c61f96d3b27fd4f629e0fdbc209a6694c93075859d83",
     "lambda-K64.cert.json":
-        "4d089723b96f816c228d5af6633b51572c07e903db8b6e4a6edfbe7aa0a304bf",
+        "1e5381629b4356d9d3fad29935b57d450d14ac24ac2e297799b661007d1126e6",
     "polya1-s1.cert.json":
-        "7363dcd24065ff16c0010a8af131695b8d5c00311a061e28c2152f83d2eec469",
+        "f95239bee1121823f59e78ad25afeaea7210f261dcf102fceb68240f4fb620ed",
     "polya1-s1_2.cert.json":
-        "4c81743e4acfbb9849f1a391998bb6b1648a4532a8002e07e631805061e22b5b",
+        "dcd8f5f93282200adcaeb8122c0f78fbea2ad54f9e4e533b92086e2340f61eae",
     "polya1-s2.cert.json":
-        "2a28732814fa951d348b48a983cf2663edd140de5b44cc6cb6da98249ddb5ef9",
+        "f8867c7b9ca430b0c3c12a1fb79df6e060e5b65dedd2b8337c42c2b4a18c3cd6",
     "polya2-K56.cert.json":
-        "c2c88fd6d5a4dc246946432fa0e92cc8693106a2a53b8294c07d9a47dad8883a",
+        "54f8f8f9da01e3051e4f9c6574373819ef0ecd6c2b55b6ba7f179edf366725a3",
     "c5_square_plane_quadratic.cert.json.basecache.json":
         "be623a0245632c1833ac15e0d088f874d4a2637f829a7d110899e25e0f22e37c",
     "polya2-K56.cert.json.basecache.json":
@@ -199,6 +200,39 @@ PINNED_PSD_STEPS = 8748
 # counts, which no certificate holds.  Computed at commit c676c2a, where
 # the scan still valued each exact pair with `BlockedPoly.eval_at`.
 PINNED_SCANS = "c9063ad603f8a5406067e14c6dfcb2bac8e03731fce745370821fbe016d71649"
+
+# sha256_of_obj of the list of each sigma's expanded `sum w * q**2`, from
+# `expanded.sha256`: the polynomials the certificates state, whatever
+# squares and weights spell them.  Computed at commit c82bd54, before
+# squares were made primitive and equal ones merged.
+PINNED_EXPANDED = {
+    "c1_interval_line_quadratic":
+        "ea174d9490eb5a2ba91e8cbf2e2b263440eef4020316b45b5ba253dd3c023bbc",
+    "c2_interval_line_quartic":
+        "02fd8595d76302a1e25973dde8cb69de766d74d95b3b6e00ae2836b13a278e0e",
+    "c3_interval_plane_quartic":
+        "9429e7155d7000c52ca8892b3e6e7340086a504c28d054d66002a8863545d4be",
+    "c4_pure_square_quartic":
+        "78e37c68cf0a09c1e4c8955b83422b7116e0a9490a639e08bc575cc83682e8d8",
+    "c5_square_plane_quadratic":
+        "d003dcf34c67d45392319ef21437baeb64b69718df223b0d3ee9a98ca200e01b",
+    "c6_interval_split_blocks":
+        "fbb985785ffe7314acca1761d79f7054d84cf4ee24e0440e10247c4daf3a32ef",
+    "c7_box_frame_line_quadratic":
+        "9e6a78326df1363f0f7e97db494b783e44cafeb7b5d66b8fbb59c797f1cbd975",
+    "lambda-K16":
+        "2534c3dc5772c80cb2acf410466833205e5dec2e26ac8c695f394d7922766c01",
+    "lambda-K64":
+        "64dd7a9e431e484ecb41ae8416bcb76701e9391ea68031977e8d26f1e3c8abfd",
+    "polya1-s1_2":
+        "509be8b59d543a49c6bdab61e2eda4054eb3304af8402fafb890380ee5aeef5b",
+    "polya1-s1":
+        "801de468b0cf0527e3a11a6de2b14138f1efd61870946dc7881b0e5b59d170dd",
+    "polya1-s2":
+        "6102ae3f3791d21021666a6a4545608457c853c6664251b89a978be4bb9e085f",
+    "polya2-K56":
+        "6a1f5d6593dfbc1ab393a4893cbeead592bb7ba007cfab2ab53cbe8425297d49",
+}
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +291,22 @@ def test_snapshot_pins_the_scan_evidence(snapshot):
         scans.append({k: diag[k] for k in ("fstar", "conditions", "perturbation") if k in diag})
     assert len(scans) == len(PINNED_CERTIFICATES)
     assert sha256_of_obj(scans) == PINNED_SCANS
+
+
+def test_snapshot_pins_the_expanded_sigmas(snapshot):
+    lines = (snapshot / "expanded.sha256").read_text().splitlines()
+    assert dict(line.split(" ") for line in lines) == PINNED_EXPANDED
+    assert len(lines) == len(PINNED_EXPANDED)
+
+
+def test_certificate_squares_are_primitive_and_distinct(snapshot):
+    for stem in PINNED_CERTIFICATES:
+        for sigma in json.loads((snapshot / f"{stem}.cert.json").read_text())["sigmas"]:
+            texts = [canonical_dumps(q) for q in sigma["squares"]]  # terms in canonical order
+            assert len(set(texts)) == len(texts), stem
+            for q in sigma["squares"]:
+                coeffs = [int(t["c"]) for t in q]  # no "/": an integer polynomial
+                assert coeffs and coeffs[0] > 0 and math.gcd(*coeffs) == 1, stem
 
 
 def test_repeat_runs_are_byte_identical(problem_file, tmp_path):
@@ -511,11 +561,11 @@ OLDER_METADATA = {
 # sha256 of those compact files, and the report verify printed for them
 OLDER_FILES = {
     "c4_pure_square_quartic": (
-        "73064750392765c01353630217ef79b90c4193eb4027b25f5273760b025dc1a8",
+        "38f695675785cff09f104a3a42c1e1bcae061b91221a403e0a10fbdadfe5b63a",
         '{"product_degrees": [4, 0], "sigma_degrees": [4, 0]}',
     ),
     "c7_box_frame_line_quadratic": (
-        "8edb14f847291faf6fe1f377ba420fa0fe4c7021187d5c8f141c92e3d28d2e7a",
+        "cd95e62850fd16537e5116ef2d9b2f210be3e1dee247ddf0a554f6002ba30918",
         '{"product_degrees": [8, 8], "sigma_degrees": [8, 6]}',
     ),
 }
@@ -1187,9 +1237,9 @@ def test_wide_quadratic_rr_problems_certify_without_a_wide_cover(tmp_path, capsy
 # sha256 of the narrow quadratic_rr certificates; they certify at N = 0,
 # so no change to the Polya stage's exponent test may alter them
 PINNED_QRR = {
-    2: "85c368b40c114b8981132edf986554f3637de19260525085dd0082157db69b2a",
-    3: "d8e779da1fab566bbabeb32e4855135c2b1bebf3ade3bcbe36f3b9840a41b357",
-    4: "636c02538e2f84c2028256cb983ec00f07d744d176a1227580c2533b22426b71",
+    2: "f241c99b56f301a713d85724d61c17704bcbe51197eeb1dd2a2d838d6a9cf411",
+    3: "7a5b174480ce706d7d737044c49230492be554f2e9ddda37c037b1f49e1903aa",
+    4: "3c8463f7b06130b5af24f62729bb5f432ea7a7900c27a58c0cece846af092395",
 }
 
 

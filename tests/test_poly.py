@@ -438,6 +438,53 @@ def test_monomials_that_share_a_64_bit_packing_stay_distinct():
     })
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_primitive_keeps_the_sum_over_merged_primitive_integer_squares(data):
+    zero = BlockedPoly.zero(KERNEL_SHAPE)
+    squares = data.draw(st.lists(kernel_polys(4), max_size=4))
+    # rescaled, negated and zero copies, which primitive() must merge or drop
+    scales = st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool),
+                       st.sampled_from(BIG_DENOMINATORS))
+    squares += [q.scale(data.draw(scales)) for q in squares] + [zero]
+    squares = data.draw(st.permutations(squares))
+    weight = st.builds(Fraction, st.integers(1, 10**9), st.sampled_from(BIG_DENOMINATORS))
+    weights = [data.draw(weight) for _ in squares]
+    sigma = SosDecomposition(KERNEL_SHAPE, tuple(weights), tuple(squares))
+    prim = sigma.primitive()
+
+    assert expand_identity(prim, ()) == expand_identity(sigma, ())
+    assert len(prim.weights) == len(prim.squares)
+    assert all(w > 0 for w in prim.weights)
+    for q in prim.squares:
+        den, nums = q._ints
+        assert nums and den == 1  # zero squares dropped, integer coefficients
+        assert math.gcd(*[a for _, a in nums]) == 1
+        assert q.sorted_terms()[0][1] > 0
+    assert len(set(prim.squares)) == len(prim.squares)
+    # one square per class of nonzero squares equal up to a rational factor
+    classes = {frozenset(q.scale(1 / q.sorted_terms()[0][1]).terms.items()) for q in squares if q}
+    assert len(prim.squares) == len(classes)
+    assert prim.primitive() == prim
+
+
+def test_primitive_merges_a_square_with_its_negation_in_first_seen_order():
+    x = BlockedPoly.variable(KERNEL_SHAPE, 0)
+    y = BlockedPoly.variable(KERNEL_SHAPE, 2)
+    one = BlockedPoly.constant(KERNEL_SHAPE, 1)
+    q = x.scale(Fraction(-2, 3)) + one.scale(Fraction(4, 3))  # -2/3 * (x - 2)
+    sigma = SosDecomposition(
+        KERNEL_SHAPE,
+        (Fraction(1), Fraction(5), Fraction(1, 2), Fraction(7)),
+        (q, y.scale(3), BlockedPoly.zero(KERNEL_SHAPE), -q),
+    )
+    prim = sigma.primitive()
+    # x - 2 starts at its constant term, so the primitive square is 2 - x
+    assert prim.squares == (one.scale(2) - x, y)
+    assert prim.weights == (Fraction(4, 9) * 8, Fraction(45))
+    assert SosDecomposition(KERNEL_SHAPE, (), ()).primitive().squares == ()
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=kernel_polys(), r0=kernel_polys(3), r2=kernel_polys(3))
 def test_substitute_matches_fraction_reference(p, r0, r2):

@@ -185,6 +185,34 @@ def test_poly_from_obj_inverts_poly_to_obj(p):
     assert poly_from_obj(poly_to_obj(p), p.shape) == p
 
 
+def _poly_to_obj_by_fractions(p):
+    """The term list as poly_to_obj once wrote it: a Fraction per term,
+    through ``sorted_terms`` and ``frac_to_str``."""
+    shape = p.shape
+    n, y1_end = shape.n, shape.n + shape.r1
+    out = []
+    for exp, coeff in p.sorted_terms():
+        term = {}
+        if n:
+            term["x"] = list(exp[:n])
+        if shape.r1:
+            term["y1"] = list(exp[n:y1_end])
+        if shape.r2:
+            term["y2"] = list(exp[y1_end:])
+        term["c"] = frac_to_str(coeff)
+        out.append(term)
+    return out
+
+
+@given(file_polys(), st.fractions(max_denominator=10**30).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_poly_to_obj_writes_the_bytes_of_the_fraction_path(p, c):
+    for q in (p, p * p, p.scale(c), p * p.scale(c) + BlockedPoly.constant(p.shape, c)):
+        obj = poly_to_obj(q)
+        assert obj == _poly_to_obj_by_fractions(q)
+        assert canonical_dumps(obj) == canonical_dumps(_poly_to_obj_by_fractions(q))
+
+
 def _views_agree(p):
     """The integer view is the lcm of the reduced denominators over the
     numerators of the Fraction view."""

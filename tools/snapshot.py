@@ -15,7 +15,11 @@ run, in call order, with ``None`` hashed as the bytes ``None``;
 of ``GramSystem.project_psd`` it made, one per step of the alternating
 projections; and ``sigmas.sha256``: one line ``<id> <sha256>`` per
 certificate written, in certification order, hashing its ``sigmas`` list
-with ``cylcert.serialize.sha256_of_obj``.  Within one family group the
+with ``cylcert.serialize.sha256_of_obj``; and ``expanded.sha256``: one
+line ``<id> <sha256>`` per certificate, in the same order, hashing the
+list of each sigma's expanded ``sum w * q**2`` as a term list, so two
+certificates that write the same sigmas differently hash the same
+there.  Within one family group the
 sidecar of the previous member is copied to the next member before it is
 certified, as the benchmark does.  ``perfbench/family.py`` is executed
 from its source text, so nothing is written beside it.
@@ -89,7 +93,10 @@ def main(argv: list[str] | None = None) -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     from cylcert import cli, sos
-    from cylcert.serialize import sha256_of_obj
+    from cylcert.certificate import certificate_from_obj
+    from cylcert.poly import expand_identity
+    from cylcert.problem import problem_from_obj
+    from cylcert.serialize import poly_to_obj, sha256_of_obj
 
     digest = hashlib.sha256()
     search = sos.psd_feasibility
@@ -111,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     worst = 0
     previous: dict[str, Path] = {}
     sigma_lines = []
+    expanded_lines = []
     sos.psd_feasibility = hashed_search
     sos.GramSystem.project_psd = counted_project
     try:
@@ -128,8 +136,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{pid}: exit {code}")
             worst = max(worst, code)
             if cert.exists():
-                sigmas = json.loads(cert.read_text())["sigmas"]
-                sigma_lines.append(f"{pid} {sha256_of_obj(sigmas)}\n")
+                obj = json.loads(cert.read_text())
+                sigma_lines.append(f"{pid} {sha256_of_obj(obj['sigmas'])}\n")
+                shape = problem_from_obj(json.loads(path.read_text())).shape
+                expanded = [
+                    poly_to_obj(expand_identity(sigma, ()))
+                    for sigma in certificate_from_obj(obj, shape).sigmas
+                ]
+                expanded_lines.append(f"{pid} {sha256_of_obj(expanded)}\n")
             if group:
                 previous[group] = cert
     finally:
@@ -138,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     (outdir / "psd.sha256").write_text(digest.hexdigest() + "\n")
     (outdir / "psd.steps").write_text("".join(step_lines))
     (outdir / "sigmas.sha256").write_text("".join(sigma_lines))
+    (outdir / "expanded.sha256").write_text("".join(expanded_lines))
     return 1 if worst else 0
 
 
