@@ -89,8 +89,8 @@ class SearchExhaustedError(CylcertError):
 
 class CapExceededError(CylcertError):
     """A hard size cap was hit: the Polya exponent cap, the Gram basis size
-    cap, the variable count that facet witnesses allow, or the degree cap
-    on the perturbed target."""
+    cap, the variable count that facet witnesses allow, the degree cap
+    on the perturbed target, or the size cap of an exact Gram matrix."""
 
     code = "CAP_EXCEEDED"
     exit_code = 14

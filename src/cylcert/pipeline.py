@@ -30,7 +30,9 @@ The certificate carries only what the checker reads: the sigmas, the
 construction's parameters (lambda, k, N, ell, c9) and the certified
 floor.  Assembly measures no degree: verification measures each sigma's
 and checks it against the degree laws of those parameters.  The
-box-to-simplex record goes to ``diagnostics["rescale"]``.
+box-to-simplex record goes to ``diagnostics["rescale"]``, and the work
+of the run's float Gram searches (:class:`~cylcert.sos.GramTally`) to
+``diagnostics["gram"]``.
 
 This module is the top of the search: it and the stages it calls
 (``certified``, ``covers``, ``perturb``, ``polya``, ``putinar_base``,
@@ -44,7 +46,7 @@ certificate and diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -76,7 +78,7 @@ from .putinar_base import (
     simplex_u,
 )
 from .serialize import frac_to_str
-from .sos import sos_decompose
+from .sos import gram_tally, sos_decompose
 
 
 @dataclass(frozen=True)
@@ -145,64 +147,66 @@ def certify_problem(
     fstar_lb = floor.lower_bound
     diag["fstar"] = floor.to_obj()
 
-    cert: Certificate | None = None
-    base: dict[Parity, Witness] = {}
-    if solving.d == 0:
-        # The target does not involve the bounded block at all, so a
-        # plain square decomposition is a complete certificate; fall
-        # through to the general machinery if the search stalls.
-        try:
-            sigma0 = sos_decompose(solving.f)
-        except SosStalledError as exc:
-            diag["shortcut"] = {"used": False, "reason": exc.payload or str(exc)}
-        else:
-            cert = sos_only_certificate(solving, sigma0, fstar_lb=fstar_lb)
-            diag["shortcut"] = {"used": True, "squares": len(sigma0.squares)}
+    with gram_tally() as gram:
+        cert: Certificate | None = None
+        base: dict[Parity, Witness] = {}
+        if solving.d == 0:
+            # The target does not involve the bounded block at all, so a
+            # plain square decomposition is a complete certificate; fall
+            # through to the general machinery if the search stalls.
+            try:
+                sigma0 = sos_decompose(solving.f)
+            except SosStalledError as exc:
+                diag["shortcut"] = {"used": False, "reason": exc.payload or str(exc)}
+            else:
+                cert = sos_only_certificate(solving, sigma0, fstar_lb=fstar_lb)
+                diag["shortcut"] = {"used": True, "squares": len(sigma0.squares)}
 
-    if cert is None:
-        pert = find_perturbation(solving, fstar_lb)
-        diag["perturbation"] = {
-            "lambda": frac_to_str(pert.lam),
-            "k": pert.k,
-            "threshold": frac_to_str(pert.threshold),
-            "evidence": pert.evidence.to_obj(),
-        }
+        if cert is None:
+            pert = find_perturbation(solving, fstar_lb)
+            diag["perturbation"] = {
+                "lambda": frac_to_str(pert.lam),
+                "k": pert.k,
+                "threshold": frac_to_str(pert.threshold),
+                "evidence": pert.evidence.to_obj(),
+            }
 
-        _, blocks = solving.homogenized()
-        pol = polya_saturate(pert.target, pert.threshold, blocks)
-        diag["polya"] = {
-            "exponent": pol.exponent,
-            "ell": pol.ell,
-            "cap": pol.cap,
-            "forms": len(pol.forms),
-        }
+            _, blocks = solving.homogenized()
+            pol = polya_saturate(pert.target, pert.threshold, blocks)
+            diag["polya"] = {
+                "exponent": pol.exponent,
+                "ell": pol.ell,
+                "cap": pol.cap,
+                "forms": len(pol.forms),
+            }
 
-        diag["form_sos"] = {
-            "squares": sum(len(d.squares) for d in pol.sos.values())
-        }
+            diag["form_sos"] = {
+                "squares": sum(len(d.squares) for d in pol.sos.values())
+            }
 
-        base = base_certificates(
-            solving.shape,
-            solving.g,
-            {parity_vector(key) for key in pol.forms},
-            precomputed=precomputed_base,
-        )
-        cached = precomputed_base or {}
-        diag["base"] = {
-            "parities": ["".join(map(str, p)) for p in sorted(base)],
-            "reused": [
-                "".join(map(str, p)) for p in sorted(base) if base[p] is cached.get(p)
-            ],
-        }
+            base = base_certificates(
+                solving.shape,
+                solving.g,
+                {parity_vector(key) for key in pol.forms},
+                precomputed=precomputed_base,
+            )
+            cached = precomputed_base or {}
+            diag["base"] = {
+                "parities": ["".join(map(str, p)) for p in sorted(base)],
+                "reused": [
+                    "".join(map(str, p)) for p in sorted(base) if base[p] is cached.get(p)
+                ],
+            }
 
-        cert = assemble(
-            solving,
-            pert.lam,
-            pert.k,
-            pol,
-            base,
-            fstar_lb=fstar_lb,
-        )
+            cert = assemble(
+                solving,
+                pert.lam,
+                pert.k,
+                pol,
+                base,
+                fstar_lb=fstar_lb,
+            )
+    diag["gram"] = asdict(gram)
 
     if record is not None:
         cert = compose_with_frame(cert, record, problem)

@@ -15,10 +15,14 @@ The classic round-then-project scheme then runs on it:
    budget (two disjoint sets stall at their positive distance, and at
    that rate the rest of the rung cannot reach the tolerance), or as
    soon as a step returns the previous point bit for bit, since every
-   later step of the rung would repeat it.  Blocks of one size are
+   later step of the rung would repeat it.  Once a rung's gap is within
+   :data:`SNAP_GAP` it is in its linear tail, and each step starts from
+   the type-II Anderson point of the rung's last steps rather than from
+   the previous one, until the gap rises.  Blocks of one size are
    projected with one stacked call of the LAPACK gufunc behind
    ``np.linalg.eigh``, in its error state entered once per search; a
    failed eigensolve or a float image that overflows fails the search.
+   :func:`gram_tally` counts the searches and their steps.
 2. :func:`module_witness` rounds that point to each denominator of a
    power-of-two ladder, re-imposes the coefficient constraints
    *exactly* (a rational solve of the normal equations), and factors
@@ -26,7 +30,8 @@ The classic round-then-project scheme then runs on it:
    memo keyed on shape, generators and bases, so every target with the
    same bases reuses it, and its exact solve records the Gauss-Jordan
    elimination once: each right-hand side is then one rational
-   matrix-vector product.
+   matrix-vector product.  A matrix whose numbers could outgrow
+   :data:`EXACT_BITS_CAP` is refused before it is eliminated or factored.
 3. The first rung whose blocks all factor and whose identity expands
    exactly to the target is the answer: no residual, no trust in floats.
    It is the tuple ``(sigma_0, sigma_1, ..., sigma_s)``, one entry per
@@ -44,9 +49,12 @@ reports that as :class:`SosStalledError` rather than papering over it.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -70,6 +78,18 @@ TOLERANCE = 1e-9
 # the boundary face; genuinely infeasible systems plateau far above.
 SNAP_GAP = 1e-4
 
+# An accelerated step combines the rung's last ANDERSON_MEMORY + 1 steps,
+# through the differences of their images and residuals.
+ANDERSON_MEMORY = 5
+
+# The exact phase refuses a symmetric matrix once ``rows * bits`` exceeds
+# this, where ``rows`` counts the rows with a nonzero off the diagonal and
+# ``bits`` is the longest numerator or denominator among them: by
+# Hadamard's bound, about the length its elimination and LDL^T can grow
+# the numbers to.  The other rows are never combined with another row.
+# The samples and bench family stay at 576.
+EXACT_BITS_CAP = 4096
+
 # The LAPACK gufunc that np.linalg.eigh calls for float64 input, without
 # the wrapper's per-call checks, conversions and error-state switch:
 # psd_feasibility enters that error state once per search instead.
@@ -92,6 +112,25 @@ def _as_float(v: Fraction) -> float:
 # exact LDL^T
 # ---------------------------------------------------------------------------
 
+def _check_exact_size(stage: str, matrix: Sequence[Sequence[Fraction]]) -> None:
+    """Raise :class:`CapExceededError` for a matrix over :data:`EXACT_BITS_CAP`."""
+    coupled = [row for i, row in enumerate(matrix) if any(row[:i]) or any(row[i + 1:])]
+    bits = max(
+        (max(v.numerator.bit_length(), v.denominator.bit_length()) for row in coupled for v in row),
+        default=0,
+    )
+    size = len(coupled) * bits
+    if size > EXACT_BITS_CAP:
+        raise CapExceededError(
+            "the exact phase's matrix is too large to factor exactly",
+            stage=stage,
+            coupled_rows=len(coupled),
+            bits=bits,
+            size=size,
+            cap=EXACT_BITS_CAP,
+        )
+
+
 def rational_ldlt(
     gram: Sequence[Sequence[Fraction]],
 ) -> tuple[tuple[int, ...], list[Fraction], list[list[Fraction]]] | None:
@@ -100,10 +139,12 @@ def rational_ldlt(
     Pivots greedily on the largest remaining diagonal entry.  Returns
     ``(perm, diag, lower)`` with unit lower-triangular ``lower``, or
     ``None`` when a negative pivot (or a zero pivot with a nonzero row)
-    certifies that the matrix is not PSD.
+    certifies that the matrix is not PSD.  A matrix over
+    :data:`EXACT_BITS_CAP` raises :class:`CapExceededError`.
     """
     dim = len(gram)
     a = [[Fraction(v) for v in row] for row in gram]
+    _check_exact_size("ldlt", a)
     perm = list(range(dim))
     lower = [[Fraction(0)] * dim for _ in range(dim)]
     diag: list[Fraction] = [Fraction(0)] * dim
@@ -286,7 +327,9 @@ class GramSystem:
         integer arithmetic and one gcd, and the pivot is still the first
         row of largest ``|M'[r][c]|``.  Solve rows keep E[r] and the pivot
         over the same denominator; rows are sparse ``(column, value)``.
+        M over :data:`EXACT_BITS_CAP` raises :class:`CapExceededError`.
         """
+        _check_exact_size("elimination", self.m_exact)
         dim = len(self.m_exact)
         rows: list[tuple[list[int], int]] = []
         for i, m_row in enumerate(self.m_exact):
@@ -376,6 +419,34 @@ class GramSystem:
         return grams
 
 
+@dataclass
+class GramTally:
+    """Work of the float searches run inside one :func:`gram_tally` block.
+
+    ``searches`` counts calls of :func:`psd_feasibility`, ``steps`` their
+    projections onto the cone, and ``accelerated`` the Anderson points
+    they stepped to in place of the affine point of the step before.
+    """
+
+    searches: int = 0
+    steps: int = 0
+    accelerated: int = 0
+
+
+_TALLY: ContextVar[GramTally | None] = ContextVar("gram_tally", default=None)
+
+
+@contextmanager
+def gram_tally() -> Iterator[GramTally]:
+    """Count the float searches run inside the block into a new tally."""
+    tally = GramTally()
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
+
+
 def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
     """Alternating projections toward an affine-and-PSD point.
 
@@ -384,27 +455,50 @@ def psd_feasibility(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
     of the rung's steps (the remaining three quarters could halve it at
     most three more times at that rate, far short of the tolerance), or
     at an exact fixed point: a step whose affine point equals the
-    previous one bit for bit.  From there each step of the rung would
-    repeat the same one, so leaving early returns the same point as
-    running the rung out.  Returns the converged point, or
+    point it started from bit for bit.  From there each step of the rung
+    would repeat the same one, so leaving early returns the same point as
+    running the rung out.  Once a rung's gap is within :data:`SNAP_GAP`
+    it is in the linear tail, and each step starts from the type-II
+    Anderson point of the last :data:`ANDERSON_MEMORY` + 1 steps instead
+    of the previous affine point; a gap that rises drops that history,
+    so the next step is plain again.  Returns the converged point, or
     the best near-feasible point seen when it lies within
     :data:`SNAP_GAP` (boundary-feasible systems stall there), or None
-    when clearly infeasible.  A system or target whose float image is
-    not finite, a failed eigensolve and a NaN met on the way also give
-    None: the search runs in ``np.linalg.eigh``'s error state, entered
-    once here rather than once per eigensolve.
+    when clearly infeasible; either is the affine projection of a cone
+    point, never an Anderson point.  A system or target whose float image
+    is not finite, a failed eigensolve or least-squares solve, and a NaN
+    met on the way also give None: the search runs in
+    ``np.linalg.eigh``'s error state, entered once here rather than once
+    per eigensolve.  The search and its steps are counted into the
+    enclosing :func:`gram_tally`, if any.
     """
+    tally = _TALLY.get() or GramTally()
+    tally.searches += 1
     if system.pinv_awa is None or not np.isfinite(b).all():
         return None
     try:
         with np.errstate(call=_search_failed, invalid="call", over="ignore",
                          divide="ignore", under="ignore"):
-            return _alternate(system, b)
+            return _alternate(system, b, tally)
     except LinAlgError:
         return None
 
 
-def _alternate(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
+def _anderson(history: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The type-II Anderson point of ``(G(x), G(x) - x)`` pairs, newest last.
+
+    With images ``g_i`` and residuals ``f_i``, ``gamma`` minimises
+    ``|f_k - dF gamma|`` in least squares over the residuals'
+    differences, and the point is ``g_k - dG gamma`` (Walker and Ni,
+    SIAM J. Numer. Anal. 2011): an affine combination of images, so on
+    the affine set up to rounding.
+    """
+    images, residuals = map(np.stack, zip(*history))
+    gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1], rcond=None)[0]
+    return images[-1] - gamma @ np.diff(images, axis=0)
+
+
+def _alternate(system: GramSystem, b: np.ndarray, tally: GramTally) -> np.ndarray | None:
     """The loop of :func:`psd_feasibility`."""
     per_tau = MAX_ITERATIONS // len(TAU_LADDER)
     window = per_tau // 4
@@ -417,7 +511,9 @@ def _alternate(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
         best = np.inf
         idle = 0
         gaps = []
+        history: list[tuple[np.ndarray, np.ndarray]] = []
         for step in range(per_tau):
+            tally.steps += 1
             y = system.project_psd(x, tau)
             gap = float(np.abs(y - x).max())
             x_prev, x = x, system.project_affine(y, b)
@@ -442,6 +538,13 @@ def _alternate(system: GramSystem, b: np.ndarray) -> np.ndarray | None:
                 # Each later step of this rung would repeat this one and
                 # change nothing until the idle rule ends the rung.
                 break
+            if step and gap > gaps[step - 1]:
+                # The gap rose: drop the history, so this step stays plain.
+                history = []
+            history = history[-ANDERSON_MEMORY:] + [(x, x - x_prev)]
+            if gap < SNAP_GAP * scale and len(history) > 1:
+                x = _anderson(history)
+                tally.accelerated += 1
     if best_gap <= SNAP_GAP * scale:
         return best_x
     return None

@@ -189,10 +189,13 @@ PINNED_FILES = {
 }
 
 # sha256 over every float point the Gram searches of the snapshot return,
-# and the projections they make between them (13,710 before the stalled
-# c5 and polya2-K56 rungs were left once their gaps stopped halving)
-PINNED_PSD = "3482dd5e7bf5273a97c582065579d7028155b5d05ea248ad169e29dd83a3ffe6"
-PINNED_PSD_STEPS = 8748
+# the projections they make between them (13,710 before the stalled c5 and
+# polya2-K56 rungs were left once their gaps stopped halving, 8,748 before
+# rungs took Anderson steps in their linear tails), and the sha256 of
+# `psd.steps`, the projections of each search in call order
+PINNED_PSD = "9a3bd15a7090b2acd48912485d7d5412d2d9580fcd7fa09691f76fd1040b8a1c"
+PINNED_PSD_STEPS = 4918
+PINNED_PSD_STEPS_FILE = "a406202b0867f2474501f6d7500697e758d1c83bcf1a52bcbf531ff40b30cf27"
 
 # sha256_of_obj of the list, in certification order, of the `fstar`,
 # `conditions` and `perturbation` blocks of each `<id>.diag.json` of the
@@ -278,6 +281,7 @@ def test_snapshot_covers_every_input_and_pins_the_float_search(snapshot):
     assert (snapshot / "psd.sha256").read_text() == PINNED_PSD + "\n"
     steps = (snapshot / "psd.steps").read_text().splitlines()
     assert sum(int(line.split(" ")[1]) for line in steps) == PINNED_PSD_STEPS
+    assert _sha256(snapshot / "psd.steps") == PINNED_PSD_STEPS_FILE
     lines = (snapshot / "sigmas.sha256").read_text().splitlines()
     assert dict(line.split(" ") for line in lines) == PINNED_SIGMAS
     assert len(lines) == len(PINNED_SIGMAS)
@@ -291,6 +295,21 @@ def test_snapshot_pins_the_scan_evidence(snapshot):
         scans.append({k: diag[k] for k in ("fstar", "conditions", "perturbation") if k in diag})
     assert len(scans) == len(PINNED_CERTIFICATES)
     assert sha256_of_obj(scans) == PINNED_SCANS
+
+
+def test_gram_diagnostics_count_the_searches_of_their_run(snapshot):
+    stem = "c5_square_plane_quadratic"
+    steps = [
+        int(count) for pid, count in
+        (line.split(" ") for line in (snapshot / "psd.steps").read_text().splitlines())
+        if pid == stem
+    ]
+    gram = json.loads((snapshot / f"{stem}.diag.json").read_text())["gram"]
+    assert gram["searches"] == len(steps)
+    assert gram["steps"] == sum(steps)
+    # the three converging facet searches reach their linear tails, the
+    # stalled one never does
+    assert 0 < gram["accelerated"] < gram["steps"]
 
 
 def test_snapshot_pins_the_expanded_sigmas(snapshot):
@@ -1250,6 +1269,26 @@ def test_narrow_quadratic_rr_certificates_are_pinned(tmp_path, capsys, r):
     assert cli.main(["certify", "--input", str(path), "--output", str(cert)]) == 0
     capsys.readouterr()
     assert _sha256(cert) == PINNED_QRR[r]
+
+
+def test_an_exact_phase_over_its_size_cap_ends_in_time(tmp_path, capsys):
+    # c5 with -2 x1 x2^3 added to g1 and g2's constant 10^-29: its facet
+    # system's normal matrix has 45 rows, 42 of them coupled, of numbers
+    # up to 198 bits, whose elimination and LDL^T ran for minutes before
+    # the size cap
+    obj = json.loads((SAMPLES / "c5_square_plane_quadratic.json").read_text())
+    obj["g"][0].append({"c": "-2", "x": [1, 3], "y1": [0, 0]})
+    obj["g"][1][0]["c"] = f"1/{10**29}"
+    path = tmp_path / "c5-mutant.json"
+    path.write_text(json.dumps(obj))
+    started = time.monotonic()
+    code = cli.main(["certify", "--input", str(path), "--output", str(tmp_path / "c.json")])
+    assert time.monotonic() - started < 30
+    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (code, summary["error"]) == (errors.CapExceededError.exit_code, "CAP_EXCEEDED")
+    assert summary["payload"] == {
+        "stage": "elimination", "coupled_rows": 42, "bits": 198, "size": 42 * 198, "cap": 4096,
+    }
 
 
 @pytest.mark.parametrize("name, payload", [

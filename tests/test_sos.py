@@ -1,5 +1,6 @@
 """Exact SOS decompositions: LDL^T, Gram bookkeeping, rounding and caps."""
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product as iproduct
 from pathlib import Path
@@ -269,13 +270,15 @@ def test_default_basis_respects_homogeneity():
 
 # --- the float search against the per-block loop it replaced ---------------
 #
-# The three functions below are the earlier per-block PSD projection, the
-# affine projection and the search loop, copied unchanged except that the
-# loop calls the copied projections, records the rung of every step and
-# leaves a rung whose gap has not halved in a quarter of its budget (unless
-# ``halving`` is false).  The stacked eigensolves, the fixed-point exit and
-# the error state entered once per search must return the same array, bit
-# for bit.
+# The functions below are the earlier per-block PSD projection, the affine
+# projection and the search loop, copied unchanged except that the loop
+# calls the copied projections, records the rung of every step, leaves a
+# rung whose gap has not halved in a quarter of its budget (unless
+# ``halving`` is false) and, unless ``anderson`` is false, steps to the
+# Anderson point of its last steps once a rung's gap is within SNAP_GAP,
+# formed column by column.  The stacked eigensolves, the fixed-point exit,
+# the error state entered once per search and the stacked Anderson step
+# must return the same array, bit for bit.
 
 def _reference_project_psd(self, x, tau):
     out = x.copy()
@@ -304,7 +307,15 @@ def _reference_project_affine(self, x, b):
     return x + (self.aw.T @ (self.pinv_awa @ (b - self.a @ x)))
 
 
-def _reference_psd_feasibility(system, b, rungs, halving=True):
+def _reference_anderson(pairs):
+    """``g_k - dG gamma`` for ``(image, residual)`` pairs, oldest first."""
+    d_g = np.array([g1 - g0 for (g0, _), (g1, _) in zip(pairs, pairs[1:])])
+    d_f = np.array([f1 - f0 for (_, f0), (_, f1) in zip(pairs, pairs[1:])])
+    gamma = np.linalg.lstsq(d_f.T, pairs[-1][1], rcond=None)[0]
+    return pairs[-1][0] - gamma @ d_g
+
+
+def _reference_psd_feasibility(system, b, rungs, halving=True, anderson=True):
     per_tau = sos.MAX_ITERATIONS // len(sos.TAU_LADDER)
     window = per_tau // 4
     scale = max(1.0, float(np.max(np.abs(b))))
@@ -315,11 +326,12 @@ def _reference_psd_feasibility(system, b, rungs, halving=True):
         best = np.inf
         idle = 0
         gaps = []
+        pairs = []
         for step in range(per_tau):
             rungs.append(tau)
             y = _reference_project_psd(system, x, float(tau))
             gap = float(np.max(np.abs(y - x)))
-            x = _reference_project_affine(system, y, b)
+            x_prev, x = x, _reference_project_affine(system, y, b)
             if gap < sos.TOLERANCE * scale:
                 return x
             if gap < best_gap:
@@ -335,6 +347,12 @@ def _reference_psd_feasibility(system, b, rungs, halving=True):
             gaps.append(gap)
             if halving and step >= window and gap > gaps[step - window] / 2:
                 break
+            if anderson:
+                if step and gap > gaps[step - 1]:
+                    pairs = []
+                pairs = pairs[-sos.ANDERSON_MEMORY:] + [(x, x - x_prev)]
+                if gap < sos.SNAP_GAP * scale and len(pairs) > 1:
+                    x = _reference_anderson(pairs)
     if best_gap <= sos.SNAP_GAP * scale:
         return best_x
     return None
@@ -385,7 +403,27 @@ def test_search_leaves_a_rung_at_an_exact_fixed_point():
     assert got is not None
     # the reference idles 301 steps on each rung it abandons
     assert len(rungs) > 300 * (len(sos.TAU_LADDER) - 1)
-    assert len(steps) <= 2 * len(sos.TAU_LADDER)
+    # and each rung ends by its second step
+    per_rung = Counter(steps)
+    assert set(per_rung) == set(sos.TAU_LADDER)
+    assert max(per_rung.values()) <= 2
+
+
+def test_anderson_point_of_an_affine_map_is_its_fixed_point():
+    # for G(x) = A x + c on R^3 the three residual differences of four
+    # steps span R^3, so the Anderson point solves x = A x + c
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3)) / 4
+    c = rng.standard_normal(3)
+    fixed = np.linalg.solve(np.eye(3) - a, c)
+    pairs = []
+    x = np.zeros(3)
+    for _ in range(4):
+        image = a @ x + c
+        pairs.append((image, image - x))
+        x = image
+    assert np.allclose(sos._anderson(pairs), fixed, rtol=0, atol=1e-12)
+    assert sos._anderson(pairs).tobytes() == _reference_anderson(pairs).tobytes()
 
 
 def test_search_on_the_motzkin_form_fails_the_same_way():
@@ -425,11 +463,12 @@ def test_stacked_projection_matches_the_per_block_loop():
 
 
 # c5's facet system at budget 4 (blocks 6, 3, 3) for the four parities its
-# forms use, with the projections each search makes.  Parity (0, 1, 1) has
-# no feasible point at tau = 1/64: its gap crawls from about 1e-3 and the
-# rung is left at its 1,519th step, not run out to 4,000; the search then
-# converges on the first step at tau = 1/1024.
-C5_FACET_STEPS = {(0, 0, 0): 46, (0, 1, 1): 1520, (1, 0, 1): 562, (1, 1, 0): 562}
+# forms use, with the projections each search makes (46, 1,520, 562 and
+# 562 without the Anderson steps).  Parity (0, 1, 1) has no feasible point
+# at tau = 1/64: its gap crawls from about 1e-3, never within SNAP_GAP, and
+# the rung is left at its 1,519th step, not run out to 4,000; the search
+# then converges on the first step at tau = 1/1024.
+C5_FACET_STEPS = {(0, 0, 0): 17, (0, 1, 1): 1520, (1, 0, 1): 167, (1, 1, 0): 167}
 
 
 def _c5_facet_system(parity):
@@ -448,6 +487,16 @@ def test_c5_stalled_rung_is_left_early():
         assert got is not None
         steps_per_search[parity] = len(steps)
     assert steps_per_search == C5_FACET_STEPS
+
+
+def test_acceleration_never_engages_on_the_stalled_rung():
+    system, target = _c5_facet_system((0, 1, 1))
+    b = np.asarray([float(v) for v in system.rhs(target)], dtype=np.float64)
+    with sos.gram_tally() as tally:
+        got, _, steps, _ = _search_both(system, target)
+    assert (tally.searches, tally.steps, tally.accelerated) == (1, len(steps), 0)
+    plain = _reference_psd_feasibility(system, b, [], anderson=False)
+    assert got.tobytes() == plain.tobytes()
 
 
 def test_halving_rule_touches_only_the_stalled_rung():
@@ -562,6 +611,34 @@ def test_one_system_serves_every_target_of_a_basis_set():
         assert expand_identity(deco, ()) == target
     sos._gram_system.cache_clear()
     assert sos._gram_system.cache_info().currsize == 0
+
+
+# --- the exact phase's size cap -----------------------------------------------
+
+def test_ldlt_refuses_a_matrix_over_the_size_cap():
+    # coupled rows * bits: 2 * 2048 = 4096 factors, 2 * 2049 is refused
+    big = F(2**2047)
+    assert rational_ldlt([[big, F(1)], [F(1), F(1)]]) is not None
+    with pytest.raises(CapExceededError) as caught:
+        rational_ldlt([[big * 2, F(1)], [F(1), F(1)]])
+    assert caught.value.payload == {
+        "stage": "ldlt", "coupled_rows": 2, "bits": 2049, "size": 4098,
+        "cap": sos.EXACT_BITS_CAP,
+    }
+    # a row zero off the diagonal is never combined with another, so its
+    # length does not count
+    huge = F(2**100_000)
+    perm, diag, lower = rational_ldlt([[huge, F(0), F(0)], [F(0), F(2), F(1)], [F(0), F(1), F(1)]])
+    assert diag == [huge, F(2), F(1, 2)]
+
+
+def test_elimination_refuses_a_normal_matrix_over_the_size_cap():
+    # the denominator counts as much as the numerator
+    system = _solver([[F(1, 2**2100), F(1)], [F(1), F(1)]])
+    with pytest.raises(CapExceededError) as caught:
+        system._solve_exact([F(1), F(1)])
+    assert caught.value.payload["stage"] == "elimination"
+    assert caught.value.payload["size"] == 2 * 2101 > sos.EXACT_BITS_CAP
 
 
 # --- the recorded exact elimination against the solve it replaced ----------
