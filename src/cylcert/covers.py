@@ -45,10 +45,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 import numpy as np
 
+from .certificate import integer_root_upper
 from .errors import BudgetExhaustedError
 
 SQRT_BITS = 20
@@ -63,14 +64,9 @@ def sqrt_upper(value: Fraction | int) -> Fraction:
     v = Fraction(value)
     if v < 0:
         raise ValueError("square root of a negative value")
-    if v == 0:
-        return Fraction(0)
-    # sqrt(p/q) = sqrt(p*q)/q; isqrt gives the floor, +1 an upper bound.
+    # sqrt(p/q) = sqrt(p*q)/q, and the integer root's ceiling bounds it above.
     scaled = v.numerator * v.denominator << (2 * SQRT_BITS)
-    root = isqrt(scaled)
-    if root * root < scaled:
-        root += 1
-    return Fraction(root, v.denominator << SQRT_BITS)
+    return Fraction(integer_root_upper(scaled, 2), v.denominator << SQRT_BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def base_cache_to_obj(key: str, witnesses: Mapping[Parity, Witness]) -> dict[str
     return {
         "constraints_hash": key,
         "witnesses": {
-            "".join(str(b) for b in parity): [sos_to_obj(s) for s in sigmas]
+            "".join(str(b) for b in parity): [sos_to_obj(s.primitive()) for s in sigmas]
             for parity, sigmas in sorted(witnesses.items())
         },
     }

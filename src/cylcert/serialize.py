@@ -12,11 +12,9 @@ coefficient under ``"c"``; blocks absent from the shape are omitted, and
 terms appear in canonical sorted order.  Files hold polynomials over a
 problem's shape, which has no homogenizers: a term's ``"h"`` must be ``{}``.
 
-:func:`canonical_dumps` returns exactly ``json.dumps(obj, sort_keys=True,
-separators=(",", ":")) + "\n"``: one line with no spaces, from a small
-recursive emitter that takes only what the ``*_to_obj`` functions build:
-dicts with str keys, lists, tuples, str, int, bool and None.  Anything
-else, a float or a non-str key included, raises ``TypeError``.
+:func:`canonical_dumps` is ``json.dumps(obj, sort_keys=True,
+separators=(",", ":")) + "\n"``: one line with no spaces, which the
+standard library writes with its C encoder because nothing is indented.
 
 :func:`sha256_of_obj`, which gives the problem hash and the sidecar key,
 hashes the two-space-indented form, ``json.dumps(obj, sort_keys=True,
@@ -41,7 +39,6 @@ import sys
 import tempfile
 from fractions import Fraction
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from typing import Any
 
@@ -256,35 +253,11 @@ def _from_terms(
 
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, no spaces, newline-terminated."""
-    return _emit(obj) + "\n"
-
-
-def _emit(obj: Any) -> str:
-    """Compact JSON text of ``obj``."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        if all(type(v) is int for v in obj):
-            return "[" + ",".join(map(int.__repr__, obj)) + "]"
-        return "[" + ",".join(map(_emit, obj)) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join([
-            encode_basestring_ascii(key) + ":" + _emit(obj[key]) for key in sorted(obj)
-        ]) + "}"
-    raise TypeError(f"canonical JSON cannot encode {type(obj).__name__}")
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def sha256_of_obj(obj: Any) -> str:
     """sha256 of the two-space-indented canonical text of ``obj``."""
-    canonical_dumps(obj)  # refuses what canonical_dumps refuses
     text = json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

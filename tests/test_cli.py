@@ -146,12 +146,13 @@ PINNED_SIGMAS = {
 }
 
 # sha256_of_obj of the `.basecache.json` sidecars the same runs write, for
-# the two inputs whose sidecars are largest
+# the two inputs whose sidecars are largest, with each witness stored over
+# primitive integer squares as certificates store theirs
 PINNED_SIDECARS = {
     "c5_square_plane_quadratic":
-        "fd7f1751b87fa25d1ffe92269a8f0f6204fcb3ad42d2c6c9fab04e7928f149d7",
+        "6f31644eb7e007dc2994ce3d8adc47f56b99b8573c430fdeb46314c4f22b61b9",
     "polya2-K56":
-        "a0ee6afeaba3f98b54f617e7c0c599fadd1c16e7aae25e59192e128fd5819c0f",
+        "9095750f1caa2ea1c1f8281fd7fbbdaccd6ea1bdacd27f17def96359ec4d5e59",
 }
 
 # sha256 of the compact files themselves, certificates and the two sidecars
@@ -183,9 +184,9 @@ PINNED_FILES = {
     "polya2-K56.cert.json":
         "54f8f8f9da01e3051e4f9c6574373819ef0ecd6c2b55b6ba7f179edf366725a3",
     "c5_square_plane_quadratic.cert.json.basecache.json":
-        "be623a0245632c1833ac15e0d088f874d4a2637f829a7d110899e25e0f22e37c",
+        "a9a2615edb48560b67317c82817a3037ae20d758897b334f50f110ae5636f68b",
     "polya2-K56.cert.json.basecache.json":
-        "8936d328080ad34010ff33141a5e0749999e30449db9362a91eb0aae1c941fc3",
+        "4bfedaf0b980db70ec2ad008d4ddb9450de18fb0a47a53e5d49e08eff701f947",
 }
 
 # sha256 over every float point the Gram searches of the snapshot return,
@@ -495,6 +496,37 @@ def test_written_files_are_the_canonical_bytes(problem_file, tmp_path):
     assert out.read_bytes().count(b"\n") == 1
     sidecar = tmp_path / "cert.json.basecache.json"
     assert sidecar.read_bytes() == canonical_dumps(json.loads(sidecar.read_text())).encode()
+
+
+def _plain_json(obj, where="$"):
+    """Assert ``obj`` holds only str, int, bool, None, lists and dicts with
+    str keys: what the encoders build, and no float."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            assert type(key) is str, f"{where}: key {key!r}"
+            _plain_json(value, f"{where}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _plain_json(value, f"{where}[{i}]")
+    else:
+        assert obj is None or type(obj) in (str, int, bool), f"{where}: {obj!r}"
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in SAMPLES.glob("*.json")))
+def test_certify_writes_only_plain_json_values(tmp_path, monkeypatch, stem):
+    # the certificate, sidecar and diagnostics objects, as handed to the encoder
+    written = []
+    monkeypatch.setattr(
+        cli, "canonical_dumps", lambda obj: written.append(obj) or canonical_dumps(obj)
+    )
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--input", str(SAMPLES / f"{stem}.json"), "--output", str(out),
+            "--diagnostics", str(tmp_path / "diag.json")]
+    assert cli.main(argv) == 0
+    # c4's plain SOS shortcut writes no sidecar
+    assert len(written) == 2 + (tmp_path / "cert.json.basecache.json").exists()
+    for obj in written:
+        _plain_json(obj)
 
 
 def _mode(path):

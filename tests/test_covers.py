@@ -7,10 +7,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cylcert import covers
 from cylcert.covers import (
     COVER_POINT_CAP,
+    SQRT_BITS,
     SimplexGrid,
     _cover_cost,
     projected_sphere_cover,
@@ -149,6 +152,26 @@ def test_sqrt_upper_exact_on_perfect_squares():
     assert sqrt_upper(1) == 1
     assert sqrt_upper(4) == 2
     assert sqrt_upper(F(9, 4)) == F(3, 2)
+
+
+def _isqrt_upper(v):
+    """The ``math.isqrt`` ceiling ``sqrt_upper`` used before it shared the
+    checker's integer root, kept as the reference."""
+    scaled = v.numerator * v.denominator << (2 * SQRT_BITS)
+    root = math.isqrt(scaled)
+    if root * root < scaled:
+        root += 1
+    return F(root, v.denominator << SQRT_BITS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.fractions(min_value=0, max_denominator=10**40).filter(lambda v: v <= 10**40))
+@example(F(0))
+@example(F(1, 3))
+@example(F(10**40 - 1, 10**40))
+@example(F((2**80 + 1) ** 2))
+def test_sqrt_upper_is_the_isqrt_ceiling(v):
+    assert sqrt_upper(v) == _isqrt_upper(v)
 
 
 @pytest.mark.parametrize(
