@@ -1,10 +1,13 @@
 """End-to-end certification: from a validated problem to a verified certificate.
 
 The chain is fixed: validate the input, move box-framed problems into the
-simplex frame, certify the side condition and a positive floor for the
-padded target, search the perturbation weight, saturate with the simplex
-sum until every coefficient form is a sum of squares, decompose the
-facet witnesses of the parity class those forms use into squares, and
+simplex frame, certify the side condition, and, when f has x-degree 0
+(d = 0), try f as a plain sum of squares: that certificate needs no
+floor and states 0 for it.  Otherwise, or when that search stalls or
+stops at a size cap, certify a positive floor for the padded
+target, search the perturbation weight, saturate with the simplex sum
+until every coefficient form is a sum of squares, decompose the facet
+witnesses of the parity class those forms use into squares, and
 assemble the weighted-square representation (:func:`assemble`, at the
 end of this module).  Box-framed inputs get their certificate composed
 back through the affine change of coordinates.  Each sigma is then made
@@ -57,7 +60,7 @@ from .certificate import (
     verify_certificate,
 )
 from .certified import certified_cylinder_min, check_leading_form_condition
-from .errors import SosStalledError, ValidationError
+from .errors import CapExceededError, SosStalledError, ValidationError
 from .perturb import factor_squares, find_perturbation, normalized_constraints
 from .poly import BlockedPoly, BlockShape, SosDecomposition
 from .polya import PolyaResult, polya_saturate
@@ -143,27 +146,28 @@ def certify_problem(
     conditions = check_leading_form_condition(solving, fallback_x=fallback)
     diag["conditions"] = {name: cm.to_obj() for name, cm in conditions.items()}
 
-    floor = certified_cylinder_min(solving, rel_slack=Fraction(1, 8), fallback_x=fallback)
-    fstar_lb = floor.lower_bound
-    diag["fstar"] = floor.to_obj()
-
     with gram_tally() as gram:
         cert: Certificate | None = None
         base: dict[Parity, Witness] = {}
         if solving.d == 0:
             # The target does not involve the bounded block at all, so a
-            # plain square decomposition is a complete certificate; fall
-            # through to the general machinery if the search stalls.
+            # plain square decomposition is a complete certificate, tried
+            # before the floor scan.  Its identity proves f >= 0 by itself,
+            # so it states the floor 0.  Fall through to the scan and the
+            # general machinery if the search stalls or stops at a size
+            # cap, so a target negative somewhere still gets a witness.
             try:
                 sigma0 = sos_decompose(solving.f)
-            except SosStalledError as exc:
+            except (SosStalledError, CapExceededError) as exc:
                 diag["shortcut"] = {"used": False, "reason": exc.payload or str(exc)}
             else:
-                cert = sos_only_certificate(solving, sigma0, fstar_lb=fstar_lb)
+                cert = sos_only_certificate(solving, sigma0, fstar_lb=Fraction(0))
                 diag["shortcut"] = {"used": True, "squares": len(sigma0.squares)}
 
         if cert is None:
-            pert = find_perturbation(solving, fstar_lb)
+            floor = certified_cylinder_min(solving, rel_slack=Fraction(1, 8), fallback_x=fallback)
+            diag["fstar"] = floor.to_obj()
+            pert = find_perturbation(solving, floor.lower_bound)
             diag["perturbation"] = {
                 "lambda": frac_to_str(pert.lam),
                 "k": pert.k,
@@ -204,7 +208,7 @@ def certify_problem(
                 pert.k,
                 pol,
                 base,
-                fstar_lb=fstar_lb,
+                fstar_lb=floor.lower_bound,
             )
     diag["gram"] = asdict(gram)
 

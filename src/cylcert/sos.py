@@ -28,10 +28,10 @@ The classic round-then-project scheme then runs on it:
    *exactly* (a rational solve of the normal equations), and factors
    every block with :func:`rational_ldlt`.  The system comes from a
    memo keyed on shape, generators and bases, so every target with the
-   same bases reuses it, and its exact solve records the Gauss-Jordan
-   elimination once: each right-hand side is then one rational
-   matrix-vector product.  A matrix whose numbers could outgrow
-   :data:`EXACT_BITS_CAP` is refused before it is eliminated or factored.
+   same bases reuses it, and its normal matrix is factored once, by the
+   same :func:`rational_ldlt`: each right-hand side is then a forward
+   and a back substitution.  A matrix whose numbers could outgrow
+   :data:`EXACT_BITS_CAP` is refused before it is factored.
 3. The first rung whose blocks all factor and whose identity expands
    exactly to the target is the answer: no residual, no trust in floats.
    It is the tuple ``(sigma_0, sigma_1, ..., sigma_s)``, one entry per
@@ -64,7 +64,7 @@ from .poly import BlockedPoly, BlockShape, ExactSum, SosDecomposition, expand_id
 
 Exponent = tuple[int, ...]
 Basis = Sequence["Exponent | BlockedPoly"]
-SparseRow = list[tuple[int, int]]
+SparseRow = list[tuple[int, Fraction]]
 
 TAU_LADDER = (Fraction(1, 64), Fraction(1, 1024), Fraction(1, 65536), Fraction(1, 2**24), Fraction(0))
 DEN_LADDER = tuple(2**k for k in (4, 8, 12, 16, 20, 24, 28, 32))
@@ -85,9 +85,9 @@ ANDERSON_MEMORY = 5
 # The exact phase refuses a symmetric matrix once ``rows * bits`` exceeds
 # this, where ``rows`` counts the rows with a nonzero off the diagonal and
 # ``bits`` is the longest numerator or denominator among them: by
-# Hadamard's bound, about the length its elimination and LDL^T can grow
-# the numbers to.  The other rows are never combined with another row.
-# The samples and bench family stay at 576.
+# Hadamard's bound, about the length its LDL^T can grow the numbers to.
+# The other rows are never combined with another row.  The samples and
+# bench family stay at 576.
 EXACT_BITS_CAP = 4096
 
 # The LAPACK gufunc that np.linalg.eigh calls for float64 input, without
@@ -136,7 +136,10 @@ def rational_ldlt(
 ) -> tuple[tuple[int, ...], list[Fraction], list[list[Fraction]]] | None:
     """Factor a symmetric PSD matrix as P G P^T = L D L^T, exactly.
 
-    Pivots greedily on the largest remaining diagonal entry.  Returns
+    The one exact factorization of the search: it factors every Gram
+    block and each system's normal matrix.  Pivots greedily on the
+    largest remaining diagonal entry, and updates only the rows whose
+    multiplier is nonzero, by the pivot row's nonzero entries.  Returns
     ``(perm, diag, lower)`` with unit lower-triangular ``lower``, or
     ``None`` when a negative pivot (or a zero pivot with a nonzero row)
     certifies that the matrix is not PSD.  A matrix over
@@ -167,11 +170,14 @@ def rational_ldlt(
             continue
         diag[k] = d
         lower[k][k] = Fraction(1)
+        pivot_row = [(j, v) for j, v in enumerate(a[k][k:], start=k) if v]
         for i in range(k + 1, dim):
+            if not a[i][k]:
+                continue
             factor = a[i][k] / d
             lower[i][k] = factor
-            for j in range(k, dim):
-                a[i][j] -= factor * a[k][j]
+            for j, v in pivot_row:
+                a[i][j] -= factor * v
     return tuple(perm), diag, lower
 
 
@@ -271,19 +277,6 @@ class GramSystem:
             pick = np.arange(len(pos))[:, None] * (dim * dim) + (upper_j * dim + upper_k)
             self.psd_groups.append((stack[:, entry], stack.ravel(), pick.ravel()))
 
-        # Exact normal matrix M = A W^-1 A^T for the rational projection.
-        m = [[Fraction(0)] * n_rows for _ in range(n_rows)]
-        for e, col in enumerate(cols):
-            inv_w = Fraction(1, self.weights[e])
-            for r1, v1 in col:
-                for r2, v2 in col:
-                    if r2 >= r1:
-                        m[r1][r2] += v1 * v2 * inv_w
-        for r1 in range(n_rows):
-            for r2 in range(r1):
-                m[r1][r2] = m[r2][r1]
-        self.m_exact = m
-
     def rhs(self, target: BlockedPoly) -> list[Fraction] | None:
         """Target coefficients in row order; None when unreachable."""
         b = [Fraction(0)] * len(self.row_of)
@@ -314,73 +307,60 @@ class GramSystem:
 
     # -- exact phase ----------------------------------------------------
     @cached_property
-    def _elimination(self) -> tuple[list[tuple[int, SparseRow, int]], list[SparseRow]]:
-        """Gauss-Jordan on M, recorded once as ``(solve rows, null rows)``.
+    def m_exact(self) -> list[list[Fraction]]:
+        """The exact normal matrix M = A W^-1 A^T of the rational projection."""
+        n_rows = len(self.row_of)
+        m = [[Fraction(0)] * n_rows for _ in range(n_rows)]
+        for e, col in enumerate(self.cols):
+            inv_w = Fraction(1, self.weights[e])
+            for r1, v1 in col:
+                for r2, v2 in col:
+                    if r2 >= r1:
+                        m[r1][r2] += v1 * v2 * inv_w
+        for r1 in range(n_rows):
+            for r2 in range(r1):
+                m[r1][r2] = m[r2][r1]
+        return m
 
-        The pivots depend on M alone, so the steps run once on ``[M | I]``
-        and leave E, the product of the steps, in the right half; every
-        right-hand side is then one product with E.  Pivot row r of column
-        c gives unknown c as ``E[r] . rhs / M'[r][c]``: a solve row
-        ``(c, E[r], M'[r][c])``.  A row that no pivot used is zero in M',
-        so ``E[r] . rhs`` must vanish: a null row.  Each row of ``[M | I]``
-        is held as integers over one positive denominator, so a step is
-        integer arithmetic and one gcd, and the pivot is still the first
-        row of largest ``|M'[r][c]|``.  Solve rows keep E[r] and the pivot
-        over the same denominator; rows are sparse ``(column, value)``.
+    @cached_property
+    def _factor(self) -> tuple[tuple[int, ...], list[Fraction], list[SparseRow]]:
+        """M factored once by :func:`rational_ldlt`, its multipliers sparse.
+
+        Returns ``(perm, diag, rows)``: ``rows[i]`` holds the ``(j, L[i][j])``
+        with ``j < i`` and ``L[i][j]`` nonzero.  M is PSD, so it factors.
         M over :data:`EXACT_BITS_CAP` raises :class:`CapExceededError`.
         """
         _check_exact_size("elimination", self.m_exact)
-        dim = len(self.m_exact)
-        rows: list[tuple[list[int], int]] = []
-        for i, m_row in enumerate(self.m_exact):
-            den = math.lcm(*(v.denominator for v in m_row))
-            nums = [v.numerator * (den // v.denominator) for v in m_row] + [0] * dim
-            nums[dim + i] = den
-            rows.append((nums, den))
-        pivots: list[tuple[int, int]] = []
-        used: set[int] = set()
-        for col in range(dim):
-            sel = None
-            for r in range(dim):
-                if r not in used and rows[r][0][col]:
-                    if sel is None or (
-                        abs(rows[r][0][col]) * rows[sel][1] > abs(rows[sel][0][col]) * rows[r][1]
-                    ):
-                        sel = r
-            if sel is None:
-                continue
-            used.add(sel)
-            pivots.append((sel, col))
-            piv_nums = rows[sel][0]
-            p = piv_nums[col]
-            for r in range(dim):
-                nums, den = rows[r]
-                f = nums[col]
-                if r != sel and f:
-                    # nums/den - (f/p) piv_nums/den = (p nums - f piv_nums) / (p den)
-                    new = [p * a - f * b for a, b in zip(nums, piv_nums)]
-                    new_den = p * den
-                    g = math.gcd(new_den, *new) * (1 if p > 0 else -1)
-                    rows[r] = ([v // g for v in new], new_den // g)
-
-        def e_row(r: int) -> SparseRow:
-            return [(k, v) for k, v in enumerate(rows[r][0][dim:]) if v]
-
-        solve_rows = [(col, e_row(r), rows[r][0][col]) for r, col in pivots]
-        null_rows = [e_row(r) for r in range(dim) if r not in used]
-        return solve_rows, null_rows
+        perm, diag, lower = rational_ldlt(self.m_exact)
+        rows = [[(j, v) for j, v in enumerate(row[:i]) if v] for i, row in enumerate(lower)]
+        return perm, diag, rows
 
     def _solve_exact(self, rhs: list[Fraction]) -> list[Fraction] | None:
-        """Solve M y = rhs in rationals; None when inconsistent."""
-        solve_rows, null_rows = self._elimination
-        den = math.lcm(*(v.denominator for v in rhs))
-        nums = [v.numerator * (den // v.denominator) for v in rhs]
-        for row in null_rows:
-            if sum(v * nums[k] for k, v in row):
+        """Solve M y = rhs in rationals; None when inconsistent.
+
+        Forward substitution through L, a division by D, back substitution
+        through L^T.  A zero pivot takes 0 for its unknown, and a nonzero
+        entry there means rhs is outside M's range.  Which solution of a
+        singular M is returned does not matter: M z = 0 forces A^T z = 0,
+        so every solution gives the same projection.
+        """
+        perm, diag, rows = self._factor
+        z = [rhs[p] for p in perm]
+        for i, row in enumerate(rows):
+            for j, v in row:
+                z[i] -= v * z[j]
+        for k, d in enumerate(diag):
+            if d:
+                z[k] /= d
+            elif z[k]:
                 return None
+        for i in reversed(range(len(rows))):
+            if z[i]:
+                for j, v in rows[i]:
+                    z[j] -= v * z[i]
         y = [Fraction(0)] * len(rhs)
-        for col, row, pivot in solve_rows:
-            y[col] = Fraction(sum(v * nums[k] for k, v in row), pivot * den)
+        for k, p in enumerate(perm):
+            y[p] = z[k]
         return y
 
     def exact_correction(

@@ -93,7 +93,7 @@ PINNED_CERTIFICATES = {
     "c3_interval_plane_quartic":
         "48eab918190e2f27e0111da700571f338ef65273f01da2dede7145d5ccd72b8d",
     "c4_pure_square_quartic":
-        "040bd55ad3a46f3f40f20596f792ff7eccc87b20f1b2b625f0bd01e4647b10ad",
+        "99804684871cfcd8ed04cdb80b94ef4d1ba540fd3613531f0db18b928e81f536",
     "c5_square_plane_quadratic":
         "699f2b03fdb49e13e40a79973a977cad375eb14e066181aecda51fe672830167",
     "c6_interval_split_blocks":
@@ -164,7 +164,7 @@ PINNED_FILES = {
     "c3_interval_plane_quartic.cert.json":
         "66ba2ce1233f3d2602ffaa5268a05c8bc50bd9c62a34addac06bb3cc1dc71ba1",
     "c4_pure_square_quartic.cert.json":
-        "51d423ade62e6c78845055abb2652d5ac80fd31268da1d39184b93b033d1cb13",
+        "20b4580af88ce4abcff3b5c0943e0c48eb4bd7686d65191e9ec17d3c77273e2e",
     "c5_square_plane_quadratic.cert.json":
         "97f85f211cb1c625a7b6b5a397c983016550cec3f22399739bd076ba7aa8572c",
     "c6_interval_split_blocks.cert.json":
@@ -201,9 +201,11 @@ PINNED_PSD_STEPS_FILE = "a406202b0867f2474501f6d7500697e758d1c83bcf1a52bcbf531ff
 # sha256_of_obj of the list, in certification order, of the `fstar`,
 # `conditions` and `perturbation` blocks of each `<id>.diag.json` of the
 # snapshot: the floor scans' bounds, witnesses, resolutions and pair
-# counts, which no certificate holds.  Computed at commit c676c2a, where
-# the scan still valued each exact pair with `BlockedPoly.eval_at`.
-PINNED_SCANS = "c9063ad603f8a5406067e14c6dfcb2bac8e03731fce745370821fbe016d71649"
+# counts, which no certificate holds.  The scans are those pinned at
+# commit c676c2a, where the scan still valued each exact pair with
+# `BlockedPoly.eval_at`; c4's entry has lost its `fstar` block since its
+# d = 0 sum of squares is tried before the floor scan.
+PINNED_SCANS = "576054728bf2ab479eb3e8486d136295f89fd792884622d6e1bb110575d894d1"
 
 # sha256_of_obj of the list of each sigma's expanded `sum w * q**2`, from
 # `expanded.sha256`: the polynomials the certificates state, whatever
@@ -612,7 +614,7 @@ OLDER_METADATA = {
 # sha256 of those compact files, and the report verify printed for them
 OLDER_FILES = {
     "c4_pure_square_quartic": (
-        "38f695675785cff09f104a3a42c1e1bcae061b91221a403e0a10fbdadfe5b63a",
+        "ee1faeaca82c5ba7de9942920b7d7e7fc0baf44df0bed352e723c8cd0698e569",
         '{"product_degrees": [4, 0], "sigma_degrees": [4, 0]}',
     ),
     "c7_box_frame_line_quadratic": (

@@ -14,6 +14,7 @@ from cylcert.pipeline import certify_problem
 from cylcert.poly import BlockShape, BlockedPoly
 from cylcert.problem import BOX, SIMPLEX, CylinderProblem, Variant
 from cylcert.serialize import canonical_dumps
+from cylcert.sos import sos_decompose
 
 
 def line_problem(f_builder, g_builder=None, *, m=2, frame=SIMPLEX, variant=Variant.R1_ANY_M, r1=1):
@@ -129,3 +130,63 @@ def test_feasible_points_outside_the_frame_are_refused():
     with pytest.raises(ValidationError) as err:
         certify_problem(p)
     assert "violations" in err.value.payload
+
+
+# --- d = 0: the sum of squares before the floor scan -----------------------
+
+def _quartic_r2(constant, y2_squared, *, frame=SIMPLEX):
+    """``constant + y2_squared*y2^2 + 2 y1^2 + (y1^2 + y2^2)^2`` on c4's line."""
+    def f(x, ys, one):
+        y1, y2 = ys[0] * ys[0], ys[1] * ys[1]
+        return one.scale(constant) + y2.scale(y2_squared) + y1.scale(2) + (y1 + y2) ** 2
+
+    def g(x, one):
+        return (one.scale(F(-1, 8)) + x.scale(F(3, 4)) - x * x,)
+
+    return line_problem(f, g, m=4, frame=frame, variant=Variant.QUARTIC_R2, r1=2)
+
+
+@pytest.mark.parametrize("problem", [
+    # c4 with its y2^2 coefficient -1: the floor scan's sphere cover ran
+    # out of budget (exit 13) before the sum of squares was tried
+    _quartic_r2(1, -1),
+    # a box input whose floor, 10^-22, needs a finer cover than the budget
+    _quartic_r2(F(1, 10**22), 2, frame=BOX),
+    # zero at y = (0, +-1): the certificate states the floor 0
+    _quartic_r2(1, -2),
+], ids=["c4neg", "tiny-floor-box", "zero-on-a-circle"])
+def test_d0_sum_of_squares_needs_no_floor_scan(problem, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the floor scan ran")
+
+    monkeypatch.setattr("cylcert.pipeline.certified_cylinder_min", no_scan)
+    res = certify_problem(problem)
+    assert res.diagnostics["shortcut"]["used"]
+    assert "fstar" not in res.diagnostics
+    assert res.certificate.meta.fstar_lb == 0
+    assert not any(sigma.weights for sigma in res.certificate.sigmas[1:])
+    verify_certificate(problem, res.certificate)
+
+
+@pytest.mark.parametrize("problem", [
+    _quartic_r2(-1, 2),
+    # y^32 - 1: its Gram basis, 17 monomials, is over the cap of 16
+    line_problem(lambda x, ys, one: ys[0] ** 32 - one, m=32),
+], ids=["stalled", "basis-over-the-cap"])
+def test_d0_target_negative_at_the_origin_falls_through_to_the_scan(problem, monkeypatch):
+    # the sum-of-squares search, stalled or refused, hands over to the
+    # floor scan, which refuses the target with the point where it is
+    # negative
+    tried = []
+
+    def record(f):
+        tried.append(f)
+        return sos_decompose(f)
+
+    monkeypatch.setattr("cylcert.pipeline.sos_decompose", record)
+    with pytest.raises(NonpositiveWitnessError) as err:
+        certify_problem(problem)
+    assert tried == [problem.f]
+    assert err.value.exit_code == 12
+    # the compactified target at x = 1/2 and the sphere's pole
+    assert err.value.payload["witness"]["value"] == "-1"

@@ -641,7 +641,7 @@ def test_elimination_refuses_a_normal_matrix_over_the_size_cap():
     assert caught.value.payload["size"] == 2 * 2101 > sos.EXACT_BITS_CAP
 
 
-# --- the recorded exact elimination against the solve it replaced ----------
+# --- the LDL^T solve of the normal equations against Gauss-Jordan ----------
 
 def _reference_solve_exact(self, rhs):
     """Solve M y = rhs in rationals; None when inconsistent."""
@@ -677,34 +677,37 @@ def _reference_solve_exact(self, rhs):
 
 
 _ENTRIES = st.one_of(st.just(F(0)), st.fractions(-50, 50, max_denominator=12))
-_NONZERO = st.fractions(-50, 50, max_denominator=12).filter(bool)
+
+
+def _times(rows, v):
+    return [sum((a * b for a, b in zip(row, v)), F(0)) for row in rows]
+
+
+def _transpose(rows, width):
+    return [[row[e] for row in rows] for e in range(width)]
 
 
 @st.composite
-def _linear_systems(draw):
-    """``(M, right-hand sides)``: M of every rank, sides in its range or not.
+def _normal_systems(draw):
+    """``(B, w, right-hand sides)`` for M = B diag(1/w) B^T of every rank.
 
-    M is ``left @ right`` with rows and columns shuffled, where ``left``
-    starts with a unit lower triangle and ``right`` is upper triangular
-    with a nonzero diagonal, so its rank is exactly ``rank``.
+    B is ``left @ right`` with ``rank`` inner columns, so M's rank is at
+    most ``rank``; each side is B times a point, moved off M's range or not.
     """
     dim = draw(st.integers(1, 6))
-    rank = dim - draw(st.integers(0, dim))
-    left = [[F(i == k) if i <= k else draw(_ENTRIES) for k in range(rank)] for i in range(dim)]
-    right = [[F(0) if j < k else draw(_NONZERO) if j == k else draw(_ENTRIES)
-              for j in range(dim)] for k in range(rank)]
-    rows = draw(st.permutations(range(dim)))
-    cols = draw(st.permutations(range(dim)))
-    m = [[sum((left[i][k] * right[k][j] for k in range(rank)), F(0)) for j in cols]
-         for i in rows]
+    width = draw(st.integers(0, 7))
+    rank = draw(st.integers(0, min(dim, width)))
+    left = [[draw(_ENTRIES) for _ in range(rank)] for _ in range(dim)]
+    right = [[draw(_ENTRIES) for _ in range(width)] for _ in range(rank)]
+    b = [_times(_transpose(right, width), row) for row in left]
+    w = [draw(st.sampled_from((1, 2))) for _ in range(width)]
     sides = []
     for _ in range(draw(st.integers(1, 3))):
-        v = [draw(_ENTRIES) for _ in range(dim)]
-        rhs = [sum((m[i][j] * v[j] for j in range(dim)), F(0)) for i in range(dim)]
+        rhs = _times(b, [draw(_ENTRIES) for _ in range(width)])
         if draw(st.booleans()):
             rhs = [r + draw(_ENTRIES) for r in rhs]
         sides.append(rhs)
-    return m, sides
+    return b, w, sides
 
 
 def _solver(m):
@@ -715,19 +718,73 @@ def _solver(m):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_linear_systems())
-@example(([[F(2), F(1)], [F(1), F(3)]], [[F(1), F(-1)]]))             # full rank
-@example(([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(2)]]))              # rank 1, consistent
-@example(([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(3)]]))              # rank 1, inconsistent
-@example(([[F(0), F(0)], [F(0), F(0)]], [[F(0), F(0)], [F(0), F(1)]]))  # rank 0
-def test_recorded_elimination_matches_the_gauss_jordan_solve(case):
-    m, sides = case
+@given(_normal_systems())
+@example(([[F(1), F(0)], [F(1), F(1)]], [1, 2], [[F(1), F(-1)]]))    # full rank
+@example(([[F(1)], [F(2)]], [1], [[F(1), F(2)]]))                    # rank 1, consistent
+@example(([[F(1)], [F(2)]], [1], [[F(1), F(3)]]))                    # rank 1, inconsistent
+@example(([[], []], [], [[F(0), F(0)], [F(0), F(1)]]))               # rank 0
+def test_ldlt_solve_matches_the_gauss_jordan_solve(case):
+    # a singular M has many solutions y, but B^T y, which moves the
+    # projected point, is the same for all of them
+    b, w, sides = case
+    width = len(w)
+    bw = [[v / w[e] for e, v in enumerate(row)] for row in b]
+    m = [_times(bw, row) for row in b]
     system = _solver(m)
+    b_t = _transpose(b, width)
     for rhs in sides:
         expected = _reference_solve_exact(system, rhs)
         got = system._solve_exact(rhs)
         if expected is None:
             assert got is None
         else:
-            assert got == expected and all(type(v) is F for v in got)
-            assert all(sum(a * b for a, b in zip(row, got)) == r for row, r in zip(m, rhs))
+            assert got is not None and all(type(v) is F for v in got)
+            assert _times(m, got) == rhs
+            assert _times(b_t, got) == _times(b_t, expected)
+
+
+def _reference_exact_correction(system, x, b):
+    """``exact_correction`` through the Gauss-Jordan solve."""
+    residual = b[:]
+    for value, col in zip(x, system.cols):
+        for row, v in col:
+            residual[row] -= v * value
+    y = _reference_solve_exact(system, residual)
+    if y is None:
+        return None
+    return [value + sum((v * y[row] for row, v in col), F(0)) / weight
+            for value, col, weight in zip(x, system.cols, system.weights)]
+
+
+_SMALL = st.fractions(-4, 4, max_denominator=4)
+
+
+@st.composite
+def _facet_systems(draw):
+    """A facet system of random constraints, parity and budget 2 to 4."""
+    n = draw(st.integers(1, 2))
+    shape = BlockShape(n, 0)
+    monos = [e for e in iproduct(range(3), repeat=n) if sum(e) <= 2]
+    gens = tuple(
+        BlockedPoly(shape, {e: draw(_SMALL) for e in monos}) for _ in range(draw(st.integers(1, 2)))
+    )
+    parity = tuple(draw(st.integers(0, 1)) for _ in range(n + 1))
+    budget = draw(st.integers(2, 4))
+    return GramSystem(shape, gens, facet_bases(shape, gens, budget, facet_product(shape, parity)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_facet_systems(), st.randoms(use_true_random=False))
+def test_projection_does_not_depend_on_the_solver(system, rng):
+    def point():
+        return [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in system.entries]
+
+    for _ in range(3):
+        b = [F(0)] * len(system.row_of)
+        for value, col in zip(point(), system.cols):
+            for row, c in col:
+                b[row] += c * value
+        if rng.random() < 0.5:
+            b = [v + F(rng.randrange(-1, 2)) for v in b]
+        x = point()
+        assert system.exact_correction(x, b) == _reference_exact_correction(system, x, b)
